@@ -47,9 +47,9 @@ use ccs_experiments::figures::{print_figure, write_figure};
 use ccs_experiments::store::{SOURCE_CHAOS, SOURCE_GRID};
 use ccs_experiments::{
     build_figure, parse_cli_checked, progress, replicate, run_all_ablations, run_evaluation_ctl,
-    tables, telemetry_report, trace_report, write_atomic, CellError, EstimateSet, GridControl,
-    Journal, Query, RawGrid, ResultStore, SupervisorConfig, TelemetryReport, TraceCellSpec,
-    STORE_FILE,
+    tables, telemetry_report, trace_report, write_atomic, CellError, ConfigError, EstimateSet,
+    GridControl, Journal, Query, RawGrid, ResultStore, SupervisorConfig, TelemetryReport,
+    TraceCellSpec, STORE_FILE,
 };
 use ccs_risk::Objective;
 use ccs_simsvc::RunBudget;
@@ -166,7 +166,13 @@ fn parse_grid_control(args: &mut Vec<String>) -> Result<(GridControl, bool), Str
                     .get(i + 1)
                     .cloned()
                     .ok_or("--resume requires a journal path")?;
-                ctl.journal = Some(std::path::PathBuf::from(v));
+                let path = std::path::PathBuf::from(v);
+                // Fail at parse time, not partway into the grid.
+                Journal::create(&path).map_err(|e| {
+                    let msg = format!("cannot open journal {}: {e}", path.display());
+                    ConfigError::new("--resume", msg).to_string()
+                })?;
+                ctl.journal = Some(path);
                 args.drain(i..i + 2);
             }
             "--cell-budget" => {
@@ -699,6 +705,14 @@ fn main() {
         }
     };
     let (cfg, out, telemetry) = match parse_cli_checked(&args) {
+        Ok(parsed) if ctl.supervisor.is_some() && parsed.0.replicas > 1 => {
+            let e = ConfigError::new(
+                "--replicas",
+                "seed ensembles run in-process only; drop --workers/--remote or use --replicas 1",
+            );
+            eprintln!("utility_risk: {e}");
+            std::process::exit(2);
+        }
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("utility_risk: {e}");

@@ -7,6 +7,7 @@
 //! slow cells can be reported even in uninstrumented builds. With the
 //! `telemetry` feature the same timings also feed the global registry.
 
+use crate::ipc::CellSpec;
 use crate::journal::{cell_key, CellError, CellErrorKind, CellRecord, Journal};
 use crate::live::LiveRiskBoard;
 use crate::progress;
@@ -20,12 +21,12 @@ use ccs_simsvc::{
     simulate_guarded_with, BudgetExceeded, FaultConfig, RunBudget, RunConfig, Violation,
 };
 use ccs_telemetry::profile::ProfileSnapshot;
-use ccs_workload::{apply_scenario, BaseJob, Job, SdscSp2Model};
+use ccs_workload::{apply_scenario, BaseJob, Job, ScenarioTransform, SdscSp2Model};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Global experiment configuration.
@@ -91,9 +92,10 @@ pub struct GridControl {
     /// appended as they finish, and cells already present are reused
     /// instead of re-simulated. `None` disables journaling.
     pub journal: Option<std::path::PathBuf>,
-    /// Simulate at most this many cells (journal hits don't count), then
-    /// skip the rest — the hook integration tests use to "kill" a run at a
-    /// deterministic point. `None` = unlimited.
+    /// Simulate only the first this-many cells of the plan (journal hits
+    /// don't count), then skip the rest — the hook integration tests use
+    /// to "kill" a run at a deterministic point. The same cells run in
+    /// every execution mode. `None` = unlimited.
     pub cell_budget: Option<usize>,
     /// Deliberately panic the cell `"scenarioIdx:valueIdx:PolicyName"` —
     /// the fault-injection backdoor proving a broken policy cannot take
@@ -115,13 +117,12 @@ pub struct GridControl {
     /// when `None`. The drill applies a small default budget when no
     /// per-cell budget is configured, so it terminates either way.
     pub stall_cell: Option<String>,
-    /// Fan the grid out across worker OS processes instead of in-process
-    /// threads. `None` (the default) keeps the in-process thread pool;
-    /// `Some` hands the run to [`crate::supervisor::run_grid_supervised`],
-    /// which re-execs the current binary as `utility_risk worker`
-    /// subprocesses. Supervised runs synthesise base jobs from
-    /// `cfg.trace` inside each worker, so caller-provided base jobs are
-    /// ignored on this path.
+    /// Fan the grid's cells out across worker processes instead of
+    /// in-process threads. `None` (the default) runs them on the local
+    /// executor; `Some` hands them to the supervisor, which re-execs the
+    /// current binary as `utility_risk worker` subprocesses and dials any
+    /// remote agents. Supervised runs synthesise base jobs from
+    /// `cfg.trace`, so caller-provided base jobs are ignored on this path.
     pub supervisor: Option<crate::supervisor::SupervisorConfig>,
 }
 
@@ -217,6 +218,9 @@ impl CellTiming {
     }
 }
 
+/// One workload-cache entry: a once-cell the first lookup of its key fills.
+type WorkloadSlot = OnceLock<Arc<Vec<Job>>>;
+
 /// Per-grid memoisation of synthesised job streams.
 ///
 /// `apply_scenario` is deterministic in `(base, transform, seed)`, and one
@@ -225,37 +229,61 @@ impl CellTiming {
 /// the baseline) can share one immutable trace instead of re-synthesising
 /// it. Keyed by the transform's debug rendering, which spells out every
 /// field at full float precision.
+///
+/// Each key owns a once-cell: the first lookup synthesises outside the map
+/// lock while concurrent lookups of the same key wait for it, so every
+/// transform is synthesised exactly once and the hit/miss counters do not
+/// depend on thread interleaving.
 pub(crate) struct WorkloadCache {
-    map: Mutex<HashMap<String, Arc<Vec<Job>>>>,
+    seed: u64,
+    trace: SdscSp2Model,
+    /// The base trace: given up front, or synthesised from `trace` on the
+    /// first miss (supervised runs and workers, which never receive one).
+    base: OnceLock<Vec<BaseJob>>,
+    map: Mutex<HashMap<String, Arc<WorkloadSlot>>>,
     pub(crate) hits: AtomicU64,
     pub(crate) misses: AtomicU64,
 }
 
 impl WorkloadCache {
-    pub(crate) fn new() -> Self {
+    /// A cache whose base trace is synthesised from `cfg.trace` on demand.
+    pub(crate) fn new(cfg: &ExperimentConfig) -> Self {
         WorkloadCache {
+            seed: cfg.seed,
+            trace: cfg.trace,
+            base: OnceLock::new(),
             map: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Returns the memoised trace for `key`, synthesising it with `generate`
-    /// on a miss. Synthesis runs outside the lock: two workers racing the
-    /// same key at worst duplicate one synthesis (the first insert wins),
-    /// never block each other for its duration.
-    pub(crate) fn get_or_generate(
-        &self,
-        key: String,
-        generate: impl FnOnce() -> Vec<Job>,
-    ) -> Arc<Vec<Job>> {
-        if let Some(hit) = self.map.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let jobs = Arc::new(generate());
-        Arc::clone(self.map.lock().unwrap().entry(key).or_insert(jobs))
+    /// A cache over caller-provided base jobs.
+    pub(crate) fn with_base(cfg: &ExperimentConfig, base: &[BaseJob]) -> Self {
+        let cache = WorkloadCache::new(cfg);
+        let _ = cache.base.set(base.to_vec());
+        cache
+    }
+
+    /// The memoised job stream for `transform`, synthesised on a miss.
+    pub(crate) fn workload(&self, transform: &ScenarioTransform) -> Arc<Vec<Job>> {
+        let slot = Arc::clone(
+            self.map
+                .lock()
+                .expect("workload cache map poisoned by a panic while locked")
+                .entry(format!("{transform:?}"))
+                .or_default(),
+        );
+        let mut missed = false;
+        let jobs = slot.get_or_init(|| {
+            missed = true;
+            let base = self.base.get_or_init(|| self.trace.generate(self.seed));
+            let _phase = ccs_telemetry::profile::enter("workload_gen");
+            Arc::new(apply_scenario(base, transform, self.seed))
+        });
+        let counter = if missed { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(jobs)
     }
 }
 
@@ -387,8 +415,8 @@ pub fn plan_shards(total: usize, workers: usize) -> Vec<Vec<usize>> {
 
 /// Runs the full 13 × 6 grid for one (economic model, estimate set) pair.
 ///
-/// Experiment points are independent, so they are fanned out over worker
-/// threads; results are deterministic regardless of the thread count.
+/// Cells are independent, so they are fanned out over worker threads;
+/// results are deterministic regardless of the thread count.
 pub fn run_grid(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> RawGrid {
     let base = cfg.trace.generate(cfg.seed);
     run_grid_with_base(econ, set, cfg, &base)
@@ -449,6 +477,11 @@ pub fn run_grid_with_base_ctl(
 /// [`crate::analysis::analyze`] under the same normalization scheme).
 /// The board is observation-only; the returned grid is identical to
 /// [`run_grid_with_base_ctl`]'s.
+///
+/// Every execution mode takes the same three steps: `plan` the cells,
+/// simulate each one with `run_cell` (on local threads, or in worker
+/// processes under the supervisor), and fold the results into the grid
+/// with `GridFold`.
 pub fn run_grid_with_base_ctl_observed(
     econ: EconomicModel,
     set: EstimateSet,
@@ -457,182 +490,45 @@ pub fn run_grid_with_base_ctl_observed(
     ctl: &GridControl,
     board: &LiveRiskBoard,
 ) -> RawGrid {
-    if ctl.supervisor.is_some() {
-        assert!(
-            cfg.replicas <= 1,
-            "in-cell seed ensembles (replicas > 1) run on the in-process \
-             thread pool; drop the supervisor or set replicas to 1"
-        );
-        // Multi-process path: workers synthesise base jobs from cfg.trace
-        // themselves, so the caller-provided base is not shipped.
-        return crate::supervisor::run_grid_supervised(econ, set, cfg, ctl, board);
-    }
-    let journal = ctl.journal.as_deref().map(|p| {
-        Journal::open(p).unwrap_or_else(|e| panic!("cannot open journal {}: {e}", p.display()))
-    });
-    let budget = ctl
-        .cell_budget
-        .map(|n| AtomicI64::new(i64::try_from(n).unwrap_or(i64::MAX)));
-    let fail_cell = ctl
-        .fail_cell
-        .clone()
-        .or_else(|| std::env::var(FAIL_CELL_ENV).ok());
-    let stall_cell = ctl
-        .stall_cell
-        .clone()
-        .or_else(|| std::env::var(STALL_CELL_ENV).ok());
-    let run_budget = RunBudget {
-        max_wall_secs: ctl.cell_wall_budget,
-        max_events: ctl.cell_event_budget,
-    };
-    let policies = policies_for(econ);
-    let base = base.to_vec();
-    let points: Vec<(usize, usize)> = (0..Scenario::ALL.len())
-        .flat_map(|s| (0..6).map(move |v| (s, v)))
-        .collect();
-
-    let raw = Mutex::new(vec![
-        vec![vec![[0.0; 4]; policies.len()]; 6];
-        Scenario::ALL.len()
-    ]);
-    let cell_sigma = Mutex::new(vec![
-        vec![vec![[0.0; 4]; policies.len()]; 6];
-        Scenario::ALL.len()
-    ]);
-    let cell_secs = Mutex::new(vec![
-        vec![vec![0.0; policies.len()]; 6];
-        Scenario::ALL.len()
-    ]);
-    let cell_events = Mutex::new(vec![
-        vec![vec![0u64; policies.len()]; 6];
-        Scenario::ALL.len()
-    ]);
-    let cell_costs = Mutex::new(vec![
-        vec![vec![CellCost::default(); policies.len()]; 6];
-        Scenario::ALL.len()
-    ]);
-    let cell_workers = Mutex::new(vec![
-        vec![vec![0u64; policies.len()]; 6];
-        Scenario::ALL.len()
-    ]);
-    let profile_acc = Mutex::new(ProfileSnapshot::default());
-    let workload_cache = WorkloadCache::new();
-    let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        cfg.threads
-    }
-    .min(points.len())
-    .max(1);
-    let busy = Mutex::new(vec![0.0f64; threads]);
-    let errors: Mutex<Vec<CellError>> = Mutex::new(Vec::new());
-    let progress = progress::bar_enabled();
+    assert!(
+        ctl.supervisor.is_none() || cfg.replicas <= 1,
+        "in-cell seed ensembles (replicas > 1) run on in-process threads; \
+         drop the supervisor or set replicas to 1"
+    );
     let started = Instant::now();
-
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let raw = &raw;
-            let cell_sigma = &cell_sigma;
-            let cell_secs = &cell_secs;
-            let cell_events = &cell_events;
-            let cell_costs = &cell_costs;
-            let cell_workers = &cell_workers;
-            let profile_acc = &profile_acc;
-            let workload_cache = &workload_cache;
-            let next = &next;
-            let done = &done;
-            let busy = &busy;
-            let base = &base;
-            let policies = &policies;
-            let points = &points;
-            let journal = journal.as_ref();
-            let budget = budget.as_ref();
-            let fail_cell = fail_cell.as_deref();
-            let stall_cell = stall_cell.as_deref();
-            let errors = &errors;
-            scope.spawn(move || {
-                let mut my_busy = 0.0f64;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= points.len() {
-                        break;
-                    }
-                    let (s, v) = points[i];
-                    let t0 = Instant::now();
-                    let point = run_point(
-                        econ,
-                        set,
-                        cfg,
-                        base,
-                        s,
-                        v,
-                        policies,
-                        journal,
-                        budget,
-                        fail_cell,
-                        stall_cell,
-                        run_budget,
-                        errors,
-                        workload_cache,
-                        worker as u64 + 1,
-                        threads,
-                    );
-                    my_busy += t0.elapsed().as_secs_f64();
-                    board.record_point(s, &point.row);
-                    raw.lock().unwrap()[s][v] = point.row;
-                    cell_sigma.lock().unwrap()[s][v] = point.sigmas;
-                    cell_secs.lock().unwrap()[s][v] = point.secs;
-                    cell_events.lock().unwrap()[s][v] = point.events;
-                    cell_costs.lock().unwrap()[s][v] = point.costs;
-                    cell_workers.lock().unwrap()[s][v] = point.workers;
-                    if !point.profile.is_empty() {
-                        profile_acc.lock().unwrap().merge(&point.profile);
-                    }
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if progress {
-                        let suffix = board.snapshot().progress_suffix();
-                        progress::draw_bar_with(finished, points.len(), started, &suffix);
-                    }
-                }
-                busy.lock().unwrap()[worker] = my_busy;
-            });
-        }
-    });
-
-    let wall_secs = started.elapsed().as_secs_f64();
-    let mut errors = errors.into_inner().unwrap();
-    errors.sort_by(|a, b| {
-        (a.scenario_idx, a.value_idx, &a.policy).cmp(&(b.scenario_idx, b.value_idx, &b.policy))
-    });
-    let grid = RawGrid {
-        econ,
-        set,
-        policies,
-        raw: raw.into_inner().unwrap(),
-        cell_sigma: cell_sigma.into_inner().unwrap(),
-        cell_secs: cell_secs.into_inner().unwrap(),
-        cell_events: cell_events.into_inner().unwrap(),
-        cell_costs: cell_costs.into_inner().unwrap(),
-        cell_workers: cell_workers.into_inner().unwrap(),
-        profile: profile_acc.into_inner().unwrap(),
-        workload_cache_hits: workload_cache.hits.load(Ordering::Relaxed),
-        workload_cache_misses: workload_cache.misses.load(Ordering::Relaxed),
-        worker_busy_secs: busy.into_inner().unwrap(),
-        worker_transports: Vec::new(),
-        wall_secs,
-        errors,
+    let (cells, fold) = plan(econ, set, cfg, ctl, board);
+    // Supervised runs synthesise base jobs from cfg.trace, like their
+    // workers do, so the caller-provided base is not used on that path.
+    let cache = match ctl.supervisor {
+        Some(_) => WorkloadCache::new(cfg),
+        None => WorkloadCache::with_base(cfg, base),
     };
-    record_grid_telemetry(&grid);
-    grid
+    let env = CellEnv {
+        cfg,
+        run_budget: RunBudget {
+            max_wall_secs: ctl.cell_wall_budget,
+            max_events: ctl.cell_event_budget,
+        },
+        drills: &fold.drills,
+        cache: &cache,
+        threads: if cfg.threads == 0 {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        } else {
+            cfg.threads
+        },
+    };
+    let (busy, transports) = match &ctl.supervisor {
+        Some(sup) => crate::supervisor::run_grid_supervised(sup, ctl, cells, &env, &fold),
+        None => (run_local(&cells, &env, &fold, true), Vec::new()),
+    };
+    fold.finish(started, busy, transports, &cache)
 }
 
 /// Feeds grid timings into the global telemetry registry (no-op without
 /// the `telemetry` feature).
-pub(crate) fn record_grid_telemetry(grid: &RawGrid) {
+fn record_grid_telemetry(grid: &RawGrid) {
     if !ccs_telemetry::ENABLED {
         return;
     }
@@ -689,21 +585,55 @@ fn violation_summary(violations: &[Violation]) -> String {
     s
 }
 
-/// Which fault-injection drills apply to one cell.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct CellDrill {
-    /// Panic the cell deliberately ([`FAIL_CELL_ENV`]).
-    pub fail: bool,
-    /// Wedge the cell with a never-quiescing policy ([`STALL_CELL_ENV`]).
-    pub stall: bool,
+/// The grid's fault-injection drills: the labels
+/// (`"scenarioIdx:valueIdx:PolicyName"`) of the cells to panic and to
+/// wedge. Resolved once per grid, supervisor-side for fleets.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Drills {
+    /// The cell to panic ([`FAIL_CELL_ENV`]).
+    pub fail_cell: Option<String>,
+    /// The cell to wedge ([`STALL_CELL_ENV`]).
+    pub stall_cell: Option<String>,
+}
+
+impl Drills {
+    /// The drills [`GridControl`] names, falling back to the environment.
+    fn resolve(ctl: &GridControl) -> Drills {
+        Drills {
+            fail_cell: ctl
+                .fail_cell
+                .clone()
+                .or_else(|| std::env::var(FAIL_CELL_ENV).ok()),
+            stall_cell: ctl
+                .stall_cell
+                .clone()
+                .or_else(|| std::env::var(STALL_CELL_ENV).ok()),
+        }
+    }
+
+    /// Whether the cell labelled `label` is panicked deliberately.
+    fn fails(&self, label: &str) -> bool {
+        self.fail_cell.as_deref() == Some(label)
+    }
+
+    /// Whether the cell labelled `label` is wedged deliberately.
+    fn stalls(&self, label: &str) -> bool {
+        self.stall_cell.as_deref() == Some(label)
+    }
 }
 
 /// One simulated cell, before it is folded into a grid: the outcome (or a
-/// typed failure), wall-clock seconds, and the profile-derived cost.
+/// typed failure), the replica spread, wall-clock seconds, and the
+/// profile-derived cost.
 pub(crate) struct SimulatedCell {
     /// `Ok((objectives, events))` on completion, `Err((kind, message))`
     /// when the cell panicked, blew its budget, or violated invariants.
+    /// With several replicas the objectives are the replica mean μ and
+    /// the events are summed.
     pub outcome: Result<([f64; 4], u64), (CellErrorKind, String)>,
+    /// Population standard deviation of each objective across replicas.
+    /// Zeros when only one replica ran or any replica failed.
+    pub sigma: [f64; 4],
     /// Wall-clock seconds spent in the cell.
     pub secs: f64,
     /// Phase cost vector (zeros unless the `profile` feature is on).
@@ -712,17 +642,67 @@ pub(crate) struct SimulatedCell {
     pub profile: ProfileSnapshot,
 }
 
-/// Simulates one grid cell — the single code path shared by the in-process
-/// thread pool ([`run_point`]) and the multi-process worker
-/// (`crate::worker`). Jobs are fetched through `get_jobs` inside the cell's
-/// profile span so workload synthesis is attributed to the cell; panics are
-/// caught and returned as typed failures, never propagated.
-pub(crate) fn simulate_cell(
+impl SimulatedCell {
+    /// A cell that failed without being simulated here: a failure a
+    /// worker reported, or the supervisor's quarantine verdict.
+    pub(crate) fn failed(kind: CellErrorKind, message: String) -> SimulatedCell {
+        SimulatedCell {
+            outcome: Err((kind, message)),
+            sigma: [0.0; 4],
+            secs: 0.0,
+            cost: CellCost::default(),
+            profile: ProfileSnapshot::default(),
+        }
+    }
+
+    /// A cell restored from its journal line instead of re-simulated.
+    pub(crate) fn restored(rec: &CellRecord) -> SimulatedCell {
+        SimulatedCell {
+            outcome: Ok((rec.objectives, rec.events)),
+            sigma: rec.sigma,
+            secs: rec.secs,
+            cost: CellCost::default(),
+            profile: ProfileSnapshot::default(),
+        }
+    }
+
+    /// The journal line of this cell, run by `worker`, or `None` for a
+    /// cell that must not be journaled: a failed one (a resume retries
+    /// it) or a stall-drill one (its numbers come from the stuck fixture).
+    pub(crate) fn journal_record(
+        &self,
+        spec: &CellSpec,
+        worker: u64,
+        drills: &Drills,
+    ) -> Option<CellRecord> {
+        let (objectives, events) = *self.outcome.as_ref().ok()?;
+        if drills.stalls(&spec.label()) {
+            return None;
+        }
+        Some(CellRecord {
+            key: spec.key.clone(),
+            scenario_idx: spec.scenario_idx,
+            value_idx: spec.value_idx,
+            policy: spec.policy.name().to_string(),
+            objectives,
+            sigma: self.sigma,
+            secs: self.secs,
+            events,
+            worker,
+        })
+    }
+}
+
+/// Simulates one replica of one grid cell. Jobs are fetched through
+/// `get_jobs` inside the cell's profile span so workload synthesis is
+/// attributed to the cell; panics are caught and returned as typed
+/// failures, never propagated.
+fn simulate_cell(
     kind: PolicyKind,
     run_cfg: &RunConfig,
     fault: Option<&FaultConfig>,
     run_budget: RunBudget,
-    drill: CellDrill,
+    drills: &Drills,
     cell_label: &str,
     get_jobs: impl FnOnce() -> Arc<Vec<Job>>,
 ) -> SimulatedCell {
@@ -733,11 +713,11 @@ pub(crate) fn simulate_cell(
     let cell_phase = ccs_telemetry::profile::enter("cell");
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         assert!(
-            !drill.fail,
+            !drills.fails(cell_label),
             "{FAIL_CELL_ENV} injected panic in cell {cell_label}"
         );
         let jobs = get_jobs();
-        if drill.stall {
+        if drills.stalls(cell_label) {
             // Watchdog drill: swap in a policy whose event horizon never
             // empties. An unguarded drain against it would spin forever,
             // so the drill always runs with *some* budget.
@@ -805,6 +785,7 @@ pub(crate) fn simulate_cell(
     };
     SimulatedCell {
         outcome,
+        sigma: [0.0; 4],
         secs,
         cost,
         profile,
@@ -822,16 +803,6 @@ pub(crate) fn fork_replica_seed(seed: u64, replica: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One ensemble-simulated cell: the merged [`SimulatedCell`] (objectives =
-/// replica mean μ, events summed) plus the per-objective replica spread σ.
-pub(crate) struct EnsembleCell {
-    /// Merged cell result; `outcome` holds μ objectives on success.
-    pub cell: SimulatedCell,
-    /// Population standard deviation of each objective across replicas.
-    /// Zeros when only one replica ran or any replica failed.
-    pub sigma: [f64; 4],
-}
-
 /// Runs one grid cell as an ensemble of `replicas` seed replicas over one
 /// shared workload, fanned across a scoped pool of at most `pool` threads.
 ///
@@ -841,26 +812,23 @@ pub(crate) struct EnsembleCell {
 /// [`fork_replica_seed`]; workload, policy, and budgets are shared.
 /// Results are merged in fixed replica-index order, so μ/σ, event totals,
 /// and cost vectors are byte-identical regardless of `pool` — the same
-/// determinism contract the grid's outer thread pool honours.
+/// determinism contract the grid's local executor honours.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_cell_ensemble(
+fn simulate_cell_ensemble(
     kind: PolicyKind,
     run_cfg: &RunConfig,
     fault: Option<&FaultConfig>,
     run_budget: RunBudget,
-    drill: CellDrill,
+    drills: &Drills,
     cell_label: &str,
     replicas: usize,
     pool: usize,
     get_jobs: impl FnOnce() -> Arc<Vec<Job>>,
-) -> EnsembleCell {
+) -> SimulatedCell {
     if replicas <= 1 {
-        return EnsembleCell {
-            cell: simulate_cell(
-                kind, run_cfg, fault, run_budget, drill, cell_label, get_jobs,
-            ),
-            sigma: [0.0; 4],
-        };
+        return simulate_cell(
+            kind, run_cfg, fault, run_budget, drills, cell_label, get_jobs,
+        );
     }
     let t0 = Instant::now();
     // Synthesise (or fetch) the shared workload once, up front, so every
@@ -873,14 +841,11 @@ pub(crate) fn simulate_cell_ensemble(
     let jobs = match jobs {
         Ok(jobs) => jobs,
         Err(payload) => {
-            return EnsembleCell {
-                cell: SimulatedCell {
-                    outcome: Err((CellErrorKind::Panic, panic_message(payload))),
-                    secs: t0.elapsed().as_secs_f64(),
-                    cost,
-                    profile,
-                },
-                sigma: [0.0; 4],
+            return SimulatedCell {
+                secs: t0.elapsed().as_secs_f64(),
+                cost,
+                profile,
+                ..SimulatedCell::failed(CellErrorKind::Panic, panic_message(payload))
             }
         }
     };
@@ -915,7 +880,7 @@ pub(crate) fn simulate_cell_ensemble(
                     run_cfg,
                     faults[r].as_ref(),
                     run_budget,
-                    drill,
+                    drills,
                     cell_label,
                     || Arc::clone(jobs),
                 );
@@ -977,14 +942,12 @@ pub(crate) fn simulate_cell_ensemble(
             (Ok((mu, events)), sigma)
         }
     };
-    EnsembleCell {
-        cell: SimulatedCell {
-            outcome,
-            secs: t0.elapsed().as_secs_f64(),
-            cost,
-            profile,
-        },
+    SimulatedCell {
+        outcome,
         sigma,
+        secs: t0.elapsed().as_secs_f64(),
+        cost,
+        profile,
     }
 }
 
@@ -1005,176 +968,313 @@ pub fn run_cell_ensemble(
     replicas: usize,
     pool: usize,
 ) -> Result<([f64; 4], [f64; 4], u64), String> {
-    let ensemble = simulate_cell_ensemble(
+    let cell = simulate_cell_ensemble(
         kind,
         run_cfg,
         fault,
         RunBudget::unlimited(),
-        CellDrill::default(),
+        &Drills::default(),
         "ensemble-cell",
         replicas.max(1),
         pool.max(1),
         move || jobs,
     );
-    match ensemble.cell.outcome {
-        Ok((mu, events)) => Ok((mu, ensemble.sigma, events)),
+    match cell.outcome {
+        Ok((mu, events)) => Ok((mu, cell.sigma, events)),
         Err((kind, msg)) => Err(format!("{kind:?}: {msg}")),
     }
 }
 
-/// Everything one experiment point yields, per policy column.
-struct PointResult {
-    row: Vec<[f64; 4]>,
-    sigmas: Vec<[f64; 4]>,
-    secs: Vec<f64>,
-    events: Vec<u64>,
-    costs: Vec<CellCost>,
-    workers: Vec<u64>,
-    /// Merge of the point's per-cell profile snapshots (empty when the
-    /// `profile` feature is off).
-    profile: ProfileSnapshot,
+/// What every cell of one grid shares: the configuration, the per-cell
+/// budgets, the drills, the workload cache, and the thread budget.
+pub(crate) struct CellEnv<'a> {
+    /// Seed, cluster size, trace model, and replica count.
+    pub cfg: &'a ExperimentConfig,
+    /// Per-cell watchdog budget.
+    pub run_budget: RunBudget,
+    /// Fault-injection drills.
+    pub drills: &'a Drills,
+    /// Memoised scenario workloads.
+    pub cache: &'a WorkloadCache,
+    /// Local executor threads; also the width of each cell's replica pool.
+    pub threads: usize,
 }
 
-/// Runs one experiment point (one scenario value) for every policy,
-/// returning the objective row and per-policy wall-clock seconds. Panics
-/// are confined to the failing cell; journal hits skip simulation entirely.
-#[allow(clippy::too_many_arguments)]
-fn run_point(
+/// Turns one cell into a [`SimulatedCell`]: builds its scenario, fault
+/// process, transform, and [`RunConfig`], fetches the cached workload, and
+/// runs the replica ensemble. The single simulation path of every
+/// execution mode: local threads, the supervisor's fallback, and worker
+/// processes all call it.
+pub(crate) fn run_cell(spec: &CellSpec, env: &CellEnv) -> SimulatedCell {
+    let scenario = Scenario::ALL[spec.scenario_idx];
+    let value = scenario.values()[spec.value_idx];
+    let fault = scenario.fault(value, env.cfg.seed);
+    let transform = scenario.transform(spec.set, value);
+    let run_cfg = RunConfig {
+        nodes: env.cfg.nodes,
+        econ: spec.econ,
+    };
+    simulate_cell_ensemble(
+        spec.policy,
+        &run_cfg,
+        fault.as_ref(),
+        env.run_budget,
+        env.drills,
+        &spec.label(),
+        env.cfg.replicas.max(1),
+        env.threads,
+        || env.cache.workload(&transform),
+    )
+}
+
+/// The first step of every grid run: enumerates the cells in point-major
+/// order, folds journal hits straight into the grid, truncates the rest to
+/// the cell budget, and resolves the drills. Returns the cells left to run
+/// and the fold that collects them.
+fn plan<'a>(
     econ: EconomicModel,
     set: EstimateSet,
     cfg: &ExperimentConfig,
-    base: &[BaseJob],
-    scenario_idx: usize,
-    value_idx: usize,
-    policies: &[PolicyKind],
-    journal: Option<&Journal>,
-    budget: Option<&AtomicI64>,
-    fail_cell: Option<&str>,
-    stall_cell: Option<&str>,
-    run_budget: RunBudget,
-    errors: &Mutex<Vec<CellError>>,
-    cache: &WorkloadCache,
-    worker_id: u64,
-    ensemble_pool: usize,
-) -> PointResult {
-    let scenario = Scenario::ALL[scenario_idx];
-    let value = scenario.values()[value_idx];
-    let fault = scenario.fault(value, cfg.seed);
-    let transform = scenario.transform(set, value);
-    let run_cfg = RunConfig {
-        nodes: cfg.nodes,
-        econ,
-    };
-    // Fetched lazily: a point fully served from the journal never touches
-    // the workload cache, let alone pays for synthesis.
-    let mut jobs: Option<Arc<Vec<Job>>> = None;
-    let mut row = Vec::with_capacity(policies.len());
-    let mut sigmas = Vec::with_capacity(policies.len());
-    let mut secs = Vec::with_capacity(policies.len());
-    let mut events = Vec::with_capacity(policies.len());
-    let mut costs = Vec::with_capacity(policies.len());
-    let mut workers = Vec::with_capacity(policies.len());
-    let mut profile = ProfileSnapshot::default();
-    for &kind in policies {
-        let key = cell_key(econ, set, cfg, scenario_idx, value_idx, kind);
-        if let Some(rec) = journal.and_then(|j| j.get(&key)) {
-            row.push(rec.objectives);
-            sigmas.push(rec.sigma);
-            secs.push(rec.secs);
-            events.push(rec.events);
-            costs.push(CellCost::default());
-            workers.push(rec.worker);
-            continue;
-        }
-        if let Some(b) = budget {
-            if b.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                // Budget spent: leave the cell missing (placeholder, not
-                // journaled) so a resumed run picks it up.
-                row.push([0.0; 4]);
-                sigmas.push([0.0; 4]);
-                secs.push(0.0);
-                events.push(0);
-                costs.push(CellCost::default());
-                workers.push(0);
-                continue;
-            }
-        }
-        let this_cell = format!("{scenario_idx}:{value_idx}:{}", kind.name());
-        let drill = CellDrill {
-            fail: fail_cell == Some(this_cell.as_str()),
-            stall: stall_cell == Some(this_cell.as_str()),
-        };
-        let jobs_slot = &mut jobs;
-        let ensemble = simulate_cell_ensemble(
-            kind,
-            &run_cfg,
-            fault.as_ref(),
-            run_budget,
-            drill,
-            &this_cell,
-            cfg.replicas.max(1),
-            ensemble_pool,
-            || {
-                Arc::clone(jobs_slot.get_or_insert_with(|| {
-                    cache.get_or_generate(format!("{transform:?}"), || {
-                        let _phase = ccs_telemetry::profile::enter("workload_gen");
-                        apply_scenario(base, &transform, cfg.seed)
-                    })
-                }))
-            },
-        );
-        let sim = ensemble.cell;
-        if !sim.profile.is_empty() {
-            profile.merge(&sim.profile);
-        }
-        match sim.outcome {
-            Ok((objectives, n_events)) => {
-                // A stall drill that somehow completed must not poison the
-                // journal with the stuck fixture's numbers.
-                if let Some(j) = journal.filter(|_| !drill.stall) {
-                    j.append(&CellRecord {
-                        key,
-                        scenario_idx,
-                        value_idx,
-                        policy: kind.name().to_string(),
-                        objectives,
-                        sigma: ensemble.sigma,
-                        secs: sim.secs,
-                        events: n_events,
-                        worker: worker_id,
-                    });
-                }
-                row.push(objectives);
-                sigmas.push(ensemble.sigma);
-                events.push(n_events);
-            }
-            Err((err_kind, message)) => {
-                errors.lock().unwrap().push(CellError {
-                    scenario: scenario.label(),
+    ctl: &GridControl,
+    board: &'a LiveRiskBoard,
+) -> (Vec<CellSpec>, GridFold<'a>) {
+    let journal = ctl.journal.as_deref().map(|path| {
+        // Adopt any shard journals a crashed supervisor left behind
+        // *before* computing journal hits.
+        let _ = Journal::merge_shards(path);
+        Journal::open(path)
+            .unwrap_or_else(|e| panic!("cannot open journal {}: {e}", path.display()))
+    });
+    let fold = GridFold::new(econ, set, journal, board, Drills::resolve(ctl));
+    let mut cells = Vec::new();
+    for scenario_idx in 0..Scenario::ALL.len() {
+        for value_idx in 0..6 {
+            for policy in policies_for(econ) {
+                let spec = CellSpec {
+                    econ,
+                    set,
                     scenario_idx,
                     value_idx,
-                    policy: kind.name().to_string(),
-                    kind: err_kind,
-                    message,
-                });
-                row.push([0.0; 4]);
-                sigmas.push([0.0; 4]);
-                events.push(0);
+                    policy,
+                    key: cell_key(econ, set, cfg, scenario_idx, value_idx, policy),
+                };
+                match fold.journal.as_ref().and_then(|j| j.get(&spec.key)) {
+                    Some(rec) => fold.restore(&spec, rec),
+                    None => cells.push(spec),
+                }
             }
         }
-        secs.push(sim.secs);
-        costs.push(sim.cost);
-        workers.push(worker_id);
     }
-    PointResult {
-        row,
-        sigmas,
-        secs,
-        events,
-        costs,
-        workers,
-        profile,
+    // The cell budget (the "kill the run partway" hook) truncates the work
+    // list, so the same cells run in every mode: cells past it stay
+    // missing — placeholders, not journaled — and a resume picks them up.
+    if let Some(n) = ctl.cell_budget {
+        for spec in cells.split_off(n.min(cells.len())) {
+            fold.skip(&spec);
+        }
     }
+    (cells, fold)
+}
+
+/// The last step of every grid run: folds each resolved cell into the
+/// [`RawGrid`] arrays, the journal, and the live board. Thread-safe, so the
+/// local executor's threads and the supervisor's event loop share it.
+pub(crate) struct GridFold<'a> {
+    journal: Option<Journal>,
+    board: &'a LiveRiskBoard,
+    /// The grid's drills; stall-drill cells are never journaled.
+    pub(crate) drills: Drills,
+    state: Mutex<FoldState>,
+    /// Start of the progress bar, when one is drawn.
+    progress: Option<Instant>,
+}
+
+/// Why the fold's lock can be poisoned: a panic inside [`GridFold`] itself
+/// (cell panics are caught before they reach it) — a bug, not a cell error.
+const FOLD_POISONED: &str = "grid fold poisoned by a panic while locked";
+
+struct FoldState {
+    grid: RawGrid,
+    /// Resolved cells per point: a point reports to the board once all
+    /// its policies have resolved.
+    point_fill: Vec<Vec<usize>>,
+    /// Cells folded so far, and how many will be (for the progress bar).
+    folded: usize,
+    expected: usize,
+}
+
+impl<'a> GridFold<'a> {
+    fn new(
+        econ: EconomicModel,
+        set: EstimateSet,
+        journal: Option<Journal>,
+        board: &'a LiveRiskBoard,
+        drills: Drills,
+    ) -> Self {
+        let policies = policies_for(econ);
+        let (n_scen, n_pol) = (Scenario::ALL.len(), policies.len());
+        let grid = RawGrid {
+            econ,
+            set,
+            policies,
+            raw: vec![vec![vec![[0.0; 4]; n_pol]; 6]; n_scen],
+            cell_sigma: vec![vec![vec![[0.0; 4]; n_pol]; 6]; n_scen],
+            cell_secs: vec![vec![vec![0.0; n_pol]; 6]; n_scen],
+            cell_events: vec![vec![vec![0; n_pol]; 6]; n_scen],
+            cell_costs: vec![vec![vec![CellCost::default(); n_pol]; 6]; n_scen],
+            cell_workers: vec![vec![vec![0; n_pol]; 6]; n_scen],
+            profile: ProfileSnapshot::default(),
+            workload_cache_hits: 0,
+            workload_cache_misses: 0,
+            worker_busy_secs: Vec::new(),
+            worker_transports: Vec::new(),
+            wall_secs: 0.0,
+            errors: Vec::new(),
+        };
+        GridFold {
+            journal,
+            board,
+            drills,
+            state: Mutex::new(FoldState {
+                grid,
+                point_fill: vec![vec![0; 6]; n_scen],
+                folded: 0,
+                expected: n_scen * 6 * n_pol,
+            }),
+            progress: progress::bar_enabled().then(Instant::now),
+        }
+    }
+
+    /// Counts one more resolved cell of point `(s, v)` and reports the
+    /// point to the board when it is complete.
+    fn resolve_point(&self, st: &mut FoldState, s: usize, v: usize) {
+        st.point_fill[s][v] += 1;
+        if st.point_fill[s][v] == st.grid.policies.len() {
+            self.board.record_point(s, &st.grid.raw[s][v]);
+        }
+    }
+
+    /// Folds a journal hit: the cell is restored, not re-simulated.
+    fn restore(&self, spec: &CellSpec, rec: &CellRecord) {
+        self.fill(spec, SimulatedCell::restored(rec), rec.worker);
+    }
+
+    /// Folds a cell past the cell budget: it keeps its placeholder.
+    fn skip(&self, spec: &CellSpec) {
+        let mut st = self.state.lock().expect(FOLD_POISONED);
+        st.expected -= 1;
+        self.resolve_point(&mut st, spec.scenario_idx, spec.value_idx);
+    }
+
+    /// Folds one resolved cell that `worker` ran (0 = unattributed):
+    /// journals it, then writes it into the grid.
+    pub(crate) fn record(&self, spec: &CellSpec, sim: SimulatedCell, worker: u64) {
+        if let Some(j) = self.journal.as_ref() {
+            if let Some(rec) = sim.journal_record(spec, worker, &self.drills) {
+                j.append(&rec);
+            }
+        }
+        let (folded, expected) = self.fill(spec, sim, worker);
+        if let Some(started) = self.progress {
+            let suffix = self.board.snapshot().progress_suffix();
+            progress::draw_bar_with(folded, expected, started, &suffix);
+        }
+    }
+
+    /// Writes one resolved cell into the grid arrays — a failed cell as a
+    /// [`CellError`] beside its placeholder — and feeds the board when the
+    /// cell completes its point. Returns `(folded, expected)` cell counts.
+    fn fill(&self, spec: &CellSpec, sim: SimulatedCell, worker: u64) -> (usize, usize) {
+        let mut st = self.state.lock().expect(FOLD_POISONED);
+        let g = &mut st.grid;
+        let (s, v) = (spec.scenario_idx, spec.value_idx);
+        let p = g
+            .policies
+            .iter()
+            .position(|k| *k == spec.policy)
+            .expect("cell policy belongs to the grid");
+        g.cell_secs[s][v][p] = sim.secs;
+        g.cell_costs[s][v][p] = sim.cost;
+        g.cell_workers[s][v][p] = worker;
+        if !sim.profile.is_empty() {
+            g.profile.merge(&sim.profile);
+        }
+        match sim.outcome {
+            Ok((objectives, events)) => {
+                g.raw[s][v][p] = objectives;
+                g.cell_sigma[s][v][p] = sim.sigma;
+                g.cell_events[s][v][p] = events;
+            }
+            Err((kind, message)) => g.errors.push(CellError {
+                scenario: Scenario::ALL[s].label(),
+                scenario_idx: s,
+                value_idx: v,
+                policy: spec.policy.name().to_string(),
+                kind,
+                message,
+            }),
+        }
+        st.folded += 1;
+        self.resolve_point(&mut st, s, v);
+        (st.folded, st.expected)
+    }
+
+    /// Completes the grid: sorts the errors, attaches the run-level
+    /// figures, and records grid telemetry.
+    fn finish(
+        self,
+        started: Instant,
+        worker_busy_secs: Vec<f64>,
+        worker_transports: Vec<String>,
+        cache: &WorkloadCache,
+    ) -> RawGrid {
+        let mut grid = self.state.into_inner().expect(FOLD_POISONED).grid;
+        grid.errors.sort_by(|a, b| {
+            (a.scenario_idx, a.value_idx, &a.policy).cmp(&(b.scenario_idx, b.value_idx, &b.policy))
+        });
+        grid.workload_cache_hits = cache.hits.load(Ordering::Relaxed);
+        grid.workload_cache_misses = cache.misses.load(Ordering::Relaxed);
+        grid.worker_busy_secs = worker_busy_secs;
+        grid.worker_transports = worker_transports;
+        grid.wall_secs = started.elapsed().as_secs_f64();
+        record_grid_telemetry(&grid);
+        grid
+    }
+}
+
+/// The local executor: up to `env.threads` scoped threads pull cells in
+/// plan order (point-major), run each with [`run_cell`], and fold it.
+/// Cells carry their thread's 1-based id when `attribute` is set and
+/// worker id 0 otherwise (the supervisor's fallback). Returns each
+/// thread's busy seconds.
+pub(crate) fn run_local(
+    cells: &[CellSpec],
+    env: &CellEnv,
+    fold: &GridFold,
+    attribute: bool,
+) -> Vec<f64> {
+    let next = AtomicUsize::new(0);
+    let threads = env.threads.min(cells.len()).max(1);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..=threads as u64)
+            .map(|id| {
+                let next = &next;
+                scope.spawn(move || {
+                    let mut busy = 0.0f64;
+                    while let Some(spec) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let sim = run_cell(spec, env);
+                        busy += sim.secs;
+                        fold.record(spec, sim, if attribute { id } else { 0 });
+                    }
+                    busy
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("grid worker thread panicked"))
+            .collect()
+    })
 }
 
 /// Renders a caught panic payload as text (panics carry `&str` or `String`
@@ -1514,12 +1614,20 @@ mod tests {
             ..ExperimentConfig::quick().with_jobs(40)
         };
         let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
-        // One cache lookup per experiment point; single-threaded, so no
-        // racing double-misses.
+        // One cache lookup per simulated cell, and one miss per distinct
+        // transform.
         assert_eq!(
             g.workload_cache_hits + g.workload_cache_misses,
-            (Scenario::ALL.len() * 6) as u64
+            (Scenario::ALL.len() * 6 * g.policies.len()) as u64
         );
+        let transforms: std::collections::HashSet<String> = Scenario::ALL
+            .iter()
+            .flat_map(|s| {
+                s.values()
+                    .map(|v| format!("{:?}", s.transform(EstimateSet::A, v)))
+            })
+            .collect();
+        assert_eq!(g.workload_cache_misses, transforms.len() as u64);
         // The failure-rate scenario sweeps only the fault process: all six
         // of its values share one transform, so at least five lookups hit.
         assert!(g.workload_cache_hits >= 5, "hits {}", g.workload_cache_hits);
@@ -1531,6 +1639,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn workload_cache_counters_do_not_depend_on_thread_count() {
+        let grid = |threads| {
+            let cfg = ExperimentConfig {
+                threads,
+                ..ExperimentConfig::quick().with_jobs(30)
+            };
+            run_grid(EconomicModel::BidBased, EstimateSet::B, &cfg)
+        };
+        let (one, four) = (grid(1), grid(4));
+        // Each transform is synthesised exactly once, however many threads
+        // race on its key.
+        assert_eq!(one.workload_cache_hits, four.workload_cache_hits);
+        assert_eq!(one.workload_cache_misses, four.workload_cache_misses);
     }
 
     #[test]

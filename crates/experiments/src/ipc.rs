@@ -341,6 +341,19 @@ pub struct CellSpec {
     pub key: String,
 }
 
+impl CellSpec {
+    /// The cell's drill label, `"scenarioIdx:valueIdx:PolicyName"` — the
+    /// format of `CCS_FAIL_CELL` and `CCS_STALL_CELL`.
+    pub(crate) fn label(&self) -> String {
+        format!(
+            "{}:{}:{}",
+            self.scenario_idx,
+            self.value_idx,
+            self.policy.name()
+        )
+    }
+}
+
 /// Frames the supervisor sends to a worker (over the worker's stdin).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ToWorker {

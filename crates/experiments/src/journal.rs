@@ -118,9 +118,7 @@ impl Journal {
     /// parseable record already in it. Torn trailing lines — the expected
     /// residue of a killed run — are skipped, not fatal.
     pub fn open(path: &Path) -> std::io::Result<Journal> {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir)?;
-        }
+        let file = Journal::create(path)?;
         let mut seen = HashMap::new();
         if let Ok(text) = std::fs::read_to_string(path) {
             for line in text.lines() {
@@ -133,15 +131,24 @@ impl Journal {
                 }
             }
         }
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
         Ok(Journal {
             path: path.to_path_buf(),
             seen,
             writer: Mutex::new(file),
         })
+    }
+
+    /// Creates the journal's directory and file if missing and opens the
+    /// file for appending — the part of [`Journal::open`] a bad path makes
+    /// fail, so a CLI can check a `--resume` path before running anything.
+    pub fn create(path: &Path) -> std::io::Result<std::fs::File> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
     }
 
     /// The journal's location on disk.

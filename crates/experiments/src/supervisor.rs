@@ -7,8 +7,10 @@
 //! `utility_risk serve-worker` agents dialed over `std::net::TcpStream`.
 //! Both speak the [`crate::ipc`] frame protocol through the
 //! [`Transport`] trait, so the loop below is transport-blind. The
-//! supervisor owns the crash-safe journal and drives the full
-//! robustness loop:
+//! supervisor is only an executor: the grid's plan (journal hits, cell
+//! budget, drills) and its fold (grid arrays, journal, live board) live
+//! in [`crate::grid`] and are shared with in-process runs. What stays
+//! here is what fleets need:
 //!
 //! - **Shard planning** — cells are dealt round-robin into per-slot
 //!   deques ([`crate::grid::plan_shards`]), one slot per local worker
@@ -44,8 +46,9 @@
 //! - **Graceful degradation** — local workers respawn up to 2× the
 //!   configured count; past that cap, remaining cells are quarantined.
 //!   A remote-only grid whose remotes are all quarantined *degrades to
-//!   in-process execution* with a warning — the run completes with
-//!   exit 0 rather than aborting.
+//!   in-process execution* with a warning: the leftover cells run on the
+//!   grid's local executor, and the run completes with exit 0 rather than
+//!   aborting.
 //!
 //! Every death joins the dead worker's reader thread, and shutdown
 //! joins the rest ([`live_reader_threads`] observes this), so grid runs
@@ -58,30 +61,20 @@
 //! its numbers. Duplicate frames (a flaky link replaying a `CellOk`) are
 //! deduplicated against the assignment and a done-set before counting.
 
-use crate::grid::{
-    plan_shards, policies_for, simulate_cell, CellCost, CellDrill, ExperimentConfig, GridControl,
-    RawGrid, WorkloadCache,
-};
+use crate::grid::{plan_shards, run_local, CellEnv, GridControl, GridFold, SimulatedCell};
 use crate::ipc::{
     encode_frame, read_frame, CellSpec, FromWorker, PipeTransport, TcpTransport, ToWorker,
     Transport, TransportKind,
 };
-use crate::journal::{cell_key, CellError, CellErrorKind, CellRecord, Journal};
-use crate::live::LiveRiskBoard;
+use crate::journal::{CellErrorKind, Journal};
 use crate::progress;
-use crate::scenario::{EstimateSet, Scenario};
 use crate::ConfigError;
 use ccs_chaos::FlakyTransport;
-use ccs_economy::EconomicModel;
-use ccs_simsvc::{RunBudget, RunConfig};
-use ccs_telemetry::profile::ProfileSnapshot;
-use ccs_workload::apply_scenario;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::ErrorKind;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -392,123 +385,38 @@ struct RemoteSlot {
     connected: bool,
 }
 
-/// Runs one grid under the supervisor. Same result contract as
-/// `run_grid_with_base_ctl_observed`, produced by worker processes:
-/// journal hits are resolved supervisor-side (workers never re-simulate
-/// them), completed cells are appended to the primary journal as their
-/// frames arrive, and leftover shard journals from a previous crashed
-/// supervisor are merged before planning, so a supervisor-restart resume
-/// loses at most the frames that were in flight when it died.
-pub fn run_grid_supervised(
-    econ: EconomicModel,
-    set: EstimateSet,
-    cfg: &ExperimentConfig,
+/// Runs the planned `cells` of one grid on a fleet of worker processes
+/// and folds every result into `fold` — the same fold the local executor
+/// uses, so the fleet changes only *where* cells run, never the grid.
+/// Completed cells are journaled as their frames arrive. If every remote
+/// is gone and no local workers are configured, the leftover cells run on
+/// the local executor instead. Returns busy seconds and the transport
+/// label per worker connection.
+pub(crate) fn run_grid_supervised(
+    sup: &SupervisorConfig,
     ctl: &GridControl,
-    board: &LiveRiskBoard,
-) -> RawGrid {
-    let sup = ctl
-        .supervisor
-        .clone()
-        .expect("run_grid_supervised requires ctl.supervisor");
+    cells: Vec<CellSpec>,
+    env: &CellEnv,
+    fold: &GridFold,
+) -> (Vec<f64>, Vec<String>) {
     sup.validate()
         .unwrap_or_else(|e| panic!("invalid supervisor config: {e}"));
-
-    // Adopt any shard journals a crashed predecessor left behind *before*
-    // computing journal hits.
-    if let Some(path) = ctl.journal.as_deref() {
-        let _ = Journal::merge_shards(path);
-    }
-    let journal = ctl.journal.as_deref().map(|p| {
-        Journal::open(p).unwrap_or_else(|e| panic!("cannot open journal {}: {e}", p.display()))
-    });
-    let fail_cell = ctl
-        .fail_cell
-        .clone()
-        .or_else(|| std::env::var(crate::grid::FAIL_CELL_ENV).ok());
-    let stall_cell = ctl
-        .stall_cell
-        .clone()
-        .or_else(|| std::env::var(crate::grid::STALL_CELL_ENV).ok());
+    let cfg = env.cfg;
     // The supervisor is the single injection point for network chaos:
     // both halves of every link (pipe or TCP) are wrapped here, workers
     // never read the env, so the flake schedule is a pure function of
     // (seed, rate, connection id).
     let flake_plan = FlakyTransport::from_env();
-    let policies = policies_for(econ);
-    let n_scen = Scenario::ALL.len();
-    let n_pol = policies.len();
-
-    let mut raw = vec![vec![vec![[0.0f64; 4]; n_pol]; 6]; n_scen];
-    // Supervised cells always run one replica (the in-process runner
-    // asserts that before handing over), so the spread stays zero except
-    // where a journal hit restores it.
-    let mut cell_sigma = vec![vec![vec![[0.0f64; 4]; n_pol]; 6]; n_scen];
-    let mut cell_secs = vec![vec![vec![0.0f64; n_pol]; 6]; n_scen];
-    let mut cell_events = vec![vec![vec![0u64; n_pol]; 6]; n_scen];
-    let mut cell_costs = vec![vec![vec![CellCost::default(); n_pol]; 6]; n_scen];
-    let mut cell_workers = vec![vec![vec![0u64; n_pol]; 6]; n_scen];
-    let mut profile = ProfileSnapshot::default();
-    let mut errors: Vec<CellError> = Vec::new();
-
-    // Points report to the live board once all their policies resolve.
-    let mut point_fill = vec![vec![0usize; 6]; n_scen];
-    let feed_board =
-        |point_fill: &mut [Vec<usize>], raw: &[Vec<Vec<[f64; 4]>>], s: usize, v: usize| {
-            point_fill[s][v] += 1;
-            if point_fill[s][v] == n_pol {
-                board.record_point(s, &raw[s][v]);
-            }
-        };
-
-    // Enumerate cells; resolve journal hits immediately; everything else
-    // is work.
-    let mut to_run: Vec<CellSpec> = Vec::new();
-    for s in 0..n_scen {
-        for v in 0..6 {
-            for (p, &kind) in policies.iter().enumerate() {
-                let key = cell_key(econ, set, cfg, s, v, kind);
-                if let Some(rec) = journal.as_ref().and_then(|j| j.get(&key)) {
-                    raw[s][v][p] = rec.objectives;
-                    cell_sigma[s][v][p] = rec.sigma;
-                    cell_secs[s][v][p] = rec.secs;
-                    cell_events[s][v][p] = rec.events;
-                    cell_workers[s][v][p] = rec.worker;
-                    feed_board(&mut point_fill, &raw, s, v);
-                } else {
-                    to_run.push(CellSpec {
-                        econ,
-                        set,
-                        scenario_idx: s,
-                        value_idx: v,
-                        policy: kind,
-                        key,
-                    });
-                }
-            }
-        }
-    }
-    // The cell budget (the "kill the supervisor partway" hook) truncates
-    // the work list: cells past it stay missing — placeholders, not
-    // journaled — exactly like the in-process runner.
-    let mut skipped: Vec<CellSpec> = Vec::new();
-    if let Some(n) = ctl.cell_budget {
-        skipped = to_run.split_off(n.min(to_run.len()));
-        for cell in &skipped {
-            feed_board(&mut point_fill, &raw, cell.scenario_idx, cell.value_idx);
-        }
-    }
-    let total_cells = n_scen * 6 * n_pol;
-    let total_to_run = to_run.len();
-    let already_resolved = total_cells - total_to_run - skipped.len();
+    let total_to_run = cells.len();
 
     // Shard the work round-robin into per-slot deques: one slot per
     // local worker, then one per remote address.
     let n_local = sup.workers;
     let n_slots = n_local + sup.remotes.len();
-    let shards = plan_shards(to_run.len(), n_slots);
+    let shards = plan_shards(total_to_run, n_slots);
     let mut deques: Vec<VecDeque<CellSpec>> = shards
         .iter()
-        .map(|shard| shard.iter().map(|&i| to_run[i].clone()).collect())
+        .map(|shard| shard.iter().map(|&i| cells[i].clone()).collect())
         .collect();
 
     let worker_bin = sup.worker_bin.clone().unwrap_or_else(|| {
@@ -523,10 +431,10 @@ pub fn run_grid_supervised(
         nodes: cfg.nodes,
         trace: cfg.trace,
         heartbeat_ms: sup.heartbeat_ms,
-        cell_wall_budget: ctl.cell_wall_budget,
-        cell_event_budget: ctl.cell_event_budget,
-        fail_cell: fail_cell.clone(),
-        stall_cell: stall_cell.clone(),
+        cell_wall_budget: env.run_budget.max_wall_secs,
+        cell_event_budget: env.run_budget.max_events,
+        fail_cell: env.drills.fail_cell.clone(),
+        stall_cell: env.drills.stall_cell.clone(),
         shard_journal: ctl.journal.as_deref().map(|p| {
             Journal::shard_path(p, shard_id)
                 .to_string_lossy()
@@ -720,22 +628,11 @@ pub fn run_grid_supervised(
     let mut done: HashSet<String> = HashSet::new();
     let mut degraded: Vec<CellSpec> = Vec::new();
     let mut resolved = 0usize;
-    let show_progress = progress::bar_enabled();
-    let started = Instant::now();
 
-    // One closure per resolution kind keeps the loop legible.
+    // A failed cell is final: fold it as an error, unattributed.
     macro_rules! resolve_err {
         ($cell:expr, $kind:expr, $message:expr) => {{
-            let cell: &CellSpec = $cell;
-            errors.push(CellError {
-                scenario: Scenario::ALL[cell.scenario_idx].label(),
-                scenario_idx: cell.scenario_idx,
-                value_idx: cell.value_idx,
-                policy: cell.policy.name().to_string(),
-                kind: $kind,
-                message: $message,
-            });
-            feed_board(&mut point_fill, &raw, cell.scenario_idx, cell.value_idx);
+            fold.record($cell, SimulatedCell::failed($kind, $message), 0);
             resolved += 1;
         }};
     }
@@ -934,7 +831,7 @@ pub fn run_grid_supervised(
                             secs,
                             events,
                             cost,
-                            profile: cell_profile,
+                            profile,
                         } => {
                             // Only the assignment we are waiting for
                             // counts: a flaky link can duplicate frames.
@@ -947,34 +844,14 @@ pub fn run_grid_supervised(
                                 continue;
                             }
                             busy_secs[(id - 1) as usize] += secs;
-                            let (s, v) = (cell.scenario_idx, cell.value_idx);
-                            let p = policies.iter().position(|k| *k == cell.policy).unwrap();
-                            raw[s][v][p] = objectives;
-                            cell_secs[s][v][p] = secs;
-                            cell_events[s][v][p] = events;
-                            cell_costs[s][v][p] = cost;
-                            cell_workers[s][v][p] = id;
-                            if !cell_profile.is_empty() {
-                                profile.merge(&cell_profile);
-                            }
-                            // The stall drill's numbers never reach the
-                            // journal (same rule as in-process).
-                            let stalled = stall_cell.as_deref()
-                                == Some(format!("{s}:{v}:{}", cell.policy.name()).as_str());
-                            if let Some(j) = journal.as_ref().filter(|_| !stalled) {
-                                j.append(&CellRecord {
-                                    key: cell.key.clone(),
-                                    scenario_idx: s,
-                                    value_idx: v,
-                                    policy: cell.policy.name().to_string(),
-                                    objectives,
-                                    sigma: [0.0; 4],
-                                    secs,
-                                    events,
-                                    worker: id,
-                                });
-                            }
-                            feed_board(&mut point_fill, &raw, s, v);
+                            let sim = SimulatedCell {
+                                outcome: Ok((objectives, events)),
+                                sigma: [0.0; 4],
+                                secs,
+                                cost,
+                                profile,
+                            };
+                            fold.record(&cell, sim, id);
                             resolved += 1;
                         }
                         FromWorker::CellErr {
@@ -1105,22 +982,12 @@ pub fn run_grid_supervised(
                 }
             }
         }
-
-        if show_progress {
-            let suffix = board.snapshot().progress_suffix();
-            progress::draw_bar_with(
-                already_resolved + resolved,
-                total_cells - skipped.len(),
-                started,
-                &suffix,
-            );
-        }
     }
 
     // Graceful degradation: every remote is quarantined and no local
     // workers were configured. Rather than aborting a multi-hour sweep,
-    // finish the remaining cells in-process — byte-identical numbers,
-    // just slower — and say so even under --quiet.
+    // finish the remaining cells on the local executor — byte-identical
+    // numbers, worker id 0 — and say so even under --quiet.
     if !degraded.is_empty() {
         eprintln!(
             "warning: all {} remote worker(s) unreachable or quarantined; \
@@ -1128,88 +995,8 @@ pub fn run_grid_supervised(
             remote_slots.len(),
             degraded.len()
         );
-        let run_budget = RunBudget {
-            max_wall_secs: ctl.cell_wall_budget,
-            max_events: ctl.cell_event_budget,
-        };
-        let mut base: Option<Arc<Vec<ccs_workload::BaseJob>>> = None;
-        let cache = WorkloadCache::new();
-        let cache_ref = &cache;
-        for cell in degraded {
-            let scenario = Scenario::ALL[cell.scenario_idx];
-            let value = scenario.values()[cell.value_idx];
-            let fault = scenario.fault(value, cfg.seed);
-            let transform = scenario.transform(cell.set, value);
-            let run_cfg = RunConfig {
-                nodes: cfg.nodes,
-                econ: cell.econ,
-            };
-            let this_cell = format!(
-                "{}:{}:{}",
-                cell.scenario_idx,
-                cell.value_idx,
-                cell.policy.name()
-            );
-            let drill = CellDrill {
-                fail: fail_cell.as_deref() == Some(this_cell.as_str()),
-                stall: stall_cell.as_deref() == Some(this_cell.as_str()),
-            };
-            let base_slot = &mut base;
-            let sim = simulate_cell(
-                cell.policy,
-                &run_cfg,
-                fault.as_ref(),
-                run_budget,
-                drill,
-                &this_cell,
-                || {
-                    let base =
-                        base_slot.get_or_insert_with(|| Arc::new(cfg.trace.generate(cfg.seed)));
-                    let base = Arc::clone(base);
-                    let seed = cfg.seed;
-                    cache_ref.get_or_generate(format!("{transform:?}"), move || {
-                        let _phase = ccs_telemetry::profile::enter("workload_gen");
-                        apply_scenario(&base, &transform, seed)
-                    })
-                },
-            );
-            match sim.outcome {
-                Ok((objectives, events)) => {
-                    let (s, v) = (cell.scenario_idx, cell.value_idx);
-                    let p = policies.iter().position(|k| *k == cell.policy).unwrap();
-                    raw[s][v][p] = objectives;
-                    cell_secs[s][v][p] = sim.secs;
-                    cell_events[s][v][p] = events;
-                    cell_costs[s][v][p] = sim.cost;
-                    // Worker id 0 = unattributed: the supervisor itself
-                    // ran this cell.
-                    cell_workers[s][v][p] = 0;
-                    if !sim.profile.is_empty() {
-                        profile.merge(&sim.profile);
-                    }
-                    if let Some(j) = journal.as_ref().filter(|_| !drill.stall) {
-                        j.append(&CellRecord {
-                            key: cell.key.clone(),
-                            scenario_idx: s,
-                            value_idx: v,
-                            policy: cell.policy.name().to_string(),
-                            objectives,
-                            sigma: [0.0; 4],
-                            secs: sim.secs,
-                            events,
-                            worker: 0,
-                        });
-                    }
-                    feed_board(&mut point_fill, &raw, s, v);
-                    resolved += 1;
-                }
-                // In-process execution reports deterministic verdicts
-                // directly, like the thread-pool runner.
-                Err((kind, message)) => resolve_err!(&cell, kind, message),
-            }
-        }
+        run_local(&degraded, env, fold, false);
     }
-    let _ = resolved;
 
     // Clean shutdown: ask politely, close the write half (EOF also exits
     // the worker loop), reap children, and join every reader thread.
@@ -1240,29 +1027,7 @@ pub fn run_grid_supervised(
         let _ = Journal::merge_shards(path);
     }
 
-    errors.sort_by(|a, b| {
-        (a.scenario_idx, a.value_idx, &a.policy).cmp(&(b.scenario_idx, b.value_idx, &b.policy))
-    });
-    let grid = RawGrid {
-        econ,
-        set,
-        policies,
-        raw,
-        cell_sigma,
-        cell_secs,
-        cell_events,
-        cell_costs,
-        cell_workers,
-        profile,
-        workload_cache_hits: 0,
-        workload_cache_misses: 0,
-        worker_busy_secs: busy_secs,
-        worker_transports,
-        wall_secs: started.elapsed().as_secs_f64(),
-        errors,
-    };
-    crate::grid::record_grid_telemetry(&grid);
-    grid
+    (busy_secs, worker_transports)
 }
 
 #[cfg(test)]

@@ -34,13 +34,11 @@
 //! `std::process::abort()` upon its next assignment — the std-only
 //! stand-in for SIGKILL that the kill-recovery tests and the CI drill use.
 
-use crate::grid::{simulate_cell, CellDrill, ExperimentConfig, WorkloadCache};
+use crate::grid::{run_cell, CellEnv, Drills, ExperimentConfig, SimulatedCell, WorkloadCache};
 use crate::ipc::{read_frame, write_frame, FromWorker, ToWorker};
-use crate::journal::{CellRecord, Journal};
-use crate::scenario::Scenario;
+use crate::journal::Journal;
 use ccs_chaos::WorkerKillPlan;
-use ccs_simsvc::{RunBudget, RunConfig};
-use ccs_workload::apply_scenario;
+use ccs_simsvc::RunBudget;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::path::Path;
@@ -97,8 +95,8 @@ pub enum SessionEnd {
 /// re-synthesising megabytes of workload.
 #[derive(Default)]
 pub struct WorkerState {
+    /// The Hello `(seed, nodes, trace)` the cache was built for.
     key: Option<String>,
-    base: Option<Arc<Vec<ccs_workload::BaseJob>>>,
     cache: Option<WorkloadCache>,
 }
 
@@ -162,10 +160,6 @@ pub fn run_session<R: Read>(
         threads: 1,
         replicas: 1,
     };
-    let run_budget = RunBudget {
-        max_wall_secs: cell_wall_budget,
-        max_events: cell_event_budget,
-    };
     let shard = shard_journal.map(|p| {
         Journal::open(Path::new(&p))
             .unwrap_or_else(|e| panic!("worker {worker_id}: cannot open shard journal {p}: {e}"))
@@ -177,10 +171,22 @@ pub fn run_session<R: Read>(
     let state_key = format!("{seed}:{nodes}:{trace:?}");
     if state.key.as_deref() != Some(state_key.as_str()) {
         state.key = Some(state_key);
-        state.base = None;
-        state.cache = Some(WorkloadCache::new());
+        state.cache = None;
     }
-    let cache = state.cache.get_or_insert_with(WorkloadCache::new);
+    let drills = Drills {
+        fail_cell,
+        stall_cell,
+    };
+    let env = CellEnv {
+        cfg: &cfg,
+        run_budget: RunBudget {
+            max_wall_secs: cell_wall_budget,
+            max_events: cell_event_budget,
+        },
+        drills: &drills,
+        cache: state.cache.get_or_insert_with(|| WorkloadCache::new(&cfg)),
+        threads: 1,
+    };
 
     let cells_done = Arc::new(AtomicU64::new(0));
     let hb_stop = Arc::new(AtomicBool::new(false));
@@ -218,16 +224,11 @@ pub fn run_session<R: Read>(
     let end = run_cells(
         reader,
         &out,
-        &cfg,
-        run_budget,
+        &env,
         shard.as_ref(),
         kill_plan,
         worker_id,
-        fail_cell,
-        stall_cell,
         &cells_done,
-        &mut state.base,
-        cache,
     );
     hb_stop.store(true, Ordering::SeqCst);
     let _ = hb_thread.join();
@@ -235,20 +236,14 @@ pub fn run_session<R: Read>(
 }
 
 /// The Ready → RunCell/Shutdown loop of one session.
-#[allow(clippy::too_many_arguments)]
 fn run_cells<R: Read>(
     reader: &mut R,
     out: &Mutex<Box<dyn Write + Send>>,
-    cfg: &ExperimentConfig,
-    run_budget: RunBudget,
+    env: &CellEnv,
     shard: Option<&Journal>,
     kill_plan: Option<WorkerKillPlan>,
     worker_id: u64,
-    fail_cell: Option<String>,
-    stall_cell: Option<String>,
     cells_done: &AtomicU64,
-    base: &mut Option<Arc<Vec<ccs_workload::BaseJob>>>,
-    cache: &WorkloadCache,
 ) -> SessionEnd {
     if let Err(e) = send(out, &FromWorker::Ready { worker_id }) {
         return send_failure(e);
@@ -278,87 +273,31 @@ fn run_cells<R: Read>(
             }
         }
 
-        // Reconnect-and-resume: a cell this worker already journaled (the
-        // CellOk frame was lost to a dropped link) is answered from the
-        // shard journal instead of being re-simulated.
-        if let Some(rec) = shard.and_then(|j| j.get(&cell.key)) {
-            cells_done.fetch_add(1, Ordering::Relaxed);
-            let replay = FromWorker::CellOk {
-                cell,
-                objectives: rec.objectives,
-                secs: rec.secs,
-                events: rec.events,
-                cost: Default::default(),
-                profile: Default::default(),
-            };
-            if let Err(e) = send(out, &replay) {
-                return send_failure(e);
+        let sim = match shard.and_then(|j| j.get(&cell.key)) {
+            // Reconnect-and-resume: a cell this worker already journaled
+            // (the CellOk frame was lost to a dropped link) is answered
+            // from the shard journal instead of being re-simulated.
+            Some(rec) => SimulatedCell::restored(rec),
+            None => {
+                let sim = run_cell(&cell, env);
+                if let Some(j) = shard {
+                    if let Some(rec) = sim.journal_record(&cell, worker_id, env.drills) {
+                        j.append(&rec);
+                    }
+                }
+                sim
             }
-            continue;
-        }
-
-        let scenario = Scenario::ALL[cell.scenario_idx];
-        let value = scenario.values()[cell.value_idx];
-        let fault = scenario.fault(value, cfg.seed);
-        let transform = scenario.transform(cell.set, value);
-        let run_cfg = RunConfig {
-            nodes: cfg.nodes,
-            econ: cell.econ,
         };
-        let this_cell = format!(
-            "{}:{}:{}",
-            cell.scenario_idx,
-            cell.value_idx,
-            cell.policy.name()
-        );
-        let drill = CellDrill {
-            fail: fail_cell.as_deref() == Some(this_cell.as_str()),
-            stall: stall_cell.as_deref() == Some(this_cell.as_str()),
-        };
-        let base_slot = &mut *base;
-        let sim = simulate_cell(
-            cell.policy,
-            &run_cfg,
-            fault.as_ref(),
-            run_budget,
-            drill,
-            &this_cell,
-            || {
-                let base = base_slot.get_or_insert_with(|| Arc::new(cfg.trace.generate(cfg.seed)));
-                let base = Arc::clone(base);
-                let seed = cfg.seed;
-                cache.get_or_generate(format!("{transform:?}"), move || {
-                    let _phase = ccs_telemetry::profile::enter("workload_gen");
-                    apply_scenario(&base, &transform, seed)
-                })
-            },
-        );
         cells_done.fetch_add(1, Ordering::Relaxed);
-
         let reply = match sim.outcome {
-            Ok((objectives, events)) => {
-                if let Some(j) = shard.filter(|_| !drill.stall) {
-                    j.append(&CellRecord {
-                        key: cell.key.clone(),
-                        scenario_idx: cell.scenario_idx,
-                        value_idx: cell.value_idx,
-                        policy: cell.policy.name().to_string(),
-                        objectives,
-                        sigma: [0.0; 4],
-                        secs: sim.secs,
-                        events,
-                        worker: worker_id,
-                    });
-                }
-                FromWorker::CellOk {
-                    cell,
-                    objectives,
-                    secs: sim.secs,
-                    events,
-                    cost: sim.cost,
-                    profile: sim.profile,
-                }
-            }
+            Ok((objectives, events)) => FromWorker::CellOk {
+                cell,
+                objectives,
+                secs: sim.secs,
+                events,
+                cost: sim.cost,
+                profile: sim.profile,
+            },
             Err((kind, message)) => FromWorker::CellErr {
                 cell,
                 kind,
@@ -551,7 +490,7 @@ mod tests {
         // Pre-seed the shard journal as a previous session would have.
         {
             let j = Journal::open(&shard_path).unwrap();
-            j.append(&CellRecord {
+            j.append(&crate::journal::CellRecord {
                 key: key.clone(),
                 scenario_idx: 0,
                 value_idx: 0,

@@ -158,3 +158,24 @@ fn panicking_cell_reports_errors_and_resume_heals() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An unopenable `--resume` journal is a configuration error caught while
+/// parsing (exit 2, naming the flag), not a panic partway into the grid.
+#[test]
+fn unopenable_resume_journal_exits_2_naming_the_flag() {
+    let dir = temp_dir("bad_journal");
+    // A regular file where the journal's directory should be.
+    let not_a_dir = dir.join("file");
+    std::fs::write(&not_a_dir, b"").unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
+        .args(["summary", "--quick", "--jobs", "25", "--quiet", "--resume"])
+        .arg(not_a_dir.join("journal.jsonl"))
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .expect("spawn utility_risk");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--resume"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -285,6 +285,7 @@ fn invalid_supervisor_flags_exit_2_naming_the_flag() {
         (&["--workers", "2", "--heartbeat-ms", "5"], "--heartbeat-ms"),
         (&["--retries", "3"], "--retries"),
         (&["--backoff-ms", "10"], "--backoff-ms"),
+        (&["--workers", "1", "--replicas", "2"], "--replicas"),
     ];
     for (flags, flag) in cases {
         let output = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
@@ -304,4 +305,55 @@ fn invalid_supervisor_flags_exit_2_naming_the_flag() {
             "{flags:?} error must name {flag}: {stderr}"
         );
     }
+}
+
+/// The cell budget truncates the planned cell list, so which cells a
+/// budgeted run completes does not depend on the execution mode: one
+/// thread, four threads, and two worker processes journal the same keys.
+#[test]
+fn cell_budget_journals_the_same_cells_in_every_mode() {
+    use ccs_economy::EconomicModel;
+    use ccs_experiments::{
+        cell_key, policies_for, run_grid_ctl, EstimateSet, ExperimentConfig, GridControl, Journal,
+        Scenario, SupervisorConfig,
+    };
+    let (econ, set) = (EconomicModel::BidBased, EstimateSet::B);
+    let journaled = |name: &str, threads: usize, supervisor: Option<SupervisorConfig>| {
+        let journal = temp_dir(name).join("journal.jsonl");
+        let cfg = ExperimentConfig {
+            threads,
+            ..ExperimentConfig::quick().with_jobs(25)
+        };
+        let ctl = GridControl {
+            journal: Some(journal.clone()),
+            cell_budget: Some(30),
+            supervisor,
+            ..GridControl::default()
+        };
+        let grid = run_grid_ctl(econ, set, &cfg, &ctl);
+        assert!(grid.errors.is_empty(), "{name}: {:?}", grid.errors);
+        let j = Journal::open(&journal).unwrap();
+        let mut keys = Vec::new();
+        for s in 0..Scenario::ALL.len() {
+            for v in 0..6 {
+                for &p in &policies_for(econ) {
+                    let key = cell_key(econ, set, &cfg, s, v, p);
+                    if j.get(&key).is_some() {
+                        keys.push(key);
+                    }
+                }
+            }
+        }
+        assert_eq!(keys.len(), 30, "{name}: exactly the budgeted cells");
+        keys
+    };
+    let one = journaled("budget_threads1", 1, None);
+    assert_eq!(one, journaled("budget_threads4", 4, None));
+    let fleet = SupervisorConfig {
+        workers: 2,
+        heartbeat_ms: 60_000,
+        worker_bin: Some(env!("CARGO_BIN_EXE_utility_risk").into()),
+        ..SupervisorConfig::default()
+    };
+    assert_eq!(one, journaled("budget_workers2", 1, Some(fleet)));
 }
