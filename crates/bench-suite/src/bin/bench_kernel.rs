@@ -47,7 +47,7 @@ use ccs_des::{EventQueue, SimRng, SimTime, Simulation};
 use ccs_economy::EconomicModel;
 use ccs_experiments::{run_cell_ensemble, run_grid, EstimateSet, ExperimentConfig, Scenario};
 use ccs_policies::PolicyKind;
-use ccs_simsvc::{simulate, simulate_observed, FaultConfig, LiveRunStats, RunConfig};
+use ccs_simsvc::{simulate, FaultConfig, LiveRunStats, Run, RunConfig};
 use ccs_workload::{apply_scenario, Job, JobId, ScenarioTransform, SdscSp2Model, Urgency};
 use std::sync::Arc;
 
@@ -262,7 +262,8 @@ fn observed_round(jobs: &[Job], kind: PolicyKind, nodes: u32) -> u64 {
         econ: EconomicModel::CommodityMarket,
     };
     let mut live = LiveRunStats::new(jobs, &cfg);
-    let (res, _) = simulate_observed(jobs, kind, &cfg, None, &mut live);
+    let out = Run::new(jobs, kind, &cfg).observe(&mut live).execute();
+    let res = out.expect("bench workloads are sorted").result;
     let mut checksum = 0u64;
     for x in res.metrics.objectives() {
         checksum = checksum

@@ -12,9 +12,7 @@ use crate::fixtures::{BrokenPolicyKind, BrownoutPolicy};
 use ccs_des::SimRng;
 use ccs_economy::EconomicModel;
 use ccs_policies::{build_policy, Policy, PolicyKind};
-use ccs_simsvc::{
-    simulate_checked_guarded, BudgetExceeded, FaultConfig, RunBudget, RunConfig, Violation,
-};
+use ccs_simsvc::{BudgetExceeded, FaultConfig, Run, RunBudget, RunConfig, RunError, Violation};
 use ccs_workload::{apply_scenario, Job, ScenarioTransform, SdscSp2Model};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -278,15 +276,20 @@ impl ChaosCase {
     /// Runs the case under `budget` through the invariant-checked,
     /// watchdog-guarded simulator, converting panics into findings.
     pub fn run(&self, budget: RunBudget) -> CaseOutcome {
-        let name = self.policy.name();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let (jobs, cfg, fault, policy) = self.build();
-            simulate_checked_guarded(&jobs, policy, &cfg, name, fault.as_ref(), budget)
+            Run::with_policy(&jobs, policy, &cfg)
+                .fault(fault.as_ref())
+                .budget(budget)
+                .check()
+                .execute()
         }));
         match outcome {
             Err(payload) => CaseOutcome::Panic(panic_message(payload)),
-            Ok(Err(budget)) => CaseOutcome::Budget(budget),
-            Ok(Ok(run)) if run.is_clean() => CaseOutcome::Clean { events: run.events },
+            Ok(Err(RunError::Budget(budget))) => CaseOutcome::Budget(budget),
+            // Bad input files under the panic kind, with the message `simulate` panics with.
+            Ok(Err(e)) => CaseOutcome::Panic(e.to_string()),
+            Ok(Ok(run)) if run.violations.is_empty() => CaseOutcome::Clean { events: run.events },
             Ok(Ok(run)) => CaseOutcome::Violations(run.violations),
         }
     }

@@ -256,8 +256,15 @@ mod tests {
     use super::*;
     use ccs_economy::EconomicModel;
     use ccs_policies::{build_policy, PolicyKind};
-    use ccs_simsvc::{simulate_checked_with, RunConfig};
+    use ccs_simsvc::{Run, RunConfig, RunOutput};
     use ccs_workload::Urgency;
+
+    fn checked(jobs: &[Job], policy: Box<dyn Policy>, cfg: &RunConfig) -> RunOutput {
+        Run::with_policy(jobs, policy, cfg)
+            .check()
+            .execute()
+            .unwrap()
+    }
 
     fn job(id: JobId, submit: f64) -> Job {
         Job {
@@ -282,8 +289,8 @@ mod tests {
         };
         let inner = build_policy(PolicyKind::FcfsBf, cfg.econ, cfg.nodes);
         let policy = Box::new(BrownoutPolicy::new(inner, 250.0, 550.0));
-        let checked = simulate_checked_with(&jobs, policy, &cfg, None);
-        assert!(checked.is_clean(), "{:?}", checked.violations);
+        let checked = checked(&jobs, policy, &cfg);
+        assert!(checked.violations.is_empty(), "{:?}", checked.violations);
         // Jobs 3, 4, 5 submit at 300/400/500 — inside the window.
         assert_eq!(checked.result.metrics.accepted, 7);
         assert_eq!(checked.result.metrics.submitted, 10);
@@ -301,7 +308,7 @@ mod tests {
             (BrokenPolicyKind::TimeWarp, "event_time_monotone"),
             (BrokenPolicyKind::DoubleAccept, "sla_lifecycle"),
         ] {
-            let checked = simulate_checked_with(&jobs, kind.build(), &cfg, None);
+            let checked = checked(&jobs, kind.build(), &cfg);
             assert!(
                 checked.violations.iter().any(|v| v.invariant == expect),
                 "{kind:?}: expected {expect}, got {:?}",

@@ -24,7 +24,7 @@ pub enum Disposition {
 }
 
 /// One job's billing record.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Invoice {
     /// The job billed.
     pub job: JobId,
@@ -39,7 +39,7 @@ pub struct Invoice {
 }
 
 /// Append-only billing ledger for one service run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Ledger {
     invoices: Vec<Invoice>,
 }

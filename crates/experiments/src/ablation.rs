@@ -26,7 +26,7 @@ use ccs_policies::{
     backfill::BackfillOptions, BackfillPolicy, ConservativeBf, FirstRewardParams,
     FirstRewardPolicy, LibraPolicy, LibraVariant, Policy, PriorityOrder,
 };
-use ccs_simsvc::{simulate_with, RunConfig, RunMetrics};
+use ccs_simsvc::{Run, RunConfig, RunMetrics};
 use ccs_workload::{apply_scenario, BaseJob, Job, ScenarioTransform};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -83,6 +83,12 @@ fn jobs_for(base: &[BaseJob], t: &ScenarioTransform, seed: u64) -> Vec<Job> {
     apply_scenario(base, t, seed)
 }
 
+/// The metrics of one plain run of a hand-configured policy variant.
+fn metrics_of(jobs: &[Job], policy: impl Policy + 'static, cfg: &RunConfig) -> RunMetrics {
+    let out = Run::with_policy(jobs, Box::new(policy), cfg).execute();
+    out.unwrap_or_else(|e| panic!("{e}")).result.metrics
+}
+
 /// Admission control on/off for the three backfilling policies, at the
 /// default deadlines and at short deadlines (low-value mean 1).
 pub fn admission_control_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
@@ -107,10 +113,10 @@ pub fn admission_control_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ab
                     },
                 );
                 let name = policy.name();
-                let res = simulate_with(&jobs, Box::new(policy), &cfg);
+                let metrics = metrics_of(&jobs, policy, &cfg);
                 rows.push(AblationRow {
                     label: format!("{name} ({ac_label}, {deadline_label})"),
-                    metrics: res.metrics,
+                    metrics,
                 });
             }
         }
@@ -144,10 +150,10 @@ pub fn backfilling_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation
                 },
             );
             let name = policy.name();
-            let res = simulate_with(&jobs, Box::new(policy), &cfg);
+            let metrics = metrics_of(&jobs, policy, &cfg);
             rows.push(AblationRow {
                 label: format!("{name} ({label})"),
-                metrics: res.metrics,
+                metrics,
             });
         }
     }
@@ -173,10 +179,10 @@ pub fn escalation_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation 
             let policy =
                 LibraPolicy::with_engine(variant, cfg.econ, nodes, WeightMode::Dynamic, escalation);
             let name = policy.name();
-            let res = simulate_with(&jobs, Box::new(policy), &cfg);
+            let metrics = metrics_of(&jobs, policy, &cfg);
             rows.push(AblationRow {
                 label: format!("{name} ({label})"),
-                metrics: res.metrics,
+                metrics,
             });
         }
     }
@@ -205,10 +211,10 @@ pub fn beta_sweep(base: &[BaseJob], seed: u64, nodes: u32, betas: &[f64]) -> Abl
                     beta,
                     ..Default::default()
                 });
-            let res = simulate_with(&jobs, Box::new(policy), &cfg);
+            let metrics = metrics_of(&jobs, policy, &cfg);
             AblationRow {
                 label: format!("Libra+$ β = {beta}"),
-                metrics: res.metrics,
+                metrics,
             }
         })
         .collect();
@@ -245,10 +251,10 @@ pub fn slack_threshold_sweep(
                     ..Default::default()
                 },
             );
-            let res = simulate_with(&jobs, Box::new(policy), &cfg);
+            let metrics = metrics_of(&jobs, policy, &cfg);
             rows.push(AblationRow {
                 label: format!("FirstReward slack ≥ {threshold} ({load_label})"),
-                metrics: res.metrics,
+                metrics,
             });
         }
     }
@@ -274,12 +280,12 @@ pub fn easy_vs_conservative(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation
         let easy = BackfillPolicy::new(PriorityOrder::Fcfs, cfg.econ, nodes);
         rows.push(AblationRow {
             label: format!("FCFS-BF / EASY ({set_label})"),
-            metrics: simulate_with(&jobs, Box::new(easy), &cfg).metrics,
+            metrics: metrics_of(&jobs, easy, &cfg),
         });
         let cons = ConservativeBf::new(cfg.econ, nodes);
         rows.push(AblationRow {
             label: format!("Cons-BF / conservative ({set_label})"),
-            metrics: simulate_with(&jobs, Box::new(cons), &cfg).metrics,
+            metrics: metrics_of(&jobs, cons, &cfg),
         });
     }
     Ablation {
@@ -343,7 +349,7 @@ pub fn placement_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
             LibraPolicy::new(LibraVariant::Plain, cfg.econ, nodes).with_selection(selection);
         rows.push(AblationRow {
             label: format!("Libra ({label}, homogeneous)"),
-            metrics: simulate_with(&jobs, Box::new(policy), &cfg).metrics,
+            metrics: metrics_of(&jobs, policy, &cfg),
         });
     }
     // Heterogeneous: half the nodes at 0.5x, half at 1.5x (same total).
@@ -352,7 +358,7 @@ pub fn placement_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
     let policy = LibraPolicy::with_ratings(LibraVariant::Plain, cfg.econ, ratings);
     rows.push(AblationRow {
         label: "Libra (best fit, heterogeneous 0.5x/1.5x)".into(),
-        metrics: simulate_with(&jobs, Box::new(policy), &cfg).metrics,
+        metrics: metrics_of(&jobs, policy, &cfg),
     });
     Ablation {
         title: "Libra node selection and cluster heterogeneity".into(),
@@ -393,10 +399,10 @@ pub fn pricing_schedule_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Abl
     ] {
         let policy =
             BackfillPolicy::new(PriorityOrder::Sjf, cfg.econ, nodes).with_schedule(schedule);
-        let res = simulate_with(&jobs, Box::new(policy), &cfg);
+        let metrics = metrics_of(&jobs, policy, &cfg);
         rows.push(AblationRow {
             label: format!("SJF-BF ({label})"),
-            metrics: res.metrics,
+            metrics,
         });
     }
     Ablation {

@@ -14,12 +14,9 @@ use crate::progress;
 use crate::scenario::{EstimateSet, Scenario};
 use ccs_chaos::StuckPolicy;
 use ccs_economy::EconomicModel;
-use ccs_policies::{build_policy, PolicyKind};
+use ccs_policies::{build_policy, Policy, PolicyKind};
 use ccs_risk::WaitNormalization;
-use ccs_simsvc::{
-    simulate_checked_guarded, simulate_counted, simulate_faulty_counted, simulate_guarded,
-    simulate_guarded_with, BudgetExceeded, FaultConfig, RunBudget, RunConfig, Violation,
-};
+use ccs_simsvc::{FaultConfig, Run, RunBudget, RunConfig, RunError, Violation};
 use ccs_telemetry::profile::ProfileSnapshot;
 use ccs_workload::{apply_scenario, BaseJob, Job, ScenarioTransform, SdscSp2Model};
 use serde::{Deserialize, Serialize};
@@ -564,16 +561,6 @@ pub const FAIL_CELL_ENV: &str = "CCS_FAIL_CELL";
 /// `"scenarioIdx:valueIdx:PolicyName"` format as [`FAIL_CELL_ENV`].
 pub const STALL_CELL_ENV: &str = "CCS_STALL_CELL";
 
-/// How one simulated cell ended, before it is folded into the grid.
-enum CellSim {
-    /// The run completed (objectives, outcome events).
-    Done([f64; 4], u64),
-    /// The watchdog cancelled the run.
-    Budget(BudgetExceeded),
-    /// The run completed but the invariant engine found violations.
-    Invariant(Vec<Violation>),
-}
-
 /// Renders a violation list as a one-line cell-error message (first three
 /// violations verbatim, the rest counted).
 fn violation_summary(violations: &[Violation]) -> String {
@@ -717,7 +704,7 @@ fn simulate_cell(
             "{FAIL_CELL_ENV} injected panic in cell {cell_label}"
         );
         let jobs = get_jobs();
-        if drills.stalls(cell_label) {
+        let (policy, budget): (Box<dyn Policy>, RunBudget) = if drills.stalls(cell_label) {
             // Watchdog drill: swap in a policy whose event horizon never
             // empties. An unguarded drain against it would spin forever,
             // so the drill always runs with *some* budget.
@@ -729,58 +716,32 @@ fn simulate_cell(
             } else {
                 run_budget
             };
-            return match simulate_guarded_with(
-                &jobs,
-                Box::new(StuckPolicy::new()),
-                run_cfg,
-                kind.name(),
-                fault,
-                budget,
-            ) {
-                Ok((result, n)) => CellSim::Done(result.metrics.objectives(), n),
-                Err(e) => CellSim::Budget(e),
-            };
-        }
-        if cfg!(feature = "invariants") {
-            let policy = build_policy(kind, run_cfg.econ, run_cfg.nodes);
-            return match simulate_checked_guarded(
-                &jobs,
-                policy,
-                run_cfg,
-                kind.name(),
-                fault,
-                run_budget,
-            ) {
-                Ok(checked) if checked.violations.is_empty() => {
-                    CellSim::Done(checked.result.metrics.objectives(), checked.events)
-                }
-                Ok(checked) => CellSim::Invariant(checked.violations),
-                Err(e) => CellSim::Budget(e),
-            };
-        }
-        if run_budget.is_unlimited() {
-            let (result, n_events) = match fault {
-                Some(f) => simulate_faulty_counted(&jobs, kind, run_cfg, f),
-                None => simulate_counted(&jobs, kind, run_cfg),
-            };
-            CellSim::Done(result.metrics.objectives(), n_events)
+            (Box::new(StuckPolicy::new()), budget)
         } else {
-            match simulate_guarded(&jobs, kind, run_cfg, fault, run_budget) {
-                Ok((result, n)) => CellSim::Done(result.metrics.objectives(), n),
-                Err(e) => CellSim::Budget(e),
-            }
-        }
+            (build_policy(kind, run_cfg.econ, run_cfg.nodes), run_budget)
+        };
+        let run = Run::with_policy(&jobs, policy, run_cfg)
+            .fault(fault)
+            .budget(budget);
+        let run = if cfg!(feature = "invariants") {
+            run.check()
+        } else {
+            run
+        };
+        run.execute()
     }));
     drop(cell_phase);
     let secs = t0.elapsed().as_secs_f64();
     let profile = ccs_telemetry::profile::take();
     let cost = CellCost::from_snapshot(&profile);
     let outcome = match outcome {
-        Ok(CellSim::Done(objectives, n_events)) => Ok((objectives, n_events)),
-        Ok(CellSim::Budget(e)) => Err((CellErrorKind::Budget, e.to_string())),
-        Ok(CellSim::Invariant(violations)) => {
-            Err((CellErrorKind::Invariant, violation_summary(&violations)))
+        Ok(Ok(run)) if run.violations.is_empty() => {
+            Ok((run.result.metrics.objectives(), run.events))
         }
+        Ok(Ok(run)) => Err((CellErrorKind::Invariant, violation_summary(&run.violations))),
+        Ok(Err(RunError::Budget(e))) => Err((CellErrorKind::Budget, e.to_string())),
+        // Bad input files under the panic kind, with the message `simulate` panics with.
+        Ok(Err(e)) => Err((CellErrorKind::Panic, e.to_string())),
         Err(payload) => Err((CellErrorKind::Panic, panic_message(payload))),
     };
     SimulatedCell {

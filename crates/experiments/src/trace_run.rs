@@ -16,7 +16,7 @@ use crate::grid::ExperimentConfig;
 use crate::scenario::{EstimateSet, Scenario};
 use ccs_economy::EconomicModel;
 use ccs_policies::PolicyKind;
-use ccs_simsvc::{simulate_traced, RunConfig, RunResult, RunTrace, Timeline};
+use ccs_simsvc::{Run, RunConfig, RunResult, RunTrace, Timeline};
 use ccs_telemetry::trace::{TraceEvent, TraceRecord, TRACE_SCHEMA_VERSION};
 use ccs_workload::apply_scenario;
 use serde::{Deserialize, Serialize};
@@ -264,10 +264,14 @@ pub fn capture_cell(spec: &TraceCellSpec, cfg: &ExperimentConfig) -> TraceBundle
     };
     // The failure-rate scenario injects faults exactly as the grid does, so
     // a traced cell reproduces its grid counterpart bit for bit.
-    let (result, trace) = match spec.scenario.fault(value, cfg.seed) {
-        Some(fault) => ccs_simsvc::simulate_traced_faulty(&jobs, spec.policy, &run_cfg, &fault),
-        None => simulate_traced(&jobs, spec.policy, &run_cfg),
-    };
+    let fault = spec.scenario.fault(value, cfg.seed);
+    let out = Run::new(&jobs, spec.policy, &run_cfg)
+        .fault(fault.as_ref())
+        .trace()
+        .execute()
+        .unwrap_or_else(|e| panic!("{e}"));
+    let trace = out.trace.expect("a traced run carries its trace");
+    let result = out.result;
     let timeline = Timeline::from_run(&jobs, &result.records, cfg.nodes, TIMELINE_BUCKET_SECS);
 
     let version = env!("CARGO_PKG_VERSION").to_string();

@@ -10,8 +10,10 @@
 //! events, never mid-event) and cancels the run into a typed
 //! [`BudgetExceeded`] instead.
 //!
-//! Budgets are opt-in: every legacy entry point passes no budget and takes
-//! a checked-nothing code path that is byte-identical to earlier releases.
+//! Budgets are opt-in: a [`Run`](crate::Run) without
+//! [`Run::budget`](crate::Run::budget), or with an unlimited one, runs no
+//! watchdog and takes a checked-nothing code path that is byte-identical
+//! to earlier releases.
 
 use std::time::Instant;
 

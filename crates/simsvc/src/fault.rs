@@ -8,10 +8,12 @@
 //! interrupted job is resubmitted (restart from scratch or resume with a
 //! penalty) or aborted once its restart budget is spent.
 //!
-//! Fault injection is opt-in and fully separate from [`RunConfig`]
-//! (crate::RunConfig): `simulate(..)` never injects failures and is
-//! byte-identical to earlier releases; `simulate_faulty(.., &fault)` is the
-//! failure-aware entry point.
+//! Fault injection is opt-in and fully separate from
+//! [`RunConfig`](crate::RunConfig): a [`Run`](crate::Run) injects failures
+//! only when given one with [`Run::fault`](crate::Run::fault), and without
+//! it is byte-identical to earlier releases. An invalid config is reported
+//! as [`RunError::InvalidFault`](crate::RunError::InvalidFault), naming the
+//! offending field.
 
 use ccs_des::FailureDist;
 use serde::{Deserialize, Serialize};
@@ -68,8 +70,9 @@ impl FaultConfig {
     }
 
     /// Checks every numeric parameter, naming the offending field on
-    /// failure. Entry points assert this; CLIs surface it as a
-    /// configuration error instead of a panic.
+    /// failure. [`Run::execute`](crate::Run::execute) reports it as a
+    /// [`RunError::InvalidFault`](crate::RunError::InvalidFault); CLIs
+    /// surface it as a configuration error.
     pub fn validate(&self) -> Result<(), String> {
         self.mtbf.validate().map_err(|e| format!("mtbf: {e}"))?;
         self.mttr.validate().map_err(|e| format!("mttr: {e}"))?;

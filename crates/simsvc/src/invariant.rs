@@ -23,16 +23,16 @@
 //!    are refolded from the outcome stream by an independent code path and
 //!    compared against [`RunMetrics::objectives`].
 //!
-//! The checker is a pure post-pass over data the runner already produces —
-//! it never feeds back into simulation state, so checked and unchecked runs
-//! are byte-identical. Violations are *reported*, not panicked, so a chaos
-//! soak can shrink a failing schedule instead of dying on it.
+//! A [checked](crate::Run::check) run applies [`check_run`] to its
+//! reconciled outcome stream: a pure post-pass over data the runner
+//! already produces — it never feeds back into simulation state, so
+//! checked and unchecked runs are byte-identical. Violations are
+//! *reported*, not panicked, so a chaos soak can shrink a failing schedule
+//! instead of dying on it.
 
-use crate::budget::{BudgetExceeded, RunBudget};
-use crate::fault::FaultConfig;
-use crate::runner::{run_with_outcomes_guarded, RunConfig, RunResult};
+use crate::runner::{RunConfig, RunResult};
 use ccs_economy::{bid_utility, EconomicModel};
-use ccs_policies::{build_policy, Outcome, Policy, PolicyKind};
+use ccs_policies::Outcome;
 use ccs_workload::{Job, JobId};
 use serde::{Deserialize, Serialize};
 
@@ -66,78 +66,6 @@ impl std::fmt::Display for Violation {
         }
         write!(f, ": {}", self.detail)
     }
-}
-
-/// A run plus everything the invariant engine concluded about it.
-#[derive(Clone, Debug)]
-pub struct CheckedRun {
-    /// The ordinary simulation result, byte-identical to the unchecked run.
-    pub result: RunResult,
-    /// Outcome events the run produced (the watchdog's currency).
-    pub events: u64,
-    /// Every invariant violation found; empty for a correct run.
-    pub violations: Vec<Violation>,
-}
-
-impl CheckedRun {
-    /// True when no invariant was violated.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Simulates under a built-in policy and checks every invariant.
-pub fn simulate_checked(
-    jobs: &[Job],
-    kind: PolicyKind,
-    cfg: &RunConfig,
-    fault: Option<&FaultConfig>,
-) -> CheckedRun {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    simulate_checked_guarded(
-        jobs,
-        policy,
-        cfg,
-        kind.name(),
-        fault,
-        RunBudget::unlimited(),
-    )
-    .expect("unlimited budget cannot trip")
-}
-
-/// Simulates a caller-constructed policy and checks every invariant.
-pub fn simulate_checked_with(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    fault: Option<&FaultConfig>,
-) -> CheckedRun {
-    simulate_checked_guarded(jobs, policy, cfg, "custom", fault, RunBudget::unlimited())
-        .expect("unlimited budget cannot trip")
-}
-
-/// The full checked entry point: watchdog-guarded simulation followed by
-/// the invariant post-pass. `name` labels the telemetry series.
-pub fn simulate_checked_guarded(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-    fault: Option<&FaultConfig>,
-    budget: RunBudget,
-) -> Result<CheckedRun, BudgetExceeded> {
-    let guard = if budget.is_unlimited() {
-        None
-    } else {
-        Some(budget)
-    };
-    let (result, out) = run_with_outcomes_guarded(jobs, policy, cfg, name, fault, guard)?;
-    let violations = check_run(jobs, cfg, &out, &result);
-    Ok(CheckedRun {
-        result,
-        events: out.len() as u64,
-        violations,
-    })
 }
 
 /// Per-job lifecycle state tracked by the checker.
@@ -641,8 +569,23 @@ fn event_coords(o: &Outcome) -> (f64, Option<JobId>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::simulate;
+    use crate::runner::{simulate, Run, RunOutput};
+    use crate::FaultConfig;
+    use ccs_policies::PolicyKind;
     use ccs_workload::Urgency;
+
+    fn checked(
+        jobs: &[Job],
+        kind: PolicyKind,
+        cfg: &RunConfig,
+        fault: Option<&FaultConfig>,
+    ) -> RunOutput {
+        Run::new(jobs, kind, cfg)
+            .fault(fault)
+            .check()
+            .execute()
+            .unwrap()
+    }
 
     fn job(id: JobId, submit: f64, runtime: f64, deadline: f64, procs: u32, budget: f64) -> Job {
         Job {
@@ -674,9 +617,9 @@ mod tests {
             };
             for kind in kinds {
                 let cfg = RunConfig { nodes: 16, econ };
-                let checked = simulate_checked(&jobs, kind, &cfg, None);
+                let checked = checked(&jobs, kind, &cfg, None);
                 assert!(
-                    checked.is_clean(),
+                    checked.violations.is_empty(),
                     "{kind} {econ}: {:?}",
                     checked.violations
                 );
@@ -694,8 +637,12 @@ mod tests {
                 nodes: 8,
                 econ: EconomicModel::BidBased,
             };
-            let checked = simulate_checked(&jobs, kind, &cfg, Some(&fault));
-            assert!(checked.is_clean(), "{kind}: {:?}", checked.violations);
+            let checked = checked(&jobs, kind, &cfg, Some(&fault));
+            assert!(
+                checked.violations.is_empty(),
+                "{kind}: {:?}",
+                checked.violations
+            );
             assert!(checked.result.metrics.node_failures > 0);
         }
     }
@@ -708,7 +655,7 @@ mod tests {
             econ: EconomicModel::CommodityMarket,
         };
         let plain = simulate(&jobs, PolicyKind::SjfBf, &cfg);
-        let checked = simulate_checked(&jobs, PolicyKind::SjfBf, &cfg, None);
+        let checked = checked(&jobs, PolicyKind::SjfBf, &cfg, None);
         assert_eq!(plain.records, checked.result.records);
         assert_eq!(
             plain.metrics.objectives(),

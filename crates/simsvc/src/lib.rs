@@ -7,8 +7,14 @@
 //! SLA, reliability, profitability) are computed, plus per-job
 //! [`JobRecord`]s for drill-down.
 //!
+//! Every run goes through one builder, [`Run`]: construct it for a
+//! built-in policy kind or a policy of your own, choose any of
+//! `.fault()`, `.budget()`, `.observe()`, `.trace()` and `.check()`, and
+//! `.execute()` it into a [`RunOutput`]. [`simulate`] is the shorthand for
+//! a plain run.
+//!
 //! ```
-//! use ccs_simsvc::{simulate, RunConfig};
+//! use ccs_simsvc::{simulate, FaultConfig, LiveRunStats, Run, RunConfig};
 //! use ccs_policies::PolicyKind;
 //! use ccs_economy::EconomicModel;
 //! use ccs_workload::{apply_scenario, ScenarioTransform, SdscSp2Model};
@@ -20,6 +26,20 @@
 //! let [wait, sla, reliability, profitability] = result.metrics.objectives();
 //! assert!(sla <= 100.0 && reliability <= 100.0 && profitability <= 100.0);
 //! assert!(wait >= 0.0);
+//!
+//! // The same run with every setting on: the result does not change.
+//! let fault = FaultConfig::exponential(42, 1e15, 3600.0);
+//! let mut live = LiveRunStats::new(&jobs, &cfg);
+//! let out = Run::new(&jobs, PolicyKind::Libra, &cfg)
+//!     .fault(Some(&fault))
+//!     .observe(&mut live)
+//!     .trace()
+//!     .check()
+//!     .execute()
+//!     .unwrap();
+//! assert_eq!(out.result, result);
+//! assert_eq!(live.metrics(), &result.metrics);
+//! assert!(out.trace.is_some() && out.violations.is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,17 +58,13 @@ pub mod trace;
 
 pub use budget::{BudgetExceeded, BudgetKind, RunBudget};
 pub use fault::{Degradation, FaultConfig};
-pub use invariant::{
-    check_run, simulate_checked, simulate_checked_guarded, simulate_checked_with, CheckedRun,
-    Violation,
-};
+pub use invariant::{check_run, Violation};
 pub use metrics::RunMetrics;
 pub use observe::{LiveRunStats, RunObserver};
 pub use record::JobRecord;
 pub use runner::{
-    simulate, simulate_counted, simulate_faulty, simulate_faulty_counted, simulate_faulty_with,
-    simulate_guarded, simulate_guarded_with, simulate_observed, simulate_observed_with,
-    simulate_with, RunConfig, RunResult,
+    simulate, simulate_counted, simulate_faulty_counted, Run, RunConfig, RunError, RunOutput,
+    RunResult,
 };
 pub use timeline::{TimePoint, Timeline};
-pub use trace::{simulate_traced, simulate_traced_faulty, simulate_traced_with, RunTrace};
+pub use trace::RunTrace;

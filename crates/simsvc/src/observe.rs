@@ -214,7 +214,7 @@ impl RunObserver for LiveRunStats {
 mod tests {
     use super::*;
     use crate::fault::FaultConfig;
-    use crate::runner::{simulate, simulate_faulty, simulate_observed};
+    use crate::runner::{simulate, Run, RunResult};
     use ccs_policies::PolicyKind;
     use ccs_workload::Urgency;
 
@@ -230,6 +230,20 @@ mod tests {
             budget,
             penalty_rate: 1.0,
         }
+    }
+
+    fn observed(
+        jobs: &[Job],
+        kind: PolicyKind,
+        cfg: &RunConfig,
+        fault: Option<&FaultConfig>,
+        live: &mut LiveRunStats,
+    ) -> RunResult {
+        let out = Run::new(jobs, kind, cfg)
+            .fault(fault)
+            .observe(live)
+            .execute();
+        out.unwrap().result
     }
 
     fn fleet(n: u64) -> Vec<Job> {
@@ -258,7 +272,7 @@ mod tests {
             for kind in kinds {
                 let cfg = RunConfig { nodes: 16, econ };
                 let mut live = LiveRunStats::new(&jobs, &cfg);
-                let (observed, _) = simulate_observed(&jobs, kind, &cfg, None, &mut live);
+                let observed = observed(&jobs, kind, &cfg, None, &mut live);
                 assert_eq!(
                     live.metrics(),
                     &observed.metrics,
@@ -279,7 +293,7 @@ mod tests {
         };
         let plain = simulate(&jobs, PolicyKind::SjfBf, &cfg);
         let mut live = LiveRunStats::new(&jobs, &cfg);
-        let (observed, _) = simulate_observed(&jobs, PolicyKind::SjfBf, &cfg, None, &mut live);
+        let observed = observed(&jobs, PolicyKind::SjfBf, &cfg, None, &mut live);
         assert_eq!(plain.records, observed.records);
         assert_eq!(plain.metrics, observed.metrics);
     }
@@ -296,8 +310,9 @@ mod tests {
                 econ: EconomicModel::BidBased,
             };
             let mut live = LiveRunStats::new(&jobs, &cfg);
-            let (observed, _) = simulate_observed(&jobs, kind, &cfg, Some(&fault), &mut live);
-            let batch = simulate_faulty(&jobs, kind, &cfg, &fault);
+            let observed = observed(&jobs, kind, &cfg, Some(&fault), &mut live);
+            let batch = Run::new(&jobs, kind, &cfg).fault(Some(&fault)).execute();
+            let batch = batch.unwrap().result;
             assert_eq!(batch.records, observed.records, "{kind}");
             assert_eq!(live.metrics(), &observed.metrics, "{kind}");
             assert!(
@@ -320,7 +335,7 @@ mod tests {
             econ: EconomicModel::CommodityMarket,
         };
         let mut live = LiveRunStats::new(&jobs, &cfg);
-        let (res, _) = simulate_observed(&jobs, PolicyKind::FcfsBf, &cfg, None, &mut live);
+        let res = observed(&jobs, PolicyKind::FcfsBf, &cfg, None, &mut live);
         assert!(res.metrics.fulfilled >= 1);
         assert!(live.realtime_risk().observed() >= 1);
         assert!(

@@ -2,12 +2,15 @@
 
 use crate::budget::{BudgetExceeded, RunBudget, Watchdog};
 use crate::fault::{Degradation, FaultConfig};
+use crate::invariant::{check_run, Violation};
 use crate::metrics::RunMetrics;
 use crate::observe::RunObserver;
 use crate::record::JobRecord;
+use crate::trace::{synthesise, RunTrace};
 use ccs_des::{FailureEventKind, FailureProcess, FastHashMap, FastHashSet, NodeFailureEvent};
 use ccs_economy::{bid_utility, EconomicModel, Ledger};
 use ccs_policies::{build_policy, Interruption, Outcome, Policy, PolicyKind};
+use ccs_telemetry::trace::{begin_kernel_capture, take_kernel_capture};
 use ccs_workload::{Job, JobId};
 use serde::{Deserialize, Serialize};
 
@@ -30,7 +33,7 @@ impl Default for RunConfig {
 }
 
 /// Result of one simulation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
     /// Aggregate metrics (inputs to the four objectives).
     pub metrics: RunMetrics,
@@ -42,158 +45,190 @@ pub struct RunResult {
 
 /// Simulates `jobs` (must be sorted by submit time) under `kind` and returns
 /// the run result. Deterministic: identical inputs give identical outputs.
+/// The shorthand for a plain [`Run`]; panics where [`Run::execute`] would
+/// return a [`RunError`].
 pub fn simulate(jobs: &[Job], kind: PolicyKind, cfg: &RunConfig) -> RunResult {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    simulate_named(jobs, policy, cfg, kind.name())
+    Run::new(jobs, kind, cfg)
+        .execute()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .result
 }
 
-/// Like [`simulate`], but with a caller-constructed policy — the hook for
-/// downstream users evaluating their own [`Policy`] implementations.
-pub fn simulate_with(jobs: &[Job], policy: Box<dyn Policy>, cfg: &RunConfig) -> RunResult {
-    simulate_named(jobs, policy, cfg, "custom")
-}
-
-/// Like [`simulate`], but also reports how many simulation outcomes the run
-/// produced — the per-cell event count behind the experiment grid's
-/// events/sec telemetry. The [`RunResult`] is byte-identical to
-/// [`simulate`]'s.
+/// A plain [`Run`] that also reports its outcome-event count. Kept as a
+/// shim over one `Run` call because the `perfbench` tracer imports it; new
+/// code uses [`Run`] and [`RunOutput::events`] directly.
 pub fn simulate_counted(jobs: &[Job], kind: PolicyKind, cfg: &RunConfig) -> (RunResult, u64) {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    let (result, out) = run_with_outcomes(jobs, policy, cfg, kind.name());
-    (result, out.len() as u64)
+    let out = Run::new(jobs, kind, cfg)
+        .execute()
+        .unwrap_or_else(|e| panic!("{e}"));
+    (out.result, out.events)
 }
 
-/// Like [`simulate_faulty`], but also reports the outcome-event count (see
-/// [`simulate_counted`]).
+/// [`simulate_counted`] with node failures injected per `fault`. Kept as a
+/// shim over one `Run` call because the `perfbench` tracer imports it; new
+/// code uses [`Run::fault`]. Panics on an invalid `fault`.
 pub fn simulate_faulty_counted(
     jobs: &[Job],
     kind: PolicyKind,
     cfg: &RunConfig,
     fault: &FaultConfig,
 ) -> (RunResult, u64) {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    let (result, out) = run_with_outcomes_faulty(jobs, policy, cfg, kind.name(), Some(fault));
-    (result, out.len() as u64)
+    let out = Run::new(jobs, kind, cfg)
+        .fault(Some(fault))
+        .execute()
+        .unwrap_or_else(|e| panic!("{e}"));
+    (out.result, out.events)
 }
 
-/// Like [`simulate`], but with node failures injected per `fault` (see
-/// [`FaultConfig`]). With a failure rate of zero — i.e. never calling this
-/// and using [`simulate`] — results are byte-identical to earlier releases:
-/// the fault machinery is entirely additive.
-///
-/// Panics if `fault` fails [`FaultConfig::validate`]; CLIs should validate
-/// first and report a configuration error instead.
-pub fn simulate_faulty(
-    jobs: &[Job],
-    kind: PolicyKind,
-    cfg: &RunConfig,
-    fault: &FaultConfig,
-) -> RunResult {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    run_with_outcomes_faulty(jobs, policy, cfg, kind.name(), Some(fault)).0
+/// Why a [`Run`] produced no output.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RunError {
+    /// The watchdog cancelled the run (see [`Run::budget`]).
+    Budget(BudgetExceeded),
+    /// The [`FaultConfig`] failed [`FaultConfig::validate`]; the payload
+    /// names the offending field.
+    InvalidFault(String),
+    /// A job was submitted before its predecessor in the input.
+    UnsortedJobs {
+        /// The first job out of submit-time order.
+        job: JobId,
+    },
 }
 
-/// Like [`simulate_with`], but with node failures injected per `fault`.
-pub fn simulate_faulty_with(
-    jobs: &[Job],
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Budget(e) => e.fmt(f),
+            RunError::InvalidFault(e) => write!(f, "invalid FaultConfig: {e}"),
+            RunError::UnsortedJobs { .. } => f.write_str("jobs must be sorted by submit time"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// Everything one [`Run`] produced.
+#[derive(Clone, Debug)]
+pub struct RunOutput {
+    /// The simulation result; identical whatever settings the run had.
+    pub result: RunResult,
+    /// Outcome events the run produced (the grid's per-cell event count).
+    pub events: u64,
+    /// The SLA lifecycle trace, when the run was [traced](Run::trace).
+    pub trace: Option<RunTrace>,
+    /// Invariant violations, when the run was [checked](Run::check);
+    /// empty for a correct run and for an unchecked one.
+    pub violations: Vec<Violation>,
+}
+
+/// One trace-driven run of one workload under one policy and economic
+/// model — the single way to simulate (see the [crate example](crate)).
+/// The settings are independent of each other and none of them changes
+/// [`RunOutput::result`].
+pub struct Run<'a> {
+    jobs: &'a [Job],
     policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    fault: &FaultConfig,
-) -> RunResult {
-    run_with_outcomes_faulty(jobs, policy, cfg, "custom", Some(fault)).0
-}
-
-/// Like [`simulate_faulty_counted`] (pass `fault: None` for a failure-free
-/// run), but under a cooperative [`RunBudget`] watchdog: the run is
-/// cancelled into [`BudgetExceeded`] instead of hanging when it exhausts
-/// its wall-clock or event bound. See [`crate::budget`].
-pub fn simulate_guarded(
-    jobs: &[Job],
-    kind: PolicyKind,
-    cfg: &RunConfig,
-    fault: Option<&FaultConfig>,
+    cfg: &'a RunConfig,
+    fault: Option<&'a FaultConfig>,
     budget: RunBudget,
-) -> Result<(RunResult, u64), BudgetExceeded> {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    simulate_guarded_with(jobs, policy, cfg, kind.name(), fault, budget)
+    observer: Option<&'a mut dyn RunObserver>,
+    trace: bool,
+    check: bool,
 }
 
-/// Like [`simulate_counted`] (pass `fault: Some(..)` for failure
-/// injection), but feeding every [`Outcome`] to `observer` *as the run
-/// produces it* — the streaming-analytics hook. The observer is strictly
-/// read-only with respect to simulation state, so the returned
-/// [`RunResult`] is byte-identical to the observer-free run.
-///
-/// During fault injection the observer sees the raw live stream, *before*
-/// the accepted→restarted / rejected→aborted reconciliation post-pass;
-/// see [`RunObserver`] for the contract.
-pub fn simulate_observed(
-    jobs: &[Job],
-    kind: PolicyKind,
-    cfg: &RunConfig,
-    fault: Option<&FaultConfig>,
-    observer: &mut dyn RunObserver,
-) -> (RunResult, u64) {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    simulate_observed_with(jobs, policy, cfg, kind.name(), fault, observer)
-}
+impl<'a> Run<'a> {
+    /// A run of `jobs` (sorted by submit time) under the built-in `kind`.
+    pub fn new(jobs: &'a [Job], kind: PolicyKind, cfg: &'a RunConfig) -> Self {
+        Run::with_policy(jobs, build_policy(kind, cfg.econ, cfg.nodes), cfg)
+    }
 
-/// Like [`simulate_observed`], but with a caller-constructed policy. `name`
-/// labels the per-policy telemetry series.
-pub fn simulate_observed_with(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-    fault: Option<&FaultConfig>,
-    observer: &mut dyn RunObserver,
-) -> (RunResult, u64) {
-    let (result, out) =
-        run_with_outcomes_observed(jobs, policy, cfg, name, fault, None, Some(observer))
-            .expect("unbudgeted runs cannot exceed a budget");
-    (result, out.len() as u64)
-}
+    /// A run under a caller-constructed policy — the hook for evaluating
+    /// your own [`Policy`] implementations. [`Policy::name`] labels the
+    /// telemetry series and the trace.
+    pub fn with_policy(jobs: &'a [Job], policy: Box<dyn Policy>, cfg: &'a RunConfig) -> Self {
+        Run {
+            jobs,
+            policy,
+            cfg,
+            fault: None,
+            budget: RunBudget::unlimited(),
+            observer: None,
+            trace: false,
+            check: false,
+        }
+    }
 
-/// Like [`simulate_guarded`], but with a caller-constructed policy. `name`
-/// labels the per-policy telemetry series.
-pub fn simulate_guarded_with(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-    fault: Option<&FaultConfig>,
-    budget: RunBudget,
-) -> Result<(RunResult, u64), BudgetExceeded> {
-    let guard = if budget.is_unlimited() {
-        None
-    } else {
-        Some(budget)
-    };
-    let (result, out) = run_with_outcomes_guarded(jobs, policy, cfg, name, fault, guard)?;
-    Ok((result, out.len() as u64))
-}
+    /// Injects node failures per `fault` (see [`FaultConfig`]); `None`, the
+    /// default, takes the failure-free path.
+    pub fn fault(mut self, fault: Option<&'a FaultConfig>) -> Self {
+        self.fault = fault;
+        self
+    }
 
-/// Shared driver: `name` labels the per-policy telemetry series.
-///
-/// Instrumentation never feeds back into simulation state, so results are
-/// bit-identical whether or not the `telemetry` feature is compiled in;
-/// with the feature off every guard below is a zero-sized no-op.
-fn simulate_named(jobs: &[Job], policy: Box<dyn Policy>, cfg: &RunConfig, name: &str) -> RunResult {
-    run_with_outcomes(jobs, policy, cfg, name).0
-}
+    /// Runs under a cooperative watchdog: the run is cancelled into
+    /// [`RunError::Budget`] instead of hanging once it exhausts `budget`
+    /// (see [`crate::budget`]). An unlimited budget, the default, runs no
+    /// watchdog at all.
+    pub fn budget(mut self, budget: RunBudget) -> Self {
+        self.budget = budget;
+        self
+    }
 
-/// The full driver, also yielding the raw outcome stream — the trace layer
-/// synthesises per-job lifecycles from it after the run (see
-/// [`crate::trace`]). The policy (and with it any DES event queues it owns)
-/// is dropped *before* this returns, so a kernel-span capture window opened
-/// around this call observes the queue-stat flushes.
-pub(crate) fn run_with_outcomes(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-) -> (RunResult, Vec<Outcome>) {
-    run_with_outcomes_faulty(jobs, policy, cfg, name, None)
+    /// Feeds every [`Outcome`] to `observer` as the run produces it — the
+    /// streaming-analytics hook. The observer sees the raw live stream,
+    /// before the fault reconciliation post-pass (see [`RunObserver`]).
+    pub fn observe(mut self, observer: &'a mut dyn RunObserver) -> Self {
+        self.observer = Some(observer);
+        self
+    }
+
+    /// Synthesises the run's [`RunTrace`] after it finishes (see
+    /// [`crate::trace`]).
+    pub fn trace(mut self) -> Self {
+        self.trace = true;
+        self
+    }
+
+    /// Checks every invariant over the finished run into
+    /// [`RunOutput::violations`] (see [`crate::invariant`]).
+    pub fn check(mut self) -> Self {
+        self.check = true;
+        self
+    }
+
+    /// Runs the simulation. Deterministic: identical inputs give identical
+    /// outputs.
+    pub fn execute(self) -> Result<RunOutput, RunError> {
+        let (jobs, cfg) = (self.jobs, self.cfg);
+        let name = self.policy.name();
+        let budget = (!self.budget.is_unlimited()).then_some(self.budget);
+        // The driver drops the policy — and with it the DES event queues
+        // that flush kernel stats — before returning, inside this window.
+        if self.trace {
+            begin_kernel_capture();
+        }
+        let driven = drive(jobs, self.policy, cfg, self.fault, budget, self.observer);
+        let kernel_spans = if self.trace {
+            take_kernel_capture()
+        } else {
+            Vec::new()
+        };
+        let (result, out) = driven?;
+        let trace = self
+            .trace
+            .then(|| synthesise(jobs, cfg, name, &out, &result, kernel_spans));
+        let violations = if self.check {
+            check_run(jobs, cfg, &out, &result)
+        } else {
+            Vec::new()
+        };
+        Ok(RunOutput {
+            result,
+            events: out.len() as u64,
+            trace,
+            violations,
+        })
+    }
 }
 
 /// Drain-phase safety valve: after this many *consecutive* failure events
@@ -216,62 +251,40 @@ const DRAIN_STAGNATION_CAP: u64 = 100_000;
 /// not panicking — keeps the run's metrics defined either way.
 const DRAIN_FAILURE_EVENT_CAP: u64 = 10_000_000;
 
-/// The driver, optionally interleaving a node failure/repair process with
-/// the workload. `fault: None` takes exactly the legacy code path — outcome
-/// for outcome identical to pre-fault releases.
-pub(crate) fn run_with_outcomes_faulty(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-    fault: Option<&FaultConfig>,
-) -> (RunResult, Vec<Outcome>) {
-    run_with_outcomes_guarded(jobs, policy, cfg, name, fault, None)
-        .expect("unbudgeted runs cannot exceed a budget")
-}
-
-/// The full driver with an optional cooperative [`RunBudget`] watchdog.
+/// The one driver. `fault: None` takes exactly the failure-free path;
+/// `budget: None` runs no watchdog and the unstepped drain; `observer:
+/// None` never clones an outcome — the watermark bookkeeping is a single
+/// `usize` compare per step — so the plain path is untouched (pinned by the
+/// `stream_stats` bench and the perf-snapshot hashes). The policy's
+/// [`Policy::name`] labels the per-policy telemetry series.
 ///
-/// `budget: None` is the legacy path, checked nowhere and byte-identical to
-/// earlier releases. With a budget, the watchdog ticks once per driver step
-/// — each submission, each failure delivery, each drain advance — and the
-/// run is cancelled into [`BudgetExceeded`] the moment a bound trips. The
-/// budgeted drain steps event by event (instead of one blanket
-/// `Policy::drain`) so a policy whose event horizon never empties is caught
-/// between events rather than hanging inside the policy; for well-behaved
-/// policies the stepped drain processes the same events in the same order,
-/// so results are identical either way.
-pub(crate) fn run_with_outcomes_guarded(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-    fault: Option<&FaultConfig>,
-    budget: Option<RunBudget>,
-) -> Result<(RunResult, Vec<Outcome>), BudgetExceeded> {
-    run_with_outcomes_observed(jobs, policy, cfg, name, fault, budget, None)
-}
-
-/// The innermost driver: [`run_with_outcomes_guarded`] plus an optional
-/// [`RunObserver`] fed the outcome stream at a watermark between driver
-/// steps. `observer: None` is the legacy path — the watermark bookkeeping
-/// is a single `usize` compare per step and no outcome is ever cloned, so
-/// the hot path is untouched (pinned by the `stream_stats` bench and the
-/// perf-snapshot hashes).
+/// With a budget, the watchdog ticks once per driver step — each
+/// submission, each failure delivery, each drain advance — and the run is
+/// cancelled into [`BudgetExceeded`] the moment a bound trips. The budgeted
+/// drain steps event by event (instead of one blanket `Policy::drain`) so a
+/// policy whose event horizon never empties is caught between events
+/// rather than hanging inside the policy; for well-behaved policies the
+/// stepped drain processes the same events in the same order, so results
+/// are identical either way.
 ///
 /// The observer is fed *before* [`reconcile_fault_outcomes`] rewrites the
 /// stream: it consumes the raw live view (restarts still look like
 /// re-acceptances) and applies its own reconciliation if it wants
-/// batch-equivalent accounting.
-fn run_with_outcomes_observed(
+/// batch-equivalent accounting. The policy (and with it any DES event
+/// queues it owns) is dropped *before* this returns, so a kernel-span
+/// capture window opened around this call observes the queue-stat flushes.
+///
+/// Instrumentation never feeds back into simulation state, so results are
+/// bit-identical whether or not the `telemetry` feature is compiled in;
+/// with the feature off every guard below is a zero-sized no-op.
+fn drive(
     jobs: &[Job],
     mut policy: Box<dyn Policy>,
     cfg: &RunConfig,
-    name: &str,
     fault: Option<&FaultConfig>,
     budget: Option<RunBudget>,
     mut observer: Option<&mut dyn RunObserver>,
-) -> Result<(RunResult, Vec<Outcome>), BudgetExceeded> {
+) -> Result<(RunResult, Vec<Outcome>), RunError> {
     // Feeds `out[*fed..]` — the outcomes appended since the last call — to
     // the observer, in stream order.
     fn feed(observer: &mut Option<&mut dyn RunObserver>, out: &[Outcome], fed: &mut usize) {
@@ -283,28 +296,31 @@ fn run_with_outcomes_observed(
         *fed = out.len();
     }
     let mut fed: usize = 0;
+    let name = policy.name();
     let _run_span = ccs_telemetry::TimerGuard::start_labeled("runner.run.duration_ns", name);
     // Phase attribution (no-op unless the `profile` feature is on): the
     // whole driver is the `run` phase; admission / dispatch / fault /
     // collect below are its children. Self-time on `run` itself is driver
     // overhead (loop bookkeeping, watchdog ticks, observer feeding).
     let _phase_run = ccs_telemetry::profile::enter("run");
-    let mut faults = fault.map(|f| {
-        f.validate()
-            .unwrap_or_else(|e| panic!("invalid FaultConfig: {e}"));
-        FaultDriver::new(jobs, f, cfg.nodes)
-    });
+    let mut faults = match fault {
+        Some(f) => {
+            f.validate().map_err(RunError::InvalidFault)?;
+            Some(FaultDriver::new(jobs, f, cfg.nodes))
+        }
+        None => None,
+    };
     let mut watchdog = budget.map(Watchdog::new);
     let mut out: Vec<Outcome> = Vec::with_capacity(jobs.len() * 4);
     let mut prev_submit = f64::NEG_INFINITY;
     for job in jobs {
-        assert!(
-            job.submit >= prev_submit,
-            "jobs must be sorted by submit time"
-        );
+        let sorted = job.submit >= prev_submit;
+        if !sorted {
+            return Err(RunError::UnsortedJobs { job: job.id });
+        }
         prev_submit = job.submit;
         if let Some(wd) = watchdog.as_mut() {
-            wd.tick()?;
+            wd.tick().map_err(RunError::Budget)?;
         }
         if let Some(fd) = faults.as_mut() {
             let _phase = ccs_telemetry::profile::enter("fault");
@@ -337,7 +353,7 @@ fn run_with_outcomes_observed(
         loop {
             feed(&mut observer, &out, &mut fed);
             if let Some(wd) = watchdog.as_mut() {
-                wd.tick()?;
+                wd.tick().map_err(RunError::Budget)?;
             }
             match (policy.next_event_time(), fd.peek_time()) {
                 (Some(t), Some(f)) if f <= t => {
@@ -379,7 +395,7 @@ fn run_with_outcomes_observed(
         // spinning inside a blanket `drain`.
         while let Some(t) = policy.next_event_time() {
             if let Some(wd) = watchdog.as_mut() {
-                wd.tick()?;
+                wd.tick().map_err(RunError::Budget)?;
             }
             {
                 let _phase = ccs_telemetry::profile::enter("dispatch");
@@ -405,8 +421,14 @@ fn run_with_outcomes_observed(
             .add(result.metrics.submitted as u64);
         t.counter("runner.jobs.accepted")
             .add(result.metrics.accepted as u64);
-        t.counter("runner.jobs.rejected")
-            .add((result.metrics.submitted - result.metrics.accepted) as u64);
+        // Saturating: a broken policy can accept a job twice, which the
+        // invariant check reports; the counter must not panic first.
+        t.counter("runner.jobs.rejected").add(
+            result
+                .metrics
+                .submitted
+                .saturating_sub(result.metrics.accepted) as u64,
+        );
         t.counter("runner.jobs.fulfilled")
             .add(result.metrics.fulfilled as u64);
         t.counter("runner.runs.completed").inc();
@@ -842,6 +864,14 @@ mod tests {
         FaultConfig::exponential(seed, mtbf, mttr)
     }
 
+    fn run_faulty(jobs: &[Job], kind: PolicyKind, cfg: &RunConfig, f: &FaultConfig) -> RunResult {
+        Run::new(jobs, kind, cfg)
+            .fault(Some(f))
+            .execute()
+            .unwrap()
+            .result
+    }
+
     #[test]
     fn distant_failures_leave_results_untouched() {
         // MTBF far beyond the simulated horizon: the fault-aware driver must
@@ -857,7 +887,7 @@ mod tests {
             for kind in kinds {
                 let cfg = RunConfig { nodes: 16, econ };
                 let plain = simulate(&jobs, kind, &cfg);
-                let faulty = simulate_faulty(&jobs, kind, &cfg, &fault(9, 1e15, 3600.0));
+                let faulty = run_faulty(&jobs, kind, &cfg, &fault(9, 1e15, 3600.0));
                 assert_eq!(plain.records, faulty.records, "{kind} {econ}");
                 assert_eq!(plain.metrics.objectives(), faulty.metrics.objectives());
                 assert_eq!(faulty.metrics.node_failures, 0);
@@ -882,8 +912,8 @@ mod tests {
             };
             let cfg = RunConfig { nodes: 8, econ };
             let f = fault(3, 2000.0, 500.0);
-            let a = simulate_faulty(&jobs, kind, &cfg, &f);
-            let b = simulate_faulty(&jobs, kind, &cfg, &f);
+            let a = run_faulty(&jobs, kind, &cfg, &f);
+            let b = run_faulty(&jobs, kind, &cfg, &f);
             assert_eq!(a.records, b.records, "{kind}");
             assert_eq!(a.metrics.objectives(), b.metrics.objectives());
             assert!(a.metrics.node_failures > 0, "{kind}: fault rate too low");
@@ -902,7 +932,7 @@ mod tests {
                 nodes: 8,
                 econ: EconomicModel::BidBased,
             };
-            let res = simulate_faulty(&jobs, kind, &cfg, &fault(11, 1500.0, 2000.0));
+            let res = run_faulty(&jobs, kind, &cfg, &fault(11, 1500.0, 2000.0));
             let m = &res.metrics;
             assert_eq!(res.records.len(), jobs.len(), "{kind}");
             assert!(m.node_failures > 0 && m.node_repairs > 0, "{kind}");
@@ -938,8 +968,8 @@ mod tests {
         restart.degradation = Degradation::Restart;
         let mut resume = restart;
         resume.degradation = Degradation::ResumePenalty { penalty: 0.1 };
-        let a = simulate_faulty(&jobs, PolicyKind::FcfsBf, &cfg, &restart);
-        let b = simulate_faulty(&jobs, PolicyKind::FcfsBf, &cfg, &resume);
+        let a = run_faulty(&jobs, PolicyKind::FcfsBf, &cfg, &restart);
+        let b = run_faulty(&jobs, PolicyKind::FcfsBf, &cfg, &resume);
         assert!(a.metrics.interrupted > 0);
         assert!(
             b.metrics.fulfilled >= a.metrics.fulfilled,
@@ -950,12 +980,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid FaultConfig")]
-    fn invalid_fault_config_panics_with_named_field() {
+    fn invalid_fault_config_is_a_typed_error_naming_the_field() {
         let jobs = vec![job(0, 0.0, 10.0, 100.0, 1, 1.0)];
         let mut f = fault(1, 100.0, 10.0);
         f.mtbf = ccs_des::FailureDist::Exponential { mean: f64::NAN };
-        simulate_faulty(&jobs, PolicyKind::FcfsBf, &RunConfig::default(), &f);
+        let cfg = RunConfig::default();
+        let err = Run::new(&jobs, PolicyKind::FcfsBf, &cfg)
+            .fault(Some(&f))
+            .execute()
+            .unwrap_err();
+        assert!(
+            matches!(&err, RunError::InvalidFault(field) if field.starts_with("mtbf:")),
+            "{err:?}"
+        );
+        assert!(
+            err.to_string().starts_with("invalid FaultConfig: mtbf:"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -967,5 +1008,19 @@ mod tests {
         ];
         let cfg = RunConfig::default();
         simulate(&jobs, PolicyKind::FcfsBf, &cfg);
+    }
+
+    #[test]
+    fn unsorted_jobs_are_a_typed_error() {
+        let jobs = vec![
+            job(0, 100.0, 10.0, 100.0, 1, 1.0),
+            job(1, 0.0, 10.0, 100.0, 1, 1.0),
+        ];
+        let cfg = RunConfig::default();
+        let err = Run::new(&jobs, PolicyKind::FcfsBf, &cfg)
+            .execute()
+            .unwrap_err();
+        assert_eq!(err, RunError::UnsortedJobs { job: 1 });
+        assert_eq!(err.to_string(), "jobs must be sorted by submit time");
     }
 }

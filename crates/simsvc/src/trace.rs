@@ -1,26 +1,22 @@
 //! Per-job SLA lifecycle traces, synthesised from a run's outcome stream.
 //!
-//! [`simulate_traced`] runs the standard simulator and then builds a
+//! A [traced](crate::Run::trace) run builds, after the simulation, a
 //! causally ordered [`RunTrace`]: for every job, `JobSubmitted` →
 //! `BidEvaluated` → `SlaAccepted`/`SlaRejected` → `JobStarted` →
 //! `JobCompleted` (→ `SlaViolated` when the deadline was missed). Because
 //! the trace is derived *after* the run from data the runner already
 //! produces ([`Outcome`]s and [`JobRecord`](crate::JobRecord)s), tracing
 //! adds nothing to the simulation hot path and the results are identical
-//! to an untraced [`simulate`](crate::simulate) call.
+//! to an untraced run.
 //!
 //! DES kernel spans are the one exception: they are captured live when the
 //! policy's event queues flush their stats, which requires both the
 //! `telemetry` and `trace` cargo features. Without them, traces simply
 //! carry no `KernelSpan` records.
 
-use crate::fault::FaultConfig;
-use crate::runner::{run_with_outcomes, run_with_outcomes_faulty, RunConfig, RunResult};
-use ccs_policies::{build_policy, Outcome, Policy, PolicyKind};
-use ccs_telemetry::trace::{
-    begin_kernel_capture, take_kernel_capture, TraceEvent, TraceRecord, TraceSink,
-    TRACE_SCHEMA_VERSION,
-};
+use crate::runner::{RunConfig, RunResult};
+use ccs_policies::Outcome;
+use ccs_telemetry::trace::{TraceEvent, TraceRecord, TraceSink, TRACE_SCHEMA_VERSION};
 use ccs_workload::{Job, JobId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -44,56 +40,9 @@ pub struct RunTrace {
     pub dropped: u64,
 }
 
-/// Like [`simulate`](crate::simulate), but also returns the run's
-/// [`RunTrace`]. The [`RunResult`] is identical to an untraced run.
-pub fn simulate_traced(jobs: &[Job], kind: PolicyKind, cfg: &RunConfig) -> (RunResult, RunTrace) {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    simulate_traced_with_name(jobs, policy, cfg, kind.name())
-}
-
-/// Like [`simulate_with`](crate::simulate_with), but also returns the
-/// trace. For caller-constructed policies; the trace is labelled `"custom"`.
-pub fn simulate_traced_with(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-) -> (RunResult, RunTrace) {
-    simulate_traced_with_name(jobs, policy, cfg, "custom")
-}
-
-/// Like [`simulate_faulty`](crate::simulate_faulty), but also returns the
-/// trace, including `node_fail` / `node_repair` / `job_restart` records.
-pub fn simulate_traced_faulty(
-    jobs: &[Job],
-    kind: PolicyKind,
-    cfg: &RunConfig,
-    fault: &FaultConfig,
-) -> (RunResult, RunTrace) {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    begin_kernel_capture();
-    let (result, outcomes) = run_with_outcomes_faulty(jobs, policy, cfg, kind.name(), Some(fault));
-    let kernel_spans = take_kernel_capture();
-    let trace = synthesise(jobs, cfg, kind.name(), &outcomes, &result, kernel_spans);
-    (result, trace)
-}
-
-fn simulate_traced_with_name(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-) -> (RunResult, RunTrace) {
-    // The driver drops the policy — and with it the DES event queues that
-    // flush kernel stats — before returning, inside this capture window.
-    begin_kernel_capture();
-    let (result, outcomes) = run_with_outcomes(jobs, policy, cfg, name);
-    let kernel_spans = take_kernel_capture();
-    let trace = synthesise(jobs, cfg, name, &outcomes, &result, kernel_spans);
-    (result, trace)
-}
-
-/// Builds the causally ordered record stream for one run.
-fn synthesise(
+/// Builds the causally ordered record stream for one run from its
+/// reconciled outcome stream; `name` is the policy label.
+pub(crate) fn synthesise(
     jobs: &[Job],
     cfg: &RunConfig,
     name: &str,
@@ -249,9 +198,25 @@ fn synthesise(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FaultConfig, Run};
     use ccs_economy::EconomicModel;
+    use ccs_policies::PolicyKind;
     use ccs_telemetry::trace::check_causal_order;
     use ccs_workload::Urgency;
+
+    fn traced(
+        jobs: &[Job],
+        kind: PolicyKind,
+        cfg: &RunConfig,
+        fault: Option<&FaultConfig>,
+    ) -> (RunResult, RunTrace) {
+        let out = Run::new(jobs, kind, cfg)
+            .fault(fault)
+            .trace()
+            .execute()
+            .unwrap();
+        (out.result, out.trace.unwrap())
+    }
 
     fn job(id: JobId, submit: f64, runtime: f64, deadline: f64, procs: u32, budget: f64) -> Job {
         Job {
@@ -277,7 +242,7 @@ mod tests {
             econ: EconomicModel::CommodityMarket,
         };
         let plain = crate::simulate(&jobs, PolicyKind::SjfBf, &cfg);
-        let (traced, trace) = simulate_traced(&jobs, PolicyKind::SjfBf, &cfg);
+        let (traced, trace) = traced(&jobs, PolicyKind::SjfBf, &cfg, None);
         assert_eq!(plain.records, traced.records);
         assert_eq!(trace.submitted, 40);
         assert_eq!(trace.policy, "SJF-BF");
@@ -293,7 +258,7 @@ mod tests {
             nodes: 8,
             econ: EconomicModel::BidBased,
         };
-        let (result, trace) = simulate_traced(&jobs, PolicyKind::Libra, &cfg);
+        let (result, trace) = traced(&jobs, PolicyKind::Libra, &cfg, None);
         let count = |kind: &str| {
             trace
                 .records
@@ -324,8 +289,8 @@ mod tests {
             nodes: 8,
             econ: EconomicModel::CommodityMarket,
         };
-        let fault = crate::FaultConfig::exponential(11, 1500.0, 2000.0);
-        let (result, trace) = simulate_traced_faulty(&jobs, PolicyKind::FcfsBf, &cfg, &fault);
+        let fault = FaultConfig::exponential(11, 1500.0, 2000.0);
+        let (result, trace) = traced(&jobs, PolicyKind::FcfsBf, &cfg, Some(&fault));
         check_causal_order(&trace.records).unwrap();
         let count = |kind: &str| {
             trace
@@ -339,7 +304,11 @@ mod tests {
         assert_eq!(count("job_restart"), result.metrics.restarts);
         assert!(result.metrics.node_failures > 0);
         // The traced result is identical to the untraced faulty run.
-        let plain = crate::simulate_faulty(&jobs, PolicyKind::FcfsBf, &cfg, &fault);
+        let plain = Run::new(&jobs, PolicyKind::FcfsBf, &cfg)
+            .fault(Some(&fault))
+            .execute()
+            .unwrap()
+            .result;
         assert_eq!(plain.records, result.records);
     }
 
@@ -350,7 +319,7 @@ mod tests {
             nodes: 4,
             econ: EconomicModel::CommodityMarket,
         };
-        let (_, trace) = simulate_traced(&jobs, PolicyKind::FcfsBf, &cfg);
+        let (_, trace) = traced(&jobs, PolicyKind::FcfsBf, &cfg, None);
         let spans = trace
             .records
             .iter()

@@ -157,14 +157,14 @@ proptest! {
         mttr in 100.0f64..10_000.0,
         resume in any::<bool>(),
     ) {
-        use ccs_simsvc::{simulate_faulty, Degradation, FaultConfig};
+        use ccs_simsvc::{Degradation, FaultConfig, Run};
         let mut fault = FaultConfig::exponential(seed, mtbf, mttr);
         if resume {
             fault.degradation = Degradation::ResumePenalty { penalty: 0.1 };
         }
         let cfg = RunConfig { nodes: 16, econ: EconomicModel::CommodityMarket };
-        let a = simulate_faulty(&jobs, PolicyKind::SjfBf, &cfg, &fault);
-        let b = simulate_faulty(&jobs, PolicyKind::SjfBf, &cfg, &fault);
+        let run = || Run::new(&jobs, PolicyKind::SjfBf, &cfg).fault(Some(&fault)).execute().unwrap().result;
+        let (a, b) = (run(), run());
         prop_assert_eq!(&a.records, &b.records);
         prop_assert_eq!(a.metrics.objectives(), b.metrics.objectives());
         prop_assert_eq!(a.metrics.node_failures, b.metrics.node_failures);

@@ -4,7 +4,7 @@
 
 use ccs_economy::EconomicModel;
 use ccs_policies::PolicyKind;
-use ccs_simsvc::{simulate_traced, RunConfig};
+use ccs_simsvc::{Run, RunConfig};
 use ccs_telemetry::trace::check_causal_order;
 use ccs_workload::{Job, Urgency};
 use proptest::prelude::*;
@@ -51,7 +51,8 @@ fn jobs_strategy() -> impl Strategy<Value = Vec<(u16, u16, u8, u8, u8, u32)>> {
 
 fn check_run(jobs: &[Job], kind: PolicyKind, econ: EconomicModel) {
     let cfg = RunConfig { nodes: 16, econ };
-    let (result, trace) = simulate_traced(jobs, kind, &cfg);
+    let out = Run::new(jobs, kind, &cfg).trace().execute().unwrap();
+    let (result, trace) = (out.result, out.trace.unwrap());
 
     prop_assert_eq!(check_causal_order(&trace.records), Ok(()));
     prop_assert_eq!(trace.dropped, 0u64);

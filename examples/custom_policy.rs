@@ -13,7 +13,7 @@ use ccs_cluster::SpaceShared;
 use ccs_des::{EventQueue, SimTime};
 use ccs_economy::EconomicModel;
 use ccs_policies::{Outcome, Policy, PolicyKind, RejectReason};
-use ccs_simsvc::{simulate, simulate_with, RunConfig};
+use ccs_simsvc::{simulate, Run, RunConfig};
 use ccs_workload::{apply_scenario, Job, JobId, ScenarioTransform, SdscSp2Model};
 use std::collections::HashMap;
 
@@ -132,9 +132,14 @@ fn main() {
         "{:<12} {:>8} {:>10} {:>13} {:>10}",
         "policy", "SLA %", "wait (s)", "reliability %", "profit %"
     );
-    // The custom policy, driven by the standard runner...
-    let custom = simulate_with(&jobs, Box::new(GreedyValue::new(128)), &cfg);
-    let [w, s, r, p] = custom.metrics.objectives();
+    // The custom policy, driven by the standard runner with every
+    // invariant checked...
+    let custom = Run::with_policy(&jobs, Box::new(GreedyValue::new(128)), &cfg)
+        .check()
+        .execute()
+        .expect("the workload is sorted by submit time");
+    assert!(custom.violations.is_empty(), "{:?}", custom.violations);
+    let [w, s, r, p] = custom.result.metrics.objectives();
     println!(
         "{:<12} {:>8.1} {:>10.0} {:>13.1} {:>10.1}",
         "GreedyValue", s, w, r, p
@@ -155,6 +160,7 @@ fn main() {
     }
     println!(
         "\nAny type implementing ccs_policies::Policy plugs into \
-         ccs_simsvc::simulate_with and the full risk-analysis pipeline."
+         ccs_simsvc::Run::with_policy (with faults, budgets, observers, \
+         traces and invariant checks) and the full risk-analysis pipeline."
     );
 }

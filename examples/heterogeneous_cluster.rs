@@ -12,7 +12,7 @@
 
 use ccs_economy::EconomicModel;
 use ccs_policies::{LibraPolicy, LibraVariant};
-use ccs_simsvc::{simulate_with, RunConfig};
+use ccs_simsvc::{Run, RunConfig};
 use ccs_workload::{apply_scenario, ScenarioTransform, SdscSp2Model};
 
 fn main() {
@@ -49,7 +49,10 @@ fn main() {
         let aggregate: f64 = ratings.iter().sum();
         assert!((aggregate - 128.0).abs() < 1e-9, "same total capacity");
         let policy = LibraPolicy::with_ratings(LibraVariant::Plain, cfg.econ, ratings);
-        let res = simulate_with(&jobs, Box::new(policy), &cfg);
+        let res = Run::with_policy(&jobs, Box::new(policy), &cfg)
+            .execute()
+            .expect("the workload is sorted by submit time")
+            .result;
         println!(
             "{:<24} {:>9} {:>8.1} {:>13.1} {:>10.1}",
             label,

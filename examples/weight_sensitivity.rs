@@ -44,7 +44,8 @@ fn main() {
         .iter()
         .position(|s| matches!(s, Scenario::Workload))
         .unwrap();
-    let mut mix = vec![0.3 / 11.0; 12];
+    let n = analysis.separate.len();
+    let mut mix = vec![0.3 / (n - 1) as f64; n];
     mix[workload_idx] = 0.7; // 70 % of future operation looks like the load sweep
     for (p, name) in analysis.policy_names.iter().enumerate() {
         let all4: Vec<RiskMeasure> = analysis

@@ -13,7 +13,7 @@
 use ccs_chaos::{run_soak, shrink, BrokenPolicyKind, CaseOutcome, ChaosCase, SoakConfig, Stressor};
 use ccs_economy::EconomicModel;
 use ccs_policies::PolicyKind;
-use ccs_simsvc::{simulate_faulty, FaultConfig, RunBudget, RunConfig};
+use ccs_simsvc::{FaultConfig, Run, RunBudget, RunConfig};
 use ccs_workload::{Job, Urgency};
 use proptest::prelude::*;
 
@@ -174,7 +174,11 @@ fn all_nodes_down_at_t0_yields_defined_metrics() {
             .collect();
         let cfg = RunConfig { nodes: 4, econ };
         let fault = FaultConfig::exponential(1, 1e-6, 1e15);
-        let result = simulate_faulty(&jobs, kind, &cfg, &fault);
+        let result = Run::new(&jobs, kind, &cfg)
+            .fault(Some(&fault))
+            .execute()
+            .unwrap()
+            .result;
         assert_eq!(result.metrics.submitted, 12, "{kind:?}/{econ:?}");
         assert_eq!(
             result.metrics.fulfilled, 0,

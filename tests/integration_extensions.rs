@@ -7,7 +7,7 @@ use ccs_experiments::{analyze, run_grid, EstimateSet, ExperimentConfig};
 use ccs_policies::PolicyKind;
 use ccs_risk::apriori::{forecast, pareto_front, uniform_mix, weight_sensitivity};
 use ccs_risk::{integrated_equal, RiskMeasure};
-use ccs_simsvc::{simulate, simulate_with, RunConfig, Timeline};
+use ccs_simsvc::{simulate, Run, RunConfig, Timeline};
 use ccs_workload::{
     apply_diurnal, apply_scenario, DiurnalProfile, ScenarioTransform, SdscSp2Model,
 };
@@ -152,7 +152,10 @@ fn conservative_backfilling_full_pipeline() {
         econ: EconomicModel::CommodityMarket,
     };
     let cons = ccs_policies::ConservativeBf::new(cfg.econ, cfg.nodes);
-    let res = simulate_with(&jobs, Box::new(cons), &cfg);
+    let res = Run::with_policy(&jobs, Box::new(cons), &cfg)
+        .execute()
+        .unwrap()
+        .result;
     assert_eq!(res.metrics.submitted as usize, jobs.len());
     assert!(res.metrics.fulfilled > 0, "conservative completes work");
     // Same invariants as every other policy.

@@ -11,7 +11,7 @@ use ccs_experiments::{
     ExperimentConfig, GridControl, LiveRiskBoard, Query, ResultStore, Scenario, STORE_FILE,
 };
 use ccs_risk::WaitNormalization;
-use ccs_simsvc::{simulate, simulate_observed, LiveRunStats, RunConfig};
+use ccs_simsvc::{simulate, LiveRunStats, Run, RunConfig};
 use ccs_workload::{apply_scenario, ScenarioTransform, SdscSp2Model};
 
 fn quick_cfg() -> ExperimentConfig {
@@ -90,7 +90,8 @@ fn streaming_run_stats_match_batch_and_leave_results_untouched() {
         for kind in ccs_experiments::policies_for(econ) {
             let plain = simulate(&jobs, kind, &cfg);
             let mut live = LiveRunStats::new(&jobs, &cfg);
-            let (observed, _) = simulate_observed(&jobs, kind, &cfg, None, &mut live);
+            let out = Run::new(&jobs, kind, &cfg).observe(&mut live).execute();
+            let observed = out.unwrap().result;
             assert_eq!(
                 plain.metrics,
                 observed.metrics,
