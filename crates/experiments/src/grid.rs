@@ -12,6 +12,7 @@ use crate::journal::{cell_key, CellError, CellErrorKind, CellRecord, Journal};
 use crate::live::LiveRiskBoard;
 use crate::progress;
 use crate::scenario::{EstimateSet, Scenario};
+use crate::supervisor::Fleet;
 use ccs_chaos::StuckPolicy;
 use ccs_economy::EconomicModel;
 use ccs_policies::{build_policy, Policy, PolicyKind};
@@ -324,6 +325,8 @@ pub struct RawGrid {
     pub workload_cache_misses: u64,
     /// Busy seconds per worker thread (simulation time, excluding idle
     /// waits on the work queue) — the basis for utilisation reporting.
+    /// Under a supervisor, indexed by worker id − 1; ids are run-scoped,
+    /// so a grid lists every link its run's fleet has opened so far.
     pub worker_busy_secs: Vec<f64>,
     /// Transport label (`"pipe"` / `"tcp"`) per supervised worker,
     /// indexed like [`RawGrid::worker_busy_secs`] (worker id − 1). Empty
@@ -457,14 +460,18 @@ pub fn run_grid_with_base_ctl(
     base: &[BaseJob],
     ctl: &GridControl,
 ) -> RawGrid {
-    let board = LiveRiskBoard::new(
+    run_grid_with_base_ctl_observed(econ, set, cfg, base, ctl, &default_board(econ))
+}
+
+/// The live board a grid run folds into when the caller brings none.
+pub(crate) fn default_board(econ: EconomicModel) -> LiveRiskBoard {
+    LiveRiskBoard::new(
         policies_for(econ)
             .iter()
             .map(|p| p.name().to_string())
             .collect(),
         WaitNormalization::default(),
-    );
-    run_grid_with_base_ctl_observed(econ, set, cfg, base, ctl, &board)
+    )
 }
 
 /// Like [`run_grid_with_base_ctl`], but folding every completed experiment
@@ -478,7 +485,9 @@ pub fn run_grid_with_base_ctl(
 /// Every execution mode takes the same three steps: `plan` the cells,
 /// simulate each one with `run_cell` (on local threads, or in worker
 /// processes under the supervisor), and fold the results into the grid
-/// with `GridFold`.
+/// with `GridFold`. A supervised call opens a fleet for this one grid and
+/// closes it — every worker shut down, every reader joined — before
+/// returning.
 pub fn run_grid_with_base_ctl_observed(
     econ: EconomicModel,
     set: EstimateSet,
@@ -487,16 +496,38 @@ pub fn run_grid_with_base_ctl_observed(
     ctl: &GridControl,
     board: &LiveRiskBoard,
 ) -> RawGrid {
+    let mut fleet = ctl
+        .supervisor
+        .as_ref()
+        .map(|sup| Fleet::open(sup, ctl, cfg));
+    run_grid_on(econ, set, cfg, base, ctl, board, fleet.as_mut())
+}
+
+/// One grid run on `fleet` — the worker fleet of a supervised run, which
+/// may serve several grids — or on the local executor when `fleet` is
+/// `None`.
+pub(crate) fn run_grid_on(
+    econ: EconomicModel,
+    set: EstimateSet,
+    cfg: &ExperimentConfig,
+    base: &[BaseJob],
+    ctl: &GridControl,
+    board: &LiveRiskBoard,
+    fleet: Option<&mut Fleet>,
+) -> RawGrid {
     assert!(
-        ctl.supervisor.is_none() || cfg.replicas <= 1,
+        fleet.is_none() || cfg.replicas <= 1,
         "in-cell seed ensembles (replicas > 1) run on in-process threads; \
          drop the supervisor or set replicas to 1"
     );
     let started = Instant::now();
-    let (cells, fold) = plan(econ, set, cfg, ctl, board);
+    // Live workers may be appending to their shard journals; only a grid
+    // that runs before the fleet opens may merge leftovers.
+    let merge_leftovers = !fleet.as_ref().is_some_and(|f| f.is_open());
+    let (cells, fold) = plan(econ, set, cfg, ctl, board, merge_leftovers);
     // Supervised runs synthesise base jobs from cfg.trace, like their
     // workers do, so the caller-provided base is not used on that path.
-    let cache = match ctl.supervisor {
+    let cache = match fleet {
         Some(_) => WorkloadCache::new(cfg),
         None => WorkloadCache::with_base(cfg, base),
     };
@@ -516,8 +547,8 @@ pub fn run_grid_with_base_ctl_observed(
             cfg.threads
         },
     };
-    let (busy, transports) = match &ctl.supervisor {
-        Some(sup) => crate::supervisor::run_grid_supervised(sup, ctl, cells, &env, &fold),
+    let (busy, transports) = match fleet {
+        Some(fleet) => fleet.run_grid(cells, &env, &fold),
         None => (run_local(&cells, &env, &fold, true), Vec::new()),
     };
     fold.finish(started, busy, transports, &cache)
@@ -585,7 +616,7 @@ pub(crate) struct Drills {
 
 impl Drills {
     /// The drills [`GridControl`] names, falling back to the environment.
-    fn resolve(ctl: &GridControl) -> Drills {
+    pub(crate) fn resolve(ctl: &GridControl) -> Drills {
         Drills {
             fail_cell: ctl
                 .fail_cell
@@ -998,11 +1029,14 @@ fn plan<'a>(
     cfg: &ExperimentConfig,
     ctl: &GridControl,
     board: &'a LiveRiskBoard,
+    merge_leftovers: bool,
 ) -> (Vec<CellSpec>, GridFold<'a>) {
     let journal = ctl.journal.as_deref().map(|path| {
         // Adopt any shard journals a crashed supervisor left behind
         // *before* computing journal hits.
-        let _ = Journal::merge_shards(path);
+        if merge_leftovers {
+            let _ = Journal::merge_shards(path);
+        }
         Journal::open(path)
             .unwrap_or_else(|e| panic!("cannot open journal {}: {e}", path.display()))
     });

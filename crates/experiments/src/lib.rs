@@ -93,8 +93,15 @@ pub fn run_evaluation(cfg: &ExperimentConfig) -> Evaluation {
 
 /// Like [`run_evaluation`], but with [`GridControl`]: all four grids share
 /// one resume journal, so a killed run resumes across the whole study.
-/// (The cell budget, if set, applies per grid.)
+/// (The cell budget, if set, applies per grid.) Under a supervisor the
+/// four grids also share one worker fleet: workers are spawned and remotes
+/// dialed once, and shut down once after the last grid.
 pub fn run_evaluation_ctl(cfg: &ExperimentConfig, ctl: &GridControl) -> Evaluation {
+    let base = cfg.trace.generate(cfg.seed);
+    let mut fleet = ctl
+        .supervisor
+        .as_ref()
+        .map(|sup| supervisor::Fleet::open(sup, ctl, cfg));
     let grids: Vec<RawGrid> = [
         (EconomicModel::CommodityMarket, EstimateSet::A),
         (EconomicModel::CommodityMarket, EstimateSet::B),
@@ -102,8 +109,12 @@ pub fn run_evaluation_ctl(cfg: &ExperimentConfig, ctl: &GridControl) -> Evaluati
         (EconomicModel::BidBased, EstimateSet::B),
     ]
     .into_iter()
-    .map(|(econ, set)| run_grid_ctl(econ, set, cfg, ctl))
+    .map(|(econ, set)| {
+        let board = grid::default_board(econ);
+        grid::run_grid_on(econ, set, cfg, &base, ctl, &board, fleet.as_mut())
+    })
     .collect();
+    drop(fleet);
     Evaluation {
         commodity_a: analyze(&grids[0]),
         commodity_b: analyze(&grids[1]),

@@ -12,6 +12,14 @@
 //! in [`crate::grid`] and are shared with in-process runs. What stays
 //! here is what fleets need:
 //!
+//! - **Fleet lifetime** — a [`Fleet`] lives for one run, not one grid:
+//!   the first grid with cells to run spawns the local workers and dials
+//!   the remotes, later grids reuse the same sessions (one `Hello` per
+//!   link — its fields are all run-level, and each cell names its own
+//!   grid), and closing the fleet after the last grid sends `Shutdown`
+//!   once per link. Deques, attempts, retries and the done-set are per
+//!   grid; links, remote slots and their quarantine verdicts, the event
+//!   channel and worker ids are per run.
 //! - **Shard planning** — cells are dealt round-robin into per-slot
 //!   deques ([`crate::grid::plan_shards`]), one slot per local worker
 //!   plus one per remote address; an idle worker drains its own deque
@@ -44,14 +52,15 @@
 //!   dials (or dies that often before its first `Ready`) is
 //!   quarantined; its shard flows to survivors through work-stealing.
 //! - **Graceful degradation** — local workers respawn up to 2× the
-//!   configured count; past that cap, remaining cells are quarantined.
+//!   configured count per grid; past that cap, remaining cells are
+//!   quarantined.
 //!   A remote-only grid whose remotes are all quarantined *degrades to
 //!   in-process execution* with a warning: the leftover cells run on the
 //!   grid's local executor, and the run completes with exit 0 rather than
 //!   aborting.
 //!
-//! Every death joins the dead worker's reader thread, and shutdown
-//! joins the rest ([`live_reader_threads`] observes this), so grid runs
+//! Every death joins the dead worker's reader thread, and closing the
+//! fleet joins the rest ([`live_reader_threads`] observes this), so runs
 //! never leak threads across tests or reconnect cycles.
 //!
 //! The correctness contract is byte-identity: the merged grid (and
@@ -61,7 +70,9 @@
 //! its numbers. Duplicate frames (a flaky link replaying a `CellOk`) are
 //! deduplicated against the assignment and a done-set before counting.
 
-use crate::grid::{plan_shards, run_local, CellEnv, GridControl, GridFold, SimulatedCell};
+use crate::grid::{
+    plan_shards, run_local, CellEnv, Drills, ExperimentConfig, GridControl, GridFold, SimulatedCell,
+};
 use crate::ipc::{
     encode_frame, read_frame, CellSpec, FromWorker, PipeTransport, TcpTransport, ToWorker,
     Transport, TransportKind,
@@ -70,6 +81,7 @@ use crate::journal::{CellErrorKind, Journal};
 use crate::progress;
 use crate::ConfigError;
 use ccs_chaos::FlakyTransport;
+use ccs_simsvc::RunBudget;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::ErrorKind;
 use std::path::PathBuf;
@@ -369,9 +381,10 @@ fn is_link_error(e: &std::io::Error) -> bool {
     )
 }
 
-/// One remote address's standing in the grid: its shard identity (stable
+/// One remote address's standing in the run: its shard identity (stable
 /// across redials, so the shard journal survives reconnects), its dial
-/// failure streak, and when to try again.
+/// failure streak, and when to try again. A quarantine verdict lasts for
+/// the rest of the run.
 struct RemoteSlot {
     addr: String,
     slot: usize,
@@ -385,649 +398,736 @@ struct RemoteSlot {
     connected: bool,
 }
 
-/// Runs the planned `cells` of one grid on a fleet of worker processes
-/// and folds every result into `fold` — the same fold the local executor
-/// uses, so the fleet changes only *where* cells run, never the grid.
-/// Completed cells are journaled as their frames arrive. If every remote
-/// is gone and no local workers are configured, the leftover cells run on
-/// the local executor instead. Returns busy seconds and the transport
-/// label per worker connection.
-pub(crate) fn run_grid_supervised(
-    sup: &SupervisorConfig,
-    ctl: &GridControl,
-    cells: Vec<CellSpec>,
-    env: &CellEnv,
-    fold: &GridFold,
-) -> (Vec<f64>, Vec<String>) {
-    sup.validate()
-        .unwrap_or_else(|e| panic!("invalid supervisor config: {e}"));
-    let cfg = env.cfg;
-    // The supervisor is the single injection point for network chaos:
-    // both halves of every link (pipe or TCP) are wrapped here, workers
-    // never read the env, so the flake schedule is a pure function of
-    // (seed, rate, connection id).
-    let flake_plan = FlakyTransport::from_env();
-    let total_to_run = cells.len();
+/// One run's worker fleet: the links to local children and dialed
+/// remotes, the remote slots (with their quarantine verdicts), the event
+/// channel every link reader feeds, and the run-scoped worker ids.
+///
+/// The fleet opens lazily — the first [`Fleet::run_grid`] pass with cells
+/// to run spawns the local workers and dials the remotes, each link
+/// receiving one `Hello` — and every later pass reuses the same sessions:
+/// a `Hello` carries only run-level settings, and each [`CellSpec`] names
+/// its own grid. Dropping the fleet closes it once: `Shutdown` on every
+/// live link, children reaped, reader threads joined, shard journals
+/// merged into the primary.
+pub(crate) struct Fleet {
+    sup: SupervisorConfig,
+    cfg: ExperimentConfig,
+    run_budget: RunBudget,
+    drills: Drills,
+    journal: Option<PathBuf>,
+    worker_bin: PathBuf,
+    /// The supervisor is the single injection point for network chaos:
+    /// both halves of every link (pipe or TCP) are wrapped here, workers
+    /// never read the env, so the flake schedule is a pure function of
+    /// (seed, rate, connection id).
+    flake_plan: Option<FlakyTransport>,
+    tx: mpsc::Sender<Event>,
+    rx: mpsc::Receiver<Event>,
+    handles: Vec<WorkerHandle>,
+    remotes: Vec<RemoteSlot>,
+    /// Transport label per worker id (index id − 1): one entry per spawn
+    /// or dial of the run, so its length is also the last id handed out.
+    transports: Vec<String>,
+    telemetry: Option<&'static ccs_telemetry::Telemetry>,
+}
 
-    // Shard the work round-robin into per-slot deques: one slot per
-    // local worker, then one per remote address.
-    let n_local = sup.workers;
-    let n_slots = n_local + sup.remotes.len();
-    let shards = plan_shards(total_to_run, n_slots);
-    let mut deques: Vec<VecDeque<CellSpec>> = shards
-        .iter()
-        .map(|shard| shard.iter().map(|&i| cells[i].clone()).collect())
-        .collect();
-
-    let worker_bin = sup.worker_bin.clone().unwrap_or_else(|| {
-        std::env::current_exe().expect("cannot resolve current executable for worker re-exec")
-    });
-    // A worker's shard journal is addressed by `shard_id`, not by the
-    // connection's worker id: a redialed remote keeps its original shard
-    // id, which is exactly what lets it resume from that journal.
-    let hello = |worker_id: u64, shard_id: u64| ToWorker::Hello {
-        worker_id,
-        seed: cfg.seed,
-        nodes: cfg.nodes,
-        trace: cfg.trace,
-        heartbeat_ms: sup.heartbeat_ms,
-        cell_wall_budget: env.run_budget.max_wall_secs,
-        cell_event_budget: env.run_budget.max_events,
-        fail_cell: env.drills.fail_cell.clone(),
-        stall_cell: env.drills.stall_cell.clone(),
-        shard_journal: ctl.journal.as_deref().map(|p| {
-            Journal::shard_path(p, shard_id)
-                .to_string_lossy()
-                .into_owned()
-        }),
-    };
-
-    let (tx, rx) = mpsc::channel::<Event>();
-    let connect_timeout = Duration::from_millis(sup.connect_timeout_ms);
-    let write_timeout = Duration::from_millis(sup.heartbeat_ms);
-    let spawn_cap = n_local * 2;
-    let mut spawned = 0usize;
-    let mut next_id = 0u64;
-    let mut handles: Vec<WorkerHandle> = Vec::new();
-    let mut busy_secs: Vec<f64> = Vec::new();
-    let mut worker_transports: Vec<String> = Vec::new();
-    let mut remote_slots: Vec<RemoteSlot> = sup
-        .remotes
-        .iter()
-        .enumerate()
-        .map(|(r_idx, addr)| RemoteSlot {
-            addr: addr.clone(),
-            slot: n_local + r_idx,
-            shard_id: 0,
-            dial_failures: 0,
-            redial_at: None,
-            quarantined: false,
-            connected: false,
-        })
-        .collect();
-    let telemetry = ccs_telemetry::ENABLED.then(ccs_telemetry::global);
-
-    // Wires one freshly made transport into the grid: reader thread,
-    // Hello frame, handle. A failed Hello severs the link and leaves the
-    // handle dead — the reader's terminal event and the respawn/redial
-    // logic take it from there.
-    macro_rules! attach {
-        ($id:expr, $slot:expr, $remote:expr, $shard_id:expr, $conn:expr) => {{
-            let id: u64 = $id;
-            let mut conn: Box<dyn Transport> = $conn;
-            let mut reader = conn.take_reader().expect("fresh transport has a reader");
-            let reader_tx = tx.clone();
-            let reader_thread = std::thread::spawn(move || {
-                let _guard = ReaderGuard::arm();
-                loop {
-                    match read_frame::<FromWorker>(&mut reader) {
-                        Ok(Some(frame)) => {
-                            if let Some(t) = telemetry {
-                                t.counter("grid.transport.frames_rx").inc();
-                            }
-                            if reader_tx.send(Event::Frame(id, frame)).is_err() {
-                                break;
-                            }
-                        }
-                        Ok(None) => {
-                            let _ = reader_tx.send(Event::Eof(id));
-                            break;
-                        }
-                        Err(e) if is_link_error(&e) => {
-                            let _ = reader_tx.send(Event::Lost(id, e.to_string()));
-                            break;
-                        }
-                        Err(e) => {
-                            let _ = reader_tx.send(Event::Corrupt(id, e.to_string()));
-                            break;
-                        }
-                    }
-                }
-            });
-            let hello_ok = match encode_frame(&hello(id, $shard_id)) {
-                Ok(bytes) => conn.send_bytes(&bytes).is_ok(),
-                Err(_) => false,
-            };
-            if hello_ok {
-                if let Some(t) = telemetry {
-                    t.counter("grid.transport.frames_tx").inc();
-                }
-            } else {
-                conn.sever();
-            }
-            handles.push(WorkerHandle {
-                id,
-                slot: $slot,
-                conn,
-                alive: hello_ok,
-                ready: false,
-                last_seen: Instant::now(),
-                current: None,
-                reader: Some(reader_thread),
-                remote: $remote,
-            });
-        }};
+impl Fleet {
+    /// A fleet for one run under `sup`, with the run-level `Hello` settings
+    /// taken from `ctl` and `cfg`. Nothing is spawned or dialed until the
+    /// first grid pass that has cells to run.
+    pub(crate) fn open(sup: &SupervisorConfig, ctl: &GridControl, cfg: &ExperimentConfig) -> Fleet {
+        sup.validate()
+            .unwrap_or_else(|e| panic!("invalid supervisor config: {e}"));
+        let worker_bin = sup.worker_bin.clone().unwrap_or_else(|| {
+            std::env::current_exe().expect("cannot resolve current executable for worker re-exec")
+        });
+        let (tx, rx) = mpsc::channel::<Event>();
+        Fleet {
+            sup: sup.clone(),
+            cfg: *cfg,
+            run_budget: RunBudget {
+                max_wall_secs: ctl.cell_wall_budget,
+                max_events: ctl.cell_event_budget,
+            },
+            drills: Drills::resolve(ctl),
+            journal: ctl.journal.clone(),
+            worker_bin,
+            flake_plan: FlakyTransport::from_env(),
+            tx,
+            rx,
+            handles: Vec::new(),
+            remotes: sup
+                .remotes
+                .iter()
+                .enumerate()
+                .map(|(r_idx, addr)| RemoteSlot {
+                    addr: addr.clone(),
+                    slot: sup.workers + r_idx,
+                    shard_id: 0,
+                    dial_failures: 0,
+                    redial_at: None,
+                    quarantined: false,
+                    connected: false,
+                })
+                .collect(),
+            transports: Vec::new(),
+            telemetry: ccs_telemetry::ENABLED.then(ccs_telemetry::global),
+        }
     }
 
-    macro_rules! spawn_local {
-        ($slot:expr) => {{
-            next_id += 1;
-            spawned += 1;
-            let id = next_id;
-            busy_secs.push(0.0);
-            worker_transports.push(TransportKind::Pipe.label().to_string());
-            if let Some(t) = telemetry {
-                t.counter("grid.worker.spawns").inc();
-            }
-            let flakes = flake_plan.as_ref().map(|p| p.connection(id));
-            match PipeTransport::spawn(&worker_bin, flakes) {
-                Ok(conn) => attach!(id, $slot, None, id, Box::new(conn)),
-                Err(e) => progress::note(&format!("supervisor: cannot spawn worker {id}: {e}")),
-                // No handle on spawn failure: the main loop's respawn
-                // logic takes it from here.
-            }
-        }};
+    /// Whether any worker has been handed a shard-journal path — from then
+    /// on live workers may be appending to shard files, so only the close
+    /// may merge them.
+    pub(crate) fn is_open(&self) -> bool {
+        !self.handles.is_empty()
     }
 
-    macro_rules! dial_remote {
-        ($r_idx:expr) => {{
-            let r_idx: usize = $r_idx;
-            if let Some(t) = telemetry {
-                t.counter("grid.transport.dials").inc();
-                if remote_slots[r_idx].shard_id != 0 {
-                    t.counter("grid.transport.redials").inc();
-                }
-            }
-            next_id += 1;
-            let id = next_id;
-            busy_secs.push(0.0);
-            worker_transports.push(TransportKind::Tcp.label().to_string());
-            let flakes = flake_plan.as_ref().map(|p| p.connection(id));
-            let addr = remote_slots[r_idx].addr.clone();
-            match TcpTransport::dial(&addr, connect_timeout, write_timeout, flakes) {
-                Ok(conn) => {
-                    let r = &mut remote_slots[r_idx];
-                    if r.shard_id == 0 {
-                        r.shard_id = id;
-                    }
-                    r.connected = true;
-                    r.redial_at = None;
-                    let (slot, shard_id) = (r.slot, r.shard_id);
-                    attach!(id, slot, Some(r_idx), shard_id, Box::new(conn));
-                }
-                Err(e) => {
-                    let failure = if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock)
-                    {
+    /// The session-opening frame for connection `worker_id`. A worker's
+    /// shard journal is addressed by `shard_id`, not by the connection's
+    /// worker id: a redialed remote keeps its original shard id, which is
+    /// exactly what lets it resume from that journal.
+    fn hello(&self, worker_id: u64, shard_id: u64) -> ToWorker {
+        ToWorker::Hello {
+            worker_id,
+            seed: self.cfg.seed,
+            nodes: self.cfg.nodes,
+            trace: self.cfg.trace,
+            heartbeat_ms: self.sup.heartbeat_ms,
+            cell_wall_budget: self.run_budget.max_wall_secs,
+            cell_event_budget: self.run_budget.max_events,
+            fail_cell: self.drills.fail_cell.clone(),
+            stall_cell: self.drills.stall_cell.clone(),
+            shard_journal: self.journal.as_deref().map(|p| {
+                Journal::shard_path(p, shard_id)
+                    .to_string_lossy()
+                    .into_owned()
+            }),
+        }
+    }
+
+    /// Hands out the next run-scoped worker id for a link of `kind`.
+    fn next_id(&mut self, kind: TransportKind) -> u64 {
+        self.transports.push(kind.label().to_string());
+        self.transports.len() as u64
+    }
+
+    /// Wires one freshly made transport into the fleet: reader thread,
+    /// Hello frame, handle. A failed Hello severs the link, and the
+    /// reader's terminal event then reports the death like any other — so
+    /// a remote whose Hello tore is redialed (or quarantined), not left
+    /// marked connected with no live link.
+    fn attach(
+        &mut self,
+        id: u64,
+        slot: usize,
+        remote: Option<usize>,
+        shard_id: u64,
+        mut conn: Box<dyn Transport>,
+    ) {
+        let mut reader = conn.take_reader().expect("fresh transport has a reader");
+        let reader_tx = self.tx.clone();
+        let telemetry = self.telemetry;
+        let reader_thread = std::thread::spawn(move || {
+            let _guard = ReaderGuard::arm();
+            loop {
+                match read_frame::<FromWorker>(&mut reader) {
+                    Ok(Some(frame)) => {
                         if let Some(t) = telemetry {
-                            t.counter("grid.transport.timeouts").inc();
+                            t.counter("grid.transport.frames_rx").inc();
                         }
-                        WorkerFailure::ConnectTimeout {
-                            addr: addr.clone(),
-                            ms: sup.connect_timeout_ms,
+                        if reader_tx.send(Event::Frame(id, frame)).is_err() {
+                            break;
                         }
-                    } else {
-                        WorkerFailure::Disconnected {
-                            detail: format!("dial {addr}: {e}"),
-                        }
-                    };
-                    let r = &mut remote_slots[r_idx];
-                    r.dial_failures += 1;
-                    if r.dial_failures >= sup.retries {
-                        r.quarantined = true;
-                        r.redial_at = None;
-                        progress::note(&format!(
-                            "supervisor: remote {addr} quarantined after {} failed dial(s); \
-                             last: {failure}",
-                            r.dial_failures
-                        ));
-                    } else {
-                        let delay =
-                            backoff_delay_ms(cfg.seed, &addr, r.dial_failures, sup.backoff_ms);
-                        r.redial_at = Some(Instant::now() + Duration::from_millis(delay));
-                        progress::note(&format!("supervisor: {failure}; redial in {delay} ms"));
+                    }
+                    Ok(None) => {
+                        let _ = reader_tx.send(Event::Eof(id));
+                        break;
+                    }
+                    Err(e) if is_link_error(&e) => {
+                        let _ = reader_tx.send(Event::Lost(id, e.to_string()));
+                        break;
+                    }
+                    Err(e) => {
+                        let _ = reader_tx.send(Event::Corrupt(id, e.to_string()));
+                        break;
                     }
                 }
             }
-        }};
-    }
-
-    if total_to_run > 0 {
-        for slot in 0..n_local.min(total_to_run) {
-            spawn_local!(slot);
+        });
+        let hello_ok = match encode_frame(&self.hello(id, shard_id)) {
+            Ok(bytes) => conn.send_bytes(&bytes).is_ok(),
+            Err(_) => false,
+        };
+        if hello_ok {
+            if let Some(t) = self.telemetry {
+                t.counter("grid.transport.frames_tx").inc();
+            }
+        } else {
+            conn.sever();
         }
-        for r_idx in 0..remote_slots.len() {
-            dial_remote!(r_idx);
+        self.handles.push(WorkerHandle {
+            id,
+            slot,
+            conn,
+            alive: true,
+            ready: false,
+            last_seen: Instant::now(),
+            current: None,
+            reader: Some(reader_thread),
+            remote,
+        });
+    }
+
+    /// Spawns one local worker child for deque `slot`. A failed spawn
+    /// leaves no handle; the pass's respawn logic takes it from there.
+    fn spawn_local(&mut self, slot: usize) {
+        let id = self.next_id(TransportKind::Pipe);
+        if let Some(t) = self.telemetry {
+            t.counter("grid.worker.spawns").inc();
+        }
+        let flakes = self.flake_plan.as_ref().map(|p| p.connection(id));
+        match PipeTransport::spawn(&self.worker_bin, flakes) {
+            Ok(conn) => self.attach(id, slot, None, id, Box::new(conn)),
+            Err(e) => progress::note(&format!("supervisor: cannot spawn worker {id}: {e}")),
         }
     }
 
-    let heartbeat_deadline = Duration::from_millis(sup.heartbeat_ms);
-    let mut attempts: HashMap<String, u32> = HashMap::new();
-    let mut retry: Vec<(Instant, CellSpec)> = Vec::new();
-    // Keys of cells already folded into the grid: a flaky link can
-    // replay a CellOk frame, and only the first copy may count.
-    let mut done: HashSet<String> = HashSet::new();
-    let mut degraded: Vec<CellSpec> = Vec::new();
-    let mut resolved = 0usize;
-
-    // A failed cell is final: fold it as an error, unattributed.
-    macro_rules! resolve_err {
-        ($cell:expr, $kind:expr, $message:expr) => {{
-            fold.record($cell, SimulatedCell::failed($kind, $message), 0);
-            resolved += 1;
-        }};
-    }
-    macro_rules! fail_cell_attempt {
-        ($cell:expr, $failure:expr) => {{
-            let cell: CellSpec = $cell;
-            let failure: WorkerFailure = $failure;
-            let n = attempts.entry(cell.key.clone()).or_insert(0);
-            *n += 1;
-            let n = *n;
-            if !failure.is_retryable() {
-                if let WorkerFailure::CellFailed { kind, message } = failure {
-                    resolve_err!(&cell, kind, message);
+    /// Dials remote `r_idx`; a failed dial extends its failure streak and
+    /// schedules a redial with backoff, or quarantines it for the run.
+    fn dial_remote(&mut self, r_idx: usize) {
+        if let Some(t) = self.telemetry {
+            t.counter("grid.transport.dials").inc();
+            if self.remotes[r_idx].shard_id != 0 {
+                t.counter("grid.transport.redials").inc();
+            }
+        }
+        let id = self.next_id(TransportKind::Tcp);
+        let flakes = self.flake_plan.as_ref().map(|p| p.connection(id));
+        let addr = self.remotes[r_idx].addr.clone();
+        let connect_timeout = Duration::from_millis(self.sup.connect_timeout_ms);
+        let write_timeout = Duration::from_millis(self.sup.heartbeat_ms);
+        match TcpTransport::dial(&addr, connect_timeout, write_timeout, flakes) {
+            Ok(conn) => {
+                let r = &mut self.remotes[r_idx];
+                if r.shard_id == 0 {
+                    r.shard_id = id;
+                }
+                r.connected = true;
+                r.redial_at = None;
+                let (slot, shard_id) = (r.slot, r.shard_id);
+                self.attach(id, slot, Some(r_idx), shard_id, Box::new(conn));
+            }
+            Err(e) => {
+                let failure = if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
+                    if let Some(t) = self.telemetry {
+                        t.counter("grid.transport.timeouts").inc();
+                    }
+                    WorkerFailure::ConnectTimeout {
+                        addr: addr.clone(),
+                        ms: self.sup.connect_timeout_ms,
+                    }
                 } else {
-                    unreachable!("only CellFailed is non-retryable");
-                }
-            } else if n >= sup.retries {
-                resolve_err!(
-                    &cell,
-                    CellErrorKind::Quarantine,
-                    format!("quarantined after {n} failed attempt(s); last: {failure}")
-                );
-            } else {
-                if let Some(t) = telemetry {
-                    t.counter("grid.worker.retries").inc();
-                }
-                let delay = backoff_delay_ms(cfg.seed, &cell.key, n, sup.backoff_ms);
-                retry.push((Instant::now() + Duration::from_millis(delay), cell));
-            }
-        }};
-    }
-    // Common tail of every worker death: join the reader, count it,
-    // orphan the in-flight cell, and schedule the remote's redial (or
-    // quarantine it). `$was_severed` paths have already unblocked the
-    // reader; the pipe-EOF path reaped instead, which implies EOF too.
-    macro_rules! mark_dead {
-        ($h:expr, $failure:expr) => {{
-            let h: &mut WorkerHandle = $h;
-            let failure: WorkerFailure = $failure;
-            h.alive = false;
-            if let Some(t) = telemetry {
-                t.counter("grid.worker.deaths").inc();
-                if h.conn.kind() == TransportKind::Tcp {
-                    t.counter("grid.transport.disconnects").inc();
-                }
-            }
-            if let Some(rt) = h.reader.take() {
-                let _ = rt.join();
-            }
-            progress::note(&format!(
-                "supervisor: worker {} ({}) died: {failure}",
-                h.id,
-                h.conn.peer()
-            ));
-            let was_ready = h.ready;
-            if let Some(cell) = h.current.take() {
-                fail_cell_attempt!(cell, failure);
-            }
-            if let Some(r_idx) = h.remote {
-                let r = &mut remote_slots[r_idx];
-                r.connected = false;
-                // A death before Ready extends the dial-failure streak —
-                // a listener that accepts and immediately dies must not
-                // be redialed forever. A post-Ready death redials with a
-                // fresh streak (attempt 1 backoff).
-                if !was_ready {
-                    r.dial_failures += 1;
-                }
-                if r.dial_failures >= sup.retries {
+                    WorkerFailure::Disconnected {
+                        detail: format!("dial {addr}: {e}"),
+                    }
+                };
+                let r = &mut self.remotes[r_idx];
+                r.dial_failures += 1;
+                if r.dial_failures >= self.sup.retries {
                     r.quarantined = true;
                     r.redial_at = None;
                     progress::note(&format!(
-                        "supervisor: remote {} quarantined after {} failure(s)",
-                        r.addr, r.dial_failures
+                        "supervisor: remote {addr} quarantined after {} failed dial(s); \
+                         last: {failure}",
+                        r.dial_failures
                     ));
                 } else {
-                    let attempt = r.dial_failures.max(1);
-                    let delay = backoff_delay_ms(cfg.seed, &r.addr, attempt, sup.backoff_ms);
-                    r.redial_at = Some(Instant::now() + Duration::from_millis(delay));
-                }
-            }
-        }};
-    }
-
-    while resolved < total_to_run {
-        // 0. Redial remotes whose backoff expired.
-        let now = Instant::now();
-        for r_idx in 0..remote_slots.len() {
-            let due = {
-                let r = &remote_slots[r_idx];
-                !r.quarantined && !r.connected && r.redial_at.is_some_and(|at| at <= now)
-            };
-            if due {
-                dial_remote!(r_idx);
-            }
-        }
-
-        // 1. Assign work to idle live workers: own deque, then steal from
-        //    the longest, then a due retry.
-        let now = Instant::now();
-        for h in handles
-            .iter_mut()
-            .filter(|h| h.alive && h.ready && h.current.is_none())
-        {
-            let cell = deques[h.slot]
-                .pop_front()
-                .or_else(|| {
-                    // Steal from the back of the longest other deque.
-                    deques
-                        .iter_mut()
-                        .max_by_key(|d| d.len())
-                        .filter(|d| !d.is_empty())
-                        .and_then(|d| d.pop_back())
-                })
-                .or_else(|| {
-                    // A due retry, earliest first.
-                    let due = retry
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, (at, _))| *at <= now)
-                        .min_by_key(|(_, (at, _))| *at)
-                        .map(|(i, _)| i);
-                    due.map(|i| retry.swap_remove(i).1)
-                });
-            if let Some(cell) = cell {
-                h.current = Some(cell.clone());
-                let sent = encode_frame(&ToWorker::RunCell { cell })
-                    .and_then(|bytes| h.conn.send_bytes(&bytes));
-                match sent {
-                    Ok(()) => {
-                        if let Some(t) = telemetry {
-                            t.counter("grid.transport.frames_tx").inc();
-                        }
-                    }
-                    Err(e) => {
-                        // The frame may be half-written: the link cannot
-                        // be trusted, and the worker may be healthily
-                        // blocked mid-read (still heartbeating, so the
-                        // watchdog would never fire). Sever so the reader
-                        // thread's terminal event orphans the cell.
-                        if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
-                            if let Some(t) = telemetry {
-                                t.counter("grid.transport.timeouts").inc();
-                            }
-                        }
-                        h.conn.sever();
-                    }
-                }
-            }
-        }
-
-        // 2. Wait for events.
-        let timeout = Duration::from_millis(25);
-        let mut batch: Vec<Event> = Vec::new();
-        match rx.recv_timeout(timeout) {
-            Ok(ev) => {
-                batch.push(ev);
-                while let Ok(ev) = rx.try_recv() {
-                    batch.push(ev);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {}
-        }
-
-        for ev in batch {
-            match ev {
-                Event::Frame(id, frame) => {
-                    let Some(h) = handles.iter_mut().find(|h| h.id == id) else {
-                        continue;
-                    };
-                    if !h.alive {
-                        // A late frame from a worker already declared
-                        // dead (its cell is orphaned and may be running
-                        // elsewhere) must not be double-counted.
-                        continue;
-                    }
-                    h.last_seen = Instant::now();
-                    match frame {
-                        FromWorker::Ready { .. } => {
-                            h.ready = true;
-                            if let Some(r_idx) = h.remote {
-                                // A full session start clears the
-                                // remote's failure streak.
-                                remote_slots[r_idx].dial_failures = 0;
-                            }
-                        }
-                        FromWorker::Heartbeat { .. } => {
-                            if let Some(t) = telemetry {
-                                t.counter(&format!("grid.worker.{id}.heartbeats")).inc();
-                            }
-                        }
-                        FromWorker::CellOk {
-                            cell,
-                            objectives,
-                            secs,
-                            events,
-                            cost,
-                            profile,
-                        } => {
-                            // Only the assignment we are waiting for
-                            // counts: a flaky link can duplicate frames.
-                            if h.current.as_ref().map(|c| c.key.as_str()) != Some(cell.key.as_str())
-                            {
-                                continue;
-                            }
-                            h.current = None;
-                            if !done.insert(cell.key.clone()) {
-                                continue;
-                            }
-                            busy_secs[(id - 1) as usize] += secs;
-                            let sim = SimulatedCell {
-                                outcome: Ok((objectives, events)),
-                                sigma: [0.0; 4],
-                                secs,
-                                cost,
-                                profile,
-                            };
-                            fold.record(&cell, sim, id);
-                            resolved += 1;
-                        }
-                        FromWorker::CellErr {
-                            cell,
-                            kind,
-                            message,
-                        } => {
-                            if h.current.as_ref().map(|c| c.key.as_str()) != Some(cell.key.as_str())
-                            {
-                                continue;
-                            }
-                            h.current = None;
-                            if done.contains(&cell.key) {
-                                continue;
-                            }
-                            fail_cell_attempt!(cell, WorkerFailure::CellFailed { kind, message });
-                        }
-                    }
-                }
-                dead => {
-                    enum LinkEnd {
-                        Eof,
-                        Corrupt(String),
-                        Lost(String),
-                    }
-                    let (id, end) = match dead {
-                        Event::Eof(id) => (id, LinkEnd::Eof),
-                        Event::Corrupt(id, d) => (id, LinkEnd::Corrupt(d)),
-                        Event::Lost(id, d) => (id, LinkEnd::Lost(d)),
-                        Event::Frame(..) => unreachable!("handled above"),
-                    };
-                    let Some(h) = handles.iter_mut().find(|h| h.id == id) else {
-                        continue;
-                    };
-                    if !h.alive {
-                        continue;
-                    }
-                    let failure = match (h.conn.kind(), end) {
-                        (TransportKind::Pipe, LinkEnd::Eof) => {
-                            // Don't sever: the child is exiting on its
-                            // own, and killing it here would destroy the
-                            // exit code the classification reads.
-                            match h.conn.reap() {
-                                Some(code) if code == crate::worker::PROTOCOL_EXIT => {
-                                    WorkerFailure::Protocol {
-                                        detail: format!(
-                                            "worker reported a protocol error (exit {code})"
-                                        ),
-                                    }
-                                }
-                                code => WorkerFailure::Crash { exit_code: code },
-                            }
-                        }
-                        (TransportKind::Tcp, LinkEnd::Eof) => {
-                            h.conn.sever();
-                            WorkerFailure::Disconnected {
-                                detail: "connection closed by peer".to_string(),
-                            }
-                        }
-                        (_, LinkEnd::Corrupt(d)) => {
-                            h.conn.sever();
-                            let _ = h.conn.reap();
-                            WorkerFailure::Protocol { detail: d }
-                        }
-                        (TransportKind::Pipe, LinkEnd::Lost(_)) => {
-                            h.conn.sever();
-                            let code = h.conn.reap();
-                            WorkerFailure::Crash { exit_code: code }
-                        }
-                        (TransportKind::Tcp, LinkEnd::Lost(d)) => {
-                            h.conn.sever();
-                            WorkerFailure::Disconnected { detail: d }
-                        }
-                    };
-                    mark_dead!(h, failure);
-                }
-            }
-        }
-
-        // 3. Heartbeat watchdog.
-        let now = Instant::now();
-        let mut timed_out: Vec<u64> = Vec::new();
-        for h in handles.iter().filter(|h| h.alive) {
-            if now.duration_since(h.last_seen) > heartbeat_deadline {
-                timed_out.push(h.id);
-            }
-        }
-        for id in timed_out {
-            let h = handles.iter_mut().find(|h| h.id == id).unwrap();
-            // Severing unblocks the reader thread (and, over TCP, the
-            // possibly half-open peer) before mark_dead! joins it.
-            h.conn.sever();
-            let _ = h.conn.reap();
-            let silent_ms = now.duration_since(h.last_seen).as_millis() as u64;
-            mark_dead!(h, WorkerFailure::HeartbeatTimeout { silent_ms });
-        }
-
-        // 4. Everyone dead with work outstanding → respawn locals (up to
-        //    the cap), wait out remote redial timers, degrade to
-        //    in-process execution (remote-only grid, all quarantined), or
-        //    quarantine what's left.
-        if resolved < total_to_run && !handles.iter().any(|h| h.alive) {
-            let awaiting_redial = remote_slots.iter().any(|r| !r.quarantined && !r.connected);
-            if n_local > 0 && spawned < spawn_cap {
-                let slot = spawned % n_local;
-                spawn_local!(slot);
-            } else if awaiting_redial {
-                // A redial timer is pending; step 0 fires it.
-            } else if n_local == 0 {
-                degraded = deques
-                    .iter_mut()
-                    .flat_map(|d| d.drain(..))
-                    .chain(retry.drain(..).map(|(_, c)| c))
-                    .collect();
-                break;
-            } else {
-                let outstanding: Vec<CellSpec> = deques
-                    .iter_mut()
-                    .flat_map(|d| d.drain(..))
-                    .chain(retry.drain(..).map(|(_, c)| c))
-                    .collect();
-                for cell in outstanding {
-                    resolve_err!(
-                        &cell,
-                        CellErrorKind::Quarantine,
-                        format!("no live workers left (spawn cap {spawn_cap} reached)")
+                    let delay = backoff_delay_ms(
+                        self.cfg.seed,
+                        &addr,
+                        r.dial_failures,
+                        self.sup.backoff_ms,
                     );
+                    r.redial_at = Some(Instant::now() + Duration::from_millis(delay));
+                    progress::note(&format!("supervisor: {failure}; redial in {delay} ms"));
                 }
             }
         }
     }
 
-    // Graceful degradation: every remote is quarantined and no local
-    // workers were configured. Rather than aborting a multi-hour sweep,
-    // finish the remaining cells on the local executor — byte-identical
-    // numbers, worker id 0 — and say so even under --quiet.
-    if !degraded.is_empty() {
-        eprintln!(
-            "warning: all {} remote worker(s) unreachable or quarantined; \
-             running {} remaining cell(s) in-process",
-            remote_slots.len(),
-            degraded.len()
-        );
-        run_local(&degraded, env, fold, false);
-    }
-
-    // Clean shutdown: ask politely, close the write half (EOF also exits
-    // the worker loop), reap children, and join every reader thread.
-    // Alive TCP links are *not* severed here — severing could cut the
-    // socket before the agent reads Shutdown, leaving it parked in a
-    // dead session instead of exiting.
-    for h in handles.iter_mut().filter(|h| h.alive) {
-        let polite = encode_frame(&ToWorker::Shutdown)
-            .and_then(|bytes| h.conn.send_bytes(&bytes))
-            .is_ok();
-        if polite {
-            if let Some(t) = telemetry {
-                t.counter("grid.transport.frames_tx").inc();
+    /// Common tail of every worker death: join the reader, count it, and
+    /// schedule the remote's redial (or quarantine it). Returns the
+    /// orphaned in-flight cell, if any. Callers have already unblocked the
+    /// reader — by severing, or (pipe EOF) by reaping, which implies EOF.
+    fn mark_dead(&mut self, i: usize, failure: &WorkerFailure) -> Option<CellSpec> {
+        let h = &mut self.handles[i];
+        h.alive = false;
+        if let Some(t) = self.telemetry {
+            t.counter("grid.worker.deaths").inc();
+            if h.conn.kind() == TransportKind::Tcp {
+                t.counter("grid.transport.disconnects").inc();
             }
         }
-        h.conn.close_writer();
-    }
-    for mut h in handles {
-        let _ = h.conn.reap();
         if let Some(rt) = h.reader.take() {
             let _ = rt.join();
         }
-    }
-    // Fold shard journals into the primary: on a clean run this only
-    // deletes them (their records were journaled as CellOk frames
-    // arrived), after frame loss it adopts the stragglers.
-    if let Some(path) = ctl.journal.as_deref() {
-        let _ = Journal::merge_shards(path);
+        progress::note(&format!(
+            "supervisor: worker {} ({}) died: {failure}",
+            h.id,
+            h.conn.peer()
+        ));
+        if let Some(r_idx) = h.remote {
+            let r = &mut self.remotes[r_idx];
+            r.connected = false;
+            // A death before Ready extends the dial-failure streak — a
+            // listener that accepts and immediately dies must not be
+            // redialed forever. A post-Ready death redials with a fresh
+            // streak (attempt 1 backoff).
+            if !h.ready {
+                r.dial_failures += 1;
+            }
+            if r.dial_failures >= self.sup.retries {
+                r.quarantined = true;
+                r.redial_at = None;
+                progress::note(&format!(
+                    "supervisor: remote {} quarantined after {} failure(s)",
+                    r.addr, r.dial_failures
+                ));
+            } else {
+                let attempt = r.dial_failures.max(1);
+                let delay = backoff_delay_ms(self.cfg.seed, &r.addr, attempt, self.sup.backoff_ms);
+                r.redial_at = Some(Instant::now() + Duration::from_millis(delay));
+            }
+        }
+        h.current.take()
     }
 
-    (busy_secs, worker_transports)
+    /// Handles one event from a link reader: a frame refreshes the
+    /// worker's liveness and may resolve its cell; a terminal event is
+    /// classified into a [`WorkerFailure`] and kills the worker.
+    fn on_event(&mut self, ev: Event, pass: &mut GridPass, busy_secs: &mut Vec<f64>) {
+        let id = match &ev {
+            Event::Frame(id, _) | Event::Eof(id) | Event::Corrupt(id, _) | Event::Lost(id, _) => {
+                *id
+            }
+        };
+        let Some(i) = self.handles.iter().position(|h| h.id == id) else {
+            return;
+        };
+        let h = &mut self.handles[i];
+        if !h.alive {
+            // A late frame from a worker already declared dead (its cell
+            // is orphaned and may be running elsewhere) must not be
+            // double-counted.
+            return;
+        }
+        let failure = match ev {
+            Event::Frame(_, frame) => {
+                h.last_seen = Instant::now();
+                match frame {
+                    FromWorker::Ready { .. } => {
+                        h.ready = true;
+                        if let Some(r_idx) = h.remote {
+                            // A full session start clears the remote's
+                            // failure streak.
+                            self.remotes[r_idx].dial_failures = 0;
+                        }
+                    }
+                    FromWorker::Heartbeat { .. } => {
+                        if let Some(t) = self.telemetry {
+                            t.counter(&format!("grid.worker.{id}.heartbeats")).inc();
+                        }
+                    }
+                    FromWorker::CellOk {
+                        cell,
+                        objectives,
+                        secs,
+                        events,
+                        cost,
+                        profile,
+                    } => {
+                        // Only the assignment we are waiting for counts: a
+                        // flaky link can duplicate frames, and a replay of
+                        // an earlier grid's cell never matches.
+                        if h.current.as_ref().map(|c| c.key.as_str()) != Some(cell.key.as_str()) {
+                            return;
+                        }
+                        h.current = None;
+                        if !pass.done.insert(cell.key.clone()) {
+                            return;
+                        }
+                        let idx = (id - 1) as usize;
+                        if busy_secs.len() <= idx {
+                            busy_secs.resize(idx + 1, 0.0);
+                        }
+                        busy_secs[idx] += secs;
+                        let sim = SimulatedCell {
+                            outcome: Ok((objectives, events)),
+                            sigma: [0.0; 4],
+                            secs,
+                            cost,
+                            profile,
+                        };
+                        pass.fold.record(&cell, sim, id);
+                        pass.resolved += 1;
+                    }
+                    FromWorker::CellErr {
+                        cell,
+                        kind,
+                        message,
+                    } => {
+                        if h.current.as_ref().map(|c| c.key.as_str()) != Some(cell.key.as_str()) {
+                            return;
+                        }
+                        h.current = None;
+                        if !pass.done.contains(&cell.key) {
+                            pass.fail_attempt(cell, WorkerFailure::CellFailed { kind, message });
+                        }
+                    }
+                }
+                return;
+            }
+            Event::Eof(_) => match h.conn.kind() {
+                TransportKind::Pipe => {
+                    // Don't sever: the child is exiting on its own, and
+                    // killing it here would destroy the exit code the
+                    // classification reads.
+                    match h.conn.reap() {
+                        Some(code) if code == crate::worker::PROTOCOL_EXIT => {
+                            WorkerFailure::Protocol {
+                                detail: format!("worker reported a protocol error (exit {code})"),
+                            }
+                        }
+                        code => WorkerFailure::Crash { exit_code: code },
+                    }
+                }
+                TransportKind::Tcp => {
+                    h.conn.sever();
+                    WorkerFailure::Disconnected {
+                        detail: "connection closed by peer".to_string(),
+                    }
+                }
+            },
+            Event::Corrupt(_, detail) => {
+                h.conn.sever();
+                let _ = h.conn.reap();
+                WorkerFailure::Protocol { detail }
+            }
+            Event::Lost(_, detail) => {
+                h.conn.sever();
+                match h.conn.kind() {
+                    TransportKind::Pipe => WorkerFailure::Crash {
+                        exit_code: h.conn.reap(),
+                    },
+                    TransportKind::Tcp => WorkerFailure::Disconnected { detail },
+                }
+            }
+        };
+        if let Some(cell) = self.mark_dead(i, &failure) {
+            pass.fail_attempt(cell, failure);
+        }
+    }
+
+    /// Runs the planned `cells` of one grid on the fleet and folds every
+    /// result into `fold` — the same fold the local executor uses, so the
+    /// fleet changes only *where* cells run, never the grid. Completed
+    /// cells are journaled as their frames arrive. If every remote is gone
+    /// and no local workers are configured, the leftover cells run on the
+    /// local executor instead. Returns busy seconds and the transport label
+    /// per worker id of the run so far.
+    pub(crate) fn run_grid(
+        &mut self,
+        cells: Vec<CellSpec>,
+        env: &CellEnv,
+        fold: &GridFold,
+    ) -> (Vec<f64>, Vec<String>) {
+        let total_to_run = cells.len();
+        // Shard the work round-robin into per-slot deques: one slot per
+        // local worker, then one per remote address.
+        let n_local = self.sup.workers;
+        let shards = plan_shards(total_to_run, n_local + self.remotes.len());
+        let mut deques: Vec<VecDeque<CellSpec>> = shards
+            .iter()
+            .map(|shard| shard.iter().map(|&i| cells[i].clone()).collect())
+            .collect();
+        let mut pass = GridPass {
+            fold,
+            seed: self.cfg.seed,
+            retries: self.sup.retries,
+            backoff_ms: self.sup.backoff_ms,
+            telemetry: self.telemetry,
+            attempts: HashMap::new(),
+            retry: Vec::new(),
+            done: HashSet::new(),
+            resolved: 0,
+        };
+        let mut busy_secs = vec![0.0; self.transports.len()];
+        // Each grid may respawn its local workers up to 2x the configured
+        // count, counting the ones it starts with (carried over or fresh).
+        let spawn_cap = n_local * 2;
+        let mut spawned = n_local.min(total_to_run);
+
+        if total_to_run > 0 {
+            // Open the fleet, or top it up: a local slot without a live
+            // child gets one, a remote never dialed is dialed. Links that
+            // survived earlier grids keep their sessions.
+            for slot in 0..spawned {
+                if !self
+                    .handles
+                    .iter()
+                    .any(|h| h.alive && h.remote.is_none() && h.slot == slot)
+                {
+                    self.spawn_local(slot);
+                }
+            }
+            for r_idx in 0..self.remotes.len() {
+                let r = &self.remotes[r_idx];
+                if !r.quarantined && !r.connected && r.redial_at.is_none() {
+                    self.dial_remote(r_idx);
+                }
+            }
+        }
+
+        let heartbeat_deadline = Duration::from_millis(self.sup.heartbeat_ms);
+        let mut degraded: Vec<CellSpec> = Vec::new();
+        while pass.resolved < total_to_run {
+            // 0. Redial remotes whose backoff expired.
+            let now = Instant::now();
+            for r_idx in 0..self.remotes.len() {
+                let r = &self.remotes[r_idx];
+                if !r.quarantined && !r.connected && r.redial_at.is_some_and(|at| at <= now) {
+                    self.dial_remote(r_idx);
+                }
+            }
+
+            // 1. Assign work to idle live workers: own deque, then steal
+            //    from the longest, then a due retry.
+            let now = Instant::now();
+            for h in self
+                .handles
+                .iter_mut()
+                .filter(|h| h.alive && h.ready && h.current.is_none())
+            {
+                let cell = deques[h.slot]
+                    .pop_front()
+                    .or_else(|| {
+                        // Steal from the back of the longest other deque.
+                        deques
+                            .iter_mut()
+                            .max_by_key(|d| d.len())
+                            .filter(|d| !d.is_empty())
+                            .and_then(|d| d.pop_back())
+                    })
+                    .or_else(|| pass.take_due_retry(now));
+                if let Some(cell) = cell {
+                    h.current = Some(cell.clone());
+                    let sent = encode_frame(&ToWorker::RunCell { cell })
+                        .and_then(|bytes| h.conn.send_bytes(&bytes));
+                    match sent {
+                        Ok(()) => {
+                            if let Some(t) = self.telemetry {
+                                t.counter("grid.transport.frames_tx").inc();
+                            }
+                        }
+                        Err(e) => {
+                            // The frame may be half-written: the link
+                            // cannot be trusted, and the worker may be
+                            // healthily blocked mid-read (still
+                            // heartbeating, so the watchdog would never
+                            // fire). Sever so the reader thread's terminal
+                            // event orphans the cell.
+                            if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
+                                if let Some(t) = self.telemetry {
+                                    t.counter("grid.transport.timeouts").inc();
+                                }
+                            }
+                            h.conn.sever();
+                        }
+                    }
+                }
+            }
+
+            // 2. Wait for events, then drain everything queued — on a
+            //    pass's first iteration that includes the heartbeats an
+            //    idle fleet queued between grids, so the watchdog below
+            //    never judges a link by a stale `last_seen`.
+            let first = self.rx.recv_timeout(Duration::from_millis(25)).ok();
+            let batch: Vec<Event> = first
+                .into_iter()
+                .chain(std::iter::from_fn(|| self.rx.try_recv().ok()))
+                .collect();
+            for ev in batch {
+                self.on_event(ev, &mut pass, &mut busy_secs);
+            }
+
+            // 3. Heartbeat watchdog.
+            let now = Instant::now();
+            for i in 0..self.handles.len() {
+                let h = &mut self.handles[i];
+                if !h.alive || now.duration_since(h.last_seen) <= heartbeat_deadline {
+                    continue;
+                }
+                // Severing unblocks the reader thread (and, over TCP, the
+                // possibly half-open peer) before mark_dead joins it.
+                h.conn.sever();
+                let _ = h.conn.reap();
+                let failure = WorkerFailure::HeartbeatTimeout {
+                    silent_ms: now.duration_since(h.last_seen).as_millis() as u64,
+                };
+                if let Some(cell) = self.mark_dead(i, &failure) {
+                    pass.fail_attempt(cell, failure);
+                }
+            }
+
+            // 4. Everyone dead with work outstanding → respawn locals (up
+            //    to the cap), wait out remote redial timers, degrade to
+            //    in-process execution (remote-only fleet, all
+            //    quarantined), or quarantine what's left.
+            if pass.resolved < total_to_run && !self.handles.iter().any(|h| h.alive) {
+                let awaiting_redial = self.remotes.iter().any(|r| !r.quarantined && !r.connected);
+                let outstanding = |deques: &mut Vec<VecDeque<CellSpec>>, pass: &mut GridPass| {
+                    deques
+                        .iter_mut()
+                        .flat_map(|d| d.drain(..))
+                        .chain(pass.retry.drain(..).map(|(_, c)| c))
+                        .collect::<Vec<_>>()
+                };
+                if n_local > 0 && spawned < spawn_cap {
+                    self.spawn_local(spawned % n_local);
+                    spawned += 1;
+                } else if awaiting_redial {
+                    // A redial timer is pending; step 0 fires it.
+                } else if n_local == 0 {
+                    degraded = outstanding(&mut deques, &mut pass);
+                    break;
+                } else {
+                    for cell in outstanding(&mut deques, &mut pass) {
+                        pass.resolve_err(
+                            &cell,
+                            CellErrorKind::Quarantine,
+                            format!("no live workers left (spawn cap {spawn_cap} reached)"),
+                        );
+                    }
+                }
+            }
+        }
+
+        // Graceful degradation: every remote is quarantined and no local
+        // workers were configured. Rather than aborting a multi-hour sweep,
+        // finish the remaining cells on the local executor — byte-identical
+        // numbers, worker id 0 — and say so even under --quiet.
+        if !degraded.is_empty() {
+            eprintln!(
+                "warning: all {} remote worker(s) unreachable or quarantined; \
+                 running {} remaining cell(s) in-process",
+                self.remotes.len(),
+                degraded.len()
+            );
+            run_local(&degraded, env, fold, false);
+        }
+        busy_secs.resize(self.transports.len(), 0.0);
+        (busy_secs, self.transports.clone())
+    }
+}
+
+impl Drop for Fleet {
+    /// Closes the fleet once, after its last grid: ask every live worker
+    /// politely to shut down, close the write half (EOF also exits the
+    /// worker loop), reap children, and join every reader thread. Alive
+    /// TCP links are *not* severed here — severing could cut the socket
+    /// before the agent reads Shutdown, leaving it parked in a dead session
+    /// instead of exiting. Then fold the shard journals into the primary:
+    /// on a clean run this only deletes them (their records were journaled
+    /// as CellOk frames arrived), after frame loss it adopts the
+    /// stragglers.
+    fn drop(&mut self) {
+        for h in self.handles.iter_mut().filter(|h| h.alive) {
+            let polite = encode_frame(&ToWorker::Shutdown)
+                .and_then(|bytes| h.conn.send_bytes(&bytes))
+                .is_ok();
+            if polite {
+                if let Some(t) = self.telemetry {
+                    t.counter("grid.transport.frames_tx").inc();
+                }
+            }
+            h.conn.close_writer();
+        }
+        for h in &mut self.handles {
+            let _ = h.conn.reap();
+            if let Some(rt) = h.reader.take() {
+                let _ = rt.join();
+            }
+        }
+        if let Some(path) = self.journal.as_deref() {
+            let _ = Journal::merge_shards(path);
+        }
+    }
+}
+
+/// One grid's bookkeeping over a borrowed [`Fleet`]: its cells' attempt
+/// counts and retry queue, the done-set, and how many cells have resolved.
+struct GridPass<'p, 'a> {
+    fold: &'p GridFold<'a>,
+    seed: u64,
+    retries: u32,
+    backoff_ms: u64,
+    telemetry: Option<&'static ccs_telemetry::Telemetry>,
+    attempts: HashMap<String, u32>,
+    retry: Vec<(Instant, CellSpec)>,
+    /// Keys of cells already folded into the grid: a flaky link can
+    /// replay a CellOk frame, and only the first copy may count.
+    done: HashSet<String>,
+    resolved: usize,
+}
+
+impl GridPass<'_, '_> {
+    /// A failed cell is final: fold it as an error, unattributed.
+    fn resolve_err(&mut self, cell: &CellSpec, kind: CellErrorKind, message: String) {
+        self.fold
+            .record(cell, SimulatedCell::failed(kind, message), 0);
+        self.resolved += 1;
+    }
+
+    /// Counts one failed attempt of `cell`: a deterministic verdict or the
+    /// last allowed attempt resolves it as an error, anything else
+    /// re-queues it after its backoff.
+    fn fail_attempt(&mut self, cell: CellSpec, failure: WorkerFailure) {
+        let n = self.attempts.entry(cell.key.clone()).or_insert(0);
+        *n += 1;
+        let n = *n;
+        if !failure.is_retryable() {
+            if let WorkerFailure::CellFailed { kind, message } = failure {
+                self.resolve_err(&cell, kind, message);
+            } else {
+                unreachable!("only CellFailed is non-retryable");
+            }
+        } else if n >= self.retries {
+            self.resolve_err(
+                &cell,
+                CellErrorKind::Quarantine,
+                format!("quarantined after {n} failed attempt(s); last: {failure}"),
+            );
+        } else {
+            if let Some(t) = self.telemetry {
+                t.counter("grid.worker.retries").inc();
+            }
+            let delay = backoff_delay_ms(self.seed, &cell.key, n, self.backoff_ms);
+            self.retry
+                .push((Instant::now() + Duration::from_millis(delay), cell));
+        }
+    }
+
+    /// Removes and returns the earliest retry that is due at `now`.
+    fn take_due_retry(&mut self, now: Instant) -> Option<CellSpec> {
+        let due = self
+            .retry
+            .iter()
+            .enumerate()
+            .filter(|(_, (at, _))| *at <= now)
+            .min_by_key(|(_, (at, _))| *at)
+            .map(|(i, _)| i);
+        due.map(|i| self.retry.swap_remove(i).1)
+    }
 }
 
 #[cfg(test)]
@@ -1224,6 +1324,98 @@ mod tests {
             ..SupervisorConfig::default()
         };
         assert!(cfg.validate().is_ok());
+    }
+
+    /// The `utility_risk` binary `cargo test` builds for the integration
+    /// tests, beside this test binary's `deps/` directory.
+    fn worker_bin() -> PathBuf {
+        let exe = std::env::current_exe().expect("test binary path");
+        let dir = exe
+            .parent()
+            .and_then(|deps| deps.parent())
+            .expect("test binary lives in <target>/<profile>/deps");
+        let bin = dir.join(format!("utility_risk{}", std::env::consts::EXE_SUFFIX));
+        assert!(
+            bin.exists(),
+            "worker binary {} is missing: `cargo test` builds it with the integration tests",
+            bin.display()
+        );
+        bin
+    }
+
+    /// Fleet reuse: two grids run on one fleet, with an idle gap longer
+    /// than the heartbeat deadline between them. The second grid must
+    /// reuse the first grid's two children — none declared dead, none
+    /// respawned — and closing the fleet must join every reader thread.
+    #[test]
+    fn one_fleet_serves_consecutive_grids_across_an_idle_gap() {
+        use crate::grid::{default_board, run_grid, run_grid_on};
+        use crate::scenario::EstimateSet;
+        use ccs_economy::EconomicModel;
+
+        let cfg = ExperimentConfig::quick().with_jobs(25);
+        let sup = SupervisorConfig {
+            workers: 2,
+            heartbeat_ms: 1_000,
+            worker_bin: Some(worker_bin()),
+            ..SupervisorConfig::default()
+        };
+        let ctl = GridControl {
+            supervisor: Some(sup.clone()),
+            ..GridControl::default()
+        };
+        let mut fleet = Fleet::open(&sup, &ctl, &cfg);
+        let mut run = |econ, set| {
+            run_grid_on(
+                econ,
+                set,
+                &cfg,
+                &[],
+                &ctl,
+                &default_board(econ),
+                Some(&mut fleet),
+            )
+        };
+        let first = run(EconomicModel::CommodityMarket, EstimateSet::A);
+        std::thread::sleep(Duration::from_millis(sup.heartbeat_ms * 3 / 2));
+        let second = run(EconomicModel::BidBased, EstimateSet::B);
+
+        assert_eq!(
+            fleet.transports,
+            ["pipe", "pipe"],
+            "spawned 2 children in total"
+        );
+        assert!(
+            fleet.handles.iter().all(|h| h.alive),
+            "no worker may be declared dead across the idle gap"
+        );
+        for grid in [&first, &second] {
+            assert!(grid.errors.is_empty(), "{:?}", grid.errors);
+            assert_eq!(grid.worker_transports, ["pipe", "pipe"]);
+            let workers: HashSet<u64> = grid
+                .cell_workers
+                .iter()
+                .flatten()
+                .flatten()
+                .copied()
+                .collect();
+            assert_eq!(
+                workers,
+                HashSet::from([1, 2]),
+                "both grids ran on workers 1 and 2"
+            );
+        }
+        drop(fleet);
+        assert_eq!(
+            live_reader_threads(),
+            0,
+            "closing the fleet joins every reader"
+        );
+        assert_eq!(
+            second.raw,
+            run_grid(EconomicModel::BidBased, EstimateSet::B, &cfg).raw,
+            "the reused fleet's grid equals the in-process grid"
+        );
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! - `utility_risk serve-worker --listen HOST:PORT` — a long-lived TCP
 //!   agent: it accepts one connection at a time and runs a protocol
 //!   session per connection, so a supervisor whose link dropped can
-//!   redial and resume. A clean [`ToWorker::Shutdown`] ends the agent;
-//!   a dead connection only ends the *session*.
+//!   redial and resume. A supervisor holds one session per run: every
+//!   grid of the run streams its cells over it, and the one
+//!   [`ToWorker::Shutdown`] after the last grid ends the agent; a dead
+//!   connection only ends the *session*.
 //!
 //! Each session starts with [`ToWorker::Hello`], then the supervisor
 //! streams [`ToWorker::RunCell`] assignments one at a time and the worker
@@ -33,6 +35,8 @@
 //! [`ccs_chaos::WorkerKillPlan`]) makes the matching worker
 //! `std::process::abort()` upon its next assignment — the std-only
 //! stand-in for SIGKILL that the kill-recovery tests and the CI drill use.
+//! Worker ids are run-scoped (one fleet serves every grid of a run), so
+//! the drill fires once per run; the replacement worker gets a new id.
 
 use crate::grid::{run_cell, CellEnv, Drills, ExperimentConfig, SimulatedCell, WorkloadCache};
 use crate::ipc::{read_frame, write_frame, FromWorker, ToWorker};
@@ -326,7 +330,9 @@ pub fn worker_main() -> ! {
 
 /// Runs the TCP worker agent: binds `listen` ("host:port"), then accepts
 /// one connection at a time and runs a protocol session per connection.
-/// A clean `Shutdown` frame exits the agent; a dead or protocol-broken
+/// A healthy run is one session serving all of the run's grids. A clean
+/// `Shutdown` frame — sent once, after the run's last grid — exits the
+/// agent; a dead or protocol-broken
 /// connection only ends the session — the agent goes back to accepting,
 /// which is what lets a supervisor redial after a network drop and
 /// resume the shard. Never returns.

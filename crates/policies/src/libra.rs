@@ -235,21 +235,24 @@ impl LibraPolicy {
         true
     }
 
-    /// Commodity-market price quote for `job` on `nodes`. `None` means the
-    /// bid-based model is active and no quote applies.
-    fn quote(&self, job: &Job, nodes: &[usize], now: f64) -> Option<f64> {
+    /// Commodity-market price quote for `job` on the `picked` `(free share,
+    /// node)` pairs that [`Self::select_nodes`] chose. `None` means the
+    /// bid-based model is active and no quote applies. Each `free` is the
+    /// exact `free_share(node, now)` value (`free_share_if_fits` returns
+    /// the same left-fold), so Libra+$ prices without rescanning the
+    /// picked nodes' residents.
+    fn quote(&self, job: &Job, picked: &[(f64, usize)]) -> Option<f64> {
         if self.econ != EconomicModel::CommodityMarket {
             return None;
         }
         Some(match self.variant {
             LibraVariant::Plain | LibraVariant::RiskD => libra_cost(job, &self.libra_params),
             LibraVariant::Dollar => {
-                let max_rate = nodes
+                let max_rate = picked
                     .iter()
-                    .map(|&n| {
+                    .map(|&(free, n)| {
                         let required = self.cluster.required_share(n, job.estimate, job.deadline);
-                        let free_after = self.cluster.free_share(n, now) - required;
-                        libra_dollar_rate(free_after, &self.dollar_params)
+                        libra_dollar_rate(free - required, &self.dollar_params)
                     })
                     .fold(0.0, f64::max);
                 libra_dollar_cost(job, max_rate)
@@ -278,8 +281,8 @@ impl Policy for LibraPolicy {
             &mut eligible,
             &mut nodes,
         );
-        self.eligible_scratch = eligible;
         if !found {
+            self.eligible_scratch = eligible;
             self.picked_scratch = nodes;
             out.push(Outcome::Rejected {
                 job: job.id,
@@ -288,7 +291,10 @@ impl Policy for LibraPolicy {
             });
             return;
         }
-        let charged = self.quote(job, &nodes, now);
+        // `select_nodes` leaves the picked nodes' (free, node) pairs in
+        // `eligible[..need]`, in the same order as `nodes`.
+        let charged = self.quote(job, &eligible[..nodes.len()]);
+        self.eligible_scratch = eligible;
         if let Some(cost) = charged {
             if cost > job.budget {
                 self.picked_scratch = nodes;

@@ -4,13 +4,15 @@
 //! a seed-pure flake schedule (`CCS_FLAKY_TRANSPORT`) that drops, tears
 //! and duplicates frames must heal through redial + shard-journal resume
 //! without changing a byte; a grid whose remotes are all unreachable must
-//! degrade to in-process execution with a warning and exit 0; and the
-//! supervisor must join every reader thread it spawned, on clean shutdown
-//! and on worker death alike.
+//! degrade to in-process execution with a warning and exit 0; a
+//! remote-only run must serve all four grids over one session per agent;
+//! and the supervisor must join every reader thread it spawned, on clean
+//! shutdown and on worker death alike.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ccs_transport_{}_{name}", std::process::id()));
@@ -94,6 +96,83 @@ fn finish_agent(mut child: Child) -> String {
     let _ = child.kill();
     let output = child.wait_with_output().expect("reap serve-worker");
     String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+/// Waits up to `limit` for an agent to exit by itself, killing it past
+/// the deadline. Returns its exit code (`None` when it had to be killed or
+/// died to a signal) and its captured stderr.
+fn await_agent_exit(mut child: Child, limit: Duration) -> (Option<i32>, String) {
+    let deadline = Instant::now() + limit;
+    let code = loop {
+        match child.try_wait().expect("poll serve-worker") {
+            Some(status) => break status.code(),
+            None if Instant::now() >= deadline => {
+                let _ = child.kill();
+                break None;
+            }
+            None => std::thread::sleep(Duration::from_millis(50)),
+        }
+    };
+    let output = child.wait_with_output().expect("reap serve-worker");
+    (code, String::from_utf8_lossy(&output.stderr).into_owned())
+}
+
+/// One fleet per run: a remote-only `summary` runs all four grids over
+/// the same two TCP sessions. Nothing degrades to in-process, each agent
+/// ends its one session on the run's single `Shutdown` and exits 0 by
+/// itself, and the results equal the in-process run.
+#[test]
+fn remote_only_run_serves_every_grid_over_one_session_per_agent() {
+    let dir = temp_dir("fleet");
+    let out_plain = dir.join("plain");
+    let out_tcp = dir.join("tcp");
+
+    let plain = summary_cmd(&out_plain).output().expect("spawn plain run");
+    assert!(
+        plain.status.success(),
+        "{}",
+        String::from_utf8_lossy(&plain.stderr)
+    );
+
+    let (agent_a, addr_a) = spawn_agent();
+    let (agent_b, addr_b) = spawn_agent();
+    let tcp = summary_cmd(&out_tcp)
+        .args(["--remote", &addr_a, "--remote", &addr_b])
+        .args(["--heartbeat-ms", "60000"])
+        .output()
+        .expect("spawn remote-only run");
+    let agents = [agent_a, agent_b].map(|a| await_agent_exit(a, Duration::from_secs(5)));
+    let stderr = String::from_utf8_lossy(&tcp.stderr);
+    assert!(
+        tcp.status.success(),
+        "remote-only run failed: {stderr}\nagents: {agents:?}"
+    );
+    assert!(
+        !stderr.contains("in-process"),
+        "no grid may degrade to in-process execution: {stderr}"
+    );
+    for (code, agent_err) in &agents {
+        assert_eq!(
+            *code,
+            Some(0),
+            "each agent must exit 0 on its own within 5 s of the run: {agent_err}"
+        );
+        assert!(
+            !agent_err.contains("awaiting reconnect"),
+            "each agent must serve one session, ended by Shutdown: {agent_err}"
+        );
+    }
+    assert_eq!(
+        String::from_utf8_lossy(&plain.stdout),
+        String::from_utf8_lossy(&tcp.stdout),
+        "remote-only stdout must match the in-process run"
+    );
+    assert_eq!(
+        store_projection(&out_plain),
+        store_projection(&out_tcp),
+        "remote-only store projection must match the in-process run"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Tentpole acceptance: the same grid over pipe workers, a TCP remote,
