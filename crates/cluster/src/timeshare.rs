@@ -375,29 +375,57 @@ impl PsCluster {
         required: f64,
         eps: f64,
     ) -> Option<f64> {
+        self.free_share_if_fits_safe(node, now, required, eps, false)
+    }
+
+    /// [`PsCluster::free_share_if_fits`] fused with LibraRiskD's filter:
+    /// with `refuse_at_risk`, also `None` when [`PsCluster::node_at_risk`]
+    /// holds. One pass over the residents projects each task's work once
+    /// for both tests, and Libra and Libra+$ (`refuse_at_risk == false`)
+    /// pay nothing for the risk test.
+    ///
+    /// Exact: an at-risk node is refused whatever its share, so stopping
+    /// at the first at-risk task changes no decision, and an eligible node
+    /// still completes the full left-fold.
+    pub fn free_share_if_fits_safe(
+        &self,
+        node: usize,
+        now: f64,
+        required: f64,
+        eps: f64,
+        refuse_at_risk: bool,
+    ) -> Option<f64> {
         #[cfg(test)]
         if self.force_reference {
             let free = self.free_share_reference(node, now);
-            return (free + eps >= required).then_some(free);
+            let fits = free + eps >= required;
+            return (fits && !(refuse_at_risk && self.node_at_risk(node, now))).then_some(free);
         }
         let n = &self.nodes[node];
         if n.tasks.is_empty() {
             let free = 1.0;
             return (free + eps >= required).then_some(free);
         }
+        // `projected_done` with its elapsed time hoisted out of the loops.
+        let dt = (now - n.last_update).max(0.0);
+        let projected = |t: &PsTask| (t.work_done + t.rate * dt).min(t.work_total);
+        let at_risk = |t: &PsTask, done: f64| {
+            refuse_at_risk && done >= t.est_total - EPS_WORK && t.remaining() > EPS_WORK
+        };
         if self.mode == WeightMode::Static && (!self.escalation || n.min_deadline > now) {
             let free = 1.0 - n.static_sum;
-            return (free + eps >= required).then_some(free);
+            let refused = free + eps < required
+                || (refuse_at_risk && n.tasks.iter().any(|t| at_risk(t, projected(t))));
+            return (!refused).then_some(free);
         }
         let rating = self.ratings[node];
         let mut used = 0.0;
         for t in &n.tasks {
-            used += self.weight_of_branchless(
-                t,
-                now,
-                Self::projected_done(t, n.last_update, now),
-                rating,
-            );
+            let done = projected(t);
+            if at_risk(t, done) {
+                return None;
+            }
+            used += self.weight_of_branchless(t, now, done, rating);
             if 1.0 - used + eps < required {
                 return None;
             }
@@ -1280,6 +1308,90 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// LibraRiskD's fused admission scan must equal the two-pass form it
+    /// replaced — `free_share_if_fits` filtered by `!node_at_risk` — bit
+    /// for bit, on the fast engine and on the reference oracle, in every
+    /// mode × escalation combination, with the risk test on and off.
+    #[test]
+    fn fused_fit_and_risk_scan_matches_two_pass_form_bit_for_bit() {
+        use ccs_des::SimRng;
+        const NODES: usize = 4;
+        let mut refused_at_risk = 0usize;
+        for &mode in &[WeightMode::Static, WeightMode::Dynamic] {
+            for &escalation in &[true, false] {
+                for seed in 0..4u64 {
+                    let mut fast = PsCluster::with_escalation(NODES, mode, escalation);
+                    let mut slow = PsCluster::with_escalation(NODES, mode, escalation);
+                    slow.force_reference = true;
+                    let mut rng = SimRng::seed_from(0xF05E + seed);
+                    let mut now = 0.0f64;
+                    for id in 0..300 {
+                        match rng.range_usize(0, 10) {
+                            0..=4 => {
+                                let nid = rng.range_usize(0, NODES);
+                                if fast.node_up(nid) {
+                                    // Estimates as low as a fifth of the
+                                    // runtime put tasks past their estimate.
+                                    let runtime = rng.uniform(1.0, 200.0);
+                                    let estimate = runtime * rng.uniform(0.2, 2.0);
+                                    let deadline = rng.uniform(10.0, 500.0);
+                                    let j = job(id, now, runtime, estimate, deadline, 1);
+                                    fast.submit(&j, &[nid], now);
+                                    slow.submit(&j, &[nid], now);
+                                }
+                            }
+                            5..=7 => {
+                                now += rng.uniform(0.0, 80.0);
+                                fast.advance_to(now);
+                                slow.advance_to(now);
+                            }
+                            8 => {
+                                let nid = rng.range_usize(0, NODES);
+                                fast.fail_node(nid, now);
+                                slow.fail_node(nid, now);
+                            }
+                            _ => {
+                                let nid = rng.range_usize(0, NODES);
+                                fast.repair_node(nid, now);
+                                slow.repair_node(nid, now);
+                            }
+                        }
+                        let probe = now + rng.uniform(0.0, 20.0);
+                        let required = rng.uniform(0.0, 1.2);
+                        let eps = 1e-9;
+                        for nid in 0..NODES {
+                            for refuse in [false, true] {
+                                let fused = |c: &PsCluster| {
+                                    c.free_share_if_fits_safe(nid, probe, required, eps, refuse)
+                                        .map(f64::to_bits)
+                                };
+                                for c in [&fast, &slow] {
+                                    let two_pass = c
+                                        .free_share_if_fits(nid, probe, required, eps)
+                                        .filter(|_| !(refuse && c.node_at_risk(nid, probe)))
+                                        .map(f64::to_bits);
+                                    assert_eq!(
+                                        fused(c),
+                                        two_pass,
+                                        "mode {mode:?}, escalation {escalation}, seed {seed}"
+                                    );
+                                }
+                                assert_eq!(fused(&fast), fused(&slow));
+                                if refuse
+                                    && fast.node_at_risk(nid, probe)
+                                    && fast.free_share_if_fits(nid, probe, required, eps).is_some()
+                                {
+                                    refused_at_risk += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(refused_at_risk > 0, "no probe exercised the risk filter");
     }
 
     #[test]

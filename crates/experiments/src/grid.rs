@@ -21,7 +21,7 @@ use ccs_simsvc::{FaultConfig, Run, RunBudget, RunConfig, RunError, Violation};
 use ccs_telemetry::profile::ProfileSnapshot;
 use ccs_workload::{apply_scenario, BaseJob, Job, ScenarioTransform, SdscSp2Model};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -90,10 +90,12 @@ pub struct GridControl {
     /// appended as they finish, and cells already present are reused
     /// instead of re-simulated. `None` disables journaling.
     pub journal: Option<std::path::PathBuf>,
-    /// Simulate only the first this-many cells of the plan (journal hits
+    /// Resolve only the first this-many cells of the plan (journal hits
     /// don't count), then skip the rest — the hook integration tests use
-    /// to "kill" a run at a deterministic point. The same cells run in
-    /// every execution mode. `None` = unlimited.
+    /// to "kill" a run at a deterministic point. The budget truncates the
+    /// plan before duplicate cells are folded into aliases, so a budgeted
+    /// run still resolves (and journals) exactly this many cells, and the
+    /// same cells run in every execution mode. `None` = unlimited.
     pub cell_budget: Option<usize>,
     /// Deliberately panic the cell `"scenarioIdx:valueIdx:PolicyName"` —
     /// the fault-injection backdoor proving a broken policy cannot take
@@ -323,6 +325,12 @@ pub struct RawGrid {
     pub workload_cache_hits: u64,
     /// Scenario traces synthesised (cache misses).
     pub workload_cache_misses: u64,
+    /// Cells resolved by reusing another cell's result instead of being
+    /// simulated: aliases of an earlier cell of this grid with the same
+    /// content key, and copies of an earlier grid's result from the run's
+    /// memo. A reused cell records 0 s, a zero cost vector, and the worker
+    /// id of the simulation it copies.
+    pub cells_reused: u64,
     /// Busy seconds per worker thread (simulation time, excluding idle
     /// waits on the work queue) — the basis for utilisation reporting.
     /// Under a supervisor, indexed by worker id − 1; ids are run-scoped,
@@ -505,7 +513,7 @@ pub fn run_grid_with_base_ctl_observed(
 
 /// One grid run on `fleet` — the worker fleet of a supervised run, which
 /// may serve several grids — or on the local executor when `fleet` is
-/// `None`.
+/// `None`. Duplicate cells are reused within this one grid.
 pub(crate) fn run_grid_on(
     econ: EconomicModel,
     set: EstimateSet,
@@ -514,6 +522,24 @@ pub(crate) fn run_grid_on(
     ctl: &GridControl,
     board: &LiveRiskBoard,
     fleet: Option<&mut Fleet>,
+) -> RawGrid {
+    let memo = CellMemo::default();
+    run_grid_in_run(econ, set, cfg, base, ctl, board, fleet, &memo)
+}
+
+/// [`run_grid_on`] as one grid of a multi-grid run: `memo` holds the
+/// results of the run's earlier grids, which this grid reuses where its
+/// cells' content keys match, and receives this grid's results in turn.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_grid_in_run(
+    econ: EconomicModel,
+    set: EstimateSet,
+    cfg: &ExperimentConfig,
+    base: &[BaseJob],
+    ctl: &GridControl,
+    board: &LiveRiskBoard,
+    fleet: Option<&mut Fleet>,
+    memo: &CellMemo,
 ) -> RawGrid {
     assert!(
         fleet.is_none() || cfg.replicas <= 1,
@@ -524,7 +550,7 @@ pub(crate) fn run_grid_on(
     // Live workers may be appending to their shard journals; only a grid
     // that runs before the fleet opens may merge leftovers.
     let merge_leftovers = !fleet.as_ref().is_some_and(|f| f.is_open());
-    let (cells, fold) = plan(econ, set, cfg, ctl, board, merge_leftovers);
+    let (cells, fold) = plan(econ, set, cfg, ctl, board, memo, merge_leftovers);
     // Supervised runs synthesise base jobs from cfg.trace, like their
     // workers do, so the caller-provided base is not used on that path.
     let cache = match fleet {
@@ -579,6 +605,7 @@ fn record_grid_telemetry(grid: &RawGrid) {
         .add(grid.workload_cache_hits);
     t.counter("grid.workload.cache_misses")
         .add(grid.workload_cache_misses);
+    t.counter("grid.cells.reused").add(grid.cells_reused);
 }
 
 /// Deliberately panics a chosen cell — the fault-injection backdoor the
@@ -638,6 +665,11 @@ impl Drills {
     fn stalls(&self, label: &str) -> bool {
         self.stall_cell.as_deref() == Some(label)
     }
+
+    /// Whether either drill targets the cell labelled `label`.
+    fn targets(&self, label: &str) -> bool {
+        self.fails(label) || self.stalls(label)
+    }
 }
 
 /// One simulated cell, before it is folded into a grid: the outcome (or a
@@ -679,6 +711,19 @@ impl SimulatedCell {
             outcome: Ok((rec.objectives, rec.events)),
             sigma: rec.sigma,
             secs: rec.secs,
+            cost: CellCost::default(),
+            profile: ProfileSnapshot::default(),
+        }
+    }
+
+    /// This cell's result as a cell that reuses it records it: the same
+    /// outcome and spread, but no wall time, cost, or profile — the reusing
+    /// cell simulated nothing.
+    fn reused(&self) -> SimulatedCell {
+        SimulatedCell {
+            outcome: self.outcome.clone(),
+            sigma: self.sigma,
+            secs: 0.0,
             cost: CellCost::default(),
             profile: ProfileSnapshot::default(),
         }
@@ -992,43 +1037,149 @@ pub(crate) struct CellEnv<'a> {
     pub threads: usize,
 }
 
-/// Turns one cell into a [`SimulatedCell`]: builds its scenario, fault
-/// process, transform, and [`RunConfig`], fetches the cached workload, and
-/// runs the replica ensemble. The single simulation path of every
-/// execution mode: local threads, the supervisor's fallback, and worker
-/// processes all call it.
+/// What one cell's simulation consumes besides the run-level settings
+/// (seed, cluster size, trace model, replicas, budgets): the economic
+/// model, the policy, the scenario's workload transform, and its fault
+/// process. [`run_cell`] simulates exactly these, so two cells of one run
+/// with equal inputs produce the same bits — which is what lets `plan`
+/// simulate one of them and reuse its result for the other.
+#[derive(Debug)]
+struct CellInputs {
+    econ: EconomicModel,
+    policy: PolicyKind,
+    transform: ScenarioTransform,
+    fault: Option<FaultConfig>,
+}
+
+impl CellInputs {
+    fn of(spec: &CellSpec, seed: u64) -> CellInputs {
+        let scenario = Scenario::ALL[spec.scenario_idx];
+        let value = scenario.values()[spec.value_idx];
+        CellInputs {
+            econ: spec.econ,
+            policy: spec.policy,
+            transform: scenario.transform(spec.set, value),
+            fault: scenario.fault(value, seed),
+        }
+    }
+
+    /// The content key: the debug rendering, which spells out every field
+    /// at full float precision (the workload cache keys the same way).
+    fn content_key(&self) -> String {
+        format!("{self:?}")
+    }
+}
+
+/// Turns one cell into a [`SimulatedCell`]: derives its [`CellInputs`] and
+/// [`RunConfig`], fetches the cached workload, and runs the replica
+/// ensemble. The single simulation path of every execution mode: local
+/// threads, the supervisor's fallback, and worker processes all call it.
 pub(crate) fn run_cell(spec: &CellSpec, env: &CellEnv) -> SimulatedCell {
-    let scenario = Scenario::ALL[spec.scenario_idx];
-    let value = scenario.values()[spec.value_idx];
-    let fault = scenario.fault(value, env.cfg.seed);
-    let transform = scenario.transform(spec.set, value);
+    let inputs = CellInputs::of(spec, env.cfg.seed);
     let run_cfg = RunConfig {
         nodes: env.cfg.nodes,
-        econ: spec.econ,
+        econ: inputs.econ,
     };
     simulate_cell_ensemble(
-        spec.policy,
+        inputs.policy,
         &run_cfg,
-        fault.as_ref(),
+        inputs.fault.as_ref(),
         env.run_budget,
         env.drills,
         &spec.label(),
         env.cfg.replicas.max(1),
         env.threads,
-        || env.cache.workload(&transform),
+        || env.cache.workload(&inputs.transform),
     )
+}
+
+/// One run's successful cell results by content key, each with the id of
+/// the worker that simulated it: how a later grid of the run reuses an
+/// earlier grid's cell (set B's Inaccuracy points equal set A's). Only
+/// cells simulated in this run enter it — never journal hits, drill cells,
+/// or failures — and only those whose key a later grid of the run plans,
+/// so the memo stays small. Seed, cluster size, replicas, and budgets are
+/// fixed for a run, so the content key need not carry them. The default
+/// memo serves a one-grid run and keeps nothing.
+#[derive(Default)]
+pub(crate) struct CellMemo {
+    /// Content keys that occur in more than one grid of the run.
+    shared: HashSet<String>,
+    results: Mutex<HashMap<String, (SimulatedCell, u64)>>,
+}
+
+impl CellMemo {
+    /// The memo of a run over `grids`, in run order.
+    pub(crate) fn for_run(grids: &[(EconomicModel, EstimateSet)], cfg: &ExperimentConfig) -> Self {
+        let mut grids_with: HashMap<String, usize> = HashMap::new();
+        for &(econ, set) in grids {
+            let contents: HashSet<String> = grid_cells(econ, set, cfg)
+                .iter()
+                .map(|spec| CellInputs::of(spec, cfg.seed).content_key())
+                .collect();
+            for content in contents {
+                *grids_with.entry(content).or_default() += 1;
+            }
+        }
+        CellMemo {
+            shared: grids_with
+                .into_iter()
+                .filter_map(|(content, n)| (n > 1).then_some(content))
+                .collect(),
+            results: Mutex::default(),
+        }
+    }
+
+    fn get(&self, content: &str) -> Option<(SimulatedCell, u64)> {
+        let results = self.results.lock().expect(MEMO_POISONED);
+        results
+            .get(content)
+            .map(|(sim, worker)| (sim.reused(), *worker))
+    }
+
+    fn insert(&self, content: &str, sim: &SimulatedCell, worker: u64) {
+        let mut results = self.results.lock().expect(MEMO_POISONED);
+        results
+            .entry(content.to_string())
+            .or_insert_with(|| (sim.reused(), worker));
+    }
+}
+
+/// Why the memo's lock can be poisoned: a panic while it was held — a bug.
+const MEMO_POISONED: &str = "cell memo poisoned by a panic while locked";
+
+/// Every cell of one grid, in point-major order (scenario, value, policy).
+fn grid_cells(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> Vec<CellSpec> {
+    let mut cells = Vec::new();
+    for scenario_idx in 0..Scenario::ALL.len() {
+        for value_idx in 0..6 {
+            for policy in policies_for(econ) {
+                cells.push(CellSpec {
+                    econ,
+                    set,
+                    scenario_idx,
+                    value_idx,
+                    policy,
+                    key: cell_key(econ, set, cfg, scenario_idx, value_idx, policy),
+                });
+            }
+        }
+    }
+    cells
 }
 
 /// The first step of every grid run: enumerates the cells in point-major
 /// order, folds journal hits straight into the grid, truncates the rest to
-/// the cell budget, and resolves the drills. Returns the cells left to run
-/// and the fold that collects them.
+/// the cell budget, resolves the drills, and dedupes what is left by
+/// content key. Returns the cells left to simulate and the fold that
+/// collects them.
 fn plan<'a>(
     econ: EconomicModel,
     set: EstimateSet,
     cfg: &ExperimentConfig,
     ctl: &GridControl,
     board: &'a LiveRiskBoard,
+    memo: &'a CellMemo,
     merge_leftovers: bool,
 ) -> (Vec<CellSpec>, GridFold<'a>) {
     let journal = ctl.journal.as_deref().map(|path| {
@@ -1040,24 +1191,12 @@ fn plan<'a>(
         Journal::open(path)
             .unwrap_or_else(|e| panic!("cannot open journal {}: {e}", path.display()))
     });
-    let fold = GridFold::new(econ, set, journal, board, Drills::resolve(ctl));
+    let mut fold = GridFold::new(econ, set, journal, board, memo, Drills::resolve(ctl));
     let mut cells = Vec::new();
-    for scenario_idx in 0..Scenario::ALL.len() {
-        for value_idx in 0..6 {
-            for policy in policies_for(econ) {
-                let spec = CellSpec {
-                    econ,
-                    set,
-                    scenario_idx,
-                    value_idx,
-                    policy,
-                    key: cell_key(econ, set, cfg, scenario_idx, value_idx, policy),
-                };
-                match fold.journal.as_ref().and_then(|j| j.get(&spec.key)) {
-                    Some(rec) => fold.restore(&spec, rec),
-                    None => cells.push(spec),
-                }
-            }
+    for spec in grid_cells(econ, set, cfg) {
+        match fold.journal.as_ref().and_then(|j| j.get(&spec.key)) {
+            Some(rec) => fold.restore(&spec, rec),
+            None => cells.push(spec),
         }
     }
     // The cell budget (the "kill the run partway" hook) truncates the work
@@ -1068,7 +1207,46 @@ fn plan<'a>(
             fold.skip(&spec);
         }
     }
-    (cells, fold)
+    // Simulate each content key once. The first cell of a key in plan
+    // order represents it; a later cell with the same key becomes its
+    // alias, or a copy of the result an earlier grid of the run left in
+    // the memo. Drill cells neither represent nor alias: the drill must
+    // hit the very cell it names.
+    let mut reps: HashMap<String, String> = HashMap::new();
+    let mut to_run = Vec::with_capacity(cells.len());
+    for spec in cells {
+        if fold.drills.targets(&spec.label()) {
+            to_run.push(spec);
+            continue;
+        }
+        let content = CellInputs::of(&spec, cfg.seed).content_key();
+        if let Some((sim, worker)) = memo.get(&content) {
+            fold.record_reused(&spec, sim, worker);
+        } else if let Some(rep) = reps.get(&content) {
+            let family = fold.families.get_mut(rep).expect("a rep has a family");
+            family.aliases.push(spec);
+        } else {
+            let memo_key = memo.shared.contains(&content).then(|| content.clone());
+            reps.insert(content, spec.key.clone());
+            fold.families.insert(
+                spec.key.clone(),
+                Family {
+                    memo_key,
+                    aliases: Vec::new(),
+                },
+            );
+            to_run.push(spec);
+        }
+    }
+    (to_run, fold)
+}
+
+/// The cells of a grid that reuse a representative's result, and the
+/// content key its success enters the run's memo under when a later grid
+/// plans that key too.
+struct Family {
+    memo_key: Option<String>,
+    aliases: Vec<CellSpec>,
 }
 
 /// The last step of every grid run: folds each resolved cell into the
@@ -1077,6 +1255,11 @@ fn plan<'a>(
 pub(crate) struct GridFold<'a> {
     journal: Option<Journal>,
     board: &'a LiveRiskBoard,
+    /// The run's memo of simulated results, fed as representatives resolve.
+    memo: &'a CellMemo,
+    /// Every cell planned to simulate (drill cells aside), by cell key:
+    /// its aliases and memo key. Fixed once planning ends.
+    families: HashMap<String, Family>,
     /// The grid's drills; stall-drill cells are never journaled.
     pub(crate) drills: Drills,
     state: Mutex<FoldState>,
@@ -1104,6 +1287,7 @@ impl<'a> GridFold<'a> {
         set: EstimateSet,
         journal: Option<Journal>,
         board: &'a LiveRiskBoard,
+        memo: &'a CellMemo,
         drills: Drills,
     ) -> Self {
         let policies = policies_for(econ);
@@ -1121,6 +1305,7 @@ impl<'a> GridFold<'a> {
             profile: ProfileSnapshot::default(),
             workload_cache_hits: 0,
             workload_cache_misses: 0,
+            cells_reused: 0,
             worker_busy_secs: Vec::new(),
             worker_transports: Vec::new(),
             wall_secs: 0.0,
@@ -1129,6 +1314,8 @@ impl<'a> GridFold<'a> {
         GridFold {
             journal,
             board,
+            memo,
+            families: HashMap::new(),
             drills,
             state: Mutex::new(FoldState {
                 grid,
@@ -1161,9 +1348,42 @@ impl<'a> GridFold<'a> {
         self.resolve_point(&mut st, spec.scenario_idx, spec.value_idx);
     }
 
-    /// Folds one resolved cell that `worker` ran (0 = unattributed):
-    /// journals it, then writes it into the grid.
+    /// Folds one resolved cell that `worker` ran (0 = unattributed), then
+    /// fans its result out to the cell's aliases — failures included — and
+    /// offers a success to the run's memo.
     pub(crate) fn record(&self, spec: &CellSpec, sim: SimulatedCell, worker: u64) {
+        let Some(family) = self.families.get(&spec.key) else {
+            self.record_one(spec, sim, worker);
+            return;
+        };
+        let copy = sim.reused();
+        self.record_one(spec, sim, worker);
+        if let (Some(content), Ok(_)) = (&family.memo_key, &copy.outcome) {
+            self.memo.insert(content, &copy, worker);
+        }
+        for alias in &family.aliases {
+            self.record_reused(alias, copy.reused(), worker);
+        }
+    }
+
+    /// Folds a cell that reuses the result `worker` simulated for another
+    /// cell: journaled under its own key, counted as reused.
+    fn record_reused(&self, spec: &CellSpec, sim: SimulatedCell, worker: u64) {
+        self.state.lock().expect(FOLD_POISONED).grid.cells_reused += 1;
+        self.record_one(spec, sim, worker);
+    }
+
+    /// How many grid cells resolving `cells` settles: each cell plus its
+    /// aliases.
+    pub(crate) fn cells_settled_by(&self, cells: &[CellSpec]) -> usize {
+        cells
+            .iter()
+            .map(|c| 1 + self.families.get(&c.key).map_or(0, |f| f.aliases.len()))
+            .sum()
+    }
+
+    /// Journals one resolved cell, then writes it into the grid.
+    fn record_one(&self, spec: &CellSpec, sim: SimulatedCell, worker: u64) {
         if let Some(j) = self.journal.as_ref() {
             if let Some(rec) = sim.journal_record(spec, worker, &self.drills) {
                 j.append(&rec);
@@ -1609,11 +1829,23 @@ mod tests {
             ..ExperimentConfig::quick().with_jobs(40)
         };
         let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
-        // One cache lookup per simulated cell, and one miss per distinct
-        // transform.
+        // One cache lookup per simulated cell — one per distinct content
+        // key, i.e. per distinct (transform, fault) point and policy — and
+        // one miss per distinct transform.
+        let points: HashSet<String> = Scenario::ALL
+            .iter()
+            .flat_map(|s| {
+                s.values().map(|v| {
+                    format!(
+                        "{:?}",
+                        (s.transform(EstimateSet::A, v), s.fault(v, cfg.seed))
+                    )
+                })
+            })
+            .collect();
         assert_eq!(
             g.workload_cache_hits + g.workload_cache_misses,
-            (Scenario::ALL.len() * 6 * g.policies.len()) as u64
+            (points.len() * g.policies.len()) as u64
         );
         let transforms: std::collections::HashSet<String> = Scenario::ALL
             .iter()
@@ -1634,6 +1866,158 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The cells of a grid in plan order, each with its content key.
+    fn planned_cells(
+        econ: EconomicModel,
+        set: EstimateSet,
+        cfg: &ExperimentConfig,
+    ) -> Vec<(usize, usize, usize, String)> {
+        let policies = policies_for(econ);
+        grid_cells(econ, set, cfg)
+            .iter()
+            .map(|spec| {
+                let p = policies.iter().position(|&k| k == spec.policy).unwrap();
+                let content = CellInputs::of(spec, cfg.seed).content_key();
+                (spec.scenario_idx, spec.value_idx, p, content)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn grid_simulates_each_content_key_once() {
+        let bits = |x: [f64; 4]| x.map(f64::to_bits);
+        for replicas in [1, 2] {
+            let cfg = ExperimentConfig {
+                threads: 2,
+                ..ExperimentConfig::quick()
+                    .with_jobs(40)
+                    .with_replicas(replicas)
+            };
+            let (econ, set) = (EconomicModel::CommodityMarket, EstimateSet::A);
+            let g = run_grid(econ, set, &cfg);
+            let mut reps: HashMap<String, (usize, usize, usize)> = HashMap::new();
+            for (s, v, p, content) in planned_cells(econ, set, &cfg) {
+                let &mut (rs, rv, rp) = reps.entry(content).or_insert((s, v, p));
+                assert_eq!(bits(g.raw[s][v][p]), bits(g.raw[rs][rv][rp]));
+                assert_eq!(bits(g.cell_sigma[s][v][p]), bits(g.cell_sigma[rs][rv][rp]));
+                assert_eq!(g.cell_events[s][v][p], g.cell_events[rs][rv][rp]);
+                assert_eq!(g.cell_workers[s][v][p], g.cell_workers[rs][rv][rp]);
+                if (s, v, p) != (rs, rv, rp) {
+                    assert_eq!(g.cell_secs[s][v][p], 0.0, "a reused cell did not simulate");
+                }
+            }
+            // 390 cells, 330 distinct: the default point recurs in 12 more
+            // scenarios per policy.
+            assert_eq!(reps.len(), 330, "replicas {replicas}");
+            assert_eq!(g.cells_reused, 60, "replicas {replicas}");
+            let simulated = g.cell_secs.iter().flatten().flatten().filter(|&&t| t > 0.0);
+            assert_eq!(simulated.count(), reps.len(), "replicas {replicas}");
+            assert_eq!(
+                g.workload_cache_hits + g.workload_cache_misses,
+                reps.len() as u64
+            );
+        }
+    }
+
+    #[test]
+    fn aliases_inherit_their_representatives_failure_and_are_not_journaled() {
+        let dir = std::env::temp_dir().join("ccs_grid_alias_failure_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = dir.join("journal.jsonl");
+        let cfg = ExperimentConfig {
+            threads: 2,
+            ..ExperimentConfig::quick().with_jobs(30)
+        };
+        // An event budget of one cancels every simulated cell.
+        let g = run_grid_ctl(
+            EconomicModel::BidBased,
+            EstimateSet::B,
+            &cfg,
+            &GridControl {
+                journal: Some(journal.clone()),
+                cell_event_budget: Some(1),
+                ..Default::default()
+            },
+        );
+        let total = Scenario::ALL.len() * 6 * g.policies.len();
+        assert_eq!(g.cells_reused, 60);
+        assert_eq!(g.errors.len(), total, "every alias reports its own error");
+        assert!(g.errors.iter().all(|e| e.kind == CellErrorKind::Budget));
+        let labels: HashSet<_> = g
+            .errors
+            .iter()
+            .map(|e| (e.scenario_idx, e.value_idx, e.policy.clone()))
+            .collect();
+        assert_eq!(
+            labels.len(),
+            total,
+            "one error per cell, under its own label"
+        );
+        assert_eq!(Journal::open(&journal).unwrap().loaded(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_memo_reuses_earlier_grids_but_never_journal_hits_or_drills() {
+        let dir = std::env::temp_dir().join("ccs_grid_run_memo_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = dir.join("journal.jsonl");
+        let cfg = ExperimentConfig {
+            threads: 2,
+            ..ExperimentConfig::quick().with_jobs(30)
+        };
+        let econ = EconomicModel::CommodityMarket;
+        let base = cfg.trace.generate(cfg.seed);
+        let run = |ctl: &GridControl, memo: &CellMemo, set| {
+            run_grid_in_run(
+                econ,
+                set,
+                &cfg,
+                &base,
+                ctl,
+                &default_board(econ),
+                None,
+                memo,
+            )
+        };
+        let plain = GridControl::default();
+        let grids = [(econ, EstimateSet::A), (econ, EstimateSet::B)];
+        let memo = CellMemo::for_run(&grids, &cfg);
+        let a = run(&plain, &memo, EstimateSet::A);
+        let b = run(&plain, &memo, EstimateSet::B);
+        // Set B's six Inaccuracy points equal set A's, for every policy.
+        assert_eq!((a.cells_reused, b.cells_reused), (60, 90));
+        assert_eq!(b.raw, run_grid(econ, EstimateSet::B, &cfg).raw);
+
+        // Journal hits are not sources: a resumed set A fills no memo, so
+        // set B simulates its Inaccuracy cells itself.
+        let journaled = GridControl {
+            journal: Some(journal.clone()),
+            ..Default::default()
+        };
+        run(&journaled, &CellMemo::default(), EstimateSet::A);
+        let memo = CellMemo::for_run(&grids, &cfg);
+        let resumed = run(&journaled, &memo, EstimateSet::A);
+        assert_eq!(resumed.cells_reused, 0, "every cell was a journal hit");
+        let b = run(&plain, &memo, EstimateSet::B);
+        assert_eq!(b.cells_reused, 60);
+
+        // A drill cell is never reused: the default-point cell it names is
+        // simulated (and panics) even though its content key recurs, so
+        // set B reuses one cell fewer.
+        let drilled = GridControl {
+            fail_cell: Some("0:1:SJF-BF".to_string()),
+            ..Default::default()
+        };
+        let memo = CellMemo::for_run(&grids, &cfg);
+        let a = run(&plain, &memo, EstimateSet::A);
+        let b = run(&drilled, &memo, EstimateSet::B);
+        assert_eq!(b.errors.len(), 1, "{:?}", b.errors);
+        assert_eq!(b.cells_reused, 89);
+        assert_eq!(a.errors.len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

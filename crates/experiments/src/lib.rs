@@ -95,25 +95,29 @@ pub fn run_evaluation(cfg: &ExperimentConfig) -> Evaluation {
 /// one resume journal, so a killed run resumes across the whole study.
 /// (The cell budget, if set, applies per grid.) Under a supervisor the
 /// four grids also share one worker fleet: workers are spawned and remotes
-/// dialed once, and shut down once after the last grid.
+/// dialed once, and shut down once after the last grid. The four grids
+/// also share one memo of simulated cells, so each distinct cell is
+/// simulated once per run: set B reuses set A's Inaccuracy points.
 pub fn run_evaluation_ctl(cfg: &ExperimentConfig, ctl: &GridControl) -> Evaluation {
     let base = cfg.trace.generate(cfg.seed);
     let mut fleet = ctl
         .supervisor
         .as_ref()
         .map(|sup| supervisor::Fleet::open(sup, ctl, cfg));
-    let grids: Vec<RawGrid> = [
+    let order = [
         (EconomicModel::CommodityMarket, EstimateSet::A),
         (EconomicModel::CommodityMarket, EstimateSet::B),
         (EconomicModel::BidBased, EstimateSet::A),
         (EconomicModel::BidBased, EstimateSet::B),
-    ]
-    .into_iter()
-    .map(|(econ, set)| {
-        let board = grid::default_board(econ);
-        grid::run_grid_on(econ, set, cfg, &base, ctl, &board, fleet.as_mut())
-    })
-    .collect();
+    ];
+    let memo = grid::CellMemo::for_run(&order, cfg);
+    let grids: Vec<RawGrid> = order
+        .into_iter()
+        .map(|(econ, set)| {
+            let board = grid::default_board(econ);
+            grid::run_grid_in_run(econ, set, cfg, &base, ctl, &board, fleet.as_mut(), &memo)
+        })
+        .collect();
     drop(fleet);
     Evaluation {
         commodity_a: analyze(&grids[0]),

@@ -1021,7 +1021,7 @@ impl Fleet {
                 "warning: all {} remote worker(s) unreachable or quarantined; \
                  running {} remaining cell(s) in-process",
                 self.remotes.len(),
-                degraded.len()
+                fold.cells_settled_by(&degraded)
             );
             run_local(&degraded, env, fold, false);
         }

@@ -409,6 +409,14 @@ mod tests {
         }
     }
 
+    /// Serialises the tests that run sessions in this process: the
+    /// heartbeat-thread count is process-wide, so a session of one test
+    /// must not be live while another test asserts the count is zero.
+    fn one_session_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+        static SESSIONS: Mutex<()> = Mutex::new(());
+        SESSIONS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Drives `run_session` in-process over a socket pair — the
     /// drop-order regression test for the worker side: however the
     /// session ends, its heartbeat thread must be joined.
@@ -445,6 +453,7 @@ mod tests {
 
     #[test]
     fn session_joins_heartbeat_thread_on_clean_shutdown() {
+        let _serial = one_session_at_a_time();
         let end = drive(vec![hello(1, None), ToWorker::Shutdown]);
         assert!(matches!(end, SessionEnd::Shutdown), "{end:?}");
         assert_eq!(live_heartbeat_threads(), 0, "heartbeat thread leaked");
@@ -452,6 +461,7 @@ mod tests {
 
     #[test]
     fn session_joins_heartbeat_thread_on_eof_and_protocol_error() {
+        let _serial = one_session_at_a_time();
         let end = drive(vec![hello(1, None)]);
         assert!(matches!(end, SessionEnd::Eof), "{end:?}");
         assert_eq!(live_heartbeat_threads(), 0);
@@ -464,6 +474,7 @@ mod tests {
 
     #[test]
     fn first_frame_must_be_hello() {
+        let _serial = one_session_at_a_time();
         let end = drive(vec![ToWorker::Shutdown]);
         assert!(matches!(end, SessionEnd::Protocol(_)), "{end:?}");
     }
@@ -474,6 +485,8 @@ mod tests {
         use crate::scenario::EstimateSet;
         use ccs_economy::EconomicModel;
         use ccs_policies::PolicyKind;
+
+        let _serial = one_session_at_a_time();
 
         let dir = std::env::temp_dir().join(format!("ccs_worker_replay_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -180,6 +180,7 @@ impl LibraPolicy {
     ) -> bool {
         eligible.clear();
         picked.clear();
+        let refuse_at_risk = self.variant == LibraVariant::RiskD;
         eligible.extend((0..self.cluster.nodes()).filter_map(|n| {
             if !self.cluster.node_up(n) {
                 return None; // failed nodes host nothing
@@ -193,12 +194,14 @@ impl LibraPolicy {
             // residents as soon as a partial weight sum proves it too full —
             // the admission decision and the `free` key are byte-identical
             // to `free_share` plus the `free + SHARE_EPS < required` test.
-            let free = self
-                .cluster
-                .free_share_if_fits(n, now, required, SHARE_EPS)?;
-            if self.variant == LibraVariant::RiskD && self.cluster.node_at_risk(n, now) {
-                return None;
-            }
+            // LibraRiskD's at-risk test rides along in the same pass.
+            let free = self.cluster.free_share_if_fits_safe(
+                n,
+                now,
+                required,
+                SHARE_EPS,
+                refuse_at_risk,
+            )?;
             Some((free, n))
         }));
         let need = procs as usize;

@@ -357,3 +357,68 @@ fn cell_budget_journals_the_same_cells_in_every_mode() {
     };
     assert_eq!(one, journaled("budget_workers2", 1, Some(fleet)));
 }
+
+/// Each distinct cell is simulated once per run. A four-grid evaluation,
+/// in-process and over a two-worker fleet, equals four independent grids
+/// bit for bit while reusing 300 of its 1560 cells: the default point
+/// recurs 13 times per grid (240), and set B's Inaccuracy points equal
+/// set A's (60). Under the fleet every reused row of the store names the
+/// worker that simulated the result it copies.
+#[test]
+fn evaluation_simulates_each_distinct_cell_once_per_run() {
+    use ccs_economy::EconomicModel;
+    use ccs_experiments::{
+        run_evaluation_ctl, run_grid, EstimateSet, ExperimentConfig, GridControl, ResultStore,
+        SupervisorConfig,
+    };
+    let cfg = ExperimentConfig {
+        threads: 2,
+        ..ExperimentConfig::quick().with_jobs(25)
+    };
+    let independent: Vec<_> = [
+        (EconomicModel::CommodityMarket, EstimateSet::A),
+        (EconomicModel::CommodityMarket, EstimateSet::B),
+        (EconomicModel::BidBased, EstimateSet::A),
+        (EconomicModel::BidBased, EstimateSet::B),
+    ]
+    .into_iter()
+    .map(|(econ, set)| run_grid(econ, set, &cfg))
+    .collect();
+    let fleet = SupervisorConfig {
+        workers: 2,
+        heartbeat_ms: 60_000,
+        worker_bin: Some(env!("CARGO_BIN_EXE_utility_risk").into()),
+        ..SupervisorConfig::default()
+    };
+    for supervisor in [None, Some(fleet)] {
+        let supervised = supervisor.is_some();
+        let ev = run_evaluation_ctl(
+            &cfg,
+            &GridControl {
+                supervisor,
+                ..GridControl::default()
+            },
+        );
+        assert!(ev.cell_errors().is_empty(), "{:?}", ev.cell_errors());
+        for (g, want) in ev.raw_grids.iter().zip(&independent) {
+            assert_eq!(g.raw, want.raw, "{} / {}", g.econ, g.set);
+            assert_eq!(g.cell_events, want.cell_events);
+            assert_eq!(g.cell_sigma, want.cell_sigma);
+        }
+        let reused: u64 = ev.raw_grids.iter().map(|g| g.cells_reused).sum();
+        assert_eq!(reused, 300, "supervised: {supervised}");
+        if supervised {
+            // A reused cell simulated nothing, so it is the row with 0 s.
+            let cols = ResultStore::from_evaluation(&ev, &cfg).columns;
+            let workers: Vec<u64> = cols
+                .secs
+                .iter()
+                .zip(&cols.worker)
+                .filter(|(&secs, _)| secs == 0.0)
+                .map(|(_, &w)| w)
+                .collect();
+            assert_eq!(workers.len(), 300);
+            assert!(workers.iter().all(|&w| w > 0), "{workers:?}");
+        }
+    }
+}
