@@ -12,10 +12,11 @@
 //!   receives *at least* its admitted share while the node is not
 //!   over-committed, and spare capacity accelerates everyone.
 //! - Two weight disciplines exist ([`WeightMode`]):
-//!   [`WeightMode::Static`] (Libra, Libra+$) pins `w = min(est/deadline, 1)`
-//!   for the task's whole life; [`WeightMode::Dynamic`] (LibraRiskD)
-//!   re-evaluates `w = remaining-estimated-work / remaining-time-to-deadline`
-//!   so demand drains as work completes.
+//!   [`WeightMode::Dynamic`] (every Libra variant: Libra, Libra+$ and
+//!   LibraRiskD) re-evaluates
+//!   `w = remaining-estimated-work / remaining-time-to-deadline` so demand
+//!   drains as work completes; [`WeightMode::Static`] (tests and ablations
+//!   only) pins `w = min(est/deadline, 1)` for the task's whole life.
 //! - A task that is still incomplete when its deadline passes *escalates* to
 //!   full demand (`w = 1`). This over-commits the node (`Σw > 1`), squeezing
 //!   co-resident tasks below their admitted shares — the mechanism by which
@@ -28,8 +29,10 @@
 //!   dynamic ones.
 //!
 //! Admission-control support: [`PsCluster::free_share`] (current spare
-//! demand capacity of a node) and [`PsCluster::node_at_risk`] (whether any
-//! resident task has already run past its estimate — LibraRiskD's
+//! demand capacity of a node), [`PsCluster::free_share_if_fits_safe`] (the
+//! same value behind an admission cutoff, with an O(1) rejection from a
+//! per-node lower bound on `Σw`) and [`PsCluster::node_at_risk`] (whether
+//! any resident task has already run past its estimate — LibraRiskD's
 //! "risk of deadline delay" signal, Yeo & Buyya ICPP 2006).
 
 use ccs_des::{EventHandle, EventQueue, FastHashMap, SimTime};
@@ -42,6 +45,10 @@ const EPS_WORK: f64 = 1e-6;
 /// Dynamic mode: residual demand fraction for tasks that overran their
 /// estimate (the scheduler no longer knows how much work remains).
 const RESIDUAL_EST_FRACTION: f64 = 0.05;
+/// Relative rounding margin taken off the admission lower bound `lb`: the
+/// bound and the scan each carry at most a few hundred ulps of relative
+/// error (DESIGN §7c), so `1e-9` leaves a factor of over 10⁴ to spare.
+const LB_REL_MARGIN: f64 = 1e-9;
 
 /// Branchless bit-select: the bits of `a` when `cond` holds, else the bits
 /// of `b`. Exactly equivalent to `if cond { a } else { b }` for every f64
@@ -58,11 +65,12 @@ fn select(cond: bool, a: f64, b: f64) -> f64 {
 /// Weight discipline of the proportional-share engine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WeightMode {
-    /// Libra / Libra+$: the admitted share `min(est/deadline, 1)` is held
-    /// constant until the deadline passes.
+    /// The admitted share `min(est/deadline, 1)` is held constant until the
+    /// deadline passes. No Libra variant runs it; tests and ablations do.
     Static,
-    /// LibraRiskD: demand is re-evaluated as remaining estimated work over
-    /// remaining time to deadline, draining as the task progresses.
+    /// Every Libra variant: demand is re-evaluated as remaining estimated
+    /// work over remaining time to deadline, draining as the task
+    /// progresses.
     Dynamic,
 }
 
@@ -101,16 +109,13 @@ struct PsNode {
     tasks: Vec<PsTask>,
     last_update: f64,
     pending_event: Option<EventHandle>,
-    /// Incrementally maintained left-fold (in task order, from 0.0) of the
-    /// resident tasks' static weights. Appends add on the right — exactly
-    /// what extending the fold by one element does — and removals refold
-    /// over the surviving tasks in order, so this is always bit-identical
-    /// to `tasks.iter().map(|t| t.static_w).sum::<f64>()`.
-    static_sum: f64,
-    /// Earliest absolute deadline among resident tasks (`∞` when empty).
-    /// `min_deadline > now` ⟺ no resident task has escalated, the guard
-    /// for the static-mode fast path in `recompute`/`free_share`.
-    min_deadline: f64,
+    /// Lower bound on the scan's `Σw` at any time in
+    /// `[last_update, lb_until)`, written by `recompute` and read by the
+    /// O(1) rejection in `free_share_if_fits_safe`.
+    lb: f64,
+    /// End of the window in which `lb` holds: the node's pending event time,
+    /// or `-∞` (no window) on an empty or freshly repaired node.
+    lb_until: f64,
 }
 
 impl Default for PsNode {
@@ -119,25 +124,9 @@ impl Default for PsNode {
             tasks: Vec::new(),
             last_update: 0.0,
             pending_event: None,
-            static_sum: 0.0,
-            min_deadline: f64::INFINITY,
+            lb: 0.0,
+            lb_until: f64::NEG_INFINITY,
         }
-    }
-}
-
-impl PsNode {
-    /// Refolds the cached aggregates after removals, in surviving task
-    /// order — the same fold `recompute`'s full rescan would perform.
-    ///
-    /// Only `WeightMode::Static` ever reads the aggregates (they guard the
-    /// static fast paths in `recompute`/`free_share`), so callers skip the
-    /// O(tasks) refold in dynamic mode — see `tracks_aggregates`.
-    fn refresh_aggregates(&mut self) {
-        self.static_sum = self.tasks.iter().fold(0.0, |a, t| a + t.static_w);
-        self.min_deadline = self
-            .tasks
-            .iter()
-            .fold(f64::INFINITY, |a, t| a.min(t.abs_deadline));
     }
 }
 
@@ -213,13 +202,6 @@ impl PsCluster {
             #[cfg(test)]
             force_reference: false,
         }
-    }
-
-    /// Whether the cached per-node aggregates are worth maintaining: only
-    /// the static-mode fast paths read them, so dynamic-mode clusters skip
-    /// every refold (the values go stale but are provably never consulted).
-    fn tracks_aggregates(&self) -> bool {
-        self.mode == WeightMode::Static
     }
 
     /// The speed rating of `node`.
@@ -334,12 +316,6 @@ impl PsCluster {
         if n.tasks.is_empty() {
             return 1.0;
         }
-        // Static weights with no escalated resident (or escalation off):
-        // every weight is exactly `static_w`, so the cached left-fold is
-        // bit-identical to the rescan's `.sum()`.
-        if self.mode == WeightMode::Static && (!self.escalation || n.min_deadline > now) {
-            return 1.0 - n.static_sum;
-        }
         let rating = self.ratings[node];
         let used: f64 = n
             .tasks
@@ -387,6 +363,10 @@ impl PsCluster {
     /// Exact: an at-risk node is refused whatever its share, so stopping
     /// at the first at-risk task changes no decision, and an eligible node
     /// still completes the full left-fold.
+    ///
+    /// Before any scan, the node's admission lower bound (`bound_rejects`)
+    /// refuses in O(1) a node the scan is certain to refuse on share alone. That is the same `None`, so the
+    /// bound changes no decision and no accepted node's `free` bits.
     pub fn free_share_if_fits_safe(
         &self,
         node: usize,
@@ -406,23 +386,50 @@ impl PsCluster {
             let free = 1.0;
             return (free + eps >= required).then_some(free);
         }
-        // `projected_done` with its elapsed time hoisted out of the loops.
-        let dt = (now - n.last_update).max(0.0);
-        let projected = |t: &PsTask| (t.work_done + t.rate * dt).min(t.work_total);
-        let at_risk = |t: &PsTask, done: f64| {
-            refuse_at_risk && done >= t.est_total - EPS_WORK && t.remaining() > EPS_WORK
-        };
-        if self.mode == WeightMode::Static && (!self.escalation || n.min_deadline > now) {
-            let free = 1.0 - n.static_sum;
-            let refused = free + eps < required
-                || (refuse_at_risk && n.tasks.iter().any(|t| at_risk(t, projected(t))));
-            return (!refused).then_some(free);
+        if Self::bound_rejects(n, now, required, eps) {
+            debug_assert!(
+                self.fit_scan(node, now, required, eps, false).is_none(),
+                "admission lower bound rejected node {node} at {now}, but the scan accepts it"
+            );
+            return None;
         }
+        self.fit_scan(node, now, required, eps, refuse_at_risk)
+    }
+
+    /// Whether `n`'s admission lower bound alone proves that the share scan
+    /// fails `1.0 - used + eps >= required` at `now`.
+    ///
+    /// `lb` holds only inside `[last_update, lb_until)`: `advance_to(now)`
+    /// has fired every event at or before `now`, so admission probes always
+    /// fall inside it; probes outside it answer `false` and take the scan.
+    /// Inside it `lb ≤ used` for the scan's rounded fold, and f64
+    /// subtraction and addition are monotone, so `1.0 - lb + eps < required`
+    /// implies `1.0 - used + eps < required`.
+    #[inline(always)]
+    fn bound_rejects(n: &PsNode, now: f64, required: f64, eps: f64) -> bool {
+        n.last_update <= now && now < n.lb_until && 1.0 - n.lb + eps < required
+    }
+
+    /// The share scan behind [`PsCluster::free_share_if_fits_safe`]: the
+    /// left-fold of `free_share` with its prefix cutoff and the fused
+    /// at-risk test.
+    #[inline(always)]
+    fn fit_scan(
+        &self,
+        node: usize,
+        now: f64,
+        required: f64,
+        eps: f64,
+        refuse_at_risk: bool,
+    ) -> Option<f64> {
+        let n = &self.nodes[node];
+        // `projected_done` with its elapsed time hoisted out of the loop.
+        let dt = (now - n.last_update).max(0.0);
         let rating = self.ratings[node];
         let mut used = 0.0;
         for t in &n.tasks {
-            let done = projected(t);
-            if at_risk(t, done) {
+            let done = (t.work_done + t.rate * dt).min(t.work_total);
+            if refuse_at_risk && done >= t.est_total - EPS_WORK && t.remaining() > EPS_WORK {
                 return None;
             }
             used += self.weight_of_branchless(t, now, done, rating);
@@ -480,27 +487,17 @@ impl PsCluster {
         let prev = self.open_tasks.insert(job.id, node_ids.len() as u32);
         assert!(prev.is_none(), "job {} submitted twice", job.id);
         for &nid in node_ids {
-            let static_w = self.required_share(nid, job.estimate, job.deadline);
-            let abs_deadline = job.absolute_deadline();
             let task = PsTask {
                 job_id: job.id,
                 work_total: job.runtime,
                 work_done: 0.0,
                 est_total: job.estimate,
-                abs_deadline,
-                static_w,
+                abs_deadline: job.absolute_deadline(),
+                static_w: self.required_share(nid, job.estimate, job.deadline),
                 rate: 0.0,
             };
             self.accrue(nid, now);
-            let track = self.tracks_aggregates();
-            let n = &mut self.nodes[nid];
-            n.tasks.push(task);
-            if track {
-                // Extend the cached left-fold by the appended element — the
-                // exact operation a rescan's `.sum()` would end with.
-                n.static_sum += static_w;
-                n.min_deadline = n.min_deadline.min(abs_deadline);
-            }
+            self.nodes[nid].tasks.push(task);
             self.recompute(nid, now);
         }
     }
@@ -640,9 +637,6 @@ impl PsCluster {
             self.nodes[nid]
                 .tasks
                 .retain(|t| resident.binary_search(&t.job_id).is_err());
-            if self.tracks_aggregates() {
-                self.nodes[nid].refresh_aggregates();
-            }
             self.recompute(nid, now);
         }
         for &job_id in &resident {
@@ -666,9 +660,7 @@ impl PsCluster {
         self.up[node] = true;
         debug_assert!(self.nodes[node].tasks.is_empty(), "down node held tasks");
         self.nodes[node].last_update = now;
-        if self.tracks_aggregates() {
-            self.nodes[node].refresh_aggregates();
-        }
+        self.nodes[node].lb_until = f64::NEG_INFINITY;
     }
 
     /// Advances a node's task work to `now` at the current rates.
@@ -695,9 +687,6 @@ impl PsCluster {
                 true
             }
         });
-        if !finished.is_empty() && self.tracks_aggregates() {
-            self.nodes[node].refresh_aggregates();
-        }
         for &job_id in &finished {
             let open = self
                 .open_tasks
@@ -715,25 +704,26 @@ impl PsCluster {
         self.finished_scratch = finished;
     }
 
-    /// Recomputes rates on `node` (work must already be accrued to `now`)
-    /// and schedules the node's next event.
+    /// Recomputes rates on `node` (work must already be accrued to `now`),
+    /// schedules the node's next event, and writes the node's admission
+    /// lower bound `lb`, valid until that event.
     ///
-    /// Three byte-identical evaluation paths, fastest applicable first:
-    /// a lone task always runs at exactly the node rating (`w/denom` is
-    /// exactly 1.0 whatever `w` is); static weights with no escalated
-    /// resident reuse the incrementally maintained per-node weight sum;
-    /// everything else takes the general pass over `weights_scratch` —
-    /// the same arithmetic in the same order as the reference rescan, just
+    /// Two byte-identical evaluation paths: a lone task always runs at
+    /// exactly the node rating (`w/denom` is exactly 1.0 whatever `w` is);
+    /// everything else takes the general pass over `weights_scratch` — the
+    /// same arithmetic in the same order as the reference rescan, just
     /// without allocating.
     fn recompute(&mut self, node: usize, now: f64) {
         // One work unit per share recomputation, attributed to whichever
         // phase is active (`ps_recompute` during advance, the admission
         // phase during submit). No-op unless the `profile` feature is on.
         ccs_telemetry::profile::count(1);
-        if let Some(h) = self.nodes[node].pending_event.take() {
+        let n = &mut self.nodes[node];
+        if let Some(h) = n.pending_event.take() {
             self.queue.cancel(h);
         }
-        if self.nodes[node].tasks.is_empty() {
+        n.lb_until = f64::NEG_INFINITY;
+        if n.tasks.is_empty() {
             return;
         }
         #[cfg(test)]
@@ -741,48 +731,34 @@ impl PsCluster {
             self.recompute_reference(node, now);
             return;
         }
+        debug_assert_eq!(n.last_update, now, "recompute before accrue");
         let rating = self.ratings[node];
-        let mode = self.mode;
-        let escalation = self.escalation;
+        let dynamic = self.mode == WeightMode::Dynamic;
         let mut next = f64::INFINITY;
-        let n = &mut self.nodes[node];
-        if n.tasks.len() == 1 {
+        let mut lb = 0.0;
+        if self.nodes[node].tasks.len() == 1 {
             // Lone task: `(w / max(w, MIN_WEIGHT)).min(1.0)` is exactly 1.0
             // because every weight is ≥ MIN_WEIGHT, so the rate is exactly
-            // the rating — no need to evaluate the weight at all.
-            let t = &mut n.tasks[0];
+            // the rating; the weight itself only seeds the bound.
+            let t = &self.nodes[node].tasks[0];
+            let w = self.weight_of_branchless(t, now, t.work_done, rating);
+            let t = &mut self.nodes[node].tasks[0];
             t.rate = rating;
             next = now + t.remaining() / t.rate;
             if t.abs_deadline > now {
                 next = next.min(t.abs_deadline);
             }
-        } else if mode == WeightMode::Static && (!escalation || n.min_deadline > now) {
-            // Every weight is exactly `static_w` (≥ MIN_WEIGHT by the
-            // `required_share` clamp), and `static_sum` is bit-identical
-            // to the rescan's left-fold.
-            let denom = n.static_sum.max(MIN_WEIGHT);
-            for t in &mut n.tasks {
-                t.rate = (t.static_w / denom).min(1.0) * rating;
-                let completion = now + t.remaining() / t.rate;
-                next = next.min(completion);
-                if t.abs_deadline > now {
-                    next = next.min(t.abs_deadline); // escalation point
-                }
-            }
+            lb = Self::weight_floor(dynamic, t, now, next, rating, w);
         } else {
-            // General path (dynamic weights or an escalated resident):
-            // same two passes as the reference, into a reused buffer. The
+            // Same two passes as the reference, into a reused buffer. The
             // running `sum_w` is the identical left-fold `.sum()` computes.
             let mut weights = std::mem::take(&mut self.weights_scratch);
             weights.clear();
             let mut sum_w = 0.0;
-            {
-                let n = &self.nodes[node];
-                for t in &n.tasks {
-                    let w = self.weight_of_branchless(t, now, t.work_done, rating);
-                    sum_w += w;
-                    weights.push(w);
-                }
+            for t in &self.nodes[node].tasks {
+                let w = self.weight_of_branchless(t, now, t.work_done, rating);
+                sum_w += w;
+                weights.push(w);
             }
             let denom = sum_w.max(MIN_WEIGHT);
             let n = &mut self.nodes[node];
@@ -794,10 +770,57 @@ impl PsCluster {
                     next = next.min(t.abs_deadline); // escalation point
                 }
             }
+            // `next` is known only now: each resident's floor over
+            // `[now, next)`, reusing its weight wherever that is the floor.
+            for (t, &w) in n.tasks.iter().zip(&weights) {
+                lb += Self::weight_floor(dynamic, t, now, next, rating, w);
+            }
             self.weights_scratch = weights;
         }
         debug_assert!(next > now - 1e-9);
-        self.nodes[node].pending_event = Some(self.queue.push(SimTime::new(next.max(now)), node));
+        let n = &mut self.nodes[node];
+        // Rounding margin (DESIGN §7c): relative for the rounding in the
+        // bound and in the scan, plus one `MIN_WEIGHT` per resident to err
+        // wide.
+        n.lb = lb * (1.0 - LB_REL_MARGIN) - MIN_WEIGHT * n.tasks.len() as f64;
+        n.lb_until = next;
+        n.pending_event = Some(self.queue.push(SimTime::new(next.max(now)), node));
+    }
+
+    /// A lower bound on `t`'s weight at every time in `[now, next)`, given
+    /// its weight `w` at `now`, the recompute time; `next` is the node's
+    /// next event. See DESIGN §7c for the derivation.
+    ///
+    /// On that interval the rate is constant and no live resident's
+    /// deadline is crossed (it is a node event), so overdue and static
+    /// weights are constant. A live dynamic weight is at least
+    /// `max(a − r·s, c) / ((R − s)·ρ)` at `s = t − now`, with
+    /// `a = est − done`, `c = RESIDUAL_EST_FRACTION·est`, `R = D − now`;
+    /// its first branch is `(r + K/(R − s))/ρ` with `K = a − r·R`.
+    /// With `K ≥ 0` or `a ≤ c` it is nondecreasing and `w` is the minimum.
+    /// Otherwise the minimum is the first branch at `next`, if it is still
+    /// above the floor there, else the floor breakpoint's value
+    /// `c·r / ((c − K)·ρ)`. The clamps are monotone, so they apply to the
+    /// bound too.
+    #[inline(always)]
+    fn weight_floor(dynamic: bool, t: &PsTask, now: f64, next: f64, rating: f64, w: f64) -> f64 {
+        let rem_time = t.abs_deadline - now;
+        let rem_est = t.est_total - t.work_done;
+        let floor = RESIDUAL_EST_FRACTION * t.est_total;
+        let slack = rem_est - t.rate * rem_time;
+        if !dynamic || rem_time <= 0.0 || slack >= 0.0 || rem_est <= floor {
+            return w;
+        }
+        let rem_est_next = rem_est - t.rate * (next - now);
+        let low = if rem_est_next >= floor {
+            // `next < D` here (at `next == D`, `rem_est_next` is `slack`).
+            rem_est_next / ((t.abs_deadline - next) * rating)
+        } else {
+            // `floor - slack > 0` because `slack < 0`.
+            floor * t.rate / ((floor - slack) * rating)
+        };
+        #[allow(clippy::manual_clamp)]
+        low.min(1.0).max(MIN_WEIGHT)
     }
 
     /// The pre-optimisation full-rescan recompute, kept verbatim as the
@@ -848,6 +871,43 @@ mod tests {
             budget: 100.0,
             penalty_rate: 1.0,
         }
+    }
+
+    /// The time a fraction `u ∈ [0, 1)` of the way through `nid`'s current
+    /// event interval `[last_update, lb_until)`, where its admission bound
+    /// is live, or `None` when the node holds no bound (or the time rounds
+    /// onto `lb_until`).
+    fn probe_in_window(c: &PsCluster, nid: usize, u: f64) -> Option<f64> {
+        let n = &c.nodes[nid];
+        let t = n.last_update + u * (n.lb_until - n.last_update);
+        (n.last_update <= t && t < n.lb_until).then_some(t)
+    }
+
+    /// Whether `fast`'s admission bound rejects `nid` at `t`; when it does,
+    /// the naive `reference` scan must reject the node on share too.
+    fn bound_fires(
+        fast: &PsCluster,
+        reference: &PsCluster,
+        nid: usize,
+        t: f64,
+        required: f64,
+        eps: f64,
+    ) -> bool {
+        assert!(reference.force_reference);
+        let fired = PsCluster::bound_rejects(&fast.nodes[nid], t, required, eps);
+        if fired {
+            let free = reference.free_share_reference(nid, t);
+            assert!(
+                free + eps < required,
+                "bound rejected node {nid} at {t} (lb {}), reference free {free} fits {required}",
+                fast.nodes[nid].lb
+            );
+            assert_eq!(
+                reference.free_share_if_fits_safe(nid, t, required, eps, false),
+                None
+            );
+        }
+        fired
     }
 
     #[test]
@@ -1197,11 +1257,13 @@ mod tests {
         c.submit(&a, &[1], 0.0);
     }
 
-    /// The incremental recompute (cached weight sums, lone-task and
-    /// static-mode fast paths, scratch buffers) must be bit-identical to
-    /// the naive full-rescan reference under arbitrary interleavings of
+    /// The incremental recompute (lone-task fast path, scratch buffers,
+    /// admission lower bound) must be bit-identical to the naive
+    /// full-rescan reference under arbitrary interleavings of
     /// submit / advance / fail / repair, in every mode × escalation
-    /// combination — including the free-share admission signal.
+    /// combination — including the free-share admission signal, probed
+    /// both at random times and strictly inside a node's current event
+    /// interval, where the O(1) bound rejection is live.
     #[test]
     fn incremental_recompute_matches_reference_oracle_bit_for_bit() {
         use ccs_des::SimRng;
@@ -1213,6 +1275,10 @@ mod tests {
                     let mut slow = PsCluster::with_escalation(NODES, mode, escalation);
                     slow.force_reference = true;
                     let mut rng = SimRng::seed_from(0xA11CE + seed);
+                    // A separate stream for the in-window probes keeps the
+                    // operation sequence above independent of them.
+                    let mut window_rng = SimRng::seed_from(0xB0B + seed);
+                    let mut bound_fired = 0usize;
                     let mut now = 0.0f64;
                     let mut next_id: JobId = 0;
                     for _ in 0..400 {
@@ -1295,7 +1361,34 @@ mod tests {
                                 "free_share_if_fits diverged (mode {mode:?})"
                             );
                         }
+                        // The same contract strictly inside the node's event
+                        // interval, with requirements both uniform and just
+                        // past the node's exact free share.
+                        if let Some(t) = probe_in_window(&fast, nid, window_rng.uniform(0.0, 1.0)) {
+                            let full = slow.free_share(nid, t);
+                            assert_eq!(fast.free_share(nid, t).to_bits(), full.to_bits());
+                            for required in [
+                                window_rng.uniform(0.0, 1.2),
+                                full + eps + window_rng.uniform(0.0, 0.1),
+                            ] {
+                                let expect = (full + eps >= required).then_some(full);
+                                for c in [&fast, &slow] {
+                                    assert_eq!(
+                                        c.free_share_if_fits(nid, t, required, eps)
+                                            .map(f64::to_bits),
+                                        expect.map(f64::to_bits),
+                                        "in-window free_share_if_fits diverged (mode {mode:?})"
+                                    );
+                                }
+                                bound_fired +=
+                                    bound_fires(&fast, &slow, nid, t, required, eps) as usize;
+                            }
+                        }
                     }
+                    assert!(
+                        bound_fired > 0,
+                        "the bound never fired (mode {mode:?}, escalation {escalation}, seed {seed})"
+                    );
                     let a = fast.drain();
                     let b = slow.drain();
                     assert_eq!(a.len(), b.len());
@@ -1326,6 +1419,8 @@ mod tests {
                     let mut slow = PsCluster::with_escalation(NODES, mode, escalation);
                     slow.force_reference = true;
                     let mut rng = SimRng::seed_from(0xF05E + seed);
+                    let mut window_rng = SimRng::seed_from(0xF1E1D + seed);
+                    let mut bound_fired = 0usize;
                     let mut now = 0.0f64;
                     for id in 0..300 {
                         match rng.range_usize(0, 10) {
@@ -1362,36 +1457,135 @@ mod tests {
                         let required = rng.uniform(0.0, 1.2);
                         let eps = 1e-9;
                         for nid in 0..NODES {
-                            for refuse in [false, true] {
-                                let fused = |c: &PsCluster| {
-                                    c.free_share_if_fits_safe(nid, probe, required, eps, refuse)
-                                        .map(f64::to_bits)
-                                };
-                                for c in [&fast, &slow] {
-                                    let two_pass = c
-                                        .free_share_if_fits(nid, probe, required, eps)
-                                        .filter(|_| !(refuse && c.node_at_risk(nid, probe)))
-                                        .map(f64::to_bits);
-                                    assert_eq!(
-                                        fused(c),
-                                        two_pass,
-                                        "mode {mode:?}, escalation {escalation}, seed {seed}"
-                                    );
+                            // The random probe, then one strictly inside the
+                            // node's event interval (where the bound is live).
+                            let in_window =
+                                probe_in_window(&fast, nid, window_rng.uniform(0.0, 1.0))
+                                    .map(|t| (t, window_rng.uniform(0.0, 1.2)));
+                            for (probe, required) in
+                                std::iter::once((probe, required)).chain(in_window)
+                            {
+                                for refuse in [false, true] {
+                                    let fused = |c: &PsCluster| {
+                                        c.free_share_if_fits_safe(nid, probe, required, eps, refuse)
+                                            .map(f64::to_bits)
+                                    };
+                                    for c in [&fast, &slow] {
+                                        let two_pass = c
+                                            .free_share_if_fits(nid, probe, required, eps)
+                                            .filter(|_| !(refuse && c.node_at_risk(nid, probe)))
+                                            .map(f64::to_bits);
+                                        assert_eq!(
+                                            fused(c),
+                                            two_pass,
+                                            "mode {mode:?}, escalation {escalation}, seed {seed}"
+                                        );
+                                    }
+                                    assert_eq!(fused(&fast), fused(&slow));
+                                    if refuse
+                                        && fast.node_at_risk(nid, probe)
+                                        && fast
+                                            .free_share_if_fits(nid, probe, required, eps)
+                                            .is_some()
+                                    {
+                                        refused_at_risk += 1;
+                                    }
                                 }
-                                assert_eq!(fused(&fast), fused(&slow));
-                                if refuse
-                                    && fast.node_at_risk(nid, probe)
-                                    && fast.free_share_if_fits(nid, probe, required, eps).is_some()
-                                {
-                                    refused_at_risk += 1;
-                                }
+                                bound_fired +=
+                                    bound_fires(&fast, &slow, nid, probe, required, eps) as usize;
                             }
                         }
                     }
+                    assert!(
+                        bound_fired > 0,
+                        "the bound never fired (mode {mode:?}, escalation {escalation}, seed {seed})"
+                    );
                 }
             }
         }
         assert!(refused_at_risk > 0, "no probe exercised the risk filter");
+    }
+
+    /// Adversarial inputs for the admission lower bound: sub-second
+    /// estimates, deadlines within 1e-3 s of `now`, absolute times near
+    /// 1e7 s (where `D − t` and `est − done` cancel hardest), mixed node
+    /// ratings, escalation on and off. Every in-window bound rejection must
+    /// be a reference-scan rejection, the fast engine must stay bit-equal
+    /// to the reference, and the bound must fire on every seed.
+    #[test]
+    fn admission_bound_never_rejects_a_node_the_reference_accepts() {
+        use ccs_des::SimRng;
+        const RATINGS: [f64; 6] = [0.5, 1.0, 3.7, 0.5, 1.0, 3.7];
+        for &mode in &[WeightMode::Static, WeightMode::Dynamic] {
+            for &escalation in &[true, false] {
+                for seed in 0..6u64 {
+                    let mut fast = PsCluster::with_ratings(RATINGS.to_vec(), mode, escalation);
+                    let mut slow = PsCluster::with_ratings(RATINGS.to_vec(), mode, escalation);
+                    slow.force_reference = true;
+                    let mut rng = SimRng::seed_from(0xAD5E + seed);
+                    let mut now = 1e7 + rng.uniform(0.0, 1.0);
+                    fast.advance_to(now);
+                    slow.advance_to(now);
+                    let mut bound_fired = 0usize;
+                    for id in 0..400 {
+                        if rng.range_usize(0, 10) < 6 {
+                            let nid = rng.range_usize(0, RATINGS.len());
+                            let runtime = rng.uniform(1e-4, 1.0);
+                            let estimate = (runtime * rng.uniform(0.2, 2.0)).min(1.0);
+                            // Half the deadlines land within 1e-3 s of now.
+                            let deadline = if rng.range_usize(0, 2) == 0 {
+                                rng.uniform(1e-6, 1e-3)
+                            } else {
+                                estimate * rng.uniform(1.0, 30.0)
+                            };
+                            let j = job(id, now, runtime, estimate, deadline, 1);
+                            fast.submit(&j, &[nid], now);
+                            slow.submit(&j, &[nid], now);
+                        } else {
+                            now += rng.uniform(0.0, 2e-3);
+                            let a = fast.advance_to(now);
+                            let b = slow.advance_to(now);
+                            assert_eq!(a, b);
+                        }
+                        let eps = 1e-9;
+                        // Anywhere in the window, and just before its end,
+                        // where a decreasing weight is closest to its floor.
+                        let fractions = [rng.uniform(0.0, 1.0), 1.0 - rng.uniform(0.0, 1e-9)];
+                        for (nid, u) in (0..RATINGS.len()).flat_map(|n| fractions.map(|u| (n, u))) {
+                            let Some(t) = probe_in_window(&fast, nid, u) else {
+                                continue;
+                            };
+                            let full = slow.free_share(nid, t);
+                            // Uniform, and a hair either side of the exact
+                            // threshold `full + eps`.
+                            for required in [
+                                rng.uniform(0.0, 1.0),
+                                full + eps - rng.uniform(0.0, 1e-3),
+                                full + eps + rng.uniform(0.0, 1e-3),
+                                full + eps + rng.uniform(0.0, 0.2),
+                            ] {
+                                for refuse in [false, true] {
+                                    assert_eq!(
+                                        fast.free_share_if_fits_safe(nid, t, required, eps, refuse)
+                                            .map(f64::to_bits),
+                                        slow.free_share_if_fits_safe(nid, t, required, eps, refuse)
+                                            .map(f64::to_bits),
+                                        "mode {mode:?}, escalation {escalation}, seed {seed}"
+                                    );
+                                }
+                                bound_fired +=
+                                    bound_fires(&fast, &slow, nid, t, required, eps) as usize;
+                            }
+                        }
+                    }
+                    assert!(
+                        bound_fired > 0,
+                        "the bound never fired (mode {mode:?}, escalation {escalation}, seed {seed})"
+                    );
+                    assert_eq!(fast.drain(), slow.drain());
+                }
+            }
+        }
     }
 
     #[test]

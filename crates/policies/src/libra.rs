@@ -7,17 +7,19 @@
 //! `est/deadline`. Node selection is best fit: the nodes with the least
 //! spare share that still fit are chosen, saturating nodes one by one.
 //!
+//! All three run the share engine in [`WeightMode::Dynamic`]: node demand
+//! is re-evaluated as remaining estimated work over remaining time to
+//! deadline, so shares freed by early-finishing jobs can be re-committed.
 //! The variants differ in:
 //!
-//! - **Libra** — static shares, static deadline-incentive pricing
-//!   (`γ·tr + δ·tr/d`) in the commodity model.
+//! - **Libra** — static deadline-incentive pricing (`γ·tr + δ·tr/d`) in the
+//!   commodity model.
 //! - **Libra+$** — Libra plus the utilization-adaptive pricing function
 //!   `P_ij = α·PBase + β·PUtil_ij`; the job pays the highest per-unit price
 //!   among its allocated nodes, and is rejected if that exceeds its budget.
 //! - **LibraRiskD** — considers the *risk of deadline delay* when selecting
 //!   nodes: only nodes with zero risk (no resident task running past its
-//!   estimate) are eligible, and node demand is re-evaluated dynamically so
-//!   shares freed by early-finishing jobs can be re-committed.
+//!   estimate) are eligible.
 
 use crate::traits::{Interruption, Outcome, Policy, RejectReason};
 use ccs_cluster::{JobCompletion, PsCluster, WeightMode};
