@@ -38,8 +38,8 @@
 //! The output file is a trendline ([`ccs_bench_suite::BenchHistory`]):
 //! each invocation *appends* one dated entry (label from
 //! `CCS_BENCH_LABEL`), so the committed `BENCH_kernel.json` accumulates
-//! per-PR history instead of overwriting it. Legacy v2 single-run files
-//! are upgraded in place on the first append.
+//! a history instead of being overwritten. A file of another schema
+//! version is not upgraded: the run starts a fresh trendline in its place.
 
 use ccs_bench_suite::{measure, BenchEntry, BenchHistory, Measurement};
 use ccs_cluster::{PsCluster, WeightMode};

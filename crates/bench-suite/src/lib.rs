@@ -32,26 +32,10 @@ pub struct Measurement {
     pub units_per_sec: f64,
 }
 
-/// One benchmark run: the legacy (schema v2) single-run baseline file, and
-/// the payload of each [`BenchEntry`] in the v3 trendline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BenchReport {
-    /// Schema marker for forward compatibility.
-    pub schema_version: u32,
-    /// Whether the binary was built with `--features telemetry`.
-    pub telemetry_enabled: bool,
-    /// The measurements, in execution order.
-    pub measurements: Vec<Measurement>,
-}
-
-/// Legacy single-run `BenchReport::schema_version`.
-pub const SCHEMA_VERSION: u32 = 2;
-
 /// One dated run in the committed benchmark trendline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchEntry {
-    /// Unix seconds when the run was recorded (0 for entries converted
-    /// from the legacy v2 single-run file, whose date is unknown).
+    /// Unix seconds when the run was recorded.
     pub recorded_unix_secs: u64,
     /// Free-form label (`CCS_BENCH_LABEL`), e.g. the PR topic.
     pub label: String,
@@ -76,10 +60,16 @@ pub struct BenchHistory {
 /// Current `BenchHistory::schema_version`.
 pub const HISTORY_SCHEMA_VERSION: u32 = 3;
 
+/// The one field every trendline schema shares.
+#[derive(Deserialize)]
+struct SchemaHeader {
+    schema_version: u32,
+}
+
 /// Why a trendline file failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HistoryError {
-    /// The file parsed as neither a v3 history nor a legacy v2 report.
+    /// The file is not a trendline of any schema.
     Parse(String),
     /// The file declares a schema version this build does not read.
     SchemaVersion(u32),
@@ -113,30 +103,17 @@ impl BenchHistory {
         self.entries.last()
     }
 
-    /// Parses a trendline file, upgrading a legacy v2 single-run
-    /// [`BenchReport`] into a one-entry history (label `"v2-baseline"`,
-    /// date 0) so old baselines keep working unmodified.
+    /// Parses a trendline file. The schema version is read first, so a
+    /// file of any other version (such as the single-run v2 report that
+    /// preceded the trendline) fails as [`HistoryError::SchemaVersion`].
     pub fn from_json(text: &str) -> Result<BenchHistory, HistoryError> {
-        if text.contains("\"entries\"") {
-            let history: BenchHistory = serde_json::from_str(text)
-                .map_err(|e| HistoryError::Parse(format!("cannot parse history: {e}")))?;
-            if history.schema_version != HISTORY_SCHEMA_VERSION {
-                return Err(HistoryError::SchemaVersion(history.schema_version));
-            }
-            Ok(history)
-        } else {
-            let legacy: BenchReport = serde_json::from_str(text)
-                .map_err(|e| HistoryError::Parse(format!("cannot parse legacy report: {e}")))?;
-            Ok(BenchHistory {
-                schema_version: HISTORY_SCHEMA_VERSION,
-                entries: vec![BenchEntry {
-                    recorded_unix_secs: 0,
-                    label: "v2-baseline".to_string(),
-                    telemetry_enabled: legacy.telemetry_enabled,
-                    measurements: legacy.measurements,
-                }],
-            })
+        let header: SchemaHeader = serde_json::from_str(text)
+            .map_err(|e| HistoryError::Parse(format!("cannot parse history: {e}")))?;
+        if header.schema_version != HISTORY_SCHEMA_VERSION {
+            return Err(HistoryError::SchemaVersion(header.schema_version));
         }
+        serde_json::from_str(text)
+            .map_err(|e| HistoryError::Parse(format!("cannot parse history: {e}")))
     }
 
     /// Collapses runs of consecutive entries sharing a label, keeping the
@@ -277,20 +254,8 @@ mod tests {
     }
 
     #[test]
-    fn history_upgrades_legacy_v2_and_round_trips() {
-        let legacy = BenchReport {
-            schema_version: SCHEMA_VERSION,
-            telemetry_enabled: true,
-            measurements: vec![measure("tiny", 1, 0.001, || 42u64)],
-        };
-        let upgraded =
-            BenchHistory::from_json(&serde_json::to_string_pretty(&legacy).unwrap()).unwrap();
-        assert_eq!(upgraded.schema_version, HISTORY_SCHEMA_VERSION);
-        assert_eq!(upgraded.entries.len(), 1);
-        assert_eq!(upgraded.latest().unwrap().label, "v2-baseline");
-        assert!(upgraded.latest().unwrap().telemetry_enabled);
-
-        let mut history = upgraded;
+    fn history_round_trips() {
+        let mut history = BenchHistory::new();
         history.entries.push(BenchEntry {
             recorded_unix_secs: 1_700_000_000,
             label: "next".to_string(),
@@ -299,7 +264,8 @@ mod tests {
         });
         let json = serde_json::to_string_pretty(&history).unwrap();
         let back = BenchHistory::from_json(&json).unwrap();
-        assert_eq!(back.entries.len(), 2);
+        assert_eq!(back.schema_version, HISTORY_SCHEMA_VERSION);
+        assert_eq!(back.entries.len(), 1);
         assert_eq!(back.latest().unwrap().label, "next");
     }
 
@@ -309,6 +275,11 @@ mod tests {
         let err = BenchHistory::from_json(json).unwrap_err();
         assert_eq!(err, HistoryError::SchemaVersion(9));
         assert!(err.to_string().contains("schema version 9"), "{err}");
+
+        // The single-run v2 report that preceded the trendline.
+        let legacy = r#"{"schema_version": 2, "telemetry_enabled": false, "measurements": []}"#;
+        let err = BenchHistory::from_json(legacy).unwrap_err();
+        assert_eq!(err, HistoryError::SchemaVersion(2));
 
         let err = BenchHistory::from_json("not json").unwrap_err();
         assert!(matches!(err, HistoryError::Parse(_)), "{err:?}");
@@ -418,14 +389,10 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let report = BenchReport {
-            schema_version: SCHEMA_VERSION,
-            telemetry_enabled: false,
-            measurements: vec![measure("tiny", 1, 0.001, || 42u64)],
-        };
+        let report = entry("tiny", 42);
         let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: BenchReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.schema_version, SCHEMA_VERSION);
+        let back: BenchEntry = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.recorded_unix_secs, 42);
         assert_eq!(back.measurements.len(), 1);
         assert_eq!(back.measurements[0].name, "tiny");
     }

@@ -32,9 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod dist;
-pub mod entity;
 pub mod failure;
 pub mod fasthash;
 pub mod queue;
@@ -43,9 +41,7 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 
-pub use calendar::CalendarQueue;
 pub use dist::{Distribution, Exponential, LogNormal, Normal, TruncatedNormal, Uniform, Weibull};
-pub use entity::{Entity, EntityId, Outbox, World};
 pub use failure::{FailureDist, FailureEventKind, FailureProcess, NodeFailureEvent};
 pub use fasthash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use queue::{EventHandle, EventQueue};

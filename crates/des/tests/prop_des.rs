@@ -2,7 +2,7 @@
 
 use ccs_des::dist::{Distribution, Exponential, LogNormal, TruncatedNormal, Uniform};
 use ccs_des::stats::linear_fit;
-use ccs_des::{CalendarQueue, EventQueue, OnlineStats, SimRng, SimTime};
+use ccs_des::{EventQueue, OnlineStats, SimRng, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -23,40 +23,6 @@ proptest! {
             prop_assert!(w[0].0 <= w[1].0, "time order");
             if w[0].0 == w[1].0 {
                 prop_assert!(w[0].1 < w[1].1, "FIFO on equal times");
-            }
-        }
-    }
-
-    /// The calendar queue and heap queue agree exactly on any monotone
-    /// push/pop stream (times and FIFO tie order).
-    #[test]
-    fn calendar_equals_heap(
-        ops in prop::collection::vec((0.0f64..1000.0, any::<bool>()), 1..400),
-    ) {
-        let mut cal = CalendarQueue::new();
-        let mut heap = EventQueue::new();
-        let mut now = 0.0f64;
-        for (i, (dt, push)) in ops.into_iter().enumerate() {
-            if push || cal.is_empty() {
-                let t = now + dt;
-                cal.push(SimTime::new(t), i);
-                heap.push(SimTime::new(t), i);
-            } else {
-                let a = cal.pop().unwrap();
-                let b = heap.pop().unwrap();
-                prop_assert_eq!(a.0, b.0);
-                prop_assert_eq!(a.1, b.1);
-                now = a.0.as_secs();
-            }
-        }
-        loop {
-            match (cal.pop(), heap.pop()) {
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!(a.0, b.0);
-                    prop_assert_eq!(a.1, b.1);
-                }
-                (None, None) => break,
-                _ => prop_assert!(false, "queues disagree on length"),
             }
         }
     }

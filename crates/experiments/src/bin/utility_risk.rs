@@ -1,15 +1,17 @@
 //! `utility-risk` — the umbrella CLI over every reproduction artifact.
 //!
 //! ```text
-//! utility_risk tables [--table N]          Tables I–VI
-//! utility_risk figure <fig1|fig3..fig8>    one figure (+ artifacts)
-//! utility_risk all                         everything (figures + tables + report)
+//! utility_risk tables [--table N]          Tables I–VI (or only table N, 1–6)
+//! utility_risk figure <fig1..fig8>         one figure (+ artifacts)
+//! utility_risk all                         everything (figures + tables + report + store)
 //! utility_risk ablations                   ablation studies + CaR comparison
 //! utility_risk robustness                  seed-replication study
 //! utility_risk summary                     per-policy objective means
 //! utility_risk dominance                   pairwise stochastic dominance
 //! utility_risk workload                    synthetic-workload statistics
+//! utility_risk timing                      one timed run per policy at the default point
 //! utility_risk trace                       one traced run + SLA report
+//! utility_risk trace-report <DIR|FILE>     offline re-analysis of a trace bundle
 //! utility_risk chaos                       seeded chaos soak (generate→run→check→shrink)
 //! utility_risk query                       slice the columnar result store
 //! utility_risk perf                        phase-attributed cost report from the store
@@ -27,7 +29,11 @@
 //! `--cell-event-budget N`, `--compact-journal`, plus the multi-process
 //! supervisor flags `--workers N`, `--retries N`, `--backoff-ms MS`,
 //! `--heartbeat-ms MS` (the latter three require `--workers`; results are
-//! byte-identical to a single-process run). `chaos` takes `--rounds N`,
+//! byte-identical to a single-process run). `trace-report` takes none of
+//! the shared flags, only `[--manifest FILE] [--top K]`: it re-reads a
+//! bundle `trace` wrote (`DIR/trace.jsonl` plus `DIR/manifest.json`, or a
+//! bare `trace.jsonl` with the cross-check skipped), prints the same SLA
+//! report and exits 1 if the cross-check fails. `chaos` takes `--rounds N`,
 //! `--budget SECS`, `--max-events N` (per-replay watchdog budget). `query`
 //! reads the `results_store.json` a grid run wrote (no simulation, no
 //! JSONL) and takes `--store FILE`, the filters `--source grid|chaos`,
@@ -43,28 +49,30 @@
 
 use ccs_chaos::{run_soak, SoakConfig};
 use ccs_economy::EconomicModel;
-use ccs_experiments::figures::{print_figure, write_figure};
+use ccs_experiments::figures::{print_figure, print_figure2, write_figure, write_figure2};
 use ccs_experiments::store::{SOURCE_CHAOS, SOURCE_GRID};
 use ccs_experiments::{
-    build_figure, parse_cli_checked, progress, replicate, run_all_ablations, run_evaluation_ctl,
-    tables, telemetry_report, trace_report, write_atomic, CellError, ConfigError, EstimateSet,
-    GridControl, Journal, Query, RawGrid, ResultStore, SupervisorConfig, TelemetryReport,
-    TraceCellSpec, STORE_FILE,
+    build_figure, parse_cli_checked, policies_for, progress, replicate, run_all_ablations,
+    run_evaluation_ctl, tables, telemetry_report, trace_report, write_atomic, CellError,
+    ConfigError, EstimateSet, GridControl, Journal, ProvenanceManifest, Query, RawGrid,
+    ResultStore, SupervisorConfig, TelemetryReport, TraceCellSpec, FIGURE_IDS, STORE_FILE,
 };
 use ccs_risk::Objective;
-use ccs_simsvc::RunBudget;
+use ccs_simsvc::{RunBudget, RunConfig};
 use ccs_workload::{apply_scenario, WorkloadSummary};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: utility_risk <tables|figure FIG|all|ablations|robustness|summary|dominance|workload|trace|chaos|query|perf> \
+        "usage: utility_risk <tables|figure FIG|all|ablations|robustness|summary|dominance|workload|timing|trace|chaos|query|perf> \
          [--quick] [--quiet] [--jobs N] [--seed S] [--threads T] [--replicas R] [--out DIR] [--telemetry FILE]\n\
+         tables also takes: [--table N] (N in 1..=6); figure takes FIG in fig1..fig8\n\
          grid subcommands (all/summary/dominance) also take: [--resume JOURNAL] [--cell-budget N] \
          [--cell-wall-budget SECS] [--cell-event-budget N] [--compact-journal]\n\
          multi-process grid: [--workers N] [--remote HOST:PORT,…] [--retries N] [--backoff-ms MS] \
          [--heartbeat-ms MS] [--connect-timeout-ms MS]\n\
          serve-worker takes: --listen HOST:PORT (a remote TCP worker agent for --remote)\n\
          trace also takes: [--econ commodity|bid] [--set A|B] [--scenario IDX] [--value IDX] [--policy NAME]\n\
+         trace-report takes: <DIR|trace.jsonl> [--manifest FILE] [--top K] (no shared flags)\n\
          chaos also takes: [--rounds N] [--budget SECS] [--max-events N]\n\
          query takes: [--store FILE] [--source grid|chaos] [--econ commodity|bid] [--set A|B] \
          [--scenario SUBSTR] [--policy NAME] [--select COL,COL,…] [--sort-by COL] [--desc] \
@@ -253,6 +261,166 @@ fn parse_grid_control(args: &mut Vec<String>) -> Result<(GridControl, bool), Str
         }
     }
     Ok((ctl, compact))
+}
+
+/// The `tables` subcommand's `--table N` (1–6), stripped before the shared
+/// parser; `None` prints all six tables.
+fn parse_table_arg(args: &mut Vec<String>) -> Result<Option<u8>, ConfigError> {
+    let Some(i) = args.iter().position(|a| a == "--table") else {
+        return Ok(None);
+    };
+    let v = args
+        .get(i + 1)
+        .cloned()
+        .ok_or_else(|| ConfigError::new("--table", "requires a table number (1-6)"))?;
+    args.drain(i..i + 2);
+    match v.parse::<u8>() {
+        Ok(n @ 1..=6) => Ok(Some(n)),
+        _ => Err(ConfigError::new(
+            "--table",
+            format!("expected a table number 1-6, got {v:?}"),
+        )),
+    }
+}
+
+/// Unwraps a parsed argument or reports the [`ConfigError`] and exits 2.
+fn or_exit<T>(parsed: Result<T, ConfigError>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("utility_risk: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// The `figure` subcommand's id, checked before any grid runs.
+fn parse_figure_id(id: String) -> Result<String, ConfigError> {
+    if FIGURE_IDS.contains(&id.as_str()) {
+        Ok(id)
+    } else {
+        Err(ConfigError::new(
+            "figure",
+            format!(
+                "unknown figure id {id:?} (valid: {})",
+                FIGURE_IDS.join(", ")
+            ),
+        ))
+    }
+}
+
+/// `utility_risk trace-report`: offline analysis of a trace bundle written
+/// by `trace` (or any `trace.jsonl` in the same schema). Reconstructs every
+/// job's SLA lifecycle, recomputes the paper's four objectives (Eqs. 1–4)
+/// from the trace alone, reports rejection root causes and the
+/// longest-waiting jobs, and — when a manifest is present — cross-checks
+/// the recomputed objectives against the runner's metrics, exiting 1 on any
+/// disagreement. Never returns.
+fn run_trace_report(mut args: Vec<String>) -> ! {
+    fn usage() -> ! {
+        eprintln!("usage: utility_risk trace-report <DIR|trace.jsonl> [--manifest FILE] [--top K]");
+        std::process::exit(2);
+    }
+    let mut manifest_path: Option<std::path::PathBuf> = None;
+    let mut top = 10usize;
+    if let Some(i) = args.iter().position(|a| a == "--manifest") {
+        if i + 1 >= args.len() {
+            usage();
+        }
+        args.remove(i);
+        manifest_path = Some(std::path::PathBuf::from(args.remove(i)));
+    }
+    if let Some(i) = args.iter().position(|a| a == "--top") {
+        if i + 1 >= args.len() {
+            usage();
+        }
+        args.remove(i);
+        top = args.remove(i).parse().unwrap_or_else(|_| usage());
+    }
+    if args.len() != 1 || args[0].starts_with("--") {
+        usage();
+    }
+
+    let target = std::path::PathBuf::from(&args[0]);
+    let trace_path = if target.is_dir() {
+        if manifest_path.is_none() {
+            let candidate = target.join("manifest.json");
+            if candidate.exists() {
+                manifest_path = Some(candidate);
+            }
+        }
+        target.join("trace.jsonl")
+    } else {
+        target
+    };
+
+    let text = std::fs::read_to_string(&trace_path).unwrap_or_else(|e| {
+        eprintln!(
+            "utility_risk trace-report: cannot read {}: {e}",
+            trace_path.display()
+        );
+        std::process::exit(2);
+    });
+    let records = ccs_experiments::trace_run::parse_jsonl(&text).unwrap_or_else(|e| {
+        eprintln!("utility_risk trace-report: {}: {e}", trace_path.display());
+        std::process::exit(1);
+    });
+    let analysis = trace_report::analyze(&records).unwrap_or_else(|e| {
+        eprintln!("utility_risk trace-report: invalid trace: {e}");
+        std::process::exit(1);
+    });
+
+    let manifest: Option<ProvenanceManifest> = manifest_path.as_ref().map(|p| {
+        let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
+            eprintln!(
+                "utility_risk trace-report: cannot read {}: {e}",
+                p.display()
+            );
+            std::process::exit(2);
+        });
+        serde_json::from_str(&text).unwrap_or_else(|e| {
+            eprintln!("utility_risk trace-report: {}: {e:?}", p.display());
+            std::process::exit(1);
+        })
+    });
+
+    if let Some(m) = &manifest {
+        println!(
+            "== {} / {} / {} = {} / {} (seed {}, {} jobs, {} nodes) ==",
+            m.econ, m.set, m.scenario, m.value, m.policy, m.seed, m.workload.jobs, m.nodes
+        );
+    }
+    let metrics = manifest.as_ref().map(|m| &m.metrics);
+    print!("{}", analysis.render(metrics, top));
+    let disagrees = metrics.is_some_and(|m| !analysis.crosscheck(m).is_empty());
+    std::process::exit(if disagrees { 1 } else { 0 });
+}
+
+/// `utility_risk timing`: times one run per policy and economic model at
+/// the Set B default point of the configured trace, printing the headline
+/// objective values — a quick check that the simulator is healthy and
+/// fast.
+fn run_timing(cfg: &ccs_experiments::ExperimentConfig) {
+    let base = cfg.trace.generate(cfg.seed);
+    let jobs = apply_scenario(&base, &ccs_experiments::baseline(EstimateSet::B), cfg.seed);
+    for econ in EconomicModel::ALL {
+        for kind in policies_for(econ) {
+            let t0 = std::time::Instant::now();
+            let run_cfg = RunConfig {
+                nodes: cfg.nodes,
+                econ,
+            };
+            let r = ccs_simsvc::simulate(&jobs, kind, &run_cfg);
+            println!(
+                "{:>18} {:<12} {:>7.1?}  sla={:5.1}% rel={:5.1}% prof={:5.1}% wait={:8.0}s acc={}",
+                format!("{econ}"),
+                kind.name(),
+                t0.elapsed(),
+                r.metrics.sla_pct(),
+                r.metrics.reliability_pct(),
+                r.metrics.profitability_pct(),
+                r.metrics.wait(),
+                r.metrics.accepted
+            );
+        }
+    }
 }
 
 /// The `chaos` subcommand's own flags, stripped before the shared parser.
@@ -630,16 +798,27 @@ fn main() {
         };
         ccs_experiments::worker::serve_worker_main(&listen);
     }
+    // `trace-report` reads an existing bundle and takes none of the shared
+    // flags. Never returns.
+    if args.first().map(String::as_str) == Some("trace-report") {
+        run_trace_report(args.split_off(1));
+    }
     if args.is_empty() {
         usage();
     }
     let cmd = args.remove(0);
-    // `figure` consumes one positional argument before the shared flags.
+    // `figure` consumes one positional argument before the shared flags;
+    // `tables` strips its `--table N`. Both are checked before any grid runs.
     let fig_id = if cmd == "figure" {
         if args.is_empty() || args[0].starts_with("--") {
             usage();
         }
-        Some(args.remove(0))
+        Some(or_exit(parse_figure_id(args.remove(0))))
+    } else {
+        None
+    };
+    let table = if cmd == "tables" {
+        or_exit(parse_table_arg(&mut args))
     } else {
         None
     };
@@ -726,12 +905,30 @@ fn main() {
     let mut cell_errors: Vec<CellError> = Vec::new();
 
     match cmd.as_str() {
-        "tables" => print!("{}", tables::all_tables()),
+        "tables" => match table {
+            None => print!("{}", tables::all_tables()),
+            Some(n) => {
+                let render = [
+                    tables::table1,
+                    tables::table2,
+                    tables::table3,
+                    tables::table4,
+                    tables::table5,
+                    tables::table6,
+                ][usize::from(n) - 1];
+                print!("{}", render());
+            }
+        },
         "figure" => {
             let id = fig_id.expect("parsed above");
-            let fig = build_figure(&id, &cfg);
-            print!("{}", print_figure(&fig));
-            let files = write_figure(&out, &fig).expect("write artifacts");
+            let files = if id == "fig2" {
+                print!("{}", print_figure2());
+                write_figure2(&out).expect("write artifacts")
+            } else {
+                let fig = build_figure(&id, &cfg);
+                print!("{}", print_figure(&fig));
+                write_figure(&out, &fig).expect("write artifacts")
+            };
             progress::note(&format!(
                 "wrote {} files under {}",
                 files.len(),
@@ -746,6 +943,9 @@ fn main() {
                 print!("{}", print_figure(&fig));
                 write_figure(&out, &fig).expect("write artifacts");
             }
+            // Figure 2 is not a risk plot; only its artifacts are written,
+            // so stdout stays the risk figures alone.
+            write_figure2(&out).expect("write artifacts");
             write_atomic(
                 &out.join("report.md"),
                 ccs_experiments::report_md::evaluation_report(&ev).as_bytes(),
@@ -829,6 +1029,7 @@ fn main() {
             write_store(&ev, &cfg, &out);
             raw_grids = ev.raw_grids;
         }
+        "timing" => run_timing(&cfg),
         "workload" => {
             let base = cfg.trace.generate(cfg.seed);
             let jobs = apply_scenario(&base, &ccs_experiments::baseline(EstimateSet::B), cfg.seed);

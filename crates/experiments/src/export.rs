@@ -1,6 +1,6 @@
 //! Machine-readable export of evaluation results.
 //!
-//! `all_figures` (and downstream users) can persist the entire analysis as
+//! `utility_risk all` (and downstream users) can persist the entire analysis as
 //! JSON — every separate risk measure per (economic model, estimate set,
 //! scenario, policy, objective) — so figures can be re-rendered, diffed
 //! across versions, or consumed by external tooling without re-running the

@@ -123,6 +123,38 @@ pub fn figure2_svg() -> String {
     )
 }
 
+/// Renders Figure 2 as text for stdout: each penalty curve as a
+/// `t (s)` / `utility ($)` table, every 12th sample.
+pub fn print_figure2() -> String {
+    let mut s = String::new();
+    for (label, curve) in figure2_curves() {
+        let _ = writeln!(s, "--- {label} ---");
+        let _ = writeln!(s, "{:>12} {:>14}", "t (s)", "utility ($)");
+        for (t, u) in curve.iter().step_by(12) {
+            let _ = writeln!(s, "{t:>12.0} {u:>14.2}");
+        }
+    }
+    s
+}
+
+/// Writes Figure 2's artifacts under `dir`: `fig2.dat` (gnuplot, one block
+/// per curve) and `fig2.svg`. Returns the files written.
+pub fn write_figure2(dir: &Path) -> io::Result<Vec<std::path::PathBuf>> {
+    fs::create_dir_all(dir)?;
+    let mut dat = String::from("# fig2: utility vs completion time (s after submit)\n");
+    for (label, curve) in figure2_curves() {
+        let _ = writeln!(dat, "\n\n# {label}");
+        for (t, u) in curve {
+            let _ = writeln!(dat, "{t:.1} {u:.2}");
+        }
+    }
+    let dat_path = dir.join("fig2.dat");
+    fs::write(&dat_path, dat)?;
+    let svg_path = dir.join("fig2.svg");
+    fs::write(&svg_path, figure2_svg())?;
+    Ok(vec![dat_path, svg_path])
+}
+
 /// Sub-figure letters, paper style.
 fn letter(i: usize) -> char {
     (b'a' + i as u8) as char

@@ -15,9 +15,9 @@
 //! - [`figures`] — assemble/print/write Figures 1–8.
 //! - [`tables`] — render Tables I–VI.
 //!
-//! Binaries (`cargo run -p ccs-experiments --release --bin …`):
-//! `fig1_sample`, `fig2_penalty`, `fig3` … `fig8`, `all_figures`,
-//! `paper_tables`.
+//! One binary, `utility_risk`, drives all of it from the command line
+//! (`cargo run -p ccs-experiments --release --bin utility_risk -- all`);
+//! its subcommands are listed in its module doc.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -150,9 +150,14 @@ impl Evaluation {
     }
 }
 
+/// Every figure id the CLI's `figure` subcommand accepts, in paper order.
+pub const FIGURE_IDS: [&str; 8] = [
+    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+];
+
 /// Builds one paper figure by id (`"fig1"`, `"fig3"` ... `"fig8"`), running
-/// only the grids that figure needs. Panics on an unknown id; `"fig2"` is
-/// not a risk plot — use [`figures::figure2_curves`] instead.
+/// only the grids that figure needs. Panics on any other id; `"fig2"` is
+/// not a risk plot — use [`figures::write_figure2`] instead.
 pub fn build_figure(id: &str, cfg: &ExperimentConfig) -> figures::Figure {
     let pair = |econ| {
         (
@@ -219,55 +224,13 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Parses the tiny CLI convention shared by the experiment binaries:
+/// Parses the flags shared by every `utility_risk` subcommand:
 /// `--jobs N`, `--seed S`, `--out DIR`, `--threads T`, `--replicas R`
-/// (seed replicas per grid cell), `--quick`, `--quiet` (suppress all
-/// stderr progress output — see [`progress`]).
-pub fn parse_cli(args: &[String]) -> (ExperimentConfig, std::path::PathBuf) {
-    let (cfg, out, _) = parse_cli_ext(args);
-    (cfg, out)
-}
-
-/// Like [`parse_cli`], but also returns the `--telemetry FILE` path when
-/// given (honoured by `utility_risk` and `all_figures`, which write a
-/// [`TelemetryReport`] there at the end of the run). Panics on invalid
-/// arguments; binaries should prefer [`parse_cli_checked`] and report the
-/// [`ConfigError`] instead.
-pub fn parse_cli_ext(
-    args: &[String],
-) -> (
-    ExperimentConfig,
-    std::path::PathBuf,
-    Option<std::path::PathBuf>,
-) {
-    parse_cli_checked(args).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`parse_cli`] for binaries: reports the [`ConfigError`] on stderr and
-/// exits with status 2 instead of panicking.
-pub fn parse_cli_or_exit(args: &[String]) -> (ExperimentConfig, std::path::PathBuf) {
-    let (cfg, out, _) = parse_cli_ext_or_exit(args);
-    (cfg, out)
-}
-
-/// [`parse_cli_ext`] for binaries: reports the [`ConfigError`] on stderr
-/// and exits with status 2 instead of panicking.
-pub fn parse_cli_ext_or_exit(
-    args: &[String],
-) -> (
-    ExperimentConfig,
-    std::path::PathBuf,
-    Option<std::path::PathBuf>,
-) {
-    parse_cli_checked(args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-/// The validating CLI parser behind [`parse_cli_ext`]: every flag value is
-/// checked up front (parseable, finite, in range) and the first problem is
-/// returned as a typed [`ConfigError`] naming the offending flag.
+/// (seed replicas per grid cell), `--telemetry FILE`, `--quick`, `--quiet`
+/// (suppress all stderr progress output — see [`progress`]). Every flag
+/// value is checked up front (parseable, finite, in range) and the first
+/// problem is returned as a typed [`ConfigError`] naming the offending
+/// flag.
 pub fn parse_cli_checked(
     args: &[String],
 ) -> Result<
@@ -418,23 +381,25 @@ mod tests {
     #[test]
     fn cli_parsing_with_telemetry() {
         let (cfg, _out, tele) =
-            parse_cli_ext(&["--quick".into(), "--telemetry".into(), "/tmp/t.json".into()]);
+            parse_cli_checked(&["--quick".into(), "--telemetry".into(), "/tmp/t.json".into()])
+                .unwrap();
         assert_eq!(cfg.trace.jobs, ExperimentConfig::quick().trace.jobs);
         assert_eq!(tele, Some(std::path::PathBuf::from("/tmp/t.json")));
-        let (_, _, none) = parse_cli_ext(&["--quick".into()]);
+        let (_, _, none) = parse_cli_checked(&["--quick".into()]).unwrap();
         assert_eq!(none, None);
     }
 
     #[test]
     fn cli_parsing() {
-        let (cfg, out) = parse_cli(&[
+        let (cfg, out, _) = parse_cli_checked(&[
             "--jobs".into(),
             "100".into(),
             "--seed".into(),
             "7".into(),
             "--out".into(),
             "/tmp/x".into(),
-        ]);
+        ])
+        .unwrap();
         assert_eq!(cfg.trace.jobs, 100);
         assert_eq!(cfg.seed, 7);
         assert_eq!(out, std::path::PathBuf::from("/tmp/x"));

@@ -413,7 +413,11 @@ pub fn diff_bench(text: &str, from: Option<&str>, to: Option<&str>) -> Result<St
         .map_err(|e| format!("cannot parse bench trendline: {e}"))?;
     let entries = match root.get("entries") {
         Some(serde::Value::Seq(entries)) => entries,
-        _ => return Err("bench trendline has no entries array (legacy v2 file?)".to_string()),
+        _ => {
+            return Err(
+                "bench trendline has no entries array (not a schema-v3 trendline)".to_string(),
+            )
+        }
     };
     if entries.len() < 2 && (from.is_none() || to.is_none()) {
         return Err(format!(

@@ -38,9 +38,8 @@ pub const STORE_FILE: &str = "results_store.json";
 /// replica-spread columns. v3 added the `worker` attribution column (which
 /// worker process/thread simulated each cell). v2 added the per-cell cost
 /// vector: `events_per_sec`, `peak_queue_depth`, and one `ns_*` self-time
-/// column per profiled phase. v1–v3 stores load transparently — the new
-/// columns are additive and filled with exactly the values the older
-/// producer would have recorded (σ = 0, replicas = 1 for grid rows).
+/// column per profiled phase. Files of any other version are refused with
+/// their version number; re-running the grid regenerates them.
 pub const STORE_SCHEMA_VERSION: u32 = 4;
 
 /// Row provenance: a normal grid cell, or a chaos-soak finding.
@@ -164,288 +163,19 @@ pub struct ResultStore {
     pub columns: Columns,
 }
 
-/// Fill for the schema-v4 ensemble columns when upgrading an older store:
-/// every pre-v4 grid row was a single-replica run (`replicas = 1`, σ = 0);
-/// chaos rows carry `replicas = 0` = n/a. Returns `(replicas, zero-σ)`.
-fn v4_ensemble_fill(source: &[u8]) -> (Vec<u64>, Vec<f64>) {
-    let replicas = source
-        .iter()
-        .map(|&s| if s == SOURCE_GRID { 1 } else { 0 })
-        .collect();
-    (replicas, vec![0.0; source.len()])
-}
-
-/// Schema-v1 mirror of [`Columns`]: the seventeen original arrays, without
-/// the cost vector. Kept only so [`ResultStore::load`] can upgrade v1
-/// files; `Serialize` is derived so tests can author v1 fixtures.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct ColumnsV1 {
-    source: Vec<u8>,
-    econ: Vec<u8>,
-    set: Vec<u8>,
-    scenario: Vec<u32>,
-    value_idx: Vec<u8>,
-    value: Vec<f64>,
-    policy: Vec<u32>,
-    seed: Vec<u64>,
-    wait: Vec<f64>,
-    sla: Vec<f64>,
-    reliability: Vec<f64>,
-    profitability: Vec<f64>,
-    norm_score: Vec<f64>,
-    risk_score: Vec<f64>,
-    secs: Vec<f64>,
-    events: Vec<u64>,
-    digest: Vec<String>,
-}
-
-/// Schema-v1 mirror of [`ResultStore`] (see [`ColumnsV1`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct StoreV1 {
+/// The one field every store schema shares; read when the full parse
+/// fails, so the error can name the file's version.
+#[derive(Deserialize)]
+struct SchemaHeader {
     schema_version: u32,
-    scenarios: Vec<String>,
-    policies: Vec<String>,
-    columns: ColumnsV1,
 }
 
-impl StoreV1 {
-    /// Upgrades in place to the current schema: the v2 columns are
-    /// additive, so they zero-fill (with `events_per_sec` derived from the
-    /// existing secs/events columns) and the version bumps.
-    fn upgrade(self) -> ResultStore {
-        let v1 = self.columns;
-        let n = v1.source.len();
-        let events_per_sec = v1
-            .secs
-            .iter()
-            .zip(&v1.events)
-            .map(|(&secs, &events)| {
-                if secs > 0.0 {
-                    events as f64 / secs
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let (replicas, sigma_zero) = v4_ensemble_fill(&v1.source);
-        ResultStore {
-            schema_version: STORE_SCHEMA_VERSION,
-            scenarios: self.scenarios,
-            policies: self.policies,
-            columns: Columns {
-                source: v1.source,
-                econ: v1.econ,
-                set: v1.set,
-                scenario: v1.scenario,
-                value_idx: v1.value_idx,
-                value: v1.value,
-                policy: v1.policy,
-                seed: v1.seed,
-                wait: v1.wait,
-                sla: v1.sla,
-                reliability: v1.reliability,
-                profitability: v1.profitability,
-                norm_score: v1.norm_score,
-                risk_score: v1.risk_score,
-                secs: v1.secs,
-                events: v1.events,
-                digest: v1.digest,
-                events_per_sec,
-                peak_queue_depth: vec![0; n],
-                ns_workload_gen: vec![0; n],
-                ns_admission: vec![0; n],
-                ns_dispatch: vec![0; n],
-                ns_ps_recompute: vec![0; n],
-                ns_fault: vec![0; n],
-                ns_collect: vec![0; n],
-                worker: vec![0; n],
-                replicas,
-                sigma_wait: sigma_zero.clone(),
-                sigma_sla: sigma_zero.clone(),
-                sigma_reliability: sigma_zero.clone(),
-                sigma_profitability: sigma_zero,
-            },
-        }
-    }
-}
-
-/// Schema-v2 mirror of [`Columns`]: everything but the v3 `worker`
-/// attribution column. Kept only so [`ResultStore::load`] can upgrade v2
-/// files; `Serialize` is derived so tests can author v2 fixtures.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct ColumnsV2 {
-    source: Vec<u8>,
-    econ: Vec<u8>,
-    set: Vec<u8>,
-    scenario: Vec<u32>,
-    value_idx: Vec<u8>,
-    value: Vec<f64>,
-    policy: Vec<u32>,
-    seed: Vec<u64>,
-    wait: Vec<f64>,
-    sla: Vec<f64>,
-    reliability: Vec<f64>,
-    profitability: Vec<f64>,
-    norm_score: Vec<f64>,
-    risk_score: Vec<f64>,
-    secs: Vec<f64>,
-    events: Vec<u64>,
-    digest: Vec<String>,
-    events_per_sec: Vec<f64>,
-    peak_queue_depth: Vec<u64>,
-    ns_workload_gen: Vec<u64>,
-    ns_admission: Vec<u64>,
-    ns_dispatch: Vec<u64>,
-    ns_ps_recompute: Vec<u64>,
-    ns_fault: Vec<u64>,
-    ns_collect: Vec<u64>,
-}
-
-/// Schema-v2 mirror of [`ResultStore`] (see [`ColumnsV2`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct StoreV2 {
-    schema_version: u32,
-    scenarios: Vec<String>,
-    policies: Vec<String>,
-    columns: ColumnsV2,
-}
-
-impl StoreV2 {
-    /// Upgrades to the current schema: the v3 `worker` column is additive
-    /// and zero-fills (0 = unattributed, exactly what a v2 producer knew).
-    fn upgrade(self) -> ResultStore {
-        let v2 = self.columns;
-        let n = v2.source.len();
-        let (replicas, sigma_zero) = v4_ensemble_fill(&v2.source);
-        ResultStore {
-            schema_version: STORE_SCHEMA_VERSION,
-            scenarios: self.scenarios,
-            policies: self.policies,
-            columns: Columns {
-                source: v2.source,
-                econ: v2.econ,
-                set: v2.set,
-                scenario: v2.scenario,
-                value_idx: v2.value_idx,
-                value: v2.value,
-                policy: v2.policy,
-                seed: v2.seed,
-                wait: v2.wait,
-                sla: v2.sla,
-                reliability: v2.reliability,
-                profitability: v2.profitability,
-                norm_score: v2.norm_score,
-                risk_score: v2.risk_score,
-                secs: v2.secs,
-                events: v2.events,
-                digest: v2.digest,
-                events_per_sec: v2.events_per_sec,
-                peak_queue_depth: v2.peak_queue_depth,
-                ns_workload_gen: v2.ns_workload_gen,
-                ns_admission: v2.ns_admission,
-                ns_dispatch: v2.ns_dispatch,
-                ns_ps_recompute: v2.ns_ps_recompute,
-                ns_fault: v2.ns_fault,
-                ns_collect: v2.ns_collect,
-                worker: vec![0; n],
-                replicas,
-                sigma_wait: sigma_zero.clone(),
-                sigma_sla: sigma_zero.clone(),
-                sigma_reliability: sigma_zero.clone(),
-                sigma_profitability: sigma_zero,
-            },
-        }
-    }
-}
-
-/// Schema-v3 mirror of [`Columns`]: everything but the v4 ensemble
-/// columns. Kept only so [`ResultStore::load`] can upgrade v3 files;
-/// `Serialize` is derived so tests can author v3 fixtures.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct ColumnsV3 {
-    source: Vec<u8>,
-    econ: Vec<u8>,
-    set: Vec<u8>,
-    scenario: Vec<u32>,
-    value_idx: Vec<u8>,
-    value: Vec<f64>,
-    policy: Vec<u32>,
-    seed: Vec<u64>,
-    wait: Vec<f64>,
-    sla: Vec<f64>,
-    reliability: Vec<f64>,
-    profitability: Vec<f64>,
-    norm_score: Vec<f64>,
-    risk_score: Vec<f64>,
-    secs: Vec<f64>,
-    events: Vec<u64>,
-    digest: Vec<String>,
-    events_per_sec: Vec<f64>,
-    peak_queue_depth: Vec<u64>,
-    ns_workload_gen: Vec<u64>,
-    ns_admission: Vec<u64>,
-    ns_dispatch: Vec<u64>,
-    ns_ps_recompute: Vec<u64>,
-    ns_fault: Vec<u64>,
-    ns_collect: Vec<u64>,
-    worker: Vec<u64>,
-}
-
-/// Schema-v3 mirror of [`ResultStore`] (see [`ColumnsV3`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct StoreV3 {
-    schema_version: u32,
-    scenarios: Vec<String>,
-    policies: Vec<String>,
-    columns: ColumnsV3,
-}
-
-impl StoreV3 {
-    /// Upgrades to the current schema: the v4 ensemble columns are
-    /// additive — every v3 grid row ran exactly one replica, so
-    /// `replicas = 1` and σ = 0 (chaos rows get `replicas = 0` = n/a).
-    fn upgrade(self) -> ResultStore {
-        let v3 = self.columns;
-        let (replicas, sigma_zero) = v4_ensemble_fill(&v3.source);
-        ResultStore {
-            schema_version: STORE_SCHEMA_VERSION,
-            scenarios: self.scenarios,
-            policies: self.policies,
-            columns: Columns {
-                source: v3.source,
-                econ: v3.econ,
-                set: v3.set,
-                scenario: v3.scenario,
-                value_idx: v3.value_idx,
-                value: v3.value,
-                policy: v3.policy,
-                seed: v3.seed,
-                wait: v3.wait,
-                sla: v3.sla,
-                reliability: v3.reliability,
-                profitability: v3.profitability,
-                norm_score: v3.norm_score,
-                risk_score: v3.risk_score,
-                secs: v3.secs,
-                events: v3.events,
-                digest: v3.digest,
-                events_per_sec: v3.events_per_sec,
-                peak_queue_depth: v3.peak_queue_depth,
-                ns_workload_gen: v3.ns_workload_gen,
-                ns_admission: v3.ns_admission,
-                ns_dispatch: v3.ns_dispatch,
-                ns_ps_recompute: v3.ns_ps_recompute,
-                ns_fault: v3.ns_fault,
-                ns_collect: v3.ns_collect,
-                worker: v3.worker,
-                replicas,
-                sigma_wait: sigma_zero.clone(),
-                sigma_sla: sigma_zero.clone(),
-                sigma_reliability: sigma_zero.clone(),
-                sigma_profitability: sigma_zero,
-            },
-        }
-    }
+fn schema_mismatch(path: &Path, version: u32) -> String {
+    format!(
+        "{}: schema version {version} (this build reads {STORE_SCHEMA_VERSION}; re-run the grid \
+         to regenerate it)",
+        path.display()
+    )
 }
 
 /// Every queryable column name, in presentation order.
@@ -757,63 +487,29 @@ impl ResultStore {
         Ok(path)
     }
 
-    /// Loads a store, refusing unknown schema versions and ragged columns.
-    /// Schema-v1 (pre cost-vector), schema-v2 (pre worker-attribution),
-    /// and schema-v3 (pre ensemble-columns) files upgrade transparently:
-    /// the newer columns are additive and filled with exactly the values
-    /// the older producer would have recorded.
+    /// Loads a store, refusing other schema versions and ragged columns.
+    /// The store is regenerated by any grid run, so a file from an older
+    /// (or newer) build is not upgraded: it fails with its schema version
+    /// and a pointer at re-running the grid, the same rule the journal
+    /// follows.
     pub fn load(path: &Path) -> Result<ResultStore, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let store: ResultStore = match serde_json::from_str(&text) {
             Ok(store) => store,
-            // The in-tree serde shim reports any absent struct field as an
-            // error, so older files fail the current parse; retry against
-            // the v3, then v2, then v1 mirrors before giving up.
-            Err(v4_err) => match serde_json::from_str::<StoreV3>(&text) {
-                Ok(v3) if v3.schema_version == 3 => v3.upgrade(),
-                Ok(v3) => {
-                    return Err(format!(
-                        "{}: schema version {} (this build reads {})",
-                        path.display(),
-                        v3.schema_version,
-                        STORE_SCHEMA_VERSION
-                    ));
-                }
-                Err(_) => match serde_json::from_str::<StoreV2>(&text) {
-                    Ok(v2) if v2.schema_version == 2 => v2.upgrade(),
-                    Ok(v2) => {
-                        return Err(format!(
-                            "{}: schema version {} (this build reads {})",
-                            path.display(),
-                            v2.schema_version,
-                            STORE_SCHEMA_VERSION
-                        ));
+            // Another schema's columns fail the full parse; name its
+            // version when the header is readable.
+            Err(e) => {
+                return Err(match serde_json::from_str::<SchemaHeader>(&text) {
+                    Ok(h) if h.schema_version != STORE_SCHEMA_VERSION => {
+                        schema_mismatch(path, h.schema_version)
                     }
-                    Err(_) => match serde_json::from_str::<StoreV1>(&text) {
-                        Ok(v1) if v1.schema_version == 1 => v1.upgrade(),
-                        Ok(v1) => {
-                            return Err(format!(
-                                "{}: schema version {} (this build reads {})",
-                                path.display(),
-                                v1.schema_version,
-                                STORE_SCHEMA_VERSION
-                            ));
-                        }
-                        Err(_) => {
-                            return Err(format!("cannot parse {}: {v4_err}", path.display()));
-                        }
-                    },
-                },
-            },
+                    _ => format!("cannot parse {}: {e}", path.display()),
+                });
+            }
         };
         if store.schema_version != STORE_SCHEMA_VERSION {
-            return Err(format!(
-                "{}: schema version {} (this build reads {})",
-                path.display(),
-                store.schema_version,
-                STORE_SCHEMA_VERSION
-            ));
+            return Err(schema_mismatch(path, store.schema_version));
         }
         let n = store.len();
         let c = &store.columns;
@@ -1165,181 +861,21 @@ mod tests {
         let path = store.save(&dir).unwrap();
         let err = ResultStore::load(&path).unwrap_err();
         assert!(err.contains("schema version 99"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v1_store_upgrades_on_load() {
-        let dir = std::env::temp_dir().join("ccs_store_v1_upgrade_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // Author a two-row v1 fixture exactly as a pre-cost-vector build
-        // would have written it.
-        let v1 = StoreV1 {
-            schema_version: 1,
-            scenarios: vec!["% of High Urgency Jobs".to_string()],
-            policies: vec!["FCFS-BF".to_string(), "Libra".to_string()],
-            columns: ColumnsV1 {
-                source: vec![SOURCE_GRID, SOURCE_GRID],
-                econ: vec![0, 0],
-                set: vec![0, 0],
-                scenario: vec![0, 0],
-                value_idx: vec![0, 0],
-                value: vec![20.0, 20.0],
-                policy: vec![0, 1],
-                seed: vec![42, 42],
-                wait: vec![1.0, 2.0],
-                sla: vec![90.0, 95.0],
-                reliability: vec![99.0, 98.0],
-                profitability: vec![10.0, 12.0],
-                norm_score: vec![0.5, 0.6],
-                risk_score: vec![0.05, 0.04],
-                secs: vec![0.5, 0.0],
-                events: vec![1000, 0],
-                digest: vec!["k1".to_string(), "k2".to_string()],
-            },
-        };
-        let path = dir.join(STORE_FILE);
-        let json = serde_json::to_string(&v1).unwrap();
-        std::fs::write(&path, json).unwrap();
-
-        let store = ResultStore::load(&path).unwrap();
-        assert_eq!(store.schema_version, STORE_SCHEMA_VERSION);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.columns.secs, vec![0.5, 0.0]);
-        assert_eq!(store.columns.digest[1], "k2");
-        // Derived and zero-filled v2/v3 columns.
-        assert_eq!(store.columns.events_per_sec, vec![2000.0, 0.0]);
-        assert_eq!(store.columns.peak_queue_depth, vec![0, 0]);
-        assert_eq!(store.columns.cell_cost(0), CellCost::default());
-        assert_eq!(store.columns.worker, vec![0, 0]);
-        // The upgraded store queries like a native v2 one.
-        let q = Query {
-            select: vec!["policy".into(), "events_per_sec".into()],
-            ..Default::default()
-        };
-        let res = store.query(&q).unwrap();
-        assert_eq!(res.rows[0], vec!["FCFS-BF", "2000.000000"]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v2_store_upgrades_on_load() {
-        let dir = std::env::temp_dir().join("ccs_store_v2_upgrade_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // Author a one-row v2 fixture exactly as a pre-worker-attribution
-        // build would have written it.
-        let v2 = StoreV2 {
-            schema_version: 2,
-            scenarios: vec!["% of High Urgency Jobs".to_string()],
-            policies: vec!["FCFS-BF".to_string()],
-            columns: ColumnsV2 {
-                source: vec![SOURCE_GRID],
-                econ: vec![0],
-                set: vec![0],
-                scenario: vec![0],
-                value_idx: vec![0],
-                value: vec![20.0],
-                policy: vec![0],
-                seed: vec![42],
-                wait: vec![1.0],
-                sla: vec![90.0],
-                reliability: vec![99.0],
-                profitability: vec![10.0],
-                norm_score: vec![0.5],
-                risk_score: vec![0.05],
-                secs: vec![0.5],
-                events: vec![1000],
-                digest: vec!["k1".to_string()],
-                events_per_sec: vec![2000.0],
-                peak_queue_depth: vec![3],
-                ns_workload_gen: vec![7],
-                ns_admission: vec![0],
-                ns_dispatch: vec![0],
-                ns_ps_recompute: vec![0],
-                ns_fault: vec![0],
-                ns_collect: vec![0],
-            },
-        };
-        let path = dir.join(STORE_FILE);
-        std::fs::write(&path, serde_json::to_string(&v2).unwrap()).unwrap();
-
-        let store = ResultStore::load(&path).unwrap();
-        assert_eq!(store.schema_version, STORE_SCHEMA_VERSION);
-        assert_eq!(store.len(), 1);
-        // v2 data survives; the v3 worker column zero-fills.
-        assert_eq!(store.columns.peak_queue_depth, vec![3]);
-        assert_eq!(store.columns.ns_workload_gen, vec![7]);
-        assert_eq!(store.columns.worker, vec![0]);
-        let q = Query {
-            select: vec!["policy".into(), "worker".into()],
-            ..Default::default()
-        };
-        let res = store.query(&q).unwrap();
-        assert_eq!(res.rows[0], vec!["FCFS-BF", "0"]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v3_store_upgrades_on_load() {
-        let dir = std::env::temp_dir().join("ccs_store_v3_upgrade_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // Author a two-row v3 fixture (one grid row, one chaos row)
-        // exactly as a pre-ensemble build would have written it.
-        let v3 = StoreV3 {
-            schema_version: 3,
-            scenarios: vec!["% of High Urgency Jobs".to_string()],
-            policies: vec!["FCFS-BF".to_string()],
-            columns: ColumnsV3 {
-                source: vec![SOURCE_GRID, SOURCE_CHAOS],
-                econ: vec![0, 0],
-                set: vec![0, SET_NONE],
-                scenario: vec![0, 0],
-                value_idx: vec![0, 0],
-                value: vec![20.0, 1.0],
-                policy: vec![0, 0],
-                seed: vec![42, 42],
-                wait: vec![1.0, 0.0],
-                sla: vec![90.0, 0.0],
-                reliability: vec![99.0, 0.0],
-                profitability: vec![10.0, 0.0],
-                norm_score: vec![0.5, 0.0],
-                risk_score: vec![0.05, 1.0],
-                secs: vec![0.5, 0.0],
-                events: vec![1000, 0],
-                digest: vec!["k1".to_string(), "sig".to_string()],
-                events_per_sec: vec![2000.0, 0.0],
-                peak_queue_depth: vec![3, 0],
-                ns_workload_gen: vec![7, 0],
-                ns_admission: vec![0, 0],
-                ns_dispatch: vec![0, 0],
-                ns_ps_recompute: vec![0, 0],
-                ns_fault: vec![0, 0],
-                ns_collect: vec![0, 0],
-                worker: vec![2, 0],
-            },
-        };
-        let path = dir.join(STORE_FILE);
-        std::fs::write(&path, serde_json::to_string(&v3).unwrap()).unwrap();
-
-        let store = ResultStore::load(&path).unwrap();
-        assert_eq!(store.schema_version, STORE_SCHEMA_VERSION);
-        assert_eq!(store.len(), 2);
-        // v3 data survives; the ensemble columns fill as a v3 producer
-        // effectively ran: one replica per grid cell, zero spread, n/a
-        // for chaos rows.
-        assert_eq!(store.columns.worker, vec![2, 0]);
-        assert_eq!(store.columns.replicas, vec![1, 0]);
-        assert_eq!(store.columns.sigma_wait, vec![0.0, 0.0]);
-        assert_eq!(store.columns.sigma_profitability, vec![0.0, 0.0]);
-        let q = Query {
-            select: vec!["policy".into(), "replicas".into(), "sigma_sla".into()],
-            ..Default::default()
-        };
-        let res = store.query(&q).unwrap();
-        assert_eq!(res.rows[0], vec!["FCFS-BF", "1", "0.000000"]);
+        // Older schemas lack current columns, so they fail the full parse;
+        // the header still names the version and points at a re-run.
+        for v in 1..=3 {
+            let old = format!(
+                r#"{{"schema_version":{v},"scenarios":[],"policies":[],"columns":{{"source":[]}}}}"#
+            );
+            std::fs::write(&path, old).unwrap();
+            let err = ResultStore::load(&path).unwrap_err();
+            assert!(err.contains(&format!("schema version {v} ")), "{err}");
+            assert!(err.contains("re-run the grid"), "{err}");
+        }
+        // A current-version file that does not parse keeps the parse error.
+        std::fs::write(&path, r#"{"schema_version":4,"columns":{}}"#).unwrap();
+        let err = ResultStore::load(&path).unwrap_err();
+        assert!(err.starts_with("cannot parse"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

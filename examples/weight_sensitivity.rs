@@ -13,7 +13,11 @@ use ccs_risk::apriori::{forecast, pareto_front, uniform_mix, weight_sensitivity}
 use ccs_risk::{integrated_equal, kendall_tau, rank, Objective, RankBy, RiskMeasure};
 
 fn main() {
-    let (cfg, _) = ccs_experiments::parse_cli(&std::env::args().skip(1).collect::<Vec<_>>());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (cfg, _, _) = ccs_experiments::parse_cli_checked(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     println!("running commodity-market grid ({} jobs)...", cfg.trace.jobs);
     let analysis = analyze(&run_grid(
         EconomicModel::CommodityMarket,

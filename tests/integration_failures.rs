@@ -161,6 +161,8 @@ fn panicking_cell_reports_errors_and_resume_heals() {
 
 /// An unopenable `--resume` journal is a configuration error caught while
 /// parsing (exit 2, naming the flag), not a panic partway into the grid.
+/// So are an out-of-range `tables --table N` and an unknown `figure` id;
+/// their valid forms print and write what they should.
 #[test]
 fn unopenable_resume_journal_exits_2_naming_the_flag() {
     let dir = temp_dir("bad_journal");
@@ -177,5 +179,40 @@ fn unopenable_resume_journal_exits_2_naming_the_flag() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("--resume"), "{stderr}");
+
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_utility_risk"))
+            .args(args)
+            .output()
+            .expect("spawn utility_risk")
+    };
+    let table3 = run(&["tables", "--table", "3"]);
+    assert!(table3.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&table3.stdout),
+        ccs_experiments::tables::table3()
+    );
+    for (args, names) in [
+        (&["tables", "--table", "7"][..], "--table"),
+        (&["figure", "fig9"][..], "fig9"),
+    ] {
+        let output = run(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(names),
+            "{args:?} must name {names}: {stderr}"
+        );
+    }
+    let fig2_dir = dir.join("fig2");
+    let fig2 = run(&[
+        "figure",
+        "fig2",
+        "--quiet",
+        "--out",
+        fig2_dir.to_str().unwrap(),
+    ]);
+    assert!(fig2.status.success());
+    assert!(fig2_dir.join("fig2.dat").exists() && fig2_dir.join("fig2.svg").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -100,8 +100,8 @@ fn tracing_does_not_perturb_results() {
 }
 
 /// CLI smoke: `utility_risk trace` writes the bundle and exits 0 (the
-/// cross-check is built into the command), then `trace_report` re-analyses
-/// the same bundle from disk and also exits 0.
+/// cross-check is built into the command), then `utility_risk trace-report`
+/// re-analyses the same bundle from disk and also exits 0.
 #[test]
 fn trace_cli_round_trip() {
     let dir = temp_dir("cli");
@@ -130,13 +130,13 @@ fn trace_cli_round_trip() {
     );
     assert!(stdout.contains("cross-check vs runner metrics: OK"));
 
-    let report = Command::new(env!("CARGO_BIN_EXE_trace_report"))
-        .arg(dir.to_str().unwrap())
+    let report = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
+        .args(["trace-report", dir.to_str().unwrap()])
         .output()
-        .expect("spawn trace_report");
+        .expect("spawn utility_risk trace-report");
     assert!(
         report.status.success(),
-        "trace_report failed: {}",
+        "utility_risk trace-report failed: {}",
         String::from_utf8_lossy(&report.stderr)
     );
     let report_out = String::from_utf8_lossy(&report.stdout);
