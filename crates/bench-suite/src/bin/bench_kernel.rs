@@ -464,7 +464,7 @@ fn main() {
             .map(|d| d.as_secs())
             .unwrap_or(0),
         label: std::env::var("CCS_BENCH_LABEL").unwrap_or_else(|_| "local".to_string()),
-        telemetry_enabled: ccs_telemetry::ENABLED,
+        telemetry_enabled: ccs_telemetry::enabled(),
         measurements,
     });
     // Re-runs under one label supersede the previous attempt rather than

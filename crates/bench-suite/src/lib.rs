@@ -39,7 +39,7 @@ pub struct BenchEntry {
     pub recorded_unix_secs: u64,
     /// Free-form label (`CCS_BENCH_LABEL`), e.g. the PR topic.
     pub label: String,
-    /// Whether the binary was built with `--features telemetry`.
+    /// Whether the telemetry registry was on while measuring.
     pub telemetry_enabled: bool,
     /// The measurements, in execution order.
     pub measurements: Vec<Measurement>,

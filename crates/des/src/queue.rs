@@ -85,15 +85,15 @@ const REFILL_DIVISOR: usize = 4;
 
 /// Per-queue instrumentation counters.
 ///
-/// Plain (non-atomic) integers bumped inline on the hot path and flushed
-/// to the global [`ccs_telemetry`] registry once, when the queue drops —
-/// so even with the `telemetry` feature enabled the kernel's inner loop
-/// performs no atomic operations. Without the feature this struct is not
-/// compiled at all.
-#[cfg(feature = "telemetry")]
+/// Plain (non-atomic) integers bumped inline on the hot path and handed
+/// out once, when the queue drops: to the global [`ccs_telemetry`]
+/// registry if a run switched it on, and as a kernel span to the trace
+/// capture window if one is open on this thread. The kernel's inner loop
+/// performs no atomic operations either way. Pushes need no counter of
+/// their own: every push takes the next `seq`, so `next_seq` is the
+/// scheduled count.
 #[derive(Default)]
 struct QueueStats {
-    scheduled: u64,
     cancelled: u64,
     popped: u64,
     /// Cancelled entries skipped during `pop`/`peek_time` — a proxy for
@@ -107,22 +107,22 @@ struct QueueStats {
     depth_hwm: u64,
 }
 
-#[cfg(feature = "telemetry")]
 impl QueueStats {
-    fn flush(&self) {
-        let t = ccs_telemetry::global();
-        t.counter("des.events.scheduled").add(self.scheduled);
-        t.counter("des.events.cancelled").add(self.cancelled);
-        t.counter("des.events.processed").add(self.popped);
-        t.counter("des.tombstones.skipped")
-            .add(self.tombstone_skips);
-        t.counter("des.queue.compactions").add(self.compactions);
-        t.counter("des.tombstones.compacted")
-            .add(self.tombstones_compacted);
-        t.gauge("des.queue.depth_hwm").observe(self.depth_hwm);
-        #[cfg(feature = "trace")]
+    fn flush(&self, scheduled: u64) {
+        if ccs_telemetry::enabled() {
+            let t = ccs_telemetry::global();
+            t.counter("des.events.scheduled").add(scheduled);
+            t.counter("des.events.cancelled").add(self.cancelled);
+            t.counter("des.events.processed").add(self.popped);
+            t.counter("des.tombstones.skipped")
+                .add(self.tombstone_skips);
+            t.counter("des.queue.compactions").add(self.compactions);
+            t.counter("des.tombstones.compacted")
+                .add(self.tombstones_compacted);
+            t.gauge("des.queue.depth_hwm").observe(self.depth_hwm);
+        }
         ccs_telemetry::trace::record_kernel_span(ccs_telemetry::trace::KernelSpan {
-            scheduled: self.scheduled,
+            scheduled,
             processed: self.popped,
             cancelled: self.cancelled,
             tombstone_skips: self.tombstone_skips,
@@ -254,14 +254,12 @@ pub struct EventQueue<T> {
     /// it: a cancelled future event never fires, so it bounds nothing.
     watermark: Option<(SimTime, u64)>,
     next_seq: u64,
-    #[cfg(feature = "telemetry")]
     stats: QueueStats,
 }
 
-#[cfg(feature = "telemetry")]
 impl<T> Drop for EventQueue<T> {
     fn drop(&mut self) {
-        self.stats.flush();
+        self.stats.flush(self.next_seq);
     }
 }
 
@@ -285,7 +283,6 @@ impl<T> EventQueue<T> {
             live: 0,
             watermark: None,
             next_seq: 0,
-            #[cfg(feature = "telemetry")]
             stats: QueueStats::default(),
         }
     }
@@ -479,11 +476,7 @@ impl<T> EventQueue<T> {
             _ => self.far.push(key),
         }
         self.live += 1;
-        #[cfg(feature = "telemetry")]
-        {
-            self.stats.scheduled += 1;
-            self.stats.depth_hwm = self.stats.depth_hwm.max(self.live as u64);
-        }
+        self.stats.depth_hwm = self.stats.depth_hwm.max(self.live as u64);
         EventHandle { time, seq, slot }
     }
 
@@ -507,10 +500,7 @@ impl<T> EventQueue<T> {
         }
         self.live -= 1;
         self.tombstones += 1;
-        #[cfg(feature = "telemetry")]
-        {
-            self.stats.cancelled += 1;
-        }
+        self.stats.cancelled += 1;
         self.maybe_compact();
         true
     }
@@ -550,11 +540,8 @@ impl<T> EventQueue<T> {
                 self.sift_down(i);
             }
         }
-        #[cfg(feature = "telemetry")]
-        {
-            self.stats.compactions += 1;
-            self.stats.tombstones_compacted += tombstones as u64;
-        }
+        self.stats.compactions += 1;
+        self.stats.tombstones_compacted += tombstones as u64;
     }
 
     /// Number of cancelled entries still occupying tier slots (test and
@@ -574,18 +561,12 @@ impl<T> EventQueue<T> {
                 let t = key.time();
                 self.watermark = Some((t, key.seq));
                 self.live -= 1;
-                #[cfg(feature = "telemetry")]
-                {
-                    self.stats.popped += 1;
-                }
+                self.stats.popped += 1;
                 return Some((t, payload));
             }
             // else: tombstone of a cancelled event — skip it.
             self.tombstones -= 1;
-            #[cfg(feature = "telemetry")]
-            {
-                self.stats.tombstone_skips += 1;
-            }
+            self.stats.tombstone_skips += 1;
         }
         None
     }
@@ -617,17 +598,11 @@ impl<T> EventQueue<T> {
             if let Some(payload) = self.slab_take(&key) {
                 self.watermark = Some((t, key.seq));
                 self.live -= 1;
-                #[cfg(feature = "telemetry")]
-                {
-                    self.stats.popped += 1;
-                }
+                self.stats.popped += 1;
                 buf.push(payload);
             } else {
                 self.tombstones -= 1;
-                #[cfg(feature = "telemetry")]
-                {
-                    self.stats.tombstone_skips += 1;
-                }
+                self.stats.tombstone_skips += 1;
             }
         }
         Some(t)
@@ -658,10 +633,7 @@ impl<T> EventQueue<T> {
             let tomb = self.slab_take(&key);
             debug_assert!(tomb.is_none(), "peeked tombstone grew a payload");
             self.tombstones -= 1;
-            #[cfg(feature = "telemetry")]
-            {
-                self.stats.tombstone_skips += 1;
-            }
+            self.stats.tombstone_skips += 1;
         }
         None
     }
@@ -1018,7 +990,6 @@ mod tests {
 
     /// Wasted sift work must be visible whether a tombstone is drained by
     /// `pop` or by `peek_time` — both paths charge `tombstone_skips`.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn tombstone_skips_counted_on_both_pop_and_peek() {
         let mut q = EventQueue::new();

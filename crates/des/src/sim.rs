@@ -38,12 +38,13 @@ impl<E> Default for Simulation<E> {
 
 // One histogram sample per simulation lifetime; the embedded queue's own
 // drop flushes the event counters, so nothing is double-counted here.
-#[cfg(feature = "telemetry")]
 impl<E> Drop for Simulation<E> {
     fn drop(&mut self) {
-        ccs_telemetry::global()
-            .histogram("des.sim.events_per_run")
-            .record(self.processed);
+        if ccs_telemetry::enabled() {
+            ccs_telemetry::global()
+                .histogram("des.sim.events_per_run")
+                .record(self.processed);
+        }
     }
 }
 

@@ -22,7 +22,10 @@
 //! `--jobs N`, `--seed S`, `--threads T`, `--replicas R` (seed replicas
 //! per grid cell, fanned across the in-process pool; objectives become the
 //! replica mean μ and `sigma_*` store columns record the spread),
-//! `--out DIR`. `trace` additionally
+//! `--out DIR`, `--telemetry FILE` (switches the counter/histogram
+//! registry on for this run and writes its snapshot plus the per-cell
+//! wall-time tables to FILE; without it every hook is one untaken
+//! branch). `trace` additionally
 //! takes `--econ commodity|bid`, `--set A|B`, `--scenario IDX`,
 //! `--value IDX`, `--policy NAME`. Grid subcommands take the crash-safety
 //! flags `--resume JOURNAL`, `--cell-budget N`, `--cell-wall-budget SECS`,
@@ -43,9 +46,14 @@
 //! `--top N`, `--by scenario|policy`); `perf diff` compares either two
 //! stores (`--store NEW --baseline OLD`) or two `BENCH_kernel.json`
 //! trendline entries (`--bench FILE [--from LABEL] [--to LABEL]`),
-//! attributing the delta to phases and cell groups. Grid runs built with
-//! `--features profile` additionally write `profile.folded` (collapsed
-//! flamegraph stacks) under `--out`.
+//! attributing the delta to phases and cell groups.
+//!
+//! `profile` is the one cargo feature: grid runs built with `--features
+//! profile` additionally write `profile.folded` (collapsed flamegraph
+//! stacks) under `--out`. Nothing else needs a rebuild: `--telemetry`
+//! switches the registry on, `trace` always captures DES kernel spans,
+//! and builds with debug assertions run every grid cell under the online
+//! invariant checker.
 
 use ccs_chaos::{run_soak, SoakConfig};
 use ccs_economy::EconomicModel;
@@ -898,6 +906,9 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if telemetry.is_some() {
+        ccs_telemetry::enable();
+    }
     // Grids retained by the subcommand (if any) for the end-of-run timing
     // summary and the optional --telemetry artifact.
     let mut raw_grids: Vec<RawGrid> = Vec::new();

@@ -4,8 +4,9 @@
 //!
 //! The runner always records per-cell wall-clock timings (cheap: one
 //! `Instant` pair per simulation run, far off the kernel hot path), so
-//! slow cells can be reported even in uninstrumented builds. With the
-//! `telemetry` feature the same timings also feed the global registry.
+//! slow cells can be reported on any run. With telemetry on
+//! (`--telemetry FILE`), each cell simulated in this run also feeds the
+//! global registry.
 
 use crate::ipc::CellSpec;
 use crate::journal::{cell_key, CellError, CellErrorKind, CellRecord, Journal};
@@ -19,6 +20,7 @@ use ccs_policies::{build_policy, Policy, PolicyKind};
 use ccs_risk::WaitNormalization;
 use ccs_simsvc::{FaultConfig, Run, RunBudget, RunConfig, RunError, Violation};
 use ccs_telemetry::profile::ProfileSnapshot;
+use ccs_telemetry::{Counter, Histogram};
 use ccs_workload::{apply_scenario, BaseJob, Job, ScenarioTransform, SdscSp2Model};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -305,7 +307,7 @@ pub struct RawGrid {
     /// `replicas == 1` and for skipped cells.
     pub cell_sigma: Vec<Vec<Vec<[f64; 4]>>>,
     /// `cell_secs[scenario][value][policy]` — wall-clock seconds per cell.
-    /// Always populated, independent of the `telemetry` feature.
+    /// Always populated, whether or not telemetry is on.
     pub cell_secs: Vec<Vec<Vec<f64>>>,
     /// `cell_events[scenario][value][policy]` — simulation outcomes per
     /// cell (0 for journal hits and skipped cells).
@@ -580,22 +582,13 @@ pub(crate) fn run_grid_in_run(
     fold.finish(started, busy, transports, &cache)
 }
 
-/// Feeds grid timings into the global telemetry registry (no-op without
-/// the `telemetry` feature).
+/// Feeds grid-level timings into the global telemetry registry, if on.
+/// Per-cell series are fed by [`GridFold::record`] as cells resolve.
 fn record_grid_telemetry(grid: &RawGrid) {
-    if !ccs_telemetry::ENABLED {
+    if !ccs_telemetry::enabled() {
         return;
     }
     let t = ccs_telemetry::global();
-    let cell_ns = t.histogram("grid.cell.duration_ns");
-    for per_value in &grid.cell_secs {
-        for per_policy in per_value {
-            for &secs in per_policy {
-                cell_ns.record_f64(secs * 1e9);
-                t.counter("grid.cells.completed").inc();
-            }
-        }
-    }
     t.histogram("grid.wall.duration_ns")
         .record_f64(grid.wall_secs * 1e9);
     for &busy in &grid.worker_busy_secs {
@@ -799,7 +792,9 @@ fn simulate_cell(
         let run = Run::with_policy(&jobs, policy, run_cfg)
             .fault(fault)
             .budget(budget);
-        let run = if cfg!(feature = "invariants") {
+        // Debug builds (tests, the hardened CI leg) check every cell's
+        // invariants; the check is a post-pass, so results are unchanged.
+        let run = if cfg!(debug_assertions) {
             run.check()
         } else {
             run
@@ -1265,6 +1260,9 @@ pub(crate) struct GridFold<'a> {
     state: Mutex<FoldState>,
     /// Start of the progress bar, when one is drawn.
     progress: Option<Instant>,
+    /// `grid.cell.duration_ns` and `grid.cells.completed`, when telemetry
+    /// is on.
+    cell_telemetry: Option<(&'static Histogram, &'static Counter)>,
 }
 
 /// Why the fold's lock can be poisoned: a panic inside [`GridFold`] itself
@@ -1324,6 +1322,13 @@ impl<'a> GridFold<'a> {
                 expected: n_scen * 6 * n_pol,
             }),
             progress: progress::bar_enabled().then(Instant::now),
+            cell_telemetry: ccs_telemetry::enabled().then(|| {
+                let t = ccs_telemetry::global();
+                (
+                    t.histogram("grid.cell.duration_ns"),
+                    t.counter("grid.cells.completed"),
+                )
+            }),
         }
     }
 
@@ -1350,8 +1355,14 @@ impl<'a> GridFold<'a> {
 
     /// Folds one resolved cell that `worker` ran (0 = unattributed), then
     /// fans its result out to the cell's aliases — failures included — and
-    /// offers a success to the run's memo.
+    /// offers a success to the run's memo. Only here is a cell known to
+    /// have been simulated in this run, so only a success here counts as a
+    /// completed cell in telemetry.
     pub(crate) fn record(&self, spec: &CellSpec, sim: SimulatedCell, worker: u64) {
+        if let (Some((cell_ns, completed)), Ok(_)) = (self.cell_telemetry, &sim.outcome) {
+            cell_ns.record_f64(sim.secs * 1e9);
+            completed.inc();
+        }
         let Some(family) = self.families.get(&spec.key) else {
             self.record_one(spec, sim, worker);
             return;

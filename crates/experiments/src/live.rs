@@ -5,8 +5,8 @@
 //! point into streaming [`Welford`] accumulators *as workers complete it*,
 //! so a per-policy risk posture — normalized impact × observed violation
 //! probability, after KMamiz's `RealtimeRisk` — exists at any moment of the
-//! run. It is surfaced in the stderr progress line and, with the
-//! `telemetry` feature, as a histogram in telemetry snapshots.
+//! run. It is surfaced in the stderr progress line and, with telemetry on,
+//! as a histogram in telemetry snapshots.
 //!
 //! The board is an observer, not a participant: it receives copies of the
 //! objective rows the grid stores anyway, so its presence cannot change
@@ -203,12 +203,11 @@ fn policy_risk(name: &str, inner: &BoardInner, p: usize) -> PolicyRisk {
     }
 }
 
-/// Feeds the live scores into the telemetry registry (no-op without the
-/// `telemetry` feature): one `grid.risk.live_score_ppm` histogram sample
-/// per policy per recorded point, in parts-per-million so integer buckets
-/// resolve small scores.
+/// Feeds the live scores into the telemetry registry, if on: one
+/// `grid.risk.live_score_ppm` histogram sample per policy per recorded
+/// point, in parts-per-million so integer buckets resolve small scores.
 fn record_live_telemetry(policy_names: &[String], inner: &BoardInner) {
-    if !ccs_telemetry::ENABLED {
+    if !ccs_telemetry::enabled() {
         return;
     }
     let t = ccs_telemetry::global();

@@ -471,7 +471,7 @@ impl Fleet {
                 })
                 .collect(),
             transports: Vec::new(),
-            telemetry: ccs_telemetry::ENABLED.then(ccs_telemetry::global),
+            telemetry: ccs_telemetry::enabled().then(ccs_telemetry::global),
         }
     }
 

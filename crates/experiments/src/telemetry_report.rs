@@ -2,10 +2,10 @@
 //! instrumentation series plus the per-(scenario × policy) wall-time
 //! tables of the grids that were run.
 //!
-//! Cell timings are recorded unconditionally (see [`crate::grid`]), so the
-//! tables are populated even in builds without the `telemetry` cargo
-//! feature; the counter/gauge/histogram snapshot is empty in that case and
-//! `feature_enabled` says which build produced the file.
+//! Asking for the report is what switches the registry on: `utility_risk`
+//! calls [`ccs_telemetry::enable`] when `--telemetry FILE` is given, before
+//! any grid runs, so the counter/gauge/histogram snapshot covers the whole
+//! run. Cell timings are recorded on every run (see [`crate::grid`]).
 
 use crate::grid::{CellTiming, RawGrid};
 use crate::scenario::Scenario;
@@ -16,8 +16,10 @@ use std::path::Path;
 /// phase cost vector to [`CellTiming`]; v3 added worker attribution
 /// (`CellTiming::worker`, 0 when the cell ran in-process); v4 added
 /// per-worker transport labels (`GridWallTimes::worker_transports`) and
-/// the `grid.transport.*` counters.
-pub const SCHEMA_VERSION: u32 = 4;
+/// the `grid.transport.*` counters; v5 dropped `feature_enabled` (the
+/// registry is switched on at runtime, so every report has it on) and
+/// counts only cells simulated in this run in `grid.cells.completed`.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Wall-time table of one grid: seconds per (scenario, policy), summed
 /// over the six scenario values.
@@ -72,10 +74,8 @@ impl GridWallTimes {
 pub struct TelemetryReport {
     /// Schema marker for forward compatibility.
     pub schema_version: u32,
-    /// Whether the producing binary was built with `--features telemetry`.
-    pub feature_enabled: bool,
     /// Merged counters / high-water gauges / histograms from the global
-    /// registry (empty when `feature_enabled` is false).
+    /// registry.
     pub snapshot: ccs_telemetry::Snapshot,
     /// One wall-time table per grid that was run.
     pub grids: Vec<GridWallTimes>,
@@ -92,7 +92,6 @@ impl TelemetryReport {
         slowest.truncate(10);
         TelemetryReport {
             schema_version: SCHEMA_VERSION,
-            feature_enabled: ccs_telemetry::ENABLED,
             snapshot: ccs_telemetry::snapshot(),
             grids: grids.iter().map(GridWallTimes::of).collect(),
             slowest_cells: slowest,
@@ -187,7 +186,6 @@ mod tests {
         assert_eq!(table.secs.len(), 13);
         assert!(table.secs.iter().flatten().sum::<f64>() > 0.0);
         assert_eq!(report.slowest_cells.len(), 10);
-        assert_eq!(report.feature_enabled, ccs_telemetry::ENABLED);
 
         let back = TelemetryReport::from_json(&report.to_json()).unwrap();
         assert_eq!(back.grids[0].scenarios, table.scenarios);

@@ -103,7 +103,7 @@ pub struct TraceAnalysis {
     pub node_repairs: u32,
     /// Failure-induced job restarts across all jobs.
     pub restarts: u32,
-    /// Aggregated DES-kernel counters (empty without the `trace` feature).
+    /// Aggregated DES-kernel counters (empty for a trace without spans).
     pub kernel: KernelTotals,
     /// Total records analysed.
     pub records: usize,
@@ -400,10 +400,7 @@ impl TraceAnalysis {
                 kt.spans, kt.scheduled, kt.processed, kt.cancelled, kt.tombstone_skips, kt.depth_hwm
             );
         } else {
-            let _ = writeln!(
-                s,
-                "kernel: no spans (build with --features trace to capture them)"
-            );
+            let _ = writeln!(s, "kernel: no spans in this trace");
         }
 
         match metrics {

@@ -7,7 +7,7 @@
 //!
 //! * `trace.jsonl` — one serialised `TraceRecord` per line;
 //! * `manifest.json` — the [`ProvenanceManifest`] (seed, scenario, policy,
-//!   workload params, crate versions, feature legs, reference metrics);
+//!   workload params, crate versions, cargo features, reference metrics);
 //! * `trace.chrome.json` — Chrome `trace_event` JSON loadable in Perfetto
 //!   (<https://ui.perfetto.dev>): per-job wait/run slices on one track per
 //!   job, rejection instants, kernel-span instants.
@@ -231,7 +231,7 @@ pub struct ProvenanceManifest {
     pub policy: String,
     /// Workspace crate versions at capture time.
     pub crates: BTreeMap<String, String>,
-    /// Compiled-in feature legs (`telemetry`, `trace`).
+    /// Compiled-in cargo features (`profile`, the only one).
     pub features: Vec<String>,
     /// Mean processor utilization over the run (0–1, hourly buckets).
     pub mean_utilization: f64,
@@ -290,13 +290,11 @@ pub fn capture_cell(spec: &TraceCellSpec, cfg: &ExperimentConfig) -> TraceBundle
     .map(|name| (name.to_string(), version.clone()))
     .collect();
 
-    let mut features = Vec::new();
-    if ccs_telemetry::ENABLED {
-        features.push("telemetry".to_string());
-    }
-    if ccs_telemetry::trace::TRACE_ENABLED {
-        features.push("trace".to_string());
-    }
+    let features = if ccs_telemetry::profile::PROFILE_ENABLED {
+        vec!["profile".to_string()]
+    } else {
+        Vec::new()
+    };
 
     let manifest = ProvenanceManifest {
         schema_version: MANIFEST_SCHEMA_VERSION,

@@ -1,7 +1,12 @@
-//! End-to-end coverage of the `--telemetry out.json` artifact and of the
-//! guarantee that instrumentation never changes simulation results.
+//! End-to-end coverage of the `--telemetry out.json` artifact, of the
+//! registry's cell accounting, and of the guarantee that instrumentation
+//! never changes simulation results. This binary switches the registry
+//! on; `telemetry_off.rs` covers a process that never does.
 
-use ccs_experiments::TelemetryReport;
+use ccs_economy::EconomicModel;
+use ccs_experiments::{
+    policies_for, run_grid_ctl, EstimateSet, ExperimentConfig, GridControl, TelemetryReport,
+};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -9,11 +14,11 @@ fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ccs_{}_{name}", std::process::id()))
 }
 
-/// Runs `utility_risk summary --quick --telemetry FILE` and parses the
-/// emitted JSON. This is the acceptance test of the ISSUE: the file must
-/// contain the kernel counters, the queue-depth high-water mark, the
-/// per-policy decision-latency histograms (feature builds), and the
-/// per-(scenario × policy) wall-time tables (all builds).
+/// Runs `utility_risk summary --quick --jobs 60 --telemetry FILE` in a
+/// default build and parses the emitted JSON: the file must contain the
+/// kernel counters, the queue-depth high-water mark, the per-policy
+/// decision-latency histograms, the cell counters, and the
+/// per-(scenario × policy) wall-time tables.
 #[test]
 fn utility_risk_emits_parseable_telemetry() {
     let out = temp_path("telemetry.json");
@@ -21,8 +26,9 @@ fn utility_risk_emits_parseable_telemetry() {
         .args([
             "summary",
             "--quick",
+            "--quiet",
             "--jobs",
-            "40",
+            "60",
             "--telemetry",
             out.to_str().unwrap(),
         ])
@@ -34,8 +40,7 @@ fn utility_risk_emits_parseable_telemetry() {
     std::fs::remove_file(&out).ok();
     let report = TelemetryReport::from_json(&json).expect("telemetry JSON parses");
 
-    // Wall-time tables are present regardless of the feature flag: the
-    // summary subcommand runs all four grids.
+    // The summary subcommand runs all four grids.
     assert_eq!(report.grids.len(), 4);
     for table in &report.grids {
         assert_eq!(table.scenarios.len(), 13);
@@ -51,49 +56,105 @@ fn utility_risk_emits_parseable_telemetry() {
         assert!(!table.worker_busy_secs.is_empty());
     }
     assert!(!report.slowest_cells.is_empty());
-    assert_eq!(report.feature_enabled, cfg!(feature = "telemetry"));
 
-    if cfg!(feature = "telemetry") {
-        let s = &report.snapshot;
-        assert!(
-            s.counters.get("des.events.processed").copied().unwrap_or(0) > 0,
-            "kernel events-processed counter missing: {:?}",
-            s.counters
-        );
-        assert!(
-            s.gauges.get("des.queue.depth_hwm").copied().unwrap_or(0) > 0,
-            "queue-depth high-water mark missing: {:?}",
-            s.gauges
-        );
-        let decision_histograms: Vec<_> = s
-            .histograms
+    let s = &report.snapshot;
+    let counter = |name: &str| s.counters.get(name).copied().unwrap_or(0);
+    assert!(
+        counter("des.events.processed") > 0,
+        "kernel events-processed counter missing: {:?}",
+        s.counters
+    );
+    assert!(
+        s.gauges.get("des.queue.depth_hwm").copied().unwrap_or(0) > 0,
+        "queue-depth high-water mark missing: {:?}",
+        s.gauges
+    );
+    let decision_histograms: Vec<_> = s
+        .histograms
+        .iter()
+        .filter(|(name, h)| name.starts_with("runner.decision.duration_ns.") && h.count > 0)
+        .collect();
+    assert!(
+        !decision_histograms.is_empty(),
+        "per-policy decision-latency histograms missing: {:?}",
+        s.histograms.keys().collect::<Vec<_>>()
+    );
+    assert!(
+        s.histograms
             .iter()
-            .filter(|(name, h)| name.starts_with("runner.decision.duration_ns.") && h.count > 0)
-            .collect();
-        assert!(
-            !decision_histograms.is_empty(),
-            "per-policy decision-latency histograms missing: {:?}",
-            s.histograms.keys().collect::<Vec<_>>()
-        );
-        assert!(
+            .any(|(name, h)| name.starts_with("runner.run.duration_ns.") && h.count > 0),
+        "per-run wall-time histograms missing"
+    );
+    assert!(counter("runner.runs.completed") > 0);
+    // Structural: 240 default-point repeats + 60 set-B Inaccuracy cells.
+    assert_eq!(counter("grid.cells.reused"), 300, "{:?}", s.counters);
+    // Every other cell was simulated once, successfully, in this run.
+    let cells: u64 = report
+        .grids
+        .iter()
+        .map(|g| (g.scenarios.len() * 6 * g.policies.len()) as u64)
+        .sum();
+    assert_eq!(counter("grid.cells.completed"), cells - 300);
+    assert_eq!(s.histograms["grid.cell.duration_ns"].count, cells - 300);
+}
+
+/// `grid.cells.completed` and `grid.cell.duration_ns` count only cells
+/// simulated to success in this run: not journal-restored cells, not
+/// cells past the cell budget, not cells that reuse another's result, and
+/// not failed cells.
+#[test]
+fn cell_telemetry_counts_only_cells_simulated_to_success() {
+    ccs_telemetry::enable();
+    let journal = temp_path("cell_telemetry.jsonl");
+    std::fs::remove_file(&journal).ok();
+    let cfg = ExperimentConfig::quick().with_jobs(30);
+    let (econ, set) = (EconomicModel::CommodityMarket, EstimateSet::A);
+    let policies = policies_for(econ);
+    let total = 13 * 6 * policies.len();
+    let half = total / 2;
+    // Run 1 journals the first half of the plan and skips the rest.
+    let first = GridControl {
+        journal: Some(journal.clone()),
+        cell_budget: Some(half),
+        ..GridControl::default()
+    };
+    run_grid_ctl(econ, set, &cfg, &first);
+
+    // Run 2 restores that half, runs the next `budget` cells with one of
+    // them panicking, and skips the rest.
+    let budget = 100;
+    let fail_idx = half + 5;
+    let fail_cell = format!(
+        "{}:{}:{}",
+        fail_idx / (6 * policies.len()),
+        fail_idx / policies.len() % 6,
+        policies[fail_idx % policies.len()].name()
+    );
+    let second = GridControl {
+        journal: Some(journal.clone()),
+        cell_budget: Some(budget),
+        fail_cell: Some(fail_cell),
+        ..GridControl::default()
+    };
+    let count = || {
+        let s = ccs_telemetry::snapshot();
+        (
+            s.counters.get("grid.cells.completed").copied().unwrap_or(0),
             s.histograms
-                .iter()
-                .any(|(name, h)| name.starts_with("runner.run.duration_ns.") && h.count > 0),
-            "per-run wall-time histograms missing"
-        );
-        assert!(
-            s.counters
-                .get("runner.runs.completed")
-                .copied()
-                .unwrap_or(0)
-                > 0
-        );
-    } else {
-        assert!(
-            report.snapshot.is_empty(),
-            "snapshot must be empty without the telemetry feature"
-        );
-    }
+                .get("grid.cell.duration_ns")
+                .map_or(0, |h| h.count),
+        )
+    };
+    let before = count();
+    let g = run_grid_ctl(econ, set, &cfg, &second);
+    let after = count();
+    std::fs::remove_file(&journal).ok();
+
+    assert_eq!(g.errors.len(), 1, "{:?}", g.errors);
+    assert!(g.cells_reused > 0, "the run must reuse some cells");
+    let simulated = budget as u64 - g.cells_reused - g.errors.len() as u64;
+    assert_eq!(after.0 - before.0, simulated, "grid.cells.completed");
+    assert_eq!(after.1 - before.1, simulated, "grid.cell.duration_ns");
 }
 
 /// FNV-1a over the canonical JSON encoding of a run result.
@@ -106,16 +167,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Simulation outputs must be byte-identical with and without the
-/// `telemetry` feature: this hash is compiled and checked under both
-/// feature configurations in CI, so a drift in either build breaks it.
+/// Simulation outputs must be byte-identical with telemetry on: the run
+/// hashes to the constant a run with the registry off produced.
 #[test]
 fn run_result_identical_across_feature_configs() {
-    use ccs_economy::EconomicModel;
-    use ccs_experiments::{baseline, EstimateSet};
+    use ccs_experiments::baseline;
     use ccs_simsvc::{simulate, RunConfig};
     use ccs_workload::{apply_scenario, SdscSp2Model};
 
+    ccs_telemetry::enable();
     let mut model = SdscSp2Model::small();
     model.jobs = 60;
     let base = model.generate(12345);
@@ -126,14 +186,8 @@ fn run_result_identical_across_feature_configs() {
     };
     let result = simulate(&jobs, ccs_policies::PolicyKind::FcfsBf, &cfg);
     let json = serde_json::to_string(&result).expect("run result serialises");
-    // FNV-1a of the canonical encoding, recorded from a default-feature
-    // build; the telemetry-feature CI leg checks the same constant.
+    // FNV-1a of the canonical encoding, recorded with telemetry off.
     // (Re-recorded when RunMetrics gained the fault-injection counters.)
     const GOLDEN: u64 = 1379623899478093181;
-    assert_eq!(
-        fnv1a(json.as_bytes()),
-        GOLDEN,
-        "RunResult encoding drifted (feature telemetry={})",
-        cfg!(feature = "telemetry")
-    );
+    assert_eq!(fnv1a(json.as_bytes()), GOLDEN, "RunResult encoding drifted");
 }

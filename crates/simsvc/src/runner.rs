@@ -275,8 +275,8 @@ const DRAIN_FAILURE_EVENT_CAP: u64 = 10_000_000;
 /// capture window opened around this call observes the queue-stat flushes.
 ///
 /// Instrumentation never feeds back into simulation state, so results are
-/// bit-identical whether or not the `telemetry` feature is compiled in;
-/// with the feature off every guard below is a zero-sized no-op.
+/// bit-identical whether or not telemetry is on; with it off every timer
+/// guard below is a `None` that reads no clock.
 fn drive(
     jobs: &[Job],
     mut policy: Box<dyn Policy>,
@@ -297,7 +297,13 @@ fn drive(
     }
     let mut fed: usize = 0;
     let name = policy.name();
-    let _run_span = ccs_telemetry::TimerGuard::start_labeled("runner.run.duration_ns", name);
+    // Per-policy latency histograms, looked up once per run; `None` (no
+    // clock reads) unless telemetry is on.
+    let labeled = |metric| {
+        ccs_telemetry::enabled().then(|| ccs_telemetry::global().histogram_labeled(metric, name))
+    };
+    let _run_span = ccs_telemetry::TimerGuard::start(labeled("runner.run.duration_ns"));
+    let decision_ns = labeled("runner.decision.duration_ns");
     // Phase attribution (no-op unless the `profile` feature is on): the
     // whole driver is the `run` phase; admission / dispatch / fault /
     // collect below are its children. Self-time on `run` itself is driver
@@ -330,8 +336,7 @@ fn drive(
             let _phase = ccs_telemetry::profile::enter("dispatch");
             policy.advance_to(job.submit, &mut out);
         }
-        let _decision_span =
-            ccs_telemetry::TimerGuard::start_labeled("runner.decision.duration_ns", name);
+        let _decision_span = ccs_telemetry::TimerGuard::start(decision_ns);
         {
             let _phase = ccs_telemetry::profile::enter("admission");
             policy.on_submit(job, job.submit, &mut out);
@@ -415,7 +420,7 @@ fn drive(
         reconcile_fault_outcomes(&mut out);
     }
     let result = collect(jobs, cfg, &out);
-    if ccs_telemetry::ENABLED {
+    if ccs_telemetry::enabled() {
         let t = ccs_telemetry::global();
         t.counter("runner.jobs.submitted")
             .add(result.metrics.submitted as u64);

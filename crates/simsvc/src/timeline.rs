@@ -48,7 +48,7 @@ impl Timeline {
             .iter()
             .filter_map(|r| r.finished_at)
             .fold(0.0_f64, f64::max);
-        if ccs_telemetry::ENABLED {
+        if ccs_telemetry::enabled() {
             let t = ccs_telemetry::global();
             t.counter("timeline.reconstructions.completed").inc();
             t.histogram("timeline.horizon_secs").record_f64(horizon);

@@ -9,15 +9,15 @@
 //! Eqs. 1–4 can be recomputed from it and cross-checked against the
 //! runner's aggregate metrics.
 //!
-//! # Feature semantics
+//! # When records are made
 //!
-//! The data model (events, records, [`TraceSink`]) is always compiled: the
-//! simulation runner synthesises traces *after* a run from its outcome
-//! stream, so tracing never touches the hot path and the default build
-//! stays byte-identical. Only the DES kernel-span capture hooks
-//! ([`begin_kernel_capture`] / [`record_kernel_span`] /
-//! [`take_kernel_capture`]) are gated on the `trace` cargo feature; without
-//! it they are empty `#[inline]` bodies.
+//! The simulation runner synthesises traces *after* a run from its outcome
+//! stream, so tracing never touches the hot path and results stay
+//! byte-identical. Only DES kernel spans are captured live: a traced run
+//! opens a thread-local window ([`begin_kernel_capture`]), each event
+//! queue dropped inside it adds its span ([`record_kernel_span`]), and
+//! [`take_kernel_capture`] closes it. Outside a window a queue's drop
+//! records nothing.
 //!
 //! # Schema versioning
 //!
@@ -29,6 +29,7 @@
 //! manifest next to the trace so consumers can refuse mismatches.
 
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// Version of the serialised trace-record schema. See the module docs for
@@ -339,68 +340,31 @@ pub fn check_causal_order(records: &[TraceRecord]) -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(feature = "trace")]
-mod capture {
-    use super::KernelSpan;
-    use std::cell::RefCell;
-
-    thread_local! {
-        static KERNEL_SPANS: RefCell<Option<Vec<KernelSpan>>> = const { RefCell::new(None) };
-    }
-
-    pub fn begin() {
-        KERNEL_SPANS.with(|c| *c.borrow_mut() = Some(Vec::new()));
-    }
-
-    pub fn take() -> Vec<KernelSpan> {
-        KERNEL_SPANS.with(|c| c.borrow_mut().take().unwrap_or_default())
-    }
-
-    pub fn record(span: KernelSpan) {
-        KERNEL_SPANS.with(|c| {
-            if let Some(spans) = c.borrow_mut().as_mut() {
-                spans.push(span);
-            }
-        });
-    }
+thread_local! {
+    static KERNEL_SPANS: RefCell<Option<Vec<KernelSpan>>> = const { RefCell::new(None) };
 }
 
 /// Opens a kernel-span capture window on this thread. Queue-stat flushes
-/// that happen before [`take_kernel_capture`] are collected. No-op without
-/// the `trace` feature.
-#[inline]
+/// that happen before [`take_kernel_capture`] are collected.
 pub fn begin_kernel_capture() {
-    #[cfg(feature = "trace")]
-    capture::begin();
+    KERNEL_SPANS.with(|c| *c.borrow_mut() = Some(Vec::new()));
 }
 
 /// Closes the capture window and returns the spans collected since
-/// [`begin_kernel_capture`]. Always empty without the `trace` feature.
-#[inline]
+/// [`begin_kernel_capture`].
 pub fn take_kernel_capture() -> Vec<KernelSpan> {
-    #[cfg(feature = "trace")]
-    {
-        capture::take()
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        Vec::new()
-    }
+    KERNEL_SPANS.with(|c| c.borrow_mut().take().unwrap_or_default())
 }
 
-/// Records a kernel span into the open capture window, if any. Called by
-/// the DES event queue when it flushes stats on drop. No-op without the
-/// `trace` feature.
-#[inline]
+/// Records a kernel span into this thread's open capture window, if any.
+/// Called by the DES event queue when it drops.
 pub fn record_kernel_span(span: KernelSpan) {
-    #[cfg(feature = "trace")]
-    capture::record(span);
-    #[cfg(not(feature = "trace"))]
-    let _ = span;
+    KERNEL_SPANS.with(|c| {
+        if let Some(spans) = c.borrow_mut().as_mut() {
+            spans.push(span);
+        }
+    });
 }
-
-/// True when the `trace` cargo feature is enabled (kernel spans captured).
-pub const TRACE_ENABLED: bool = cfg!(feature = "trace");
 
 #[cfg(test)]
 mod tests {
@@ -545,8 +509,6 @@ mod tests {
 
     #[test]
     fn kernel_capture_is_scoped() {
-        // Without the `trace` feature these are no-ops and the take returns
-        // empty; with it, the span round-trips through the window.
         record_kernel_span(KernelSpan::default()); // outside any window: ignored
         begin_kernel_capture();
         record_kernel_span(KernelSpan {
@@ -555,12 +517,8 @@ mod tests {
             ..Default::default()
         });
         let spans = take_kernel_capture();
-        if TRACE_ENABLED {
-            assert_eq!(spans.len(), 1);
-            assert_eq!(spans[0].scheduled, 3);
-        } else {
-            assert!(spans.is_empty());
-        }
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].scheduled, 3);
         assert!(take_kernel_capture().is_empty());
     }
 }
