@@ -15,7 +15,7 @@
 //!   fixtures: a legal perturbation wrapper, a never-quiescing policy for
 //!   watchdog drills, and deliberately defective policies proving the
 //!   invariant engine catches real bugs.
-//! - [`shrink`] — greedy minimisation of a failing case to the smallest
+//! - [`shrink`](mod@shrink) — greedy minimisation of a failing case to the smallest
 //!   schedule (fewest stressors, shortest workload, smallest cluster) that
 //!   still reproduces the *same* failure signature.
 //! - [`run_soak`] — the generate→run→check→shrink loop behind the

@@ -4,7 +4,7 @@
 //! The reduction loop tries, in order of how much each move simplifies the
 //! case: dropping whole stressors, shortening the workload, and shrinking
 //! the cluster. A move is kept only when the reduced case still fails with
-//! the same [`CaseOutcome::signature`] — the failure must be *the same*
+//! the same [`CaseOutcome::signature`](crate::case::CaseOutcome::signature) — the failure must be *the same*
 //! failure, not merely *a* failure. The loop restarts after every accepted
 //! move and stops at a fixed point, so the result is 1-minimal under these
 //! moves: no single remaining stressor can be dropped, and neither

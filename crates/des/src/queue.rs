@@ -20,7 +20,7 @@
 //!
 //! # Storage layout: SoA keys + payload slab
 //!
-//! The ordering structure holds only plain-`Copy` [`HeapKey`] records — the
+//! The ordering structure holds only plain-`Copy` `HeapKey` records — the
 //! `(time, seq)` sort key plus a `u32` slot index — in dense arrays
 //! (structure-of-arrays relative to the payloads). Event payloads live in a
 //! separate slab arena, indexed by that `u32` and recycled through a free

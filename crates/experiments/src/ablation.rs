@@ -268,7 +268,7 @@ pub fn slack_threshold_sweep(
 }
 
 /// EASY vs conservative backfilling (Mu'alem & Feitelson, the paper's
-/// reference [19]) under accurate and trace estimates.
+/// reference \[19\]) under accurate and trace estimates.
 pub fn easy_vs_conservative(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
     let cfg = RunConfig {
         nodes,
@@ -299,7 +299,7 @@ pub fn easy_vs_conservative(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation
 }
 
 /// Computation-at-Risk comparison (the related-work method of paper refs
-/// [15][16]): per-policy CaR summaries of makespan and slowdown tails,
+/// \[15\]\[16\]): per-policy CaR summaries of makespan and slowdown tails,
 /// computed on the same runs the risk analysis grades.
 pub fn car_comparison(base: &[BaseJob], seed: u64, nodes: u32) -> String {
     use ccs_risk::car::{analyze as car_analyze, CarMetric};

@@ -1,8 +1,8 @@
 //! `utility-risk` — the umbrella CLI over every reproduction artifact.
 //!
 //! ```text
-//! utility_risk tables [--table N]          Tables I–VI (or only table N, 1–6)
-//! utility_risk figure <fig1..fig8>         one figure (+ artifacts)
+//! utility_risk tables                      Tables I–VI (or only --table N, 1–6)
+//! utility_risk figure FIG                  one figure, fig1..fig8 (+ artifacts)
 //! utility_risk all                         everything (figures + tables + report + store)
 //! utility_risk ablations                   ablation studies + CaR comparison
 //! utility_risk robustness                  seed-replication study
@@ -11,42 +11,41 @@
 //! utility_risk workload                    synthetic-workload statistics
 //! utility_risk timing                      one timed run per policy at the default point
 //! utility_risk trace                       one traced run + SLA report
-//! utility_risk trace-report <DIR|FILE>     offline re-analysis of a trace bundle
+//! utility_risk trace-report DIR|FILE       offline re-analysis of a trace bundle
 //! utility_risk chaos                       seeded chaos soak (generate→run→check→shrink)
 //! utility_risk query                       slice the columnar result store
 //! utility_risk perf                        phase-attributed cost report from the store
 //! utility_risk perf diff                   attribute a perf delta to phases and cells
+//! utility_risk serve-worker                remote TCP worker agent for --remote
 //! ```
 //!
-//! Every subcommand accepts the shared flags `--quick`, `--quiet`,
-//! `--jobs N`, `--seed S`, `--threads T`, `--replicas R` (seed replicas
-//! per grid cell, fanned across the in-process pool; objectives become the
-//! replica mean μ and `sigma_*` store columns record the spread),
-//! `--out DIR`, `--telemetry FILE` (switches the counter/histogram
-//! registry on for this run and writes its snapshot plus the per-cell
-//! wall-time tables to FILE; without it every hook is one untaken
-//! branch). `trace` additionally
-//! takes `--econ commodity|bid`, `--set A|B`, `--scenario IDX`,
-//! `--value IDX`, `--policy NAME`. Grid subcommands take the crash-safety
-//! flags `--resume JOURNAL`, `--cell-budget N`, `--cell-wall-budget SECS`,
-//! `--cell-event-budget N`, `--compact-journal`, plus the multi-process
-//! supervisor flags `--workers N`, `--retries N`, `--backoff-ms MS`,
-//! `--heartbeat-ms MS` (the latter three require `--workers`; results are
-//! byte-identical to a single-process run). `trace-report` takes none of
-//! the shared flags, only `[--manifest FILE] [--top K]`: it re-reads a
-//! bundle `trace` wrote (`DIR/trace.jsonl` plus `DIR/manifest.json`, or a
-//! bare `trace.jsonl` with the cross-check skipped), prints the same SLA
-//! report and exits 1 if the cross-check fails. `chaos` takes `--rounds N`,
-//! `--budget SECS`, `--max-events N` (per-replay watchdog budget). `query`
-//! reads the `results_store.json` a grid run wrote (no simulation, no
-//! JSONL) and takes `--store FILE`, the filters `--source grid|chaos`,
-//! `--econ commodity|bid`, `--set A|B`, `--scenario SUBSTR`,
-//! `--policy NAME`, plus `--select COLS`, `--sort-by COL`, `--desc`,
-//! `--limit N`, `--summarize`. `perf` reads the same store (`--store FILE`,
-//! `--top N`, `--by scenario|policy`); `perf diff` compares either two
-//! stores (`--store NEW --baseline OLD`) or two `BENCH_kernel.json`
-//! trendline entries (`--bench FILE [--from LABEL] [--to LABEL]`),
-//! attributing the delta to phases and cell groups.
+//! Every flag is one row of the table in [`ccs_experiments::cli`], which
+//! also prints the usage (run with no arguments). A flag given to a
+//! subcommand that does not take it exits 2 naming the flag, before any
+//! file is created or any cell runs. The flags, by who takes them:
+//!
+//! - every subcommand but `trace-report` and `serve-worker`: `--quick`
+//!   (200 jobs unless `--jobs` says otherwise), `--quiet`, `--jobs N`,
+//!   `--seed S`, `--threads T`, `--replicas R`, `--out DIR`,
+//!   `--telemetry FILE`;
+//! - `all`, `summary`, `dominance`: `--resume JOURNAL`, `--cell-budget N`,
+//!   `--cell-wall-budget SECS`, `--cell-event-budget N`,
+//!   `--compact-journal` (needs `--resume`), `--workers N`,
+//!   `--remote HOST:PORT,…`, `--retries N`, `--backoff-ms MS`,
+//!   `--heartbeat-ms MS`, `--connect-timeout-ms MS` (the last four need
+//!   `--workers` or `--remote`);
+//! - `tables`: `--table N`;
+//! - `trace`: `--econ commodity|bid`, `--set A|B`, `--scenario IDX`,
+//!   `--value IDX`, `--policy NAME`;
+//! - `trace-report`: `--manifest FILE`, `--top N`;
+//! - `chaos`: `--rounds N`, `--budget SECS`, `--max-events N`;
+//! - `query`: `--econ`, `--set`, `--policy` as for `trace`, `--store FILE`,
+//!   `--source grid|chaos`, `--scenario SUBSTR`, `--select COL,COL,…`,
+//!   `--sort-by COL`, `--desc`, `--limit N`, `--summarize`;
+//! - `perf`: `--top N`, `--store FILE`, `--by scenario|policy`;
+//! - `perf diff`: either `--baseline OLD_STORE` with `--store FILE`, or
+//!   `--bench TRENDLINE` with `--from LABEL`, `--to LABEL`;
+//! - `serve-worker`: `--listen HOST:PORT` (required).
 //!
 //! `profile` is the one cargo feature: grid runs built with `--features
 //! profile` additionally write `profile.folded` (collapsed flamegraph
@@ -57,262 +56,17 @@
 
 use ccs_chaos::{run_soak, SoakConfig};
 use ccs_economy::EconomicModel;
+use ccs_experiments::cli::{self, Cli, Command};
 use ccs_experiments::figures::{print_figure, print_figure2, write_figure, write_figure2};
-use ccs_experiments::store::{SOURCE_CHAOS, SOURCE_GRID};
 use ccs_experiments::{
-    build_figure, parse_cli_checked, policies_for, progress, replicate, run_all_ablations,
-    run_evaluation_ctl, tables, telemetry_report, trace_report, write_atomic, CellError,
-    ConfigError, EstimateSet, GridControl, Journal, ProvenanceManifest, Query, RawGrid,
-    ResultStore, SupervisorConfig, TelemetryReport, TraceCellSpec, FIGURE_IDS, STORE_FILE,
+    build_figure, policies_for, progress, replicate, run_all_ablations, run_evaluation_ctl, tables,
+    telemetry_report, trace_report, write_atomic, CellError, EstimateSet, Journal,
+    ProvenanceManifest, RawGrid, ResultStore, TelemetryReport, STORE_FILE,
 };
 use ccs_risk::Objective;
-use ccs_simsvc::{RunBudget, RunConfig};
+use ccs_simsvc::RunConfig;
 use ccs_workload::{apply_scenario, WorkloadSummary};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: utility_risk <tables|figure FIG|all|ablations|robustness|summary|dominance|workload|timing|trace|chaos|query|perf> \
-         [--quick] [--quiet] [--jobs N] [--seed S] [--threads T] [--replicas R] [--out DIR] [--telemetry FILE]\n\
-         tables also takes: [--table N] (N in 1..=6); figure takes FIG in fig1..fig8\n\
-         grid subcommands (all/summary/dominance) also take: [--resume JOURNAL] [--cell-budget N] \
-         [--cell-wall-budget SECS] [--cell-event-budget N] [--compact-journal]\n\
-         multi-process grid: [--workers N] [--remote HOST:PORT,…] [--retries N] [--backoff-ms MS] \
-         [--heartbeat-ms MS] [--connect-timeout-ms MS]\n\
-         serve-worker takes: --listen HOST:PORT (a remote TCP worker agent for --remote)\n\
-         trace also takes: [--econ commodity|bid] [--set A|B] [--scenario IDX] [--value IDX] [--policy NAME]\n\
-         trace-report takes: <DIR|trace.jsonl> [--manifest FILE] [--top K] (no shared flags)\n\
-         chaos also takes: [--rounds N] [--budget SECS] [--max-events N]\n\
-         query takes: [--store FILE] [--source grid|chaos] [--econ commodity|bid] [--set A|B] \
-         [--scenario SUBSTR] [--policy NAME] [--select COL,COL,…] [--sort-by COL] [--desc] \
-         [--limit N] [--summarize]\n\
-         perf takes: [--store FILE] [--top N] [--by scenario|policy]\n\
-         perf diff takes: --store NEW --baseline OLD | --bench FILE [--from LABEL] [--to LABEL]"
-    );
-    std::process::exit(2);
-}
-
-/// Strips the crash-safety flags (`--resume FILE`, `--cell-budget N`,
-/// `--cell-wall-budget SECS`, `--cell-event-budget N`, `--compact-journal`)
-/// and the multi-process supervisor flags (`--workers N`,
-/// `--remote HOST:PORT,…`, `--retries N`, `--backoff-ms MS`,
-/// `--heartbeat-ms MS`, `--connect-timeout-ms MS`) from the argument list
-/// before the shared parser sees them. Returns the grid control plus
-/// whether the journal should be compacted afterwards.
-fn parse_grid_control(args: &mut Vec<String>) -> Result<(GridControl, bool), String> {
-    let mut ctl = GridControl::default();
-    let mut compact = false;
-    let mut workers: Option<usize> = None;
-    let mut remotes: Vec<String> = Vec::new();
-    let mut retries: Option<u32> = None;
-    let mut backoff_ms: Option<u64> = None;
-    let mut heartbeat_ms: Option<u64> = None;
-    let mut connect_timeout_ms: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--workers requires a count")?;
-                workers = Some(
-                    v.parse()
-                        .map_err(|_| format!("--workers: expected a count, got {v:?}"))?,
-                );
-                args.drain(i..i + 2);
-            }
-            "--remote" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--remote requires host:port[,host:port,…]")?;
-                remotes.extend(
-                    v.split(',')
-                        .map(str::trim)
-                        .filter(|a| !a.is_empty())
-                        .map(String::from),
-                );
-                args.drain(i..i + 2);
-            }
-            "--connect-timeout-ms" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--connect-timeout-ms requires milliseconds")?;
-                connect_timeout_ms = Some(v.parse().map_err(|_| {
-                    format!("--connect-timeout-ms: expected milliseconds, got {v:?}")
-                })?);
-                args.drain(i..i + 2);
-            }
-            "--retries" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--retries requires a count")?;
-                retries = Some(
-                    v.parse()
-                        .map_err(|_| format!("--retries: expected a count, got {v:?}"))?,
-                );
-                args.drain(i..i + 2);
-            }
-            "--backoff-ms" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--backoff-ms requires milliseconds")?;
-                backoff_ms = Some(
-                    v.parse()
-                        .map_err(|_| format!("--backoff-ms: expected milliseconds, got {v:?}"))?,
-                );
-                args.drain(i..i + 2);
-            }
-            "--heartbeat-ms" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--heartbeat-ms requires milliseconds")?;
-                heartbeat_ms =
-                    Some(v.parse().map_err(|_| {
-                        format!("--heartbeat-ms: expected milliseconds, got {v:?}")
-                    })?);
-                args.drain(i..i + 2);
-            }
-            "--resume" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--resume requires a journal path")?;
-                let path = std::path::PathBuf::from(v);
-                // Fail at parse time, not partway into the grid.
-                Journal::create(&path).map_err(|e| {
-                    let msg = format!("cannot open journal {}: {e}", path.display());
-                    ConfigError::new("--resume", msg).to_string()
-                })?;
-                ctl.journal = Some(path);
-                args.drain(i..i + 2);
-            }
-            "--cell-budget" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--cell-budget requires a count")?;
-                ctl.cell_budget = Some(
-                    v.parse()
-                        .map_err(|_| format!("--cell-budget: expected a count, got {v:?}"))?,
-                );
-                args.drain(i..i + 2);
-            }
-            "--cell-wall-budget" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--cell-wall-budget requires seconds")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--cell-wall-budget: expected seconds, got {v:?}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!(
-                        "--cell-wall-budget: must be finite and positive, got {v}"
-                    ));
-                }
-                ctl.cell_wall_budget = Some(secs);
-                args.drain(i..i + 2);
-            }
-            "--cell-event-budget" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--cell-event-budget requires a count")?;
-                ctl.cell_event_budget =
-                    Some(v.parse().map_err(|_| {
-                        format!("--cell-event-budget: expected a count, got {v:?}")
-                    })?);
-                args.drain(i..i + 2);
-            }
-            "--compact-journal" => {
-                compact = true;
-                args.remove(i);
-            }
-            _ => i += 1,
-        }
-    }
-    if compact && ctl.journal.is_none() {
-        return Err("--compact-journal requires --resume JOURNAL".to_string());
-    }
-    if workers.is_some() || !remotes.is_empty() {
-        let d = SupervisorConfig::default();
-        // `--remote` without `--workers` means a purely remote grid: no
-        // local children, all shards dialed out.
-        let sup = SupervisorConfig {
-            workers: workers.unwrap_or(0),
-            remotes,
-            retries: retries.unwrap_or(d.retries),
-            backoff_ms: backoff_ms.unwrap_or(d.backoff_ms),
-            heartbeat_ms: heartbeat_ms.unwrap_or(d.heartbeat_ms),
-            connect_timeout_ms: connect_timeout_ms.unwrap_or(d.connect_timeout_ms),
-            worker_bin: None,
-        };
-        sup.validate().map_err(|e| e.to_string())?;
-        ctl.supervisor = Some(sup);
-    } else {
-        for (flag, set) in [
-            ("--retries", retries.is_some()),
-            ("--backoff-ms", backoff_ms.is_some()),
-            ("--heartbeat-ms", heartbeat_ms.is_some()),
-            ("--connect-timeout-ms", connect_timeout_ms.is_some()),
-        ] {
-            if set {
-                return Err(format!(
-                    "{flag} requires --workers N or --remote HOST:PORT (supervised grid mode)"
-                ));
-            }
-        }
-    }
-    Ok((ctl, compact))
-}
-
-/// The `tables` subcommand's `--table N` (1–6), stripped before the shared
-/// parser; `None` prints all six tables.
-fn parse_table_arg(args: &mut Vec<String>) -> Result<Option<u8>, ConfigError> {
-    let Some(i) = args.iter().position(|a| a == "--table") else {
-        return Ok(None);
-    };
-    let v = args
-        .get(i + 1)
-        .cloned()
-        .ok_or_else(|| ConfigError::new("--table", "requires a table number (1-6)"))?;
-    args.drain(i..i + 2);
-    match v.parse::<u8>() {
-        Ok(n @ 1..=6) => Ok(Some(n)),
-        _ => Err(ConfigError::new(
-            "--table",
-            format!("expected a table number 1-6, got {v:?}"),
-        )),
-    }
-}
-
-/// Unwraps a parsed argument or reports the [`ConfigError`] and exits 2.
-fn or_exit<T>(parsed: Result<T, ConfigError>) -> T {
-    parsed.unwrap_or_else(|e| {
-        eprintln!("utility_risk: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// The `figure` subcommand's id, checked before any grid runs.
-fn parse_figure_id(id: String) -> Result<String, ConfigError> {
-    if FIGURE_IDS.contains(&id.as_str()) {
-        Ok(id)
-    } else {
-        Err(ConfigError::new(
-            "figure",
-            format!(
-                "unknown figure id {id:?} (valid: {})",
-                FIGURE_IDS.join(", ")
-            ),
-        ))
-    }
-}
+use std::path::{Path, PathBuf};
 
 /// `utility_risk trace-report`: offline analysis of a trace bundle written
 /// by `trace` (or any `trace.jsonl` in the same schema). Reconstructs every
@@ -321,42 +75,14 @@ fn parse_figure_id(id: String) -> Result<String, ConfigError> {
 /// longest-waiting jobs, and — when a manifest is present — cross-checks
 /// the recomputed objectives against the runner's metrics, exiting 1 on any
 /// disagreement. Never returns.
-fn run_trace_report(mut args: Vec<String>) -> ! {
-    fn usage() -> ! {
-        eprintln!("usage: utility_risk trace-report <DIR|trace.jsonl> [--manifest FILE] [--top K]");
-        std::process::exit(2);
-    }
-    let mut manifest_path: Option<std::path::PathBuf> = None;
-    let mut top = 10usize;
-    if let Some(i) = args.iter().position(|a| a == "--manifest") {
-        if i + 1 >= args.len() {
-            usage();
-        }
-        args.remove(i);
-        manifest_path = Some(std::path::PathBuf::from(args.remove(i)));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--top") {
-        if i + 1 >= args.len() {
-            usage();
-        }
-        args.remove(i);
-        top = args.remove(i).parse().unwrap_or_else(|_| usage());
-    }
-    if args.len() != 1 || args[0].starts_with("--") {
-        usage();
-    }
-
-    let target = std::path::PathBuf::from(&args[0]);
-    let trace_path = if target.is_dir() {
-        if manifest_path.is_none() {
-            let candidate = target.join("manifest.json");
-            if candidate.exists() {
-                manifest_path = Some(candidate);
-            }
-        }
+fn run_trace_report(target: &Path, manifest: Option<PathBuf>, top: usize) -> ! {
+    let dir = target.is_dir();
+    let bundled = Some(target.join("manifest.json")).filter(|p| dir && p.exists());
+    let manifest_path = manifest.or(bundled);
+    let trace_path = if dir {
         target.join("trace.jsonl")
     } else {
-        target
+        target.to_path_buf()
     };
 
     let text = std::fs::read_to_string(&trace_path).unwrap_or_else(|e| {
@@ -431,204 +157,8 @@ fn run_timing(cfg: &ccs_experiments::ExperimentConfig) {
     }
 }
 
-/// The `chaos` subcommand's own flags, stripped before the shared parser.
-struct ChaosArgs {
-    rounds: u32,
-    wall_secs: f64,
-    max_events: u64,
-}
-
-fn parse_chaos_args(args: &mut Vec<String>) -> Result<ChaosArgs, String> {
-    let defaults = SoakConfig::default();
-    let mut chaos = ChaosArgs {
-        rounds: defaults.rounds,
-        wall_secs: defaults.budget.max_wall_secs.unwrap_or(30.0),
-        max_events: defaults.budget.max_events.unwrap_or(5_000_000),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--rounds" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--rounds requires a count")?;
-                chaos.rounds = v
-                    .parse()
-                    .map_err(|_| format!("--rounds: expected a count, got {v:?}"))?;
-                args.drain(i..i + 2);
-            }
-            "--budget" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--budget requires seconds")?;
-                chaos.wall_secs = v
-                    .parse()
-                    .map_err(|_| format!("--budget: expected seconds, got {v:?}"))?;
-                if !chaos.wall_secs.is_finite() || chaos.wall_secs <= 0.0 {
-                    return Err(format!("--budget: must be finite and positive, got {v}"));
-                }
-                args.drain(i..i + 2);
-            }
-            "--max-events" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--max-events requires a count")?;
-                chaos.max_events = v
-                    .parse()
-                    .map_err(|_| format!("--max-events: expected a count, got {v:?}"))?;
-                args.drain(i..i + 2);
-            }
-            _ => i += 1,
-        }
-    }
-    Ok(chaos)
-}
-
-/// The `query` subcommand's own flags, stripped before the shared parser.
-/// Returns the parsed query plus an optional explicit store path
-/// (defaulting to `OUT/results_store.json` otherwise).
-fn parse_query_args(args: &mut Vec<String>) -> Result<(Query, Option<std::path::PathBuf>), String> {
-    let mut q = Query::default();
-    let mut store_path = None;
-    let value_of = |args: &mut Vec<String>, i: usize, flag: &str| -> Result<String, String> {
-        let v = args
-            .get(i + 1)
-            .cloned()
-            .ok_or(format!("{flag} requires a value"))?;
-        args.drain(i..i + 2);
-        Ok(v)
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--store" => {
-                store_path = Some(std::path::PathBuf::from(value_of(args, i, "--store")?));
-            }
-            "--source" => {
-                q.source = Some(match value_of(args, i, "--source")?.as_str() {
-                    "grid" => SOURCE_GRID,
-                    "chaos" => SOURCE_CHAOS,
-                    other => return Err(format!("--source: expected grid|chaos, got {other:?}")),
-                });
-            }
-            "--econ" => {
-                q.econ = Some(match value_of(args, i, "--econ")?.as_str() {
-                    "commodity" => EconomicModel::CommodityMarket,
-                    "bid" => EconomicModel::BidBased,
-                    other => return Err(format!("--econ: expected commodity|bid, got {other:?}")),
-                });
-            }
-            "--set" => {
-                q.set = Some(match value_of(args, i, "--set")?.as_str() {
-                    "A" | "a" => EstimateSet::A,
-                    "B" | "b" => EstimateSet::B,
-                    other => return Err(format!("--set: expected A|B, got {other:?}")),
-                });
-            }
-            "--scenario" => q.scenario_contains = Some(value_of(args, i, "--scenario")?),
-            "--policy" => q.policy = Some(value_of(args, i, "--policy")?),
-            "--select" => {
-                q.select = value_of(args, i, "--select")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-            }
-            "--sort-by" => q.sort_by = Some(value_of(args, i, "--sort-by")?),
-            "--desc" => {
-                q.descending = true;
-                args.remove(i);
-            }
-            "--limit" => {
-                let v = value_of(args, i, "--limit")?;
-                q.limit = Some(
-                    v.parse()
-                        .map_err(|_| format!("--limit: expected a count, got {v:?}"))?,
-                );
-            }
-            "--summarize" => {
-                q.summarize = true;
-                args.remove(i);
-            }
-            _ => i += 1,
-        }
-    }
-    Ok((q, store_path))
-}
-
-/// The `perf` subcommand's own flags, stripped before the shared parser.
-/// `diff` is set by the positional `diff` word after `perf`.
-struct PerfArgs {
-    diff: bool,
-    store: Option<std::path::PathBuf>,
-    baseline: Option<std::path::PathBuf>,
-    bench: Option<std::path::PathBuf>,
-    from: Option<String>,
-    to: Option<String>,
-    top: usize,
-    by: ccs_experiments::perf::GroupBy,
-}
-
-fn parse_perf_args(diff: bool, args: &mut Vec<String>) -> Result<PerfArgs, String> {
-    let mut p = PerfArgs {
-        diff,
-        store: None,
-        baseline: None,
-        bench: None,
-        from: None,
-        to: None,
-        top: 10,
-        by: ccs_experiments::perf::GroupBy::Scenario,
-    };
-    let value_of = |args: &mut Vec<String>, i: usize, flag: &str| -> Result<String, String> {
-        let v = args
-            .get(i + 1)
-            .cloned()
-            .ok_or(format!("{flag} requires a value"))?;
-        args.drain(i..i + 2);
-        Ok(v)
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--store" => {
-                p.store = Some(std::path::PathBuf::from(value_of(args, i, "--store")?));
-            }
-            "--baseline" => {
-                p.baseline = Some(std::path::PathBuf::from(value_of(args, i, "--baseline")?));
-            }
-            "--bench" => {
-                p.bench = Some(std::path::PathBuf::from(value_of(args, i, "--bench")?));
-            }
-            "--from" => p.from = Some(value_of(args, i, "--from")?),
-            "--to" => p.to = Some(value_of(args, i, "--to")?),
-            "--top" => {
-                let v = value_of(args, i, "--top")?;
-                p.top = v
-                    .parse()
-                    .map_err(|_| format!("--top: expected a count, got {v:?}"))?;
-            }
-            "--by" => {
-                p.by = ccs_experiments::perf::GroupBy::parse(&value_of(args, i, "--by")?)?;
-            }
-            _ => i += 1,
-        }
-    }
-    if p.diff && p.bench.is_none() && p.baseline.is_none() {
-        return Err("perf diff needs --baseline OLD_STORE or --bench TRENDLINE".to_string());
-    }
-    if !p.diff && (p.baseline.is_some() || p.bench.is_some() || p.from.is_some() || p.to.is_some())
-    {
-        return Err("--baseline/--bench/--from/--to only apply to perf diff".to_string());
-    }
-    Ok(p)
-}
-
 /// Loads a result store or exits 1 with a pointer at how to produce one.
-fn load_store_or_die(path: &std::path::Path, context: &str) -> ResultStore {
+fn load_store_or_die(path: &Path, context: &str) -> ResultStore {
     match ResultStore::load(path) {
         Ok(store) => store,
         Err(e) => {
@@ -641,30 +171,10 @@ fn load_store_or_die(path: &std::path::Path, context: &str) -> ResultStore {
     }
 }
 
-/// Runs `utility_risk perf` / `perf diff` against already-written artifacts
-/// (no simulation) and exits.
-fn run_perf(p: &PerfArgs, out: &std::path::Path) -> ! {
-    if !p.diff {
-        let path = p.store.clone().unwrap_or_else(|| out.join(STORE_FILE));
-        let store = load_store_or_die(&path, "perf");
-        print!("{}", ccs_experiments::perf::report(&store, p.top, p.by));
-        std::process::exit(0);
-    }
-    let result = if let Some(bench) = &p.bench {
-        match std::fs::read_to_string(bench) {
-            Ok(text) => {
-                ccs_experiments::perf::diff_bench(&text, p.from.as_deref(), p.to.as_deref())
-            }
-            Err(e) => Err(format!("cannot read {}: {e}", bench.display())),
-        }
-    } else {
-        let new_path = p.store.clone().unwrap_or_else(|| out.join(STORE_FILE));
-        let base_path = p.baseline.clone().expect("checked at parse time");
-        let baseline = load_store_or_die(&base_path, "perf diff");
-        let new = load_store_or_die(&new_path, "perf diff");
-        ccs_experiments::perf::diff_stores(&baseline, &new)
-    };
-    match result {
+/// Prints a `utility_risk perf diff` report and exits 0, or reports why
+/// there is none and exits 1.
+fn finish_perf_diff(report: Result<String, String>) -> ! {
+    match report {
         Ok(text) => {
             print!("{text}");
             std::process::exit(0);
@@ -681,7 +191,7 @@ fn run_perf(p: &PerfArgs, out: &std::path::Path) -> ! {
 fn write_store(
     ev: &ccs_experiments::Evaluation,
     cfg: &ccs_experiments::ExperimentConfig,
-    out: &std::path::Path,
+    out: &Path,
 ) {
     let store = ResultStore::from_evaluation(ev, cfg);
     let path = store.save(out).expect("write results store");
@@ -696,20 +206,16 @@ fn write_store(
 /// `chaos_report.json` artifact, and one replayable reproducer JSON per
 /// finding. Exits 1 when any round found a violation, budget trip, or
 /// panic.
-fn run_chaos(chaos: &ChaosArgs, seed: u64, out: &std::path::Path) -> ! {
-    let cfg = SoakConfig {
-        seed,
-        rounds: chaos.rounds,
-        budget: RunBudget {
-            max_wall_secs: Some(chaos.wall_secs),
-            max_events: Some(chaos.max_events),
-        },
-    };
+fn run_chaos(cfg: &SoakConfig, out: &Path) -> ! {
+    let budget = &cfg.budget;
     progress::note(&format!(
         "chaos soak: seed {} / {} rounds / budget {}s, {} events per replay",
-        cfg.seed, cfg.rounds, chaos.wall_secs, chaos.max_events
+        cfg.seed,
+        cfg.rounds,
+        budget.max_wall_secs.unwrap_or_default(),
+        budget.max_events.unwrap_or_default()
     ));
-    let report = run_soak(&cfg, |round, case, outcome| {
+    let report = run_soak(cfg, |round, case, outcome| {
         if let Some(sig) = outcome.signature() {
             eprintln!(
                 "chaos: round {round} FAILED ({sig}) — case seed {}, shrinking…",
@@ -765,7 +271,7 @@ fn run_chaos(chaos: &ChaosArgs, seed: u64, out: &std::path::Path) -> ! {
 /// atomically writes `cell_errors.json` under `out` and prints each error.
 /// Returns true when there was anything to report (the process should then
 /// exit nonzero once the telemetry artifacts are flushed).
-fn report_cell_errors(errors: &[CellError], out: &std::path::Path) -> bool {
+fn report_cell_errors(errors: &[CellError], out: &Path) -> bool {
     if errors.is_empty() {
         return false;
     }
@@ -785,7 +291,7 @@ fn report_cell_errors(errors: &[CellError], out: &std::path::Path) -> bool {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     // The hidden `worker` subcommand: how the supervisor re-execs this
     // binary as a grid worker (see `ccs_experiments::supervisor`). It
     // speaks length-prefixed JSON frames on stdin/stdout and never
@@ -793,119 +299,24 @@ fn main() {
     if args.first().map(String::as_str) == Some("worker") {
         ccs_experiments::worker::worker_main();
     }
-    // `serve-worker` — the remote TCP worker agent the supervisor's
-    // `--remote` flag dials. Long-lived: one protocol session per
-    // accepted connection, until a clean Shutdown frame. Never returns.
-    if args.first().map(String::as_str) == Some("serve-worker") {
-        let listen = match (args.get(1).map(String::as_str), args.get(2)) {
-            (Some("--listen"), Some(addr)) if args.len() == 3 => addr.clone(),
-            _ => {
-                eprintln!("utility_risk serve-worker: requires exactly --listen HOST:PORT");
-                std::process::exit(2);
-            }
-        };
-        ccs_experiments::worker::serve_worker_main(&listen);
-    }
-    // `trace-report` reads an existing bundle and takes none of the shared
-    // flags. Never returns.
-    if args.first().map(String::as_str) == Some("trace-report") {
-        run_trace_report(args.split_off(1));
-    }
     if args.is_empty() {
-        usage();
+        eprint!("{}", cli::usage());
+        std::process::exit(2);
     }
-    let cmd = args.remove(0);
-    // `figure` consumes one positional argument before the shared flags;
-    // `tables` strips its `--table N`. Both are checked before any grid runs.
-    let fig_id = if cmd == "figure" {
-        if args.is_empty() || args[0].starts_with("--") {
-            usage();
+    let Cli {
+        command,
+        cfg,
+        out,
+        telemetry,
+        ctl,
+        compact_journal,
+    } = cli::parse(&args).unwrap_or_else(|e| {
+        eprintln!("utility_risk: {e}");
+        if e.field == "subcommand" {
+            eprint!("{}", cli::usage());
         }
-        Some(or_exit(parse_figure_id(args.remove(0))))
-    } else {
-        None
-    };
-    let table = if cmd == "tables" {
-        or_exit(parse_table_arg(&mut args))
-    } else {
-        None
-    };
-    // `trace` strips its cell-selection flags before the shared parser
-    // (which panics on anything it does not know).
-    let spec = if cmd == "trace" {
-        match TraceCellSpec::parse_args(&mut args) {
-            Ok(spec) => Some(spec),
-            Err(e) => {
-                eprintln!("utility_risk trace: {e}");
-                usage();
-            }
-        }
-    } else {
-        None
-    };
-    // `chaos` strips its soak flags before the shared parser.
-    let chaos_args = if cmd == "chaos" {
-        match parse_chaos_args(&mut args) {
-            Ok(chaos) => Some(chaos),
-            Err(e) => {
-                eprintln!("utility_risk chaos: {e}");
-                usage();
-            }
-        }
-    } else {
-        None
-    };
-    // `perf` consumes an optional positional `diff`, then strips its own
-    // flags before the shared parser.
-    let perf_args = if cmd == "perf" {
-        let diff = args.first().map(|a| a == "diff").unwrap_or(false);
-        if diff {
-            args.remove(0);
-        }
-        match parse_perf_args(diff, &mut args) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                eprintln!("utility_risk perf: {e}");
-                usage();
-            }
-        }
-    } else {
-        None
-    };
-    // `query` strips its store/filter flags before the shared parser.
-    let query_args = if cmd == "query" {
-        match parse_query_args(&mut args) {
-            Ok(parsed) => Some(parsed),
-            Err(e) => {
-                eprintln!("utility_risk query: {e}");
-                usage();
-            }
-        }
-    } else {
-        None
-    };
-    let (ctl, compact_journal) = match parse_grid_control(&mut args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("utility_risk: {e}");
-            usage();
-        }
-    };
-    let (cfg, out, telemetry) = match parse_cli_checked(&args) {
-        Ok(parsed) if ctl.supervisor.is_some() && parsed.0.replicas > 1 => {
-            let e = ConfigError::new(
-                "--replicas",
-                "seed ensembles run in-process only; drop --workers/--remote or use --replicas 1",
-            );
-            eprintln!("utility_risk: {e}");
-            std::process::exit(2);
-        }
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("utility_risk: {e}");
-            std::process::exit(2);
-        }
-    };
+        std::process::exit(2);
+    });
     if telemetry.is_some() {
         ccs_telemetry::enable();
     }
@@ -915,28 +326,34 @@ fn main() {
     // Panicked grid cells, reported (with a nonzero exit) at the end.
     let mut cell_errors: Vec<CellError> = Vec::new();
 
-    match cmd.as_str() {
-        "tables" => match table {
-            None => print!("{}", tables::all_tables()),
-            Some(n) => {
-                let render = [
-                    tables::table1,
-                    tables::table2,
-                    tables::table3,
-                    tables::table4,
-                    tables::table5,
-                    tables::table6,
-                ][usize::from(n) - 1];
-                print!("{}", render());
-            }
-        },
-        "figure" => {
-            let id = fig_id.expect("parsed above");
+    match command {
+        // `serve-worker` — the remote TCP worker agent the supervisor's
+        // `--remote` flag dials. Long-lived: one protocol session per
+        // accepted connection, until a clean Shutdown frame.
+        Command::ServeWorker(listen) => ccs_experiments::worker::serve_worker_main(&listen),
+        Command::TraceReport {
+            target,
+            manifest,
+            top,
+        } => run_trace_report(&target, manifest, top),
+        Command::Tables(None) => print!("{}", tables::all_tables()),
+        Command::Tables(Some(n)) => {
+            let render = [
+                tables::table1,
+                tables::table2,
+                tables::table3,
+                tables::table4,
+                tables::table5,
+                tables::table6,
+            ][n - 1];
+            print!("{}", render());
+        }
+        Command::Figure(id) => {
             let files = if id == "fig2" {
                 print!("{}", print_figure2());
                 write_figure2(&out).expect("write artifacts")
             } else {
-                let fig = build_figure(&id, &cfg);
+                let fig = build_figure(id, &cfg);
                 print!("{}", print_figure(&fig));
                 write_figure(&out, &fig).expect("write artifacts")
             };
@@ -946,7 +363,7 @@ fn main() {
                 out.display()
             ));
         }
-        "all" => {
+        Command::All => {
             println!("{}", tables::all_tables());
             let ev = run_evaluation_ctl(&cfg, &ctl);
             cell_errors = ev.cell_errors().into_iter().cloned().collect();
@@ -969,7 +386,7 @@ fn main() {
             progress::note(&format!("artifacts under {}", out.display()));
             raw_grids = ev.raw_grids;
         }
-        "ablations" => {
+        Command::Ablations => {
             let base = cfg.trace.generate(cfg.seed);
             for ablation in run_all_ablations(&base, cfg.seed, cfg.nodes) {
                 println!("{}", ablation.render());
@@ -979,7 +396,7 @@ fn main() {
                 ccs_experiments::ablation::car_comparison(&base, cfg.seed, cfg.nodes)
             );
         }
-        "robustness" => {
+        Command::Robustness => {
             for econ in EconomicModel::ALL {
                 for set in EstimateSet::ALL {
                     let r = replicate(econ, set, &cfg, &[1, 2, 3, 4, 5]);
@@ -1005,7 +422,7 @@ fn main() {
                 println!();
             }
         }
-        "summary" => {
+        Command::Summary => {
             let ev = run_evaluation_ctl(&cfg, &ctl);
             cell_errors = ev.cell_errors().into_iter().cloned().collect();
             for g in [&ev.commodity_a, &ev.commodity_b, &ev.bid_a, &ev.bid_b] {
@@ -1026,7 +443,7 @@ fn main() {
             write_store(&ev, &cfg, &out);
             raw_grids = ev.raw_grids;
         }
-        "dominance" => {
+        Command::Dominance => {
             let ev = run_evaluation_ctl(&cfg, &ctl);
             cell_errors = ev.cell_errors().into_iter().cloned().collect();
             for g in [&ev.commodity_a, &ev.commodity_b, &ev.bid_a, &ev.bid_b] {
@@ -1040,35 +457,33 @@ fn main() {
             write_store(&ev, &cfg, &out);
             raw_grids = ev.raw_grids;
         }
-        "timing" => run_timing(&cfg),
-        "workload" => {
+        Command::Timing => run_timing(&cfg),
+        Command::Workload => {
             let base = cfg.trace.generate(cfg.seed);
             let jobs = apply_scenario(&base, &ccs_experiments::baseline(EstimateSet::B), cfg.seed);
             println!("{}\n", WorkloadSummary::compute(&jobs, cfg.nodes));
             println!("{}", ccs_workload::TraceHistograms::of(&base).render(48));
         }
-        "chaos" => {
-            let chaos = chaos_args.expect("parsed above");
-            run_chaos(&chaos, cfg.seed, &out);
+        Command::Chaos(soak) => run_chaos(&soak, &out),
+        Command::Perf { store, top, by } => {
+            let store = load_store_or_die(&store, "perf");
+            print!("{}", ccs_experiments::perf::report(&store, top, by));
         }
-        "perf" => {
-            let p = perf_args.expect("parsed above");
-            run_perf(&p, &out);
+        Command::PerfDiffStores { baseline, store } => {
+            let baseline = load_store_or_die(&baseline, "perf diff");
+            let new = load_store_or_die(&store, "perf diff");
+            finish_perf_diff(ccs_experiments::perf::diff_stores(&baseline, &new))
         }
-        "query" => {
-            let (q, store_path) = query_args.expect("parsed above");
-            let path = store_path.unwrap_or_else(|| out.join(STORE_FILE));
-            let store = match ResultStore::load(&path) {
-                Ok(store) => store,
-                Err(e) => {
-                    eprintln!(
-                        "utility_risk query: {e}\n(run `utility_risk summary` or `all` first \
-                         to produce the store, or point --store at one)"
-                    );
-                    std::process::exit(1);
-                }
-            };
-            match store.query(&q) {
+        Command::PerfDiffBench { bench, from, to } => finish_perf_diff(
+            std::fs::read_to_string(&bench)
+                .map_err(|e| format!("cannot read {}: {e}", bench.display()))
+                .and_then(|text| {
+                    ccs_experiments::perf::diff_bench(&text, from.as_deref(), to.as_deref())
+                }),
+        ),
+        Command::Query { query, store } => {
+            let store = load_store_or_die(&store, "query");
+            match store.query(&query) {
                 Ok(res) => print!("{}", res.render()),
                 Err(e) => {
                     eprintln!("utility_risk query: {e}");
@@ -1076,8 +491,7 @@ fn main() {
                 }
             }
         }
-        "trace" => {
-            let spec = spec.expect("parsed above");
+        Command::Trace(spec) => {
             let bundle = ccs_experiments::capture_cell(&spec, &cfg);
             let files = ccs_experiments::write_bundle(&bundle, &out).expect("write trace bundle");
             progress::note(&format!(
@@ -1101,7 +515,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        _ => usage(),
     }
 
     if compact_journal {

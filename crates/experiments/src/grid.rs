@@ -985,7 +985,7 @@ fn simulate_cell_ensemble(
 
 /// Runs one policy cell as an in-process seed ensemble over a
 /// caller-provided workload — the public face of
-/// [`simulate_cell_ensemble`] for benchmarks and diagnostics, bypassing
+/// `simulate_cell_ensemble` for benchmarks and diagnostics, bypassing
 /// the grid machinery (journals, budgets, drills).
 ///
 /// Returns `Ok((mu, sigma, events))` — the replica-mean objectives, their

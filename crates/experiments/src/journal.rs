@@ -103,6 +103,22 @@ pub struct CellRecord {
     pub worker: u64,
 }
 
+/// A journal file's text. Bytes that are not UTF-8 (a corrupt line) are
+/// replaced, so that line fails to parse and is skipped like a torn one
+/// instead of failing the whole read.
+fn read_text(path: &Path) -> std::io::Result<String> {
+    Ok(String::from_utf8_lossy(&std::fs::read(path)?).into_owned())
+}
+
+/// The non-empty lines of journal text, each with its record when it
+/// parses; torn and corrupt lines carry `None`.
+fn lines(text: &str) -> impl Iterator<Item = (&str, Option<CellRecord>)> {
+    text.lines()
+        .map(str::trim)
+        .filter(|line| !line.is_empty())
+        .map(|line| (line, serde_json::from_str(line).ok()))
+}
+
 /// Append-only JSONL journal of completed cells, shared across grid worker
 /// threads.
 #[derive(Debug)]
@@ -116,19 +132,17 @@ pub struct Journal {
 impl Journal {
     /// Opens (creating if missing) the journal at `path` and loads every
     /// parseable record already in it. Torn trailing lines — the expected
-    /// residue of a killed run — are skipped, not fatal.
+    /// residue of a killed run — are skipped, not fatal, and terminated
+    /// with a newline so the next append starts a line of its own.
     pub fn open(path: &Path) -> std::io::Result<Journal> {
-        let file = Journal::create(path)?;
+        let mut file = Journal::create(path)?;
         let mut seen = HashMap::new();
-        if let Ok(text) = std::fs::read_to_string(path) {
-            for line in text.lines() {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                if let Ok(rec) = serde_json::from_str::<CellRecord>(line) {
-                    seen.insert(rec.key.clone(), rec);
-                }
+        if let Ok(text) = read_text(path) {
+            if !text.is_empty() && !text.ends_with('\n') {
+                file.write_all(b"\n")?;
+            }
+            for rec in lines(&text).filter_map(|(_, rec)| rec) {
+                seen.insert(rec.key.clone(), rec);
             }
         }
         Ok(Journal {
@@ -183,17 +197,13 @@ impl Journal {
     /// mid-compaction leaves the original file untouched. Returns `(lines
     /// read, records kept)`.
     pub fn compact(path: &Path) -> std::io::Result<(usize, usize)> {
-        let text = std::fs::read_to_string(path)?;
+        let text = read_text(path)?;
         let mut order: Vec<String> = Vec::new();
         let mut latest: HashMap<String, String> = HashMap::new();
         let mut read = 0usize;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
+        for (line, rec) in lines(&text) {
             read += 1;
-            if let Ok(rec) = serde_json::from_str::<CellRecord>(line) {
+            if let Some(rec) = rec {
                 if latest.insert(rec.key.clone(), line.to_string()).is_none() {
                     order.push(rec.key);
                 }
@@ -261,17 +271,11 @@ impl Journal {
         let mut adopted_keys: std::collections::HashSet<String> = std::collections::HashSet::new();
         let mut adopted = 0usize;
         for shard in &shards {
-            if let Ok(text) = std::fs::read_to_string(shard) {
-                for line in text.lines() {
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    if let Ok(rec) = serde_json::from_str::<CellRecord>(line) {
-                        if journal.get(&rec.key).is_none() && adopted_keys.insert(rec.key.clone()) {
-                            journal.append(&rec);
-                            adopted += 1;
-                        }
+            if let Ok(text) = read_text(shard) {
+                for rec in lines(&text).filter_map(|(_, rec)| rec) {
+                    if journal.get(&rec.key).is_none() && adopted_keys.insert(rec.key.clone()) {
+                        journal.append(&rec);
+                        adopted += 1;
                     }
                 }
             }
@@ -350,20 +354,28 @@ mod tests {
             j.append(&rec("aaaa", 0));
             j.append(&rec("bbbb", 1));
         }
-        // Simulate a crash mid-append: a torn, unparseable trailing line.
+        // Simulate a crash mid-append: a torn, unparseable trailing line,
+        // here cut inside a multi-byte character.
         {
             use std::io::Write;
             let mut f = std::fs::OpenOptions::new()
                 .append(true)
                 .open(&path)
                 .unwrap();
-            write!(f, "{{\"key\":\"cc").unwrap();
+            f.write_all(b"{\"key\":\"cc\xe2\x82").unwrap();
         }
         let j = Journal::open(&path).unwrap();
         assert_eq!(j.loaded(), 2);
         assert_eq!(j.get("aaaa"), Some(&rec("aaaa", 0)));
         assert_eq!(j.get("bbbb"), Some(&rec("bbbb", 1)));
         assert_eq!(j.get("cccc"), None);
+        // A record appended after reopening over the torn tail starts a
+        // line of its own, so it survives the next open.
+        j.append(&rec("dddd", 3));
+        drop(j);
+        let j = Journal::open(&path).unwrap();
+        assert_eq!(j.loaded(), 3);
+        assert_eq!(j.get("dddd"), Some(&rec("dddd", 3)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

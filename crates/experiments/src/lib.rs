@@ -17,7 +17,7 @@
 //!
 //! One binary, `utility_risk`, drives all of it from the command line
 //! (`cargo run -p ccs-experiments --release --bin utility_risk -- all`);
-//! its subcommands are listed in its module doc.
+//! its subcommands are listed in its module doc, its flags in [`cli`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,6 +25,7 @@
 pub mod ablation;
 pub mod analysis;
 pub mod atomic;
+pub mod cli;
 pub mod export;
 pub mod figures;
 pub mod grid;
@@ -47,6 +48,7 @@ pub mod worker;
 pub use ablation::{run_all as run_all_ablations, Ablation};
 pub use analysis::{analyze, analyze_with, GridAnalysis};
 pub use atomic::write_atomic;
+pub use cli::parse_cli_checked;
 pub use export::EvaluationExport;
 pub use grid::{
     policies_for, run_cell_ensemble, run_grid, run_grid_ctl, run_grid_with_base,
@@ -224,95 +226,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Parses the flags shared by every `utility_risk` subcommand:
-/// `--jobs N`, `--seed S`, `--out DIR`, `--threads T`, `--replicas R`
-/// (seed replicas per grid cell), `--telemetry FILE`, `--quick`, `--quiet`
-/// (suppress all stderr progress output — see [`progress`]). Every flag
-/// value is checked up front (parseable, finite, in range) and the first
-/// problem is returned as a typed [`ConfigError`] naming the offending
-/// flag.
-pub fn parse_cli_checked(
-    args: &[String],
-) -> Result<
-    (
-        ExperimentConfig,
-        std::path::PathBuf,
-        Option<std::path::PathBuf>,
-    ),
-    ConfigError,
-> {
-    let mut cfg = ExperimentConfig::default();
-    let mut out = std::path::PathBuf::from("target/figures");
-    let mut telemetry = None;
-    let mut i = 0;
-    let value = |args: &[String], i: usize, flag: &str| -> Result<String, ConfigError> {
-        args.get(i)
-            .cloned()
-            .ok_or_else(|| ConfigError::new(flag, "requires a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => cfg = ExperimentConfig::quick(),
-            "--quiet" => progress::set_quiet(true),
-            "--jobs" => {
-                i += 1;
-                let v = value(args, i, "--jobs")?;
-                cfg.trace.jobs = v.parse().map_err(|_| {
-                    ConfigError::new("--jobs", format!("expected a count, got {v:?}"))
-                })?;
-                if cfg.trace.jobs == 0 {
-                    return Err(ConfigError::new("--jobs", "must be at least 1"));
-                }
-            }
-            "--seed" => {
-                i += 1;
-                let v = value(args, i, "--seed")?;
-                cfg.seed = v.parse().map_err(|_| {
-                    ConfigError::new("--seed", format!("expected an unsigned integer, got {v:?}"))
-                })?;
-            }
-            "--threads" => {
-                i += 1;
-                let v = value(args, i, "--threads")?;
-                cfg.threads = v.parse().map_err(|_| {
-                    ConfigError::new(
-                        "--threads",
-                        format!("expected a thread count (0 = auto), got {v:?}"),
-                    )
-                })?;
-            }
-            "--replicas" => {
-                i += 1;
-                let v = value(args, i, "--replicas")?;
-                cfg.replicas = v.parse().map_err(|_| {
-                    ConfigError::new("--replicas", format!("expected a replica count, got {v:?}"))
-                })?;
-                if cfg.replicas == 0 {
-                    return Err(ConfigError::new("--replicas", "must be at least 1"));
-                }
-            }
-            "--out" => {
-                i += 1;
-                out = std::path::PathBuf::from(value(args, i, "--out")?);
-            }
-            "--telemetry" => {
-                i += 1;
-                telemetry = Some(std::path::PathBuf::from(value(args, i, "--telemetry")?));
-            }
-            other => {
-                return Err(ConfigError::new(
-                    other,
-                    "unknown argument (supported: --quick --quiet --jobs --seed --threads \
-                     --replicas --out --telemetry)",
-                ))
-            }
-        }
-        i += 1;
-    }
-    validate_config(&cfg)?;
-    Ok((cfg, out, telemetry))
-}
-
 /// Up-front validation of a full experiment configuration, including every
 /// scenario's sweep values and the derived fault configurations — so a bad
 /// value surfaces as a named [`ConfigError`] before any simulation starts,
@@ -403,5 +316,16 @@ mod tests {
         assert_eq!(cfg.trace.jobs, 100);
         assert_eq!(cfg.seed, 7);
         assert_eq!(out, std::path::PathBuf::from("/tmp/x"));
+        // `--quick` only sets the default job count: an explicit `--jobs`
+        // wins on either side of it, and earlier flags survive it.
+        let args =
+            |words: &[&str]| -> Vec<String> { words.iter().map(|w| w.to_string()).collect() };
+        for words in [
+            &["--seed", "7", "--jobs", "30", "--quick"][..],
+            &["--quick", "--seed", "7", "--jobs", "30"][..],
+        ] {
+            let (cfg, _, _) = parse_cli_checked(&args(words)).unwrap();
+            assert_eq!((cfg.trace.jobs, cfg.seed), (30, 7), "{words:?}");
+        }
     }
 }

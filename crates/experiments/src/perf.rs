@@ -23,23 +23,13 @@ use crate::store::{ResultStore, SOURCE_GRID};
 use std::fmt::Write as _;
 
 /// Grouping axis for the phase-breakdown section of [`report`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum GroupBy {
     /// One breakdown row per scenario label.
+    #[default]
     Scenario,
     /// One breakdown row per policy name.
     Policy,
-}
-
-impl GroupBy {
-    /// Parses the `--by` CLI argument.
-    pub fn parse(s: &str) -> Result<GroupBy, String> {
-        match s {
-            "scenario" => Ok(GroupBy::Scenario),
-            "policy" => Ok(GroupBy::Policy),
-            other => Err(format!("--by {other:?} (expected scenario or policy)")),
-        }
-    }
 }
 
 /// Nanoseconds rendered at a human scale (`412ns`, `3.2us`, `8.71ms`,

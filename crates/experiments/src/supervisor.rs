@@ -12,7 +12,7 @@
 //! in [`crate::grid`] and are shared with in-process runs. What stays
 //! here is what fleets need:
 //!
-//! - **Fleet lifetime** — a [`Fleet`] lives for one run, not one grid:
+//! - **Fleet lifetime** — a `Fleet` lives for one run, not one grid:
 //!   the first grid with cells to run spawns the local workers and dials
 //!   the remotes, later grids reuse the same sessions (one `Hello` per
 //!   link — its fields are all run-level, and each cell names its own

@@ -293,7 +293,7 @@ impl TraceAnalysis {
 
     /// Compares the trace-derived objectives against the runner's metrics
     /// from the provenance manifest. Counts (and thus Eqs. 2/3) must match
-    /// exactly; the float objectives (Eqs. 1/4) within [`REL_TOL`].
+    /// exactly; the float objectives (Eqs. 1/4) within `REL_TOL`.
     /// Returns one message per mismatch — empty means the oracle passed.
     pub fn crosscheck(&self, m: &ManifestMetrics) -> Vec<String> {
         let mut bad = Vec::new();

@@ -59,95 +59,6 @@ impl Default for TraceCellSpec {
     }
 }
 
-impl TraceCellSpec {
-    /// Consumes the spec's flags (`--econ commodity|bid`, `--set A|B`,
-    /// `--scenario IDX`, `--value IDX`, `--policy NAME`) from `args`,
-    /// leaving unrelated flags in place for the shared CLI parser.
-    pub fn parse_args(args: &mut Vec<String>) -> Result<TraceCellSpec, String> {
-        let mut spec = TraceCellSpec::default();
-        let mut take = |flag: &str| -> Result<Option<String>, String> {
-            match args.iter().position(|a| a == flag) {
-                None => Ok(None),
-                Some(i) if i + 1 < args.len() => {
-                    args.remove(i);
-                    Ok(Some(args.remove(i)))
-                }
-                Some(_) => Err(format!("{flag} requires a value")),
-            }
-        };
-        if let Some(v) = take("--econ")? {
-            spec.econ = match v.as_str() {
-                "commodity" => EconomicModel::CommodityMarket,
-                "bid" => EconomicModel::BidBased,
-                other => return Err(format!("--econ {other}: expected commodity|bid")),
-            };
-        }
-        if let Some(v) = take("--set")? {
-            spec.set = match v.as_str() {
-                "A" | "a" => EstimateSet::A,
-                "B" | "b" => EstimateSet::B,
-                other => return Err(format!("--set {other}: expected A|B")),
-            };
-        }
-        if let Some(v) = take("--scenario")? {
-            let idx: usize = v.parse().map_err(|_| {
-                format!(
-                    "--scenario {v}: expected an index 0..{}",
-                    Scenario::ALL.len()
-                )
-            })?;
-            spec.scenario = *Scenario::ALL.get(idx).ok_or(format!(
-                "--scenario {idx}: only 0..{} exist",
-                Scenario::ALL.len()
-            ))?;
-        }
-        if let Some(v) = take("--value")? {
-            let idx: usize = v
-                .parse()
-                .map_err(|_| format!("--value {v}: expected an index 0..6"))?;
-            if idx >= 6 {
-                return Err(format!("--value {idx}: only 0..6 exist"));
-            }
-            spec.value_idx = idx;
-        }
-        if let Some(v) = take("--policy")? {
-            spec.policy = parse_policy(&v).ok_or(format!(
-                "--policy {v}: expected one of FCFS-BF SJF-BF EDF-BF Libra Libra+$ LibraRiskD FirstReward"
-            ))?;
-        }
-        let allowed = policies_of(spec.econ);
-        if !allowed.contains(&spec.policy) {
-            return Err(format!(
-                "policy {} is not evaluated under the {} model",
-                spec.policy, spec.econ
-            ));
-        }
-        Ok(spec)
-    }
-}
-
-fn policies_of(econ: EconomicModel) -> [PolicyKind; 5] {
-    match econ {
-        EconomicModel::CommodityMarket => PolicyKind::COMMODITY,
-        EconomicModel::BidBased => PolicyKind::BID_BASED,
-    }
-}
-
-/// Parses a policy display name (case-insensitive).
-pub fn parse_policy(name: &str) -> Option<PolicyKind> {
-    [
-        PolicyKind::FcfsBf,
-        PolicyKind::SjfBf,
-        PolicyKind::EdfBf,
-        PolicyKind::Libra,
-        PolicyKind::LibraDollar,
-        PolicyKind::LibraRiskD,
-        PolicyKind::FirstReward,
-    ]
-    .into_iter()
-    .find(|k| k.name().eq_ignore_ascii_case(name))
-}
-
 /// Reference metrics copied from the runner into the manifest, so a trace
 /// report can cross-check Eqs. 1–4 without re-running the simulation.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -552,27 +463,6 @@ mod tests {
         assert!(
             max_running > 0,
             "jobs counter track never saw a running job"
-        );
-    }
-
-    #[test]
-    fn spec_parser_strips_its_flags_and_validates() {
-        let mut args: Vec<String> = ["--policy", "libra", "--quick", "--econ", "bid"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let spec = TraceCellSpec::parse_args(&mut args).unwrap();
-        assert_eq!(spec.policy, PolicyKind::Libra);
-        assert_eq!(spec.econ, EconomicModel::BidBased);
-        assert_eq!(args, vec!["--quick".to_string()]);
-
-        let mut bad: Vec<String> = ["--policy", "SJF-BF", "--econ", "bid"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(
-            TraceCellSpec::parse_args(&mut bad).is_err(),
-            "SJF-BF is commodity-only"
         );
     }
 }

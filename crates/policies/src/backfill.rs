@@ -148,7 +148,7 @@ impl BackfillPolicy {
         self.queue.len()
     }
 
-    /// Total scheduling sweeps ([`BackfillPolicy::try_schedule`] runs) so
+    /// Total scheduling sweeps (`BackfillPolicy::try_schedule` runs) so
     /// far — a cost diagnostic: a batched N-node failure storm should add
     /// exactly one, not N.
     pub fn scheduling_passes(&self) -> u64 {

@@ -1,5 +1,5 @@
 //! Conservative backfilling (Mu'alem & Feitelson 2001 — the paper's
-//! reference [19] studies EASY vs conservative on the same SP2 traces).
+//! reference \[19\] studies EASY vs conservative on the same SP2 traces).
 //!
 //! Where EASY backfilling only protects the *head* of the queue,
 //! conservative backfilling gives **every** queued job a reservation when

@@ -1,5 +1,5 @@
 //! Computation-at-Risk (CaR) — the related-work risk measure the paper
-//! compares itself against (Kleban & Clearwater 2004, refs [15][16]).
+//! compares itself against (Kleban & Clearwater 2004, refs \[15\]\[16\]).
 //!
 //! Where the paper's separate/integrated analysis grades *policies* by the
 //! volatility of normalized objectives, CaR grades a *workload outcome* by

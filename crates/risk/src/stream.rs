@@ -1,7 +1,7 @@
 //! Streaming (online) risk statistics: Welford accumulators, sliding
 //! windows, and realtime risk scores.
 //!
-//! The batch analyses in [`crate::separate`] need every measurement of a
+//! The batch analyses in [`crate::separate`](mod@crate::separate) need every measurement of a
 //! scenario sweep up front. This module provides the *incremental*
 //! counterparts the observability layer runs while experiments are still in
 //! flight:

@@ -21,7 +21,7 @@
 //!    (the denominator feeding Eq. 4).
 //! 5. **Objective recomputation (Eqs. 1–4)** — the four paper objectives
 //!    are refolded from the outcome stream by an independent code path and
-//!    compared against [`RunMetrics::objectives`].
+//!    compared against [`RunMetrics::objectives`](crate::metrics::RunMetrics::objectives).
 //!
 //! A [checked](crate::Run::check) run applies [`check_run`] to its
 //! reconciled outcome stream: a pure post-pass over data the runner

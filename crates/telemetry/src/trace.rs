@@ -195,8 +195,8 @@ impl TraceEvent {
 
     /// Position of this event kind in a job's lifecycle. Within one job the
     /// ranks of successive events must strictly increase; each kind occurs
-    /// at most once per job. The exception is [`JobRestart`]
-    /// (TraceEvent::JobRestart): it *rewinds* the job's lifecycle back to
+    /// at most once per job. The exception is
+    /// [`JobRestart`](TraceEvent::JobRestart): it *rewinds* the job's lifecycle back to
     /// the accepted state, so a fresh `JobStarted` may legally follow — the
     /// causal checker resets the job's rank at each restart.
     pub fn causal_rank(&self) -> u8 {

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// [`EstimateModel::Multiplicative`] draws a continuous padding factor —
 /// simple and smooth. [`EstimateModel::Modal`] reflects the key empirical
 /// finding of Tsafrir, Etsion & Feitelson (JSSPP 2005; the paper's
-/// reference [28]): users overwhelmingly pick *round* wall-clock values
+/// reference \[28\]): users overwhelmingly pick *round* wall-clock values
 /// (15 min, 1 h, 4 h, the queue limit, …), so the estimate distribution is
 /// concentrated on ~20 modal values. Modal estimates are drawn as the
 /// smallest canonical value at or above the padded runtime, which keeps the

@@ -161,8 +161,9 @@ fn panicking_cell_reports_errors_and_resume_heals() {
 
 /// An unopenable `--resume` journal is a configuration error caught while
 /// parsing (exit 2, naming the flag), not a panic partway into the grid.
-/// So are an out-of-range `tables --table N` and an unknown `figure` id;
-/// their valid forms print and write what they should.
+/// So are an out-of-range `tables --table N`, an unknown `figure` id, and
+/// a flag the subcommand does not take; the valid forms of the first two
+/// print and write what they should.
 #[test]
 fn unopenable_resume_journal_exits_2_naming_the_flag() {
     let dir = temp_dir("bad_journal");
@@ -192,9 +193,21 @@ fn unopenable_resume_journal_exits_2_naming_the_flag() {
         String::from_utf8_lossy(&table3.stdout),
         ccs_experiments::tables::table3()
     );
+    // A flag the subcommand does not take is an error too, raised before
+    // anything is created: `figure` must not open the `--resume` journal.
+    let journal = dir.join("foreign.jsonl");
+    let journal = journal.to_str().unwrap();
+    let bundle = dir.to_str().unwrap();
     for (args, names) in [
         (&["tables", "--table", "7"][..], "--table"),
         (&["figure", "fig9"][..], "fig9"),
+        (&["figure", "fig3", "--resume", journal][..], "--resume"),
+        (&["tables", "--compact-journal"][..], "--compact-journal"),
+        (&["workload", "--cell-budget", "3"][..], "--cell-budget"),
+        (&["query", "--rounds", "3"][..], "--rounds"),
+        (&["chaos", "--limit", "2"][..], "--limit"),
+        (&["trace", "--workers", "1"][..], "--workers"),
+        (&["trace-report", bundle, "--top", "abc"][..], "--top"),
     ] {
         let output = run(args);
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -204,6 +217,10 @@ fn unopenable_resume_journal_exits_2_naming_the_flag() {
             "{args:?} must name {names}: {stderr}"
         );
     }
+    assert!(
+        !std::path::Path::new(journal).exists(),
+        "a rejected --resume must not create its journal"
+    );
     let fig2_dir = dir.join("fig2");
     let fig2 = run(&[
         "figure",

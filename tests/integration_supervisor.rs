@@ -278,19 +278,32 @@ fn poison_cell_quarantines_then_resume_heals() {
 #[test]
 fn invalid_supervisor_flags_exit_2_naming_the_flag() {
     let cases: &[(&[&str], &str)] = &[
-        (&["--workers", "0"], "--workers"),
-        (&["--workers", "999"], "--workers"),
-        (&["--workers", "2", "--retries", "0"], "--retries"),
-        (&["--workers", "2", "--backoff-ms", "0"], "--backoff-ms"),
-        (&["--workers", "2", "--heartbeat-ms", "5"], "--heartbeat-ms"),
-        (&["--retries", "3"], "--retries"),
-        (&["--backoff-ms", "10"], "--backoff-ms"),
-        (&["--workers", "1", "--replicas", "2"], "--replicas"),
+        (&["summary", "--workers", "0"], "--workers"),
+        (&["summary", "--workers", "999"], "--workers"),
+        (
+            &["summary", "--workers", "2", "--retries", "0"],
+            "--retries",
+        ),
+        (
+            &["summary", "--workers", "2", "--backoff-ms", "0"],
+            "--backoff-ms",
+        ),
+        (
+            &["summary", "--workers", "2", "--heartbeat-ms", "5"],
+            "--heartbeat-ms",
+        ),
+        (&["summary", "--retries", "3"], "--retries"),
+        (&["summary", "--backoff-ms", "10"], "--backoff-ms"),
+        (
+            &["summary", "--workers", "1", "--replicas", "2"],
+            "--replicas",
+        ),
+        (&["robustness", "--workers", "2"], "--workers"),
     ];
     for (flags, flag) in cases {
         let output = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
-            .args(["summary", "--quick", "--quiet"])
             .args(*flags)
+            .args(["--quick", "--quiet"])
             .output()
             .expect("spawn utility_risk");
         assert_eq!(

@@ -364,20 +364,24 @@ fn dead_remotes_degrade_to_in_process_with_warning() {
 #[test]
 fn invalid_transport_flags_exit_2_naming_the_flag() {
     let cases: &[(&[&str], &str)] = &[
-        (&["--remote", "no-port"], "--remote"),
-        (&["--remote", ":9000"], "--remote"),
-        (&["--remote", "host:notaport"], "--remote"),
-        (&["--remote", "host:0"], "--remote"),
+        (&["summary", "--remote", "no-port"], "--remote"),
+        (&["summary", "--remote", ":9000"], "--remote"),
+        (&["summary", "--remote", "host:notaport"], "--remote"),
+        (&["summary", "--remote", "host:0"], "--remote"),
         (
-            &["--workers", "1", "--connect-timeout-ms", "0"],
+            &["summary", "--workers", "1", "--connect-timeout-ms", "0"],
             "--connect-timeout-ms",
         ),
-        (&["--connect-timeout-ms", "100"], "--connect-timeout-ms"),
+        (
+            &["summary", "--connect-timeout-ms", "100"],
+            "--connect-timeout-ms",
+        ),
+        (&["timing", "--remote", "127.0.0.1:9"], "--remote"),
     ];
     for (flags, flag) in cases {
         let output = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
-            .args(["summary", "--quick", "--quiet"])
             .args(*flags)
+            .args(["--quick", "--quiet"])
             .output()
             .expect("spawn utility_risk");
         assert_eq!(
