@@ -24,10 +24,11 @@
 //! subcommand that does not take it exits 2 naming the flag, before any
 //! file is created or any cell runs. The flags, by who takes them:
 //!
-//! - every subcommand but `trace-report` and `serve-worker`: `--quick`
-//!   (200 jobs unless `--jobs` says otherwise), `--quiet`, `--jobs N`,
-//!   `--seed S`, `--threads T`, `--replicas R`, `--out DIR`,
-//!   `--telemetry FILE`;
+//! - every subcommand but `trace-report` and `serve-worker`: `--quiet`,
+//!   `--out DIR`, `--telemetry FILE`;
+//! - the same but `tables` and `query`, which run nothing: `--quick`
+//!   (200 jobs unless `--jobs` says otherwise), `--jobs N`, `--seed S`,
+//!   `--threads T`, `--replicas R`;
 //! - `all`, `summary`, `dominance`: `--resume JOURNAL`, `--cell-budget N`,
 //!   `--cell-wall-budget SECS`, `--cell-event-budget N`,
 //!   `--compact-journal` (needs `--resume`), `--workers N`,
@@ -60,7 +61,7 @@ use ccs_experiments::cli::{self, Cli, Command};
 use ccs_experiments::figures::{print_figure, print_figure2, write_figure, write_figure2};
 use ccs_experiments::{
     build_figure, policies_for, progress, replicate, run_all_ablations, run_evaluation_ctl, tables,
-    telemetry_report, trace_report, write_atomic, CellError, EstimateSet, Journal,
+    telemetry_report, trace_report, write_atomic, CellError, ConfigError, EstimateSet, Journal,
     ProvenanceManifest, RawGrid, ResultStore, TelemetryReport, STORE_FILE,
 };
 use ccs_risk::Objective;
@@ -295,8 +296,14 @@ fn main() {
     // The hidden `worker` subcommand: how the supervisor re-execs this
     // binary as a grid worker (see `ccs_experiments::supervisor`). It
     // speaks length-prefixed JSON frames on stdin/stdout and never
-    // returns, so it must run before any flag parsing.
+    // returns, so it must run before any flag parsing. The supervisor
+    // passes no argument after it.
     if args.first().map(String::as_str) == Some("worker") {
+        if let Some(arg) = args.get(1) {
+            let e = ConfigError::new(arg, "the `worker` subcommand takes no arguments");
+            eprintln!("utility_risk: {e}");
+            std::process::exit(2);
+        }
         ccs_experiments::worker::worker_main();
     }
     if args.is_empty() {

@@ -5,7 +5,7 @@
 //! setter that checks the value and stores it. [`parse`] turns argv into a
 //! [`Cli`] — the typed [`Command`] plus the experiment settings and the
 //! grid control — and [`parse_cli_checked`] is the same table restricted
-//! to the shared flags. A flag the subcommand does not take, a malformed
+//! to the shared and run flags. A flag the subcommand does not take, a malformed
 //! value, or a missing argument is a [`ConfigError`] naming the flag,
 //! raised before any file is created or any cell runs.
 
@@ -47,6 +47,10 @@ const SUBCOMMANDS: [&str; 16] = [
 /// The grid subcommands, which alone take the crash-safety and fleet flags.
 const GRID: &[&str] = &["all", "summary", "dominance"];
 
+/// The subcommands that run nothing: they print the paper's tables or read
+/// a result store, so the flags that shape a run are foreign to them.
+const NO_RUN: &[&str] = &["tables", "query"];
+
 /// The metavariable of the one positional argument `sub` requires, if any.
 fn positional(sub: &str) -> Option<&'static str> {
     match sub {
@@ -59,9 +63,12 @@ fn positional(sub: &str) -> Option<&'static str> {
 /// Which subcommands take a flag.
 #[derive(Clone, Copy)]
 enum Takes {
-    /// Every subcommand but `trace-report` and `serve-worker`; also the
-    /// only flags [`parse_cli_checked`] takes.
+    /// Every subcommand but `trace-report` and `serve-worker`; also taken
+    /// by [`parse_cli_checked`].
     Shared,
+    /// The flags that shape a run: the `Shared` subcommands but `NO_RUN`;
+    /// also taken by [`parse_cli_checked`].
+    Run,
     /// Exactly these subcommands.
     Only(&'static [&'static str]),
 }
@@ -71,6 +78,7 @@ impl Takes {
     fn accepts(self, sub: Option<&str>) -> bool {
         match self {
             Shared => !matches!(sub, Some("trace-report" | "serve-worker")),
+            Run => Shared.accepts(sub) && !sub.is_some_and(|s| NO_RUN.contains(&s)),
             Only(subs) => sub.is_some_and(|s| subs.contains(&s)),
         }
     }
@@ -78,6 +86,10 @@ impl Takes {
     fn describe(self) -> String {
         match self {
             Shared => "every subcommand but trace-report and serve-worker".to_string(),
+            Run => format!(
+                "every subcommand but {}, trace-report and serve-worker",
+                NO_RUN.join(", ")
+            ),
             Only(subs) => subs.join(", "),
         }
     }
@@ -99,18 +111,18 @@ enum Kind {
 struct Flag(&'static str, Takes, Kind);
 
 use Kind::{Switch, Text, Value};
-use Takes::{Only, Shared};
+use Takes::{Only, Run, Shared};
 
 /// Every `utility_risk` flag. A name appears twice only where it means a
 /// different thing to a disjoint set of subcommands.
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
-    Flag("--quick", Shared, Switch(|a| a.quick = true)),
+    Flag("--quick", Run, Switch(|a| a.quick = true)),
     Flag("--quiet", Shared, Switch(|a| a.quiet = true)),
-    Flag("--jobs", Shared, Value("N", |a, v| positive(v).map(|n| a.jobs = Some(n)))),
-    Flag("--seed", Shared, Value("S", |a, v| num(v).map(|s| a.cfg.seed = s))),
-    Flag("--threads", Shared, Value("T", |a, v| num(v).map(|t| a.cfg.threads = t))),
-    Flag("--replicas", Shared, Value("R", |a, v| positive(v).map(|r| a.cfg.replicas = r))),
+    Flag("--jobs", Run, Value("N", |a, v| positive(v).map(|n| a.jobs = Some(n)))),
+    Flag("--seed", Run, Value("S", |a, v| num(v).map(|s| a.cfg.seed = s))),
+    Flag("--threads", Run, Value("T", |a, v| num(v).map(|t| a.cfg.threads = t))),
+    Flag("--replicas", Run, Value("R", |a, v| positive(v).map(|r| a.cfg.replicas = r))),
     Flag("--out", Shared, Text("DIR", |a, v| a.out = Some(v.into()))),
     Flag("--telemetry", Shared, Text("FILE", |a, v| a.telemetry = Some(v.into()))),
     Flag("--resume", Only(GRID), Text("JOURNAL", |a, v| a.ctl.journal = Some(v.into()))),
@@ -590,10 +602,11 @@ pub fn parse(args: &[String]) -> Result<Cli, ConfigError> {
     })
 }
 
-/// Parses the flags shared by every `utility_risk` subcommand — `--jobs N`,
-/// `--seed S`, `--out DIR`, `--threads T`, `--replicas R` (seed replicas
-/// per grid cell), `--telemetry FILE`, `--quick`, `--quiet` (suppress all
-/// stderr progress output — see [`progress`]) — through the same table as
+/// Parses the flags shared by the `utility_risk` subcommands that run
+/// something — `--jobs N`, `--seed S`, `--out DIR`, `--threads T`,
+/// `--replicas R` (seed replicas per grid cell), `--telemetry FILE`,
+/// `--quick`, `--quiet` (suppress all stderr progress output — see
+/// [`progress`]) — through the same table as
 /// [`parse`]. Any other flag, or a bad value, is a [`ConfigError`] naming
 /// the flag.
 pub fn parse_cli_checked(
@@ -631,6 +644,11 @@ pub fn usage() -> String {
         "shared flags ({}): {}\n",
         Shared.describe(),
         flags(&|t| matches!(t, Shared))
+    );
+    s += &format!(
+        "run flags ({}): {}\n",
+        Run.describe(),
+        flags(&|t| matches!(t, Run))
     );
     s += "own flags:\n";
     // Subcommands with the same own flags share one line.
@@ -709,11 +727,20 @@ mod tests {
             (&["trace-report", "dir", "--quick"], "--quick"),
             (&["serve-worker", "--listen", "h:1", "--quiet"], "--quiet"),
             (&["summary", "--bogus"], "--bogus"),
+            (&["tables", "--table", "1", "--jobs", "5"], "--jobs"),
+            (&["tables", "--seed", "3"], "--seed"),
+            (&["query", "--store", "s", "--replicas", "2"], "--replicas"),
+            (&["query", "--threads", "2"], "--threads"),
+            (&["query", "--quick"], "--quick"),
         ] {
             assert_eq!(faulted(words), flag, "{words:?}");
         }
         let err = parse_cli_checked(&["--quick".into(), "--workers".into(), "2".into()]);
         assert_eq!(err.unwrap_err().field, "--workers");
+        // The flags that do not shape a run stay with `tables` and `query`.
+        let cli = parse_words(&["query", "--quiet", "--out", "o", "--telemetry", "t.json"]);
+        assert_eq!(cli.unwrap().out, PathBuf::from("o"));
+        assert!(parse_words(&["tables", "--table", "2", "--out", "o"]).is_ok());
     }
 
     #[test]

@@ -333,6 +333,12 @@ pub struct RawGrid {
     /// memo. A reused cell records 0 s, a zero cost vector, and the worker
     /// id of the simulation it copies.
     pub cells_reused: u64,
+    /// LibraRiskD cells resolved from their point's Libra cell instead of
+    /// being simulated: the Libra run certified that LibraRiskD would make
+    /// the very same run (see [`ccs_policies::Policy::riskd_equivalent`]).
+    /// A derived cell records 0 s, a zero cost vector, and the Libra
+    /// cell's worker id. Only the local executor derives cells.
+    pub cells_derived: u64,
     /// Busy seconds per worker thread (simulation time, excluding idle
     /// waits on the work queue) — the basis for utilisation reporting.
     /// Under a supervisor, indexed by worker id − 1; ids are run-scoped,
@@ -552,7 +558,8 @@ pub(crate) fn run_grid_in_run(
     // Live workers may be appending to their shard journals; only a grid
     // that runs before the fleet opens may merge leftovers.
     let merge_leftovers = !fleet.as_ref().is_some_and(|f| f.is_open());
-    let (cells, fold) = plan(econ, set, cfg, ctl, board, memo, merge_leftovers);
+    let derive = fleet.is_none();
+    let (cells, fold) = plan(econ, set, cfg, ctl, board, memo, merge_leftovers, derive);
     // Supervised runs synthesise base jobs from cfg.trace, like their
     // workers do, so the caller-provided base is not used on that path.
     let cache = match fleet {
@@ -577,7 +584,19 @@ pub(crate) fn run_grid_in_run(
     };
     let (busy, transports) = match fleet {
         Some(fleet) => fleet.run_grid(cells, &env, &fold),
-        None => (run_local(&cells, &env, &fold, true), Vec::new()),
+        None => {
+            let mut busy = run_local(&cells, &env, &fold, true);
+            // The held-back LibraRiskD cells whose Libra cell did not
+            // certify them: a second pass simulates them.
+            let uncertified = fold.take_uncertified();
+            if !uncertified.is_empty() {
+                let more = run_local(&uncertified, &env, &fold, true);
+                for (b, m) in busy.iter_mut().zip(more) {
+                    *b += m;
+                }
+            }
+            (busy, Vec::new())
+        }
     };
     fold.finish(started, busy, transports, &cache)
 }
@@ -599,6 +618,7 @@ fn record_grid_telemetry(grid: &RawGrid) {
     t.counter("grid.workload.cache_misses")
         .add(grid.workload_cache_misses);
     t.counter("grid.cells.reused").add(grid.cells_reused);
+    t.counter("grid.cells.derived").add(grid.cells_derived);
 }
 
 /// Deliberately panics a chosen cell — the fault-injection backdoor the
@@ -683,6 +703,12 @@ pub(crate) struct SimulatedCell {
     pub cost: CellCost,
     /// The cell's profile snapshot (empty unless profiled).
     pub profile: ProfileSnapshot,
+    /// Whether every replica ran plain Libra to success with its
+    /// [`ccs_simsvc::RunOutput::riskd_equivalent`] certificate intact: the
+    /// same point's LibraRiskD cell is then this very result. False for
+    /// every other cell, and for failed, restored, reused and
+    /// worker-reported ones.
+    pub riskd_equivalent: bool,
 }
 
 impl SimulatedCell {
@@ -695,6 +721,7 @@ impl SimulatedCell {
             secs: 0.0,
             cost: CellCost::default(),
             profile: ProfileSnapshot::default(),
+            riskd_equivalent: false,
         }
     }
 
@@ -706,6 +733,7 @@ impl SimulatedCell {
             secs: rec.secs,
             cost: CellCost::default(),
             profile: ProfileSnapshot::default(),
+            riskd_equivalent: false,
         }
     }
 
@@ -719,6 +747,7 @@ impl SimulatedCell {
             secs: 0.0,
             cost: CellCost::default(),
             profile: ProfileSnapshot::default(),
+            riskd_equivalent: false,
         }
     }
 
@@ -805,6 +834,10 @@ fn simulate_cell(
     let secs = t0.elapsed().as_secs_f64();
     let profile = ccs_telemetry::profile::take();
     let cost = CellCost::from_snapshot(&profile);
+    let riskd_equivalent = matches!(
+        &outcome,
+        Ok(Ok(run)) if run.violations.is_empty() && run.riskd_equivalent == Some(true)
+    );
     let outcome = match outcome {
         Ok(Ok(run)) if run.violations.is_empty() => {
             Ok((run.result.metrics.objectives(), run.events))
@@ -821,6 +854,7 @@ fn simulate_cell(
         secs,
         cost,
         profile,
+        riskd_equivalent,
     }
 }
 
@@ -980,6 +1014,7 @@ fn simulate_cell_ensemble(
         secs: t0.elapsed().as_secs_f64(),
         cost,
         profile,
+        riskd_equivalent: sims.iter().all(|sim| sim.riskd_equivalent),
     }
 }
 
@@ -1166,8 +1201,11 @@ fn grid_cells(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> 
 /// The first step of every grid run: enumerates the cells in point-major
 /// order, folds journal hits straight into the grid, truncates the rest to
 /// the cell budget, resolves the drills, and dedupes what is left by
-/// content key. Returns the cells left to simulate and the fold that
-/// collects them.
+/// content key. With `derive` (the local executor), it then holds back each
+/// LibraRiskD representative whose point's Libra cell is a representative
+/// too, for [`GridFold::record`] to derive from that cell's run. Returns
+/// the cells left to simulate and the fold that collects them.
+#[allow(clippy::too_many_arguments)]
 fn plan<'a>(
     econ: EconomicModel,
     set: EstimateSet,
@@ -1176,6 +1214,7 @@ fn plan<'a>(
     board: &'a LiveRiskBoard,
     memo: &'a CellMemo,
     merge_leftovers: bool,
+    derive: bool,
 ) -> (Vec<CellSpec>, GridFold<'a>) {
     let journal = ctl.journal.as_deref().map(|path| {
         // Adopt any shard journals a crashed supervisor left behind
@@ -1233,6 +1272,29 @@ fn plan<'a>(
             to_run.push(spec);
         }
     }
+    // A LibraRiskD run is Libra's run unless Libra picks a node at risk,
+    // which only the Libra run can tell: its representative waits for the
+    // Libra cell of its point. Drill cells, journal hits, memo copies and
+    // aliases are not representatives, so none of them is a sibling.
+    if derive {
+        let point = |spec: &CellSpec| (spec.scenario_idx, spec.value_idx);
+        let rep_of =
+            |spec: &CellSpec, kind| spec.policy == kind && fold.families.contains_key(&spec.key);
+        let libra: HashMap<_, String> = to_run
+            .iter()
+            .filter(|spec| rep_of(spec, PolicyKind::Libra))
+            .map(|spec| (point(spec), spec.key.clone()))
+            .collect();
+        let mut held = HashMap::new();
+        to_run.retain(|spec| match libra.get(&point(spec)) {
+            Some(key) if rep_of(spec, PolicyKind::LibraRiskD) => {
+                held.insert(key.clone(), spec.clone());
+                false
+            }
+            _ => true,
+        });
+        fold.held = held;
+    }
     (to_run, fold)
 }
 
@@ -1255,6 +1317,12 @@ pub(crate) struct GridFold<'a> {
     /// Every cell planned to simulate (drill cells aside), by cell key:
     /// its aliases and memo key. Fixed once planning ends.
     families: HashMap<String, Family>,
+    /// Held-back LibraRiskD representatives, by the key of their point's
+    /// Libra cell. Fixed once planning ends.
+    held: HashMap<String, CellSpec>,
+    /// The held-back cells whose Libra cell did not certify them, left for
+    /// a second pass of the executor.
+    uncertified: Mutex<Vec<CellSpec>>,
     /// The grid's drills; stall-drill cells are never journaled.
     pub(crate) drills: Drills,
     state: Mutex<FoldState>,
@@ -1304,6 +1372,7 @@ impl<'a> GridFold<'a> {
             workload_cache_hits: 0,
             workload_cache_misses: 0,
             cells_reused: 0,
+            cells_derived: 0,
             worker_busy_secs: Vec::new(),
             worker_transports: Vec::new(),
             wall_secs: 0.0,
@@ -1314,6 +1383,8 @@ impl<'a> GridFold<'a> {
             board,
             memo,
             families: HashMap::new(),
+            held: HashMap::new(),
+            uncertified: Mutex::default(),
             drills,
             state: Mutex::new(FoldState {
                 grid,
@@ -1353,16 +1424,46 @@ impl<'a> GridFold<'a> {
         self.resolve_point(&mut st, spec.scenario_idx, spec.value_idx);
     }
 
-    /// Folds one resolved cell that `worker` ran (0 = unattributed), then
-    /// fans its result out to the cell's aliases — failures included — and
-    /// offers a success to the run's memo. Only here is a cell known to
-    /// have been simulated in this run, so only a success here counts as a
-    /// completed cell in telemetry.
+    /// Folds one resolved cell that `worker` ran (0 = unattributed) with
+    /// its aliases. Only here is a cell known to have been simulated in
+    /// this run, so only a success here counts as a completed cell in
+    /// telemetry. A Libra cell with a held-back LibraRiskD sibling then
+    /// settles that sibling too: a certified success is folded into it as
+    /// a derived cell, anything else leaves it to be simulated.
     pub(crate) fn record(&self, spec: &CellSpec, sim: SimulatedCell, worker: u64) {
         if let (Some((cell_ns, completed)), Ok(_)) = (self.cell_telemetry, &sim.outcome) {
             cell_ns.record_f64(sim.secs * 1e9);
             completed.inc();
         }
+        let Some(riskd) = self.held.get(&spec.key) else {
+            self.settle(spec, sim, worker);
+            return;
+        };
+        let derived = sim.riskd_equivalent.then(|| sim.reused());
+        self.settle(spec, sim, worker);
+        match derived {
+            Some(derived) => {
+                self.state.lock().expect(FOLD_POISONED).grid.cells_derived += 1;
+                self.settle(riskd, derived, worker);
+            }
+            None => {
+                let mut uncertified = self.uncertified.lock().expect(FOLD_POISONED);
+                uncertified.push(riskd.clone());
+            }
+        }
+    }
+
+    /// The held-back cells left to simulate, in plan order.
+    fn take_uncertified(&self) -> Vec<CellSpec> {
+        let mut cells = std::mem::take(&mut *self.uncertified.lock().expect(FOLD_POISONED));
+        cells.sort_by_key(|spec| (spec.scenario_idx, spec.value_idx));
+        cells
+    }
+
+    /// Folds one resolved cell, then fans its result out to the cell's
+    /// aliases — failures included — and offers a success to the run's
+    /// memo.
+    fn settle(&self, spec: &CellSpec, sim: SimulatedCell, worker: u64) {
         let Some(family) = self.families.get(&spec.key) else {
             self.record_one(spec, sim, worker);
             return;
@@ -2029,6 +2130,96 @@ mod tests {
         assert_eq!(b.cells_reused, 89);
         assert_eq!(a.errors.len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every LibraRiskD representative of a bid-based grid equals an
+    /// independent LibraRiskD run on its inputs, bit for bit, and the grid
+    /// derived exactly those whose point's Libra run certifies them.
+    #[test]
+    fn derived_cells_equal_an_independent_riskd_run() {
+        let bits = |x: [f64; 4]| x.map(f64::to_bits);
+        let cfg = ExperimentConfig {
+            threads: 2,
+            ..ExperimentConfig::quick().with_jobs(60)
+        };
+        let base = cfg.trace.generate(cfg.seed);
+        let econ = EconomicModel::BidBased;
+        let run_cfg = RunConfig {
+            nodes: cfg.nodes,
+            econ,
+        };
+        let column = |kind| policies_for(econ).iter().position(|&k| k == kind).unwrap();
+        let (p, libra) = (column(PolicyKind::LibraRiskD), column(PolicyKind::Libra));
+        let (mut derived, mut simulated) = (0, 0);
+        for set in EstimateSet::ALL {
+            let g = run_grid(econ, set, &cfg);
+            let mut seen = HashSet::new();
+            let mut certified = 0;
+            for spec in grid_cells(econ, set, &cfg) {
+                let inputs = CellInputs::of(&spec, cfg.seed);
+                if spec.policy != PolicyKind::LibraRiskD || !seen.insert(inputs.content_key()) {
+                    continue;
+                }
+                let jobs = apply_scenario(&base, &inputs.transform, cfg.seed);
+                let run = |kind| {
+                    Run::new(&jobs, kind, &run_cfg)
+                        .fault(inputs.fault.as_ref())
+                        .execute()
+                        .unwrap()
+                };
+                let riskd = run(PolicyKind::LibraRiskD);
+                let (s, v) = (spec.scenario_idx, spec.value_idx);
+                let label = spec.label();
+                assert_eq!(
+                    bits(g.raw[s][v][p]),
+                    bits(riskd.result.metrics.objectives()),
+                    "{set} {label}"
+                );
+                assert_eq!(g.cell_events[s][v][p], riskd.events, "{set} {label}");
+                assert_eq!(g.cell_sigma[s][v][p], [0.0; 4], "{set} {label}");
+                if run(PolicyKind::Libra).riskd_equivalent == Some(true) {
+                    certified += 1;
+                    assert_eq!(g.cell_secs[s][v][p], 0.0, "{set} {label} was simulated");
+                    assert_eq!(g.cell_workers[s][v][p], g.cell_workers[s][v][libra]);
+                } else {
+                    simulated += 1;
+                    assert!(g.cell_secs[s][v][p] > 0.0, "{set} {label} was derived");
+                }
+            }
+            assert_eq!(g.cells_derived, certified, "{set}");
+            derived += certified;
+        }
+        assert!(
+            derived > 0 && simulated > 0,
+            "derived {derived}, simulated {simulated}"
+        );
+    }
+
+    /// How many cells a grid derives depends only on the cells: one thread
+    /// or four, one replica or three, the count is the same, and so is
+    /// every output at equal replicas.
+    #[test]
+    fn derived_cells_do_not_depend_on_threads_or_replicas() {
+        let grid = |threads, replicas| {
+            let cfg = ExperimentConfig {
+                threads,
+                ..ExperimentConfig::quick()
+                    .with_jobs(40)
+                    .with_replicas(replicas)
+            };
+            run_grid(EconomicModel::BidBased, EstimateSet::A, &cfg)
+        };
+        let one = grid(1, 1);
+        assert!(one.cells_derived > 0);
+        let (four, ens_one, ens_four) = (grid(4, 1), grid(1, 3), grid(4, 3));
+        for g in [&four, &ens_one, &ens_four] {
+            assert_eq!(g.cells_derived, one.cells_derived);
+        }
+        assert_eq!(four.raw, one.raw);
+        assert_eq!(four.cell_events, one.cell_events);
+        assert_eq!(ens_four.raw, ens_one.raw);
+        assert_eq!(ens_four.cell_sigma, ens_one.cell_sigma);
+        assert_eq!(ens_four.cell_events, ens_one.cell_events);
     }
 
     #[test]

@@ -767,6 +767,7 @@ impl Fleet {
                             secs,
                             cost,
                             profile,
+                            riskd_equivalent: false,
                         };
                         pass.fold.record(&cell, sim, id);
                         pass.resolved += 1;

@@ -88,14 +88,22 @@ fn utility_risk_emits_parseable_telemetry() {
     assert!(counter("runner.runs.completed") > 0);
     // Structural: 240 default-point repeats + 60 set-B Inaccuracy cells.
     assert_eq!(counter("grid.cells.reused"), 300, "{:?}", s.counters);
+    // LibraRiskD cells whose Libra cell's run certified them equal to it.
+    // Pinned for seed 42 and 60 jobs: a change here changed which runs
+    // pick a node at risk of deadline delay.
+    let derived = counter("grid.cells.derived");
+    assert_eq!(derived, 72, "{:?}", s.counters);
     // Every other cell was simulated once, successfully, in this run.
     let cells: u64 = report
         .grids
         .iter()
         .map(|g| (g.scenarios.len() * 6 * g.policies.len()) as u64)
         .sum();
-    assert_eq!(counter("grid.cells.completed"), cells - 300);
-    assert_eq!(s.histograms["grid.cell.duration_ns"].count, cells - 300);
+    assert_eq!(counter("grid.cells.completed"), cells - 300 - derived);
+    assert_eq!(
+        s.histograms["grid.cell.duration_ns"].count,
+        cells - 300 - derived
+    );
 }
 
 /// `grid.cells.completed` and `grid.cell.duration_ns` count only cells

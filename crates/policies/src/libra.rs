@@ -75,6 +75,11 @@ pub struct LibraPolicy {
     eligible_scratch: Vec<(f64, usize)>,
     picked_scratch: Vec<usize>,
     completions_scratch: Vec<JobCompletion>,
+    /// Plain Libra's certificate that LibraRiskD with the same settings
+    /// would make this very run (see [`Policy::riskd_equivalent`]): true
+    /// until an admission picks a node [`PsCluster::node_at_risk`] flags,
+    /// then false for good. Always false for the other variants.
+    riskd_equivalent: bool,
 }
 
 /// Share-fit slack for floating-point comparisons.
@@ -91,19 +96,11 @@ impl LibraPolicy {
         // onto a node that will escalate when the overrun job's deadline
         // passes. LibraRiskD differs only in refusing such at-risk nodes
         // (Yeo & Buyya, ICPP 2006).
-        let mode = WeightMode::Dynamic;
-        LibraPolicy {
+        LibraPolicy::build(
             variant,
             econ,
-            cluster: PsCluster::new(nodes as usize, mode),
-            selection: NodeSelection::BestFit,
-            libra_params: LibraParams::default(),
-            dollar_params: LibraDollarParams::default(),
-            meta: FastHashMap::default(),
-            eligible_scratch: Vec::new(),
-            picked_scratch: Vec::new(),
-            completions_scratch: Vec::new(),
-        }
+            PsCluster::new(nodes as usize, WeightMode::Dynamic),
+        )
     }
 
     /// Ablation constructor: control the weight discipline and the
@@ -115,18 +112,11 @@ impl LibraPolicy {
         mode: WeightMode,
         escalation: bool,
     ) -> Self {
-        LibraPolicy {
+        LibraPolicy::build(
             variant,
             econ,
-            cluster: PsCluster::with_escalation(nodes as usize, mode, escalation),
-            selection: NodeSelection::BestFit,
-            libra_params: LibraParams::default(),
-            dollar_params: LibraDollarParams::default(),
-            meta: FastHashMap::default(),
-            eligible_scratch: Vec::new(),
-            picked_scratch: Vec::new(),
-            completions_scratch: Vec::new(),
-        }
+            PsCluster::with_escalation(nodes as usize, mode, escalation),
+        )
     }
 
     /// Heterogeneous-cluster constructor: one speed rating per node. The
@@ -134,10 +124,19 @@ impl LibraPolicy {
     /// share, so fast nodes host more concurrent work — Libra's
     /// computational-economy papers explicitly target such clusters.
     pub fn with_ratings(variant: LibraVariant, econ: EconomicModel, ratings: Vec<f64>) -> Self {
+        LibraPolicy::build(
+            variant,
+            econ,
+            PsCluster::with_ratings(ratings, WeightMode::Dynamic, true),
+        )
+    }
+
+    /// A policy over `cluster` with the paper's selection and prices.
+    fn build(variant: LibraVariant, econ: EconomicModel, cluster: PsCluster) -> Self {
         LibraPolicy {
             variant,
             econ,
-            cluster: PsCluster::with_ratings(ratings, WeightMode::Dynamic, true),
+            cluster,
             selection: NodeSelection::BestFit,
             libra_params: LibraParams::default(),
             dollar_params: LibraDollarParams::default(),
@@ -145,6 +144,7 @@ impl LibraPolicy {
             eligible_scratch: Vec::new(),
             picked_scratch: Vec::new(),
             completions_scratch: Vec::new(),
+            riskd_equivalent: variant == LibraVariant::Plain,
         }
     }
 
@@ -296,6 +296,13 @@ impl Policy for LibraPolicy {
             });
             return;
         }
+        // LibraRiskD's eligible set is this one minus the at-risk nodes,
+        // with the same `free` bits on every other node. While none of the
+        // picks is at risk they are still the best `procs` of that smaller
+        // set, so LibraRiskD would pick, quote and decide exactly as here.
+        if self.riskd_equivalent {
+            self.riskd_equivalent = !nodes.iter().any(|&n| self.cluster.node_at_risk(n, now));
+        }
         // `select_nodes` leaves the picked nodes' (free, node) pairs in
         // `eligible[..need]`, in the same order as `nodes`.
         let charged = self.quote(job, &eligible[..nodes.len()]);
@@ -332,6 +339,10 @@ impl Policy for LibraPolicy {
 
     fn next_event_time(&mut self) -> Option<f64> {
         self.cluster.next_event_time()
+    }
+
+    fn riskd_equivalent(&self) -> Option<bool> {
+        (self.variant == LibraVariant::Plain).then_some(self.riskd_equivalent)
     }
 
     fn advance_to(&mut self, t: f64, out: &mut Vec<Outcome>) {
@@ -600,6 +611,30 @@ mod tests {
         p.on_submit(&j2, 50.0, &mut out);
         assert!(accepted(&out).contains(&2));
         p.drain(&mut out);
+    }
+
+    #[test]
+    fn plain_libra_withdraws_its_riskd_certificate_on_an_at_risk_pick() {
+        let mut p = LibraPolicy::new(LibraVariant::Plain, EconomicModel::BidBased, 2);
+        let mut out = Vec::new();
+        // Job 0 claims est 10 but runs 1000: its node is at risk from t=10.
+        p.on_submit(&job(0, 0.0, 1000.0, 10.0, 2000.0, 1), 0.0, &mut out);
+        assert_eq!(p.riskd_equivalent(), Some(true), "no node at risk yet");
+        p.advance_to(50.0, &mut out);
+        // A rejection picks nothing, so it keeps the certificate.
+        p.on_submit(&job(2, 50.0, 100.0, 100.0, 90.0, 1), 50.0, &mut out);
+        assert_eq!(rejected(&out), vec![2]);
+        assert_eq!(p.riskd_equivalent(), Some(true));
+        // A 2-node job must take the at-risk node; LibraRiskD would not.
+        p.on_submit(&job(3, 50.0, 100.0, 100.0, 1500.0, 2), 50.0, &mut out);
+        assert!(accepted(&out).contains(&3));
+        assert_eq!(p.riskd_equivalent(), Some(false));
+        p.drain(&mut out);
+        assert_eq!(p.riskd_equivalent(), Some(false), "withdrawn for good");
+        for variant in [LibraVariant::Dollar, LibraVariant::RiskD] {
+            let p = LibraPolicy::new(variant, EconomicModel::BidBased, 2);
+            assert_eq!(p.riskd_equivalent(), None, "{variant:?} makes no claim");
+        }
     }
 
     #[test]

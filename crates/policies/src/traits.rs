@@ -232,6 +232,17 @@ pub trait Policy {
     fn queued_jobs(&self) -> usize {
         0
     }
+
+    /// Whether the run so far is exactly the run LibraRiskD, built with
+    /// the same settings, would make on the same inputs: `Some(true)`
+    /// certifies it, `Some(false)` withdraws the claim for good, and
+    /// `None` (the default) makes none. Plain Libra answers: LibraRiskD is
+    /// Libra minus the nodes at risk of deadline delay, so the two runs
+    /// agree as long as no admission picks such a node. The runner reads
+    /// it once the run has drained.
+    fn riskd_equivalent(&self) -> Option<bool> {
+        None
+    }
 }
 
 /// Identifier of each concrete policy, as listed in paper Table V.

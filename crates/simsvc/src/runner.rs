@@ -119,6 +119,11 @@ pub struct RunOutput {
     /// Invariant violations, when the run was [checked](Run::check);
     /// empty for a correct run and for an unchecked one.
     pub violations: Vec<Violation>,
+    /// The policy's [`Policy::riskd_equivalent`] certificate at the end of
+    /// the run: `Some(true)` when a LibraRiskD run on the same inputs would
+    /// be this very simulation, outcome for outcome. `None` for policies
+    /// that make no such claim.
+    pub riskd_equivalent: Option<bool>,
 }
 
 /// One trace-driven run of one workload under one policy and economic
@@ -213,7 +218,7 @@ impl<'a> Run<'a> {
         } else {
             Vec::new()
         };
-        let (result, out) = driven?;
+        let (result, out, riskd_equivalent) = driven?;
         let trace = self
             .trace
             .then(|| synthesise(jobs, cfg, name, &out, &result, kernel_spans));
@@ -227,6 +232,7 @@ impl<'a> Run<'a> {
             events: out.len() as u64,
             trace,
             violations,
+            riskd_equivalent,
         })
     }
 }
@@ -272,7 +278,9 @@ const DRAIN_FAILURE_EVENT_CAP: u64 = 10_000_000;
 /// re-acceptances) and applies its own reconciliation if it wants
 /// batch-equivalent accounting. The policy (and with it any DES event
 /// queues it owns) is dropped *before* this returns, so a kernel-span
-/// capture window opened around this call observes the queue-stat flushes.
+/// capture window opened around this call observes the queue-stat flushes,
+/// so the policy's [`Policy::riskd_equivalent`] answer is read and returned
+/// just before the drop.
 ///
 /// Instrumentation never feeds back into simulation state, so results are
 /// bit-identical whether or not telemetry is on; with it off every timer
@@ -284,7 +292,7 @@ fn drive(
     fault: Option<&FaultConfig>,
     budget: Option<RunBudget>,
     mut observer: Option<&mut dyn RunObserver>,
-) -> Result<(RunResult, Vec<Outcome>), RunError> {
+) -> Result<(RunResult, Vec<Outcome>, Option<bool>), RunError> {
     // Feeds `out[*fed..]` — the outcomes appended since the last call — to
     // the observer, in stream order.
     fn feed(observer: &mut Option<&mut dyn RunObserver>, out: &[Outcome], fed: &mut usize) {
@@ -409,11 +417,13 @@ fn drive(
             feed(&mut observer, &out, &mut fed);
         }
     }
-    {
+    let riskd_equivalent = {
         let _phase = ccs_telemetry::profile::enter("dispatch");
         policy.drain(&mut out);
+        let certificate = policy.riskd_equivalent();
         drop(policy);
-    }
+        certificate
+    };
     feed(&mut observer, &out, &mut fed);
     let _phase_collect = ccs_telemetry::profile::enter("collect");
     if faults.is_some() {
@@ -438,7 +448,7 @@ fn drive(
             .add(result.metrics.fulfilled as u64);
         t.counter("runner.runs.completed").inc();
     }
-    Ok((result, out))
+    Ok((result, out, riskd_equivalent))
 }
 
 /// Owns the failure timeline of one run and delivers its events to the

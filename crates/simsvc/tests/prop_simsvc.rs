@@ -174,3 +174,52 @@ proptest! {
         }
     }
 }
+
+/// Whenever plain Libra's run certifies that LibraRiskD would make the same
+/// run (`RunOutput::riskd_equivalent`), an actual LibraRiskD run on the
+/// same inputs is that run: the same records, ledger, objective bits and
+/// event count. The workloads overrun their estimates (estimate factor
+/// down to 0.3), and each runs in both economic models with and without
+/// failures, so certificates are both kept and withdrawn.
+#[test]
+fn libra_certificate_implies_an_identical_riskd_run() {
+    use ccs_simsvc::{FaultConfig, Run};
+    let (mut kept, mut withdrawn) = (0, 0);
+    for case in 0..64 {
+        let mut rng = TestRng::for_case("libra_certificate_implies_an_identical_riskd_run", case);
+        let jobs = jobs_strategy().generate(&mut rng);
+        let mtbf = (2000.0f64..200_000.0).generate(&mut rng);
+        let mttr = (100.0f64..10_000.0).generate(&mut rng);
+        let fault = FaultConfig::exponential(rng.next_u64(), mtbf, mttr);
+        for econ in EconomicModel::ALL {
+            let cfg = RunConfig { nodes: 16, econ };
+            for fault in [None, Some(&fault)] {
+                let run = |kind| Run::new(&jobs, kind, &cfg).fault(fault).execute().unwrap();
+                let libra = run(PolicyKind::Libra);
+                let label = format!("case {case}, {econ}, faults {}", fault.is_some());
+                match libra.riskd_equivalent {
+                    Some(true) => kept += 1,
+                    Some(false) => {
+                        withdrawn += 1;
+                        continue;
+                    }
+                    None => panic!("{label}: plain Libra always answers"),
+                }
+                let riskd = run(PolicyKind::LibraRiskD);
+                assert_eq!(riskd.result.records, libra.result.records, "{label}");
+                assert_eq!(riskd.result.ledger, libra.result.ledger, "{label}");
+                assert_eq!(
+                    riskd.result.metrics.objectives().map(f64::to_bits),
+                    libra.result.metrics.objectives().map(f64::to_bits),
+                    "{label}"
+                );
+                assert_eq!(riskd.events, libra.events, "{label}");
+                assert_eq!(riskd.riskd_equivalent, None, "{label}");
+            }
+        }
+    }
+    assert!(
+        kept > 0 && withdrawn > 0,
+        "kept {kept}, withdrawn {withdrawn}"
+    );
+}

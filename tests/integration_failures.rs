@@ -208,6 +208,12 @@ fn unopenable_resume_journal_exits_2_naming_the_flag() {
         (&["chaos", "--limit", "2"][..], "--limit"),
         (&["trace", "--workers", "1"][..], "--workers"),
         (&["trace-report", bundle, "--top", "abc"][..], "--top"),
+        (&["tables", "--table", "1", "--jobs", "5"][..], "--jobs"),
+        (
+            &["query", "--store", bundle, "--replicas", "2"][..],
+            "--replicas",
+        ),
+        (&["worker", "--bogus"][..], "--bogus"),
     ] {
         let output = run(args);
         let stderr = String::from_utf8_lossy(&output.stderr);

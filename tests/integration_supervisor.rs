@@ -375,8 +375,9 @@ fn cell_budget_journals_the_same_cells_in_every_mode() {
 /// in-process and over a two-worker fleet, equals four independent grids
 /// bit for bit while reusing 300 of its 1560 cells: the default point
 /// recurs 13 times per grid (240), and set B's Inaccuracy points equal
-/// set A's (60). Under the fleet every reused row of the store names the
-/// worker that simulated the result it copies.
+/// set A's (60). In-process, LibraRiskD cells are also derived from their
+/// Libra cell's run; a fleet derives none. Under the fleet every reused row of the store names the worker
+/// that simulated the result it copies.
 #[test]
 fn evaluation_simulates_each_distinct_cell_once_per_run() {
     use ccs_economy::EconomicModel;
@@ -420,6 +421,16 @@ fn evaluation_simulates_each_distinct_cell_once_per_run() {
         }
         let reused: u64 = ev.raw_grids.iter().map(|g| g.cells_reused).sum();
         assert_eq!(reused, 300, "supervised: {supervised}");
+        let derived: u64 = ev.raw_grids.iter().map(|g| g.cells_derived).sum();
+        if supervised {
+            assert_eq!(derived, 0);
+        } else {
+            // Only bid-based grids run LibraRiskD; set A's grid has no
+            // memo copies, so it derives what the independent grid does.
+            assert!(derived > 0);
+            let bid_a = (&ev.raw_grids[2], &independent[2]);
+            assert_eq!(bid_a.0.cells_derived, bid_a.1.cells_derived);
+        }
         if supervised {
             // A reused cell simulated nothing, so it is the row with 0 s.
             let cols = ResultStore::from_evaluation(&ev, &cfg).columns;
