@@ -45,7 +45,7 @@ use ccs_bench_suite::{measure, BenchEntry, BenchHistory, Measurement};
 use ccs_cluster::{PsCluster, WeightMode};
 use ccs_des::{EventQueue, SimRng, SimTime, Simulation};
 use ccs_economy::EconomicModel;
-use ccs_experiments::{run_cell_ensemble, run_grid, EstimateSet, ExperimentConfig, Scenario};
+use ccs_experiments::{run_cell_ensemble, EstimateSet, ExperimentConfig, GridRun, Scenario};
 use ccs_policies::PolicyKind;
 use ccs_simsvc::{simulate, FaultConfig, LiveRunStats, Run, RunConfig};
 use ccs_workload::{apply_scenario, Job, JobId, ScenarioTransform, SdscSp2Model, Urgency};
@@ -279,9 +279,10 @@ fn observed_round(jobs: &[Job], kind: PolicyKind, nodes: u32) -> u64 {
 /// objective values so the work cannot be optimised away.
 fn grid_round(jobs: usize) -> u64 {
     let cfg = ExperimentConfig::quick().with_jobs(jobs);
-    let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+    let grids = GridRun::new(&cfg).run(&[(EconomicModel::CommodityMarket, EstimateSet::A)]);
+    let grids = grids.expect("an in-process run without control passes every check");
     let mut checksum = 0u64;
-    for s in &g.raw {
+    for s in &grids[0].raw {
         for v in s {
             for p in v {
                 for x in p {

@@ -147,11 +147,11 @@ impl GridAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{run_grid, ExperimentConfig};
+    use crate::grid::{one_grid, ExperimentConfig};
 
     fn quick_analysis() -> GridAnalysis {
         let cfg = ExperimentConfig::quick().with_jobs(60);
-        analyze(&run_grid(
+        analyze(&one_grid(
             EconomicModel::CommodityMarket,
             EstimateSet::A,
             &cfg,
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn normalization_scheme_changes_wait_scores_only() {
         let cfg = ExperimentConfig::quick().with_jobs(60);
-        let grid = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let grid = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
         let default = analyze(&grid);
         let reciprocal = analyze_with(&grid, WaitNormalization::Reciprocal { scale: 8671.0 });
         for (rd, rr) in default.separate.iter().zip(&reciprocal.separate) {

@@ -26,9 +26,10 @@
 //!
 //! - every subcommand but `trace-report` and `serve-worker`: `--quiet`,
 //!   `--out DIR`, `--telemetry FILE`;
-//! - the same but `tables` and `query`, which run nothing: `--quick`
-//!   (200 jobs unless `--jobs` says otherwise), `--jobs N`, `--seed S`,
-//!   `--threads T`, `--replicas R`;
+//! - the same but `tables`, `query`, `perf`, `perf diff` and `chaos`,
+//!   which these flags do not shape: `--quick` (200 jobs unless `--jobs`
+//!   says otherwise), `--jobs N`, `--seed S`, `--threads T`,
+//!   `--replicas R`;
 //! - `all`, `summary`, `dominance`: `--resume JOURNAL`, `--cell-budget N`,
 //!   `--cell-wall-budget SECS`, `--cell-event-budget N`,
 //!   `--compact-journal` (needs `--resume`), `--workers N`,
@@ -39,7 +40,8 @@
 //! - `trace`: `--econ commodity|bid`, `--set A|B`, `--scenario IDX`,
 //!   `--value IDX`, `--policy NAME`;
 //! - `trace-report`: `--manifest FILE`, `--top N`;
-//! - `chaos`: `--rounds N`, `--budget SECS`, `--max-events N`;
+//! - `chaos`: `--seed S` (the soak's root seed), `--rounds N`,
+//!   `--budget SECS`, `--max-events N`;
 //! - `query`: `--econ`, `--set`, `--policy` as for `trace`, `--store FILE`,
 //!   `--source grid|chaos`, `--scenario SUBSTR`, `--select COL,COL,…`,
 //!   `--sort-by COL`, `--desc`, `--limit N`, `--summarize`;
@@ -60,9 +62,10 @@ use ccs_economy::EconomicModel;
 use ccs_experiments::cli::{self, Cli, Command};
 use ccs_experiments::figures::{print_figure, print_figure2, write_figure, write_figure2};
 use ccs_experiments::{
-    build_figure, policies_for, progress, replicate, run_all_ablations, run_evaluation_ctl, tables,
-    telemetry_report, trace_report, write_atomic, CellError, ConfigError, EstimateSet, Journal,
-    ProvenanceManifest, RawGrid, ResultStore, TelemetryReport, STORE_FILE,
+    build_figure, policies_for, progress, replicate, run_all_ablations, run_evaluation, tables,
+    telemetry_report, trace_report, write_atomic, CellError, ConfigError, EstimateSet,
+    ExperimentConfig, Journal, ProvenanceManifest, RawGrid, ResultStore, TelemetryReport,
+    STORE_FILE,
 };
 use ccs_risk::Objective;
 use ccs_simsvc::RunConfig;
@@ -132,7 +135,7 @@ fn run_trace_report(target: &Path, manifest: Option<PathBuf>, top: usize) -> ! {
 /// the Set B default point of the configured trace, printing the headline
 /// objective values — a quick check that the simulator is healthy and
 /// fast.
-fn run_timing(cfg: &ccs_experiments::ExperimentConfig) {
+fn run_timing(cfg: &ExperimentConfig) {
     let base = cfg.trace.generate(cfg.seed);
     let jobs = apply_scenario(&base, &ccs_experiments::baseline(EstimateSet::B), cfg.seed);
     for econ in EconomicModel::ALL {
@@ -189,11 +192,7 @@ fn finish_perf_diff(report: Result<String, String>) -> ! {
 
 /// Builds the columnar result store of a finished evaluation and writes it
 /// atomically under `out`, next to the figure artifacts.
-fn write_store(
-    ev: &ccs_experiments::Evaluation,
-    cfg: &ccs_experiments::ExperimentConfig,
-    out: &Path,
-) {
+fn write_store(ev: &ccs_experiments::Evaluation, cfg: &ExperimentConfig, out: &Path) {
     let store = ResultStore::from_evaluation(ev, cfg);
     let path = store.save(out).expect("write results store");
     progress::note(&format!(
@@ -332,6 +331,13 @@ fn main() {
     let mut raw_grids: Vec<RawGrid> = Vec::new();
     // Panicked grid cells, reported (with a nonzero exit) at the end.
     let mut cell_errors: Vec<CellError> = Vec::new();
+    // The four-grid study; a setting the run refuses exits 2 first.
+    let evaluation = || {
+        run_evaluation(&cfg, &ctl).unwrap_or_else(|e| {
+            eprintln!("utility_risk: {e}");
+            std::process::exit(2)
+        })
+    };
 
     match command {
         // `serve-worker` — the remote TCP worker agent the supervisor's
@@ -371,8 +377,8 @@ fn main() {
             ));
         }
         Command::All => {
+            let ev = evaluation();
             println!("{}", tables::all_tables());
-            let ev = run_evaluation_ctl(&cfg, &ctl);
             cell_errors = ev.cell_errors().into_iter().cloned().collect();
             for fig in ev.paper_figures() {
                 print!("{}", print_figure(&fig));
@@ -430,7 +436,7 @@ fn main() {
             }
         }
         Command::Summary => {
-            let ev = run_evaluation_ctl(&cfg, &ctl);
+            let ev = evaluation();
             cell_errors = ev.cell_errors().into_iter().cloned().collect();
             for g in [&ev.commodity_a, &ev.commodity_b, &ev.bid_a, &ev.bid_b] {
                 println!("\n== {} / {} ==", g.econ, g.set);
@@ -451,7 +457,7 @@ fn main() {
             raw_grids = ev.raw_grids;
         }
         Command::Dominance => {
-            let ev = run_evaluation_ctl(&cfg, &ctl);
+            let ev = evaluation();
             cell_errors = ev.cell_errors().into_iter().cloned().collect();
             for g in [&ev.commodity_a, &ev.commodity_b, &ev.bid_a, &ev.bid_b] {
                 let plot = g.integrated_plot(&Objective::ALL);

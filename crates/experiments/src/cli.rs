@@ -9,8 +9,7 @@
 //! value, or a missing argument is a [`ConfigError`] naming the flag,
 //! raised before any file is created or any cell runs.
 
-use crate::grid::{policies_for, ExperimentConfig, GridControl};
-use crate::journal::Journal;
+use crate::grid::{policies_for, ExperimentConfig, GridControl, GridRun};
 use crate::perf::GroupBy;
 use crate::scenario::{EstimateSet, Scenario};
 use crate::store::{Query, SOURCE_CHAOS, SOURCE_GRID, STORE_FILE};
@@ -47,9 +46,10 @@ const SUBCOMMANDS: [&str; 16] = [
 /// The grid subcommands, which alone take the crash-safety and fleet flags.
 const GRID: &[&str] = &["all", "summary", "dominance"];
 
-/// The subcommands that run nothing: they print the paper's tables or read
-/// a result store, so the flags that shape a run are foreign to them.
-const NO_RUN: &[&str] = &["tables", "query"];
+/// The subcommands the flags that shape a run do not shape: they print the
+/// paper's tables, read a result store, or run a soak (`chaos`, which
+/// takes its own `--seed`), so those flags are foreign to them.
+const NO_RUN: &[&str] = &["tables", "query", "perf", "perf diff", "chaos"];
 
 /// The metavariable of the one positional argument `sub` requires, if any.
 fn positional(sub: &str) -> Option<&'static str> {
@@ -144,6 +144,7 @@ const FLAGS: &[Flag] = &[
     Flag("--policy", Only(&["trace", "query"]), Text("NAME", |a, v| a.policy = Some(v.into()))),
     Flag("--manifest", Only(&["trace-report"]), Text("FILE", |a, v| a.manifest = Some(v.into()))),
     Flag("--top", Only(&["trace-report", "perf"]), Value("N", |a, v| num(v).map(|n| a.top = n))),
+    Flag("--seed", Only(&["chaos"]), Value("S", |a, v| num(v).map(|s| a.chaos.seed = s))),
     Flag("--rounds", Only(&["chaos"]), Value("N", |a, v| num(v).map(|n| a.chaos.rounds = n))),
     Flag("--budget", Only(&["chaos"]), Value("SECS", |a, v| secs(v).map(|s| a.chaos.budget.max_wall_secs = Some(s)))),
     Flag("--max-events", Only(&["chaos"]), Value("N", |a, v| num(v).map(|n| a.chaos.budget.max_events = Some(n)))),
@@ -330,7 +331,8 @@ impl Raw {
     }
 
     /// The grid control: journal, budgets and, when `--workers` or
-    /// `--remote` is given, the supervisor.
+    /// `--remote` is given, the supervisor, checked as [`GridRun`] checks
+    /// it.
     fn grid_control(&self, cfg: &ExperimentConfig) -> Result<GridControl, ConfigError> {
         let mut ctl = self.ctl.clone();
         if self.compact && ctl.journal.is_none() {
@@ -345,13 +347,6 @@ impl Raw {
             // local children, all shards dialed out.
             if !self.given("--workers") {
                 sup.workers = 0;
-            }
-            sup.validate()?;
-            if cfg.replicas > 1 {
-                return Err(ConfigError::new(
-                    "--replicas",
-                    "seed ensembles run in-process only; drop --workers/--remote or use --replicas 1",
-                ));
             }
             ctl.supervisor = Some(sup);
         } else if let Some(flag) = [
@@ -368,17 +363,13 @@ impl Raw {
                 "requires --workers N or --remote HOST:PORT (supervised grid mode)",
             ));
         }
+        GridRun::new(cfg).control(&ctl).check()?;
         Ok(ctl)
     }
 
     /// The subcommand with its own arguments, after the checks that span
     /// flags.
-    fn command(
-        self,
-        sub: &str,
-        cfg: &ExperimentConfig,
-        out: &Path,
-    ) -> Result<Command, ConfigError> {
+    fn command(self, sub: &str, out: &Path) -> Result<Command, ConfigError> {
         let required = |v: Option<String>, what: &str| {
             v.ok_or_else(|| ConfigError::new(sub, format!("requires {what}")))
         };
@@ -431,10 +422,7 @@ impl Raw {
                 manifest: self.manifest,
                 top: self.top,
             },
-            "chaos" => Command::Chaos(SoakConfig {
-                seed: cfg.seed,
-                ..self.chaos
-            }),
+            "chaos" => Command::Chaos(self.chaos),
             "query" => Command::Query {
                 query: Query {
                     econ: self.econ,
@@ -564,9 +552,9 @@ pub struct Cli {
     pub compact_journal: bool,
 }
 
-/// Parses a `utility_risk` command line (without the program name). Every
-/// flag is checked before the one file it touches, the `--resume` journal,
-/// is opened (an unopenable path is an error naming `--resume`).
+/// Parses a `utility_risk` command line (without the program name). It
+/// opens no file: the run opens the `--resume` journal, and [`GridRun`]
+/// refuses an unopenable one (naming `--resume`) before any cell runs.
 pub fn parse(args: &[String]) -> Result<Cli, ConfigError> {
     let word = |i: usize| args.get(i).map(String::as_str);
     let (sub, rest) = match (word(0), word(1)) {
@@ -583,15 +571,7 @@ pub fn parse(args: &[String]) -> Result<Cli, ConfigError> {
     let (cfg, out, telemetry) = raw.shared()?;
     let ctl = raw.grid_control(&cfg)?;
     let compact_journal = raw.compact;
-    let command = raw.command(sub, &cfg, &out)?;
-    if let Some(path) = &ctl.journal {
-        Journal::create(path).map_err(|e| {
-            ConfigError::new(
-                "--resume",
-                format!("cannot open journal {}: {e}", path.display()),
-            )
-        })?;
-    }
+    let command = raw.command(sub, &out)?;
     Ok(Cli {
         command,
         cfg,
@@ -732,15 +712,29 @@ mod tests {
             (&["query", "--store", "s", "--replicas", "2"], "--replicas"),
             (&["query", "--threads", "2"], "--threads"),
             (&["query", "--quick"], "--quick"),
+            (&["chaos", "--quick"], "--quick"),
+            (&["chaos", "--jobs", "9"], "--jobs"),
+            (&["chaos", "--threads", "7"], "--threads"),
+            (&["chaos", "--replicas", "3"], "--replicas"),
+            (&["perf", "--store", "s", "--jobs", "5"], "--jobs"),
+            (&["perf", "--seed", "3"], "--seed"),
+            (&["perf", "diff", "--bench", "b", "--seed", "3"], "--seed"),
+            (&["perf", "diff", "--bench", "b", "--quick"], "--quick"),
         ] {
             assert_eq!(faulted(words), flag, "{words:?}");
         }
         let err = parse_cli_checked(&["--quick".into(), "--workers".into(), "2".into()]);
         assert_eq!(err.unwrap_err().field, "--workers");
-        // The flags that do not shape a run stay with `tables` and `query`.
+        // The flags that do not shape a run stay with `tables` and `query`,
+        // and `chaos` keeps its seed.
         let cli = parse_words(&["query", "--quiet", "--out", "o", "--telemetry", "t.json"]);
         assert_eq!(cli.unwrap().out, PathBuf::from("o"));
         assert!(parse_words(&["tables", "--table", "2", "--out", "o"]).is_ok());
+        let cli = parse_words(&["chaos", "--seed", "7", "--rounds", "2"]).unwrap();
+        assert!(matches!(
+            cli.command,
+            Command::Chaos(SoakConfig { seed: 7, .. })
+        ));
     }
 
     #[test]

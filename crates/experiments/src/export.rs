@@ -75,10 +75,11 @@ impl EvaluationExport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_evaluation, ExperimentConfig};
+    use crate::{run_evaluation, ExperimentConfig, GridControl};
 
     fn quick_export() -> EvaluationExport {
-        let ev = run_evaluation(&ExperimentConfig::quick().with_jobs(40));
+        let cfg = ExperimentConfig::quick().with_jobs(40);
+        let ev = run_evaluation(&cfg, &GridControl::default()).unwrap();
         EvaluationExport::from_evaluation(&ev)
     }
 

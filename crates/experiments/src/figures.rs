@@ -214,19 +214,19 @@ pub fn print_figure(fig: &Figure) -> String {
 mod tests {
     use super::*;
     use crate::analysis::analyze;
-    use crate::grid::{run_grid, ExperimentConfig};
+    use crate::grid::{one_grid, ExperimentConfig};
     use crate::scenario::EstimateSet;
     use ccs_economy::EconomicModel;
 
     fn quick_pair() -> (GridAnalysis, GridAnalysis) {
         let cfg = ExperimentConfig::quick().with_jobs(50);
         (
-            analyze(&run_grid(
+            analyze(&one_grid(
                 EconomicModel::CommodityMarket,
                 EstimateSet::A,
                 &cfg,
             )),
-            analyze(&run_grid(
+            analyze(&one_grid(
                 EconomicModel::CommodityMarket,
                 EstimateSet::B,
                 &cfg,

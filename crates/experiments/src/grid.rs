@@ -14,6 +14,7 @@ use crate::live::LiveRiskBoard;
 use crate::progress;
 use crate::scenario::{EstimateSet, Scenario};
 use crate::supervisor::Fleet;
+use crate::ConfigError;
 use ccs_chaos::StuckPolicy;
 use ccs_economy::EconomicModel;
 use ccs_policies::{build_policy, Policy, PolicyKind};
@@ -23,6 +24,7 @@ use ccs_telemetry::profile::ProfileSnapshot;
 use ccs_telemetry::{Counter, Histogram};
 use ccs_workload::{apply_scenario, BaseJob, Job, ScenarioTransform, SdscSp2Model};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -123,8 +125,8 @@ pub struct GridControl {
     /// in-process threads. `None` (the default) runs them on the local
     /// executor; `Some` hands them to the supervisor, which re-execs the
     /// current binary as `utility_risk worker` subprocesses and dials any
-    /// remote agents. Supervised runs synthesise base jobs from
-    /// `cfg.trace`, so caller-provided base jobs are ignored on this path.
+    /// remote agents. Workers synthesise their base jobs from `cfg.trace`,
+    /// so [`GridRun::base`] refuses any other base jobs on this path.
     pub supervisor: Option<crate::supervisor::SupervisorConfig>,
 }
 
@@ -429,46 +431,134 @@ pub fn plan_shards(total: usize, workers: usize) -> Vec<Vec<usize>> {
     shards
 }
 
-/// Runs the full 13 × 6 grid for one (economic model, estimate set) pair.
-///
-/// Cells are independent, so they are fanned out over worker threads;
-/// results are deterministic regardless of the thread count.
-pub fn run_grid(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> RawGrid {
-    let base = cfg.trace.generate(cfg.seed);
-    run_grid_with_base(econ, set, cfg, &base)
+/// The one way to run grids, from one grid to the four-grid study.
+/// `.control(&ctl)` adds [`GridControl`]'s journal, budgets, drills and
+/// supervisor; `.base(&base)` runs over other base jobs (Lublin, diurnal,
+/// SWF imports); `.board(&board)` folds each completed point of a one-grid
+/// run into a caller's [`LiveRiskBoard`]. One [`GridRun::run`] is one run:
+/// its grids share one memo of simulated cells, one journal and, under a
+/// supervisor, one fleet, spawned by the first grid with cells to run and
+/// closed after the last.
+#[derive(Clone, Copy)]
+pub struct GridRun<'a> {
+    cfg: &'a ExperimentConfig,
+    ctl: Option<&'a GridControl>,
+    base: Option<&'a [BaseJob]>,
+    board: Option<&'a LiveRiskBoard>,
 }
 
-/// Like [`run_grid`], but with [`GridControl`] (resume journal and/or cell
-/// budget).
-pub fn run_grid_ctl(
-    econ: EconomicModel,
-    set: EstimateSet,
-    cfg: &ExperimentConfig,
-    ctl: &GridControl,
-) -> RawGrid {
-    let base = cfg.trace.generate(cfg.seed);
-    run_grid_with_base_ctl(econ, set, cfg, &base, ctl)
+/// Why a run without control cannot be refused: it has nothing to check.
+pub(crate) const IN_PROCESS: &str = "an in-process run without control passes every check";
+
+impl<'a> GridRun<'a> {
+    /// An in-process run under `cfg`, without a journal.
+    pub fn new(cfg: &'a ExperimentConfig) -> Self {
+        GridRun {
+            cfg,
+            ctl: None,
+            base: None,
+            board: None,
+        }
+    }
+
+    /// Runs under `ctl`.
+    pub fn control(mut self, ctl: &'a GridControl) -> Self {
+        self.ctl = Some(ctl);
+        self
+    }
+
+    /// Runs over `base`; a fleet's workers synthesise theirs from
+    /// `cfg.trace`, so under a supervisor it must equal that trace.
+    pub fn base(mut self, base: &'a [BaseJob]) -> Self {
+        self.base = Some(base);
+        self
+    }
+
+    /// Folds each completed point of the run's one grid into `board`.
+    pub fn board(mut self, board: &'a LiveRiskBoard) -> Self {
+        self.board = Some(board);
+        self
+    }
+
+    /// The checks the settings alone decide, each naming the field at
+    /// fault: a valid supervisor and, on a fleet, no seed ensembles and no
+    /// base jobs but the trace its workers synthesise.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let Some(sup) = self.ctl.and_then(|ctl| ctl.supervisor.as_ref()) else {
+            return Ok(());
+        };
+        sup.validate()?;
+        if self.cfg.replicas > 1 {
+            return Err(ConfigError::new(
+                "--replicas",
+                "seed ensembles run in-process only; drop --workers/--remote or use --replicas 1",
+            ));
+        }
+        let foreign = |base: &[BaseJob]| *base != self.cfg.trace.generate(self.cfg.seed)[..];
+        if self.base.is_some_and(foreign) {
+            return Err(ConfigError::new(
+                "base",
+                "a fleet's workers synthesise the trace model's base jobs; run others in-process",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Runs `grids` in order. A cell that panics or blows its budget is a
+    /// [`CellError`] on its grid, never an abort; a setting the run
+    /// refuses is an error before any cell runs, any worker spawns or any
+    /// file is written.
+    pub fn run(&self, grids: &[(EconomicModel, EstimateSet)]) -> Result<Vec<RawGrid>, ConfigError> {
+        let mut run = self.open(grids)?;
+        Ok(grids.iter().map(|&(e, s)| run.grid(e, s)).collect())
+    }
+
+    /// Checks every setting, then opens the run over `grids`: its memo,
+    /// its journal (adopting the shard journals a crashed run left) and
+    /// its fleet, which spawns nothing until a grid has cells to run.
+    pub(crate) fn open(
+        &self,
+        grids: &[(EconomicModel, EstimateSet)],
+    ) -> Result<OpenRun<'a>, ConfigError> {
+        self.check()?;
+        if self.board.is_some() && grids.len() != 1 {
+            return Err(ConfigError::new("board", "a board observes one grid"));
+        }
+        let ctl = self.ctl.map_or_else(Cow::default, Cow::Borrowed);
+        let fleet = match &ctl.supervisor {
+            Some(sup) => Some(Fleet::open(sup, &ctl, self.cfg)?),
+            None => None,
+        };
+        let journal = match ctl.journal.as_deref() {
+            Some(path) => {
+                let _ = Journal::merge_shards(path);
+                Some(Journal::open(path).map_err(|e| {
+                    let message = format!("cannot open journal {}: {e}", path.display());
+                    ConfigError::new("--resume", message)
+                })?)
+            }
+            None => None,
+        };
+        let base = match (&fleet, self.base) {
+            (Some(_), _) => None,
+            (None, Some(base)) => Some(Cow::Borrowed(base)),
+            (None, None) => Some(Cow::Owned(self.cfg.trace.generate(self.cfg.seed))),
+        };
+        Ok(OpenRun {
+            cfg: self.cfg,
+            ctl,
+            board: self.board,
+            base,
+            memo: CellMemo::for_run(grids, self.cfg),
+            journal,
+            fleet,
+        })
+    }
 }
 
-/// Like [`run_grid`], but over caller-provided base jobs — the hook for
-/// alternative trace models (Lublin, diurnal, real SWF imports).
-pub fn run_grid_with_base(
-    econ: EconomicModel,
-    set: EstimateSet,
-    cfg: &ExperimentConfig,
-    base: &[BaseJob],
-) -> RawGrid {
-    run_grid_with_base_ctl(econ, set, cfg, base, &GridControl::default())
-}
-
-/// The full grid runner: caller-provided base jobs plus [`GridControl`].
-///
-/// A policy that panics inside a cell does not abort the grid: the panic is
-/// caught, reported as a [`CellError`] on the returned grid, and the cell's
-/// objectives stay at a `[0.0; 4]` placeholder. With a journal, completed
-/// cells are checkpointed as they finish and journaled cells are reused —
-/// panicked or budget-skipped cells are *not* journaled, so a resume
-/// re-runs exactly the failed and missing work.
+/// One grid over `base` under `ctl`, panicking where [`GridRun::run`]
+/// returns an error. It exists only because `perfbench/tracer` calls it;
+/// the change that next edits the benchmark deletes it. Use [`GridRun`].
 pub fn run_grid_with_base_ctl(
     econ: EconomicModel,
     set: EstimateSet,
@@ -476,129 +566,83 @@ pub fn run_grid_with_base_ctl(
     base: &[BaseJob],
     ctl: &GridControl,
 ) -> RawGrid {
-    run_grid_with_base_ctl_observed(econ, set, cfg, base, ctl, &default_board(econ))
+    let run = GridRun::new(cfg).control(ctl).base(base);
+    run.run(&[(econ, set)])
+        .expect("grid settings must pass GridRun::check")
+        .remove(0)
 }
 
-/// The live board a grid run folds into when the caller brings none.
-pub(crate) fn default_board(econ: EconomicModel) -> LiveRiskBoard {
-    LiveRiskBoard::new(
-        policies_for(econ)
-            .iter()
-            .map(|p| p.name().to_string())
-            .collect(),
-        WaitNormalization::default(),
-    )
+/// A run in progress: what its grids share. Fields drop in order, so the
+/// fleet closes (merging the shard journals) after the journal.
+pub(crate) struct OpenRun<'a> {
+    cfg: &'a ExperimentConfig,
+    ctl: Cow<'a, GridControl>,
+    board: Option<&'a LiveRiskBoard>,
+    /// The base trace of an in-process run; a fleet's workers and its
+    /// in-process fallback synthesise theirs from `cfg.trace`.
+    base: Option<Cow<'a, [BaseJob]>>,
+    memo: CellMemo,
+    journal: Option<Journal>,
+    pub(crate) fleet: Option<Fleet>,
 }
 
-/// Like [`run_grid_with_base_ctl`], but folding every completed experiment
-/// point into a caller-owned [`LiveRiskBoard`] — the streaming-analytics
-/// hook: snapshot the board from another thread mid-run, or read its
-/// streaming separate analysis after the run (it equals the batch
-/// [`crate::analysis::analyze`] under the same normalization scheme).
-/// The board is observation-only; the returned grid is identical to
-/// [`run_grid_with_base_ctl`]'s.
-///
-/// Every execution mode takes the same three steps: `plan` the cells,
-/// simulate each one with `run_cell` (on local threads, or in worker
-/// processes under the supervisor), and fold the results into the grid
-/// with `GridFold`. A supervised call opens a fleet for this one grid and
-/// closes it — every worker shut down, every reader joined — before
-/// returning.
-pub fn run_grid_with_base_ctl_observed(
-    econ: EconomicModel,
-    set: EstimateSet,
-    cfg: &ExperimentConfig,
-    base: &[BaseJob],
-    ctl: &GridControl,
-    board: &LiveRiskBoard,
-) -> RawGrid {
-    let mut fleet = ctl
-        .supervisor
-        .as_ref()
-        .map(|sup| Fleet::open(sup, ctl, cfg));
-    run_grid_on(econ, set, cfg, base, ctl, board, fleet.as_mut())
-}
-
-/// One grid run on `fleet` — the worker fleet of a supervised run, which
-/// may serve several grids — or on the local executor when `fleet` is
-/// `None`. Duplicate cells are reused within this one grid.
-pub(crate) fn run_grid_on(
-    econ: EconomicModel,
-    set: EstimateSet,
-    cfg: &ExperimentConfig,
-    base: &[BaseJob],
-    ctl: &GridControl,
-    board: &LiveRiskBoard,
-    fleet: Option<&mut Fleet>,
-) -> RawGrid {
-    let memo = CellMemo::default();
-    run_grid_in_run(econ, set, cfg, base, ctl, board, fleet, &memo)
-}
-
-/// [`run_grid_on`] as one grid of a multi-grid run: `memo` holds the
-/// results of the run's earlier grids, which this grid reuses where its
-/// cells' content keys match, and receives this grid's results in turn.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_grid_in_run(
-    econ: EconomicModel,
-    set: EstimateSet,
-    cfg: &ExperimentConfig,
-    base: &[BaseJob],
-    ctl: &GridControl,
-    board: &LiveRiskBoard,
-    fleet: Option<&mut Fleet>,
-    memo: &CellMemo,
-) -> RawGrid {
-    assert!(
-        fleet.is_none() || cfg.replicas <= 1,
-        "in-cell seed ensembles (replicas > 1) run on in-process threads; \
-         drop the supervisor or set replicas to 1"
-    );
-    let started = Instant::now();
-    // Live workers may be appending to their shard journals; only a grid
-    // that runs before the fleet opens may merge leftovers.
-    let merge_leftovers = !fleet.as_ref().is_some_and(|f| f.is_open());
-    let derive = fleet.is_none();
-    let (cells, fold) = plan(econ, set, cfg, ctl, board, memo, merge_leftovers, derive);
-    // Supervised runs synthesise base jobs from cfg.trace, like their
-    // workers do, so the caller-provided base is not used on that path.
-    let cache = match fleet {
-        Some(_) => WorkloadCache::new(cfg),
-        None => WorkloadCache::with_base(cfg, base),
-    };
-    let env = CellEnv {
-        cfg,
-        run_budget: RunBudget {
-            max_wall_secs: ctl.cell_wall_budget,
-            max_events: ctl.cell_event_budget,
-        },
-        drills: &fold.drills,
-        cache: &cache,
-        threads: if cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            cfg.threads
-        },
-    };
-    let (busy, transports) = match fleet {
-        Some(fleet) => fleet.run_grid(cells, &env, &fold),
-        None => {
-            let mut busy = run_local(&cells, &env, &fold, true);
-            // The held-back LibraRiskD cells whose Libra cell did not
-            // certify them: a second pass simulates them.
-            let uncertified = fold.take_uncertified();
-            if !uncertified.is_empty() {
-                let more = run_local(&uncertified, &env, &fold, true);
-                for (b, m) in busy.iter_mut().zip(more) {
-                    *b += m;
+impl OpenRun<'_> {
+    /// Runs one grid: `plan` its cells, simulate each with `run_cell` (on
+    /// local threads or the fleet's workers), and fold the results into
+    /// the grid with `GridFold`.
+    pub(crate) fn grid(&mut self, econ: EconomicModel, set: EstimateSet) -> RawGrid {
+        let started = Instant::now();
+        let policies = policies_for(econ).iter().map(|p| p.name().into()).collect();
+        let own_board = LiveRiskBoard::new(policies, WaitNormalization::default());
+        let board = self.board.unwrap_or(&own_board);
+        let (cells, fold) = plan(
+            econ,
+            set,
+            self.cfg,
+            &self.ctl,
+            board,
+            &self.memo,
+            self.journal.as_ref(),
+            self.fleet.is_none(),
+        );
+        let cache = match &self.base {
+            Some(base) => WorkloadCache::with_base(self.cfg, base),
+            None => WorkloadCache::new(self.cfg),
+        };
+        let env = CellEnv {
+            cfg: self.cfg,
+            run_budget: RunBudget {
+                max_wall_secs: self.ctl.cell_wall_budget,
+                max_events: self.ctl.cell_event_budget,
+            },
+            drills: &fold.drills,
+            cache: &cache,
+            threads: if self.cfg.threads == 0 {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(4)
+            } else {
+                self.cfg.threads
+            },
+        };
+        let (busy, transports) = match self.fleet.as_mut() {
+            Some(fleet) => fleet.run_cells(cells, &env, &fold),
+            None => {
+                let mut busy = run_local(&cells, &env, &fold, true);
+                // The held-back LibraRiskD cells whose Libra cell did not
+                // certify them: a second pass simulates them.
+                let uncertified = fold.take_uncertified();
+                if !uncertified.is_empty() {
+                    let more = run_local(&uncertified, &env, &fold, true);
+                    for (b, m) in busy.iter_mut().zip(more) {
+                        *b += m;
+                    }
                 }
+                (busy, Vec::new())
             }
-            (busy, Vec::new())
-        }
-    };
-    fold.finish(started, busy, transports, &cache)
+        };
+        fold.finish(started, busy, transports, &cache)
+    }
 }
 
 /// Feeds grid-level timings into the global telemetry registry, if on.
@@ -1129,9 +1173,8 @@ pub(crate) fn run_cell(spec: &CellSpec, env: &CellEnv) -> SimulatedCell {
 /// cells simulated in this run enter it — never journal hits, drill cells,
 /// or failures — and only those whose key a later grid of the run plans,
 /// so the memo stays small. Seed, cluster size, replicas, and budgets are
-/// fixed for a run, so the content key need not carry them. The default
-/// memo serves a one-grid run and keeps nothing.
-#[derive(Default)]
+/// fixed for a run, so the content key need not carry them. The memo of a
+/// one-grid run keeps nothing.
 pub(crate) struct CellMemo {
     /// Content keys that occur in more than one grid of the run.
     shared: HashSet<String>,
@@ -1213,22 +1256,13 @@ fn plan<'a>(
     ctl: &GridControl,
     board: &'a LiveRiskBoard,
     memo: &'a CellMemo,
-    merge_leftovers: bool,
+    journal: Option<&'a Journal>,
     derive: bool,
 ) -> (Vec<CellSpec>, GridFold<'a>) {
-    let journal = ctl.journal.as_deref().map(|path| {
-        // Adopt any shard journals a crashed supervisor left behind
-        // *before* computing journal hits.
-        if merge_leftovers {
-            let _ = Journal::merge_shards(path);
-        }
-        Journal::open(path)
-            .unwrap_or_else(|e| panic!("cannot open journal {}: {e}", path.display()))
-    });
     let mut fold = GridFold::new(econ, set, journal, board, memo, Drills::resolve(ctl));
     let mut cells = Vec::new();
     for spec in grid_cells(econ, set, cfg) {
-        match fold.journal.as_ref().and_then(|j| j.get(&spec.key)) {
+        match fold.journal.and_then(|j| j.get(&spec.key)) {
             Some(rec) => fold.restore(&spec, rec),
             None => cells.push(spec),
         }
@@ -1310,7 +1344,7 @@ struct Family {
 /// [`RawGrid`] arrays, the journal, and the live board. Thread-safe, so the
 /// local executor's threads and the supervisor's event loop share it.
 pub(crate) struct GridFold<'a> {
-    journal: Option<Journal>,
+    journal: Option<&'a Journal>,
     board: &'a LiveRiskBoard,
     /// The run's memo of simulated results, fed as representatives resolve.
     memo: &'a CellMemo,
@@ -1351,7 +1385,7 @@ impl<'a> GridFold<'a> {
     fn new(
         econ: EconomicModel,
         set: EstimateSet,
-        journal: Option<Journal>,
+        journal: Option<&'a Journal>,
         board: &'a LiveRiskBoard,
         memo: &'a CellMemo,
         drills: Drills,
@@ -1496,7 +1530,7 @@ impl<'a> GridFold<'a> {
 
     /// Journals one resolved cell, then writes it into the grid.
     fn record_one(&self, spec: &CellSpec, sim: SimulatedCell, worker: u64) {
-        if let Some(j) = self.journal.as_ref() {
+        if let Some(j) = self.journal {
             if let Some(rec) = sim.journal_record(spec, worker, &self.drills) {
                 j.append(&rec);
             }
@@ -1616,9 +1650,26 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// One in-process grid without control, run on its own.
+#[cfg(test)]
+pub(crate) fn one_grid(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> RawGrid {
+    GridRun::new(cfg).run(&[(econ, set)]).unwrap().remove(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One grid under `ctl`, run on its own.
+    fn grid_ctl(
+        econ: EconomicModel,
+        set: EstimateSet,
+        cfg: &ExperimentConfig,
+        ctl: &GridControl,
+    ) -> RawGrid {
+        let run = GridRun::new(cfg).control(ctl).run(&[(econ, set)]);
+        run.unwrap().remove(0)
+    }
 
     #[test]
     fn failure_rate_zero_point_matches_baseline_workload_point() {
@@ -1629,7 +1680,7 @@ mod tests {
             threads: 2,
             ..ExperimentConfig::quick().with_jobs(60)
         };
-        let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let g = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
         let fr = Scenario::ALL
             .iter()
             .position(|s| *s == Scenario::FailureRate)
@@ -1655,10 +1706,10 @@ mod tests {
             threads: 2,
             ..ExperimentConfig::quick().with_jobs(40)
         };
-        let full = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let full = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
 
         // "Kill" a journaled run after 30 cells ...
-        let truncated = run_grid_ctl(
+        let truncated = grid_ctl(
             EconomicModel::CommodityMarket,
             EstimateSet::A,
             &cfg,
@@ -1674,7 +1725,7 @@ mod tests {
 
         // ... then resume: only the missing cells run, and the merged grid
         // is identical to the uninterrupted one.
-        let resumed = run_grid_ctl(
+        let resumed = grid_ctl(
             EconomicModel::CommodityMarket,
             EstimateSet::A,
             &cfg,
@@ -1697,7 +1748,7 @@ mod tests {
             threads: 2,
             ..ExperimentConfig::quick().with_jobs(40)
         };
-        let g = run_grid_ctl(
+        let g = grid_ctl(
             EconomicModel::CommodityMarket,
             EstimateSet::A,
             &cfg,
@@ -1727,7 +1778,7 @@ mod tests {
 
         // Resuming without the env var re-runs only the failed cell and
         // heals the grid.
-        let healed = run_grid_ctl(
+        let healed = grid_ctl(
             EconomicModel::CommodityMarket,
             EstimateSet::A,
             &cfg,
@@ -1738,7 +1789,7 @@ mod tests {
             },
         );
         assert!(healed.errors.is_empty());
-        let full = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let full = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
         assert_eq!(healed.raw, full.raw);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1746,7 +1797,7 @@ mod tests {
     #[test]
     fn grid_dimensions() {
         let cfg = ExperimentConfig::quick().with_jobs(60);
-        let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let g = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
         assert_eq!(g.raw.len(), 13);
         assert_eq!(g.raw[0].len(), 6);
         assert_eq!(g.raw[0][0].len(), 5);
@@ -1757,7 +1808,7 @@ mod tests {
     #[test]
     fn objective_values_in_legal_ranges() {
         let cfg = ExperimentConfig::quick().with_jobs(60);
-        let g = run_grid(EconomicModel::BidBased, EstimateSet::B, &cfg);
+        let g = one_grid(EconomicModel::BidBased, EstimateSet::B, &cfg);
         for s in &g.raw {
             for v in s {
                 for p in v {
@@ -1781,8 +1832,8 @@ mod tests {
             threads: 4,
             ..ExperimentConfig::quick().with_jobs(40)
         };
-        let a = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &one);
-        let b = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &many);
+        let a = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &one);
+        let b = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &many);
         assert_eq!(a.raw, b.raw);
     }
 
@@ -1804,7 +1855,7 @@ mod tests {
             threads: 2,
             ..ExperimentConfig::quick().with_jobs(40)
         };
-        let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let g = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
         assert!(g
             .cell_sigma
             .iter()
@@ -1823,8 +1874,8 @@ mod tests {
             threads: 4,
             ..ExperimentConfig::quick().with_jobs(40).with_replicas(3)
         };
-        let a = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &one);
-        let b = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &many);
+        let a = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &one);
+        let b = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &many);
         // The fixed replica-index merge order makes μ, σ, and the event
         // totals byte-identical no matter how the pools interleave.
         assert_eq!(a.raw, b.raw);
@@ -1839,8 +1890,8 @@ mod tests {
             ..ExperimentConfig::quick().with_jobs(40)
         };
         let ensemble = single.with_replicas(3);
-        let a = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &single);
-        let b = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &ensemble);
+        let a = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &single);
+        let b = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &ensemble);
         let fr = Scenario::ALL
             .iter()
             .position(|s| *s == Scenario::FailureRate)
@@ -1886,8 +1937,8 @@ mod tests {
             threads: 2,
             ..ExperimentConfig::quick().with_jobs(30).with_replicas(2)
         };
-        let full = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
-        let truncated = run_grid_ctl(
+        let full = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let truncated = grid_ctl(
             EconomicModel::CommodityMarket,
             EstimateSet::A,
             &cfg,
@@ -1898,7 +1949,7 @@ mod tests {
             },
         );
         assert!(truncated.errors.is_empty());
-        let resumed = run_grid_ctl(
+        let resumed = grid_ctl(
             EconomicModel::CommodityMarket,
             EstimateSet::A,
             &cfg,
@@ -1912,7 +1963,7 @@ mod tests {
         assert_eq!(resumed.cell_sigma, full.cell_sigma);
         // An ensemble journal must not satisfy a single-replica run: the
         // cell keys carry the replica count.
-        let single = run_grid_ctl(
+        let single = grid_ctl(
             EconomicModel::CommodityMarket,
             EstimateSet::A,
             &ExperimentConfig { replicas: 1, ..cfg },
@@ -1940,7 +1991,7 @@ mod tests {
             threads: 1,
             ..ExperimentConfig::quick().with_jobs(40)
         };
-        let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let g = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
         // One cache lookup per simulated cell — one per distinct content
         // key, i.e. per distinct (transform, fault) point and policy — and
         // one miss per distinct transform.
@@ -2008,7 +2059,7 @@ mod tests {
                     .with_replicas(replicas)
             };
             let (econ, set) = (EconomicModel::CommodityMarket, EstimateSet::A);
-            let g = run_grid(econ, set, &cfg);
+            let g = one_grid(econ, set, &cfg);
             let mut reps: HashMap<String, (usize, usize, usize)> = HashMap::new();
             for (s, v, p, content) in planned_cells(econ, set, &cfg) {
                 let &mut (rs, rv, rp) = reps.entry(content).or_insert((s, v, p));
@@ -2043,7 +2094,7 @@ mod tests {
             ..ExperimentConfig::quick().with_jobs(30)
         };
         // An event budget of one cancels every simulated cell.
-        let g = run_grid_ctl(
+        let g = grid_ctl(
             EconomicModel::BidBased,
             EstimateSet::B,
             &cfg,
@@ -2081,27 +2132,15 @@ mod tests {
             ..ExperimentConfig::quick().with_jobs(30)
         };
         let econ = EconomicModel::CommodityMarket;
-        let base = cfg.trace.generate(cfg.seed);
-        let run = |ctl: &GridControl, memo: &CellMemo, set| {
-            run_grid_in_run(
-                econ,
-                set,
-                &cfg,
-                &base,
-                ctl,
-                &default_board(econ),
-                None,
-                memo,
-            )
+        let grids = [(econ, EstimateSet::A), (econ, EstimateSet::B)];
+        let run = |ctl: &GridControl, grids: &[(EconomicModel, EstimateSet)]| {
+            GridRun::new(&cfg).control(ctl).run(grids).unwrap()
         };
         let plain = GridControl::default();
-        let grids = [(econ, EstimateSet::A), (econ, EstimateSet::B)];
-        let memo = CellMemo::for_run(&grids, &cfg);
-        let a = run(&plain, &memo, EstimateSet::A);
-        let b = run(&plain, &memo, EstimateSet::B);
+        let ab = run(&plain, &grids);
         // Set B's six Inaccuracy points equal set A's, for every policy.
-        assert_eq!((a.cells_reused, b.cells_reused), (60, 90));
-        assert_eq!(b.raw, run_grid(econ, EstimateSet::B, &cfg).raw);
+        assert_eq!((ab[0].cells_reused, ab[1].cells_reused), (60, 90));
+        assert_eq!(ab[1].raw, one_grid(econ, EstimateSet::B, &cfg).raw);
 
         // Journal hits are not sources: a resumed set A fills no memo, so
         // set B simulates its Inaccuracy cells itself.
@@ -2109,26 +2148,23 @@ mod tests {
             journal: Some(journal.clone()),
             ..Default::default()
         };
-        run(&journaled, &CellMemo::default(), EstimateSet::A);
-        let memo = CellMemo::for_run(&grids, &cfg);
-        let resumed = run(&journaled, &memo, EstimateSet::A);
-        assert_eq!(resumed.cells_reused, 0, "every cell was a journal hit");
-        let b = run(&plain, &memo, EstimateSet::B);
-        assert_eq!(b.cells_reused, 60);
+        run(&journaled, &grids[..1]);
+        let resumed = run(&journaled, &grids);
+        assert_eq!(resumed[0].cells_reused, 0, "every cell was a journal hit");
+        assert_eq!(resumed[1].cells_reused, 60);
 
         // A drill cell is never reused: the default-point cell it names is
-        // simulated (and panics) even though its content key recurs, so
-        // set B reuses one cell fewer.
+        // simulated (and panics) in each grid even though its content key
+        // recurs, so each grid reuses one cell fewer.
         let drilled = GridControl {
             fail_cell: Some("0:1:SJF-BF".to_string()),
             ..Default::default()
         };
-        let memo = CellMemo::for_run(&grids, &cfg);
-        let a = run(&plain, &memo, EstimateSet::A);
-        let b = run(&drilled, &memo, EstimateSet::B);
-        assert_eq!(b.errors.len(), 1, "{:?}", b.errors);
-        assert_eq!(b.cells_reused, 89);
-        assert_eq!(a.errors.len(), 0);
+        let ab = run(&drilled, &grids);
+        for g in &ab {
+            assert_eq!(g.errors.len(), 1, "{:?}", g.errors);
+        }
+        assert_eq!((ab[0].cells_reused, ab[1].cells_reused), (59, 89));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2152,7 +2188,7 @@ mod tests {
         let (p, libra) = (column(PolicyKind::LibraRiskD), column(PolicyKind::Libra));
         let (mut derived, mut simulated) = (0, 0);
         for set in EstimateSet::ALL {
-            let g = run_grid(econ, set, &cfg);
+            let g = one_grid(econ, set, &cfg);
             let mut seen = HashSet::new();
             let mut certified = 0;
             for spec in grid_cells(econ, set, &cfg) {
@@ -2207,7 +2243,7 @@ mod tests {
                     .with_jobs(40)
                     .with_replicas(replicas)
             };
-            run_grid(EconomicModel::BidBased, EstimateSet::A, &cfg)
+            one_grid(EconomicModel::BidBased, EstimateSet::A, &cfg)
         };
         let one = grid(1, 1);
         assert!(one.cells_derived > 0);
@@ -2229,7 +2265,7 @@ mod tests {
                 threads,
                 ..ExperimentConfig::quick().with_jobs(30)
             };
-            run_grid(EconomicModel::BidBased, EstimateSet::B, &cfg)
+            one_grid(EconomicModel::BidBased, EstimateSet::B, &cfg)
         };
         let (one, four) = (grid(1), grid(4));
         // Each transform is synthesised exactly once, however many threads
@@ -2244,7 +2280,7 @@ mod tests {
             threads: 2,
             ..ExperimentConfig::quick().with_jobs(40)
         };
-        let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let g = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
         assert_eq!(g.cell_costs.len(), 13);
         assert_eq!(g.cell_costs[0].len(), 6);
         assert_eq!(g.cell_costs[0][0].len(), g.policies.len());
@@ -2296,7 +2332,7 @@ mod tests {
             threads: 2,
             ..ExperimentConfig::quick().with_jobs(40)
         };
-        let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let g = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
         let ids: std::collections::HashSet<u64> =
             g.cell_workers.iter().flatten().flatten().copied().collect();
         assert!(!ids.contains(&0), "simulated cells must be attributed");
@@ -2312,7 +2348,7 @@ mod tests {
             threads: 2,
             ..ExperimentConfig::quick().with_jobs(40)
         };
-        let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let g = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
         assert_eq!(g.cell_secs.len(), 13);
         assert_eq!(g.cell_secs[0].len(), 6);
         assert_eq!(g.cell_secs[0][0].len(), g.policies.len());

@@ -135,7 +135,13 @@ impl Journal {
     /// residue of a killed run — are skipped, not fatal, and terminated
     /// with a newline so the next append starts a line of its own.
     pub fn open(path: &Path) -> std::io::Result<Journal> {
-        let mut file = Journal::create(path)?;
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
+        }
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
         let mut seen = HashMap::new();
         if let Ok(text) = read_text(path) {
             if !text.is_empty() && !text.ends_with('\n') {
@@ -150,19 +156,6 @@ impl Journal {
             seen,
             writer: Mutex::new(file),
         })
-    }
-
-    /// Creates the journal's directory and file if missing and opens the
-    /// file for appending — the part of [`Journal::open`] a bad path makes
-    /// fail, so a CLI can check a `--resume` path before running anything.
-    pub fn create(path: &Path) -> std::io::Result<std::fs::File> {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
     }
 
     /// The journal's location on disk.

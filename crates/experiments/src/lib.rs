@@ -12,6 +12,10 @@
 //!
 //! - [`run_evaluation`] — the whole study (use
 //!   [`ExperimentConfig::quick`] for a small-trace smoke run).
+//! - [`GridRun`] — any list of grids as one run, under a journal, budgets,
+//!   drills or a worker fleet. Its settings are checked up front and
+//!   refused as a [`ConfigError`]. (`grid::run_grid_with_base_ctl`, a
+//!   one-grid shim over it, stays only while `perfbench/tracer` calls it.)
 //! - [`figures`] — assemble/print/write Figures 1–8.
 //! - [`tables`] — render Tables I–VI.
 //!
@@ -51,9 +55,8 @@ pub use atomic::write_atomic;
 pub use cli::parse_cli_checked;
 pub use export::EvaluationExport;
 pub use grid::{
-    policies_for, run_cell_ensemble, run_grid, run_grid_ctl, run_grid_with_base,
-    run_grid_with_base_ctl, run_grid_with_base_ctl_observed, CellTiming, ExperimentConfig,
-    GridControl, RawGrid, FAIL_CELL_ENV, STALL_CELL_ENV,
+    policies_for, run_cell_ensemble, CellTiming, ExperimentConfig, GridControl, GridRun, RawGrid,
+    FAIL_CELL_ENV, STALL_CELL_ENV,
 };
 pub use journal::{cell_key, CellError, CellErrorKind, CellRecord, Journal};
 pub use live::{LiveRiskBoard, LiveRiskSnapshot, PolicyRisk};
@@ -85,49 +88,26 @@ pub struct Evaluation {
     pub raw_grids: Vec<RawGrid>,
 }
 
-/// Runs all four grids (2 economic models × 2 estimate sets) and their
-/// separate risk analyses. With the default config this is the full study:
-/// 13 scenarios × 6 values × 5 policies × 4 grids = 1560 simulation runs
-/// of 5000 jobs each — run in release mode.
-pub fn run_evaluation(cfg: &ExperimentConfig) -> Evaluation {
-    run_evaluation_ctl(cfg, &GridControl::default())
-}
-
-/// Like [`run_evaluation`], but with [`GridControl`]: all four grids share
-/// one resume journal, so a killed run resumes across the whole study.
-/// (The cell budget, if set, applies per grid.) Under a supervisor the
-/// four grids also share one worker fleet: workers are spawned and remotes
-/// dialed once, and shut down once after the last grid. The four grids
-/// also share one memo of simulated cells, so each distinct cell is
-/// simulated once per run: set B reuses set A's Inaccuracy points.
-pub fn run_evaluation_ctl(cfg: &ExperimentConfig, ctl: &GridControl) -> Evaluation {
-    let base = cfg.trace.generate(cfg.seed);
-    let mut fleet = ctl
-        .supervisor
-        .as_ref()
-        .map(|sup| supervisor::Fleet::open(sup, ctl, cfg));
-    let order = [
-        (EconomicModel::CommodityMarket, EstimateSet::A),
-        (EconomicModel::CommodityMarket, EstimateSet::B),
-        (EconomicModel::BidBased, EstimateSet::A),
-        (EconomicModel::BidBased, EstimateSet::B),
-    ];
-    let memo = grid::CellMemo::for_run(&order, cfg);
-    let grids: Vec<RawGrid> = order
-        .into_iter()
-        .map(|(econ, set)| {
-            let board = grid::default_board(econ);
-            grid::run_grid_in_run(econ, set, cfg, &base, ctl, &board, fleet.as_mut(), &memo)
-        })
-        .collect();
-    drop(fleet);
-    Evaluation {
+/// Runs all four grids (2 economic models × 2 estimate sets) under `ctl`
+/// as one [`GridRun`], and their separate risk analyses. With the default
+/// config this is the full study: 13 scenarios × 6 values × 5 policies × 4
+/// grids = 1560 simulation runs of 5000 jobs each — run in release mode.
+/// The four grids share one resume journal, so a killed run resumes across
+/// the whole study (the cell budget, if set, applies per grid), one memo
+/// of simulated cells, and under a supervisor one worker fleet.
+pub fn run_evaluation(
+    cfg: &ExperimentConfig,
+    ctl: &GridControl,
+) -> Result<Evaluation, ConfigError> {
+    let study = EconomicModel::ALL.map(|econ| EstimateSet::ALL.map(|set| (econ, set)));
+    let grids = GridRun::new(cfg).control(ctl).run(&study.concat())?;
+    Ok(Evaluation {
         commodity_a: analyze(&grids[0]),
         commodity_b: analyze(&grids[1]),
         bid_a: analyze(&grids[2]),
         bid_b: analyze(&grids[3]),
         raw_grids: grids,
-    }
+    })
 }
 
 impl Evaluation {
@@ -158,43 +138,26 @@ pub const FIGURE_IDS: [&str; 8] = [
 ];
 
 /// Builds one paper figure by id (`"fig1"`, `"fig3"` ... `"fig8"`), running
-/// only the grids that figure needs. Panics on any other id; `"fig2"` is
-/// not a risk plot — use [`figures::write_figure2`] instead.
+/// only the two grids that figure needs, as one in-process run. Panics on
+/// any other id; `"fig2"` is not a risk plot — use
+/// [`figures::write_figure2`] instead.
 pub fn build_figure(id: &str, cfg: &ExperimentConfig) -> figures::Figure {
-    let pair = |econ| {
-        (
-            analyze(&run_grid(econ, EstimateSet::A, cfg)),
-            analyze(&run_grid(econ, EstimateSet::B, cfg)),
-        )
-    };
-    match id {
-        "fig1" => figures::figure1(),
-        "fig3" => {
-            let (a, b) = pair(EconomicModel::CommodityMarket);
-            figures::separate_figure("fig3", &a, &b)
-        }
-        "fig4" => {
-            let (a, b) = pair(EconomicModel::CommodityMarket);
-            figures::integrated3_figure("fig4", &a, &b)
-        }
-        "fig5" => {
-            let (a, b) = pair(EconomicModel::CommodityMarket);
-            figures::integrated4_figure("fig5", &a, &b)
-        }
-        "fig6" => {
-            let (a, b) = pair(EconomicModel::BidBased);
-            figures::separate_figure("fig6", &a, &b)
-        }
-        "fig7" => {
-            let (a, b) = pair(EconomicModel::BidBased);
-            figures::integrated3_figure("fig7", &a, &b)
-        }
-        "fig8" => {
-            let (a, b) = pair(EconomicModel::BidBased);
-            figures::integrated4_figure("fig8", &a, &b)
-        }
+    use figures::{integrated3_figure, integrated4_figure, separate_figure};
+    use EconomicModel::{BidBased, CommodityMarket};
+    type Assemble = fn(&str, &GridAnalysis, &GridAnalysis) -> figures::Figure;
+    let (econ, assemble): (_, Assemble) = match id {
+        "fig1" => return figures::figure1(),
+        "fig3" => (CommodityMarket, separate_figure),
+        "fig4" => (CommodityMarket, integrated3_figure),
+        "fig5" => (CommodityMarket, integrated4_figure),
+        "fig6" => (BidBased, separate_figure),
+        "fig7" => (BidBased, integrated3_figure),
+        "fig8" => (BidBased, integrated4_figure),
         other => panic!("unknown figure id {other}"),
-    }
+    };
+    let grids = GridRun::new(cfg).run(&[(econ, EstimateSet::A), (econ, EstimateSet::B)]);
+    let grids = grids.expect(grid::IN_PROCESS);
+    assemble(id, &analyze(&grids[0]), &analyze(&grids[1]))
 }
 
 /// A configuration error surfaced to CLI users: the offending flag or
@@ -284,7 +247,7 @@ mod tests {
     #[test]
     fn quick_evaluation_end_to_end() {
         let cfg = ExperimentConfig::quick().with_jobs(40);
-        let ev = run_evaluation(&cfg);
+        let ev = run_evaluation(&cfg, &GridControl::default()).unwrap();
         let figs = ev.paper_figures();
         assert_eq!(figs.len(), 7);
         assert_eq!(figs[1].plots.len(), 8, "fig3 has 8 sub-plots");

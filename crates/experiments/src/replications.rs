@@ -9,7 +9,7 @@
 //! pattern.
 
 use crate::analysis::{analyze, analyze_with, GridAnalysis};
-use crate::grid::{run_grid, run_grid_with_base, ExperimentConfig};
+use crate::grid::{ExperimentConfig, GridRun, IN_PROCESS};
 use crate::scenario::EstimateSet;
 use ccs_des::OnlineStats;
 use ccs_economy::EconomicModel;
@@ -70,7 +70,7 @@ pub fn replicate(
     for &seed in seeds {
         let mut c = *cfg;
         c.seed = seed;
-        let analysis = analyze(&run_grid(econ, set, &c));
+        let analysis = analyze(&GridRun::new(&c).run(&[(econ, set)]).expect(IN_PROCESS)[0]);
         let scores = summary_scores(&analysis);
         if per_policy.is_empty() {
             per_policy = analysis
@@ -173,7 +173,8 @@ pub fn wait_normalization_study(
     set: EstimateSet,
     cfg: &ExperimentConfig,
 ) -> Vec<(String, Vec<(String, f64)>)> {
-    let grid = crate::grid::run_grid(econ, set, cfg);
+    let grid = GridRun::new(cfg).run(&[(econ, set)]).expect(IN_PROCESS);
+    let grid = &grid[0];
     let schemes: [(&str, WaitNormalization); 3] = [
         ("relative-to-worst", WaitNormalization::RelativeToWorst),
         ("min-max", WaitNormalization::MinMax),
@@ -185,7 +186,7 @@ pub fn wait_normalization_study(
     schemes
         .iter()
         .map(|(name, scheme)| {
-            let analysis = analyze_with(&grid, *scheme);
+            let analysis = analyze_with(grid, *scheme);
             let scores = summary_scores(&analysis);
             (
                 name.to_string(),
@@ -233,7 +234,8 @@ pub fn across_trace_models(
         ("Lublin-Feitelson", &lublin),
         ("SDSC + diurnal cycle", &diurnal),
     ] {
-        let analysis = analyze(&run_grid_with_base(econ, set, cfg, base));
+        let grids = GridRun::new(cfg).base(base).run(&[(econ, set)]);
+        let analysis = analyze(&grids.expect(IN_PROCESS)[0]);
         let scores = summary_scores(&analysis);
         models.push((
             name.to_string(),

@@ -96,7 +96,7 @@ pub fn evaluation_report(ev: &Evaluation) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_evaluation, ExperimentConfig};
+    use crate::{run_evaluation, ExperimentConfig, GridControl};
     use ccs_risk::sample_figure1;
 
     #[test]
@@ -113,7 +113,8 @@ mod tests {
 
     #[test]
     fn full_report_covers_all_grids() {
-        let ev = run_evaluation(&ExperimentConfig::quick().with_jobs(40));
+        let cfg = ExperimentConfig::quick().with_jobs(40);
+        let ev = run_evaluation(&cfg, &GridControl::default()).unwrap();
         let report = evaluation_report(&ev);
         assert!(report.contains("commodity market — Set A"));
         assert!(report.contains("bid-based — Set B"));

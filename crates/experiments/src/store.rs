@@ -825,14 +825,14 @@ impl QueryResult {
 mod tests {
     use super::*;
     use crate::grid::ExperimentConfig;
-    use crate::run_evaluation;
+    use crate::{run_evaluation, GridControl};
 
     fn tiny_store() -> (ResultStore, ExperimentConfig) {
         let cfg = ExperimentConfig {
             threads: 2,
             ..ExperimentConfig::quick().with_jobs(30)
         };
-        let ev = run_evaluation(&cfg);
+        let ev = run_evaluation(&cfg, &GridControl::default()).unwrap();
         (ResultStore::from_evaluation(&ev, &cfg), cfg)
     }
 
@@ -937,7 +937,7 @@ mod tests {
             threads: 2,
             ..ExperimentConfig::quick().with_jobs(30)
         };
-        let ev = run_evaluation(&cfg);
+        let ev = run_evaluation(&cfg, &GridControl::default()).unwrap();
         let store = ResultStore::from_evaluation(&ev, &cfg);
         let q = Query {
             econ: Some(EconomicModel::CommodityMarket),

@@ -402,7 +402,7 @@ struct RemoteSlot {
 /// remotes, the remote slots (with their quarantine verdicts), the event
 /// channel every link reader feeds, and the run-scoped worker ids.
 ///
-/// The fleet opens lazily — the first [`Fleet::run_grid`] pass with cells
+/// The fleet opens lazily — the first [`Fleet::run_cells`] pass with cells
 /// to run spawns the local workers and dials the remotes, each link
 /// receiving one `Hello` — and every later pass reuses the same sessions:
 /// a `Hello` carries only run-level settings, and each [`CellSpec`] names
@@ -432,17 +432,23 @@ pub(crate) struct Fleet {
 }
 
 impl Fleet {
-    /// A fleet for one run under `sup`, with the run-level `Hello` settings
-    /// taken from `ctl` and `cfg`. Nothing is spawned or dialed until the
-    /// first grid pass that has cells to run.
-    pub(crate) fn open(sup: &SupervisorConfig, ctl: &GridControl, cfg: &ExperimentConfig) -> Fleet {
-        sup.validate()
-            .unwrap_or_else(|e| panic!("invalid supervisor config: {e}"));
-        let worker_bin = sup.worker_bin.clone().unwrap_or_else(|| {
-            std::env::current_exe().expect("cannot resolve current executable for worker re-exec")
-        });
+    /// A fleet for one run under `sup`, which [`SupervisorConfig::validate`]
+    /// has accepted, with the run-level `Hello` settings taken from `ctl`
+    /// and `cfg`. Nothing is spawned or dialed until the first grid pass
+    /// that has cells to run.
+    pub(crate) fn open(
+        sup: &SupervisorConfig,
+        ctl: &GridControl,
+        cfg: &ExperimentConfig,
+    ) -> Result<Fleet, ConfigError> {
+        let worker_bin = match &sup.worker_bin {
+            Some(bin) => bin.clone(),
+            None => std::env::current_exe().map_err(|e| {
+                ConfigError::new("worker_bin", format!("no current executable: {e}"))
+            })?,
+        };
         let (tx, rx) = mpsc::channel::<Event>();
-        Fleet {
+        Ok(Fleet {
             sup: sup.clone(),
             cfg: *cfg,
             run_budget: RunBudget {
@@ -472,14 +478,7 @@ impl Fleet {
                 .collect(),
             transports: Vec::new(),
             telemetry: ccs_telemetry::enabled().then(ccs_telemetry::global),
-        }
-    }
-
-    /// Whether any worker has been handed a shard-journal path — from then
-    /// on live workers may be appending to shard files, so only the close
-    /// may merge them.
-    pub(crate) fn is_open(&self) -> bool {
-        !self.handles.is_empty()
+        })
     }
 
     /// The session-opening frame for connection `worker_id`. A worker's
@@ -836,7 +835,7 @@ impl Fleet {
     /// and no local workers are configured, the leftover cells run on the
     /// local executor instead. Returns busy seconds and the transport label
     /// per worker id of the run so far.
-    pub(crate) fn run_grid(
+    pub(crate) fn run_cells(
         &mut self,
         cells: Vec<CellSpec>,
         env: &CellEnv,
@@ -1350,7 +1349,7 @@ mod tests {
     /// respawned — and closing the fleet must join every reader thread.
     #[test]
     fn one_fleet_serves_consecutive_grids_across_an_idle_gap() {
-        use crate::grid::{default_board, run_grid, run_grid_on};
+        use crate::grid::{one_grid, GridRun};
         use crate::scenario::EstimateSet;
         use ccs_economy::EconomicModel;
 
@@ -1365,21 +1364,15 @@ mod tests {
             supervisor: Some(sup.clone()),
             ..GridControl::default()
         };
-        let mut fleet = Fleet::open(&sup, &ctl, &cfg);
-        let mut run = |econ, set| {
-            run_grid_on(
-                econ,
-                set,
-                &cfg,
-                &[],
-                &ctl,
-                &default_board(econ),
-                Some(&mut fleet),
-            )
-        };
-        let first = run(EconomicModel::CommodityMarket, EstimateSet::A);
+        let grids = [
+            (EconomicModel::CommodityMarket, EstimateSet::A),
+            (EconomicModel::BidBased, EstimateSet::B),
+        ];
+        let mut run = GridRun::new(&cfg).control(&ctl).open(&grids).unwrap();
+        let first = run.grid(grids[0].0, grids[0].1);
         std::thread::sleep(Duration::from_millis(sup.heartbeat_ms * 3 / 2));
-        let second = run(EconomicModel::BidBased, EstimateSet::B);
+        let second = run.grid(grids[1].0, grids[1].1);
+        let fleet = run.fleet.as_ref().unwrap();
 
         assert_eq!(
             fleet.transports,
@@ -1406,7 +1399,7 @@ mod tests {
                 "both grids ran on workers 1 and 2"
             );
         }
-        drop(fleet);
+        drop(run);
         assert_eq!(
             live_reader_threads(),
             0,
@@ -1414,7 +1407,7 @@ mod tests {
         );
         assert_eq!(
             second.raw,
-            run_grid(EconomicModel::BidBased, EstimateSet::B, &cfg).raw,
+            one_grid(EconomicModel::BidBased, EstimateSet::B, &cfg).raw,
             "the reused fleet's grid equals the in-process grid"
         );
     }

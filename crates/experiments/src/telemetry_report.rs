@@ -169,14 +169,14 @@ pub fn slowest_cells_summary(grids: &[RawGrid], k: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{run_grid, ExperimentConfig};
+    use crate::grid::{one_grid, ExperimentConfig};
     use crate::scenario::EstimateSet;
     use ccs_economy::EconomicModel;
 
     #[test]
     fn report_round_trips_and_has_tables() {
         let cfg = ExperimentConfig::quick().with_jobs(40);
-        let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let g = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
         let report = TelemetryReport::collect(std::slice::from_ref(&g));
         assert_eq!(report.schema_version, SCHEMA_VERSION);
         assert_eq!(report.grids.len(), 1);
@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn summary_lists_k_cells() {
         let cfg = ExperimentConfig::quick().with_jobs(40);
-        let g = run_grid(EconomicModel::BidBased, EstimateSet::B, &cfg);
+        let g = one_grid(EconomicModel::BidBased, EstimateSet::B, &cfg);
         let text = slowest_cells_summary(std::slice::from_ref(&g), 3);
         assert!(text.starts_with("slowest cells:"));
         // Header + k cells + the workload-cache totals line.
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn summary_tags_supervised_workers_with_their_transport() {
         let cfg = ExperimentConfig::quick().with_jobs(40);
-        let mut g = run_grid(EconomicModel::BidBased, EstimateSet::B, &cfg);
+        let mut g = one_grid(EconomicModel::BidBased, EstimateSet::B, &cfg);
         let max_worker = g
             .cell_workers
             .iter()

@@ -5,10 +5,24 @@
 
 use ccs_economy::EconomicModel;
 use ccs_experiments::{
-    policies_for, run_grid_ctl, EstimateSet, ExperimentConfig, GridControl, TelemetryReport,
+    policies_for, EstimateSet, ExperimentConfig, GridControl, GridRun, RawGrid, TelemetryReport,
 };
 use std::path::PathBuf;
 use std::process::Command;
+
+/// One grid under `ctl`, run on its own.
+fn grid_ctl(
+    econ: EconomicModel,
+    set: EstimateSet,
+    cfg: &ExperimentConfig,
+    ctl: &GridControl,
+) -> RawGrid {
+    GridRun::new(cfg)
+        .control(ctl)
+        .run(&[(econ, set)])
+        .unwrap()
+        .remove(0)
+}
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ccs_{}_{name}", std::process::id()))
@@ -126,7 +140,7 @@ fn cell_telemetry_counts_only_cells_simulated_to_success() {
         cell_budget: Some(half),
         ..GridControl::default()
     };
-    run_grid_ctl(econ, set, &cfg, &first);
+    grid_ctl(econ, set, &cfg, &first);
 
     // Run 2 restores that half, runs the next `budget` cells with one of
     // them panicking, and skips the rest.
@@ -154,7 +168,7 @@ fn cell_telemetry_counts_only_cells_simulated_to_success() {
         )
     };
     let before = count();
-    let g = run_grid_ctl(econ, set, &cfg, &second);
+    let g = grid_ctl(econ, set, &cfg, &second);
     let after = count();
     std::fs::remove_file(&journal).ok();
 

@@ -3,11 +3,16 @@
 //! never call `ccs_telemetry::enable`.
 
 use ccs_economy::EconomicModel;
-use ccs_experiments::{run_grid, EstimateSet, ExperimentConfig};
+use ccs_experiments::{EstimateSet, ExperimentConfig, GridRun, RawGrid};
+
+/// One grid, run on its own.
+fn one_grid(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> RawGrid {
+    GridRun::new(cfg).run(&[(econ, set)]).unwrap().remove(0)
+}
 
 #[test]
 fn a_quick_grid_leaves_the_registry_empty() {
-    let g = run_grid(
+    let g = one_grid(
         EconomicModel::CommodityMarket,
         EstimateSet::A,
         &ExperimentConfig::quick().with_jobs(30),

@@ -13,16 +13,14 @@
 //!
 //! [`LiveRunStats`] is the built-in observer: it folds the stream into the
 //! same [`RunMetrics`] the batch [`collect`](crate::runner) post-pass
-//! produces (the equality is exact, not approximate — both apply the same
-//! float operations in the same order), plus a streaming wait distribution
-//! and a [`RealtimeRisk`] score.
+//! produces (the equality is exact, not approximate — both feed the one
+//! `MetricsFold`), plus a streaming wait distribution and a
+//! [`RealtimeRisk`] score.
 
-use crate::metrics::RunMetrics;
-use ccs_des::{FastHashMap, FastHashSet};
-use ccs_economy::{bid_utility, EconomicModel};
+use crate::metrics::{MetricsFold, RunMetrics};
 use ccs_policies::Outcome;
 use ccs_risk::stream::{RealtimeRisk, Welford};
-use ccs_workload::{Job, JobId};
+use ccs_workload::Job;
 
 use crate::runner::RunConfig;
 
@@ -50,13 +48,7 @@ pub trait RunObserver {
 /// batch path applies after the fact.
 #[derive(Clone, Debug)]
 pub struct LiveRunStats {
-    econ: EconomicModel,
-    by_id: FastHashMap<JobId, Job>,
-    interrupted: FastHashSet<JobId>,
-    /// First observed start per job (restarts keep the original, the one
-    /// Eq. 1 measures the wait to).
-    first_start: FastHashMap<JobId, f64>,
-    metrics: RunMetrics,
+    fold: MetricsFold<Job>,
     /// Streaming distribution of per-job waits over fulfilled jobs.
     wait_stats: Welford,
     risk: RealtimeRisk,
@@ -70,15 +62,7 @@ impl LiveRunStats {
     /// functions of the submitted job, not of the outcome alone.
     pub fn new(jobs: &[Job], cfg: &RunConfig) -> Self {
         LiveRunStats {
-            econ: cfg.econ,
-            by_id: jobs.iter().map(|j| (j.id, *j)).collect(),
-            interrupted: FastHashSet::default(),
-            first_start: FastHashMap::default(),
-            metrics: RunMetrics {
-                submitted: jobs.len() as u32,
-                budget_total: jobs.iter().map(|j| j.budget).sum(),
-                ..Default::default()
-            },
+            fold: MetricsFold::new(jobs, cfg.econ, |j| *j),
             wait_stats: Welford::new(),
             risk: RealtimeRisk::new(),
             now: 0.0,
@@ -88,12 +72,12 @@ impl LiveRunStats {
     /// The run metrics as of the last observed outcome. At end of run this
     /// equals the batch post-pass exactly.
     pub fn metrics(&self) -> &RunMetrics {
-        &self.metrics
+        &self.fold.metrics
     }
 
     /// The four paper objectives as of the last observed outcome.
     pub fn objectives(&self) -> [f64; 4] {
-        self.metrics.objectives()
+        self.metrics().objectives()
     }
 
     /// Streaming wait distribution over fulfilled jobs (seconds).
@@ -130,82 +114,31 @@ impl LiveRunStats {
 
 impl RunObserver for LiveRunStats {
     fn on_outcome(&mut self, outcome: &Outcome) {
+        let completion = self.fold.fold(outcome);
         match *outcome {
-            Outcome::Accepted { job, at } => {
-                self.advance(at);
-                if self.interrupted.contains(&job) {
-                    // Live view of a restart re-admission; the batch
-                    // post-pass rewrites it to `Restarted`.
-                    self.metrics.restarts += 1;
-                } else {
-                    self.metrics.accepted += 1;
-                }
-            }
-            Outcome::Rejected { job, at, .. } => {
-                self.advance(at);
-                if self.interrupted.contains(&job) {
-                    // Live view of a failed restart; batch rewrites to
-                    // `Aborted`.
-                    self.metrics.aborted += 1;
-                    self.risk.record_violation(1.0);
-                } else {
-                    self.risk.record_violation(1.0);
-                }
-            }
-            Outcome::Started { job, at } => {
-                self.advance(at);
-                self.first_start.entry(job).or_insert(at);
-            }
-            Outcome::Completed {
-                job,
-                start,
-                finish,
-                charged,
-            } => {
+            Outcome::Completed { job, finish, .. } => {
                 self.advance(finish);
-                let j = self.by_id[&job];
-                let fulfilled = j.fulfilled_by(finish);
-                let utility = match self.econ {
-                    EconomicModel::CommodityMarket => {
-                        charged.expect("commodity completion must carry its charge")
+                match completion {
+                    Some(c) if c.fulfilled => {
+                        self.wait_stats.push(c.wait);
+                        self.risk.record_ok();
                     }
-                    EconomicModel::BidBased => bid_utility(&j, finish),
-                };
-                self.metrics.utility_total += utility;
-                self.metrics.delay_sum += j.delay_at(finish);
-                let first_start = *self.first_start.entry(job).or_insert(start);
-                if fulfilled {
-                    self.metrics.fulfilled += 1;
-                    let wait = (first_start - j.submit).max(0.0);
-                    self.metrics.wait_sum_fulfilled += wait;
-                    self.wait_stats.push(wait);
-                    self.risk.record_ok();
-                } else {
-                    self.risk.record_violation(Self::late_severity(&j, finish));
+                    _ => {
+                        let severity = Self::late_severity(&self.fold.jobs[&job], finish);
+                        self.risk.record_violation(severity);
+                    }
                 }
             }
-            Outcome::Interrupted { job, at } => {
+            Outcome::Rejected { at, .. } | Outcome::Aborted { at, .. } => {
                 self.advance(at);
-                self.interrupted.insert(job);
-                self.metrics.interrupted += 1;
-            }
-            Outcome::Restarted { at, .. } => {
-                self.advance(at);
-                self.metrics.restarts += 1;
-            }
-            Outcome::Aborted { at, .. } => {
-                self.advance(at);
-                self.metrics.aborted += 1;
                 self.risk.record_violation(1.0);
             }
-            Outcome::NodeFailed { at, .. } => {
-                self.advance(at);
-                self.metrics.node_failures += 1;
-            }
-            Outcome::NodeRepaired { at, .. } => {
-                self.advance(at);
-                self.metrics.node_repairs += 1;
-            }
+            Outcome::Accepted { at, .. }
+            | Outcome::Started { at, .. }
+            | Outcome::Interrupted { at, .. }
+            | Outcome::Restarted { at, .. }
+            | Outcome::NodeFailed { at, .. }
+            | Outcome::NodeRepaired { at, .. } => self.advance(at),
         }
     }
 }
@@ -215,8 +148,9 @@ mod tests {
     use super::*;
     use crate::fault::FaultConfig;
     use crate::runner::{simulate, Run, RunResult};
+    use ccs_economy::EconomicModel;
     use ccs_policies::PolicyKind;
-    use ccs_workload::Urgency;
+    use ccs_workload::{JobId, Urgency};
 
     fn job(id: JobId, submit: f64, runtime: f64, deadline: f64, procs: u32, budget: f64) -> Job {
         Job {

@@ -3,12 +3,12 @@
 use crate::budget::{BudgetExceeded, RunBudget, Watchdog};
 use crate::fault::{Degradation, FaultConfig};
 use crate::invariant::{check_run, Violation};
-use crate::metrics::RunMetrics;
+use crate::metrics::{MetricsFold, RunMetrics};
 use crate::observe::RunObserver;
 use crate::record::JobRecord;
 use crate::trace::{synthesise, RunTrace};
 use ccs_des::{FailureEventKind, FailureProcess, FastHashMap, FastHashSet, NodeFailureEvent};
-use ccs_economy::{bid_utility, EconomicModel, Ledger};
+use ccs_economy::{EconomicModel, Ledger};
 use ccs_policies::{build_policy, Interruption, Outcome, Policy, PolicyKind};
 use ccs_telemetry::trace::{begin_kernel_capture, take_kernel_capture};
 use ccs_workload::{Job, JobId};
@@ -618,23 +618,17 @@ fn reconcile_fault_outcomes(out: &mut [Outcome]) {
 
 /// Folds the outcome stream into metrics and per-job records.
 fn collect(jobs: &[Job], cfg: &RunConfig, out: &[Outcome]) -> RunResult {
-    // Both maps are looked up by id and finally drained in job order —
+    // The record map is looked up by id and finally drained in job order —
     // never iterated — so the fast hasher cannot reorder anything.
-    let by_id: FastHashMap<JobId, &Job> = jobs.iter().map(|j| (j.id, j)).collect();
     let mut records: FastHashMap<JobId, JobRecord> =
         FastHashMap::with_capacity_and_hasher(jobs.len(), Default::default());
     let mut ledger = Ledger::new();
-
-    let mut metrics = RunMetrics {
-        submitted: jobs.len() as u32,
-        budget_total: jobs.iter().map(|j| j.budget).sum(),
-        ..Default::default()
-    };
+    let mut fold = MetricsFold::new(jobs, cfg.econ, |j| j);
 
     for o in out {
+        let completion = fold.fold(o);
         match *o {
             Outcome::Accepted { job, at } => {
-                metrics.accepted += 1;
                 let r = records.entry(job).or_insert_with(|| JobRecord {
                     id: job,
                     accepted: true,
@@ -650,33 +644,22 @@ fn collect(jobs: &[Job], cfg: &RunConfig, out: &[Outcome]) -> RunResult {
             Outcome::Rejected { job, at, .. } => {
                 let prev = records.insert(job, JobRecord::rejected(job, at));
                 assert!(prev.is_none(), "job {job} decided twice");
-                ledger.reject(job, by_id[&job].budget);
+                ledger.reject(job, fold.jobs[&job].budget);
             }
-            Outcome::Started { job, at } => {
-                // `get_or_insert`: a restarted job keeps its *first* start,
-                // the one Eq. 1 measures the wait to.
-                records
-                    .get_mut(&job)
-                    .expect("started before accepted")
-                    .started_at
-                    .get_or_insert(at);
+            Outcome::Started { job, .. } => {
+                assert!(
+                    records.contains_key(&job),
+                    "job {job} started before accepted"
+                );
             }
             Outcome::Completed {
                 job,
-                start,
                 finish,
                 charged,
+                ..
             } => {
-                let j = by_id[&job];
-                let fulfilled = j.fulfilled_by(finish);
-                let utility = match cfg.econ {
-                    EconomicModel::CommodityMarket => {
-                        charged.expect("commodity completion must carry its charge")
-                    }
-                    EconomicModel::BidBased => bid_utility(j, finish),
-                };
-                metrics.utility_total += utility;
-                metrics.delay_sum += j.delay_at(finish);
+                let c = completion.expect("a completion folds into one");
+                let j = fold.jobs[&job];
                 ledger.complete(
                     cfg.econ,
                     job,
@@ -686,18 +669,11 @@ fn collect(jobs: &[Job], cfg: &RunConfig, out: &[Outcome]) -> RunResult {
                     j.penalty_rate,
                 );
                 let r = records.get_mut(&job).expect("completed before accepted");
-                let first_start = *r.started_at.get_or_insert(start);
-                if fulfilled {
-                    metrics.fulfilled += 1;
-                    metrics.wait_sum_fulfilled += (first_start - j.submit).max(0.0);
-                }
                 r.finished_at = Some(finish);
-                r.fulfilled = fulfilled;
-                r.utility = utility;
+                r.fulfilled = c.fulfilled;
+                r.utility = c.utility;
             }
-            Outcome::Interrupted { .. } => metrics.interrupted += 1,
             Outcome::Restarted { job, .. } => {
-                metrics.restarts += 1;
                 debug_assert!(
                     records.contains_key(&job),
                     "restarted job {job} was never accepted"
@@ -709,13 +685,12 @@ fn collect(jobs: &[Job], cfg: &RunConfig, out: &[Outcome]) -> RunResult {
                 // no invoice is issued: the provider earns nothing and the
                 // client owes nothing for a job the provider's failure
                 // killed.
-                metrics.aborted += 1;
                 let r = records.get_mut(&job).expect("aborted before accepted");
                 r.finished_at = None;
                 r.fulfilled = false;
             }
-            Outcome::NodeFailed { .. } => metrics.node_failures += 1,
-            Outcome::NodeRepaired { .. } => metrics.node_repairs += 1,
+            // The rest change the metrics alone.
+            _ => {}
         }
     }
 
@@ -727,14 +702,16 @@ fn collect(jobs: &[Job], cfg: &RunConfig, out: &[Outcome]) -> RunResult {
     let mut ordered: Vec<JobRecord> = jobs
         .iter()
         .map(|j| {
-            records
+            let mut r = records
                 .remove(&j.id)
-                .unwrap_or_else(|| panic!("job {} has no outcome", j.id))
+                .unwrap_or_else(|| panic!("job {} has no outcome", j.id));
+            r.started_at = fold.first_start.get(&j.id).copied();
+            r
         })
         .collect();
     ordered.sort_by_key(|r| r.id);
     RunResult {
-        metrics,
+        metrics: fold.metrics,
         records: ordered,
         ledger,
     }

@@ -8,7 +8,7 @@
 //! ```
 
 use ccs_economy::EconomicModel;
-use ccs_experiments::{analyze, run_grid, EstimateSet, Scenario};
+use ccs_experiments::{analyze, EstimateSet, GridRun, Scenario};
 use ccs_risk::apriori::{forecast, pareto_front, uniform_mix, weight_sensitivity};
 use ccs_risk::{integrated_equal, kendall_tau, rank, Objective, RankBy, RiskMeasure};
 
@@ -19,11 +19,8 @@ fn main() {
         std::process::exit(2);
     });
     println!("running commodity-market grid ({} jobs)...", cfg.trace.jobs);
-    let analysis = analyze(&run_grid(
-        EconomicModel::CommodityMarket,
-        EstimateSet::B,
-        &cfg,
-    ));
+    let grids = GridRun::new(&cfg).run(&[(EconomicModel::CommodityMarket, EstimateSet::B)]);
+    let analysis = analyze(&grids.expect("an in-process run passes every check")[0]);
 
     // Per-policy, per-objective separate risk averaged over scenarios.
     let policies: Vec<(String, Vec<RiskMeasure>)> = analysis

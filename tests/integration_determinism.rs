@@ -2,8 +2,13 @@
 //! (configuration, seed), across thread counts and repeated runs.
 
 use ccs_economy::EconomicModel;
-use ccs_experiments::{analyze, run_grid, EstimateSet, ExperimentConfig};
+use ccs_experiments::{analyze, EstimateSet, ExperimentConfig, GridRun, RawGrid};
 use ccs_workload::{apply_scenario, ScenarioTransform, SdscSp2Model};
+
+/// One grid, run on its own.
+fn one_grid(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> RawGrid {
+    GridRun::new(cfg).run(&[(econ, set)]).unwrap().remove(0)
+}
 
 #[test]
 fn trace_generation_bit_identical() {
@@ -33,9 +38,9 @@ fn grid_identical_across_thread_counts() {
         threads,
         ..ExperimentConfig::quick().with_jobs(40)
     };
-    let g1 = run_grid(EconomicModel::BidBased, EstimateSet::B, &mk(1));
-    let g3 = run_grid(EconomicModel::BidBased, EstimateSet::B, &mk(3));
-    let g8 = run_grid(EconomicModel::BidBased, EstimateSet::B, &mk(8));
+    let g1 = one_grid(EconomicModel::BidBased, EstimateSet::B, &mk(1));
+    let g3 = one_grid(EconomicModel::BidBased, EstimateSet::B, &mk(3));
+    let g8 = one_grid(EconomicModel::BidBased, EstimateSet::B, &mk(8));
     assert_eq!(g1.raw, g3.raw);
     assert_eq!(g1.raw, g8.raw);
 }
@@ -43,12 +48,12 @@ fn grid_identical_across_thread_counts() {
 #[test]
 fn analysis_is_deterministic() {
     let cfg = ExperimentConfig::quick().with_jobs(40);
-    let a = analyze(&run_grid(
+    let a = analyze(&one_grid(
         EconomicModel::CommodityMarket,
         EstimateSet::A,
         &cfg,
     ));
-    let b = analyze(&run_grid(
+    let b = analyze(&one_grid(
         EconomicModel::CommodityMarket,
         EstimateSet::A,
         &cfg,
@@ -73,7 +78,7 @@ fn different_seeds_differ() {
         seed: 2,
         ..ExperimentConfig::quick().with_jobs(60)
     };
-    let ga = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &a);
-    let gb = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &b);
+    let ga = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &a);
+    let gb = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &b);
     assert_ne!(ga.raw, gb.raw, "seed must matter");
 }

@@ -3,7 +3,7 @@
 
 use ccs_economy::EconomicModel;
 use ccs_experiments::ablation;
-use ccs_experiments::{analyze, run_grid, EstimateSet, ExperimentConfig};
+use ccs_experiments::{analyze, EstimateSet, ExperimentConfig, GridControl, GridRun, RawGrid};
 use ccs_policies::PolicyKind;
 use ccs_risk::apriori::{forecast, pareto_front, uniform_mix, weight_sensitivity};
 use ccs_risk::{integrated_equal, RiskMeasure};
@@ -12,10 +12,15 @@ use ccs_workload::{
     apply_diurnal, apply_scenario, DiurnalProfile, ScenarioTransform, SdscSp2Model,
 };
 
+/// One grid, run on its own.
+fn one_grid(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> RawGrid {
+    GridRun::new(cfg).run(&[(econ, set)]).unwrap().remove(0)
+}
+
 #[test]
 fn apriori_pipeline_over_measured_grid() {
     let cfg = ExperimentConfig::quick().with_jobs(50);
-    let analysis = analyze(&run_grid(EconomicModel::BidBased, EstimateSet::B, &cfg));
+    let analysis = analyze(&one_grid(EconomicModel::BidBased, EstimateSet::B, &cfg));
 
     // Forecast each policy's 4-objective risk under a uniform future mix.
     let mut integrated: Vec<RiskMeasure> = Vec::new();
@@ -236,7 +241,7 @@ fn bootstrap_intervals_on_measured_results() {
 #[test]
 fn markdown_report_generation() {
     let cfg = ExperimentConfig::quick().with_jobs(40);
-    let ev = ccs_experiments::run_evaluation(&cfg);
+    let ev = ccs_experiments::run_evaluation(&cfg, &GridControl::default()).unwrap();
     let report = ccs_experiments::report_md::evaluation_report(&ev);
     assert!(report.starts_with("# Risk-analysis study report"));
     assert!(report.contains("| Rank | Policy |"));

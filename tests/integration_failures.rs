@@ -3,7 +3,7 @@
 //! byte-identical to an uninterrupted run, and a panicking cell is confined
 //! to a reported `CellError` (nonzero exit) instead of aborting the study.
 
-use ccs_experiments::{run_evaluation, run_evaluation_ctl, ExperimentConfig, GridControl};
+use ccs_experiments::{run_evaluation, ExperimentConfig, GridControl};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -28,29 +28,31 @@ fn budget_truncated_evaluation_resumes_to_identical_results() {
     let journal = dir.join("journal.jsonl");
     let cfg = small_cfg();
 
-    let full = run_evaluation(&cfg);
+    let full = run_evaluation(&cfg, &GridControl::default()).unwrap();
 
     // Interrupted run: only 40 cells per grid actually execute; the rest
     // hold placeholders and are *not* journaled.
-    let interrupted = run_evaluation_ctl(
+    let interrupted = run_evaluation(
         &cfg,
         &GridControl {
             journal: Some(journal.clone()),
             cell_budget: Some(40),
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     assert!(interrupted.cell_errors().is_empty());
 
     // Resumed run: journal hits for the 4 × 40 completed cells, live
     // simulation for the remainder.
-    let resumed = run_evaluation_ctl(
+    let resumed = run_evaluation(
         &cfg,
         &GridControl {
             journal: Some(journal.clone()),
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     assert!(resumed.cell_errors().is_empty());
 
     for (f, r) in full.raw_grids.iter().zip(&resumed.raw_grids) {
@@ -65,13 +67,14 @@ fn budget_truncated_evaluation_resumes_to_identical_results() {
 
     // A second resume is a pure replay: every cell comes from the journal
     // and the numbers still match.
-    let replay = run_evaluation_ctl(
+    let replay = run_evaluation(
         &cfg,
         &GridControl {
             journal: Some(journal),
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     for (f, r) in full.raw_grids.iter().zip(&replay.raw_grids) {
         assert_eq!(f.raw, r.raw);
     }
@@ -159,8 +162,9 @@ fn panicking_cell_reports_errors_and_resume_heals() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An unopenable `--resume` journal is a configuration error caught while
-/// parsing (exit 2, naming the flag), not a panic partway into the grid.
+/// An unopenable `--resume` journal is a configuration error caught before
+/// the run starts (exit 2, naming the flag), not a panic partway into the
+/// grid.
 /// So are an out-of-range `tables --table N`, an unknown `figure` id, and
 /// a flag the subcommand does not take; the valid forms of the first two
 /// print and write what they should.

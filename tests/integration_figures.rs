@@ -2,7 +2,7 @@
 //! printed, and written to disk from a quick evaluation.
 
 use ccs_experiments::figures::{figure1, figure2_curves, print_figure, write_figure};
-use ccs_experiments::{build_figure, run_evaluation, ExperimentConfig};
+use ccs_experiments::{build_figure, run_evaluation, ExperimentConfig, GridControl};
 
 #[test]
 fn figure_builder_covers_fig1_and_fig3_through_fig8() {
@@ -24,10 +24,24 @@ fn figure_builder_covers_fig1_and_fig3_through_fig8() {
     }
 }
 
+/// A figure built on its own prints byte for byte what the study prints:
+/// its two grids share one memo of simulated cells, as the study's four
+/// do, and a reused cell changes no number.
+#[test]
+fn each_figure_equals_the_study_figure_byte_for_byte() {
+    let cfg = ExperimentConfig::quick().with_jobs(40);
+    let ev = run_evaluation(&cfg, &GridControl::default()).unwrap();
+    let figs = ev.paper_figures();
+    for fig in &figs[1..] {
+        let alone = print_figure(&build_figure(&fig.id, &cfg));
+        assert_eq!(alone, print_figure(fig), "{}", fig.id);
+    }
+}
+
 #[test]
 fn full_quick_evaluation_produces_all_figures() {
     let cfg = ExperimentConfig::quick().with_jobs(40);
-    let ev = run_evaluation(&cfg);
+    let ev = run_evaluation(&cfg, &GridControl::default()).unwrap();
     let figs = ev.paper_figures();
     assert_eq!(figs.len(), 7);
     // Sub-plot titles alternate Set A / Set B in paper order for fig3.

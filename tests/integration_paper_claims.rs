@@ -10,8 +10,13 @@
 //! ```
 
 use ccs_economy::EconomicModel;
-use ccs_experiments::{analyze, run_grid, EstimateSet, ExperimentConfig};
+use ccs_experiments::{analyze, EstimateSet, ExperimentConfig, GridRun, RawGrid};
 use ccs_risk::{integrated_equal, Objective};
+
+/// One grid, run on its own.
+fn one_grid(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> RawGrid {
+    GridRun::new(cfg).run(&[(econ, set)]).unwrap().remove(0)
+}
 
 fn mean_all4(a: &ccs_experiments::GridAnalysis, policy: &str) -> f64 {
     let p = a.policy_names.iter().position(|n| n == policy).unwrap();
@@ -26,12 +31,12 @@ fn mean_all4(a: &ccs_experiments::GridAnalysis, policy: &str) -> f64 {
 #[ignore = "full 5000-job study (~1 min); run with --ignored"]
 fn commodity_market_claims() {
     let cfg = ExperimentConfig::default();
-    let a = analyze(&run_grid(
+    let a = analyze(&one_grid(
         EconomicModel::CommodityMarket,
         EstimateSet::A,
         &cfg,
     ));
-    let b = analyze(&run_grid(
+    let b = analyze(&one_grid(
         EconomicModel::CommodityMarket,
         EstimateSet::B,
         &cfg,
@@ -98,8 +103,8 @@ fn commodity_market_claims() {
 #[ignore = "full 5000-job study (~1 min); run with --ignored"]
 fn bid_based_claims() {
     let cfg = ExperimentConfig::default();
-    let a = analyze(&run_grid(EconomicModel::BidBased, EstimateSet::A, &cfg));
-    let b = analyze(&run_grid(EconomicModel::BidBased, EstimateSet::B, &cfg));
+    let a = analyze(&one_grid(EconomicModel::BidBased, EstimateSet::A, &cfg));
+    let b = analyze(&one_grid(EconomicModel::BidBased, EstimateSet::B, &cfg));
 
     // Fig 6a/b: Libra and LibraRiskD ideal on wait; FirstReward next.
     for g in [&a, &b] {

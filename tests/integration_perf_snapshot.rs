@@ -10,8 +10,13 @@
 //! changes the hash.
 
 use ccs_economy::EconomicModel;
-use ccs_experiments::grid::{run_grid, ExperimentConfig, RawGrid};
+use ccs_experiments::grid::{ExperimentConfig, GridRun, RawGrid};
 use ccs_experiments::scenario::EstimateSet;
+
+/// One grid, run on its own.
+fn one_grid(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> RawGrid {
+    GridRun::new(cfg).run(&[(econ, set)]).unwrap().remove(0)
+}
 
 /// FNV-1a over the raw bit patterns of every objective in the grid, in
 /// deterministic (scenario, value, policy, objective) order.
@@ -50,7 +55,7 @@ const BID_B_HASH: u64 = 0xf474_0ef8_0f16_9de3;
 
 #[test]
 fn commodity_set_a_quick_grid_is_byte_identical_to_pre_perf_snapshot() {
-    let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &quick_cfg());
+    let g = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &quick_cfg());
     assert!(g.errors.is_empty());
     let h = grid_hash(&g);
     assert_eq!(
@@ -61,7 +66,7 @@ fn commodity_set_a_quick_grid_is_byte_identical_to_pre_perf_snapshot() {
 
 #[test]
 fn bid_set_b_quick_grid_is_byte_identical_to_pre_perf_snapshot() {
-    let g = run_grid(EconomicModel::BidBased, EstimateSet::B, &quick_cfg());
+    let g = one_grid(EconomicModel::BidBased, EstimateSet::B, &quick_cfg());
     assert!(g.errors.is_empty());
     let h = grid_hash(&g);
     assert_eq!(h, BID_B_HASH, "bid/B quick grid drifted: got {h:#018x}");

@@ -2,10 +2,15 @@
 //! simulation → separate/integrated risk analysis → plots.
 
 use ccs_economy::EconomicModel;
-use ccs_experiments::{analyze, run_grid, EstimateSet, ExperimentConfig, Scenario};
+use ccs_experiments::{analyze, EstimateSet, ExperimentConfig, GridRun, RawGrid, Scenario};
 use ccs_risk::{Objective, RankBy};
 use ccs_simsvc::{simulate, RunConfig};
 use ccs_workload::{apply_scenario, ScenarioTransform, SdscSp2Model, WorkloadSummary};
+
+/// One grid, run on its own.
+fn one_grid(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> RawGrid {
+    GridRun::new(cfg).run(&[(econ, set)]).unwrap().remove(0)
+}
 
 #[test]
 fn trace_to_metrics_to_risk() {
@@ -37,7 +42,7 @@ fn trace_to_metrics_to_risk() {
 #[test]
 fn quick_grid_supports_all_figure_views() {
     let cfg = ExperimentConfig::quick().with_jobs(50);
-    let grid = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+    let grid = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
     assert_eq!(grid.raw.len(), Scenario::ALL.len());
     let analysis = analyze(&grid);
 

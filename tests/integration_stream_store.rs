@@ -7,8 +7,8 @@
 use ccs_chaos::{ChaosCase, SoakFinding, SoakReport};
 use ccs_economy::EconomicModel;
 use ccs_experiments::{
-    analyze_with, policies_for, run_evaluation, run_grid_with_base_ctl_observed, EstimateSet,
-    ExperimentConfig, GridControl, LiveRiskBoard, Query, ResultStore, Scenario, STORE_FILE,
+    analyze_with, policies_for, run_evaluation, EstimateSet, ExperimentConfig, GridControl,
+    GridRun, LiveRiskBoard, Query, ResultStore, Scenario, STORE_FILE,
 };
 use ccs_risk::WaitNormalization;
 use ccs_simsvc::{simulate, LiveRunStats, Run, RunConfig};
@@ -31,7 +31,6 @@ fn live_board_final_measures_equal_batch_analysis() {
     let econ = EconomicModel::CommodityMarket;
     let set = EstimateSet::B;
     let scheme = WaitNormalization::default();
-    let base = cfg.trace.generate(cfg.seed);
     let board = LiveRiskBoard::new(
         policies_for(econ)
             .iter()
@@ -39,8 +38,8 @@ fn live_board_final_measures_equal_batch_analysis() {
             .collect(),
         scheme,
     );
-    let grid =
-        run_grid_with_base_ctl_observed(econ, set, &cfg, &base, &GridControl::default(), &board);
+    let grids = GridRun::new(&cfg).board(&board).run(&[(econ, set)]);
+    let grid = grids.unwrap().remove(0);
 
     let streaming = board.final_measures();
     let batch = analyze_with(&grid, scheme);
@@ -114,7 +113,7 @@ fn streaming_run_stats_match_batch_and_leave_results_untouched() {
 #[test]
 fn store_round_trips_and_answers_queries() {
     let cfg = quick_cfg();
-    let ev = run_evaluation(&cfg);
+    let ev = run_evaluation(&cfg, &GridControl::default()).unwrap();
     let store = ResultStore::from_evaluation(&ev, &cfg);
     let cells = Scenario::ALL.len() * 6 * 5;
     assert_eq!(store.len(), cells * 4, "one row per cell per grid");
@@ -173,7 +172,7 @@ fn store_round_trips_and_answers_queries() {
 #[test]
 fn chaos_findings_are_queryable_store_rows() {
     let cfg = quick_cfg();
-    let ev = run_evaluation(&cfg);
+    let ev = run_evaluation(&cfg, &GridControl::default()).unwrap();
     let mut store = ResultStore::from_evaluation(&ev, &cfg);
     let grid_rows = store.len();
 

@@ -327,7 +327,7 @@ fn invalid_supervisor_flags_exit_2_naming_the_flag() {
 fn cell_budget_journals_the_same_cells_in_every_mode() {
     use ccs_economy::EconomicModel;
     use ccs_experiments::{
-        cell_key, policies_for, run_grid_ctl, EstimateSet, ExperimentConfig, GridControl, Journal,
+        cell_key, policies_for, EstimateSet, ExperimentConfig, GridControl, GridRun, Journal,
         Scenario, SupervisorConfig,
     };
     let (econ, set) = (EconomicModel::BidBased, EstimateSet::B);
@@ -343,7 +343,8 @@ fn cell_budget_journals_the_same_cells_in_every_mode() {
             supervisor,
             ..GridControl::default()
         };
-        let grid = run_grid_ctl(econ, set, &cfg, &ctl);
+        let grid = GridRun::new(&cfg).control(&ctl).run(&[(econ, set)]);
+        let grid = grid.unwrap().remove(0);
         assert!(grid.errors.is_empty(), "{name}: {:?}", grid.errors);
         let j = Journal::open(&journal).unwrap();
         let mut keys = Vec::new();
@@ -382,7 +383,7 @@ fn cell_budget_journals_the_same_cells_in_every_mode() {
 fn evaluation_simulates_each_distinct_cell_once_per_run() {
     use ccs_economy::EconomicModel;
     use ccs_experiments::{
-        run_evaluation_ctl, run_grid, EstimateSet, ExperimentConfig, GridControl, ResultStore,
+        run_evaluation, EstimateSet, ExperimentConfig, GridControl, GridRun, ResultStore,
         SupervisorConfig,
     };
     let cfg = ExperimentConfig {
@@ -396,7 +397,7 @@ fn evaluation_simulates_each_distinct_cell_once_per_run() {
         (EconomicModel::BidBased, EstimateSet::B),
     ]
     .into_iter()
-    .map(|(econ, set)| run_grid(econ, set, &cfg))
+    .map(|grid| GridRun::new(&cfg).run(&[grid]).unwrap().remove(0))
     .collect();
     let fleet = SupervisorConfig {
         workers: 2,
@@ -406,13 +407,14 @@ fn evaluation_simulates_each_distinct_cell_once_per_run() {
     };
     for supervisor in [None, Some(fleet)] {
         let supervised = supervisor.is_some();
-        let ev = run_evaluation_ctl(
+        let ev = run_evaluation(
             &cfg,
             &GridControl {
                 supervisor,
                 ..GridControl::default()
             },
-        );
+        )
+        .unwrap();
         assert!(ev.cell_errors().is_empty(), "{:?}", ev.cell_errors());
         for (g, want) in ev.raw_grids.iter().zip(&independent) {
             assert_eq!(g.raw, want.raw, "{} / {}", g.econ, g.set);
@@ -445,4 +447,103 @@ fn evaluation_simulates_each_distinct_cell_once_per_run() {
             assert!(workers.iter().all(|&w| w > 0), "{workers:?}");
         }
     }
+}
+
+/// A worker binary that only leaves a mark when spawned, and a supervisor
+/// that would spawn it: a refused run must leave no mark.
+fn marking_fleet(dir: &std::path::Path) -> (ccs_experiments::SupervisorConfig, PathBuf) {
+    use std::os::unix::fs::PermissionsExt;
+    let mark = dir.join("spawned");
+    let bin = dir.join("worker.sh");
+    std::fs::write(&bin, format!("#!/bin/sh\ntouch '{}'\n", mark.display())).unwrap();
+    std::fs::set_permissions(&bin, std::fs::Permissions::from_mode(0o755)).unwrap();
+    let sup = ccs_experiments::SupervisorConfig {
+        workers: 1,
+        heartbeat_ms: 60_000,
+        worker_bin: Some(bin),
+        ..Default::default()
+    };
+    (sup, mark)
+}
+
+/// Runs one grid under `ctl` (over `base`, when given) and checks that the
+/// run is refused with an error naming `field` before it does anything:
+/// no journal file and no spawned worker.
+fn assert_refused(
+    cfg: &ccs_experiments::ExperimentConfig,
+    ctl: &ccs_experiments::GridControl,
+    base: Option<&[ccs_workload::BaseJob]>,
+    field: &str,
+    mark: &std::path::Path,
+) {
+    use ccs_economy::EconomicModel;
+    use ccs_experiments::{EstimateSet, GridRun};
+    let run = GridRun::new(cfg).control(ctl);
+    let run = match base {
+        Some(base) => run.base(base),
+        None => run,
+    };
+    let err = run
+        .run(&[(EconomicModel::CommodityMarket, EstimateSet::A)])
+        .expect_err("the run must be refused");
+    assert_eq!(err.field, field, "{err}");
+    let journal = ctl.journal.as_ref().unwrap();
+    assert!(!journal.exists(), "{} was created", journal.display());
+    assert!(!mark.exists(), "a worker was spawned");
+}
+
+/// The control of a supervised run under `sup`, journaled in `dir`.
+fn fleet_control(
+    sup: ccs_experiments::SupervisorConfig,
+    dir: &std::path::Path,
+) -> ccs_experiments::GridControl {
+    ccs_experiments::GridControl {
+        journal: Some(dir.join("journal.jsonl")),
+        supervisor: Some(sup),
+        ..Default::default()
+    }
+}
+
+#[test]
+fn invalid_supervisor_is_refused_before_the_run_starts() {
+    let dir = temp_dir("refused_supervisor");
+    let (sup, mark) = marking_fleet(&dir);
+    let sup = ccs_experiments::SupervisorConfig { retries: 0, ..sup };
+    let cfg = ccs_experiments::ExperimentConfig::quick().with_jobs(25);
+    assert_refused(&cfg, &fleet_control(sup, &dir), None, "--retries", &mark);
+}
+
+#[test]
+fn replicas_on_a_fleet_are_refused_before_the_run_starts() {
+    let dir = temp_dir("refused_replicas");
+    let (sup, mark) = marking_fleet(&dir);
+    let cfg = ccs_experiments::ExperimentConfig::quick()
+        .with_jobs(25)
+        .with_replicas(2);
+    assert_refused(&cfg, &fleet_control(sup, &dir), None, "--replicas", &mark);
+}
+
+#[test]
+fn unopenable_journal_is_refused_before_the_run_starts() {
+    let dir = temp_dir("refused_journal");
+    let (sup, mark) = marking_fleet(&dir);
+    let file = dir.join("file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let ctl = fleet_control(sup, &file);
+    let cfg = ccs_experiments::ExperimentConfig::quick().with_jobs(25);
+    assert_refused(&cfg, &ctl, None, "--resume", &mark);
+}
+
+#[test]
+fn base_jobs_a_fleet_cannot_reproduce_are_refused_before_the_run_starts() {
+    use ccs_experiments::GridRun;
+    let dir = temp_dir("refused_base");
+    let (sup, mark) = marking_fleet(&dir);
+    let ctl = fleet_control(sup, &dir);
+    let cfg = ccs_experiments::ExperimentConfig::quick().with_jobs(25);
+    let other = cfg.trace.generate(cfg.seed + 1);
+    assert_refused(&cfg, &ctl, Some(&other), "base", &mark);
+    // The trace the workers synthesise themselves is accepted.
+    let own = cfg.trace.generate(cfg.seed);
+    assert!(GridRun::new(&cfg).control(&ctl).base(&own).check().is_ok());
 }

@@ -404,7 +404,7 @@ fn invalid_transport_flags_exit_2_naming_the_flag() {
 #[test]
 fn supervised_run_joins_reader_threads_on_shutdown_and_death() {
     use ccs_economy::EconomicModel;
-    use ccs_experiments::grid::{run_grid_with_base_ctl, ExperimentConfig, GridControl};
+    use ccs_experiments::grid::{ExperimentConfig, GridControl, GridRun};
     use ccs_experiments::scenario::EstimateSet;
     use ccs_experiments::supervisor::{live_reader_threads, SupervisorConfig};
 
@@ -419,13 +419,12 @@ fn supervised_run_joins_reader_threads_on_shutdown_and_death() {
         ..GridControl::default()
     };
 
-    let g = run_grid_with_base_ctl(
-        EconomicModel::CommodityMarket,
-        EstimateSet::A,
-        &cfg,
-        &[],
-        &ctl,
-    );
+    let grid = [(EconomicModel::CommodityMarket, EstimateSet::A)];
+    let g = GridRun::new(&cfg)
+        .control(&ctl)
+        .run(&grid)
+        .unwrap()
+        .remove(0);
     assert_eq!(
         live_reader_threads(),
         0,
@@ -437,13 +436,11 @@ fn supervised_run_joins_reader_threads_on_shutdown_and_death() {
     // the shard. The dead worker's reader must be joined at death, the
     // survivor's at shutdown.
     std::env::set_var("CCS_KILL_WORKER", "1:3");
-    let killed = run_grid_with_base_ctl(
-        EconomicModel::CommodityMarket,
-        EstimateSet::A,
-        &cfg,
-        &[],
-        &ctl,
-    );
+    let killed = GridRun::new(&cfg)
+        .control(&ctl)
+        .run(&grid)
+        .unwrap()
+        .remove(0);
     std::env::remove_var("CCS_KILL_WORKER");
     assert_eq!(
         live_reader_threads(),

@@ -13,11 +13,30 @@
 
 use ccs_economy::EconomicModel;
 use ccs_experiments::{
-    run_evaluation_ctl, run_grid, run_grid_ctl, CellErrorKind, EstimateSet, ExperimentConfig,
-    GridControl, Journal,
+    run_evaluation, CellErrorKind, EstimateSet, ExperimentConfig, GridControl, GridRun, Journal,
+    RawGrid,
 };
 use std::path::PathBuf;
 use std::process::Command;
+
+/// One grid, run on its own.
+fn one_grid(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> RawGrid {
+    GridRun::new(cfg).run(&[(econ, set)]).unwrap().remove(0)
+}
+
+/// One grid under `ctl`, run on its own.
+fn grid_ctl(
+    econ: EconomicModel,
+    set: EstimateSet,
+    cfg: &ExperimentConfig,
+    ctl: &GridControl,
+) -> RawGrid {
+    GridRun::new(cfg)
+        .control(ctl)
+        .run(&[(econ, set)])
+        .unwrap()
+        .remove(0)
+}
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ccs_watchdog_{}_{name}", std::process::id()));
@@ -36,8 +55,8 @@ fn small_cfg() -> ExperimentConfig {
 #[test]
 fn generous_budget_grid_is_byte_identical_to_unguarded() {
     let cfg = small_cfg();
-    let plain = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
-    let guarded = run_grid_ctl(
+    let plain = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+    let guarded = grid_ctl(
         EconomicModel::CommodityMarket,
         EstimateSet::A,
         &cfg,
@@ -63,14 +82,15 @@ fn tiny_budget_cancels_cells_without_journaling_them() {
     let journal = dir.join("journal.jsonl");
     let cfg = small_cfg();
 
-    let starved = run_evaluation_ctl(
+    let starved = run_evaluation(
         &cfg,
         &GridControl {
             journal: Some(journal.clone()),
             cell_event_budget: Some(10),
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     let errors = starved.cell_errors();
     assert!(
         !errors.is_empty(),
@@ -84,15 +104,16 @@ fn tiny_budget_cancels_cells_without_journaling_them() {
     // Nothing was journaled (the journal may not even exist), so the
     // resumed, unbudgeted run recomputes every cell — and matches a fresh
     // evaluation exactly.
-    let resumed = run_evaluation_ctl(
+    let resumed = run_evaluation(
         &cfg,
         &GridControl {
             journal: Some(journal),
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     assert!(resumed.cell_errors().is_empty());
-    let fresh = run_evaluation_ctl(&cfg, &GridControl::default());
+    let fresh = run_evaluation(&cfg, &GridControl::default()).unwrap();
     for (r, f) in resumed.raw_grids.iter().zip(&fresh.raw_grids) {
         assert_eq!(r.raw, f.raw, "{} / {}", r.econ, r.set.label());
     }
@@ -105,7 +126,7 @@ fn tiny_budget_cancels_cells_without_journaling_them() {
 #[test]
 fn stalled_cell_is_cancelled_while_the_rest_completes() {
     let cfg = small_cfg();
-    let grid = run_grid_ctl(
+    let grid = grid_ctl(
         EconomicModel::CommodityMarket,
         EstimateSet::A,
         &cfg,
@@ -122,7 +143,7 @@ fn stalled_cell_is_cancelled_while_the_rest_completes() {
 
     // The stalled cell holds the placeholder; its neighbours hold real,
     // untouched numbers.
-    let reference = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+    let reference = one_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
     let stalled_col = reference
         .policies
         .iter()
@@ -247,13 +268,14 @@ fn journal_compaction_preserves_resume_results() {
     let journal = dir.join("journal.jsonl");
     let cfg = small_cfg();
 
-    let full = run_evaluation_ctl(
+    let full = run_evaluation(
         &cfg,
         &GridControl {
             journal: Some(journal.clone()),
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     assert!(full.cell_errors().is_empty());
 
     let before = std::fs::read_to_string(&journal).unwrap().lines().count();
@@ -262,13 +284,14 @@ fn journal_compaction_preserves_resume_results() {
     assert!(kept <= read);
     assert!(kept > 0);
 
-    let resumed = run_evaluation_ctl(
+    let resumed = run_evaluation(
         &cfg,
         &GridControl {
             journal: Some(journal),
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     assert!(resumed.cell_errors().is_empty());
     for (f, r) in full.raw_grids.iter().zip(&resumed.raw_grids) {
         assert_eq!(
