@@ -64,7 +64,7 @@ use ccs_experiments::figures::{print_figure, print_figure2, write_figure, write_
 use ccs_experiments::{
     build_figure, policies_for, progress, replicate, run_all_ablations, run_evaluation, tables,
     telemetry_report, trace_report, write_atomic, CellError, ConfigError, EstimateSet,
-    ExperimentConfig, Journal, ProvenanceManifest, RawGrid, ResultStore, TelemetryReport,
+    ExperimentConfig, GridRun, Journal, ProvenanceManifest, RawGrid, ResultStore, TelemetryReport,
     STORE_FILE,
 };
 use ccs_risk::Objective;
@@ -331,13 +331,13 @@ fn main() {
     let mut raw_grids: Vec<RawGrid> = Vec::new();
     // Panicked grid cells, reported (with a nonzero exit) at the end.
     let mut cell_errors: Vec<CellError> = Vec::new();
-    // The four-grid study; a setting the run refuses exits 2 first.
-    let evaluation = || {
-        run_evaluation(&cfg, &ctl).unwrap_or_else(|e| {
-            eprintln!("utility_risk: {e}");
-            std::process::exit(2)
-        })
+    // A setting a run refuses exits 2 before any cell runs.
+    let refused = |e: ConfigError| -> ! {
+        eprintln!("utility_risk: {e}");
+        std::process::exit(2)
     };
+    // The four-grid study.
+    let evaluation = || run_evaluation(&cfg, &ctl).unwrap_or_else(|e| refused(e));
 
     match command {
         // `serve-worker` — the remote TCP worker agent the supervisor's
@@ -366,8 +366,11 @@ fn main() {
                 print!("{}", print_figure2());
                 write_figure2(&out).expect("write artifacts")
             } else {
-                let fig = build_figure(id, &cfg);
+                let run = GridRun::new(&cfg).control(&ctl);
+                let (fig, grids) = build_figure(id, &run).unwrap_or_else(|e| refused(e));
                 print!("{}", print_figure(&fig));
+                cell_errors = grids.iter().flat_map(|g| g.errors.clone()).collect();
+                raw_grids = grids;
                 write_figure(&out, &fig).expect("write artifacts")
             };
             progress::note(&format!(

@@ -93,8 +93,10 @@ pub struct Evaluation {
 /// config this is the full study: 13 scenarios × 6 values × 5 policies × 4
 /// grids = 1560 simulation runs of 5000 jobs each — run in release mode.
 /// The four grids share one resume journal, so a killed run resumes across
-/// the whole study (the cell budget, if set, applies per grid), one memo
-/// of simulated cells, and under a supervisor one worker fleet.
+/// the whole study (the cell budget, if set, applies per grid), and under
+/// a supervisor one worker fleet. The run is planned whole: a cell whose
+/// inputs equal an earlier cell's, in any of the four grids, takes that
+/// cell's result — or its failure — instead of simulating again.
 pub fn run_evaluation(
     cfg: &ExperimentConfig,
     ctl: &GridControl,
@@ -137,16 +139,19 @@ pub const FIGURE_IDS: [&str; 8] = [
     "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 ];
 
-/// Builds one paper figure by id (`"fig1"`, `"fig3"` ... `"fig8"`), running
-/// only the two grids that figure needs, as one in-process run. Panics on
-/// any other id; `"fig2"` is not a risk plot — use
-/// [`figures::write_figure2`] instead.
-pub fn build_figure(id: &str, cfg: &ExperimentConfig) -> figures::Figure {
+/// Builds one paper figure by id (`"fig1"`, `"fig3"` ... `"fig8"`) and
+/// returns it with the grids it ran: the two that figure needs, as one
+/// run of `run`, or none for `"fig1"`. Panics on any other id; `"fig2"` is
+/// not a risk plot — use [`figures::write_figure2`] instead.
+pub fn build_figure(
+    id: &str,
+    run: &GridRun,
+) -> Result<(figures::Figure, Vec<RawGrid>), ConfigError> {
     use figures::{integrated3_figure, integrated4_figure, separate_figure};
     use EconomicModel::{BidBased, CommodityMarket};
     type Assemble = fn(&str, &GridAnalysis, &GridAnalysis) -> figures::Figure;
     let (econ, assemble): (_, Assemble) = match id {
-        "fig1" => return figures::figure1(),
+        "fig1" => return Ok((figures::figure1(), Vec::new())),
         "fig3" => (CommodityMarket, separate_figure),
         "fig4" => (CommodityMarket, integrated3_figure),
         "fig5" => (CommodityMarket, integrated4_figure),
@@ -155,9 +160,9 @@ pub fn build_figure(id: &str, cfg: &ExperimentConfig) -> figures::Figure {
         "fig8" => (BidBased, integrated4_figure),
         other => panic!("unknown figure id {other}"),
     };
-    let grids = GridRun::new(cfg).run(&[(econ, EstimateSet::A), (econ, EstimateSet::B)]);
-    let grids = grids.expect(grid::IN_PROCESS);
-    assemble(id, &analyze(&grids[0]), &analyze(&grids[1]))
+    let grids = run.run(&[(econ, EstimateSet::A), (econ, EstimateSet::B)])?;
+    let figure = assemble(id, &analyze(&grids[0]), &analyze(&grids[1]));
+    Ok((figure, grids))
 }
 
 /// A configuration error surfaced to CLI users: the offending flag or

@@ -7,9 +7,9 @@
 //! `utility_risk serve-worker` agents dialed over `std::net::TcpStream`.
 //! Both speak the [`crate::ipc`] frame protocol through the
 //! [`Transport`] trait, so the loop below is transport-blind. The
-//! supervisor is only an executor: the grid's plan (journal hits, cell
-//! budget, drills) and its fold (grid arrays, journal, live board) live
-//! in [`crate::grid`] and are shared with in-process runs. What stays
+//! supervisor is only an executor: the run's plan (journal hits, cell
+//! budget, drills, aliases) and its fold (grid arrays, journal, live
+//! boards) live in [`crate::grid`] and are shared with in-process runs. What stays
 //! here is what fleets need:
 //!
 //! - **Fleet lifetime** — a `Fleet` lives for one run, not one grid:
@@ -71,7 +71,7 @@
 //! deduplicated against the assignment and a done-set before counting.
 
 use crate::grid::{
-    plan_shards, run_local, CellEnv, Drills, ExperimentConfig, GridControl, GridFold, SimulatedCell,
+    plan_shards, run_local, CellEnv, ExperimentConfig, GridControl, GridFold, SimulatedCell,
 };
 use crate::ipc::{
     encode_frame, read_frame, CellSpec, FromWorker, PipeTransport, TcpTransport, ToWorker,
@@ -81,7 +81,6 @@ use crate::journal::{CellErrorKind, Journal};
 use crate::progress;
 use crate::ConfigError;
 use ccs_chaos::FlakyTransport;
-use ccs_simsvc::RunBudget;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::ErrorKind;
 use std::path::PathBuf;
@@ -412,9 +411,9 @@ struct RemoteSlot {
 pub(crate) struct Fleet {
     sup: SupervisorConfig,
     cfg: ExperimentConfig,
-    run_budget: RunBudget,
-    drills: Drills,
-    journal: Option<PathBuf>,
+    /// The run's control: the budgets, drills and journal path every
+    /// `Hello` carries.
+    ctl: GridControl,
     worker_bin: PathBuf,
     /// The supervisor is the single injection point for network chaos:
     /// both halves of every link (pipe or TCP) are wrapped here, workers
@@ -451,12 +450,7 @@ impl Fleet {
         Ok(Fleet {
             sup: sup.clone(),
             cfg: *cfg,
-            run_budget: RunBudget {
-                max_wall_secs: ctl.cell_wall_budget,
-                max_events: ctl.cell_event_budget,
-            },
-            drills: Drills::resolve(ctl),
-            journal: ctl.journal.clone(),
+            ctl: ctl.clone(),
             worker_bin,
             flake_plan: FlakyTransport::from_env(),
             tx,
@@ -492,11 +486,11 @@ impl Fleet {
             nodes: self.cfg.nodes,
             trace: self.cfg.trace,
             heartbeat_ms: self.sup.heartbeat_ms,
-            cell_wall_budget: self.run_budget.max_wall_secs,
-            cell_event_budget: self.run_budget.max_events,
-            fail_cell: self.drills.fail_cell.clone(),
-            stall_cell: self.drills.stall_cell.clone(),
-            shard_journal: self.journal.as_deref().map(|p| {
+            cell_wall_budget: self.ctl.cell_wall_budget,
+            cell_event_budget: self.ctl.cell_event_budget,
+            fail_cell: self.ctl.fail_cell.clone(),
+            stall_cell: self.ctl.stall_cell.clone(),
+            shard_journal: self.ctl.journal.as_deref().map(|p| {
                 Journal::shard_path(p, shard_id)
                     .to_string_lossy()
                     .into_owned()
@@ -1058,7 +1052,7 @@ impl Drop for Fleet {
                 let _ = rt.join();
             }
         }
-        if let Some(path) = self.journal.as_deref() {
+        if let Some(path) = self.ctl.journal.as_deref() {
             let _ = Journal::merge_shards(path);
         }
     }
@@ -1369,9 +1363,9 @@ mod tests {
             (EconomicModel::BidBased, EstimateSet::B),
         ];
         let mut run = GridRun::new(&cfg).control(&ctl).open(&grids).unwrap();
-        let first = run.grid(grids[0].0, grids[0].1);
+        let first = run.next().unwrap();
         std::thread::sleep(Duration::from_millis(sup.heartbeat_ms * 3 / 2));
-        let second = run.grid(grids[1].0, grids[1].1);
+        let second = run.next().unwrap();
         let fleet = run.fleet.as_ref().unwrap();
 
         assert_eq!(

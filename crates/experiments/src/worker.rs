@@ -38,11 +38,10 @@
 //! Worker ids are run-scoped (one fleet serves every grid of a run), so
 //! the drill fires once per run; the replacement worker gets a new id.
 
-use crate::grid::{run_cell, CellEnv, Drills, ExperimentConfig, SimulatedCell, WorkloadCache};
+use crate::grid::{run_cell, CellEnv, ExperimentConfig, GridControl, SimulatedCell, WorkloadCache};
 use crate::ipc::{read_frame, write_frame, FromWorker, ToWorker};
 use crate::journal::Journal;
 use ccs_chaos::WorkerKillPlan;
-use ccs_simsvc::RunBudget;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::path::Path;
@@ -177,17 +176,16 @@ pub fn run_session<R: Read>(
         state.key = Some(state_key);
         state.cache = None;
     }
-    let drills = Drills {
+    let ctl = GridControl {
+        cell_wall_budget,
+        cell_event_budget,
         fail_cell,
         stall_cell,
+        ..GridControl::default()
     };
     let env = CellEnv {
         cfg: &cfg,
-        run_budget: RunBudget {
-            max_wall_secs: cell_wall_budget,
-            max_events: cell_event_budget,
-        },
-        drills: &drills,
+        ctl: &ctl,
         cache: state.cache.get_or_insert_with(|| WorkloadCache::new(&cfg)),
         threads: 1,
     };
@@ -285,7 +283,7 @@ fn run_cells<R: Read>(
             None => {
                 let sim = run_cell(&cell, env);
                 if let Some(j) = shard {
-                    if let Some(rec) = sim.journal_record(&cell, worker_id, env.drills) {
+                    if let Some(rec) = sim.journal_record(&cell, worker_id, env.ctl) {
                         j.append(&rec);
                     }
                 }

@@ -3,7 +3,9 @@
 //! byte-identical to an uninterrupted run, and a panicking cell is confined
 //! to a reported `CellError` (nonzero exit) instead of aborting the study.
 
-use ccs_experiments::{run_evaluation, ExperimentConfig, GridControl};
+use ccs_experiments::{
+    run_evaluation, CellError, CellErrorKind, ExperimentConfig, GridControl, TelemetryReport,
+};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -159,6 +161,48 @@ fn panicking_cell_reports_errors_and_resume_heals() {
         String::from_utf8_lossy(&fresh.stdout),
         "resumed report must be byte-identical to an uninterrupted run"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `figure` runs its two grids under the environment's drills and ends
+/// like the grid subcommands: a panicking cell is reported in
+/// `cell_errors.json` with exit 1, and the telemetry report lists both
+/// grids and their slowest cells.
+#[test]
+fn failing_figure_cell_reports_errors_and_both_grids() {
+    let dir = temp_dir("figure");
+    let out = dir.join("out");
+    let telemetry = dir.join("telemetry.json");
+    let run = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
+        .args([
+            "figure", "fig3", "--quick", "--jobs", "30", "--quiet", "--out",
+        ])
+        .arg(&out)
+        .arg("--telemetry")
+        .arg(&telemetry)
+        .env("CCS_FAIL_CELL", "0:0:Libra")
+        .output()
+        .expect("spawn utility_risk");
+    assert_eq!(
+        run.status.code(),
+        Some(1),
+        "a failed figure cell must exit 1: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let errors = std::fs::read_to_string(out.join("cell_errors.json")).expect("cell errors");
+    let errors: Vec<CellError> = serde_json::from_str(&errors).unwrap();
+    assert_eq!(errors.len(), 2, "one error per grid: {errors:?}");
+    for e in &errors {
+        assert_eq!(
+            (e.scenario_idx, e.value_idx, e.policy.as_str()),
+            (0, 0, "Libra")
+        );
+        assert_eq!(e.kind, CellErrorKind::Panic);
+    }
+    let report = std::fs::read_to_string(&telemetry).expect("telemetry report");
+    let report: TelemetryReport = serde_json::from_str(&report).unwrap();
+    assert_eq!(report.grids.len(), 2);
+    assert!(!report.slowest_cells.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

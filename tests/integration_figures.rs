@@ -2,7 +2,7 @@
 //! printed, and written to disk from a quick evaluation.
 
 use ccs_experiments::figures::{figure1, figure2_curves, print_figure, write_figure};
-use ccs_experiments::{build_figure, run_evaluation, ExperimentConfig, GridControl};
+use ccs_experiments::{build_figure, run_evaluation, ExperimentConfig, GridControl, GridRun};
 
 #[test]
 fn figure_builder_covers_fig1_and_fig3_through_fig8() {
@@ -16,7 +16,8 @@ fn figure_builder_covers_fig1_and_fig3_through_fig8() {
         ("fig7", 8),
         ("fig8", 2),
     ] {
-        let fig = build_figure(id, &cfg);
+        let (fig, grids) = build_figure(id, &GridRun::new(&cfg)).unwrap();
+        assert_eq!(grids.len(), if id == "fig1" { 0 } else { 2 }, "{id}");
         assert_eq!(fig.id, id);
         assert_eq!(fig.plots.len(), subplots, "{id}");
         let text = print_figure(&fig);
@@ -25,15 +26,16 @@ fn figure_builder_covers_fig1_and_fig3_through_fig8() {
 }
 
 /// A figure built on its own prints byte for byte what the study prints:
-/// its two grids share one memo of simulated cells, as the study's four
-/// do, and a reused cell changes no number.
+/// its two grids are one run, planned whole as the study's four are, and
+/// a reused cell changes no number.
 #[test]
 fn each_figure_equals_the_study_figure_byte_for_byte() {
     let cfg = ExperimentConfig::quick().with_jobs(40);
     let ev = run_evaluation(&cfg, &GridControl::default()).unwrap();
     let figs = ev.paper_figures();
     for fig in &figs[1..] {
-        let alone = print_figure(&build_figure(&fig.id, &cfg));
+        let (alone, _) = build_figure(&fig.id, &GridRun::new(&cfg)).unwrap();
+        let alone = print_figure(&alone);
         assert_eq!(alone, print_figure(fig), "{}", fig.id);
     }
 }
@@ -91,7 +93,7 @@ fn quick_bid_evaluation_shows_paper_shape() {
     // Even at 40 jobs the structural anchors hold: the Libra family has
     // ideal wait performance, and every point is inside the unit box.
     let cfg = ExperimentConfig::quick().with_jobs(40);
-    let fig6 = build_figure("fig6", &cfg);
+    let (fig6, _) = build_figure("fig6", &GridRun::new(&cfg)).unwrap();
     let wait_a = &fig6.plots[0];
     for series in &wait_a.series {
         if series.name == "Libra" || series.name == "LibraRiskD" {

@@ -359,6 +359,41 @@ fn dead_remotes_degrade_to_in_process_with_warning() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The fallback warnings count what ran in-process: a run planned whole
+/// settles each cell once, in whichever grid represents it, so the
+/// `running N remaining cell(s) in-process` warnings of a remote-only run
+/// whose remote is dead add up to the store's worker-0 rows — every cell.
+#[test]
+fn fallback_warnings_count_every_cell_that_ran_in_process() {
+    let dir = temp_dir("fallback_count");
+    let out = dir.join("out");
+    let dead_addr = {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    };
+    let run = summary_cmd(&out)
+        .args(["--remote", &dead_addr, "--retries", "1"])
+        .args(["--backoff-ms", "5", "--connect-timeout-ms", "250"])
+        .output()
+        .expect("spawn degraded run");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    let warned: usize = stderr
+        .lines()
+        .filter_map(|line| line.split("running ").nth(1))
+        .filter_map(|rest| rest.strip_suffix(" remaining cell(s) in-process"))
+        .map(|n| n.parse::<usize>().unwrap())
+        .sum();
+    let store = ccs_experiments::ResultStore::load(&out.join("results_store.json")).unwrap();
+    let in_process = store.columns.worker.iter().filter(|&&w| w == 0).count();
+    assert_eq!(
+        in_process, 1560,
+        "every cell of the four grids ran in-process"
+    );
+    assert_eq!(warned, in_process, "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Config validation: malformed transport flags exit 2 with an error
 /// naming the offending flag, before any simulation starts.
 #[test]
