@@ -47,5 +47,4 @@ pub use fasthash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use queue::{EventHandle, EventQueue};
 pub use rng::SimRng;
 pub use sim::Simulation;
-pub use stats::OnlineStats;
 pub use time::SimTime;

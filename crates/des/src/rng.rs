@@ -106,12 +106,6 @@ impl SimRng {
         self.inner.next_u64()
     }
 
-    /// Next raw 32-bit value (the high half of the 64-bit output).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.inner.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
     pub fn uniform01(&mut self) -> f64 {

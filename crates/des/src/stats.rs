@@ -1,125 +1,4 @@
-//! Streaming statistics (Welford's algorithm) and small summary helpers.
-
-/// Single-pass accumulator for mean / variance / extrema.
-///
-/// Uses Welford's numerically-stable update; merging two accumulators uses
-/// the parallel variant (Chan et al.), so per-thread statistics can be
-/// combined exactly.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Builds an accumulator from a slice.
-    pub fn from_slice(xs: &[f64]) -> Self {
-        let mut s = OnlineStats::new();
-        for &x in xs {
-            s.push(x);
-        }
-        s
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        debug_assert!(!x.is_nan(), "OnlineStats observation is NaN");
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean; 0 when empty (the paper's `wait` objective treats an
-    /// empty fulfilled-set as zero wait).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (divides by `n`), as used by the paper's
-    /// volatility measure (Eq. 6); 0 when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).max(0.0)
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Sample variance (divides by `n-1`); 0 when fewer than two samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).max(0.0)
-        }
-    }
-
-    /// Minimum observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
-}
+//! Small summary helpers: the least-squares trend line.
 
 /// Ordinary least-squares fit of `y = slope * x + intercept`.
 ///
@@ -157,62 +36,6 @@ pub struct LinearFit {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 10.0];
-        let s = OnlineStats::from_slice(&xs);
-        assert_eq!(s.count(), 5);
-        assert!((s.mean() - 4.0).abs() < 1e-12);
-        let naive_var = xs.iter().map(|x| (x - 4.0f64).powi(2)).sum::<f64>() / 5.0;
-        assert!((s.population_variance() - naive_var).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 10.0);
-        assert!((s.sum() - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_are_zeroish() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_std(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn merge_equals_single_pass() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 5.0).collect();
-        let whole = OnlineStats::from_slice(&xs);
-        let mut a = OnlineStats::from_slice(&xs[..37]);
-        let b = OnlineStats::from_slice(&xs[37..]);
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.population_variance() - whole.population_variance()).abs() < 1e-10);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let xs = [3.0, 4.0];
-        let mut s = OnlineStats::from_slice(&xs);
-        s.merge(&OnlineStats::new());
-        assert_eq!(s.count(), 2);
-        let mut e = OnlineStats::new();
-        e.merge(&s);
-        assert_eq!(e.count(), 2);
-        assert!((e.mean() - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_observation() {
-        let s = OnlineStats::from_slice(&[42.0]);
-        assert_eq!(s.mean(), 42.0);
-        assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
-    }
 
     #[test]
     fn linear_fit_exact_line() {

@@ -2,7 +2,7 @@
 
 use ccs_des::dist::{Distribution, Exponential, LogNormal, TruncatedNormal, Uniform};
 use ccs_des::stats::linear_fit;
-use ccs_des::{EventQueue, OnlineStats, SimRng, SimTime};
+use ccs_des::{EventQueue, SimRng, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -74,34 +74,6 @@ proptest! {
             actual += 1;
         }
         prop_assert_eq!(claimed, actual);
-    }
-
-    /// Welford merge equals single-pass accumulation for any split point.
-    #[test]
-    fn stats_merge_associative(
-        xs in prop::collection::vec(-1e6f64..1e6, 1..300),
-        split_frac in 0.0f64..1.0,
-    ) {
-        let split = ((xs.len() as f64) * split_frac) as usize;
-        let whole = OnlineStats::from_slice(&xs);
-        let mut left = OnlineStats::from_slice(&xs[..split]);
-        let right = OnlineStats::from_slice(&xs[split..]);
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!(
-            (left.population_variance() - whole.population_variance()).abs()
-                < 1e-4 * (1.0 + whole.population_variance())
-        );
-    }
-
-    /// Population variance is never negative and bounded by the squared range.
-    #[test]
-    fn variance_bounds(xs in prop::collection::vec(-1e3f64..1e3, 1..100)) {
-        let s = OnlineStats::from_slice(&xs);
-        let range = s.max() - s.min();
-        prop_assert!(s.population_variance() >= 0.0);
-        prop_assert!(s.population_variance() <= range * range / 4.0 + 1e-9);
     }
 
     /// Distribution samples respect their support.

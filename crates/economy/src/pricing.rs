@@ -7,9 +7,6 @@
 
 use ccs_workload::qos::BASE_PRICE;
 use ccs_workload::Job;
-
-/// Re-export of the workspace base price for sibling modules.
-pub const BASE_PRICE_REEXPORT: f64 = BASE_PRICE;
 use serde::{Deserialize, Serialize};
 
 /// Flat cost charged by FCFS-BF / SJF-BF / EDF-BF: the base price applied to

@@ -34,11 +34,6 @@ pub enum PriceSchedule {
 }
 
 impl PriceSchedule {
-    /// The standard flat schedule at the base price.
-    pub fn flat_base() -> Self {
-        PriceSchedule::Flat(crate::pricing::BASE_PRICE_REEXPORT)
-    }
-
     /// The price in force at absolute time `t`.
     pub fn rate_at(&self, t: f64) -> f64 {
         match *self {

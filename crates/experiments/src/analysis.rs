@@ -37,6 +37,24 @@ pub fn obj_index(o: Objective) -> usize {
         .expect("objective in ALL")
 }
 
+/// Normalizes each objective of one experiment point across the
+/// policies: `row[policy]` holds the raw `[wait, SLA, reliability,
+/// profitability]` and so does the result, normalized. The batch
+/// analysis, the live board and the result store all normalize here.
+pub(crate) fn normalize_point(row: &[[f64; 4]], scheme: WaitNormalization) -> Vec<[f64; 4]> {
+    let mut norm = vec![[0.0f64; 4]; row.len()];
+    for (oi, obj) in Objective::ALL.into_iter().enumerate() {
+        let raw_across: Vec<f64> = row.iter().map(|objs| objs[oi]).collect();
+        for (p, x) in normalize_with(obj, &raw_across, scheme)
+            .into_iter()
+            .enumerate()
+        {
+            norm[p][oi] = x;
+        }
+    }
+    norm
+}
+
 /// Runs the separate risk analysis over a raw grid with the default wait
 /// normalization (relative to the worst policy at each experiment point).
 pub fn analyze(grid: &RawGrid) -> GridAnalysis {
@@ -52,14 +70,9 @@ pub fn analyze_with(grid: &RawGrid, scheme: WaitNormalization) -> GridAnalysis {
     for s in 0..Scenario::ALL.len() {
         // normalized[policy][objective][value]
         let mut norm = vec![[[0.0f64; 6]; 4]; n_pol];
-        #[allow(clippy::needless_range_loop)] // v indexes two structures
-        for v in 0..6 {
-            for (oi, obj) in Objective::ALL.into_iter().enumerate() {
-                let raw_across: Vec<f64> = (0..n_pol).map(|p| grid.raw[s][v][p][oi]).collect();
-                for (p, x) in normalize_with(obj, &raw_across, scheme)
-                    .into_iter()
-                    .enumerate()
-                {
+        for (v, row) in grid.raw[s].iter().enumerate() {
+            for (p, objs) in normalize_point(row, scheme).into_iter().enumerate() {
+                for (oi, x) in objs.into_iter().enumerate() {
                     norm[p][oi][v] = x;
                 }
             }

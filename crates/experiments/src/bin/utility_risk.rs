@@ -33,9 +33,10 @@
 //! - `all`, `summary`, `dominance`: `--resume JOURNAL`, `--cell-budget N`,
 //!   `--cell-wall-budget SECS`, `--cell-event-budget N`,
 //!   `--compact-journal` (needs `--resume`), `--workers N`,
-//!   `--remote HOST:PORT,…`, `--retries N`, `--backoff-ms MS`,
-//!   `--heartbeat-ms MS`, `--connect-timeout-ms MS` (the last four need
-//!   `--workers` or `--remote`);
+//!   `--remote HOST:PORT,…`, `--retries N` (a cell's attempt cap, and the
+//!   consecutive failed opens that quarantine a local or remote link),
+//!   `--backoff-ms MS`, `--heartbeat-ms MS`, `--connect-timeout-ms MS`
+//!   (the last four need `--workers` or `--remote`);
 //! - `tables`: `--table N`;
 //! - `trace`: `--econ commodity|bid`, `--set A|B`, `--scenario IDX`,
 //!   `--value IDX`, `--policy NAME`;

@@ -14,9 +14,10 @@
 //! separate analysis (Eqs. 5–6) to within float-summation noise — the
 //! integration test pins the agreement at 1e-9.
 
+use crate::analysis::normalize_point;
 use crate::scenario::Scenario;
 use ccs_risk::stream::Welford;
-use ccs_risk::{normalize::normalize_with, Objective, RiskMeasure, WaitNormalization};
+use ccs_risk::{Objective, RiskMeasure, WaitNormalization};
 use std::sync::Mutex;
 
 /// One policy's live risk posture, from a [`LiveRiskBoard`] snapshot.
@@ -110,20 +111,13 @@ impl LiveRiskBoard {
         let n = self.policy_names.len();
         assert_eq!(row.len(), n, "row width must match the policy count");
         let mut inner = self.inner.lock().unwrap();
-        let mut point_norm = vec![[0.0f64; 4]; n];
-        for (oi, obj) in Objective::ALL.into_iter().enumerate() {
-            let raw_across: Vec<f64> = row.iter().map(|objs| objs[oi]).collect();
-            for (p, x) in normalize_with(obj, &raw_across, self.scheme)
-                .into_iter()
-                .enumerate()
-            {
-                inner.norm[scenario_idx][p][oi].push(x);
-                point_norm[p][oi] = x;
+        let point_norm = normalize_point(row, self.scheme);
+        for (p, (objs, norm)) in row.iter().zip(&point_norm).enumerate() {
+            for (acc, &x) in inner.norm[scenario_idx][p].iter_mut().zip(norm) {
+                acc.push(x);
             }
-        }
-        for (p, objs) in row.iter().enumerate() {
             inner.reliability[p].push(objs[oi_of(Objective::Reliability)]);
-            inner.overall[p].push(point_norm[p].iter().sum::<f64>() / 4.0);
+            inner.overall[p].push(norm.iter().sum::<f64>() / 4.0);
         }
         inner.points += 1;
         record_live_telemetry(&self.policy_names, &inner);

@@ -11,9 +11,8 @@
 use crate::analysis::{analyze, analyze_with, GridAnalysis};
 use crate::grid::{ExperimentConfig, GridRun, IN_PROCESS};
 use crate::scenario::EstimateSet;
-use ccs_des::OnlineStats;
 use ccs_economy::EconomicModel;
-use ccs_risk::{integrated_equal, Objective, WaitNormalization};
+use ccs_risk::{integrated_equal, Objective, WaitNormalization, Welford};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -66,7 +65,7 @@ pub fn replicate(
     seeds: &[u64],
 ) -> Robustness {
     assert!(!seeds.is_empty());
-    let mut per_policy: Vec<(String, OnlineStats, Vec<f64>)> = Vec::new();
+    let mut per_policy: Vec<(String, Welford, Vec<f64>)> = Vec::new();
     for &seed in seeds {
         let mut c = *cfg;
         c.seed = seed;
@@ -76,7 +75,7 @@ pub fn replicate(
             per_policy = analysis
                 .policy_names
                 .iter()
-                .map(|n| (n.clone(), OnlineStats::new(), Vec::new()))
+                .map(|n| (n.clone(), Welford::new(), Vec::new()))
                 .collect();
         }
         for ((_, stats, samples), score) in per_policy.iter_mut().zip(scores) {

@@ -17,6 +17,7 @@
 //! is a version bump; readers refuse newer (or older) schemas instead of
 //! misinterpreting them — the store is an artifact format, not an API.
 
+use crate::analysis::normalize_point;
 use crate::atomic::write_atomic;
 use crate::grid::{CellCost, ExperimentConfig};
 use crate::journal::cell_key;
@@ -25,7 +26,7 @@ use crate::Evaluation;
 use ccs_chaos::SoakReport;
 use ccs_economy::EconomicModel;
 use ccs_risk::stream::Welford;
-use ccs_risk::{normalize::normalize_with, Objective, WaitNormalization};
+use ccs_risk::WaitNormalization;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -407,18 +408,9 @@ impl ResultStore {
                 let scenario = Scenario::ALL[s];
                 let label = scenario.label();
                 for (v, row) in per_value.iter().enumerate() {
-                    // Normalize each objective across the policies at this
-                    // point — identical inputs to the batch analysis.
-                    let mut norm = vec![[0.0f64; 4]; row.len()];
-                    for (oi, obj) in Objective::ALL.into_iter().enumerate() {
-                        let raw_across: Vec<f64> = row.iter().map(|o| o[oi]).collect();
-                        for (p, x) in normalize_with(obj, &raw_across, scheme)
-                            .into_iter()
-                            .enumerate()
-                        {
-                            norm[p][oi] = x;
-                        }
-                    }
+                    // Normalize across the policies at this point exactly
+                    // as the batch analysis does.
+                    let norm = normalize_point(row, scheme);
                     for (p, &objectives) in row.iter().enumerate() {
                         let norm_score = norm[p].iter().sum::<f64>() / 4.0;
                         let violation_p = (1.0 - objectives[2] / 100.0).clamp(0.0, 1.0);

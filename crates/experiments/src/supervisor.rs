@@ -18,8 +18,8 @@
 //!   link — its fields are all run-level, and each cell names its own
 //!   grid), and closing the fleet after the last grid sends `Shutdown`
 //!   once per link. Deques, attempts, retries and the done-set are per
-//!   grid; links, remote slots and their quarantine verdicts, the event
-//!   channel and worker ids are per run.
+//!   grid; links and their quarantine verdicts, the event channel and
+//!   worker ids are per run.
 //! - **Shard planning** — cells are dealt round-robin into per-slot
 //!   deques ([`crate::grid::plan_shards`]), one slot per local worker
 //!   plus one per remote address; an idle worker drains its own deque
@@ -42,22 +42,23 @@
 //!   ([`WorkerFailure::Disconnected`]). In-flight cells are orphaned
 //!   and retried.
 //! - **Retry with deterministic backoff** — orphaned or panicked cells
-//!   re-enter the queue after [`backoff_delay_ms`]; failed dials reuse
-//!   the same schedule keyed by the remote address. Budget/invariant
-//!   failures are *not* retried — they are deterministic verdicts.
-//! - **Reconnect-and-resume** — a dropped remote is redialed with
-//!   backoff and re-Hello'd under its original shard id, so its shard
-//!   journal answers re-assigned cells it already completed without
-//!   re-simulating them. A remote that fails `retries` consecutive
-//!   dials (or dies that often before its first `Ready`) is
-//!   quarantined; its shard flows to survivors through work-stealing.
-//! - **Graceful degradation** — local workers respawn up to 2× the
-//!   configured count per grid; past that cap, remaining cells are
-//!   quarantined.
-//!   A remote-only grid whose remotes are all quarantined *degrades to
-//!   in-process execution* with a warning: the leftover cells run on the
-//!   grid's local executor, and the run completes with exit 0 rather than
-//!   aborting.
+//!   re-enter the queue after [`backoff_delay_ms`]; reopening a link
+//!   reuses the same schedule, keyed by the remote address or the local
+//!   slot. Budget/invariant failures are *not* retried — they are
+//!   deterministic verdicts.
+//! - **Reopen-and-resume** — one lifecycle for every link, local or
+//!   remote: only how the transport is made differs
+//!   ([`PipeTransport::spawn`] or [`TcpTransport::dial`]). A dead link is
+//!   reopened after its backoff and re-Hello'd under its original shard
+//!   id, so its shard journal answers re-assigned cells it already
+//!   completed without re-simulating them. A link that fails `retries`
+//!   consecutive opens (or dies that often before its first `Ready`) is
+//!   quarantined for the run; its shard flows to survivors through
+//!   work-stealing.
+//! - **Graceful degradation** — a grid left with no live link and none
+//!   waiting to reopen *degrades to in-process execution* with a warning:
+//!   the leftover cells run on the grid's local executor, and the run
+//!   completes with exit 0 rather than aborting.
 //!
 //! Every death joins the dead worker's reader thread, and closing the
 //! fleet joins the rest ([`live_reader_threads`] observes this), so runs
@@ -103,8 +104,8 @@ pub struct SupervisorConfig {
     /// Remote `serve-worker` agents to dial, as `host:port` addresses.
     pub remotes: Vec<String>,
     /// Failures after which a cell is quarantined (K). `1` means no
-    /// second chances. The same cap quarantines a remote after K
-    /// consecutive failed dials.
+    /// second chances. The same cap quarantines a link, local or remote,
+    /// after K consecutive failed opens or deaths before `Ready`.
     pub retries: u32,
     /// Base backoff before a retry, in milliseconds; attempt `n` waits
     /// `base << (n-1)` (capped at [`MAX_BACKOFF_MS`]) plus jitter.
@@ -294,7 +295,8 @@ impl std::fmt::Display for WorkerFailure {
 /// capped at [`MAX_BACKOFF_MS`]) plus jitter in `[0, base)` derived by
 /// FNV-1a from `(seed, key, attempt)` — no wall clock, no global RNG, so
 /// two supervisors replaying the same failure history compute the same
-/// schedule. Redials reuse it with the remote address as the key.
+/// schedule. Reopening a link reuses it, keyed by the remote address or
+/// the local slot.
 pub fn backoff_delay_ms(seed: u64, key: &str, attempt: u32, base_ms: u64) -> u64 {
     let shift = attempt.saturating_sub(1).min(16);
     let exp = base_ms.saturating_mul(1u64 << shift).min(MAX_BACKOFF_MS);
@@ -340,6 +342,7 @@ impl Drop for ReaderGuard {
 /// plus the liveness and assignment bookkeeping around it.
 struct WorkerHandle {
     id: u64,
+    /// Index into the fleet's link table, which is also its deque.
     slot: usize,
     conn: Box<dyn Transport>,
     alive: bool,
@@ -347,9 +350,6 @@ struct WorkerHandle {
     last_seen: Instant,
     current: Option<CellSpec>,
     reader: Option<JoinHandle<()>>,
-    /// Index into the remote slot table when this link is a dialed TCP
-    /// connection; `None` for local children.
-    remote: Option<usize>,
 }
 
 /// What a reader thread saw on one worker's link.
@@ -380,26 +380,26 @@ fn is_link_error(e: &std::io::Error) -> bool {
     )
 }
 
-/// One remote address's standing in the run: its shard identity (stable
-/// across redials, so the shard journal survives reconnects), its dial
-/// failure streak, and when to try again. A quarantine verdict lasts for
-/// the rest of the run.
-struct RemoteSlot {
-    addr: String,
-    slot: usize,
-    /// Worker id of the first successful connection — reused as the
-    /// shard-journal id for every later redial. `0` until first contact.
-    shard_id: u64,
-    /// Consecutive failed dials / pre-`Ready` deaths. Reset by `Ready`.
-    dial_failures: u32,
-    redial_at: Option<Instant>,
+/// One link's standing in the run — a local worker slot or a remote
+/// address: its shard identity (stable across reopens, so the shard
+/// journal survives them), its failure streak, and when to try again. A
+/// quarantine verdict lasts for the rest of the run.
+struct Link {
+    /// The remote's `host:port`; `None` for a local child of `worker_bin`.
+    remote: Option<String>,
+    /// Worker id of the first successful open — reused as the
+    /// shard-journal id for every later reopen.
+    shard_id: Option<u64>,
+    /// Consecutive failed opens / pre-`Ready` deaths. Reset by `Ready`.
+    failures: u32,
+    /// When a dead link may reopen; `None` before its first open.
+    reopen_at: Option<Instant>,
     quarantined: bool,
-    connected: bool,
 }
 
 /// One run's worker fleet: the links to local children and dialed
-/// remotes, the remote slots (with their quarantine verdicts), the event
-/// channel every link reader feeds, and the run-scoped worker ids.
+/// remotes (with their quarantine verdicts), the event channel every link
+/// reader feeds, and the run-scoped worker ids.
 ///
 /// The fleet opens lazily — the first [`Fleet::run_cells`] pass with cells
 /// to run spawns the local workers and dials the remotes, each link
@@ -423,7 +423,8 @@ pub(crate) struct Fleet {
     tx: mpsc::Sender<Event>,
     rx: mpsc::Receiver<Event>,
     handles: Vec<WorkerHandle>,
-    remotes: Vec<RemoteSlot>,
+    /// One link per deque: the local workers, then one per remote.
+    links: Vec<Link>,
     /// Transport label per worker id (index id − 1): one entry per spawn
     /// or dial of the run, so its length is also the last id handed out.
     transports: Vec<String>,
@@ -456,18 +457,14 @@ impl Fleet {
             tx,
             rx,
             handles: Vec::new(),
-            remotes: sup
-                .remotes
-                .iter()
-                .enumerate()
-                .map(|(r_idx, addr)| RemoteSlot {
-                    addr: addr.clone(),
-                    slot: sup.workers + r_idx,
-                    shard_id: 0,
-                    dial_failures: 0,
-                    redial_at: None,
+            links: std::iter::repeat_n(None, sup.workers)
+                .chain(sup.remotes.iter().cloned().map(Some))
+                .map(|remote| Link {
+                    remote,
+                    shard_id: None,
+                    failures: 0,
+                    reopen_at: None,
                     quarantined: false,
-                    connected: false,
                 })
                 .collect(),
             transports: Vec::new(),
@@ -477,7 +474,7 @@ impl Fleet {
 
     /// The session-opening frame for connection `worker_id`. A worker's
     /// shard journal is addressed by `shard_id`, not by the connection's
-    /// worker id: a redialed remote keeps its original shard id, which is
+    /// worker id: a reopened link keeps its original shard id, which is
     /// exactly what lets it resume from that journal.
     fn hello(&self, worker_id: u64, shard_id: u64) -> ToWorker {
         ToWorker::Hello {
@@ -507,16 +504,9 @@ impl Fleet {
     /// Wires one freshly made transport into the fleet: reader thread,
     /// Hello frame, handle. A failed Hello severs the link, and the
     /// reader's terminal event then reports the death like any other — so
-    /// a remote whose Hello tore is redialed (or quarantined), not left
-    /// marked connected with no live link.
-    fn attach(
-        &mut self,
-        id: u64,
-        slot: usize,
-        remote: Option<usize>,
-        shard_id: u64,
-        mut conn: Box<dyn Transport>,
-    ) {
+    /// a link whose Hello tore is reopened (or quarantined), not left
+    /// half-open.
+    fn attach(&mut self, id: u64, slot: usize, shard_id: u64, mut conn: Box<dyn Transport>) {
         let mut reader = conn.take_reader().expect("fresh transport has a reader");
         let reader_tx = self.tx.clone();
         let telemetry = self.telemetry;
@@ -567,91 +557,100 @@ impl Fleet {
             last_seen: Instant::now(),
             current: None,
             reader: Some(reader_thread),
-            remote,
         });
     }
 
-    /// Spawns one local worker child for deque `slot`. A failed spawn
-    /// leaves no handle; the pass's respawn logic takes it from there.
-    fn spawn_local(&mut self, slot: usize) {
-        let id = self.next_id(TransportKind::Pipe);
-        if let Some(t) = self.telemetry {
-            t.counter("grid.worker.spawns").inc();
-        }
+    /// Opens link `slot`: spawns its local child or dials its remote. A
+    /// failed open counts against the link like a death before `Ready`.
+    fn open_link(&mut self, slot: usize) {
+        let remote = self.links[slot].remote.clone();
+        let kind = match remote {
+            None => TransportKind::Pipe,
+            Some(_) => TransportKind::Tcp,
+        };
+        let id = self.next_id(kind);
         let flakes = self.flake_plan.as_ref().map(|p| p.connection(id));
-        match PipeTransport::spawn(&self.worker_bin, flakes) {
-            Ok(conn) => self.attach(id, slot, None, id, Box::new(conn)),
-            Err(e) => progress::note(&format!("supervisor: cannot spawn worker {id}: {e}")),
+        let opened: Result<Box<dyn Transport>, String> = match &remote {
+            None => {
+                if let Some(t) = self.telemetry {
+                    t.counter("grid.worker.spawns").inc();
+                }
+                match PipeTransport::spawn(&self.worker_bin, flakes) {
+                    Ok(conn) => Ok(Box::new(conn)),
+                    Err(e) => Err(format!("cannot spawn worker {id}: {e}")),
+                }
+            }
+            Some(addr) => {
+                if let Some(t) = self.telemetry {
+                    t.counter("grid.transport.dials").inc();
+                    if self.links[slot].shard_id.is_some() {
+                        t.counter("grid.transport.redials").inc();
+                    }
+                }
+                let connect_timeout = Duration::from_millis(self.sup.connect_timeout_ms);
+                let write_timeout = Duration::from_millis(self.sup.heartbeat_ms);
+                match TcpTransport::dial(addr, connect_timeout, write_timeout, flakes) {
+                    Ok(conn) => Ok(Box::new(conn)),
+                    Err(e) if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) => {
+                        if let Some(t) = self.telemetry {
+                            t.counter("grid.transport.timeouts").inc();
+                        }
+                        let ms = self.sup.connect_timeout_ms;
+                        let addr = addr.clone();
+                        Err(WorkerFailure::ConnectTimeout { addr, ms }.to_string())
+                    }
+                    Err(e) => Err(WorkerFailure::Disconnected {
+                        detail: format!("dial {addr}: {e}"),
+                    }
+                    .to_string()),
+                }
+            }
+        };
+        match opened {
+            Ok(conn) => {
+                let shard_id = *self.links[slot].shard_id.get_or_insert(id);
+                self.attach(id, slot, shard_id, conn);
+            }
+            Err(cause) => self.link_failed(slot, true, Some(cause)),
         }
     }
 
-    /// Dials remote `r_idx`; a failed dial extends its failure streak and
-    /// schedules a redial with backoff, or quarantines it for the run.
-    fn dial_remote(&mut self, r_idx: usize) {
-        if let Some(t) = self.telemetry {
-            t.counter("grid.transport.dials").inc();
-            if self.remotes[r_idx].shard_id != 0 {
-                t.counter("grid.transport.redials").inc();
-            }
-        }
-        let id = self.next_id(TransportKind::Tcp);
-        let flakes = self.flake_plan.as_ref().map(|p| p.connection(id));
-        let addr = self.remotes[r_idx].addr.clone();
-        let connect_timeout = Duration::from_millis(self.sup.connect_timeout_ms);
-        let write_timeout = Duration::from_millis(self.sup.heartbeat_ms);
-        match TcpTransport::dial(&addr, connect_timeout, write_timeout, flakes) {
-            Ok(conn) => {
-                let r = &mut self.remotes[r_idx];
-                if r.shard_id == 0 {
-                    r.shard_id = id;
-                }
-                r.connected = true;
-                r.redial_at = None;
-                let (slot, shard_id) = (r.slot, r.shard_id);
-                self.attach(id, slot, Some(r_idx), shard_id, Box::new(conn));
-            }
-            Err(e) => {
-                let failure = if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
-                    if let Some(t) = self.telemetry {
-                        t.counter("grid.transport.timeouts").inc();
-                    }
-                    WorkerFailure::ConnectTimeout {
-                        addr: addr.clone(),
-                        ms: self.sup.connect_timeout_ms,
-                    }
-                } else {
-                    WorkerFailure::Disconnected {
-                        detail: format!("dial {addr}: {e}"),
-                    }
-                };
-                let r = &mut self.remotes[r_idx];
-                r.dial_failures += 1;
-                if r.dial_failures >= self.sup.retries {
-                    r.quarantined = true;
-                    r.redial_at = None;
-                    progress::note(&format!(
-                        "supervisor: remote {addr} quarantined after {} failed dial(s); \
-                         last: {failure}",
-                        r.dial_failures
-                    ));
-                } else {
-                    let delay = backoff_delay_ms(
-                        self.cfg.seed,
-                        &addr,
-                        r.dial_failures,
-                        self.sup.backoff_ms,
-                    );
-                    r.redial_at = Some(Instant::now() + Duration::from_millis(delay));
-                    progress::note(&format!("supervisor: {failure}; redial in {delay} ms"));
-                }
+    /// Books one loss of link `slot` — a failed open (`cause` says why) or
+    /// a death — and either quarantines the link for the run or schedules
+    /// its reopen with backoff. Only a failure before `Ready` extends the
+    /// streak (`counts`): a link that opens and dies at once must not be
+    /// reopened forever, while a death after `Ready` reopens with a fresh
+    /// streak (attempt 1 backoff).
+    fn link_failed(&mut self, slot: usize, counts: bool, cause: Option<String>) {
+        let link = &mut self.links[slot];
+        link.failures += u32::from(counts);
+        let n = link.failures;
+        let (name, verb) = match &link.remote {
+            Some(addr) => (format!("remote {addr}"), "dial"),
+            None => (format!("local slot {slot}"), "spawn"),
+        };
+        if n >= self.sup.retries {
+            link.quarantined = true;
+            progress::note(&match cause {
+                Some(cause) => format!(
+                    "supervisor: {name} quarantined after {n} failed {verb}(s); last: {cause}"
+                ),
+                None => format!("supervisor: {name} quarantined after {n} failure(s)"),
+            });
+        } else {
+            let key = link.remote.as_deref().unwrap_or(&name);
+            let delay = backoff_delay_ms(self.cfg.seed, key, n.max(1), self.sup.backoff_ms);
+            link.reopen_at = Some(Instant::now() + Duration::from_millis(delay));
+            if let Some(cause) = cause {
+                progress::note(&format!("supervisor: {cause}; re{verb} in {delay} ms"));
             }
         }
     }
 
     /// Common tail of every worker death: join the reader, count it, and
-    /// schedule the remote's redial (or quarantine it). Returns the
-    /// orphaned in-flight cell, if any. Callers have already unblocked the
-    /// reader — by severing, or (pipe EOF) by reaping, which implies EOF.
+    /// book the loss against its link. Returns the orphaned in-flight
+    /// cell, if any. Callers have already unblocked the reader — by
+    /// severing, or (pipe EOF) by reaping, which implies EOF.
     fn mark_dead(&mut self, i: usize, failure: &WorkerFailure) -> Option<CellSpec> {
         let h = &mut self.handles[i];
         h.alive = false;
@@ -669,30 +668,9 @@ impl Fleet {
             h.id,
             h.conn.peer()
         ));
-        if let Some(r_idx) = h.remote {
-            let r = &mut self.remotes[r_idx];
-            r.connected = false;
-            // A death before Ready extends the dial-failure streak — a
-            // listener that accepts and immediately dies must not be
-            // redialed forever. A post-Ready death redials with a fresh
-            // streak (attempt 1 backoff).
-            if !h.ready {
-                r.dial_failures += 1;
-            }
-            if r.dial_failures >= self.sup.retries {
-                r.quarantined = true;
-                r.redial_at = None;
-                progress::note(&format!(
-                    "supervisor: remote {} quarantined after {} failure(s)",
-                    r.addr, r.dial_failures
-                ));
-            } else {
-                let attempt = r.dial_failures.max(1);
-                let delay = backoff_delay_ms(self.cfg.seed, &r.addr, attempt, self.sup.backoff_ms);
-                r.redial_at = Some(Instant::now() + Duration::from_millis(delay));
-            }
-        }
-        h.current.take()
+        let (slot, ready, cell) = (h.slot, h.ready, h.current.take());
+        self.link_failed(slot, !ready, None);
+        cell
     }
 
     /// Handles one event from a link reader: a frame refreshes the
@@ -720,11 +698,9 @@ impl Fleet {
                 match frame {
                     FromWorker::Ready { .. } => {
                         h.ready = true;
-                        if let Some(r_idx) = h.remote {
-                            // A full session start clears the remote's
-                            // failure streak.
-                            self.remotes[r_idx].dial_failures = 0;
-                        }
+                        // A full session start clears the link's failure
+                        // streak.
+                        self.links[h.slot].failures = 0;
                     }
                     FromWorker::Heartbeat { .. } => {
                         if let Some(t) = self.telemetry {
@@ -825,10 +801,10 @@ impl Fleet {
     /// Runs the planned `cells` of one grid on the fleet and folds every
     /// result into `fold` — the same fold the local executor uses, so the
     /// fleet changes only *where* cells run, never the grid. Completed
-    /// cells are journaled as their frames arrive. If every remote is gone
-    /// and no local workers are configured, the leftover cells run on the
-    /// local executor instead. Returns busy seconds and the transport label
-    /// per worker id of the run so far.
+    /// cells are journaled as their frames arrive. If no link is live or
+    /// waiting to reopen, the leftover cells run on the local executor
+    /// instead. Returns busy seconds and the transport label per worker id
+    /// of the run so far.
     pub(crate) fn run_cells(
         &mut self,
         cells: Vec<CellSpec>,
@@ -836,10 +812,9 @@ impl Fleet {
         fold: &GridFold,
     ) -> (Vec<f64>, Vec<String>) {
         let total_to_run = cells.len();
-        // Shard the work round-robin into per-slot deques: one slot per
-        // local worker, then one per remote address.
-        let n_local = self.sup.workers;
-        let shards = plan_shards(total_to_run, n_local + self.remotes.len());
+        // Shard the work round-robin into per-link deques: one per local
+        // worker, then one per remote address.
+        let shards = plan_shards(total_to_run, self.links.len());
         let mut deques: Vec<VecDeque<CellSpec>> = shards
             .iter()
             .map(|shard| shard.iter().map(|&i| cells[i].clone()).collect())
@@ -856,41 +831,25 @@ impl Fleet {
             resolved: 0,
         };
         let mut busy_secs = vec![0.0; self.transports.len()];
-        // Each grid may respawn its local workers up to 2x the configured
-        // count, counting the ones it starts with (carried over or fresh).
-        let spawn_cap = n_local * 2;
-        let mut spawned = n_local.min(total_to_run);
-
-        if total_to_run > 0 {
-            // Open the fleet, or top it up: a local slot without a live
-            // child gets one, a remote never dialed is dialed. Links that
-            // survived earlier grids keep their sessions.
-            for slot in 0..spawned {
-                if !self
-                    .handles
-                    .iter()
-                    .any(|h| h.alive && h.remote.is_none() && h.slot == slot)
-                {
-                    self.spawn_local(slot);
-                }
-            }
-            for r_idx in 0..self.remotes.len() {
-                let r = &self.remotes[r_idx];
-                if !r.quarantined && !r.connected && r.redial_at.is_none() {
-                    self.dial_remote(r_idx);
-                }
-            }
-        }
+        // A pass opens no more local slots than it has cells.
+        let n_local = self.sup.workers;
+        let in_pass = |slot: usize| slot >= n_local || slot < total_to_run;
 
         let heartbeat_deadline = Duration::from_millis(self.sup.heartbeat_ms);
         let mut degraded: Vec<CellSpec> = Vec::new();
         while pass.resolved < total_to_run {
-            // 0. Redial remotes whose backoff expired.
+            // 0. Open every link of the pass with no live worker whose
+            //    backoff, if any, has expired: the fleet's first open, and
+            //    each reopen after a death. Links that survived earlier
+            //    grids keep their sessions.
             let now = Instant::now();
-            for r_idx in 0..self.remotes.len() {
-                let r = &self.remotes[r_idx];
-                if !r.quarantined && !r.connected && r.redial_at.is_some_and(|at| at <= now) {
-                    self.dial_remote(r_idx);
+            for slot in (0..self.links.len()).filter(|&s| in_pass(s)) {
+                let link = &self.links[slot];
+                if !link.quarantined
+                    && link.reopen_at.is_none_or(|at| at <= now)
+                    && !self.handles.iter().any(|h| h.alive && h.slot == slot)
+                {
+                    self.open_link(slot);
                 }
             }
 
@@ -973,48 +932,31 @@ impl Fleet {
                 }
             }
 
-            // 4. Everyone dead with work outstanding → respawn locals (up
-            //    to the cap), wait out remote redial timers, degrade to
-            //    in-process execution (remote-only fleet, all
-            //    quarantined), or quarantine what's left.
-            if pass.resolved < total_to_run && !self.handles.iter().any(|h| h.alive) {
-                let awaiting_redial = self.remotes.iter().any(|r| !r.quarantined && !r.connected);
-                let outstanding = |deques: &mut Vec<VecDeque<CellSpec>>, pass: &mut GridPass| {
-                    deques
-                        .iter_mut()
-                        .flat_map(|d| d.drain(..))
-                        .chain(pass.retry.drain(..).map(|(_, c)| c))
-                        .collect::<Vec<_>>()
-                };
-                if n_local > 0 && spawned < spawn_cap {
-                    self.spawn_local(spawned % n_local);
-                    spawned += 1;
-                } else if awaiting_redial {
-                    // A redial timer is pending; step 0 fires it.
-                } else if n_local == 0 {
-                    degraded = outstanding(&mut deques, &mut pass);
-                    break;
-                } else {
-                    for cell in outstanding(&mut deques, &mut pass) {
-                        pass.resolve_err(
-                            &cell,
-                            CellErrorKind::Quarantine,
-                            format!("no live workers left (spawn cap {spawn_cap} reached)"),
-                        );
-                    }
-                }
+            // 4. No live link and none waiting to reopen: hand the
+            //    leftover cells to the in-process executor.
+            if pass.resolved < total_to_run
+                && !self.handles.iter().any(|h| h.alive)
+                && (0..self.links.len()).all(|s| !in_pass(s) || self.links[s].quarantined)
+            {
+                degraded = deques
+                    .iter_mut()
+                    .flat_map(|d| d.drain(..))
+                    .chain(pass.retry.drain(..).map(|(_, c)| c))
+                    .collect();
+                break;
             }
         }
 
-        // Graceful degradation: every remote is quarantined and no local
-        // workers were configured. Rather than aborting a multi-hour sweep,
-        // finish the remaining cells on the local executor — byte-identical
-        // numbers, worker id 0 — and say so even under --quiet.
+        // Graceful degradation: every link of the fleet is quarantined.
+        // Rather than aborting a multi-hour sweep, finish the remaining
+        // cells on the local executor — byte-identical numbers, worker id
+        // 0 — and say so even under --quiet.
         if !degraded.is_empty() {
+            let remote = if n_local == 0 { "remote " } else { "" };
             eprintln!(
-                "warning: all {} remote worker(s) unreachable or quarantined; \
+                "warning: all {} {remote}worker(s) unreachable or quarantined; \
                  running {} remaining cell(s) in-process",
-                self.remotes.len(),
+                self.links.len(),
                 fold.cells_settled_by(&degraded)
             );
             run_local(&degraded, env, fold, false);
@@ -1404,6 +1346,74 @@ mod tests {
             one_grid(EconomicModel::BidBased, EstimateSet::B, &cfg).raw,
             "the reused fleet's grid equals the in-process grid"
         );
+    }
+
+    /// A fleet out of links finishes in-process: after every link is
+    /// quarantined, each leftover cell runs on the local executor under
+    /// worker id 0, and the grid equals the in-process grid.
+    fn assert_fleet_finishes_in_process(sup: SupervisorConfig) {
+        use crate::grid::{one_grid, GridRun};
+        use crate::scenario::EstimateSet;
+        use ccs_economy::EconomicModel;
+
+        let cfg = ExperimentConfig::quick().with_jobs(25);
+        let ctl = GridControl {
+            supervisor: Some(sup),
+            ..GridControl::default()
+        };
+        let (econ, set) = (EconomicModel::CommodityMarket, EstimateSet::A);
+        let grid = GridRun::new(&cfg)
+            .control(&ctl)
+            .run(&[(econ, set)])
+            .unwrap()
+            .remove(0);
+        assert!(grid.errors.is_empty(), "{:?}", grid.errors);
+        assert!(
+            grid.cell_workers
+                .iter()
+                .flatten()
+                .flatten()
+                .all(|&w| w == 0),
+            "every cell ran in-process"
+        );
+        let local = one_grid(econ, set, &cfg);
+        assert_eq!(grid.raw, local.raw);
+        assert_eq!(grid.cell_sigma, local.cell_sigma);
+        assert_eq!(grid.cell_events, local.cell_events);
+    }
+
+    /// A local worker binary that cannot be spawned.
+    fn missing_worker_bin() -> PathBuf {
+        std::env::temp_dir().join(format!("ccs_no_worker_bin_{}", std::process::id()))
+    }
+
+    #[test]
+    fn unspawnable_local_workers_quarantine_and_finish_in_process() {
+        assert_fleet_finishes_in_process(SupervisorConfig {
+            workers: 2,
+            retries: 2,
+            backoff_ms: 1,
+            worker_bin: Some(missing_worker_bin()),
+            ..SupervisorConfig::default()
+        });
+    }
+
+    #[test]
+    fn mixed_fleet_out_of_links_finishes_in_process() {
+        // Bind-then-drop leaves a port with no listener.
+        let dead_addr = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap().to_string()
+        };
+        assert_fleet_finishes_in_process(SupervisorConfig {
+            workers: 1,
+            remotes: vec![dead_addr],
+            retries: 2,
+            backoff_ms: 1,
+            connect_timeout_ms: 250,
+            worker_bin: Some(missing_worker_bin()),
+            ..SupervisorConfig::default()
+        });
     }
 
     #[test]

@@ -163,10 +163,16 @@ pub fn run_session<R: Read>(
         threads: 1,
         replicas: 1,
     };
-    let shard = shard_journal.map(|p| {
-        Journal::open(Path::new(&p))
-            .unwrap_or_else(|e| panic!("worker {worker_id}: cannot open shard journal {p}: {e}"))
-    });
+    // An unopenable shard journal ends the session, not the process: a
+    // `serve-worker` agent goes back to accepting, and the supervisor counts
+    // the lost session against the link like any failure before `Ready`.
+    let shard = match shard_journal {
+        None => None,
+        Some(p) => match Journal::open(Path::new(&p)) {
+            Ok(journal) => Some(journal),
+            Err(e) => return SessionEnd::Protocol(format!("cannot open shard journal {p}: {e}")),
+        },
+    };
     let kill_plan = WorkerKillPlan::from_env();
 
     // Invalidate the cross-session memo if this Hello describes a
@@ -419,6 +425,12 @@ mod tests {
     /// drop-order regression test for the worker side: however the
     /// session ends, its heartbeat thread must be joined.
     fn drive(frames: Vec<ToWorker>) -> SessionEnd {
+        drive_with(frames, &mut WorkerState::default())
+    }
+
+    /// [`drive`] over a caller-held [`WorkerState`], as an agent carries
+    /// it from one session to the next.
+    fn drive_with(frames: Vec<ToWorker>, state: &mut WorkerState) -> SessionEnd {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let sup = std::thread::spawn(move || {
@@ -442,8 +454,7 @@ mod tests {
         let (stream, _) = listener.accept().unwrap();
         let writer = stream.try_clone().unwrap();
         let mut reader = stream;
-        let mut state = WorkerState::default();
-        let end = run_session(&mut reader, Box::new(writer), &mut state);
+        let end = run_session(&mut reader, Box::new(writer), state);
         drop(reader);
         sup.join().unwrap();
         end
@@ -468,6 +479,35 @@ mod tests {
         let end = drive(vec![hello(1, None), hello(1, None)]);
         assert!(matches!(end, SessionEnd::Protocol(_)), "{end:?}");
         assert_eq!(live_heartbeat_threads(), 0);
+    }
+
+    /// An unopenable shard journal ends only its session, typed and
+    /// naming the path; the next session on the same state runs normally.
+    #[test]
+    fn unopenable_shard_journal_ends_the_session_not_the_agent() {
+        let _serial = one_session_at_a_time();
+        let dir = std::env::temp_dir().join(format!("ccs_worker_badshard_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("plain-file");
+        std::fs::write(&file, b"not a directory").unwrap();
+        let shard = file
+            .join("journal.jsonl.shard1")
+            .to_string_lossy()
+            .into_owned();
+
+        // Only the Hello: the session ends on it, and an unread frame
+        // behind it would reset the socket under the driving thread.
+        let mut state = WorkerState::default();
+        let end = drive_with(vec![hello(1, Some(shard.clone()))], &mut state);
+        match &end {
+            SessionEnd::Protocol(msg) => assert!(msg.contains(&shard), "{msg}"),
+            other => panic!("expected a protocol end, got {other:?}"),
+        }
+        // `Shutdown` is read only after `Ready` has been sent.
+        let end = drive_with(vec![hello(2, None), ToWorker::Shutdown], &mut state);
+        assert!(matches!(end, SessionEnd::Shutdown), "{end:?}");
+        assert_eq!(live_heartbeat_threads(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -154,12 +154,6 @@ impl LibraPolicy {
         self
     }
 
-    /// Overrides the Libra pricing parameters (γ, δ).
-    pub fn with_libra_params(mut self, p: LibraParams) -> Self {
-        self.libra_params = p;
-        self
-    }
-
     /// Overrides the Libra+$ pricing parameters (α, β).
     pub fn with_dollar_params(mut self, p: LibraDollarParams) -> Self {
         self.dollar_params = p;

@@ -2,7 +2,7 @@
 
 use ccs_risk::{
     integrated, integrated_equal, normalize::normalize, rank, separate, Gradient, Objective,
-    PolicySeries, RankBy, RiskMeasure, RiskPlot,
+    PolicySeries, RankBy, RiskMeasure, RiskPlot, Welford,
 };
 use proptest::prelude::*;
 
@@ -12,6 +12,18 @@ fn measures_strategy(n: usize) -> impl Strategy<Value = Vec<RiskMeasure>> {
 }
 
 proptest! {
+    /// Population variance is never negative and bounded by the squared range.
+    #[test]
+    fn variance_bounds(xs in prop::collection::vec(-1e3f64..1e3, 1..100)) {
+        let mut s = Welford::new();
+        for &x in &xs {
+            s.push(x);
+        }
+        let range = s.max().unwrap() - s.min().unwrap();
+        prop_assert!(s.population_variance() >= 0.0);
+        prop_assert!(s.population_variance() <= range * range / 4.0 + 1e-9);
+    }
+
     /// Separate risk analysis stays in its mathematical bounds: performance
     /// in [0,1], volatility in [0, 0.5] (max population sd of unit-interval
     /// data).

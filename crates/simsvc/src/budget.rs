@@ -87,11 +87,12 @@ impl std::fmt::Display for BudgetExceeded {
                 "run budget exceeded: wall clock ({:.2}s elapsed, {} steps)",
                 self.elapsed_secs, self.steps
             ),
-            BudgetKind::Events => write!(
-                f,
-                "run budget exceeded: event count ({} steps, {:.2}s elapsed)",
-                self.steps, self.elapsed_secs
-            ),
+            // The event bound is a deterministic verdict, so its message
+            // carries no wall time: the same cell fails with the same text
+            // on every run.
+            BudgetKind::Events => {
+                write!(f, "run budget exceeded: event count ({} steps)", self.steps)
+            }
         }
     }
 }
@@ -189,5 +190,10 @@ mod tests {
         };
         assert!(e.to_string().contains("event count"));
         assert!(e.to_string().contains("42"));
+        let later = BudgetExceeded {
+            elapsed_secs: 0.75,
+            ..e.clone()
+        };
+        assert_eq!(e.to_string(), later.to_string(), "no wall time in the text");
     }
 }
