@@ -67,12 +67,17 @@ impl Policy for BrownoutPolicy {
         self.inner.drain(out);
     }
 
-    fn on_node_fail(&mut self, node: u32, now: f64, out: &mut Vec<Outcome>) -> Vec<Interruption> {
-        self.inner.on_node_fail(node, now, out)
+    fn on_nodes_fail(
+        &mut self,
+        nodes: &[u32],
+        now: f64,
+        out: &mut Vec<Outcome>,
+    ) -> Vec<Interruption> {
+        self.inner.on_nodes_fail(nodes, now, out)
     }
 
-    fn on_node_repair(&mut self, node: u32, now: f64, out: &mut Vec<Outcome>) {
-        self.inner.on_node_repair(node, now, out);
+    fn on_nodes_repair(&mut self, nodes: &[u32], now: f64, out: &mut Vec<Outcome>) {
+        self.inner.on_nodes_repair(nodes, now, out);
     }
 
     fn queued_jobs(&self) -> usize {
@@ -294,6 +299,33 @@ mod tests {
         // Jobs 3, 4, 5 submit at 300/400/500 — inside the window.
         assert_eq!(checked.result.metrics.accepted, 7);
         assert_eq!(checked.result.metrics.submitted, 10);
+    }
+
+    #[test]
+    fn brownout_forwards_a_failure_storm_as_one_batch() {
+        // Two 2-processor jobs hold all 4 processors and a 1-processor job
+        // waits. Two processors fail at one instant: one scheduling pass
+        // per storm keeps the waiting job queued, while one pass per node
+        // would start it on the first victim's freed processor and then
+        // preempt it for the second.
+        let storm = |mut p: Box<dyn Policy>| {
+            let mut out = Vec::new();
+            for (id, submit, procs) in [(0, 0.0, 2), (1, 1.0, 2), (2, 2.0, 1)] {
+                let j = Job {
+                    procs,
+                    ..job(id, submit)
+                };
+                p.advance_to(submit, &mut out);
+                p.on_submit(&j, submit, &mut out);
+            }
+            let hit = p.on_nodes_fail(&[0, 1], 10.0, &mut out);
+            (out, hit)
+        };
+        let backfill = || build_policy(PolicyKind::FcfsBf, EconomicModel::BidBased, 4);
+        let (bare_out, bare_hit) = storm(backfill());
+        assert_eq!(bare_hit.len(), 1, "only job 1 is preempted");
+        let wrapped = storm(Box::new(BrownoutPolicy::new(backfill(), 1e9, 2e9)));
+        assert_eq!(wrapped, (bare_out, bare_hit));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! (Yeo & Buyya, *Integrated Risk Analysis for a Commercial Computing
 //! Service*, IPDPS 2007): a virtual clock, a priority event queue with
 //! stable FIFO tie-breaking and cancellation, seeded random number
-//! streams, the probability distributions the workload model needs, and
-//! streaming statistics.
+//! streams, the probability distributions the workload model needs, the
+//! node failure process, and a fast deterministic hasher for integer keys.
 //!
 //! Everything here is deterministic: the same seed produces bit-identical
 //! simulation results on every run and platform, which is a prerequisite for
@@ -38,7 +38,6 @@ pub mod fasthash;
 pub mod queue;
 pub mod rng;
 pub mod sim;
-pub mod stats;
 pub mod time;
 
 pub use dist::{Distribution, Exponential, LogNormal, Normal, TruncatedNormal, Uniform, Weibull};

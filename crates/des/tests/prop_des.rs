@@ -1,7 +1,6 @@
 //! Property-based tests of the DES kernel invariants.
 
 use ccs_des::dist::{Distribution, Exponential, LogNormal, TruncatedNormal, Uniform};
-use ccs_des::stats::linear_fit;
 use ccs_des::{EventQueue, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -103,20 +102,5 @@ proptest! {
         for _ in 0..16 {
             prop_assert_eq!(fa.next_u64(), fb.next_u64());
         }
-    }
-
-    /// A least-squares fit of exact line data recovers slope and intercept.
-    #[test]
-    fn linear_fit_recovers_lines(
-        slope in -100.0f64..100.0,
-        intercept in -100.0f64..100.0,
-        n in 2usize..20,
-    ) {
-        let pts: Vec<(f64, f64)> = (0..n)
-            .map(|i| (i as f64, slope * i as f64 + intercept))
-            .collect();
-        let fit = linear_fit(&pts).unwrap();
-        prop_assert!((fit.slope - slope).abs() < 1e-6 * (1.0 + slope.abs()));
-        prop_assert!((fit.intercept - intercept).abs() < 1e-5 * (1.0 + intercept.abs()));
     }
 }

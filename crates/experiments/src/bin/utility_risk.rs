@@ -73,6 +73,30 @@ use ccs_simsvc::RunConfig;
 use ccs_workload::{apply_scenario, WorkloadSummary};
 use std::path::{Path, PathBuf};
 
+// Every stdout write of this binary goes through these shadows of the std
+// macros. Those panic once a reader that stops early (`| head`) has closed
+// the pipe; these end the process quietly instead, with the status a shell
+// reports for a process killed by SIGPIPE.
+macro_rules! print {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+macro_rules! println {
+    () => { print!("\n") };
+    ($($arg:tt)*) => { print!("{}\n", format_args!($($arg)*)) };
+}
+
+/// Writes to stdout, exiting with status 141 (128 + SIGPIPE) when the
+/// reader is gone.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 /// `utility_risk trace-report`: offline analysis of a trace bundle written
 /// by `trace` (or any `trace.jsonl` in the same schema). Reconstructs every
 /// job's SLA lifecycle, recomputes the paper's four objectives (Eqs. 1–4)

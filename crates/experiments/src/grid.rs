@@ -646,19 +646,7 @@ impl Iterator for OpenRun<'_> {
         };
         let (busy, transports) = match self.fleet.as_mut() {
             Some(fleet) => fleet.run_cells(cells, &env, &self.fold),
-            None => {
-                let mut busy = run_local(&cells, &env, &self.fold, true);
-                // The held-back LibraRiskD cells whose Libra cell did not
-                // certify them: a second pass simulates them.
-                let uncertified = self.fold.take_uncertified();
-                if !uncertified.is_empty() {
-                    let more = run_local(&uncertified, &env, &self.fold, true);
-                    for (b, m) in busy.iter_mut().zip(more) {
-                        *b += m;
-                    }
-                }
-                (busy, Vec::new())
-            }
+            None => (run_local(&cells, &env, &self.fold, true), Vec::new()),
         };
         Some(self.fold.finish(g, started, busy, transports, &cache))
     }
@@ -1184,9 +1172,6 @@ pub(crate) struct GridFold<'a> {
     /// Held-back LibraRiskD representatives, by the key of their point's
     /// Libra cell. Fixed once planning ends.
     held: HashMap<String, CellSpec>,
-    /// The held-back cells whose Libra cell did not certify them, left for
-    /// a second pass of the executor.
-    uncertified: Mutex<Vec<CellSpec>>,
     /// The run's control: its budgets and drills (stall-drill cells are
     /// never journaled).
     ctl: Cow<'a, GridControl>,
@@ -1379,7 +1364,6 @@ impl<'a> GridFold<'a> {
             grids: grids.to_vec(),
             families: HashMap::new(),
             held: HashMap::new(),
-            uncertified: Mutex::default(),
             ctl,
             state: Mutex::new(FoldState {
                 grids: grids
@@ -1426,15 +1410,21 @@ impl<'a> GridFold<'a> {
     /// this run, so only a success here counts as a completed cell in
     /// telemetry. A Libra cell with a held-back LibraRiskD sibling then
     /// settles that sibling too: a certified success is folded into it as
-    /// a derived cell, anything else leaves it to be simulated.
-    pub(crate) fn record(&self, spec: &CellSpec, sim: SimulatedCell, worker: u64) {
+    /// a derived cell, anything else returns it for the caller to simulate
+    /// next.
+    pub(crate) fn record(
+        &self,
+        spec: &CellSpec,
+        sim: SimulatedCell,
+        worker: u64,
+    ) -> Option<&CellSpec> {
         if let (Some((cell_ns, completed)), Ok(_)) = (self.cell_telemetry, &sim.outcome) {
             cell_ns.record_f64(sim.secs * 1e9);
             completed.inc();
         }
         let Some(riskd) = self.held.get(&spec.key) else {
             self.settle(spec, sim, worker);
-            return;
+            return None;
         };
         let derived = sim.riskd_equivalent.then(|| sim.reused());
         self.settle(spec, sim, worker);
@@ -1448,19 +1438,10 @@ impl<'a> GridFold<'a> {
                     .grid
                     .cells_derived += 1;
                 self.settle(riskd, derived, worker);
+                None
             }
-            None => {
-                let mut uncertified = self.uncertified.lock().expect(FOLD_POISONED);
-                uncertified.push(riskd.clone());
-            }
+            None => Some(riskd),
         }
-    }
-
-    /// The held-back cells left to simulate, in plan order.
-    fn take_uncertified(&self) -> Vec<CellSpec> {
-        let mut cells = std::mem::take(&mut *self.uncertified.lock().expect(FOLD_POISONED));
-        cells.sort_by_key(|spec| (spec.scenario_idx, spec.value_idx));
-        cells
     }
 
     /// Folds one resolved cell, then fans its result out to the cell's
@@ -1573,7 +1554,9 @@ impl<'a> GridFold<'a> {
 }
 
 /// The local executor: up to `env.threads` scoped threads pull cells in
-/// plan order (point-major), run each with [`run_cell`], and fold it.
+/// plan order (point-major), run each with [`run_cell`], and fold it. A
+/// held-back LibraRiskD cell its Libra cell did not certify comes back
+/// from the fold and runs next on the same thread.
 /// Cells carry their thread's 1-based id when `attribute` is set and
 /// worker id 0 otherwise (the supervisor's fallback). Returns each
 /// thread's busy seconds.
@@ -1591,10 +1574,13 @@ pub(crate) fn run_local(
                 let next = &next;
                 scope.spawn(move || {
                     let mut busy = 0.0f64;
-                    while let Some(spec) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let mut cell = cells.get(next.fetch_add(1, Ordering::Relaxed));
+                    while let Some(spec) = cell {
                         let sim = run_cell(spec, env);
                         busy += sim.secs;
-                        fold.record(spec, sim, if attribute { id } else { 0 });
+                        cell = fold
+                            .record(spec, sim, if attribute { id } else { 0 })
+                            .or_else(|| cells.get(next.fetch_add(1, Ordering::Relaxed)));
                     }
                     busy
                 })

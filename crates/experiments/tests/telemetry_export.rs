@@ -36,6 +36,7 @@ fn temp_path(name: &str) -> PathBuf {
 #[test]
 fn utility_risk_emits_parseable_telemetry() {
     let out = temp_path("telemetry.json");
+    let figures = temp_path("figures");
     let status = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
         .args([
             "summary",
@@ -45,6 +46,8 @@ fn utility_risk_emits_parseable_telemetry() {
             "60",
             "--telemetry",
             out.to_str().unwrap(),
+            "--out",
+            figures.to_str().unwrap(),
         ])
         .status()
         .expect("spawn utility_risk");
@@ -52,6 +55,7 @@ fn utility_risk_emits_parseable_telemetry() {
 
     let json = std::fs::read_to_string(&out).expect("telemetry file written");
     std::fs::remove_file(&out).ok();
+    std::fs::remove_dir_all(&figures).ok();
     let report = TelemetryReport::from_json(&json).expect("telemetry JSON parses");
 
     // The summary subcommand runs all four grids.

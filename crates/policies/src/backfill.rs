@@ -17,11 +17,10 @@
 //!   queue. In the commodity market model a job whose expected cost exceeds
 //!   its budget is rejected as well.
 
+use crate::run_core::RunCore;
 use crate::traits::{Interruption, Outcome, Policy, RejectReason};
-use ccs_cluster::SpaceShared;
-use ccs_des::{EventHandle, EventQueue, FastHashMap, SimTime};
 use ccs_economy::{base_cost, EconomicModel, PriceSchedule};
-use ccs_workload::{Job, JobId};
+use ccs_workload::Job;
 use std::cmp::Ordering;
 
 /// Structural options of the backfilling scheduler, for ablation studies.
@@ -59,16 +58,6 @@ pub enum PriorityOrder {
     Edf,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct RunInfo {
-    start: f64,
-    charged: Option<f64>,
-    /// The job itself, kept so a preemption can compute remaining work.
-    job: Job,
-    /// Handle of the scheduled completion event, cancelled on preemption.
-    handle: EventHandle,
-}
-
 /// The shared FCFS/SJF/EDF backfilling policy.
 pub struct BackfillPolicy {
     name: &'static str,
@@ -79,14 +68,12 @@ pub struct BackfillPolicy {
     /// configuration). Variable schedules price by the job's actual start
     /// window (paper Section 5.1: "prices can be flat or variable").
     schedule: Option<PriceSchedule>,
-    cluster: SpaceShared,
+    runs: RunCore,
     /// Waiting jobs, kept sorted in the policy's priority order at all
     /// times (jobs are immutable while queued, so sortedness is an
     /// invariant maintained by [`BackfillPolicy::enqueue`] instead of a
     /// full re-sort on every scheduling pass).
     queue: Vec<Job>,
-    completions: EventQueue<JobId>,
-    running: FastHashMap<JobId, RunInfo>,
     /// Diagnostic counter: scheduling sweeps run so far. The batched fault
     /// hooks exist precisely to keep this from growing once per node in a
     /// failure storm; the regression test pins that contract.
@@ -120,10 +107,8 @@ impl BackfillPolicy {
             econ,
             options,
             schedule: None,
-            cluster: SpaceShared::new(nodes),
+            runs: RunCore::new(nodes),
             queue: Vec::new(),
-            completions: EventQueue::new(),
-            running: FastHashMap::default(),
             scheduling_passes: 0,
         }
     }
@@ -141,11 +126,6 @@ impl BackfillPolicy {
             None => base_cost(job),
             Some(s) => s.cost(now, job.estimate, job.procs),
         }
-    }
-
-    /// Number of jobs currently waiting in the queue (for tests/inspection).
-    pub fn queued(&self) -> usize {
-        self.queue.len()
     }
 
     /// Total scheduling sweeps (`BackfillPolicy::try_schedule` runs) so
@@ -206,27 +186,11 @@ impl BackfillPolicy {
             EconomicModel::CommodityMarket => Some(self.quote(&job, now)),
             EconomicModel::BidBased => None,
         };
-        self.cluster.start(job.id, job.procs, now + job.estimate);
-        let handle = self
-            .completions
-            .push(SimTime::new(now + job.runtime), job.id);
         out.push(Outcome::Accepted {
             job: job.id,
             at: now,
         });
-        out.push(Outcome::Started {
-            job: job.id,
-            at: now,
-        });
-        self.running.insert(
-            job.id,
-            RunInfo {
-                start: now,
-                charged,
-                job,
-                handle,
-            },
-        );
+        self.runs.start(job, now, charged, out);
     }
 
     /// Core scheduling pass: start/reject from the head, then backfill.
@@ -252,7 +216,7 @@ impl BackfillPolicy {
                 });
                 continue;
             }
-            if head.procs <= self.cluster.free_procs() {
+            if head.procs <= self.runs.cluster().free_procs() {
                 let job = self.queue.remove(0);
                 self.start(job, now, out);
                 continue;
@@ -265,13 +229,13 @@ impl BackfillPolicy {
             return; // ablation: plain priority scheduling, no backfill
         }
         let head = self.queue[0];
-        if head.procs > self.cluster.total() {
+        if head.procs > self.runs.cluster().total() {
             // Failures shrank the cluster below the head's demand: no
             // reservation is computable until capacity returns (or the
             // head's deadline lapses and it is rejected above).
             return;
         }
-        let res = self.cluster.reservation(head.procs, now);
+        let res = self.runs.cluster().reservation(head.procs, now);
         let mut extra = res.extra_procs;
         let mut i = 1;
         while i < self.queue.len() {
@@ -285,7 +249,7 @@ impl BackfillPolicy {
                 });
                 continue;
             }
-            if cand.procs <= self.cluster.free_procs() {
+            if cand.procs <= self.runs.cluster().free_procs() {
                 let fits_before_shadow = now + cand.estimate <= res.shadow_time + T_EPS;
                 let fits_extra = cand.procs <= extra;
                 if fits_before_shadow || fits_extra {
@@ -300,44 +264,6 @@ impl BackfillPolicy {
             i += 1;
         }
     }
-
-    /// Takes one processor down, preempting a resident job if the machine
-    /// was full. Returns `false` when every processor is already down (the
-    /// failure is absorbed with nothing to reclaim).
-    fn preempt_one(&mut self, now: f64, interruptions: &mut Vec<Interruption>) -> bool {
-        let Ok(victim) = self.cluster.fail_one() else {
-            return false;
-        };
-        if let Some(victim) = victim {
-            let info = self
-                .running
-                .remove(&victim)
-                .expect("preempted job must be running");
-            self.completions.cancel(info.handle);
-            let elapsed = (now - info.start).max(0.0);
-            interruptions.push(Interruption {
-                job: victim,
-                started_at: info.start,
-                remaining_work: (info.job.runtime - elapsed).max(0.0),
-            });
-        }
-        true
-    }
-
-    fn handle_completion(&mut self, job_id: JobId, finish: f64, out: &mut Vec<Outcome>) {
-        let info = self
-            .running
-            .remove(&job_id)
-            .expect("completion of unknown job");
-        self.cluster.finish(job_id);
-        out.push(Outcome::Completed {
-            job: job_id,
-            start: info.start,
-            finish,
-            charged: info.charged,
-        });
-        self.try_schedule(finish, out);
-    }
 }
 
 impl Policy for BackfillPolicy {
@@ -346,7 +272,7 @@ impl Policy for BackfillPolicy {
     }
 
     fn on_submit(&mut self, job: &Job, now: f64, out: &mut Vec<Outcome>) {
-        if job.procs > self.cluster.base() {
+        if job.procs > self.runs.cluster().base() {
             // Physically impossible on this cluster (even with every node
             // up), regardless of options.
             out.push(Outcome::Rejected {
@@ -361,16 +287,12 @@ impl Policy for BackfillPolicy {
     }
 
     fn next_event_time(&mut self) -> Option<f64> {
-        self.completions.peek_time().map(|t| t.as_secs())
+        self.runs.next_event_time()
     }
 
     fn advance_to(&mut self, t: f64, out: &mut Vec<Outcome>) {
-        while let Some(et) = self.completions.peek_time() {
-            if et.as_secs() > t {
-                break;
-            }
-            let (et, job_id) = self.completions.pop().expect("peeked event");
-            self.handle_completion(job_id, et.as_secs(), out);
+        while let Some(finish) = self.runs.complete_next(t, out) {
+            self.try_schedule(finish, out);
         }
     }
 
@@ -380,15 +302,7 @@ impl Policy for BackfillPolicy {
         // injection the runner abandons futile weather (nodes that will
         // never again be up together), leaving wide jobs queued forever —
         // they are scored as accepted-but-unfulfilled.
-        debug_assert!(self.running.is_empty(), "no job may be left running");
-    }
-
-    fn on_node_fail(&mut self, node: u32, now: f64, out: &mut Vec<Outcome>) -> Vec<Interruption> {
-        self.on_nodes_fail(&[node], now, out)
-    }
-
-    fn on_node_repair(&mut self, node: u32, now: f64, out: &mut Vec<Outcome>) {
-        self.on_nodes_repair(&[node], now, out)
+        debug_assert!(self.runs.is_idle(), "no job may be left running");
     }
 
     fn on_nodes_fail(
@@ -400,7 +314,7 @@ impl Policy for BackfillPolicy {
         let mut interruptions = Vec::new();
         let mut capacity_changed = false;
         for _ in nodes {
-            capacity_changed |= self.preempt_one(now, &mut interruptions);
+            capacity_changed |= self.runs.fail_one(now, &mut interruptions);
         }
         if capacity_changed {
             // Capacity changed: re-examine the queue *once* for the whole
@@ -414,7 +328,7 @@ impl Policy for BackfillPolicy {
 
     fn on_nodes_repair(&mut self, nodes: &[u32], now: f64, out: &mut Vec<Outcome>) {
         for _ in nodes {
-            self.cluster.repair_one();
+            self.runs.repair_one();
         }
         self.try_schedule(now, out);
     }
@@ -427,7 +341,7 @@ impl Policy for BackfillPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_workload::Urgency;
+    use ccs_workload::{JobId, Urgency};
 
     fn job(id: JobId, submit: f64, runtime: f64, estimate: f64, deadline: f64, procs: u32) -> Job {
         Job {
@@ -690,14 +604,14 @@ mod tests {
 
         // A node dies at t=10: every processor is busy, so job 0 (the only
         // candidate) is preempted; job 1 still needs 4 > 3 up processors.
-        let hit = p.on_node_fail(0, 10.0, &mut out);
+        let hit = p.on_nodes_fail(&[0], 10.0, &mut out);
         assert_eq!(hit.len(), 1);
         assert_eq!(hit[0].job, 0);
         assert!((hit[0].remaining_work - 90.0).abs() < 1e-9);
         assert_eq!(p.queued_jobs(), 1, "job 1 cannot start on 3 procs");
 
         // Repair at t=20: job 1 finally starts.
-        p.on_node_repair(0, 20.0, &mut out);
+        p.on_nodes_repair(&[0], 20.0, &mut out);
         assert_eq!(p.queued_jobs(), 0);
         p.drain(&mut out);
         assert_eq!(completions(&out), vec![(1, 70.0)]);
@@ -713,7 +627,7 @@ mod tests {
         p.on_submit(&job(1, 1.0, 100.0, 100.0, 150.0, 2), 1.0, &mut out);
         // The failure at t=200 triggers a queue re-examination which notices
         // job 1's deadline lapsed while it waited.
-        let hit = p.on_node_fail(0, 200.0, &mut out);
+        let hit = p.on_nodes_fail(&[0], 200.0, &mut out);
         assert_eq!(hit[0].job, 0);
         assert!(rejected(&out).contains(&1));
     }
@@ -748,13 +662,13 @@ mod tests {
         let seq_before = q.scheduling_passes();
         let mut seq_hit = Vec::new();
         for n in 0..100u32 {
-            seq_hit.extend(q.on_node_fail(n, 10.0, &mut qout));
+            seq_hit.extend(q.on_nodes_fail(&[n], 10.0, &mut qout));
         }
         assert_eq!(hit, seq_hit);
         assert_eq!(
             q.scheduling_passes() - seq_before,
             100,
-            "scalar delivery pays a pass per node"
+            "node-at-a-time delivery pays a pass per node"
         );
     }
 
@@ -766,6 +680,6 @@ mod tests {
             .collect();
         let out = run(&mut p, &jobs);
         assert_eq!(completions(&out).len(), 20);
-        assert_eq!(p.queued(), 0);
+        assert_eq!(p.queued_jobs(), 0);
     }
 }

@@ -78,11 +78,6 @@ impl ConservativeBf {
         }
     }
 
-    /// Number of queued (planned) jobs.
-    pub fn queued(&self) -> usize {
-        self.plan.len()
-    }
-
     /// The generous admission control shared with the EASY policies.
     /// Returns the rejection reason when the job cannot be admitted.
     fn admission_error(&self, job: &Job, planned_start: f64) -> Option<RejectReason> {
@@ -334,6 +329,10 @@ impl Policy for ConservativeBf {
         debug_assert!(self.plan.is_empty());
         debug_assert!(self.running.is_empty());
     }
+
+    fn queued_jobs(&self) -> usize {
+        self.plan.len()
+    }
 }
 
 #[cfg(test)]
@@ -476,7 +475,7 @@ mod tests {
             .filter(|o| matches!(o, Outcome::Rejected { .. }))
             .count();
         assert_eq!(completed + rejected, 30);
-        assert_eq!(p.queued(), 0);
+        assert_eq!(p.queued_jobs(), 0);
     }
 
     #[test]

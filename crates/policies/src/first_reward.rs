@@ -18,11 +18,9 @@
 //! to multi-processor parallel jobs; **no backfilling** (head-of-line
 //! blocking can leave processors idle).
 
+use crate::run_core::RunCore;
 use crate::traits::{Interruption, Outcome, Policy, RejectReason};
-use ccs_cluster::SpaceShared;
-use ccs_des::{EventHandle, EventQueue, SimTime};
-use ccs_workload::{Job, JobId};
-use std::collections::HashMap;
+use ccs_workload::Job;
 
 /// Tunable parameters of FirstReward.
 #[derive(Clone, Copy, Debug)]
@@ -53,21 +51,11 @@ impl Default for FirstRewardParams {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct RunInfo {
-    start: f64,
-    job: Job,
-    /// Handle of the scheduled completion event, cancelled on preemption.
-    handle: EventHandle,
-}
-
 /// The FirstReward policy.
 pub struct FirstRewardPolicy {
     params: FirstRewardParams,
-    cluster: SpaceShared,
+    runs: RunCore,
     queue: Vec<Job>,
-    running: HashMap<JobId, RunInfo>,
-    completions: EventQueue<JobId>,
 }
 
 impl FirstRewardPolicy {
@@ -80,10 +68,8 @@ impl FirstRewardPolicy {
     pub fn with_params(nodes: u32, params: FirstRewardParams) -> Self {
         FirstRewardPolicy {
             params,
-            cluster: SpaceShared::new(nodes),
+            runs: RunCore::new(nodes),
             queue: Vec::new(),
-            running: HashMap::new(),
-            completions: EventQueue::new(),
         }
     }
 
@@ -109,15 +95,15 @@ impl FirstRewardPolicy {
             .filter(|q| q.id != job.id)
             .map(|q| q.penalty_rate)
             .chain(
-                self.running
-                    .values()
-                    .filter(|r| r.job.id != job.id)
-                    .map(|r| r.job.penalty_rate),
+                self.runs
+                    .running_jobs()
+                    .filter(|r| r.id != job.id)
+                    .map(|r| r.penalty_rate),
             )
             .sum();
         // Nominal capacity, so a transient failure does not perturb the
         // admission economics (and a fully down cluster divides by zero).
-        let machine_fraction = job.procs as f64 / self.cluster.base() as f64;
+        let machine_fraction = job.procs as f64 / self.runs.cluster().base() as f64;
         sum_pr * rpt * machine_fraction
     }
 
@@ -152,42 +138,13 @@ impl FirstRewardPolicy {
             }
             let Some((_, idx)) = best else { return };
             let job = self.queue[idx];
-            if job.procs > self.cluster.free_procs() {
+            if job.procs > self.runs.cluster().free_procs() {
                 return; // head-of-line blocking: no backfill behind it
             }
             self.queue.remove(idx);
-            self.cluster.start(job.id, job.procs, now + job.estimate);
-            let handle = self
-                .completions
-                .push(SimTime::new(now + job.runtime), job.id);
-            out.push(Outcome::Started {
-                job: job.id,
-                at: now,
-            });
-            self.running.insert(
-                job.id,
-                RunInfo {
-                    start: now,
-                    job,
-                    handle,
-                },
-            );
+            // Bid-based only: utility derives from the finish time.
+            self.runs.start(job, now, None, out);
         }
-    }
-
-    fn handle_completion(&mut self, job_id: JobId, finish: f64, out: &mut Vec<Outcome>) {
-        let info = self
-            .running
-            .remove(&job_id)
-            .expect("completion of unknown job");
-        self.cluster.finish(job_id);
-        out.push(Outcome::Completed {
-            job: job_id,
-            start: info.start,
-            finish,
-            charged: None, // bid-based: utility derives from the finish time
-        });
-        self.try_schedule(finish, out);
     }
 }
 
@@ -197,7 +154,7 @@ impl Policy for FirstRewardPolicy {
     }
 
     fn on_submit(&mut self, job: &Job, now: f64, out: &mut Vec<Outcome>) {
-        let refusal = if job.procs > self.cluster.base() {
+        let refusal = if job.procs > self.runs.cluster().base() {
             Some(RejectReason::TooLarge)
         } else if !self.admissible(job) {
             Some(RejectReason::LowSlack)
@@ -221,16 +178,12 @@ impl Policy for FirstRewardPolicy {
     }
 
     fn next_event_time(&mut self) -> Option<f64> {
-        self.completions.peek_time().map(|t| t.as_secs())
+        self.runs.next_event_time()
     }
 
     fn advance_to(&mut self, t: f64, out: &mut Vec<Outcome>) {
-        while let Some(et) = self.completions.peek_time() {
-            if et.as_secs() > t {
-                break;
-            }
-            let (et, job_id) = self.completions.pop().expect("peeked event");
-            self.handle_completion(job_id, et.as_secs(), out);
+        while let Some(finish) = self.runs.complete_next(t, out) {
+            self.try_schedule(finish, out);
         }
     }
 
@@ -238,33 +191,31 @@ impl Policy for FirstRewardPolicy {
         self.advance_to(f64::INFINITY, out);
         // Queued jobs may survive drain when the runner abandons futile
         // weather (failure injection); they stay accepted-but-unfulfilled.
-        debug_assert!(self.running.is_empty());
+        debug_assert!(self.runs.is_idle());
     }
 
-    fn on_node_fail(&mut self, _node: u32, now: f64, out: &mut Vec<Outcome>) -> Vec<Interruption> {
+    /// One fail-and-reschedule step per node, in order: FirstReward's
+    /// reward ranking is re-read after every lost processor.
+    fn on_nodes_fail(
+        &mut self,
+        nodes: &[u32],
+        now: f64,
+        out: &mut Vec<Outcome>,
+    ) -> Vec<Interruption> {
         let mut interruptions = Vec::new();
-        if let Ok(victim) = self.cluster.fail_one() {
-            if let Some(victim) = victim {
-                let info = self
-                    .running
-                    .remove(&victim)
-                    .expect("preempted job must be running");
-                self.completions.cancel(info.handle);
-                let elapsed = (now - info.start).max(0.0);
-                interruptions.push(Interruption {
-                    job: victim,
-                    started_at: info.start,
-                    remaining_work: (info.job.runtime - elapsed).max(0.0),
-                });
+        for _ in nodes {
+            if self.runs.fail_one(now, &mut interruptions) {
+                self.try_schedule(now, out);
             }
-            self.try_schedule(now, out);
         }
         interruptions
     }
 
-    fn on_node_repair(&mut self, _node: u32, now: f64, out: &mut Vec<Outcome>) {
-        self.cluster.repair_one();
-        self.try_schedule(now, out);
+    fn on_nodes_repair(&mut self, nodes: &[u32], now: f64, out: &mut Vec<Outcome>) {
+        for _ in nodes {
+            self.runs.repair_one();
+            self.try_schedule(now, out);
+        }
     }
 
     fn queued_jobs(&self) -> usize {
@@ -275,7 +226,7 @@ impl Policy for FirstRewardPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_workload::Urgency;
+    use ccs_workload::{JobId, Urgency};
 
     fn job(id: JobId, submit: f64, runtime: f64, budget: f64, pr: f64, procs: u32) -> Job {
         Job {

@@ -25,6 +25,7 @@ pub mod backfill;
 pub mod conservative;
 pub mod first_reward;
 pub mod libra;
+mod run_core;
 pub mod traits;
 
 pub use backfill::{BackfillOptions, BackfillPolicy, PriorityOrder};

@@ -64,7 +64,6 @@ pub struct LibraPolicy {
     cluster: PsCluster,
     // (the PsCluster carries the weight mode and escalation setting)
     selection: NodeSelection,
-    libra_params: LibraParams,
     dollar_params: LibraDollarParams,
     /// Insert/remove only (never iterated), so the fast integer hasher is
     /// output-neutral here.
@@ -138,7 +137,6 @@ impl LibraPolicy {
             econ,
             cluster,
             selection: NodeSelection::BestFit,
-            libra_params: LibraParams::default(),
             dollar_params: LibraDollarParams::default(),
             meta: FastHashMap::default(),
             eligible_scratch: Vec::new(),
@@ -245,7 +243,7 @@ impl LibraPolicy {
             return None;
         }
         Some(match self.variant {
-            LibraVariant::Plain | LibraVariant::RiskD => libra_cost(job, &self.libra_params),
+            LibraVariant::Plain | LibraVariant::RiskD => libra_cost(job, &LibraParams::default()),
             LibraVariant::Dollar => {
                 let max_rate = picked
                     .iter()
@@ -363,14 +361,6 @@ impl Policy for LibraPolicy {
         debug_assert!(self.meta.is_empty(), "all accepted jobs must complete");
     }
 
-    fn on_node_fail(&mut self, node: u32, now: f64, out: &mut Vec<Outcome>) -> Vec<Interruption> {
-        self.on_nodes_fail(&[node], now, out)
-    }
-
-    fn on_node_repair(&mut self, node: u32, now: f64, _out: &mut Vec<Outcome>) {
-        self.cluster.repair_node(node as usize, now);
-    }
-
     fn on_nodes_fail(
         &mut self,
         nodes: &[u32],
@@ -397,6 +387,12 @@ impl Policy for LibraPolicy {
                 }
             })
             .collect()
+    }
+
+    fn on_nodes_repair(&mut self, nodes: &[u32], now: f64, _out: &mut Vec<Outcome>) {
+        for &node in nodes {
+            self.cluster.repair_node(node as usize, now);
+        }
     }
 }
 
@@ -718,7 +714,7 @@ mod tests {
         let wide = job(0, 0.0, 100.0, 100.0, 400.0, 2);
         p.on_submit(&wide, 0.0, &mut out);
         p.advance_to(10.0, &mut out);
-        let hit = p.on_node_fail(1, 10.0, &mut out);
+        let hit = p.on_nodes_fail(&[1], 10.0, &mut out);
         assert_eq!(hit.len(), 1);
         assert_eq!(hit[0].job, 0);
         assert_eq!(hit[0].started_at, 0.0);
@@ -729,7 +725,7 @@ mod tests {
         p.on_submit(&j1, 20.0, &mut out);
         assert_eq!(rejected(&out), vec![1]);
         // After repair it fits.
-        p.on_node_repair(1, 30.0, &mut out);
+        p.on_nodes_repair(&[1], 30.0, &mut out);
         let j2 = job(2, 40.0, 10.0, 10.0, 400.0, 2);
         p.advance_to(40.0, &mut out);
         p.on_submit(&j2, 40.0, &mut out);

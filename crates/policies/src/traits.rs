@@ -144,7 +144,7 @@ pub enum Outcome {
 }
 
 /// A running job preempted by a node failure, as reported by
-/// [`Policy::on_node_fail`]. The runner turns this into an
+/// [`Policy::on_nodes_fail`]. The runner turns this into an
 /// [`Outcome::Interrupted`] and decides between resubmission and abort.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Interruption {
@@ -180,50 +180,31 @@ pub trait Policy {
     /// accepted-but-unfulfilled and must not panic the policy.
     fn drain(&mut self, out: &mut Vec<Outcome>);
 
-    /// Reacts to node `node` going down at `now` (failure injection): the
-    /// policy must reclaim the lost capacity in its cluster model and
-    /// report every preempted job as an [`Interruption`] — the *runner*
-    /// owns the restart/abort decision. May also emit regular outcomes
-    /// (e.g. a queued job rejected because the shrunken cluster can no
-    /// longer meet its deadline). Default: failure-oblivious no-op, so
-    /// custom policies keep compiling (and simply never lose capacity).
-    fn on_node_fail(&mut self, node: u32, now: f64, out: &mut Vec<Outcome>) -> Vec<Interruption> {
-        let _ = (node, now, out);
-        Vec::new()
-    }
-
-    /// Reacts to node `node` coming back up at `now`: restore the capacity
-    /// and (for queueing policies) try to start waiting jobs. Default no-op.
-    fn on_node_repair(&mut self, node: u32, now: f64, out: &mut Vec<Outcome>) {
-        let _ = (node, now, out);
-    }
-
-    /// Batch form of [`Policy::on_node_fail`]: every listed node goes down
-    /// at the same instant `now`. The default loops the scalar hook, so the
-    /// observable outcome stream is identical either way; policies with a
-    /// per-failure reaction pass (capacity reclamation, a scheduling sweep,
-    /// a share recompute) should override this to run that pass **once per
-    /// batch** instead of once per node. The fault drain in `ccs-simsvc`
-    /// feeds maximal equal-time runs through here.
+    /// Reacts to `nodes` going down together at `now` (failure
+    /// injection; the runner feeds each maximal equal-time run of failures
+    /// through here). The policy must reclaim the lost capacity in its
+    /// cluster model and report every preempted job as an
+    /// [`Interruption`] — the *runner* owns the restart/abort decision. May
+    /// also emit regular outcomes (e.g. a queued job rejected because the
+    /// shrunken cluster can no longer meet its deadline). A per-failure
+    /// reaction pass (a scheduling sweep, a share recompute) may run once
+    /// for the whole batch. Default: failure-oblivious no-op, so custom
+    /// policies keep compiling (and simply never lose capacity).
     fn on_nodes_fail(
         &mut self,
         nodes: &[u32],
         now: f64,
         out: &mut Vec<Outcome>,
     ) -> Vec<Interruption> {
-        let mut interruptions = Vec::new();
-        for &node in nodes {
-            interruptions.extend(self.on_node_fail(node, now, out));
-        }
-        interruptions
+        let _ = (nodes, now, out);
+        Vec::new()
     }
 
-    /// Batch form of [`Policy::on_node_repair`]; same contract as
-    /// [`Policy::on_nodes_fail`]. Default loops the scalar hook.
+    /// Reacts to `nodes` coming back up together at `now`: restore the
+    /// capacity and (for queueing policies) try to start waiting jobs.
+    /// Default no-op.
     fn on_nodes_repair(&mut self, nodes: &[u32], now: f64, out: &mut Vec<Outcome>) {
-        for &node in nodes {
-            self.on_node_repair(node, now, out);
-        }
+        let _ = (nodes, now, out);
     }
 
     /// Number of admitted jobs waiting to start (0 for policies that run

@@ -2,9 +2,9 @@
 //!
 //! A [`FaultConfig`] turns the plain simulator into one whose cluster nodes
 //! fail and repair according to an alternating renewal process
-//! ([`ccs_des::FailureProcess`]). The runner reacts to each failure through
-//! the policy's [`on_node_fail`](ccs_policies::Policy::on_node_fail) hook
-//! and decides — per the configured [`Degradation`] — whether an
+//! ([`ccs_des::FailureProcess`]). The runner hands each equal-time run of
+//! failures to the policy's
+//! [`on_nodes_fail`](ccs_policies::Policy::on_nodes_fail) hook and decides — per the configured [`Degradation`] — whether an
 //! interrupted job is resubmitted (restart from scratch or resume with a
 //! penalty) or aborted once its restart budget is spent.
 //!

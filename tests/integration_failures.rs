@@ -287,3 +287,26 @@ fn unopenable_resume_journal_exits_2_naming_the_flag() {
     assert!(fig2_dir.join("fig2.dat").exists() && fig2_dir.join("fig2.svg").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that stops early (`utility_risk … | head`) closes the pipe under
+/// the CLI: the run ends quietly with the SIGPIPE status a shell reports
+/// (141), not with a panic and exit 101.
+#[test]
+fn closed_stdout_ends_the_cli_quietly() {
+    use std::process::Stdio;
+    let dir = temp_dir("pipe");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
+        .args(["robustness", "--quick", "--jobs", "25", "--quiet", "--out"])
+        .arg(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn utility_risk");
+    // Close the read end before the first study is printed.
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("wait for utility_risk");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(141), "{stderr}");
+    assert!(stderr.is_empty(), "--quiet and no panic text: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
