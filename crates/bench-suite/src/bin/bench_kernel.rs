@@ -42,7 +42,7 @@
 //! version is not upgraded: the run starts a fresh trendline in its place.
 
 use ccs_bench_suite::{measure, BenchEntry, BenchHistory, Measurement};
-use ccs_cluster::{PsCluster, WeightMode};
+use ccs_cluster::PsCluster;
 use ccs_des::{EventQueue, SimRng, SimTime, Simulation};
 use ccs_economy::EconomicModel;
 use ccs_experiments::{run_cell_ensemble, EstimateSet, ExperimentConfig, GridRun, Scenario};
@@ -190,7 +190,7 @@ fn ps_job(id: JobId, submit: f64, runtime: f64, deadline: f64) -> Job {
 /// per node per round (dense keeps nodes crowded, sparse nearly empty),
 /// advancing between submission waves. Returns a completion checksum.
 fn ps_round(tasks_per_node: usize, step: f64) -> u64 {
-    let mut cluster = PsCluster::new(PS_NODES, WeightMode::Dynamic);
+    let mut cluster = PsCluster::new(PS_NODES);
     let mut rng = SimRng::seed_from(0x50AD);
     let mut completions = Vec::new();
     let mut checksum = 0u64;

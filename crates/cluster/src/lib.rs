@@ -5,8 +5,8 @@
 //! are needed (paper Section 5.2):
 //!
 //! - [`space`] — **space-shared** nodes: one job per processor at a time.
-//!   Used by the backfilling policies (FCFS-BF, SJF-BF, EDF-BF) and
-//!   FirstReward. Includes the *reservation* computation EASY backfilling
+//!   Used by the backfilling policies (FCFS-BF, SJF-BF, EDF-BF, and
+//!   conservative backfilling) and FirstReward. Includes the *reservation* computation EASY backfilling
 //!   needs (shadow time + extra processors).
 //! - [`timeshare`] — **time-shared** deadline-driven proportional sharing:
 //!   multiple tasks per node, each entitled to a minimum processor-time
@@ -22,4 +22,4 @@ pub mod space;
 pub mod timeshare;
 
 pub use space::SpaceShared;
-pub use timeshare::{JobCompletion, PsCluster, WeightMode};
+pub use timeshare::{JobCompletion, PsCluster};

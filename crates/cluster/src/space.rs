@@ -132,11 +132,7 @@ impl SpaceShared {
                 extra_procs: self.free - procs_needed,
             };
         }
-        let mut releases: Vec<(f64, u32)> = self
-            .running
-            .iter()
-            .map(|r| (r.est_finish.max(now), r.procs))
-            .collect();
+        let mut releases: Vec<(f64, u32)> = self.releases(now).collect();
         releases.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         let mut avail = self.free;
@@ -158,9 +154,13 @@ impl SpaceShared {
         unreachable!("all jobs release eventually; demand <= total must be satisfiable")
     }
 
-    /// Ids of currently running jobs (order unspecified).
-    pub fn running_ids(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.running.iter().map(|r| r.job_id)
+    /// Each running job's predicted release `(time, procs)`: its estimated
+    /// completion clamped to `now`, since an overrunning job can release no
+    /// earlier than now. The order is fixed by the pool's history.
+    pub fn releases(&self, now: f64) -> impl Iterator<Item = (f64, u32)> + '_ {
+        self.running
+            .iter()
+            .map(move |r| (r.est_finish.max(now), r.procs))
     }
 
     /// Takes one processor down. A free processor is absorbed silently; if
@@ -320,15 +320,5 @@ mod tests {
         assert_eq!(c.fail_one(), Ok(None));
         assert_eq!(c.fail_one(), Err(()));
         assert_eq!(c.total(), 0);
-    }
-
-    #[test]
-    fn running_ids_enumerates() {
-        let mut c = SpaceShared::new(8);
-        c.start(5, 2, 1.0);
-        c.start(9, 2, 2.0);
-        let mut ids: Vec<_> = c.running_ids().collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![5, 9]);
     }
 }

@@ -11,25 +11,24 @@
 //!   work-conserving and proportional: `r_i = w_i / max(Σw, …)` — every task
 //!   receives *at least* its admitted share while the node is not
 //!   over-committed, and spare capacity accelerates everyone.
-//! - Two weight disciplines exist ([`WeightMode`]):
-//!   [`WeightMode::Dynamic`] (every Libra variant: Libra, Libra+$ and
-//!   LibraRiskD) re-evaluates
-//!   `w = remaining-estimated-work / remaining-time-to-deadline` so demand
-//!   drains as work completes; [`WeightMode::Static`] (tests and ablations
-//!   only) pins `w = min(est/deadline, 1)` for the task's whole life.
+//! - The weight is `w = remaining-estimated-work / remaining-time-to-deadline`
+//!   (capped at 1), re-evaluated as the task runs, so demand drains as work
+//!   completes. At submission it is the admitted share
+//!   `min(est/deadline, 1)`, and it stays there while the task runs at
+//!   exactly that share.
 //! - A task that is still incomplete when its deadline passes *escalates* to
 //!   full demand (`w = 1`). This over-commits the node (`Σw > 1`), squeezing
 //!   co-resident tasks below their admitted shares — the mechanism by which
 //!   under-estimated runtimes cascade into further deadline misses, exactly
 //!   the failure mode the paper attributes to Libra under inaccurate
 //!   estimates (Section 5.2).
-//! - Node state advances lazily: rates change only at node events (task
-//!   arrival, task completion, deadline crossing), so the simulation is
-//!   exact for static weights and a tight piecewise approximation for
-//!   dynamic ones.
+//! - Node state advances lazily: weights and rates are re-evaluated only at
+//!   node events (task arrival, task completion, deadline crossing) and held
+//!   until the next one — a tight piecewise-constant approximation of the
+//!   draining weights.
 //!
 //! Admission-control support: [`PsCluster::free_share`] (current spare
-//! demand capacity of a node), [`PsCluster::free_share_if_fits_safe`] (the
+//! demand capacity of a node), [`PsCluster::free_share_if_fits`] (the
 //! same value behind an admission cutoff, with an O(1) rejection from a
 //! per-node lower bound on `Σw`) and [`PsCluster::node_at_risk`] (whether
 //! any resident task has already run past its estimate — LibraRiskD's
@@ -42,8 +41,8 @@ use ccs_workload::{Job, JobId};
 const MIN_WEIGHT: f64 = 1e-6;
 /// Work-units tolerance for declaring a task complete.
 const EPS_WORK: f64 = 1e-6;
-/// Dynamic mode: residual demand fraction for tasks that overran their
-/// estimate (the scheduler no longer knows how much work remains).
+/// Residual demand fraction for tasks that overran their estimate (the
+/// scheduler no longer knows how much work remains).
 const RESIDUAL_EST_FRACTION: f64 = 0.05;
 /// Relative rounding margin taken off the admission lower bound `lb`: the
 /// bound and the scan each carry at most a few hundred ulps of relative
@@ -60,18 +59,6 @@ const LB_REL_MARGIN: f64 = 1e-9;
 fn select(cond: bool, a: f64, b: f64) -> f64 {
     let mask = (cond as u64).wrapping_neg();
     f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
-}
-
-/// Weight discipline of the proportional-share engine.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WeightMode {
-    /// The admitted share `min(est/deadline, 1)` is held constant until the
-    /// deadline passes. No Libra variant runs it; tests and ablations do.
-    Static,
-    /// Every Libra variant: demand is re-evaluated as remaining estimated
-    /// work over remaining time to deadline, draining as the task
-    /// progresses.
-    Dynamic,
 }
 
 /// A job completing on the time-shared cluster.
@@ -92,7 +79,8 @@ struct PsTask {
     /// The user's estimate of `work_total`.
     est_total: f64,
     abs_deadline: f64,
-    /// Admitted share (static mode weight).
+    /// Admitted share `min(est/deadline, 1)`: the weight of an overdue task
+    /// when escalation is ablated.
     static_w: f64,
     /// Current service rate (set at the node's last event).
     rate: f64,
@@ -111,7 +99,7 @@ struct PsNode {
     pending_event: Option<EventHandle>,
     /// Lower bound on the scan's `Σw` at any time in
     /// `[last_update, lb_until)`, written by `recompute` and read by the
-    /// O(1) rejection in `free_share_if_fits_safe`.
+    /// O(1) rejection in `free_share_if_fits`.
     lb: f64,
     /// End of the window in which `lb` holds: the node's pending event time,
     /// or `-∞` (no window) on an empty or freshly repaired node.
@@ -132,7 +120,6 @@ impl Default for PsNode {
 
 /// Event-driven processor-sharing cluster.
 pub struct PsCluster {
-    mode: WeightMode,
     /// Whether incomplete tasks escalate to full demand once their deadline
     /// passes (the cascade mechanism; disable for ablation studies).
     escalation: bool,
@@ -162,22 +149,22 @@ pub struct PsCluster {
 
 impl PsCluster {
     /// Creates a cluster of `n_nodes` empty time-shared nodes.
-    pub fn new(n_nodes: usize, mode: WeightMode) -> Self {
-        Self::with_escalation(n_nodes, mode, true)
+    pub fn new(n_nodes: usize) -> Self {
+        Self::with_escalation(n_nodes, true)
     }
 
     /// Creates a cluster with an explicit deadline-escalation setting
     /// (escalation disabled = ablation: overdue tasks keep their admitted
     /// share instead of seizing the node).
-    pub fn with_escalation(n_nodes: usize, mode: WeightMode, escalation: bool) -> Self {
-        Self::with_ratings(vec![1.0; n_nodes], mode, escalation)
+    pub fn with_escalation(n_nodes: usize, escalation: bool) -> Self {
+        Self::with_ratings(vec![1.0; n_nodes], escalation)
     }
 
     /// Creates a **heterogeneous** cluster: one speed rating per node
     /// (1.0 = reference speed). A job's task on a node of rating `r`
     /// progresses `r×` as fast and demands `1/r` the share for the same
     /// deadline.
-    pub fn with_ratings(ratings: Vec<f64>, mode: WeightMode, escalation: bool) -> Self {
+    pub fn with_ratings(ratings: Vec<f64>, escalation: bool) -> Self {
         assert!(!ratings.is_empty());
         assert!(
             ratings.iter().all(|&r| r > 0.0 && r.is_finite()),
@@ -187,7 +174,6 @@ impl PsCluster {
         let mut nodes = Vec::with_capacity(n_nodes);
         nodes.resize_with(n_nodes, PsNode::default);
         PsCluster {
-            mode,
             escalation,
             up: vec![true; ratings.len()],
             ratings,
@@ -225,11 +211,6 @@ impl PsCluster {
         self.now
     }
 
-    /// The weight discipline this cluster runs.
-    pub fn mode(&self) -> WeightMode {
-        self.mode
-    }
-
     /// Number of resident (incomplete) tasks on `node`.
     pub fn resident_tasks(&self, node: usize) -> usize {
         self.nodes[node].tasks.len()
@@ -253,14 +234,10 @@ impl PsCluster {
                 task.static_w // ablation: keep the admitted share
             };
         }
-        let w = match self.mode {
-            WeightMode::Static => task.static_w,
-            WeightMode::Dynamic => {
-                let rem_est = (task.est_total - done).max(RESIDUAL_EST_FRACTION * task.est_total);
-                (rem_est / (rem_time * rating)).min(1.0)
-            }
-        };
-        w.max(MIN_WEIGHT)
+        let rem_est = (task.est_total - done).max(RESIDUAL_EST_FRACTION * task.est_total);
+        // The same `min`/`max` pair as the branchless twin, not `clamp`.
+        #[allow(clippy::manual_clamp)]
+        (rem_est / (rem_time * rating)).min(1.0).max(MIN_WEIGHT)
     }
 
     /// Branchless [`PsCluster::weight_of`]: identical bits for every input,
@@ -269,30 +246,23 @@ impl PsCluster {
     /// mispredicts.
     ///
     /// Byte-identity argument: the speculative live weight is the exact
-    /// expression `weight_of` evaluates on the non-overdue path (the static
-    /// task fast path returns the admitted share through the same
-    /// `.max(MIN_WEIGHT)` clamp), and `select` copies one operand's bits
-    /// verbatim. When the task is overdue the dynamic expression may produce
-    /// garbage (division by a non-positive remaining time, up to NaN) — but
-    /// those bits are masked out by the select, never observed.
+    /// expression `weight_of` evaluates on the non-overdue path, and
+    /// `select` copies one operand's bits verbatim. When the task is overdue
+    /// the live expression may produce garbage (division by a non-positive
+    /// remaining time, up to NaN) — but those bits are masked out by the
+    /// select, never observed.
     #[inline(always)]
     fn weight_of_branchless(&self, task: &PsTask, now: f64, done: f64, rating: f64) -> f64 {
         let rem_time = task.abs_deadline - now;
         // Deadline passed with work remaining: escalate to full demand, or
         // keep the admitted share when escalation is ablated.
         let overdue_w = select(self.escalation, 1.0, task.static_w);
-        let live_w = match self.mode {
-            // Static-task fast path: no remaining-work arithmetic at all.
-            WeightMode::Static => task.static_w.max(MIN_WEIGHT),
-            WeightMode::Dynamic => {
-                let rem_est = (task.est_total - done).max(RESIDUAL_EST_FRACTION * task.est_total);
-                // Not `clamp`: `min`/`max` drop a NaN quotient (0/0 when a
-                // zero-length task meets an expired deadline) in favour of
-                // the bound, which `clamp` would propagate instead.
-                #[allow(clippy::manual_clamp)]
-                (rem_est / (rem_time * rating)).min(1.0).max(MIN_WEIGHT)
-            }
-        };
+        let rem_est = (task.est_total - done).max(RESIDUAL_EST_FRACTION * task.est_total);
+        // Not `clamp`: `min`/`max` drop a NaN quotient (0/0 when a
+        // zero-length task meets an expired deadline) in favour of the
+        // bound, which `clamp` would propagate instead.
+        #[allow(clippy::manual_clamp)]
+        let live_w = (rem_est / (rem_time * rating)).min(1.0).max(MIN_WEIGHT);
         select(rem_time <= 0.0, overdue_w, live_w)
     }
 
@@ -335,7 +305,11 @@ impl PsCluster {
     /// [`PsCluster::free_share`] with an admission cutoff: `Some(free)`
     /// (the exact `free_share` value) when `free + eps >= required`, `None`
     /// when the node is ineligible — decided, where possible, from a prefix
-    /// of the weight sum without scanning the remaining tasks.
+    /// of the weight sum without scanning the remaining tasks. With
+    /// `refuse_at_risk` (LibraRiskD's filter) it is also `None` when
+    /// [`PsCluster::node_at_risk`] holds; one pass over the residents
+    /// projects each task's work once for both tests, and Libra and Libra+$
+    /// (`refuse_at_risk == false`) pay nothing for the risk test.
     ///
     /// Byte-identity of the cutoff: every weight is ≥ `MIN_WEIGHT` > 0 and
     /// f64 addition of a nonnegative term never decreases a sum, so the
@@ -343,31 +317,14 @@ impl PsCluster {
     /// and `free + eps` are monotone in turn). A prefix that already fails
     /// `1.0 - used + eps >= required` therefore proves the full sum fails
     /// the *same* comparison, and an eligible node completes the identical
-    /// left-fold `free_share` computes.
-    pub fn free_share_if_fits(
-        &self,
-        node: usize,
-        now: f64,
-        required: f64,
-        eps: f64,
-    ) -> Option<f64> {
-        self.free_share_if_fits_safe(node, now, required, eps, false)
-    }
-
-    /// [`PsCluster::free_share_if_fits`] fused with LibraRiskD's filter:
-    /// with `refuse_at_risk`, also `None` when [`PsCluster::node_at_risk`]
-    /// holds. One pass over the residents projects each task's work once
-    /// for both tests, and Libra and Libra+$ (`refuse_at_risk == false`)
-    /// pay nothing for the risk test.
-    ///
-    /// Exact: an at-risk node is refused whatever its share, so stopping
-    /// at the first at-risk task changes no decision, and an eligible node
-    /// still completes the full left-fold.
+    /// left-fold `free_share` computes. An at-risk node is refused whatever
+    /// its share, so stopping at the first at-risk task changes no decision.
     ///
     /// Before any scan, the node's admission lower bound (`bound_rejects`)
-    /// refuses in O(1) a node the scan is certain to refuse on share alone. That is the same `None`, so the
-    /// bound changes no decision and no accepted node's `free` bits.
-    pub fn free_share_if_fits_safe(
+    /// refuses in O(1) a node the scan is certain to refuse on share alone.
+    /// That is the same `None`, so the bound changes no decision and no
+    /// accepted node's `free` bits.
+    pub fn free_share_if_fits(
         &self,
         node: usize,
         now: f64,
@@ -410,7 +367,7 @@ impl PsCluster {
         n.last_update <= now && now < n.lb_until && 1.0 - n.lb + eps < required
     }
 
-    /// The share scan behind [`PsCluster::free_share_if_fits_safe`]: the
+    /// The share scan behind [`PsCluster::free_share_if_fits`]: the
     /// left-fold of `free_share` with its prefix cutoff and the fused
     /// at-risk test.
     #[inline(always)]
@@ -568,25 +525,19 @@ impl PsCluster {
         self.up.iter().filter(|&&u| u).count()
     }
 
-    /// Takes `node` down at time `now`. Every job with a task on the node is
-    /// interrupted *whole*: all of its tasks — on this node and any other —
-    /// are removed, since a gang-scheduled job cannot continue with a
-    /// missing member. Returns the interrupted jobs with their remaining
-    /// work (the max over the job's tasks of `work_total − work_done`,
-    /// accrued to `now`), in ascending job-id order. No-op (empty result)
-    /// if the node is already down.
-    pub fn fail_node(&mut self, node: usize, now: f64) -> Vec<(JobId, f64)> {
-        self.fail_nodes(&[node], now)
-    }
-
-    /// Batch form of [`PsCluster::fail_node`]: takes every listed node down
-    /// at the same instant in one pass. The interrupted-job set and the
-    /// remaining-work figures are exactly what sequential `fail_node` calls
+    /// Takes every listed node down at time `now`, in one pass. Every job
+    /// with a task on a failed node is interrupted *whole*: all of its
+    /// tasks — on that node and any other — are removed, since a
+    /// gang-scheduled job cannot continue with a missing member. Returns the
+    /// interrupted jobs with their remaining work (the max over the job's
+    /// tasks of `work_total − work_done`, accrued to `now`), in ascending
+    /// job-id order. Already down nodes are skipped.
+    ///
+    /// The result is exactly what failing the nodes one call at a time
     /// would produce (every task is accrued to the same `now` either way),
     /// but each affected node is accrued and its shares recomputed **once**
     /// per batch instead of once per failure — the point of batched fault
-    /// dispatch when a storm takes many nodes down simultaneously. Already
-    /// down nodes are skipped; the result is in ascending job-id order.
+    /// dispatch when a storm takes many nodes down simultaneously.
     pub fn fail_nodes(&mut self, nodes: &[usize], now: f64) -> Vec<(JobId, f64)> {
         assert!(
             now + 1e-9 >= self.now,
@@ -733,7 +684,6 @@ impl PsCluster {
         }
         debug_assert_eq!(n.last_update, now, "recompute before accrue");
         let rating = self.ratings[node];
-        let dynamic = self.mode == WeightMode::Dynamic;
         let mut next = f64::INFINITY;
         let mut lb = 0.0;
         if self.nodes[node].tasks.len() == 1 {
@@ -748,7 +698,7 @@ impl PsCluster {
             if t.abs_deadline > now {
                 next = next.min(t.abs_deadline);
             }
-            lb = Self::weight_floor(dynamic, t, now, next, rating, w);
+            lb = Self::weight_floor(t, now, next, rating, w);
         } else {
             // Same two passes as the reference, into a reused buffer. The
             // running `sum_w` is the identical left-fold `.sum()` computes.
@@ -773,7 +723,7 @@ impl PsCluster {
             // `next` is known only now: each resident's floor over
             // `[now, next)`, reusing its weight wherever that is the floor.
             for (t, &w) in n.tasks.iter().zip(&weights) {
-                lb += Self::weight_floor(dynamic, t, now, next, rating, w);
+                lb += Self::weight_floor(t, now, next, rating, w);
             }
             self.weights_scratch = weights;
         }
@@ -792,8 +742,8 @@ impl PsCluster {
     /// next event. See DESIGN §7c for the derivation.
     ///
     /// On that interval the rate is constant and no live resident's
-    /// deadline is crossed (it is a node event), so overdue and static
-    /// weights are constant. A live dynamic weight is at least
+    /// deadline is crossed (it is a node event), so an overdue weight is
+    /// constant. A live weight is at least
     /// `max(a − r·s, c) / ((R − s)·ρ)` at `s = t − now`, with
     /// `a = est − done`, `c = RESIDUAL_EST_FRACTION·est`, `R = D − now`;
     /// its first branch is `(r + K/(R − s))/ρ` with `K = a − r·R`.
@@ -803,12 +753,12 @@ impl PsCluster {
     /// `c·r / ((c − K)·ρ)`. The clamps are monotone, so they apply to the
     /// bound too.
     #[inline(always)]
-    fn weight_floor(dynamic: bool, t: &PsTask, now: f64, next: f64, rating: f64, w: f64) -> f64 {
+    fn weight_floor(t: &PsTask, now: f64, next: f64, rating: f64, w: f64) -> f64 {
         let rem_time = t.abs_deadline - now;
         let rem_est = t.est_total - t.work_done;
         let floor = RESIDUAL_EST_FRACTION * t.est_total;
         let slack = rem_est - t.rate * rem_time;
-        if !dynamic || rem_time <= 0.0 || slack >= 0.0 || rem_est <= floor {
+        if rem_time <= 0.0 || slack >= 0.0 || rem_est <= floor {
             return w;
         }
         let rem_est_next = rem_est - t.rate * (next - now);
@@ -903,7 +853,7 @@ mod tests {
                 fast.nodes[nid].lb
             );
             assert_eq!(
-                reference.free_share_if_fits_safe(nid, t, required, eps, false),
+                reference.free_share_if_fits(nid, t, required, eps, false),
                 None
             );
         }
@@ -912,7 +862,7 @@ mod tests {
 
     #[test]
     fn lone_task_runs_at_full_speed() {
-        let mut c = PsCluster::new(2, WeightMode::Static);
+        let mut c = PsCluster::new(2);
         // estimate/deadline = 0.1 but the node is otherwise idle, so the
         // leftover distribution gives the task the whole processor.
         let j = job(0, 0.0, 100.0, 100.0, 1000.0, 1);
@@ -928,7 +878,7 @@ mod tests {
 
     #[test]
     fn two_tasks_share_proportionally() {
-        let mut c = PsCluster::new(1, WeightMode::Static);
+        let mut c = PsCluster::new(1);
         // Equal shares 0.5/0.5 -> both run at rate 0.5 until the first
         // completes, then the survivor speeds up to 1.
         let a = job(0, 0.0, 100.0, 100.0, 200.0, 1);
@@ -954,7 +904,7 @@ mod tests {
 
     #[test]
     fn both_meet_deadlines_when_admitted_within_capacity() {
-        let mut c = PsCluster::new(1, WeightMode::Static);
+        let mut c = PsCluster::new(1);
         // shares 0.6 + 0.4 = 1.0: rates exactly the shares.
         let a = job(0, 0.0, 60.0, 60.0, 100.0, 1);
         let b = job(1, 0.0, 40.0, 40.0, 100.0, 1);
@@ -968,7 +918,7 @@ mod tests {
 
     #[test]
     fn multi_node_job_completes_when_last_task_does() {
-        let mut c = PsCluster::new(3, WeightMode::Static);
+        let mut c = PsCluster::new(3);
         let wide = job(0, 0.0, 100.0, 100.0, 500.0, 3);
         c.submit(&wide, &[0, 1, 2], 0.0);
         // Load node 2 with a competitor so the wide job's task there is slower.
@@ -984,7 +934,7 @@ mod tests {
 
     #[test]
     fn free_share_reflects_admitted_weights() {
-        let mut c = PsCluster::new(1, WeightMode::Static);
+        let mut c = PsCluster::new(1);
         assert!((c.free_share(0, 0.0) - 1.0).abs() < 1e-12);
         let a = job(0, 0.0, 100.0, 100.0, 400.0, 1); // w = 0.25
         c.submit(&a, &[0], 0.0);
@@ -993,7 +943,7 @@ mod tests {
 
     #[test]
     fn dynamic_mode_releases_share_as_work_progresses() {
-        let mut c = PsCluster::new(1, WeightMode::Dynamic);
+        let mut c = PsCluster::new(1);
         let a = job(0, 0.0, 100.0, 100.0, 400.0, 1); // initial w = 0.25
         c.submit(&a, &[0], 0.0);
         let f0 = c.free_share(0, 0.0);
@@ -1005,19 +955,8 @@ mod tests {
     }
 
     #[test]
-    fn static_mode_holds_share_constant() {
-        let mut c = PsCluster::new(1, WeightMode::Static);
-        let a = job(0, 0.0, 100.0, 100.0, 400.0, 1);
-        c.submit(&a, &[0], 0.0);
-        let f0 = c.free_share(0, 0.0);
-        c.advance_to(50.0);
-        let f1 = c.free_share(0, 50.0);
-        assert!((f0 - f1).abs() < 1e-9);
-    }
-
-    #[test]
     fn underestimated_task_escalates_after_deadline_and_squeezes_neighbours() {
-        let mut c = PsCluster::new(1, WeightMode::Static);
+        let mut c = PsCluster::new(1);
         // Task A claims est=10 (deadline 20, w=0.5) but actually needs 100.
         let a = job(0, 0.0, 100.0, 10.0, 20.0, 1);
         // Task B honestly needs 50 by 100 (w=0.5).
@@ -1039,7 +978,7 @@ mod tests {
 
     #[test]
     fn at_risk_flags_overrunning_tasks() {
-        let mut c = PsCluster::new(2, WeightMode::Static);
+        let mut c = PsCluster::new(2);
         let a = job(0, 0.0, 100.0, 10.0, 1000.0, 1); // overruns at t=10
         c.submit(&a, &[0], 0.0);
         c.advance_to(5.0);
@@ -1057,7 +996,7 @@ mod tests {
 
     #[test]
     fn completions_report_in_time_order() {
-        let mut c = PsCluster::new(4, WeightMode::Static);
+        let mut c = PsCluster::new(4);
         for i in 0..4 {
             let j = job(
                 i,
@@ -1078,7 +1017,7 @@ mod tests {
 
     #[test]
     fn advance_to_only_processes_due_events() {
-        let mut c = PsCluster::new(1, WeightMode::Static);
+        let mut c = PsCluster::new(1);
         let a = job(0, 0.0, 100.0, 100.0, 1000.0, 1);
         c.submit(&a, &[0], 0.0);
         assert!(c.advance_to(50.0).is_empty());
@@ -1089,7 +1028,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn double_submit_panics() {
-        let mut c = PsCluster::new(1, WeightMode::Static);
+        let mut c = PsCluster::new(1);
         let a = job(0, 0.0, 10.0, 10.0, 100.0, 1);
         c.submit(&a, &[0], 0.0);
         c.submit(&a, &[0], 0.0);
@@ -1097,7 +1036,7 @@ mod tests {
 
     #[test]
     fn fast_node_finishes_lone_job_proportionally_sooner() {
-        let mut c = PsCluster::with_ratings(vec![1.0, 2.0], WeightMode::Static, true);
+        let mut c = PsCluster::with_ratings(vec![1.0, 2.0], true);
         let slow = job(0, 0.0, 100.0, 100.0, 1000.0, 1);
         let fast = job(1, 0.0, 100.0, 100.0, 1000.0, 1);
         c.submit(&slow, &[0], 0.0);
@@ -1114,7 +1053,7 @@ mod tests {
 
     #[test]
     fn fast_node_demands_less_share() {
-        let c = PsCluster::with_ratings(vec![1.0, 4.0], WeightMode::Static, true);
+        let c = PsCluster::with_ratings(vec![1.0, 4.0], true);
         assert!((c.required_share(0, 100.0, 400.0) - 0.25).abs() < 1e-12);
         assert!((c.required_share(1, 100.0, 400.0) - 0.0625).abs() < 1e-12);
         assert_eq!(c.rating(1), 4.0);
@@ -1122,7 +1061,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_sharing_still_conserves_work() {
-        let mut c = PsCluster::with_ratings(vec![2.0], WeightMode::Static, true);
+        let mut c = PsCluster::with_ratings(vec![2.0], true);
         // Two equal tasks on a 2x node: each runs at work-rate 1.0.
         let a = job(0, 0.0, 100.0, 100.0, 400.0, 1);
         let b = job(1, 0.0, 100.0, 100.0, 400.0, 1);
@@ -1141,18 +1080,18 @@ mod tests {
     #[test]
     #[should_panic]
     fn non_positive_rating_rejected() {
-        let _ = PsCluster::with_ratings(vec![1.0, 0.0], WeightMode::Static, true);
+        let _ = PsCluster::with_ratings(vec![1.0, 0.0], true);
     }
 
     #[test]
     fn fail_node_interrupts_whole_jobs_and_spares_neighbours() {
-        let mut c = PsCluster::new(3, WeightMode::Static);
+        let mut c = PsCluster::new(3);
         let wide = job(0, 0.0, 100.0, 100.0, 500.0, 2); // nodes 0 and 1
         let lone = job(1, 0.0, 100.0, 100.0, 500.0, 1); // node 2 only
         c.submit(&wide, &[0, 1], 0.0);
         c.submit(&lone, &[2], 0.0);
         c.advance_to(40.0);
-        let hit = c.fail_node(1, 40.0);
+        let hit = c.fail_nodes(&[1], 40.0);
         assert_eq!(hit.len(), 1, "only the wide job is resident on node 1");
         assert_eq!(hit[0].0, 0);
         assert!((hit[0].1 - 60.0).abs() < 1e-6, "remaining {}", hit[0].1);
@@ -1171,9 +1110,9 @@ mod tests {
 
     #[test]
     fn fail_and_repair_round_trip() {
-        let mut c = PsCluster::new(2, WeightMode::Static);
-        assert!(c.fail_node(0, 0.0).is_empty(), "idle node: nobody hurt");
-        assert!(c.fail_node(0, 1.0).is_empty(), "double fail is a no-op");
+        let mut c = PsCluster::new(2);
+        assert!(c.fail_nodes(&[0], 0.0).is_empty(), "idle node: nobody hurt");
+        assert!(c.fail_nodes(&[0], 1.0).is_empty(), "double fail is a no-op");
         c.repair_node(0, 10.0);
         assert!(c.node_up(0));
         c.repair_node(0, 11.0); // repairing an up node is a no-op
@@ -1192,8 +1131,8 @@ mod tests {
         use ccs_des::SimRng;
         const NODES: usize = 8;
         for seed in 0..4u64 {
-            let mut batch = PsCluster::new(NODES, WeightMode::Dynamic);
-            let mut seq = PsCluster::new(NODES, WeightMode::Dynamic);
+            let mut batch = PsCluster::new(NODES);
+            let mut seq = PsCluster::new(NODES);
             let mut rng = SimRng::seed_from(0xFA11 + seed);
             for id in 0..20 {
                 let procs = rng.range_usize(1, 4);
@@ -1215,7 +1154,7 @@ mod tests {
             let a = batch.fail_nodes(&victims, 25.0);
             let mut b: Vec<(JobId, f64)> = Vec::new();
             for &v in &victims {
-                b.extend(seq.fail_node(v, 25.0));
+                b.extend(seq.fail_nodes(&[v], 25.0));
             }
             b.sort_unstable_by_key(|&(job_id, _)| job_id);
             assert_eq!(a.len(), b.len());
@@ -1239,10 +1178,10 @@ mod tests {
 
     #[test]
     fn fail_nodes_skips_already_down_members() {
-        let mut c = PsCluster::new(3, WeightMode::Static);
+        let mut c = PsCluster::new(3);
         let a = job(0, 0.0, 100.0, 100.0, 500.0, 1);
         c.submit(&a, &[1], 0.0);
-        c.fail_node(2, 0.0);
+        c.fail_nodes(&[2], 0.0);
         let hit = c.fail_nodes(&[1, 2], 10.0);
         assert_eq!(hit, vec![(0, 90.0)]);
         assert_eq!(c.up_nodes(), 1);
@@ -1251,8 +1190,8 @@ mod tests {
     #[test]
     #[should_panic]
     fn submit_to_down_node_panics() {
-        let mut c = PsCluster::new(2, WeightMode::Static);
-        c.fail_node(1, 0.0);
+        let mut c = PsCluster::new(2);
+        c.fail_nodes(&[1], 0.0);
         let a = job(0, 0.0, 10.0, 10.0, 100.0, 1);
         c.submit(&a, &[1], 0.0);
     }
@@ -1260,247 +1199,235 @@ mod tests {
     /// The incremental recompute (lone-task fast path, scratch buffers,
     /// admission lower bound) must be bit-identical to the naive
     /// full-rescan reference under arbitrary interleavings of
-    /// submit / advance / fail / repair, in every mode × escalation
-    /// combination — including the free-share admission signal, probed
+    /// submit / advance / fail / repair, with escalation on and off —
+    /// including the free-share admission signal, probed
     /// both at random times and strictly inside a node's current event
     /// interval, where the O(1) bound rejection is live.
     #[test]
     fn incremental_recompute_matches_reference_oracle_bit_for_bit() {
         use ccs_des::SimRng;
         const NODES: usize = 6;
-        for &mode in &[WeightMode::Static, WeightMode::Dynamic] {
-            for &escalation in &[true, false] {
-                for seed in 0..4u64 {
-                    let mut fast = PsCluster::with_escalation(NODES, mode, escalation);
-                    let mut slow = PsCluster::with_escalation(NODES, mode, escalation);
-                    slow.force_reference = true;
-                    let mut rng = SimRng::seed_from(0xA11CE + seed);
-                    // A separate stream for the in-window probes keeps the
-                    // operation sequence above independent of them.
-                    let mut window_rng = SimRng::seed_from(0xB0B + seed);
-                    let mut bound_fired = 0usize;
-                    let mut now = 0.0f64;
-                    let mut next_id: JobId = 0;
-                    for _ in 0..400 {
-                        match rng.range_usize(0, 10) {
-                            0..=4 => {
-                                // Submit to 1–2 random up nodes.
-                                let procs = rng.range_usize(1, 3);
-                                let mut nids: Vec<usize> = Vec::new();
-                                for _ in 0..procs {
-                                    let nid = rng.range_usize(0, NODES);
-                                    if fast.node_up(nid) && !nids.contains(&nid) {
-                                        nids.push(nid);
-                                    }
-                                }
-                                if nids.is_empty() {
-                                    continue;
-                                }
-                                let runtime = rng.uniform(1.0, 200.0);
-                                let estimate = runtime * rng.uniform(0.2, 2.0);
-                                let deadline = rng.uniform(10.0, 500.0);
-                                let j = job(
-                                    next_id,
-                                    now,
-                                    runtime,
-                                    estimate,
-                                    deadline,
-                                    nids.len() as u32,
-                                );
-                                next_id += 1;
-                                fast.submit(&j, &nids, now);
-                                slow.submit(&j, &nids, now);
-                            }
-                            5..=7 => {
-                                now += rng.uniform(0.0, 80.0);
-                                let a = fast.advance_to(now);
-                                let b = slow.advance_to(now);
-                                assert_eq!(a.len(), b.len());
-                                for (x, y) in a.iter().zip(&b) {
-                                    assert_eq!(x.job_id, y.job_id);
-                                    assert_eq!(x.finish.to_bits(), y.finish.to_bits());
-                                }
-                            }
-                            8 => {
+        for &escalation in &[true, false] {
+            for seed in 0..4u64 {
+                let mut fast = PsCluster::with_escalation(NODES, escalation);
+                let mut slow = PsCluster::with_escalation(NODES, escalation);
+                slow.force_reference = true;
+                let mut rng = SimRng::seed_from(0xA11CE + seed);
+                // A separate stream for the in-window probes keeps the
+                // operation sequence above independent of them.
+                let mut window_rng = SimRng::seed_from(0xB0B + seed);
+                let mut bound_fired = 0usize;
+                let mut now = 0.0f64;
+                let mut next_id: JobId = 0;
+                for _ in 0..400 {
+                    match rng.range_usize(0, 10) {
+                        0..=4 => {
+                            // Submit to 1–2 random up nodes.
+                            let procs = rng.range_usize(1, 3);
+                            let mut nids: Vec<usize> = Vec::new();
+                            for _ in 0..procs {
                                 let nid = rng.range_usize(0, NODES);
-                                let a = fast.fail_node(nid, now);
-                                let b = slow.fail_node(nid, now);
-                                assert_eq!(a.len(), b.len());
-                                for (x, y) in a.iter().zip(&b) {
-                                    assert_eq!(x.0, y.0);
-                                    assert_eq!(x.1.to_bits(), y.1.to_bits());
+                                if fast.node_up(nid) && !nids.contains(&nid) {
+                                    nids.push(nid);
                                 }
                             }
-                            _ => {
-                                let nid = rng.range_usize(0, NODES);
-                                fast.repair_node(nid, now);
-                                slow.repair_node(nid, now);
+                            if nids.is_empty() {
+                                continue;
+                            }
+                            let runtime = rng.uniform(1.0, 200.0);
+                            let estimate = runtime * rng.uniform(0.2, 2.0);
+                            let deadline = rng.uniform(10.0, 500.0);
+                            let j =
+                                job(next_id, now, runtime, estimate, deadline, nids.len() as u32);
+                            next_id += 1;
+                            fast.submit(&j, &nids, now);
+                            slow.submit(&j, &nids, now);
+                        }
+                        5..=7 => {
+                            now += rng.uniform(0.0, 80.0);
+                            let a = fast.advance_to(now);
+                            let b = slow.advance_to(now);
+                            assert_eq!(a.len(), b.len());
+                            for (x, y) in a.iter().zip(&b) {
+                                assert_eq!(x.job_id, y.job_id);
+                                assert_eq!(x.finish.to_bits(), y.finish.to_bits());
                             }
                         }
-                        // Spot-check the admission signals at a random node
-                        // and probe time.
-                        let nid = rng.range_usize(0, NODES);
-                        let probe = now + rng.uniform(0.0, 20.0);
-                        assert_eq!(
-                            fast.free_share(nid, probe).to_bits(),
-                            slow.free_share(nid, probe).to_bits(),
-                            "free_share diverged (mode {mode:?}, escalation {escalation})"
-                        );
-                        assert_eq!(fast.node_at_risk(nid, probe), slow.node_at_risk(nid, probe));
-                        // The cutoff form must agree with "full scan, then
-                        // threshold" exactly: same decision, same bits.
-                        let required = rng.uniform(0.0, 1.2);
-                        let eps = 1e-9;
-                        let full = fast.free_share(nid, probe);
-                        let expect = (full + eps >= required).then_some(full);
-                        for c in [&fast, &slow] {
-                            assert_eq!(
-                                c.free_share_if_fits(nid, probe, required, eps)
-                                    .map(f64::to_bits),
-                                expect.map(f64::to_bits),
-                                "free_share_if_fits diverged (mode {mode:?})"
-                            );
-                        }
-                        // The same contract strictly inside the node's event
-                        // interval, with requirements both uniform and just
-                        // past the node's exact free share.
-                        if let Some(t) = probe_in_window(&fast, nid, window_rng.uniform(0.0, 1.0)) {
-                            let full = slow.free_share(nid, t);
-                            assert_eq!(fast.free_share(nid, t).to_bits(), full.to_bits());
-                            for required in [
-                                window_rng.uniform(0.0, 1.2),
-                                full + eps + window_rng.uniform(0.0, 0.1),
-                            ] {
-                                let expect = (full + eps >= required).then_some(full);
-                                for c in [&fast, &slow] {
-                                    assert_eq!(
-                                        c.free_share_if_fits(nid, t, required, eps)
-                                            .map(f64::to_bits),
-                                        expect.map(f64::to_bits),
-                                        "in-window free_share_if_fits diverged (mode {mode:?})"
-                                    );
-                                }
-                                bound_fired +=
-                                    bound_fires(&fast, &slow, nid, t, required, eps) as usize;
+                        8 => {
+                            let nid = rng.range_usize(0, NODES);
+                            let a = fast.fail_nodes(&[nid], now);
+                            let b = slow.fail_nodes(&[nid], now);
+                            assert_eq!(a.len(), b.len());
+                            for (x, y) in a.iter().zip(&b) {
+                                assert_eq!(x.0, y.0);
+                                assert_eq!(x.1.to_bits(), y.1.to_bits());
                             }
+                        }
+                        _ => {
+                            let nid = rng.range_usize(0, NODES);
+                            fast.repair_node(nid, now);
+                            slow.repair_node(nid, now);
                         }
                     }
-                    assert!(
-                        bound_fired > 0,
-                        "the bound never fired (mode {mode:?}, escalation {escalation}, seed {seed})"
+                    // Spot-check the admission signals at a random node
+                    // and probe time.
+                    let nid = rng.range_usize(0, NODES);
+                    let probe = now + rng.uniform(0.0, 20.0);
+                    assert_eq!(
+                        fast.free_share(nid, probe).to_bits(),
+                        slow.free_share(nid, probe).to_bits(),
+                        "free_share diverged (escalation {escalation})"
                     );
-                    let a = fast.drain();
-                    let b = slow.drain();
-                    assert_eq!(a.len(), b.len());
-                    for (x, y) in a.iter().zip(&b) {
-                        assert_eq!(x.job_id, y.job_id);
-                        assert_eq!(x.finish.to_bits(), y.finish.to_bits());
+                    assert_eq!(fast.node_at_risk(nid, probe), slow.node_at_risk(nid, probe));
+                    // The cutoff form must agree with "full scan, then
+                    // threshold" exactly: same decision, same bits.
+                    let required = rng.uniform(0.0, 1.2);
+                    let eps = 1e-9;
+                    let full = fast.free_share(nid, probe);
+                    let expect = (full + eps >= required).then_some(full);
+                    for c in [&fast, &slow] {
+                        assert_eq!(
+                            c.free_share_if_fits(nid, probe, required, eps, false)
+                                .map(f64::to_bits),
+                            expect.map(f64::to_bits),
+                            "free_share_if_fits diverged"
+                        );
                     }
-                    assert_eq!(fast.open_jobs(), 0);
-                    assert_eq!(slow.open_jobs(), 0);
+                    // The same contract strictly inside the node's event
+                    // interval, with requirements both uniform and just
+                    // past the node's exact free share.
+                    if let Some(t) = probe_in_window(&fast, nid, window_rng.uniform(0.0, 1.0)) {
+                        let full = slow.free_share(nid, t);
+                        assert_eq!(fast.free_share(nid, t).to_bits(), full.to_bits());
+                        for required in [
+                            window_rng.uniform(0.0, 1.2),
+                            full + eps + window_rng.uniform(0.0, 0.1),
+                        ] {
+                            let expect = (full + eps >= required).then_some(full);
+                            for c in [&fast, &slow] {
+                                assert_eq!(
+                                    c.free_share_if_fits(nid, t, required, eps, false)
+                                        .map(f64::to_bits),
+                                    expect.map(f64::to_bits),
+                                    "in-window free_share_if_fits diverged"
+                                );
+                            }
+                            bound_fired +=
+                                bound_fires(&fast, &slow, nid, t, required, eps) as usize;
+                        }
+                    }
                 }
+                assert!(
+                    bound_fired > 0,
+                    "the bound never fired (escalation {escalation}, seed {seed})"
+                );
+                let a = fast.drain();
+                let b = slow.drain();
+                assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!(x.job_id, y.job_id);
+                    assert_eq!(x.finish.to_bits(), y.finish.to_bits());
+                }
+                assert_eq!(fast.open_jobs(), 0);
+                assert_eq!(slow.open_jobs(), 0);
             }
         }
     }
 
     /// LibraRiskD's fused admission scan must equal the two-pass form it
-    /// replaced — `free_share_if_fits` filtered by `!node_at_risk` — bit
-    /// for bit, on the fast engine and on the reference oracle, in every
-    /// mode × escalation combination, with the risk test on and off.
+    /// replaced — `free_share_if_fits` without the risk test, filtered by
+    /// `!node_at_risk` — bit for bit, on the fast engine and on the
+    /// reference oracle, with escalation and the risk test each on and off.
     #[test]
     fn fused_fit_and_risk_scan_matches_two_pass_form_bit_for_bit() {
         use ccs_des::SimRng;
         const NODES: usize = 4;
         let mut refused_at_risk = 0usize;
-        for &mode in &[WeightMode::Static, WeightMode::Dynamic] {
-            for &escalation in &[true, false] {
-                for seed in 0..4u64 {
-                    let mut fast = PsCluster::with_escalation(NODES, mode, escalation);
-                    let mut slow = PsCluster::with_escalation(NODES, mode, escalation);
-                    slow.force_reference = true;
-                    let mut rng = SimRng::seed_from(0xF05E + seed);
-                    let mut window_rng = SimRng::seed_from(0xF1E1D + seed);
-                    let mut bound_fired = 0usize;
-                    let mut now = 0.0f64;
-                    for id in 0..300 {
-                        match rng.range_usize(0, 10) {
-                            0..=4 => {
-                                let nid = rng.range_usize(0, NODES);
-                                if fast.node_up(nid) {
-                                    // Estimates as low as a fifth of the
-                                    // runtime put tasks past their estimate.
-                                    let runtime = rng.uniform(1.0, 200.0);
-                                    let estimate = runtime * rng.uniform(0.2, 2.0);
-                                    let deadline = rng.uniform(10.0, 500.0);
-                                    let j = job(id, now, runtime, estimate, deadline, 1);
-                                    fast.submit(&j, &[nid], now);
-                                    slow.submit(&j, &[nid], now);
-                                }
-                            }
-                            5..=7 => {
-                                now += rng.uniform(0.0, 80.0);
-                                fast.advance_to(now);
-                                slow.advance_to(now);
-                            }
-                            8 => {
-                                let nid = rng.range_usize(0, NODES);
-                                fast.fail_node(nid, now);
-                                slow.fail_node(nid, now);
-                            }
-                            _ => {
-                                let nid = rng.range_usize(0, NODES);
-                                fast.repair_node(nid, now);
-                                slow.repair_node(nid, now);
+        for &escalation in &[true, false] {
+            for seed in 0..4u64 {
+                let mut fast = PsCluster::with_escalation(NODES, escalation);
+                let mut slow = PsCluster::with_escalation(NODES, escalation);
+                slow.force_reference = true;
+                let mut rng = SimRng::seed_from(0xF05E + seed);
+                let mut window_rng = SimRng::seed_from(0xF1E1D + seed);
+                let mut bound_fired = 0usize;
+                let mut now = 0.0f64;
+                for id in 0..300 {
+                    match rng.range_usize(0, 10) {
+                        0..=4 => {
+                            let nid = rng.range_usize(0, NODES);
+                            if fast.node_up(nid) {
+                                // Estimates as low as a fifth of the
+                                // runtime put tasks past their estimate.
+                                let runtime = rng.uniform(1.0, 200.0);
+                                let estimate = runtime * rng.uniform(0.2, 2.0);
+                                let deadline = rng.uniform(10.0, 500.0);
+                                let j = job(id, now, runtime, estimate, deadline, 1);
+                                fast.submit(&j, &[nid], now);
+                                slow.submit(&j, &[nid], now);
                             }
                         }
-                        let probe = now + rng.uniform(0.0, 20.0);
-                        let required = rng.uniform(0.0, 1.2);
-                        let eps = 1e-9;
-                        for nid in 0..NODES {
-                            // The random probe, then one strictly inside the
-                            // node's event interval (where the bound is live).
-                            let in_window =
-                                probe_in_window(&fast, nid, window_rng.uniform(0.0, 1.0))
-                                    .map(|t| (t, window_rng.uniform(0.0, 1.2)));
-                            for (probe, required) in
-                                std::iter::once((probe, required)).chain(in_window)
-                            {
-                                for refuse in [false, true] {
-                                    let fused = |c: &PsCluster| {
-                                        c.free_share_if_fits_safe(nid, probe, required, eps, refuse)
-                                            .map(f64::to_bits)
-                                    };
-                                    for c in [&fast, &slow] {
-                                        let two_pass = c
-                                            .free_share_if_fits(nid, probe, required, eps)
-                                            .filter(|_| !(refuse && c.node_at_risk(nid, probe)))
-                                            .map(f64::to_bits);
-                                        assert_eq!(
-                                            fused(c),
-                                            two_pass,
-                                            "mode {mode:?}, escalation {escalation}, seed {seed}"
-                                        );
-                                    }
-                                    assert_eq!(fused(&fast), fused(&slow));
-                                    if refuse
-                                        && fast.node_at_risk(nid, probe)
-                                        && fast
-                                            .free_share_if_fits(nid, probe, required, eps)
-                                            .is_some()
-                                    {
-                                        refused_at_risk += 1;
-                                    }
-                                }
-                                bound_fired +=
-                                    bound_fires(&fast, &slow, nid, probe, required, eps) as usize;
-                            }
+                        5..=7 => {
+                            now += rng.uniform(0.0, 80.0);
+                            fast.advance_to(now);
+                            slow.advance_to(now);
+                        }
+                        8 => {
+                            let nid = rng.range_usize(0, NODES);
+                            fast.fail_nodes(&[nid], now);
+                            slow.fail_nodes(&[nid], now);
+                        }
+                        _ => {
+                            let nid = rng.range_usize(0, NODES);
+                            fast.repair_node(nid, now);
+                            slow.repair_node(nid, now);
                         }
                     }
-                    assert!(
-                        bound_fired > 0,
-                        "the bound never fired (mode {mode:?}, escalation {escalation}, seed {seed})"
-                    );
+                    let probe = now + rng.uniform(0.0, 20.0);
+                    let required = rng.uniform(0.0, 1.2);
+                    let eps = 1e-9;
+                    for nid in 0..NODES {
+                        // The random probe, then one strictly inside the
+                        // node's event interval (where the bound is live).
+                        let in_window = probe_in_window(&fast, nid, window_rng.uniform(0.0, 1.0))
+                            .map(|t| (t, window_rng.uniform(0.0, 1.2)));
+                        for (probe, required) in std::iter::once((probe, required)).chain(in_window)
+                        {
+                            for refuse in [false, true] {
+                                let fused = |c: &PsCluster| {
+                                    c.free_share_if_fits(nid, probe, required, eps, refuse)
+                                        .map(f64::to_bits)
+                                };
+                                for c in [&fast, &slow] {
+                                    let two_pass = c
+                                        .free_share_if_fits(nid, probe, required, eps, false)
+                                        .filter(|_| !(refuse && c.node_at_risk(nid, probe)))
+                                        .map(f64::to_bits);
+                                    assert_eq!(
+                                        fused(c),
+                                        two_pass,
+                                        "escalation {escalation}, seed {seed}"
+                                    );
+                                }
+                                assert_eq!(fused(&fast), fused(&slow));
+                                if refuse
+                                    && fast.node_at_risk(nid, probe)
+                                    && fast
+                                        .free_share_if_fits(nid, probe, required, eps, false)
+                                        .is_some()
+                                {
+                                    refused_at_risk += 1;
+                                }
+                            }
+                            bound_fired +=
+                                bound_fires(&fast, &slow, nid, probe, required, eps) as usize;
+                        }
+                    }
                 }
+                assert!(
+                    bound_fired > 0,
+                    "the bound never fired (escalation {escalation}, seed {seed})"
+                );
             }
         }
         assert!(refused_at_risk > 0, "no probe exercised the risk filter");
@@ -1516,81 +1443,79 @@ mod tests {
     fn admission_bound_never_rejects_a_node_the_reference_accepts() {
         use ccs_des::SimRng;
         const RATINGS: [f64; 6] = [0.5, 1.0, 3.7, 0.5, 1.0, 3.7];
-        for &mode in &[WeightMode::Static, WeightMode::Dynamic] {
-            for &escalation in &[true, false] {
-                for seed in 0..6u64 {
-                    let mut fast = PsCluster::with_ratings(RATINGS.to_vec(), mode, escalation);
-                    let mut slow = PsCluster::with_ratings(RATINGS.to_vec(), mode, escalation);
-                    slow.force_reference = true;
-                    let mut rng = SimRng::seed_from(0xAD5E + seed);
-                    let mut now = 1e7 + rng.uniform(0.0, 1.0);
-                    fast.advance_to(now);
-                    slow.advance_to(now);
-                    let mut bound_fired = 0usize;
-                    for id in 0..400 {
-                        if rng.range_usize(0, 10) < 6 {
-                            let nid = rng.range_usize(0, RATINGS.len());
-                            let runtime = rng.uniform(1e-4, 1.0);
-                            let estimate = (runtime * rng.uniform(0.2, 2.0)).min(1.0);
-                            // Half the deadlines land within 1e-3 s of now.
-                            let deadline = if rng.range_usize(0, 2) == 0 {
-                                rng.uniform(1e-6, 1e-3)
-                            } else {
-                                estimate * rng.uniform(1.0, 30.0)
-                            };
-                            let j = job(id, now, runtime, estimate, deadline, 1);
-                            fast.submit(&j, &[nid], now);
-                            slow.submit(&j, &[nid], now);
+        for &escalation in &[true, false] {
+            for seed in 0..6u64 {
+                let mut fast = PsCluster::with_ratings(RATINGS.to_vec(), escalation);
+                let mut slow = PsCluster::with_ratings(RATINGS.to_vec(), escalation);
+                slow.force_reference = true;
+                let mut rng = SimRng::seed_from(0xAD5E + seed);
+                let mut now = 1e7 + rng.uniform(0.0, 1.0);
+                fast.advance_to(now);
+                slow.advance_to(now);
+                let mut bound_fired = 0usize;
+                for id in 0..400 {
+                    if rng.range_usize(0, 10) < 6 {
+                        let nid = rng.range_usize(0, RATINGS.len());
+                        let runtime = rng.uniform(1e-4, 1.0);
+                        let estimate = (runtime * rng.uniform(0.2, 2.0)).min(1.0);
+                        // Half the deadlines land within 1e-3 s of now.
+                        let deadline = if rng.range_usize(0, 2) == 0 {
+                            rng.uniform(1e-6, 1e-3)
                         } else {
-                            now += rng.uniform(0.0, 2e-3);
-                            let a = fast.advance_to(now);
-                            let b = slow.advance_to(now);
-                            assert_eq!(a, b);
-                        }
-                        let eps = 1e-9;
-                        // Anywhere in the window, and just before its end,
-                        // where a decreasing weight is closest to its floor.
-                        let fractions = [rng.uniform(0.0, 1.0), 1.0 - rng.uniform(0.0, 1e-9)];
-                        for (nid, u) in (0..RATINGS.len()).flat_map(|n| fractions.map(|u| (n, u))) {
-                            let Some(t) = probe_in_window(&fast, nid, u) else {
-                                continue;
-                            };
-                            let full = slow.free_share(nid, t);
-                            // Uniform, and a hair either side of the exact
-                            // threshold `full + eps`.
-                            for required in [
-                                rng.uniform(0.0, 1.0),
-                                full + eps - rng.uniform(0.0, 1e-3),
-                                full + eps + rng.uniform(0.0, 1e-3),
-                                full + eps + rng.uniform(0.0, 0.2),
-                            ] {
-                                for refuse in [false, true] {
-                                    assert_eq!(
-                                        fast.free_share_if_fits_safe(nid, t, required, eps, refuse)
-                                            .map(f64::to_bits),
-                                        slow.free_share_if_fits_safe(nid, t, required, eps, refuse)
-                                            .map(f64::to_bits),
-                                        "mode {mode:?}, escalation {escalation}, seed {seed}"
-                                    );
-                                }
-                                bound_fired +=
-                                    bound_fires(&fast, &slow, nid, t, required, eps) as usize;
+                            estimate * rng.uniform(1.0, 30.0)
+                        };
+                        let j = job(id, now, runtime, estimate, deadline, 1);
+                        fast.submit(&j, &[nid], now);
+                        slow.submit(&j, &[nid], now);
+                    } else {
+                        now += rng.uniform(0.0, 2e-3);
+                        let a = fast.advance_to(now);
+                        let b = slow.advance_to(now);
+                        assert_eq!(a, b);
+                    }
+                    let eps = 1e-9;
+                    // Anywhere in the window, and just before its end,
+                    // where a decreasing weight is closest to its floor.
+                    let fractions = [rng.uniform(0.0, 1.0), 1.0 - rng.uniform(0.0, 1e-9)];
+                    for (nid, u) in (0..RATINGS.len()).flat_map(|n| fractions.map(|u| (n, u))) {
+                        let Some(t) = probe_in_window(&fast, nid, u) else {
+                            continue;
+                        };
+                        let full = slow.free_share(nid, t);
+                        // Uniform, and a hair either side of the exact
+                        // threshold `full + eps`.
+                        for required in [
+                            rng.uniform(0.0, 1.0),
+                            full + eps - rng.uniform(0.0, 1e-3),
+                            full + eps + rng.uniform(0.0, 1e-3),
+                            full + eps + rng.uniform(0.0, 0.2),
+                        ] {
+                            for refuse in [false, true] {
+                                assert_eq!(
+                                    fast.free_share_if_fits(nid, t, required, eps, refuse)
+                                        .map(f64::to_bits),
+                                    slow.free_share_if_fits(nid, t, required, eps, refuse)
+                                        .map(f64::to_bits),
+                                    "escalation {escalation}, seed {seed}"
+                                );
                             }
+                            bound_fired +=
+                                bound_fires(&fast, &slow, nid, t, required, eps) as usize;
                         }
                     }
-                    assert!(
-                        bound_fired > 0,
-                        "the bound never fired (mode {mode:?}, escalation {escalation}, seed {seed})"
-                    );
-                    assert_eq!(fast.drain(), slow.drain());
                 }
+                assert!(
+                    bound_fired > 0,
+                    "the bound never fired (escalation {escalation}, seed {seed})"
+                );
+                assert_eq!(fast.drain(), slow.drain());
             }
         }
     }
 
     #[test]
     fn advance_into_reuses_caller_buffer() {
-        let mut c = PsCluster::new(1, WeightMode::Static);
+        let mut c = PsCluster::new(1);
         let a = job(0, 0.0, 10.0, 10.0, 100.0, 1);
         let b = job(1, 0.0, 30.0, 30.0, 300.0, 1);
         c.submit(&a, &[0], 0.0);
@@ -1605,7 +1530,7 @@ mod tests {
 
     #[test]
     fn staggered_arrivals_accrue_correctly() {
-        let mut c = PsCluster::new(1, WeightMode::Static);
+        let mut c = PsCluster::new(1);
         let a = job(0, 0.0, 100.0, 100.0, 300.0, 1);
         c.submit(&a, &[0], 0.0);
         c.advance_to(50.0);
@@ -1615,9 +1540,11 @@ mod tests {
         let done = c.drain();
         let a_done = done.iter().find(|d| d.job_id == 0).unwrap().finish;
         let b_done = done.iter().find(|d| d.job_id == 1).unwrap().finish;
-        // w_a = 1/3, w_b = 2/7 -> r_a ~ 0.538, r_b ~ 0.462 of the node.
-        // A needs 50 more: ~ 50 + 50/0.538 = 142.9; then B speeds to 1.
-        assert!(a_done > 100.0 && a_done < 200.0, "a at {a_done}");
-        assert!(b_done > a_done && b_done <= 350.0 + 1e-6, "b at {b_done}");
+        // At t=50 A has 50 estimated work left over 250 s (w_a = 1/5) and B
+        // needs 100 over 350 s (w_b = 2/7), so r_a = 7/17 and r_b = 10/17
+        // of the node. A's 50 remaining take 850/7 s: it ends at 1200/7 with
+        // 500/7 of B done, and B's last 200/7 at full speed end at 200.
+        assert!((a_done - 1200.0 / 7.0).abs() < 1e-6, "a at {a_done}");
+        assert!((b_done - 200.0).abs() < 1e-6, "b at {b_done}");
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the cluster engines.
 
-use ccs_cluster::{PsCluster, SpaceShared, WeightMode};
+use ccs_cluster::{PsCluster, SpaceShared};
 use ccs_workload::{Job, Urgency};
 use proptest::prelude::*;
 
@@ -55,9 +55,8 @@ proptest! {
     /// Every task submitted to the PS engine completes, no job finishes
     /// faster than its runtime (rate ≤ 1), and completions are in order.
     #[test]
-    fn ps_engine_conserves_work(mode in prop::bool::ANY, jobs in jobs_strategy(4)) {
-        let mode = if mode { WeightMode::Static } else { WeightMode::Dynamic };
-        let mut c = PsCluster::new(4, mode);
+    fn ps_engine_conserves_work(jobs in jobs_strategy(4)) {
+        let mut c = PsCluster::new(4);
         let mut submitted = 0usize;
         let mut done = Vec::new();
         for j in &jobs {
@@ -87,7 +86,7 @@ proptest! {
     /// deadline is feasible, meets it.
     #[test]
     fn ps_lone_job_full_speed(rt in 10.0f64..5000.0, df in 1.1f64..20.0, procs in 1u32..=4) {
-        let mut c = PsCluster::new(4, WeightMode::Static);
+        let mut c = PsCluster::new(4);
         let j = job(0, 0.0, rt, rt, rt * df, procs);
         let nodes: Vec<usize> = (0..procs as usize).collect();
         c.submit(&j, &nodes, 0.0);
@@ -95,10 +94,11 @@ proptest! {
         prop_assert!((done[0].finish - rt).abs() < 1e-6);
     }
 
-    /// free_share never exceeds 1 and decreases when a task is added.
+    /// free_share never exceeds 1 and decreases when a task is added (at
+    /// submission each weight is its admitted share).
     #[test]
     fn ps_free_share_bounds(shares in prop::collection::vec(0.05f64..0.3, 1..6)) {
-        let mut c = PsCluster::new(1, WeightMode::Static);
+        let mut c = PsCluster::new(1);
         let mut prev_free = c.free_share(0, 0.0);
         prop_assert!((prev_free - 1.0).abs() < 1e-12);
         for (i, &s) in shares.iter().enumerate() {
@@ -160,22 +160,6 @@ proptest! {
         if need <= c.free_procs() {
             prop_assert_eq!(r.shadow_time, now);
         }
-    }
-
-    /// Dynamic mode frees at least as much share over time as static mode
-    /// for the same resident set (the LibraRiskD admission advantage).
-    #[test]
-    fn dynamic_frees_no_less_than_static(s in 0.1f64..0.9, frac in 0.1f64..0.9) {
-        let d = 1000.0;
-        let j = job(0, 0.0, s * d, s * d, d, 1);
-        let probe_t = s * d * frac; // partway through the lone job's run
-        let mut stat = PsCluster::new(1, WeightMode::Static);
-        stat.submit(&j, &[0], 0.0);
-        stat.advance_to(probe_t);
-        let mut dy = PsCluster::new(1, WeightMode::Dynamic);
-        dy.submit(&j, &[0], 0.0);
-        dy.advance_to(probe_t);
-        prop_assert!(dy.free_share(0, probe_t) >= stat.free_share(0, probe_t) - 1e-9);
     }
 }
 

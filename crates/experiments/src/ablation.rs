@@ -19,7 +19,6 @@
 //!   reproduces that sensitivity across workload levels.
 
 use crate::scenario::{baseline, EstimateSet};
-use ccs_cluster::WeightMode;
 use ccs_economy::{EconomicModel, LibraDollarParams};
 use ccs_policies::NodeSelection;
 use ccs_policies::{
@@ -176,8 +175,7 @@ pub fn escalation_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation 
     let mut rows = Vec::new();
     for (label, escalation) in [("escalation on", true), ("escalation off", false)] {
         for variant in [LibraVariant::Plain, LibraVariant::RiskD] {
-            let policy =
-                LibraPolicy::with_engine(variant, cfg.econ, nodes, WeightMode::Dynamic, escalation);
+            let policy = LibraPolicy::with_engine(variant, cfg.econ, nodes, escalation);
             let name = policy.name();
             let metrics = metrics_of(&jobs, policy, &cfg);
             rows.push(AblationRow {

@@ -17,12 +17,14 @@
 //! slot. Actual completions (which may differ from the estimates) trigger a
 //! full re-plan of the waiting queue, preserving the relative reservation
 //! order — the standard "compression" step of conservative backfilling.
+//! Started jobs run on the space-shared run core that EASY backfilling and
+//! FirstReward use too; this policy keeps only its reservation plan. Node
+//! failures are not modelled here (its fault hooks are the no-op defaults).
 
+use crate::run_core::RunCore;
 use crate::traits::{Outcome, Policy, RejectReason};
-use ccs_des::{EventQueue, SimTime};
 use ccs_economy::{base_cost, EconomicModel};
-use ccs_workload::{Job, JobId};
-use std::collections::HashMap;
+use ccs_workload::Job;
 
 /// A planned (not yet started) job: its reservation start time.
 #[derive(Clone, Copy, Debug)]
@@ -31,30 +33,13 @@ struct Reservation {
     start: f64,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct RunInfo {
-    start: f64,
-    charged: Option<f64>,
-    /// Estimate-based completion, used when planning reservations.
-    est_finish: f64,
-    procs: u32,
-}
-
 /// Conservative backfilling over space-shared processors (FCFS reservation
 /// order).
 pub struct ConservativeBf {
     econ: EconomicModel,
-    nodes: u32,
-    /// Processors actually occupied right now.
-    busy: u32,
+    runs: RunCore,
     /// Waiting jobs with reservations, in reservation order.
     plan: Vec<Reservation>,
-    /// NOTE: deliberately the std (SipHash) map — `earliest_start`
-    /// iterates `running.values()`, and that iteration order feeds the
-    /// free-processor profile before a stable by-time sort, so swapping
-    /// the hasher would reorder equal-time deltas and change outputs.
-    running: HashMap<JobId, RunInfo>,
-    completions: EventQueue<JobId>,
     /// Reusable profile buffers for `earliest_start` — placements happen
     /// on every submit/completion/replan, so they must not allocate.
     deltas_scratch: Vec<(f64, i64)>,
@@ -68,11 +53,8 @@ impl ConservativeBf {
     pub fn new(econ: EconomicModel, nodes: u32) -> Self {
         ConservativeBf {
             econ,
-            nodes,
-            busy: 0,
+            runs: RunCore::new(nodes),
             plan: Vec::new(),
-            running: HashMap::new(),
-            completions: EventQueue::new(),
             deltas_scratch: Vec::new(),
             candidates_scratch: Vec::new(),
         }
@@ -94,7 +76,10 @@ impl ConservativeBf {
     /// the reservations in `plan_prefix` (all earlier-reserved jobs).
     ///
     /// Works on a step profile of free processors built from running jobs'
-    /// estimated completions and the prefix reservations.
+    /// estimated completions and the prefix reservations. Running jobs'
+    /// releases all add processors and are pushed first, so the stable sort
+    /// keeps them ahead of any reservation change at the same instant:
+    /// their order among themselves decides nothing.
     fn earliest_start(
         &self,
         job: &Job,
@@ -105,17 +90,15 @@ impl ConservativeBf {
     ) -> f64 {
         // Build change points: (time, delta free procs).
         deltas.clear();
-        for r in self.running.values() {
-            deltas.push((r.est_finish.max(now), r.procs as i64));
-        }
+        let pool = self.runs.cluster();
+        deltas.extend(pool.releases(now).map(|(t, procs)| (t, procs as i64)));
         for res in plan_prefix {
             deltas.push((res.start, -(res.job.procs as i64)));
             deltas.push((res.start + res.job.estimate, res.job.procs as i64));
         }
         deltas.sort_by(|a, b| a.0.total_cmp(&b.0));
 
-        let busy_now: i64 = self.running.values().map(|r| r.procs as i64).sum();
-        let mut free = self.nodes as i64 - busy_now;
+        let free = pool.free_procs() as i64;
         // Candidate start times: now and every change point.
         candidates.clear();
         candidates.push(now);
@@ -155,7 +138,6 @@ impl ConservativeBf {
         }
         // Fallback: after everything (cannot happen: the last candidate —
         // when all load drains — always fits).
-        let _ = &mut free;
         unreachable!("a slot always exists once the machine drains")
     }
 
@@ -187,54 +169,22 @@ impl ConservativeBf {
         }
         // The profile is estimate-optimistic (overrunning jobs are treated
         // as releasing "now"), so gate actual starts on real occupancy.
-        if start <= now + T_EPS && self.busy + job.procs <= self.nodes {
+        if start <= now + T_EPS && job.procs <= self.runs.cluster().free_procs() {
             let charged = match self.econ {
                 EconomicModel::CommodityMarket => Some(base_cost(&job)),
                 EconomicModel::BidBased => None,
             };
-            self.completions
-                .push(SimTime::new(now + job.runtime), job.id);
             out.push(Outcome::Accepted {
                 job: job.id,
                 at: now,
             });
-            out.push(Outcome::Started {
-                job: job.id,
-                at: now,
-            });
-            self.busy += job.procs;
-            self.running.insert(
-                job.id,
-                RunInfo {
-                    start: now,
-                    charged,
-                    est_finish: now + job.estimate,
-                    procs: job.procs,
-                },
-            );
+            self.runs.start(job, now, charged, out);
         } else {
             self.plan.push(Reservation {
                 job,
                 start: start.max(now),
             });
         }
-    }
-
-    fn handle_completion(&mut self, job_id: JobId, finish: f64, out: &mut Vec<Outcome>) {
-        let info = self
-            .running
-            .remove(&job_id)
-            .expect("completion of unknown job");
-        self.busy -= info.procs;
-        out.push(Outcome::Completed {
-            job: job_id,
-            start: info.start,
-            finish,
-            charged: info.charged,
-        });
-        // Compression: early completions pull reservations forward; late
-        // ones push them back. Either way, re-derive the plan.
-        self.replan(finish, out);
     }
 }
 
@@ -244,7 +194,7 @@ impl Policy for ConservativeBf {
     }
 
     fn on_submit(&mut self, job: &Job, now: f64, out: &mut Vec<Outcome>) {
-        if job.procs > self.nodes {
+        if job.procs > self.runs.cluster().base() {
             out.push(Outcome::Rejected {
                 job: job.id,
                 at: now,
@@ -256,7 +206,7 @@ impl Policy for ConservativeBf {
     }
 
     fn next_event_time(&mut self) -> Option<f64> {
-        self.completions.peek_time().map(|t| t.as_secs())
+        self.runs.next_event_time()
     }
 
     fn advance_to(&mut self, t: f64, out: &mut Vec<Outcome>) {
@@ -266,7 +216,8 @@ impl Policy for ConservativeBf {
             // mature between completions (exact-fit schedules with accurate
             // estimates), but an un-startable matured reservation (an
             // overrunning predecessor) simply waits for the next completion.
-            let next_completion = self.completions.peek_time().map(|x| x.as_secs());
+            let next_completion = self.runs.next_event_time();
+            let free = self.runs.cluster().free_procs();
             let next_reservation = self
                 .plan
                 .iter()
@@ -276,19 +227,22 @@ impl Policy for ConservativeBf {
                     self.plan
                         .iter()
                         .find(|r| r.start == s)
-                        .map(|r| self.busy + r.job.procs <= self.nodes)
+                        .map(|r| r.job.procs <= free)
                         .unwrap_or(false)
                 })
                 .fold(f64::INFINITY, f64::min);
             match next_completion {
                 Some(tc) if tc <= t && tc <= next_reservation => {
-                    let (et, id) = self.completions.pop().expect("peeked");
-                    self.handle_completion(id, et.as_secs(), out);
+                    let finish = self.runs.complete_next(tc, out).expect("due completion");
+                    // Compression: early completions pull reservations
+                    // forward; late ones push them back. Either way,
+                    // re-derive the plan.
+                    self.replan(finish, out);
                 }
                 _ if next_reservation.is_finite() && next_reservation <= t => {
-                    let before = self.plan.len() + self.running.len();
+                    let before = self.plan.len() + self.runs.cluster().running_jobs();
                     self.replan(next_reservation, out);
-                    let progressed = self.plan.len() + self.running.len() != before
+                    let progressed = self.plan.len() + self.runs.cluster().running_jobs() != before
                         || self.plan.iter().all(|r| r.start > next_reservation + T_EPS);
                     if !progressed {
                         break; // blocked on an overrunning job: wait
@@ -302,14 +256,16 @@ impl Policy for ConservativeBf {
     fn drain(&mut self, out: &mut Vec<Outcome>) {
         // Completions always make progress; between them, matured
         // reservations start as capacity allows.
-        while !self.completions.is_empty() || !self.plan.is_empty() {
-            let before_running = self.running.len();
+        while !self.runs.is_idle() || !self.plan.is_empty() {
+            let before_running = self.runs.cluster().running_jobs();
             let before_plan = self.plan.len();
             self.advance_to(f64::INFINITY, out);
-            if self.running.len() == before_running && self.plan.len() == before_plan {
+            if self.runs.cluster().running_jobs() == before_running
+                && self.plan.len() == before_plan
+            {
                 // Fully blocked with nothing running: impossible unless the
                 // plan is empty; guard against an infinite loop regardless.
-                if self.completions.is_empty() {
+                if self.runs.is_idle() {
                     // With nothing running, replan at the earliest
                     // reservation to force starts.
                     let t = self
@@ -320,14 +276,14 @@ impl Policy for ConservativeBf {
                     if t.is_finite() {
                         self.replan(t, out);
                     }
-                    if self.running.is_empty() && !self.plan.is_empty() {
+                    if self.runs.is_idle() && !self.plan.is_empty() {
                         unreachable!("conservative plan wedged with an idle machine");
                     }
                 }
             }
         }
         debug_assert!(self.plan.is_empty());
-        debug_assert!(self.running.is_empty());
+        debug_assert!(self.runs.is_idle());
     }
 
     fn queued_jobs(&self) -> usize {
@@ -338,7 +294,7 @@ impl Policy for ConservativeBf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_workload::Urgency;
+    use ccs_workload::{JobId, Urgency};
 
     fn job(id: JobId, submit: f64, runtime: f64, estimate: f64, deadline: f64, procs: u32) -> Job {
         Job {

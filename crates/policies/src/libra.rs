@@ -7,8 +7,8 @@
 //! `est/deadline`. Node selection is best fit: the nodes with the least
 //! spare share that still fit are chosen, saturating nodes one by one.
 //!
-//! All three run the share engine in [`WeightMode::Dynamic`]: node demand
-//! is re-evaluated as remaining estimated work over remaining time to
+//! All three run the same share engine, [`PsCluster`]: node demand is
+//! re-evaluated as remaining estimated work over remaining time to
 //! deadline, so shares freed by early-finishing jobs can be re-committed.
 //! The variants differ in:
 //!
@@ -22,7 +22,7 @@
 //!   estimate) are eligible.
 
 use crate::traits::{Interruption, Outcome, Policy, RejectReason};
-use ccs_cluster::{JobCompletion, PsCluster, WeightMode};
+use ccs_cluster::{JobCompletion, PsCluster};
 use ccs_des::FastHashMap;
 use ccs_economy::{
     libra_cost, libra_dollar_cost, libra_dollar_rate, EconomicModel, LibraDollarParams, LibraParams,
@@ -61,8 +61,8 @@ struct Meta {
 pub struct LibraPolicy {
     variant: LibraVariant,
     econ: EconomicModel,
+    /// The share engine; it carries the escalation setting.
     cluster: PsCluster,
-    // (the PsCluster carries the weight mode and escalation setting)
     selection: NodeSelection,
     dollar_params: LibraDollarParams,
     /// Insert/remove only (never iterated), so the fast integer hasher is
@@ -95,26 +95,21 @@ impl LibraPolicy {
         // onto a node that will escalate when the overrun job's deadline
         // passes. LibraRiskD differs only in refusing such at-risk nodes
         // (Yeo & Buyya, ICPP 2006).
-        LibraPolicy::build(
-            variant,
-            econ,
-            PsCluster::new(nodes as usize, WeightMode::Dynamic),
-        )
+        LibraPolicy::build(variant, econ, PsCluster::new(nodes as usize))
     }
 
-    /// Ablation constructor: control the weight discipline and the
-    /// deadline-escalation cascade of the underlying share engine.
+    /// Ablation constructor: control the deadline-escalation cascade of the
+    /// underlying share engine.
     pub fn with_engine(
         variant: LibraVariant,
         econ: EconomicModel,
         nodes: u32,
-        mode: WeightMode,
         escalation: bool,
     ) -> Self {
         LibraPolicy::build(
             variant,
             econ,
-            PsCluster::with_escalation(nodes as usize, mode, escalation),
+            PsCluster::with_escalation(nodes as usize, escalation),
         )
     }
 
@@ -123,11 +118,7 @@ impl LibraPolicy {
     /// share, so fast nodes host more concurrent work — Libra's
     /// computational-economy papers explicitly target such clusters.
     pub fn with_ratings(variant: LibraVariant, econ: EconomicModel, ratings: Vec<f64>) -> Self {
-        LibraPolicy::build(
-            variant,
-            econ,
-            PsCluster::with_ratings(ratings, WeightMode::Dynamic, true),
-        )
+        LibraPolicy::build(variant, econ, PsCluster::with_ratings(ratings, true))
     }
 
     /// A policy over `cluster` with the paper's selection and prices.
@@ -189,13 +180,9 @@ impl LibraPolicy {
             // the admission decision and the `free` key are byte-identical
             // to `free_share` plus the `free + SHARE_EPS < required` test.
             // LibraRiskD's at-risk test rides along in the same pass.
-            let free = self.cluster.free_share_if_fits_safe(
-                n,
-                now,
-                required,
-                SHARE_EPS,
-                refuse_at_risk,
-            )?;
+            let free =
+                self.cluster
+                    .free_share_if_fits(n, now, required, SHARE_EPS, refuse_at_risk)?;
             Some((free, n))
         }));
         let need = procs as usize;

@@ -1,8 +1,9 @@
-//! The space-shared run core that EASY backfilling and FirstReward share.
+//! The space-shared run core that EASY backfilling, conservative
+//! backfilling and FirstReward share.
 //!
-//! Both policies run jobs on whole processors of one [`SpaceShared`] pool
-//! and differ only in their queue: its order, its admission rules and its
-//! pricing. Everything a job does once started lives here — occupying
+//! All three policies run jobs on whole processors of one [`SpaceShared`]
+//! pool and differ only in their queue: its order, its admission rules and
+//! its pricing. Everything a job does once started lives here — occupying
 //! processors, its completion event, its `Completed` outcome, preemption by
 //! a node failure and the capacity a repair brings back — so each policy
 //! keeps only the queue it serves and a scheduling pass over it.

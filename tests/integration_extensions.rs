@@ -98,6 +98,60 @@ fn ablations_run_and_support_paper_claims() {
     assert!(rel("Libra (escalation off)") >= rel("Libra (escalation on)") - 1.0);
 }
 
+/// FNV-1a over every ablation row's label and the raw bits of its metrics,
+/// in study and row order.
+fn ablations_hash(studies: &[ablation::Ablation]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |bytes: &[u8]| {
+        for &byte in bytes {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for row in studies.iter().flat_map(|s| &s.rows) {
+        let m = &row.metrics;
+        mix(row.label.as_bytes());
+        for n in [
+            m.submitted,
+            m.accepted,
+            m.fulfilled,
+            m.interrupted,
+            m.restarts,
+            m.aborted,
+            m.node_failures,
+            m.node_repairs,
+        ] {
+            mix(&n.to_le_bytes());
+        }
+        for x in [
+            m.wait_sum_fulfilled,
+            m.utility_total,
+            m.budget_total,
+            m.delay_sum,
+        ] {
+            mix(&x.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// Captured before the share engine lost its static weight discipline and
+/// conservative backfilling moved onto the shared run core; it pins the
+/// escalation on/off and EASY-vs-conservative rows no grid snapshot covers.
+/// A change here means a refactor altered simulation output.
+const QUICK_ABLATIONS_HASH: u64 = 0x6359_44ee_3b6d_2b9c;
+
+#[test]
+fn quick_ablations_are_byte_identical_to_snapshot() {
+    let cfg = ExperimentConfig::quick();
+    let base = cfg.trace.generate(cfg.seed);
+    let h = ablations_hash(&ablation::run_all(&base, cfg.seed, cfg.nodes));
+    assert_eq!(
+        h, QUICK_ABLATIONS_HASH,
+        "quick ablation rows drifted: got {h:#018x}"
+    );
+}
+
 #[test]
 fn diurnal_workload_feeds_the_simulator() {
     let base = SdscSp2Model {
