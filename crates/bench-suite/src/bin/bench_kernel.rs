@@ -28,10 +28,6 @@
 //!   commodity-market policy (admission + schedule + drain);
 //! * `single_cell_utility_risk` — jobs/sec through one full quick-config
 //!   grid cell (the unit of work `utility_risk` parallelises over);
-//! * `stream_stats` — the same cell with a [`ccs_simsvc::LiveRunStats`]
-//!   observer attached (streaming Welford μ/σ + realtime risk); compare
-//!   against `single_cell_utility_risk` to read the observer-hook
-//!   overhead, which must stay small (<2 % on a quiet machine);
 //! * `quick_grid` — jobs/sec through the full quick experiment grid
 //!   (13 scenarios × 6 values × 5 policies, commodity market).
 //!
@@ -47,7 +43,7 @@ use ccs_des::{EventQueue, SimRng, SimTime, Simulation};
 use ccs_economy::EconomicModel;
 use ccs_experiments::{run_cell_ensemble, EstimateSet, ExperimentConfig, GridRun, Scenario};
 use ccs_policies::PolicyKind;
-use ccs_simsvc::{simulate, FaultConfig, LiveRunStats, Run, RunConfig};
+use ccs_simsvc::{simulate, FaultConfig, RunConfig};
 use ccs_workload::{apply_scenario, Job, JobId, ScenarioTransform, SdscSp2Model, Urgency};
 use std::sync::Arc;
 
@@ -253,28 +249,6 @@ fn policy_round(jobs: &[Job], kind: PolicyKind, nodes: u32) -> u64 {
     checksum
 }
 
-/// [`policy_round`] with a [`LiveRunStats`] observer attached: the same
-/// work plus the streaming-statistics hook, so the throughput delta vs
-/// `single_cell_utility_risk` *is* the observer overhead.
-fn observed_round(jobs: &[Job], kind: PolicyKind, nodes: u32) -> u64 {
-    let cfg = RunConfig {
-        nodes,
-        econ: EconomicModel::CommodityMarket,
-    };
-    let mut live = LiveRunStats::new(jobs, &cfg);
-    let out = Run::new(jobs, kind, &cfg).observe(&mut live).execute();
-    let res = out.expect("bench workloads are sorted").result;
-    let mut checksum = 0u64;
-    for x in res.metrics.objectives() {
-        checksum = checksum
-            .wrapping_mul(0x100000001B3)
-            .wrapping_add(x.to_bits());
-    }
-    checksum
-        .wrapping_add(live.wait_stats().mean().to_bits())
-        .wrapping_add(live.realtime_risk().score().to_bits())
-}
-
 /// Runs the quick commodity grid; returns a checksum over the raw
 /// objective values so the work cannot be optimised away.
 fn grid_round(jobs: usize) -> u64 {
@@ -423,13 +397,6 @@ fn main() {
     );
     report_line(&cell);
     measurements.push(cell);
-
-    eprintln!("benchmarking observed cell ({CELL_JOBS} jobs/iter, streaming stats attached)...");
-    let stream = measure("stream_stats", CELL_JOBS as u64, min_secs, || {
-        observed_round(&cell_jobs, PolicyKind::Libra, 128)
-    });
-    report_line(&stream);
-    measurements.push(stream);
 
     let ensemble_jobs = Arc::new(cell_jobs.clone());
     let ensemble_units = (CELL_JOBS * ENSEMBLE_REPLICAS) as u64;

@@ -155,27 +155,6 @@ impl<E> Simulation<E> {
     }
 }
 
-// `run` needs to hand the simulation back to the handler while iterating;
-// do that with a small internal dance to satisfy the borrow checker.
-impl<E> Simulation<E> {
-    fn next_internal(&mut self) -> Option<(SimTime, E)> {
-        self.next()
-    }
-}
-
-/// Extension: a run loop that passes `&mut Simulation` to the handler.
-///
-/// This is a free function (not a method) so the closure can borrow the
-/// simulation mutably without aliasing the iterator state.
-pub fn run_to_completion<E, F>(sim: &mut Simulation<E>, mut handler: F)
-where
-    F: FnMut(&mut Simulation<E>, SimTime, E),
-{
-    while let Some((t, ev)) = sim.next_internal() {
-        handler(sim, t, ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,7 +196,7 @@ mod tests {
         let mut sim = Simulation::new();
         sim.schedule_at(SimTime::ZERO, 0u32);
         let mut seen = Vec::new();
-        run_to_completion(&mut sim, |sim, _t, n| {
+        sim.run(|sim, _t, n| {
             seen.push(n);
             if n < 5 {
                 sim.schedule_in(1.0, n + 1);

@@ -9,7 +9,6 @@
 use crate::model::EconomicModel;
 use ccs_workload::JobId;
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 
 /// Billing disposition of one job.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -148,24 +147,6 @@ impl Ledger {
         s.net_revenue = s.gross_revenue - s.compensation;
         s
     }
-
-    /// Exports the ledger as CSV (header + one row per invoice).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("job,disposition,budget,amount,delay\n");
-        for inv in &self.invoices {
-            let d = match inv.disposition {
-                Disposition::Rejected => "rejected",
-                Disposition::Fulfilled => "fulfilled",
-                Disposition::Late => "late",
-            };
-            let _ = writeln!(
-                s,
-                "{},{},{:.2},{:.2},{:.1}",
-                inv.job, d, inv.budget, inv.amount, inv.delay
-            );
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -214,19 +195,6 @@ mod tests {
         assert_eq!(s.compensation, 200.0);
         assert_eq!(s.net_revenue, 0.0);
         assert_eq!(s.total_budget, 600.0);
-    }
-
-    #[test]
-    fn csv_round_shape() {
-        let mut l = Ledger::new();
-        l.reject(7, 10.0);
-        l.complete(EconomicModel::BidBased, 8, 20.0, None, 5.0, 1.0);
-        let csv = l.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "job,disposition,budget,amount,delay");
-        assert!(lines[1].starts_with("7,rejected,"));
-        assert!(lines[2].starts_with("8,late,"));
     }
 
     #[test]

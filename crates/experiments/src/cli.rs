@@ -329,6 +329,12 @@ impl Raw {
             .out
             .clone()
             .unwrap_or_else(|| PathBuf::from("target/figures"));
+        // Artifacts are written after the grids run: a file in the way
+        // would fail them only then.
+        if out.exists() && !out.is_dir() {
+            let message = format!("{} exists and is not a directory", out.display());
+            return Err(ConfigError::new("--out", message));
+        }
         Ok((cfg, out, self.telemetry.clone()))
     }
 
@@ -773,6 +779,8 @@ mod tests {
             ),
             (&["serve-worker"], "serve-worker"),
             (&["summary", "--compact-journal"], "--compact-journal"),
+            // Tests run in the package root, where Cargo.toml is a file.
+            (&["summary", "--out", "Cargo.toml"], "--out"),
             (&["summary", "--retries", "3"], "--retries"),
             (
                 &["summary", "--workers", "1", "--replicas", "2"],

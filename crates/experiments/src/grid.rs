@@ -18,7 +18,6 @@ use crate::ConfigError;
 use ccs_chaos::StuckPolicy;
 use ccs_economy::EconomicModel;
 use ccs_policies::{build_policy, Policy, PolicyKind};
-use ccs_risk::WaitNormalization;
 use ccs_simsvc::{FaultConfig, Run, RunBudget, RunConfig, RunError, Violation};
 use ccs_telemetry::profile::ProfileSnapshot;
 use ccs_telemetry::{Counter, Histogram};
@@ -419,20 +418,6 @@ impl RawGrid {
         cells.truncate(k);
         cells
     }
-
-    /// Per-worker utilisation: busy seconds divided by grid wall time.
-    pub fn worker_utilisation(&self) -> Vec<f64> {
-        self.worker_busy_secs
-            .iter()
-            .map(|&busy| {
-                if self.wall_secs > 0.0 {
-                    busy / self.wall_secs
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
 }
 
 /// The policies the paper evaluates for `econ` (Table V).
@@ -459,8 +444,7 @@ pub fn plan_shards(total: usize, workers: usize) -> Vec<Vec<usize>> {
 /// The one way to run grids, from one grid to the four-grid study.
 /// `.control(&ctl)` adds [`GridControl`]'s journal, budgets, drills and
 /// supervisor; `.base(&base)` runs over other base jobs (Lublin, diurnal,
-/// SWF imports); `.board(&board)` folds each completed point of a one-grid
-/// run into a caller's [`LiveRiskBoard`]. One [`GridRun::run`] is one run,
+/// SWF imports). One [`GridRun::run`] is one run,
 /// planned whole: a cell whose inputs equal an earlier cell's, in any of
 /// its grids, takes that cell's result instead of simulating. Its grids
 /// share one journal and, under a supervisor, one fleet, spawned by the
@@ -470,7 +454,6 @@ pub struct GridRun<'a> {
     cfg: &'a ExperimentConfig,
     ctl: Option<&'a GridControl>,
     base: Option<&'a [BaseJob]>,
-    board: Option<&'a LiveRiskBoard>,
 }
 
 /// Why a run without control cannot be refused: it has nothing to check.
@@ -483,7 +466,6 @@ impl<'a> GridRun<'a> {
             cfg,
             ctl: None,
             base: None,
-            board: None,
         }
     }
 
@@ -497,12 +479,6 @@ impl<'a> GridRun<'a> {
     /// `cfg.trace`, so under a supervisor it must equal that trace.
     pub fn base(mut self, base: &'a [BaseJob]) -> Self {
         self.base = Some(base);
-        self
-    }
-
-    /// Folds each completed point of the run's one grid into `board`.
-    pub fn board(mut self, board: &'a LiveRiskBoard) -> Self {
-        self.board = Some(board);
         self
     }
 
@@ -546,9 +522,6 @@ impl<'a> GridRun<'a> {
         grids: &[(EconomicModel, EstimateSet)],
     ) -> Result<OpenRun<'a>, ConfigError> {
         self.check()?;
-        if self.board.is_some() && grids.len() != 1 {
-            return Err(ConfigError::new("board", "a board observes one grid"));
-        }
         if grids
             .iter()
             .enumerate()
@@ -577,7 +550,7 @@ impl<'a> GridRun<'a> {
             (None, None) => Some(Cow::Owned(self.cfg.trace.generate(self.cfg.seed))),
         };
         let derive = fleet.is_none();
-        let (fold, plans) = GridFold::plan(grids, self.cfg, ctl, journal, self.board, derive);
+        let (fold, plans) = GridFold::plan(grids, self.cfg, ctl, journal, derive);
         Ok(OpenRun {
             cfg: self.cfg,
             base,
@@ -1157,12 +1130,11 @@ fn grid_cells(econ: EconomicModel, set: EstimateSet, cfg: &ExperimentConfig) -> 
 /// The run's fold: its plan (which cell represents each content key, and
 /// which cells alias it) and the state of every grid of the run. Each
 /// resolved cell lands here, with its aliases in any grid, in the
-/// [`RawGrid`] arrays, the journal and the live boards. Thread-safe, so the
+/// [`RawGrid`] arrays, the journal and its grid's live board. Thread-safe, so the
 /// local executor's threads and the supervisor's event loop share it.
 pub(crate) struct GridFold<'a> {
     journal: Option<Journal>,
-    /// The caller's board of a one-grid run; else `boards` has one per grid.
-    board: Option<&'a LiveRiskBoard>,
+    /// Each grid's live board, by grid index.
     boards: Vec<LiveRiskBoard>,
     /// The run's grids, in run order.
     grids: Vec<(EconomicModel, EstimateSet)>,
@@ -1248,7 +1220,7 @@ impl GridState {
     fn resolve_point(&mut self, board: &LiveRiskBoard, s: usize, v: usize) {
         self.point_fill[s][v] += 1;
         if self.point_fill[s][v] == self.grid.policies.len() {
-            board.record_point(s, &self.grid.raw[s][v]);
+            board.record_point(&self.grid.raw[s][v]);
         }
     }
 }
@@ -1270,10 +1242,9 @@ impl<'a> GridFold<'a> {
         cfg: &ExperimentConfig,
         ctl: Cow<'a, GridControl>,
         journal: Option<Journal>,
-        board: Option<&'a LiveRiskBoard>,
         derive: bool,
     ) -> (Self, Vec<Vec<CellSpec>>) {
-        let mut fold = GridFold::new(grids, ctl, journal, board);
+        let mut fold = GridFold::new(grids, ctl, journal);
         let mut points = HashMap::new();
         let mut reps: HashMap<_, String> = HashMap::new();
         let mut plans = Vec::with_capacity(grids.len());
@@ -1344,11 +1315,10 @@ impl<'a> GridFold<'a> {
         grids: &[(EconomicModel, EstimateSet)],
         ctl: Cow<'a, GridControl>,
         journal: Option<Journal>,
-        board: Option<&'a LiveRiskBoard>,
     ) -> Self {
-        let own_board = |&(econ, _): &(EconomicModel, EstimateSet)| {
+        let board = |&(econ, _): &(EconomicModel, EstimateSet)| {
             let policies = policies_for(econ).iter().map(|p| p.name().into()).collect();
-            LiveRiskBoard::new(policies, WaitNormalization::default())
+            LiveRiskBoard::new(policies)
         };
         let expected = grids
             .iter()
@@ -1356,11 +1326,7 @@ impl<'a> GridFold<'a> {
             .sum();
         GridFold {
             journal,
-            board,
-            boards: match board {
-                Some(_) => Vec::new(),
-                None => grids.iter().map(own_board).collect(),
-            },
+            boards: grids.iter().map(board).collect(),
             grids: grids.to_vec(),
             families: HashMap::new(),
             held: HashMap::new(),
@@ -1391,18 +1357,13 @@ impl<'a> GridFold<'a> {
         g.expect("a cell belongs to a grid of its run")
     }
 
-    /// The live board grid `g` reports its points to.
-    fn board(&self, g: usize) -> &LiveRiskBoard {
-        self.board.unwrap_or_else(|| &self.boards[g])
-    }
-
     /// Folds a cell past the cell budget: it keeps its placeholder.
     fn skip(&self, spec: &CellSpec) {
         let g = self.grid_of(spec);
         let mut st = self.state.lock().expect(FOLD_POISONED);
         st.expected -= 1;
         st.grid(g)
-            .resolve_point(self.board(g), spec.scenario_idx, spec.value_idx);
+            .resolve_point(&self.boards[g], spec.scenario_idx, spec.value_idx);
     }
 
     /// Folds one resolved cell that `worker` ran (0 = unattributed) with
@@ -1480,7 +1441,7 @@ impl<'a> GridFold<'a> {
         }
         let (folded, expected) = self.fill(spec, sim, worker);
         if let Some(started) = self.progress {
-            let suffix = self.board(self.grid_of(spec)).snapshot().progress_suffix();
+            let suffix = self.boards[self.grid_of(spec)].snapshot().progress_suffix();
             progress::draw_bar_with(folded, expected, started, &suffix);
         }
     }
@@ -1522,7 +1483,7 @@ impl<'a> GridFold<'a> {
             }),
         }
         st.folded += 1;
-        st.grid(gi).resolve_point(self.board(gi), s, v);
+        st.grid(gi).resolve_point(&self.boards[gi], s, v);
         (st.folded, st.expected)
     }
 
@@ -2345,8 +2306,5 @@ mod tests {
         let slow = g.slowest_cells(5);
         assert_eq!(slow.len(), 5);
         assert!(slow[0].secs >= slow[4].secs);
-        for u in g.worker_utilisation() {
-            assert!((0.0..=1.5).contains(&u), "utilisation {u}");
-        }
     }
 }

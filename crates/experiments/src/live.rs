@@ -4,20 +4,17 @@
 //! 78 experiment points of a grid finish. The [`LiveRiskBoard`] folds each
 //! point into streaming [`Welford`] accumulators *as workers complete it*,
 //! so a per-policy risk posture — normalized impact × observed violation
-//! probability, after KMamiz's `RealtimeRisk` — exists at any moment of the
+//! probability, after KMamiz's realtime risk score — exists at any moment of the
 //! run. It is surfaced in the stderr progress line and, with telemetry on,
 //! as a histogram in telemetry snapshots.
 //!
 //! The board is an observer, not a participant: it receives copies of the
 //! objective rows the grid stores anyway, so its presence cannot change
-//! results. At end of run its per-scenario accumulators equal the batch
-//! separate analysis (Eqs. 5–6) to within float-summation noise — the
-//! integration test pins the agreement at 1e-9.
+//! results.
 
 use crate::analysis::normalize_point;
-use crate::scenario::Scenario;
 use ccs_risk::stream::Welford;
-use ccs_risk::{Objective, RiskMeasure, WaitNormalization};
+use ccs_risk::{Objective, WaitNormalization};
 use std::sync::Mutex;
 
 /// One policy's live risk posture, from a [`LiveRiskBoard`] snapshot.
@@ -66,9 +63,6 @@ impl LiveRiskSnapshot {
 
 /// Per-policy streaming accumulators of one grid run.
 struct BoardInner {
-    /// `norm[scenario][policy][objective]` — Welford over the normalized
-    /// objective values recorded at that scenario's points.
-    norm: Vec<Vec<[Welford; 4]>>,
     /// Per-policy Welford over the point-mean normalized score (all four
     /// objectives, all scenarios) — the impact side of the risk score.
     overall: Vec<Welford>,
@@ -82,21 +76,18 @@ struct BoardInner {
 /// record points concurrently; anyone may snapshot at any time.
 pub struct LiveRiskBoard {
     policy_names: Vec<String>,
-    scheme: WaitNormalization,
     inner: Mutex<BoardInner>,
 }
 
 impl LiveRiskBoard {
     /// A board for a grid over `policy_names` (column order), normalizing
-    /// wait values with `scheme` — pass the scheme the batch analysis will
-    /// use so streaming-final equals the batch post-pass.
-    pub fn new(policy_names: Vec<String>, scheme: WaitNormalization) -> Self {
+    /// wait values with the default [`WaitNormalization`], as the study's
+    /// batch analysis does.
+    pub fn new(policy_names: Vec<String>) -> Self {
         let n = policy_names.len();
         LiveRiskBoard {
             policy_names,
-            scheme,
             inner: Mutex::new(BoardInner {
-                norm: vec![vec![[Welford::new(); 4]; n]; Scenario::ALL.len()],
                 overall: vec![Welford::new(); n],
                 reliability: vec![Welford::new(); n],
                 points: 0,
@@ -107,15 +98,12 @@ impl LiveRiskBoard {
     /// Folds one completed experiment point into the board.
     /// `row[policy] = [wait, SLA, reliability, profitability]`, raw values,
     /// exactly as stored into the grid.
-    pub fn record_point(&self, scenario_idx: usize, row: &[[f64; 4]]) {
+    pub fn record_point(&self, row: &[[f64; 4]]) {
         let n = self.policy_names.len();
         assert_eq!(row.len(), n, "row width must match the policy count");
         let mut inner = self.inner.lock().unwrap();
-        let point_norm = normalize_point(row, self.scheme);
+        let point_norm = normalize_point(row, WaitNormalization::default());
         for (p, (objs, norm)) in row.iter().zip(&point_norm).enumerate() {
-            for (acc, &x) in inner.norm[scenario_idx][p].iter_mut().zip(norm) {
-                acc.push(x);
-            }
             inner.reliability[p].push(objs[oi_of(Objective::Reliability)]);
             inner.overall[p].push(norm.iter().sum::<f64>() / 4.0);
         }
@@ -136,35 +124,6 @@ impl LiveRiskBoard {
             points: inner.points,
             policies,
         }
-    }
-
-    /// The streaming separate risk analysis:
-    /// `measures[scenario][policy][objective]`, each derived from the
-    /// Welford accumulator over that scenario's normalized values. After
-    /// the full grid has been recorded this equals the batch
-    /// [`crate::analysis::analyze_with`] under the same scheme to within
-    /// float-summation noise (pinned at 1e-9 by the integration test).
-    ///
-    /// Panics if any accumulator is still empty (scenario not yet visited).
-    pub fn final_measures(&self) -> Vec<Vec<[RiskMeasure; 4]>> {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .norm
-            .iter()
-            .map(|per_policy| {
-                per_policy
-                    .iter()
-                    .map(|w| {
-                        [
-                            w[0].measure(),
-                            w[1].measure(),
-                            w[2].measure(),
-                            w[3].measure(),
-                        ]
-                    })
-                    .collect()
-            })
-            .collect()
     }
 }
 
@@ -223,7 +182,7 @@ mod tests {
     }
 
     fn board2() -> LiveRiskBoard {
-        LiveRiskBoard::new(vec!["P0".into(), "P1".into()], WaitNormalization::default())
+        LiveRiskBoard::new(vec!["P0".into(), "P1".into()])
     }
 
     #[test]
@@ -231,7 +190,7 @@ mod tests {
         let b = board2();
         assert_eq!(b.snapshot().points, 0);
         assert!(b.snapshot().progress_suffix().is_empty());
-        b.record_point(0, &row_a());
+        b.record_point(&row_a());
         let s = b.snapshot();
         assert_eq!(s.points, 1);
         assert_eq!(s.policies.len(), 2);
@@ -246,8 +205,8 @@ mod tests {
     fn dominated_policy_scores_riskier() {
         let b = board2();
         // P1 beats P0 on every objective at every point.
-        b.record_point(0, &row_a());
-        b.record_point(1, &[[200.0, 70.0, 80.0, 30.0], [50.0, 90.0, 99.0, 60.0]]);
+        b.record_point(&row_a());
+        b.record_point(&[[200.0, 70.0, 80.0, 30.0], [50.0, 90.0, 99.0, 60.0]]);
         let s = b.snapshot();
         assert_eq!(s.riskiest().unwrap().name, "P0");
         assert!(s.policies[0].score > s.policies[1].score);
@@ -256,6 +215,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width")]
     fn mismatched_row_width_panics() {
-        board2().record_point(0, &[[0.0; 4]]);
+        board2().record_point(&[[0.0; 4]]);
     }
 }

@@ -618,7 +618,7 @@ mod tests {
                     {"name": "des_kernel", "units_per_iter": 10, "iters": 1,
                      "total_secs": 0.1, "secs_per_iter": 0.1,
                      "best_secs_per_iter": 0.1, "units_per_sec": 1000000.0},
-                    {"name": "stream_stats", "units_per_iter": 10, "iters": 1,
+                    {"name": "quick_grid", "units_per_iter": 10, "iters": 1,
                      "total_secs": 0.1, "secs_per_iter": 0.1,
                      "best_secs_per_iter": 0.1, "units_per_sec": 500.0}
                  ]},
@@ -627,7 +627,7 @@ mod tests {
                     {"name": "des_kernel", "units_per_iter": 10, "iters": 1,
                      "total_secs": 0.1, "secs_per_iter": 0.1,
                      "best_secs_per_iter": 0.1, "units_per_sec": 800000.0},
-                    {"name": "stream_stats", "units_per_iter": 10, "iters": 1,
+                    {"name": "quick_grid", "units_per_iter": 10, "iters": 1,
                      "total_secs": 0.1, "secs_per_iter": 0.1,
                      "best_secs_per_iter": 0.1, "units_per_sec": 510.0}
                  ]}
@@ -640,8 +640,8 @@ mod tests {
             kernel.contains("-20.0%") && kernel.contains("REGRESSED"),
             "{text}"
         );
-        let stream = text.lines().find(|l| l.contains("stream_stats")).unwrap();
-        assert!(!stream.contains("REGRESSED"), "{text}");
+        let grid = text.lines().find(|l| l.contains("quick_grid")).unwrap();
+        assert!(!grid.contains("REGRESSED"), "{text}");
 
         // Label selection.
         let by_label = diff_bench(json, Some("before"), Some("after")).unwrap();

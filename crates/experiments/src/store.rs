@@ -214,17 +214,6 @@ pub const COLUMN_NAMES: [&str; 31] = [
     "sigma_profitability",
 ];
 
-/// The schema-v2 cost-vector columns, in [`crate::grid::PHASE_LEAVES`]
-/// order — the phase-attribution surface `utility_risk perf` reads.
-pub const PHASE_COLUMNS: [&str; 6] = [
-    "ns_workload_gen",
-    "ns_admission",
-    "ns_dispatch",
-    "ns_ps_recompute",
-    "ns_fault",
-    "ns_collect",
-];
-
 /// Default projection for row-mode queries.
 const DEFAULT_SELECT: [&str; 9] = [
     "source",

@@ -39,8 +39,9 @@
 //! the drill fires once per run; the replacement worker gets a new id.
 
 use crate::grid::{run_cell, CellEnv, ExperimentConfig, GridControl, SimulatedCell, WorkloadCache};
-use crate::ipc::{read_frame, write_frame, FromWorker, ToWorker};
+use crate::ipc::{read_frame, write_frame, CellSpec, FromWorker, ToWorker};
 use crate::journal::Journal;
+use crate::scenario::Scenario;
 use ccs_chaos::WorkerKillPlan;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
@@ -153,6 +154,13 @@ pub fn run_session<R: Read>(
     else {
         unreachable!("matched Hello above");
     };
+    // A cluster or trace without nodes would fail every cell: refuse the
+    // session rather than answer it with `Ready`.
+    for (field, n) in [("Hello.nodes", nodes), ("Hello.trace.nodes", trace.nodes)] {
+        if n == 0 {
+            return SessionEnd::Protocol(format!("{field} is 0; a cluster needs a node"));
+        }
+    }
 
     // Supervised runs never carry ensembles (the supervisor path asserts
     // `replicas <= 1`), so workers are pinned to one replica per cell.
@@ -266,7 +274,12 @@ fn run_cells<R: Read>(
             }
         };
         let cell = match msg {
-            ToWorker::RunCell { cell } => cell,
+            ToWorker::RunCell { cell } => match out_of_range(&cell) {
+                Some(field) => {
+                    return SessionEnd::Protocol(format!("RunCell.{field} out of range"))
+                }
+                None => cell,
+            },
             ToWorker::Shutdown => return SessionEnd::Shutdown,
             ToWorker::Hello { .. } => {
                 return SessionEnd::Protocol("unexpected second Hello".to_string());
@@ -315,6 +328,16 @@ fn run_cells<R: Read>(
         if let Err(e) = send(out, &reply) {
             return send_failure(e);
         }
+    }
+}
+
+/// The index of `cell` that names no point of a grid, if any. Checked on
+/// receipt: the lookup it would fail runs outside the cell's panic guard.
+fn out_of_range(cell: &CellSpec) -> Option<&'static str> {
+    match Scenario::ALL.get(cell.scenario_idx) {
+        None => Some("scenario_idx"),
+        Some(s) if cell.value_idx >= s.values().len() => Some("value_idx"),
+        Some(_) => None,
     }
 }
 
@@ -508,6 +531,59 @@ mod tests {
         assert!(matches!(end, SessionEnd::Shutdown), "{end:?}");
         assert_eq!(live_heartbeat_threads(), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hello_without_nodes_ends_the_session_before_ready() {
+        let _serial = one_session_at_a_time();
+        let (mut no_nodes, mut no_trace_nodes) = (hello(1, None), hello(1, None));
+        if let ToWorker::Hello { nodes, .. } = &mut no_nodes {
+            *nodes = 0;
+        }
+        if let ToWorker::Hello { trace, .. } = &mut no_trace_nodes {
+            trace.nodes = 0;
+        }
+        for (frame, field) in [
+            (no_nodes, "Hello.nodes"),
+            (no_trace_nodes, "Hello.trace.nodes"),
+        ] {
+            match drive(vec![frame]) {
+                SessionEnd::Protocol(msg) => assert!(msg.starts_with(field), "{msg}"),
+                other => panic!("expected a protocol end naming {field}, got {other:?}"),
+            }
+        }
+        assert_eq!(live_heartbeat_threads(), 0);
+    }
+
+    /// A cell index past the grid ends the session with a protocol error
+    /// naming the field; the agent lives on to serve the next one.
+    #[test]
+    fn out_of_range_cell_ends_the_session_not_the_agent() {
+        use crate::scenario::EstimateSet;
+        use ccs_economy::EconomicModel;
+        use ccs_policies::PolicyKind;
+
+        let _serial = one_session_at_a_time();
+        let cell = |scenario_idx, value_idx| ToWorker::RunCell {
+            cell: CellSpec {
+                econ: EconomicModel::CommodityMarket,
+                set: EstimateSet::A,
+                scenario_idx,
+                value_idx,
+                policy: PolicyKind::FcfsBf,
+                key: "bad".to_string(),
+            },
+        };
+        for (frame, field) in [
+            (cell(Scenario::ALL.len(), 0), "RunCell.scenario_idx"),
+            (cell(0, 6), "RunCell.value_idx"),
+        ] {
+            match drive(vec![hello(1, None), frame]) {
+                SessionEnd::Protocol(msg) => assert!(msg.starts_with(field), "{msg}"),
+                other => panic!("expected a protocol end naming {field}, got {other:?}"),
+            }
+        }
+        assert_eq!(live_heartbeat_threads(), 0);
     }
 
     #[test]

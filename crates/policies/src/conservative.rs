@@ -218,18 +218,12 @@ impl Policy for ConservativeBf {
             // overrunning predecessor) simply waits for the next completion.
             let next_completion = self.runs.next_event_time();
             let free = self.runs.cluster().free_procs();
+            // Only reservations that could actually start.
             let next_reservation = self
                 .plan
                 .iter()
+                .filter(|r| r.job.procs <= free)
                 .map(|r| r.start)
-                .filter(|&s| {
-                    // Only reservations that could actually start.
-                    self.plan
-                        .iter()
-                        .find(|r| r.start == s)
-                        .map(|r| r.job.procs <= free)
-                        .unwrap_or(false)
-                })
                 .fold(f64::INFINITY, f64::min);
             match next_completion {
                 Some(tc) if tc <= t && tc <= next_reservation => {
@@ -327,6 +321,35 @@ mod tests {
                 _ => None,
             })
             .unwrap_or_else(|| panic!("job {id} never completed"))
+    }
+
+    fn start_of(out: &[Outcome], id: JobId) -> f64 {
+        out.iter()
+            .find_map(|o| match o {
+                Outcome::Started { job, at } if *job == id => Some(*at),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("job {id} never started"))
+    }
+
+    #[test]
+    fn a_fitting_reservation_starts_beside_a_blocked_one_at_its_start() {
+        // Jobs 0 and 2 overrun their estimates and run until 70. Job 1
+        // (6 procs) and job 4 (1 proc) come to be reserved at 50, where job
+        // 0's estimate ends; job 0 still holds its 4 procs then, which
+        // leaves 2 free: room for job 4 only. Job 4 starts at 50 instead of
+        // waiting for the completions at 70.
+        let mut p = ConservativeBf::new(EconomicModel::BidBased, 7);
+        let jobs = [
+            job(0, 10.0, 60.0, 40.0, 1e6, 4),
+            job(1, 10.0, 30.0, 50.0, 1e6, 6),
+            job(2, 10.0, 60.0, 20.0, 1e6, 1),
+            job(3, 10.0, 20.0, 10.0, 1e6, 3),
+            job(4, 30.0, 10.0, 60.0, 1e6, 1),
+        ];
+        let out = run(&mut p, &jobs);
+        assert_eq!(start_of(&out, 4), 50.0);
+        assert_eq!(start_of(&out, 1), 70.0);
     }
 
     #[test]

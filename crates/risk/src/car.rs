@@ -12,9 +12,7 @@
 //! Definitions follow the CaR papers:
 //! - **makespan** (response time): `finish − submit` per job;
 //! - **expansion factor** (slowdown): `(wait + runtime)/runtime`;
-//! - `CaR_q` = the `q`-quantile of the chosen metric's distribution;
-//! - the **CaR ratio** `CaR_q / median` measures tail heaviness — how much
-//!   worse the at-risk jobs fare than the typical job.
+//! - `CaR_q` = the `q`-quantile of the chosen metric's distribution.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,17 +76,6 @@ pub fn quantile(samples: &[f64], q: f64) -> f64 {
 /// with probability `q`.
 pub fn car(samples: &[f64], q: f64) -> f64 {
     quantile(samples, q)
-}
-
-/// Tail-heaviness ratio `CaR_q / median` (≥ 1 for q ≥ 0.5 on non-negative
-/// metrics). A ratio near 1 means predictable completions; a large ratio
-/// means the at-risk jobs fare far worse than the typical job.
-pub fn car_ratio(samples: &[f64], q: f64) -> f64 {
-    let med = quantile(samples, 0.5);
-    if med <= 0.0 {
-        return 1.0;
-    }
-    car(samples, q) / med
 }
 
 /// Runs the standard CaR summary over a sample set.
@@ -155,16 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn car_ratio_measures_tail_heaviness() {
-        let tight = vec![10.0; 50];
-        assert_eq!(car_ratio(&tight, 0.95), 1.0);
-        let mut heavy = vec![10.0; 48];
-        heavy.push(1000.0);
-        heavy.push(2000.0);
-        assert!(car_ratio(&heavy, 0.99) > 10.0, "heavy tail detected");
-    }
-
-    #[test]
     fn analyze_summary_is_consistent() {
         let xs: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
         let a = analyze(CarMetric::Makespan, &xs);
@@ -192,6 +169,5 @@ mod tests {
     #[test]
     fn single_sample_degenerate() {
         assert_eq!(car(&[7.0], 0.99), 7.0);
-        assert_eq!(car_ratio(&[7.0], 0.99), 1.0);
     }
 }

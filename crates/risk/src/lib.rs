@@ -60,7 +60,7 @@ pub use apriori::{
     forecast, kendall_tau, pareto_front, uniform_mix, weight_sensitivity, Sensitivity,
 };
 pub use bootstrap::{bootstrap_separate, BootstrapResult, Interval};
-pub use car::{car, car_ratio, CarAnalysis, CarMetric};
+pub use car::{car, CarAnalysis, CarMetric};
 pub use dominance::{dominance_matrix, dominates, paired_wins, Dominance};
 pub use integrated::{integrated, integrated_equal};
 pub use measure::RiskMeasure;
@@ -69,5 +69,5 @@ pub use objective::{Better, Focus, Objective};
 pub use plot::{sample_figure1, Extrema, PolicySeries, RiskPlot};
 pub use rank::{rank, RankBy, RankedPolicy};
 pub use separate::separate;
-pub use stream::{normalize_scores, RealtimeRisk, SlidingStats, Welford};
+pub use stream::Welford;
 pub use trend::{Gradient, TrendLine};

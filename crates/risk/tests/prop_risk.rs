@@ -24,6 +24,23 @@ proptest! {
         prop_assert!(s.population_variance() <= range * range / 4.0 + 1e-9);
     }
 
+    /// Batch separate risk analysis (Eqs. 5–6) agrees with a Welford
+    /// fold of the same normalized results: μ to 1e-9, and σ² to 1e-9.
+    /// σ² rather than σ, because the batch E[x²]−E[x]² cancels on
+    /// near-constant data, leaving ~1e-9 of spurious σ where Welford
+    /// reports 0.
+    #[test]
+    fn separate_matches_welford(xs in prop::collection::vec(0.0f64..=1.0, 1..100)) {
+        let batch = separate(&xs);
+        let mut w = Welford::new();
+        for &x in &xs {
+            w.push(x);
+        }
+        let streamed = w.measure();
+        prop_assert!((batch.performance - streamed.performance).abs() < 1e-9);
+        prop_assert!((batch.volatility.powi(2) - streamed.volatility.powi(2)).abs() < 1e-9);
+    }
+
     /// Separate risk analysis stays in its mathematical bounds: performance
     /// in [0,1], volatility in [0, 0.5] (max population sd of unit-interval
     /// data).

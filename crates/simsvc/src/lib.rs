@@ -9,12 +9,12 @@
 //!
 //! Every run goes through one builder, [`Run`]: construct it for a
 //! built-in policy kind or a policy of your own, choose any of
-//! `.fault()`, `.budget()`, `.observe()`, `.trace()` and `.check()`, and
+//! `.fault()`, `.budget()`, `.trace()` and `.check()`, and
 //! `.execute()` it into a [`RunOutput`]. [`simulate`] is the shorthand for
 //! a plain run.
 //!
 //! ```
-//! use ccs_simsvc::{simulate, FaultConfig, LiveRunStats, Run, RunConfig};
+//! use ccs_simsvc::{simulate, FaultConfig, Run, RunConfig};
 //! use ccs_policies::PolicyKind;
 //! use ccs_economy::EconomicModel;
 //! use ccs_workload::{apply_scenario, ScenarioTransform, SdscSp2Model};
@@ -29,16 +29,13 @@
 //!
 //! // The same run with every setting on: the result does not change.
 //! let fault = FaultConfig::exponential(42, 1e15, 3600.0);
-//! let mut live = LiveRunStats::new(&jobs, &cfg);
 //! let out = Run::new(&jobs, PolicyKind::Libra, &cfg)
 //!     .fault(Some(&fault))
-//!     .observe(&mut live)
 //!     .trace()
 //!     .check()
 //!     .execute()
 //!     .unwrap();
 //! assert_eq!(out.result, result);
-//! assert_eq!(live.metrics(), &result.metrics);
 //! assert!(out.trace.is_some() && out.violations.is_empty());
 //! ```
 
@@ -49,7 +46,6 @@ pub mod budget;
 pub mod fault;
 pub mod invariant;
 pub mod metrics;
-pub mod observe;
 pub mod record;
 pub mod runner;
 pub mod samples;
@@ -60,7 +56,6 @@ pub use budget::{BudgetExceeded, BudgetKind, RunBudget};
 pub use fault::{Degradation, FaultConfig};
 pub use invariant::{check_run, Violation};
 pub use metrics::RunMetrics;
-pub use observe::{LiveRunStats, RunObserver};
 pub use record::JobRecord;
 pub use runner::{
     simulate, simulate_counted, simulate_faulty_counted, Run, RunConfig, RunError, RunOutput,

@@ -1,11 +1,6 @@
 //! Run-level metrics and the four objective measures (paper Section 3).
 
-use ccs_des::{FastHashMap, FastHashSet};
-use ccs_economy::{bid_utility, EconomicModel};
-use ccs_policies::Outcome;
-use ccs_workload::{Job, JobId};
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 
 /// Aggregate counters of one simulation run, from which the paper's four
 /// objectives are computed.
@@ -95,98 +90,6 @@ impl RunMetrics {
             self.reliability_pct(),
             self.profitability_pct(),
         ]
-    }
-}
-
-/// What one completion added: whether it met its SLA, the utility earned,
-/// and the wait from submission to first start (Eq. 1 counts it if met).
-pub(crate) struct Completion {
-    pub fulfilled: bool,
-    pub utility: f64,
-    pub wait: f64,
-}
-
-/// The one fold of an outcome stream into [`RunMetrics`] (Eqs. 1–4), fed
-/// by both the runner's batch post-pass and the streaming
-/// [`crate::LiveRunStats`], so the two agree bit for bit. It reads the
-/// live stream's restart (a second `Accepted` of an interrupted job) and
-/// failed restart (its `Rejected`) as the batch stream's `Restarted` and
-/// `Aborted`. It keeps each job as a `J`: a borrow in the post-pass, a
-/// copy in the observer, which outlives the run's job slice.
-#[derive(Clone, Debug)]
-pub(crate) struct MetricsFold<J> {
-    econ: EconomicModel,
-    pub jobs: FastHashMap<JobId, J>,
-    interrupted: FastHashSet<JobId>,
-    /// First start per job: a restart keeps the one Eq. 1 measures to.
-    pub first_start: FastHashMap<JobId, f64>,
-    pub metrics: RunMetrics,
-}
-
-impl<J: Borrow<Job>> MetricsFold<J> {
-    /// The fold of `jobs` under `econ` before any outcome; `keep` makes a `J`.
-    pub(crate) fn new<'j>(jobs: &'j [Job], econ: EconomicModel, keep: fn(&'j Job) -> J) -> Self {
-        MetricsFold {
-            econ,
-            jobs: jobs.iter().map(|j| (j.id, keep(j))).collect(),
-            interrupted: FastHashSet::default(),
-            first_start: FastHashMap::default(),
-            metrics: RunMetrics {
-                submitted: jobs.len() as u32,
-                budget_total: jobs.iter().map(|j| j.budget).sum(),
-                ..Default::default()
-            },
-        }
-    }
-
-    /// Folds one outcome; a completion also returns what it added.
-    pub(crate) fn fold(&mut self, outcome: &Outcome) -> Option<Completion> {
-        let m = &mut self.metrics;
-        match *outcome {
-            Outcome::Accepted { job, .. } if self.interrupted.contains(&job) => m.restarts += 1,
-            Outcome::Accepted { .. } => m.accepted += 1,
-            Outcome::Rejected { job, .. } if self.interrupted.contains(&job) => m.aborted += 1,
-            Outcome::Rejected { .. } => {}
-            Outcome::Started { job, at } => {
-                self.first_start.entry(job).or_insert(at);
-            }
-            Outcome::Completed {
-                job,
-                start,
-                finish,
-                charged,
-            } => {
-                let j: &Job = self.jobs[&job].borrow();
-                let fulfilled = j.fulfilled_by(finish);
-                let utility = match self.econ {
-                    EconomicModel::CommodityMarket => {
-                        charged.expect("commodity completion must carry its charge")
-                    }
-                    EconomicModel::BidBased => bid_utility(j, finish),
-                };
-                m.utility_total += utility;
-                m.delay_sum += j.delay_at(finish);
-                let wait = (*self.first_start.entry(job).or_insert(start) - j.submit).max(0.0);
-                if fulfilled {
-                    m.fulfilled += 1;
-                    m.wait_sum_fulfilled += wait;
-                }
-                return Some(Completion {
-                    fulfilled,
-                    utility,
-                    wait,
-                });
-            }
-            Outcome::Interrupted { job, .. } => {
-                self.interrupted.insert(job);
-                m.interrupted += 1;
-            }
-            Outcome::Restarted { .. } => m.restarts += 1,
-            Outcome::Aborted { .. } => m.aborted += 1,
-            Outcome::NodeFailed { .. } => m.node_failures += 1,
-            Outcome::NodeRepaired { .. } => m.node_repairs += 1,
-        }
-        None
     }
 }
 

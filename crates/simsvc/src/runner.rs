@@ -3,12 +3,11 @@
 use crate::budget::{BudgetExceeded, RunBudget, Watchdog};
 use crate::fault::{Degradation, FaultConfig};
 use crate::invariant::{check_run, Violation};
-use crate::metrics::{MetricsFold, RunMetrics};
-use crate::observe::RunObserver;
+use crate::metrics::RunMetrics;
 use crate::record::JobRecord;
 use crate::trace::{synthesise, RunTrace};
 use ccs_des::{FailureEventKind, FailureProcess, FastHashMap, FastHashSet, NodeFailureEvent};
-use ccs_economy::{EconomicModel, Ledger};
+use ccs_economy::{bid_utility, EconomicModel, Ledger};
 use ccs_policies::{build_policy, Interruption, Outcome, Policy, PolicyKind};
 use ccs_telemetry::trace::{begin_kernel_capture, take_kernel_capture};
 use ccs_workload::{Job, JobId};
@@ -136,7 +135,6 @@ pub struct Run<'a> {
     cfg: &'a RunConfig,
     fault: Option<&'a FaultConfig>,
     budget: RunBudget,
-    observer: Option<&'a mut dyn RunObserver>,
     trace: bool,
     check: bool,
 }
@@ -157,7 +155,6 @@ impl<'a> Run<'a> {
             cfg,
             fault: None,
             budget: RunBudget::unlimited(),
-            observer: None,
             trace: false,
             check: false,
         }
@@ -176,14 +173,6 @@ impl<'a> Run<'a> {
     /// watchdog at all.
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Feeds every [`Outcome`] to `observer` as the run produces it — the
-    /// streaming-analytics hook. The observer sees the raw live stream,
-    /// before the fault reconciliation post-pass (see [`RunObserver`]).
-    pub fn observe(mut self, observer: &'a mut dyn RunObserver) -> Self {
-        self.observer = Some(observer);
         self
     }
 
@@ -212,7 +201,7 @@ impl<'a> Run<'a> {
         if self.trace {
             begin_kernel_capture();
         }
-        let driven = drive(jobs, self.policy, cfg, self.fault, budget, self.observer);
+        let driven = drive(jobs, self.policy, cfg, self.fault, budget);
         let kernel_spans = if self.trace {
             take_kernel_capture()
         } else {
@@ -258,10 +247,7 @@ const DRAIN_STAGNATION_CAP: u64 = 100_000;
 const DRAIN_FAILURE_EVENT_CAP: u64 = 10_000_000;
 
 /// The one driver. `fault: None` takes exactly the failure-free path;
-/// `budget: None` runs no watchdog and the unstepped drain; `observer:
-/// None` never clones an outcome — the watermark bookkeeping is a single
-/// `usize` compare per step — so the plain path is untouched (pinned by the
-/// `stream_stats` bench and the perf-snapshot hashes). The policy's
+/// `budget: None` runs no watchdog and the unstepped drain. The policy's
 /// [`Policy::name`] labels the per-policy telemetry series.
 ///
 /// With a budget, the watchdog ticks once per driver step — each
@@ -273,14 +259,11 @@ const DRAIN_FAILURE_EVENT_CAP: u64 = 10_000_000;
 /// stepped drain processes the same events in the same order, so results
 /// are identical either way.
 ///
-/// The observer is fed *before* [`reconcile_fault_outcomes`] rewrites the
-/// stream: it consumes the raw live view (restarts still look like
-/// re-acceptances) and applies its own reconciliation if it wants
-/// batch-equivalent accounting. The policy (and with it any DES event
-/// queues it owns) is dropped *before* this returns, so a kernel-span
-/// capture window opened around this call observes the queue-stat flushes,
-/// so the policy's [`Policy::riskd_equivalent`] answer is read and returned
-/// just before the drop.
+/// The policy (and with it any DES event queues it owns) is dropped
+/// *before* this returns, so a kernel-span capture window opened around
+/// this call observes the queue-stat flushes, so the policy's
+/// [`Policy::riskd_equivalent`] answer is read and returned just before the
+/// drop.
 ///
 /// Instrumentation never feeds back into simulation state, so results are
 /// bit-identical whether or not telemetry is on; with it off every timer
@@ -291,19 +274,7 @@ fn drive(
     cfg: &RunConfig,
     fault: Option<&FaultConfig>,
     budget: Option<RunBudget>,
-    mut observer: Option<&mut dyn RunObserver>,
 ) -> Result<(RunResult, Vec<Outcome>, Option<bool>), RunError> {
-    // Feeds `out[*fed..]` — the outcomes appended since the last call — to
-    // the observer, in stream order.
-    fn feed(observer: &mut Option<&mut dyn RunObserver>, out: &[Outcome], fed: &mut usize) {
-        if let Some(obs) = observer.as_deref_mut() {
-            for o in &out[*fed..] {
-                obs.on_outcome(o);
-            }
-        }
-        *fed = out.len();
-    }
-    let mut fed: usize = 0;
     let name = policy.name();
     // Per-policy latency histograms, looked up once per run; `None` (no
     // clock reads) unless telemetry is on.
@@ -315,7 +286,7 @@ fn drive(
     // Phase attribution (no-op unless the `profile` feature is on): the
     // whole driver is the `run` phase; admission / dispatch / fault /
     // collect below are its children. Self-time on `run` itself is driver
-    // overhead (loop bookkeeping, watchdog ticks, observer feeding).
+    // overhead (loop bookkeeping, watchdog ticks).
     let _phase_run = ccs_telemetry::profile::enter("run");
     let mut faults = match fault {
         Some(f) => {
@@ -352,7 +323,6 @@ fn drive(
         if ccs_telemetry::profile::PROFILE_ENABLED {
             ccs_telemetry::profile::depth(policy.queued_jobs() as u64);
         }
-        feed(&mut observer, &out, &mut fed);
     }
     if let Some(fd) = faults.as_mut() {
         // Drain under failures: merge the policy's internal events with the
@@ -364,7 +334,6 @@ fn drive(
         let mut stagnant: u64 = 0;
         let mut last_queued = usize::MAX;
         loop {
-            feed(&mut observer, &out, &mut fed);
             if let Some(wd) = watchdog.as_mut() {
                 wd.tick().map_err(RunError::Budget)?;
             }
@@ -414,7 +383,6 @@ fn drive(
                 let _phase = ccs_telemetry::profile::enter("dispatch");
                 policy.advance_to(t, &mut out);
             }
-            feed(&mut observer, &out, &mut fed);
         }
     }
     let riskd_equivalent = {
@@ -424,7 +392,6 @@ fn drive(
         drop(policy);
         certificate
     };
-    feed(&mut observer, &out, &mut fed);
     let _phase_collect = ccs_telemetry::profile::enter("collect");
     if faults.is_some() {
         reconcile_fault_outcomes(&mut out);
@@ -616,19 +583,29 @@ fn reconcile_fault_outcomes(out: &mut [Outcome]) {
     }
 }
 
-/// Folds the outcome stream into metrics and per-job records.
+/// Folds the outcome stream into metrics (Eqs. 1–4) and per-job records.
+/// A faulty run's stream arrives reconciled: an interrupted job's later
+/// accept or reject is already its `Restarted` or `Aborted`.
 fn collect(jobs: &[Job], cfg: &RunConfig, out: &[Outcome]) -> RunResult {
-    // The record map is looked up by id and finally drained in job order —
-    // never iterated — so the fast hasher cannot reorder anything.
+    // Every map here is looked up by id — the records are finally drained
+    // in job order — never iterated, so the fast hasher cannot reorder
+    // anything.
+    let by_id: FastHashMap<JobId, &Job> = jobs.iter().map(|j| (j.id, j)).collect();
     let mut records: FastHashMap<JobId, JobRecord> =
         FastHashMap::with_capacity_and_hasher(jobs.len(), Default::default());
+    // First start per job: a restart keeps the one Eq. 1 measures to.
+    let mut first_start: FastHashMap<JobId, f64> = FastHashMap::default();
     let mut ledger = Ledger::new();
-    let mut fold = MetricsFold::new(jobs, cfg.econ, |j| j);
+    let mut m = RunMetrics {
+        submitted: jobs.len() as u32,
+        budget_total: jobs.iter().map(|j| j.budget).sum(),
+        ..Default::default()
+    };
 
     for o in out {
-        let completion = fold.fold(o);
         match *o {
             Outcome::Accepted { job, at } => {
+                m.accepted += 1;
                 let r = records.entry(job).or_insert_with(|| JobRecord {
                     id: job,
                     accepted: true,
@@ -644,42 +621,53 @@ fn collect(jobs: &[Job], cfg: &RunConfig, out: &[Outcome]) -> RunResult {
             Outcome::Rejected { job, at, .. } => {
                 let prev = records.insert(job, JobRecord::rejected(job, at));
                 assert!(prev.is_none(), "job {job} decided twice");
-                ledger.reject(job, fold.jobs[&job].budget);
+                ledger.reject(job, by_id[&job].budget);
             }
-            Outcome::Started { job, .. } => {
+            Outcome::Started { job, at } => {
                 assert!(
                     records.contains_key(&job),
                     "job {job} started before accepted"
                 );
+                first_start.entry(job).or_insert(at);
             }
             Outcome::Completed {
                 job,
+                start,
                 finish,
                 charged,
-                ..
             } => {
-                let c = completion.expect("a completion folds into one");
-                let j = fold.jobs[&job];
-                ledger.complete(
-                    cfg.econ,
-                    job,
-                    j.budget,
-                    charged,
-                    j.delay_at(finish),
-                    j.penalty_rate,
-                );
+                let j = by_id[&job];
+                let fulfilled = j.fulfilled_by(finish);
+                let utility = match cfg.econ {
+                    EconomicModel::CommodityMarket => {
+                        charged.expect("commodity completion must carry its charge")
+                    }
+                    EconomicModel::BidBased => bid_utility(j, finish),
+                };
+                let delay = j.delay_at(finish);
+                m.utility_total += utility;
+                m.delay_sum += delay;
+                let wait = (*first_start.entry(job).or_insert(start) - j.submit).max(0.0);
+                if fulfilled {
+                    m.fulfilled += 1;
+                    m.wait_sum_fulfilled += wait;
+                }
+                ledger.complete(cfg.econ, job, j.budget, charged, delay, j.penalty_rate);
                 let r = records.get_mut(&job).expect("completed before accepted");
                 r.finished_at = Some(finish);
-                r.fulfilled = c.fulfilled;
-                r.utility = c.utility;
+                r.fulfilled = fulfilled;
+                r.utility = utility;
             }
+            Outcome::Interrupted { .. } => m.interrupted += 1,
             Outcome::Restarted { job, .. } => {
+                m.restarts += 1;
                 debug_assert!(
                     records.contains_key(&job),
                     "restarted job {job} was never accepted"
                 );
             }
             Outcome::Aborted { job, .. } => {
+                m.aborted += 1;
                 // Accepted but never completing: the SLA is lost (hits
                 // reliability, Eq. 3) and — a documented billing choice —
                 // no invoice is issued: the provider earns nothing and the
@@ -689,8 +677,8 @@ fn collect(jobs: &[Job], cfg: &RunConfig, out: &[Outcome]) -> RunResult {
                 r.finished_at = None;
                 r.fulfilled = false;
             }
-            // The rest change the metrics alone.
-            _ => {}
+            Outcome::NodeFailed { .. } => m.node_failures += 1,
+            Outcome::NodeRepaired { .. } => m.node_repairs += 1,
         }
     }
 
@@ -705,13 +693,13 @@ fn collect(jobs: &[Job], cfg: &RunConfig, out: &[Outcome]) -> RunResult {
             let mut r = records
                 .remove(&j.id)
                 .unwrap_or_else(|| panic!("job {} has no outcome", j.id));
-            r.started_at = fold.first_start.get(&j.id).copied();
+            r.started_at = first_start.get(&j.id).copied();
             r
         })
         .collect();
     ordered.sort_by_key(|r| r.id);
     RunResult {
-        metrics: fold.metrics,
+        metrics: m,
         records: ordered,
         ledger,
     }

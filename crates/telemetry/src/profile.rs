@@ -101,15 +101,6 @@ impl ProfileSnapshot {
             .fold(0, u64::wrapping_add)
     }
 
-    /// Like [`ProfileSnapshot::leaf_ns`] but summing reported events.
-    pub fn leaf_events(&self, leaf: &str) -> u64 {
-        self.phases
-            .iter()
-            .filter(|(path, _)| path.rsplit(PATH_SEPARATOR).next() == Some(leaf))
-            .map(|(_, s)| s.events)
-            .fold(0, u64::wrapping_add)
-    }
-
     /// Total recorded self-time across all paths.
     pub fn total_ns(&self) -> u64 {
         self.phases
@@ -395,7 +386,6 @@ mod tests {
             0,
         );
         assert_eq!(s.leaf_ns("ps_recompute"), 18);
-        assert_eq!(s.leaf_events("ps_recompute"), 8);
         assert_eq!(s.leaf_ns("dispatch"), 5);
         assert_eq!(s.leaf_ns("absent"), 0);
         assert_eq!(s.total_ns(), 23);

@@ -86,12 +86,6 @@ impl Job {
         self.runtime * self.procs as f64
     }
 
-    /// Processor-seconds of *estimated* work (what admission control sees).
-    #[inline]
-    pub fn estimated_work(&self) -> f64 {
-        self.estimate * self.procs as f64
-    }
-
     /// True if the user's estimate is below the actual runtime.
     #[inline]
     pub fn is_underestimated(&self) -> bool {
@@ -139,7 +133,6 @@ mod tests {
     #[test]
     fn work_accounts_for_width() {
         assert_eq!(job().work(), 200.0);
-        assert_eq!(job().estimated_work(), 240.0);
     }
 
     #[test]

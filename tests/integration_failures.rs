@@ -288,6 +288,31 @@ fn unopenable_resume_journal_exits_2_naming_the_flag() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An `--out` that is a regular file is refused at parse time (exit 2,
+/// naming the flag), before any cell runs or any file is written: the
+/// artifacts it would hold are written only after the grids.
+#[test]
+fn out_that_is_a_file_exits_2_before_the_run() {
+    let dir = temp_dir("out_is_file");
+    let file = dir.join("file");
+    std::fs::write(&file, b"keep").unwrap();
+    let journal = dir.join("journal.jsonl");
+    let output = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
+        .args(["summary", "--quick", "--jobs", "20", "--quiet", "--out"])
+        .arg(&file)
+        .arg("--resume")
+        .arg(&journal)
+        .output()
+        .expect("spawn utility_risk");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--out"), "{stderr}");
+    assert!(output.stdout.is_empty());
+    assert!(!journal.exists(), "no cell may run before the refusal");
+    assert_eq!(std::fs::read(&file).unwrap(), b"keep");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A reader that stops early (`utility_risk … | head`) closes the pipe under
 /// the CLI: the run ends quietly with the SIGPIPE status a shell reports
 /// (141), not with a panic and exit 101.
