@@ -51,14 +51,14 @@ pub struct BenchEntry {
 /// *latest* entry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchHistory {
-    /// Always [`HISTORY_SCHEMA_VERSION`].
+    /// Always `HISTORY_SCHEMA_VERSION`.
     pub schema_version: u32,
     /// Runs, oldest first.
     pub entries: Vec<BenchEntry>,
 }
 
 /// Current `BenchHistory::schema_version`.
-pub const HISTORY_SCHEMA_VERSION: u32 = 3;
+pub(crate) const HISTORY_SCHEMA_VERSION: u32 = 3;
 
 /// The one field every trendline schema shares.
 #[derive(Deserialize)]
@@ -96,11 +96,6 @@ impl BenchHistory {
             schema_version: HISTORY_SCHEMA_VERSION,
             entries: Vec::new(),
         }
-    }
-
-    /// The most recent run — what the CI bench gate compares against.
-    pub fn latest(&self) -> Option<&BenchEntry> {
-        self.entries.last()
     }
 
     /// Parses a trendline file. The schema version is read first, so a
@@ -266,7 +261,7 @@ mod tests {
         let back = BenchHistory::from_json(&json).unwrap();
         assert_eq!(back.schema_version, HISTORY_SCHEMA_VERSION);
         assert_eq!(back.entries.len(), 1);
-        assert_eq!(back.latest().unwrap().label, "next");
+        assert_eq!(back.entries.last().unwrap().label, "next");
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub enum Stressor {
         pct: f64,
     },
     /// Mid-run admission brownout: every submission inside the window is
-    /// rejected (see [`BrownoutPolicy`]). Bounds are fractions of the
+    /// rejected (see `BrownoutPolicy`). Bounds are fractions of the
     /// workload's submission span, resolved at build time.
     Brownout {
         /// Window start as a fraction of the last submission time.
@@ -224,7 +224,7 @@ impl ChaosCase {
 
     /// Materialises the workload, run configuration, fault process, and
     /// (possibly wrapped, possibly broken) policy this case describes.
-    pub fn build(&self) -> (Vec<Job>, RunConfig, Option<FaultConfig>, Box<dyn Policy>) {
+    pub(crate) fn build(&self) -> (Vec<Job>, RunConfig, Option<FaultConfig>, Box<dyn Policy>) {
         let mut transform = ScenarioTransform::default();
         let mut fault = None;
         let mut brownout = None;

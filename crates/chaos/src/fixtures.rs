@@ -2,7 +2,7 @@
 //!
 //! Three kinds of fixture live here:
 //!
-//! - [`BrownoutPolicy`] — a *legal* mid-run perturbation: wraps a real
+//! - `BrownoutPolicy` — a *legal* mid-run perturbation: wraps a real
 //!   policy and rejects every submission inside a time window, modelling an
 //!   operator pausing admissions. Used by the schedule generator as a
 //!   stressor; a correct simulator stays invariant-clean under it.
@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// window is an ordinary [`Outcome::Rejected`]; a rejected *resubmission*
 /// (after an interruption) is reconciled to `Aborted` by the runner, which
 /// is the legal terminal state for an interrupted job.
-pub struct BrownoutPolicy {
+pub(crate) struct BrownoutPolicy {
     inner: Box<dyn Policy>,
     from: f64,
     until: f64,
@@ -33,7 +33,7 @@ pub struct BrownoutPolicy {
 
 impl BrownoutPolicy {
     /// Wraps `inner`, rejecting all submissions with `from <= now < until`.
-    pub fn new(inner: Box<dyn Policy>, from: f64, until: f64) -> Self {
+    pub(crate) fn new(inner: Box<dyn Policy>, from: f64, until: f64) -> Self {
         BrownoutPolicy { inner, from, until }
     }
 }
@@ -103,17 +103,8 @@ pub enum BrokenPolicyKind {
 }
 
 impl BrokenPolicyKind {
-    /// Stable code used in reproducer JSON and CI artifact names.
-    pub fn code(self) -> &'static str {
-        match self {
-            BrokenPolicyKind::DropEveryThird => "drop_every_third",
-            BrokenPolicyKind::TimeWarp => "time_warp",
-            BrokenPolicyKind::DoubleAccept => "double_accept",
-        }
-    }
-
     /// Builds the broken policy.
-    pub fn build(self) -> Box<dyn Policy> {
+    pub(crate) fn build(self) -> Box<dyn Policy> {
         Box::new(BrokenPolicy {
             kind: self,
             submitted: 0,

@@ -16,7 +16,7 @@
 //! surface through the typed `WorkerFailure` taxonomy — the property the
 //! flake drills exist to prove.
 //!
-//! The plan travels through the [`FLAKY_TRANSPORT_ENV`] environment
+//! The plan travels through the `FLAKY_TRANSPORT_ENV` environment
 //! variable (`"seed:rate_pct"`), mirroring `CCS_KILL_WORKER`.
 
 use serde::{Deserialize, Serialize};
@@ -24,16 +24,16 @@ use std::io::{ErrorKind, Read, Write};
 
 /// Environment variable carrying a serialised [`FlakyTransport`]
 /// (`"seed:rate_pct"`) into the supervisor.
-pub const FLAKY_TRANSPORT_ENV: &str = "CCS_FLAKY_TRANSPORT";
+pub(crate) const FLAKY_TRANSPORT_ENV: &str = "CCS_FLAKY_TRANSPORT";
 
 /// Injected delays never sleep longer than this — faults must perturb
 /// ordering, not stall the grid.
-pub const MAX_FLAKE_DELAY_MS: u64 = 8;
+pub(crate) const MAX_FLAKE_DELAY_MS: u64 = 8;
 
 /// What the flaky network does to one frame (write side) or one read
 /// call (read side).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlakeAction {
+pub(crate) enum FlakeAction {
     /// Deliver untouched.
     Pass,
     /// Deliver after a short deterministic delay (reordering pressure).
@@ -76,15 +76,9 @@ fn fnv1a(parts: &[u64]) -> u64 {
 }
 
 impl FlakyTransport {
-    /// Serialise to the `"seed:rate_pct"` form carried by
-    /// [`FLAKY_TRANSPORT_ENV`].
-    pub fn to_env(&self) -> String {
-        format!("{}:{}", self.seed, self.rate_pct)
-    }
-
     /// Parse the `"seed:rate_pct"` form, naming what was wrong on
     /// failure.
-    pub fn parse(s: &str) -> Result<FlakyTransport, String> {
+    pub(crate) fn parse(s: &str) -> Result<FlakyTransport, String> {
         let (seed, rate) = s
             .split_once(':')
             .ok_or_else(|| format!("expected \"seed:rate_pct\", got {s:?}"))?;
@@ -102,7 +96,7 @@ impl FlakyTransport {
         Ok(FlakyTransport { seed, rate_pct })
     }
 
-    /// Read the plan from [`FLAKY_TRANSPORT_ENV`], if set and
+    /// Read the plan from `FLAKY_TRANSPORT_ENV`, if set and
     /// well-formed. A malformed value is ignored — drills must never
     /// corrupt a real run.
     pub fn from_env() -> Option<FlakyTransport> {
@@ -139,7 +133,7 @@ impl ConnectionFlakes {
     }
 
     /// The action applied to the `n`-th written frame (0-based).
-    pub fn write_action(&self, n: u64) -> FlakeAction {
+    pub(crate) fn write_action(&self, n: u64) -> FlakeAction {
         let h = self.roll(0, n);
         if h % 100 >= self.rate_pct as u64 {
             return FlakeAction::Pass;
@@ -157,7 +151,7 @@ impl ConnectionFlakes {
     /// The action applied to the `n`-th read call (0-based). Read-side
     /// faults are rarer (half the write rate) and only delay or cut —
     /// duplication and truncation are write-side phenomena.
-    pub fn read_action(&self, n: u64) -> FlakeAction {
+    pub(crate) fn read_action(&self, n: u64) -> FlakeAction {
         let h = self.roll(1, n);
         if h % 200 >= self.rate_pct as u64 {
             return FlakeAction::Pass;
@@ -318,7 +312,7 @@ mod tests {
             seed: 42,
             rate_pct: 15,
         };
-        assert_eq!(FlakyTransport::parse(&plan.to_env()).unwrap(), plan);
+        assert_eq!(FlakyTransport::parse("42:15").unwrap(), plan);
         assert!(FlakyTransport::parse("nope").is_err());
         assert!(FlakyTransport::parse("1:101").is_err());
         assert!(FlakyTransport::parse("x:5").is_err());

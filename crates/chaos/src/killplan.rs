@@ -5,7 +5,7 @@
 //! module provides the drill: a [`WorkerKillPlan`] names one worker and a
 //! cell count after which that worker abruptly aborts itself (no cleanup,
 //! no shutdown frame — the closest std-only stand-in for SIGKILL). The
-//! plan travels to workers through the [`KILL_WORKER_ENV`] environment
+//! plan travels to workers through the `KILL_WORKER_ENV` environment
 //! variable, mirroring the `CCS_FAIL_CELL` / `CCS_STALL_CELL` drills.
 //!
 //! Like every stressor in this crate, a plan is a pure function of its
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 /// Environment variable carrying a serialised [`WorkerKillPlan`]
 /// (`"worker:after_cells"`) into worker processes.
-pub const KILL_WORKER_ENV: &str = "CCS_KILL_WORKER";
+pub(crate) const KILL_WORKER_ENV: &str = "CCS_KILL_WORKER";
 
 /// A deterministic worker-kill schedule: worker `worker` calls
 /// `std::process::abort()` upon receiving its `after_cells + 1`-th cell
@@ -44,15 +44,9 @@ impl WorkerKillPlan {
         }
     }
 
-    /// Serialise to the `"worker:after_cells"` form carried by
-    /// [`KILL_WORKER_ENV`].
-    pub fn to_env(&self) -> String {
-        format!("{}:{}", self.worker, self.after_cells)
-    }
-
     /// Parse the `"worker:after_cells"` form, naming what was wrong on
     /// failure.
-    pub fn parse(s: &str) -> Result<WorkerKillPlan, String> {
+    pub(crate) fn parse(s: &str) -> Result<WorkerKillPlan, String> {
         let (w, n) = s
             .split_once(':')
             .ok_or_else(|| format!("expected \"worker:after_cells\", got {s:?}"))?;
@@ -73,7 +67,7 @@ impl WorkerKillPlan {
         })
     }
 
-    /// Read the plan from [`KILL_WORKER_ENV`], if set and well-formed.
+    /// Read the plan from `KILL_WORKER_ENV`, if set and well-formed.
     /// A malformed value is ignored (drills must never corrupt a real
     /// run) — the supervisor validates the plan before exporting it.
     pub fn from_env() -> Option<WorkerKillPlan> {
@@ -123,8 +117,7 @@ mod tests {
             worker: 3,
             after_cells: 17,
         };
-        assert_eq!(p.to_env(), "3:17");
-        assert_eq!(WorkerKillPlan::parse(&p.to_env()).unwrap(), p);
+        assert_eq!(WorkerKillPlan::parse("3:17").unwrap(), p);
     }
 
     #[test]

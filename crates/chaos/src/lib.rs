@@ -11,7 +11,7 @@
 //!
 //! - [`ChaosCase`] / [`Stressor`] — one adversarial schedule, generated
 //!   from a single seed and serialisable to replayable JSON.
-//! - [`BrownoutPolicy`], [`StuckPolicy`], [`BrokenPolicyKind`] — policy
+//! - `BrownoutPolicy`, [`StuckPolicy`], [`BrokenPolicyKind`] — policy
 //!   fixtures: a legal perturbation wrapper, a never-quiescing policy for
 //!   watchdog drills, and deliberately defective policies proving the
 //!   invariant engine catches real bugs.
@@ -40,10 +40,8 @@ pub mod shrink;
 pub mod soak;
 
 pub use case::{CaseOutcome, ChaosCase, Stressor};
-pub use fixtures::{BrokenPolicyKind, BrownoutPolicy, StuckPolicy};
-pub use flaky::{
-    ConnectionFlakes, FlakeAction, FlakyReader, FlakyTransport, FlakyWriter, FLAKY_TRANSPORT_ENV,
-};
-pub use killplan::{WorkerKillPlan, KILL_WORKER_ENV};
+pub use fixtures::{BrokenPolicyKind, StuckPolicy};
+pub use flaky::{ConnectionFlakes, FlakyReader, FlakyTransport, FlakyWriter};
+pub use killplan::WorkerKillPlan;
 pub use shrink::{shrink, Shrunk};
-pub use soak::{round_seed, run_soak, SoakConfig, SoakFinding, SoakReport};
+pub use soak::{run_soak, SoakConfig, SoakFinding, SoakReport};

@@ -73,7 +73,7 @@ impl SoakReport {
 
 /// Derives round `r`'s case seed from the soak seed (splitmix-style, so
 /// neighbouring rounds decorrelate).
-pub fn round_seed(soak_seed: u64, round: u32) -> u64 {
+pub(crate) fn round_seed(soak_seed: u64, round: u32) -> u64 {
     let mut z = soak_seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(round as u64 + 1));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -206,13 +206,9 @@ impl PsCluster {
         self.nodes.len()
     }
 
-    /// Current engine time (time of the last processed event or advance).
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
     /// Number of resident (incomplete) tasks on `node`.
-    pub fn resident_tasks(&self, node: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident_tasks(&self, node: usize) -> usize {
         self.nodes[node].tasks.len()
     }
 
@@ -521,7 +517,8 @@ impl PsCluster {
     }
 
     /// Number of nodes currently up.
-    pub fn up_nodes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn up_nodes(&self) -> usize {
         self.up.iter().filter(|&&u| u).count()
     }
 

@@ -76,13 +76,13 @@ pub struct Normal {
 
 impl Normal {
     /// Creates a normal distribution; panics on negative `sd`.
-    pub fn new(mean: f64, sd: f64) -> Self {
+    pub(crate) fn new(mean: f64, sd: f64) -> Self {
         assert!(sd >= 0.0, "Normal sd must be non-negative");
         Normal { mean, sd }
     }
 
     /// Draws a standard normal variate.
-    pub fn standard(rng: &mut SimRng) -> f64 {
+    pub(crate) fn standard(rng: &mut SimRng) -> f64 {
         loop {
             let u = rng.uniform(-1.0, 1.0);
             let v = rng.uniform(-1.0, 1.0);
@@ -115,7 +115,7 @@ pub struct LogNormal {
 
 impl LogNormal {
     /// Creates from underlying-normal parameters.
-    pub fn new(mu: f64, sigma: f64) -> Self {
+    pub(crate) fn new(mu: f64, sigma: f64) -> Self {
         assert!(sigma >= 0.0, "LogNormal sigma must be non-negative");
         LogNormal { mu, sigma }
     }
@@ -130,7 +130,8 @@ impl LogNormal {
     }
 
     /// Arithmetic mean of the distribution.
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f64 {
         (self.mu + self.sigma * self.sigma / 2.0).exp()
     }
 }
@@ -162,11 +163,6 @@ impl Gamma {
             "Gamma parameters must be positive"
         );
         Gamma { shape, scale }
-    }
-
-    /// Mean `k·θ`.
-    pub fn mean(&self) -> f64 {
-        self.shape * self.scale
     }
 
     fn sample_standard(shape: f64, rng: &mut SimRng) -> f64 {
@@ -218,7 +214,7 @@ pub struct Weibull {
 
 impl Weibull {
     /// Creates a Weibull distribution; panics on non-positive parameters.
-    pub fn new(shape: f64, scale: f64) -> Self {
+    pub(crate) fn new(shape: f64, scale: f64) -> Self {
         assert!(
             shape > 0.0 && scale > 0.0,
             "Weibull parameters must be positive"
@@ -227,7 +223,7 @@ impl Weibull {
     }
 
     /// Mean `λ·Γ(1 + 1/k)`, via the Lanczos approximation of Γ.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.scale * gamma_fn(1.0 + 1.0 / self.shape)
     }
 }

@@ -45,7 +45,7 @@ pub enum FailureDist {
 
 impl FailureDist {
     /// Draws one lifetime.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> f64 {
         match *self {
             FailureDist::Exponential { mean } => Exponential::new(mean).sample(rng),
             FailureDist::Weibull { shape, scale } => Weibull::new(shape, scale).sample(rng),

@@ -76,7 +76,7 @@ impl Hasher for FastHasher {
 }
 
 /// Deterministic `BuildHasher` for [`FastHasher`].
-pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// `HashMap` keyed by trusted simulation-internal integers.
 pub type FastHashMap<K, V> = HashMap<K, V, FastBuildHasher>;

@@ -17,13 +17,12 @@
 //! ```
 //! use ccs_des::{Simulation, SimTime};
 //!
-//! // Fire events in time order, stopping before t = 10.
+//! // Events fire in time order, whatever order they were scheduled in.
 //! let mut sim: Simulation<&'static str> = Simulation::new();
-//! sim.schedule_at(SimTime::new(3.0), "a");
 //! sim.schedule_at(SimTime::new(7.0), "b");
-//! sim.schedule_at(SimTime::new(12.0), "c");
+//! sim.schedule_at(SimTime::new(3.0), "a");
 //! let mut fired = Vec::new();
-//! while let Some((t, ev)) = sim.next_before(SimTime::new(10.0)) {
+//! while let Some((t, ev)) = sim.next() {
 //!     fired.push((t.as_secs(), ev));
 //! }
 //! assert_eq!(fired, vec![(3.0, "a"), (7.0, "b")]);
@@ -42,7 +41,7 @@ pub mod time;
 
 pub use dist::{Distribution, Exponential, LogNormal, Normal, TruncatedNormal, Uniform, Weibull};
 pub use failure::{FailureDist, FailureEventKind, FailureProcess, NodeFailureEvent};
-pub use fasthash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
+pub use fasthash::{FastHashMap, FastHashSet, FastHasher};
 pub use queue::{EventHandle, EventQueue};
 pub use rng::SimRng;
 pub use sim::Simulation;

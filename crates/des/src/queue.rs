@@ -544,9 +544,10 @@ impl<T> EventQueue<T> {
         self.stats.tombstones_compacted += tombstones as u64;
     }
 
-    /// Number of cancelled entries still occupying tier slots (test and
-    /// diagnostics hook; the hot path never needs it).
-    pub fn tombstone_count(&self) -> usize {
+    /// Number of cancelled entries still occupying tier slots (test hook;
+    /// the hot path never needs it).
+    #[cfg(test)]
+    pub(crate) fn tombstone_count(&self) -> usize {
         debug_assert_eq!(
             self.tombstones,
             self.sorted.len() + self.young.len() + self.far.len() - self.live
@@ -582,7 +583,7 @@ impl<T> EventQueue<T> {
     /// share recompute, a capacity reclamation pass) once per run instead
     /// of once per event. `buf` is caller-pooled so steady-state dispatch
     /// never allocates.
-    pub fn pop_batch(&mut self, buf: &mut Vec<T>) -> Option<SimTime> {
+    pub(crate) fn pop_batch(&mut self, buf: &mut Vec<T>) -> Option<SimTime> {
         buf.clear();
         let (t, first) = self.pop()?;
         buf.push(first);
@@ -608,7 +609,7 @@ impl<T> EventQueue<T> {
         Some(t)
     }
 
-    /// Like [`EventQueue::pop_batch`], but only if the earliest pending
+    /// Like `EventQueue::pop_batch`, but only if the earliest pending
     /// event fires at or before `horizon`; otherwise leaves the queue
     /// untouched (with `buf` cleared) and returns `None`. The run-drain
     /// primitive for `advance_to(t)`-style consumers.

@@ -85,11 +85,6 @@ impl SimRng {
         }
     }
 
-    /// The seed this stream was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent substream identified by `label`.
     ///
     /// Forking depends only on `(seed, label)` — not on how much of the

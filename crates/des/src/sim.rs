@@ -19,7 +19,7 @@ use crate::time::SimTime;
 /// sim.schedule_at(SimTime::new(1.0), Ev::Arrive(7));
 /// while let Some((now, ev)) = sim.next() {
 ///     if let Ev::Arrive(id) = ev {
-///         sim.schedule_in(2.5, Ev::Depart(id)); // relative scheduling
+///         sim.schedule_at(now + 2.5, Ev::Depart(id));
 ///     }
 /// }
 /// assert_eq!(sim.now(), SimTime::new(3.5));
@@ -65,14 +65,9 @@ impl<E> Simulation<E> {
     }
 
     /// Total number of events processed so far.
-    #[inline]
-    pub fn events_processed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn events_processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Schedules an event at an absolute virtual time.
@@ -87,11 +82,6 @@ impl<E> Simulation<E> {
             time
         );
         self.queue.push(time, event)
-    }
-
-    /// Schedules an event `delay` seconds from now (`delay >= 0`).
-    pub fn schedule_in(&mut self, delay: f64, event: E) -> EventHandle {
-        self.schedule_at(self.clock + delay, event)
     }
 
     /// Cancels a previously scheduled event. Returns `true` if it was still
@@ -114,16 +104,6 @@ impl<E> Simulation<E> {
         Some((time, ev))
     }
 
-    /// Like [`Simulation::next`], but only if the next event fires strictly
-    /// before `horizon`; otherwise leaves the queue untouched and returns
-    /// `None` (the clock does not advance).
-    pub fn next_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match self.queue.peek_time() {
-            Some(t) if t < horizon => self.next(),
-            _ => None,
-        }
-    }
-
     /// Batched dispatch: advances the clock to the next pending instant and
     /// drains *every* event scheduled at exactly that instant into `buf`
     /// (cleared first, caller-pooled), returning the instant. One call
@@ -139,19 +119,6 @@ impl<E> Simulation<E> {
         // `profile` feature is on; a single thread-local add when it is).
         ccs_telemetry::profile::count(buf.len() as u64);
         Some(t)
-    }
-
-    /// Time of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Runs every remaining event through `handler`. The handler may schedule
-    /// further events via the `&mut Simulation` it receives.
-    pub fn run<F: FnMut(&mut Self, SimTime, E)>(&mut self, mut handler: F) {
-        while let Some((t, ev)) = self.next() {
-            handler(self, t, ev);
-        }
     }
 }
 
@@ -185,7 +152,7 @@ mod tests {
         let mut sim = Simulation::new();
         sim.schedule_at(SimTime::new(10.0), "x");
         sim.next();
-        sim.schedule_in(4.0, "y");
+        sim.schedule_at(sim.now() + 4.0, "y");
         let (t, _) = sim.next().unwrap();
         assert_eq!(t, SimTime::new(14.0));
     }
@@ -196,26 +163,14 @@ mod tests {
         let mut sim = Simulation::new();
         sim.schedule_at(SimTime::ZERO, 0u32);
         let mut seen = Vec::new();
-        sim.run(|sim, _t, n| {
+        while let Some((t, n)) = sim.next() {
             seen.push(n);
             if n < 5 {
-                sim.schedule_in(1.0, n + 1);
+                sim.schedule_at(t + 1.0, n + 1);
             }
-        });
+        }
         assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(sim.now(), SimTime::new(5.0));
-    }
-
-    #[test]
-    fn next_before_respects_horizon() {
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::new(1.0), "a");
-        sim.schedule_at(SimTime::new(9.0), "b");
-        assert!(sim.next_before(SimTime::new(5.0)).is_some());
-        assert!(sim.next_before(SimTime::new(5.0)).is_none());
-        // Clock did not advance past the horizon check.
-        assert_eq!(sim.now(), SimTime::new(1.0));
-        assert_eq!(sim.pending(), 1);
     }
 
     #[test]

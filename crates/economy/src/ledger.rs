@@ -3,7 +3,7 @@
 //! The paper assumes "accounting and pricing mechanisms to record resource
 //! usage information and compute usage costs to charge service users
 //! accordingly" (Section 3.4). This module is that mechanism: one
-//! [`Invoice`] per job, an append-only [`Ledger`], aggregate statements,
+//! `Invoice` per job, an append-only [`Ledger`], aggregate statements,
 //! and CSV export for external billing systems.
 
 use crate::model::EconomicModel;
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// Billing disposition of one job.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum Disposition {
+pub(crate) enum Disposition {
     /// Rejected at admission: nothing owed either way.
     Rejected,
     /// Completed within its deadline: full charge / full bid.
@@ -24,7 +24,7 @@ pub enum Disposition {
 
 /// One job's billing record.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Invoice {
+pub(crate) struct Invoice {
     /// The job billed.
     pub job: JobId,
     /// Billing disposition.
@@ -115,7 +115,8 @@ impl Ledger {
     }
 
     /// All invoices, in issue order.
-    pub fn invoices(&self) -> &[Invoice] {
+    #[cfg(test)]
+    pub(crate) fn invoices(&self) -> &[Invoice] {
         &self.invoices
     }
 

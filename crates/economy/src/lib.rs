@@ -25,7 +25,7 @@ pub mod penalty;
 pub mod pricing;
 pub mod schedule;
 
-pub use ledger::{Disposition, Invoice, Ledger, Statement};
+pub use ledger::{Ledger, Statement};
 pub use model::EconomicModel;
 pub use penalty::bid_utility;
 pub use pricing::{

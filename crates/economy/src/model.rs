@@ -17,7 +17,7 @@ pub enum EconomicModel {
 
 impl EconomicModel {
     /// Human-readable name used in reports and figure labels.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EconomicModel::CommodityMarket => "commodity market",
             EconomicModel::BidBased => "bid-based",

@@ -35,7 +35,7 @@ pub enum PriceSchedule {
 
 impl PriceSchedule {
     /// The price in force at absolute time `t`.
-    pub fn rate_at(&self, t: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t: f64) -> f64 {
         match *self {
             PriceSchedule::Flat(p) => p,
             PriceSchedule::PeakOffPeak {
@@ -75,14 +75,6 @@ impl PriceSchedule {
                 total * procs as f64
             }
         }
-    }
-
-    /// Mean rate over a window (cost per processor-second).
-    pub fn mean_rate(&self, start: f64, duration: f64) -> f64 {
-        if duration <= 0.0 {
-            return self.rate_at(start);
-        }
-        self.cost(start, duration, 1) / duration
     }
 }
 
@@ -137,7 +129,7 @@ mod tests {
         let cost = p.cost(0.0, DAY, 1);
         assert!((cost - expect).abs() < 1e-6);
         // Mean rate over a full day is window-invariant.
-        assert!((p.mean_rate(0.0, DAY) - p.mean_rate(5.0 * HOUR, DAY)).abs() < 1e-9);
+        assert!((p.cost(0.0, DAY, 1) / DAY - p.cost(5.0 * HOUR, DAY, 1) / DAY).abs() < 1e-9);
     }
 
     #[test]

@@ -5,17 +5,17 @@
 //!
 //! - **Admission control** (paper Section 5.2: "we find that these policies
 //!   without job admission control perform much worse, especially when
-//!   deadlines of jobs are short") — [`admission_control_ablation`].
-//! - **EASY backfilling** — [`backfilling_ablation`] degrades the
+//!   deadlines of jobs are short") — `admission_control_ablation`.
+//! - **EASY backfilling** — `backfilling_ablation` degrades the
 //!   backfilling policies to plain priority scheduling.
 //! - **Deadline escalation** in the proportional-share engine — the cascade
 //!   mechanism by which under-estimates hurt the Libra family
-//!   ([`escalation_ablation`]).
+//!   (`escalation_ablation`).
 //! - **Libra+$ β** (the utilization-pricing weight; paper fixes β = 0.3) —
-//!   [`beta_sweep`] traces the SLA-vs-profitability trade-off.
+//!   `beta_sweep` traces the SLA-vs-profitability trade-off.
 //! - **FirstReward slack threshold** (paper Section 5.2: "Setting the
 //!   correct slack threshold is not trivial as the ideal slack threshold
-//!   changes depending on the workload") — [`slack_threshold_sweep`]
+//!   changes depending on the workload") — `slack_threshold_sweep`
 //!   reproduces that sensitivity across workload levels.
 
 use crate::scenario::{baseline, EstimateSet};
@@ -90,7 +90,7 @@ fn metrics_of(jobs: &[Job], policy: impl Policy + 'static, cfg: &RunConfig) -> R
 
 /// Admission control on/off for the three backfilling policies, at the
 /// default deadlines and at short deadlines (low-value mean 1).
-pub fn admission_control_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
+pub(crate) fn admission_control_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
     let cfg = RunConfig {
         nodes,
         econ: EconomicModel::CommodityMarket,
@@ -130,7 +130,7 @@ pub fn admission_control_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ab
 }
 
 /// EASY backfilling on/off for the three backfilling policies.
-pub fn backfilling_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
+pub(crate) fn backfilling_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
     let cfg = RunConfig {
         nodes,
         econ: EconomicModel::CommodityMarket,
@@ -166,7 +166,7 @@ pub fn backfilling_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation
 }
 
 /// Deadline escalation on/off for the Libra family under trace estimates.
-pub fn escalation_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
+pub(crate) fn escalation_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
     let cfg = RunConfig {
         nodes,
         econ: EconomicModel::BidBased,
@@ -195,7 +195,7 @@ pub fn escalation_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation 
 }
 
 /// Sweeps Libra+$'s utilization-pricing weight β.
-pub fn beta_sweep(base: &[BaseJob], seed: u64, nodes: u32, betas: &[f64]) -> Ablation {
+pub(crate) fn beta_sweep(base: &[BaseJob], seed: u64, nodes: u32, betas: &[f64]) -> Ablation {
     let cfg = RunConfig {
         nodes,
         econ: EconomicModel::CommodityMarket,
@@ -226,7 +226,7 @@ pub fn beta_sweep(base: &[BaseJob], seed: u64, nodes: u32, betas: &[f64]) -> Abl
 }
 
 /// Sweeps FirstReward's slack threshold across workload levels.
-pub fn slack_threshold_sweep(
+pub(crate) fn slack_threshold_sweep(
     base: &[BaseJob],
     seed: u64,
     nodes: u32,
@@ -267,7 +267,7 @@ pub fn slack_threshold_sweep(
 
 /// EASY vs conservative backfilling (Mu'alem & Feitelson, the paper's
 /// reference \[19\]) under accurate and trace estimates.
-pub fn easy_vs_conservative(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
+pub(crate) fn easy_vs_conservative(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
     let cfg = RunConfig {
         nodes,
         econ: EconomicModel::CommodityMarket,
@@ -332,7 +332,7 @@ pub fn car_comparison(base: &[BaseJob], seed: u64, nodes: u32) -> String {
 /// Best-fit vs worst-fit node selection for Libra (the placement strategies
 /// the original Libra paper compares), plus a heterogeneous cluster with the
 /// same aggregate capacity as the homogeneous baseline.
-pub fn placement_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
+pub(crate) fn placement_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
     let cfg = RunConfig {
         nodes,
         econ: EconomicModel::BidBased,
@@ -372,7 +372,7 @@ pub fn placement_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
 /// Flat vs time-of-use commodity pricing on a diurnal (office-hours)
 /// workload — the "prices can be flat or variable" option of paper
 /// Section 5.1 that the evaluated policies leave unexplored.
-pub fn pricing_schedule_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
+pub(crate) fn pricing_schedule_ablation(base: &[BaseJob], seed: u64, nodes: u32) -> Ablation {
     use ccs_economy::PriceSchedule;
     use ccs_workload::{apply_diurnal, DiurnalProfile};
 

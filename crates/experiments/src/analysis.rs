@@ -30,7 +30,7 @@ pub struct GridAnalysis {
 
 /// Index of an objective in the `[wait, SLA, reliability, profitability]`
 /// arrays used throughout.
-pub fn obj_index(o: Objective) -> usize {
+pub(crate) fn obj_index(o: Objective) -> usize {
     Objective::ALL
         .iter()
         .position(|x| *x == o)
@@ -64,7 +64,7 @@ pub fn analyze(grid: &RawGrid) -> GridAnalysis {
 /// Runs the separate risk analysis under an explicit wait-normalization
 /// scheme (see `ccs_risk::WaitNormalization` and EXPERIMENTS.md deviation
 /// #1 — the scheme materially affects the integrated Set B comparisons).
-pub fn analyze_with(grid: &RawGrid, scheme: WaitNormalization) -> GridAnalysis {
+pub(crate) fn analyze_with(grid: &RawGrid, scheme: WaitNormalization) -> GridAnalysis {
     let n_pol = grid.policies.len();
     let mut sep = Vec::with_capacity(Scenario::ALL.len());
     for s in 0..Scenario::ALL.len() {

@@ -97,6 +97,18 @@ fn write_stdout(args: std::fmt::Arguments) {
     }
 }
 
+/// Unwraps an artifact write, or exits 2 naming the flag that chose the
+/// path (`--out` or `--telemetry`): an unwritable artifact path is a
+/// configuration error, reported with the path and the I/O error, not a
+/// panic.
+fn wrote<T>(result: std::io::Result<T>, flag: &str, path: &Path) -> T {
+    result.unwrap_or_else(|e| {
+        let message = format!("cannot write {}: {e}", path.display());
+        eprintln!("utility_risk: {}", ConfigError::new(flag, message));
+        std::process::exit(2)
+    })
+}
+
 /// `utility_risk trace-report`: offline analysis of a trace bundle written
 /// by `trace` (or any `trace.jsonl` in the same schema). Reconstructs every
 /// job's SLA lifecycle, recomputes the paper's four objectives (Eqs. 1–4)
@@ -219,7 +231,7 @@ fn finish_perf_diff(report: Result<String, String>) -> ! {
 /// atomically under `out`, next to the figure artifacts.
 fn write_store(ev: &ccs_experiments::Evaluation, cfg: &ExperimentConfig, out: &Path) {
     let store = ResultStore::from_evaluation(ev, cfg);
-    let path = store.save(out).expect("write results store");
+    let path = wrote(store.save(out), "--out", &out.join(STORE_FILE));
     progress::note(&format!(
         "result store: {} row(s) in {}",
         store.len(),
@@ -249,10 +261,16 @@ fn run_chaos(cfg: &SoakConfig, out: &Path) -> ! {
         }
     });
     let json = serde_json::to_string_pretty(&report).expect("soak report serialises");
-    write_atomic(&out.join("chaos_report.json"), json.as_bytes()).expect("write chaos_report.json");
+    let report_path = out.join("chaos_report.json");
+    wrote(
+        write_atomic(&report_path, json.as_bytes()),
+        "--out",
+        &report_path,
+    );
     for finding in &report.findings {
         let path = out.join(format!("chaos_reproducer_round{}.json", finding.round));
-        write_atomic(&path, finding.minimized.to_json().as_bytes()).expect("write reproducer");
+        let json = finding.minimized.to_json();
+        wrote(write_atomic(&path, json.as_bytes()), "--out", &path);
         eprintln!(
             "chaos: round {} minimal reproducer ({}) written to {}",
             finding.round,
@@ -274,7 +292,7 @@ fn run_chaos(cfg: &SoakConfig, out: &Path) -> ! {
             ResultStore::new()
         };
         store.append_chaos(&report);
-        store.save(out).expect("write results store");
+        wrote(store.save(out), "--out", &store_path);
         progress::note(&format!(
             "chaos: {} finding(s) appended to {}",
             report.findings.len(),
@@ -302,7 +320,7 @@ fn report_cell_errors(errors: &[CellError], out: &Path) -> bool {
     }
     let path = out.join("cell_errors.json");
     let json = serde_json::to_string_pretty(&errors.to_vec()).expect("cell errors serialise");
-    write_atomic(&path, json.as_bytes()).expect("write cell_errors.json");
+    wrote(write_atomic(&path, json.as_bytes()), "--out", &path);
     for e in errors {
         eprintln!("utility_risk: {e}");
     }
@@ -389,14 +407,14 @@ fn main() {
         Command::Figure(id) => {
             let files = if id == "fig2" {
                 print!("{}", print_figure2());
-                write_figure2(&out).expect("write artifacts")
+                wrote(write_figure2(&out), "--out", &out)
             } else {
                 let run = GridRun::new(&cfg).control(&ctl);
                 let (fig, grids) = build_figure(id, &run).unwrap_or_else(|e| refused(e));
                 print!("{}", print_figure(&fig));
                 cell_errors = grids.iter().flat_map(|g| g.errors.clone()).collect();
                 raw_grids = grids;
-                write_figure(&out, &fig).expect("write artifacts")
+                wrote(write_figure(&out, &fig), "--out", &out)
             };
             progress::note(&format!(
                 "wrote {} files under {}",
@@ -410,19 +428,21 @@ fn main() {
             cell_errors = ev.cell_errors().into_iter().cloned().collect();
             for fig in ev.paper_figures() {
                 print!("{}", print_figure(&fig));
-                write_figure(&out, &fig).expect("write artifacts");
+                wrote(write_figure(&out, &fig), "--out", &out);
             }
             // Figure 2 is not a risk plot; only its artifacts are written,
             // so stdout stays the risk figures alone.
-            write_figure2(&out).expect("write artifacts");
-            write_atomic(
-                &out.join("report.md"),
-                ccs_experiments::report_md::evaluation_report(&ev).as_bytes(),
-            )
-            .expect("write report.md");
-            ccs_experiments::EvaluationExport::from_evaluation(&ev)
-                .write(&out.join("evaluation.json"))
-                .expect("write evaluation.json");
+            wrote(write_figure2(&out), "--out", &out);
+            let report = ccs_experiments::report_md::evaluation_report(&ev);
+            let report_path = out.join("report.md");
+            wrote(
+                write_atomic(&report_path, report.as_bytes()),
+                "--out",
+                &report_path,
+            );
+            let export_path = out.join("evaluation.json");
+            let export = ccs_experiments::EvaluationExport::from_evaluation(&ev);
+            wrote(export.write(&export_path), "--out", &export_path);
             write_store(&ev, &cfg, &out);
             progress::note(&format!("artifacts under {}", out.display()));
             raw_grids = ev.raw_grids;
@@ -534,7 +554,7 @@ fn main() {
         }
         Command::Trace(spec) => {
             let bundle = ccs_experiments::capture_cell(&spec, &cfg);
-            let files = ccs_experiments::write_bundle(&bundle, &out).expect("write trace bundle");
+            let files = wrote(ccs_experiments::write_bundle(&bundle, &out), "--out", &out);
             progress::note(&format!(
                 "wrote {} files under {}",
                 files.len(),
@@ -587,7 +607,11 @@ fn main() {
         }
         if !merged.is_empty() {
             let path = out.join("profile.folded");
-            write_atomic(&path, merged.folded().as_bytes()).expect("write profile.folded");
+            wrote(
+                write_atomic(&path, merged.folded().as_bytes()),
+                "--out",
+                &path,
+            );
             progress::note(&format!(
                 "phase profile (folded stacks): {}",
                 path.display()
@@ -595,9 +619,8 @@ fn main() {
         }
     }
     if let Some(path) = telemetry {
-        TelemetryReport::collect(&raw_grids)
-            .write(&path)
-            .expect("write telemetry report");
+        let report = TelemetryReport::collect(&raw_grids);
+        wrote(report.write(&path), "--telemetry", &path);
         progress::note(&format!("telemetry report written to {}", path.display()));
     }
     if report_cell_errors(&cell_errors, &out) {

@@ -329,10 +329,15 @@ impl Raw {
             .out
             .clone()
             .unwrap_or_else(|| PathBuf::from("target/figures"));
-        // Artifacts are written after the grids run: a file in the way
-        // would fail them only then.
-        if out.exists() && !out.is_dir() {
-            let message = format!("{} exists and is not a directory", out.display());
+        // Artifacts are written after the grids run: a file in the way, at
+        // `--out` or at any ancestor it would be created under, would fail
+        // them only then.
+        if let Some(file) = out.ancestors().find(|p| p.exists() && !p.is_dir()) {
+            let message = format!(
+                "{} cannot be created as a directory: {} is not a directory",
+                out.display(),
+                file.display()
+            );
             return Err(ConfigError::new("--out", message));
         }
         Ok((cfg, out, self.telemetry.clone()))
@@ -478,7 +483,7 @@ impl Raw {
 pub enum Command {
     /// Tables I–VI, or only table N (1–6).
     Tables(Option<usize>),
-    /// One figure, by id (one of [`FIGURE_IDS`]).
+    /// One figure, by id (one of `FIGURE_IDS`).
     Figure(&'static str),
     /// Every figure, table, report and the result store.
     All,
@@ -781,6 +786,7 @@ mod tests {
             (&["summary", "--compact-journal"], "--compact-journal"),
             // Tests run in the package root, where Cargo.toml is a file.
             (&["summary", "--out", "Cargo.toml"], "--out"),
+            (&["summary", "--out", "Cargo.toml/sub"], "--out"),
             (&["summary", "--retries", "3"], "--retries"),
             (
                 &["summary", "--workers", "1", "--replicas", "2"],

@@ -28,7 +28,7 @@ pub struct EvaluationExport {
 }
 
 /// Current export schema version.
-pub const SCHEMA_VERSION: u32 = 1;
+pub(crate) const SCHEMA_VERSION: u32 = 1;
 
 impl EvaluationExport {
     /// Builds an export from an evaluation.
@@ -50,12 +50,13 @@ impl EvaluationExport {
     }
 
     /// Serializes to pretty JSON.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("export serialization cannot fail")
     }
 
     /// Parses an export back from JSON.
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
+    #[cfg(test)]
+    pub(crate) fn from_json(text: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(text)
     }
 
@@ -66,7 +67,8 @@ impl EvaluationExport {
     }
 
     /// Reads an export from `path`.
-    pub fn read(path: &Path) -> io::Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn read(path: &Path) -> io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
         Self::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }

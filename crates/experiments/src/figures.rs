@@ -63,7 +63,7 @@ pub fn figure2_curves() -> Vec<(String, Vec<(f64, f64)>)> {
 
 /// A separate-analysis figure (Figures 3 and 6): the four objectives, each
 /// in Set A then Set B — eight sub-plots, paper order a–h.
-pub fn separate_figure(id: &str, a: &GridAnalysis, b: &GridAnalysis) -> Figure {
+pub(crate) fn separate_figure(id: &str, a: &GridAnalysis, b: &GridAnalysis) -> Figure {
     let mut plots = Vec::with_capacity(8);
     for obj in Objective::ALL {
         plots.push(a.separate_plot(obj));
@@ -81,7 +81,7 @@ pub fn separate_figure(id: &str, a: &GridAnalysis, b: &GridAnalysis) -> Figure {
 
 /// A three-objective integrated figure (Figures 4 and 7): the four
 /// leave-one-out combinations, each in Set A then Set B.
-pub fn integrated3_figure(id: &str, a: &GridAnalysis, b: &GridAnalysis) -> Figure {
+pub(crate) fn integrated3_figure(id: &str, a: &GridAnalysis, b: &GridAnalysis) -> Figure {
     let mut plots = Vec::with_capacity(8);
     for (_omitted, triple) in Objective::triples() {
         plots.push(a.integrated_plot(&triple));
@@ -98,7 +98,7 @@ pub fn integrated3_figure(id: &str, a: &GridAnalysis, b: &GridAnalysis) -> Figur
 }
 
 /// A four-objective integrated figure (Figures 5 and 8): Set A then Set B.
-pub fn integrated4_figure(id: &str, a: &GridAnalysis, b: &GridAnalysis) -> Figure {
+pub(crate) fn integrated4_figure(id: &str, a: &GridAnalysis, b: &GridAnalysis) -> Figure {
     Figure {
         id: id.into(),
         caption: format!(
@@ -113,7 +113,7 @@ pub fn integrated4_figure(id: &str, a: &GridAnalysis, b: &GridAnalysis) -> Figur
 }
 
 /// Renders Figure 2 (the penalty function) as an SVG line chart.
-pub fn figure2_svg() -> String {
+pub(crate) fn figure2_svg() -> String {
     render_lines(
         "Bid-based model: impact of the penalty function on utility (Figure 2)",
         "completion time after submission (s)",

@@ -103,7 +103,7 @@ pub struct GridControl {
     /// Deliberately panic the cell `"scenarioIdx:valueIdx:PolicyName"` in
     /// every grid of the run — the fault-injection backdoor proving a
     /// broken policy cannot take down a grid run. The library reads no
-    /// environment; the CLI fills it from [`FAIL_CELL_ENV`].
+    /// environment; the CLI fills it from `FAIL_CELL_ENV`.
     pub fail_cell: Option<String>,
     /// Per-cell wall-clock budget in seconds: a cell whose simulation runs
     /// longer is cancelled cooperatively (inside the DES loop) into a
@@ -117,7 +117,7 @@ pub struct GridControl {
     /// running it with a never-quiescing policy — the watchdog drill
     /// proving a stuck cell is cancelled (with a Budget-kind error) while
     /// the rest of the grid completes. The CLI fills it from
-    /// [`STALL_CELL_ENV`]. The drill applies a small default budget when no
+    /// `STALL_CELL_ENV`. The drill applies a small default budget when no
     /// per-cell budget is configured, so it terminates either way.
     pub stall_cell: Option<String>,
     /// Fan the grid's cells out across worker processes instead of
@@ -159,7 +159,7 @@ impl GridControl {
 /// runner/cluster/grid instrumentation uses; the same leaf can occur under
 /// several parents (e.g. `ps_recompute` under both admission and dispatch)
 /// and the cost vector aggregates by leaf.
-pub const PHASE_LEAVES: [&str; 6] = [
+pub(crate) const PHASE_LEAVES: [&str; 6] = [
     "workload_gen",
     "admission",
     "dispatch",
@@ -173,7 +173,7 @@ pub const PHASE_LEAVES: [&str; 6] = [
 /// (and for journal hits / skipped cells, whose work never re-ran).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellCost {
-    /// Self-time nanoseconds per phase, indexed like [`PHASE_LEAVES`].
+    /// Self-time nanoseconds per phase, indexed like `PHASE_LEAVES`.
     pub phase_ns: [u64; 6],
     /// Largest policy queue depth observed during the cell.
     pub peak_queue_depth: u64,
@@ -181,7 +181,7 @@ pub struct CellCost {
 
 impl CellCost {
     /// Extracts the fixed-width cost vector from a cell's profile snapshot.
-    pub fn from_snapshot(snap: &ProfileSnapshot) -> CellCost {
+    pub(crate) fn from_snapshot(snap: &ProfileSnapshot) -> CellCost {
         let mut phase_ns = [0u64; 6];
         for (slot, leaf) in phase_ns.iter_mut().zip(PHASE_LEAVES) {
             *slot = snap.leaf_ns(leaf);
@@ -193,13 +193,13 @@ impl CellCost {
     }
 
     /// Total attributed nanoseconds across all phases.
-    pub fn total_phase_ns(&self) -> u64 {
+    pub(crate) fn total_phase_ns(&self) -> u64 {
         self.phase_ns.iter().sum()
     }
 
     /// The most expensive phase `(name, self_ns)`, or `None` when the cell
     /// holds no phase data (profile off, journal hit, or skipped).
-    pub fn top_phase(&self) -> Option<(&'static str, u64)> {
+    pub(crate) fn top_phase(&self) -> Option<(&'static str, u64)> {
         let (i, &ns) = self
             .phase_ns
             .iter()
@@ -237,7 +237,7 @@ pub struct CellTiming {
 impl CellTiming {
     /// Outcome events per wall-clock second, the grid's throughput measure
     /// for one cell. Zero when the cell did not simulate.
-    pub fn events_per_sec(&self) -> f64 {
+    pub(crate) fn events_per_sec(&self) -> f64 {
         if self.secs > 0.0 {
             self.events as f64 / self.secs
         } else {
@@ -384,14 +384,14 @@ pub struct RawGrid {
 
 impl RawGrid {
     /// The policy display names, in column order.
-    pub fn policy_names(&self) -> Vec<&'static str> {
+    pub(crate) fn policy_names(&self) -> Vec<&'static str> {
         self.policies.iter().map(|p| p.name()).collect()
     }
 
     /// Every cell's timing joined with its cost vector — the single code
     /// path behind both the slowest-cells summary and the persisted store
     /// columns.
-    pub fn cell_timings(&self) -> Vec<CellTiming> {
+    pub(crate) fn cell_timings(&self) -> Vec<CellTiming> {
         let mut cells: Vec<CellTiming> = Vec::new();
         for (s, per_value) in self.cell_secs.iter().enumerate() {
             for (v, per_policy) in per_value.iter().enumerate() {
@@ -412,7 +412,7 @@ impl RawGrid {
     }
 
     /// The `k` slowest cells, most expensive first.
-    pub fn slowest_cells(&self, k: usize) -> Vec<CellTiming> {
+    pub(crate) fn slowest_cells(&self, k: usize) -> Vec<CellTiming> {
         let mut cells = self.cell_timings();
         cells.sort_by(|a, b| b.secs.total_cmp(&a.secs));
         cells.truncate(k);
@@ -432,7 +432,7 @@ pub fn policies_for(econ: EconomicModel) -> Vec<PolicyKind> {
 /// Deterministic in `(total, workers)` and balanced to within one item —
 /// the supervisor seeds each worker's deque from its shard, then lets
 /// work-stealing rebalance uneven cell costs at runtime.
-pub fn plan_shards(total: usize, workers: usize) -> Vec<Vec<usize>> {
+pub(crate) fn plan_shards(total: usize, workers: usize) -> Vec<Vec<usize>> {
     let workers = workers.max(1);
     let mut shards = vec![Vec::new(); workers];
     for i in 0..total {
@@ -650,14 +650,14 @@ fn record_grid_telemetry(grid: &RawGrid) {
 /// a whole grid run. Format: `"scenarioIdx:valueIdx:PolicyName"`. Read
 /// once by the CLI into [`GridControl::fail_cell`] for the subcommands
 /// that run grids under control.
-pub const FAIL_CELL_ENV: &str = "CCS_FAIL_CELL";
+pub(crate) const FAIL_CELL_ENV: &str = "CCS_FAIL_CELL";
 
 /// Deliberately wedges a chosen cell with a never-quiescing policy — the
 /// watchdog drill proving a stuck cell is cancelled into a Budget-kind
 /// [`CellError`] while the rest of the grid completes. Same
 /// `"scenarioIdx:valueIdx:PolicyName"` format as [`FAIL_CELL_ENV`], read
 /// the same way into [`GridControl::stall_cell`].
-pub const STALL_CELL_ENV: &str = "CCS_STALL_CELL";
+pub(crate) const STALL_CELL_ENV: &str = "CCS_STALL_CELL";
 
 /// Renders a violation list as a one-line cell-error message (first three
 /// violations verbatim, the rest counted).
@@ -1442,7 +1442,7 @@ impl<'a> GridFold<'a> {
         let (folded, expected) = self.fill(spec, sim, worker);
         if let Some(started) = self.progress {
             let suffix = self.boards[self.grid_of(spec)].snapshot().progress_suffix();
-            progress::draw_bar_with(folded, expected, started, &suffix);
+            progress::draw_bar(folded, expected, started, &suffix);
         }
     }
 

@@ -8,13 +8,13 @@
 //! worker → supervisor ([`FromWorker`]). Length prefixing makes torn
 //! frames detectable: a peer killed mid-write leaves a short read, which
 //! the supervisor classifies as a crash or disconnect, not a hang. Frames
-//! larger than [`MAX_FRAME_LEN`] are rejected before allocation, so a
+//! larger than `MAX_FRAME_LEN` are rejected before allocation, so a
 //! corrupted length word cannot OOM the peer.
 //!
 //! The byte stream itself is abstracted behind the [`Transport`] trait
 //! with two implementations:
 //!
-//! - [`PipeTransport`] — a re-exec'd `utility_risk worker` child process
+//! - `PipeTransport` — a re-exec'd `utility_risk worker` child process
 //!   reached over its stdin/stdout pipes (the PR 8 single-box grid).
 //! - [`TcpTransport`] — a `utility_risk serve-worker` agent reached over
 //!   a `std::net::TcpStream`, making remote machines first-class grid
@@ -43,11 +43,11 @@ use std::time::Duration;
 /// Upper bound on one frame's JSON payload. Generous — the largest real
 /// frame (a profiled `CellOk`) is a few KiB — but small enough that a
 /// corrupt length word fails fast instead of attempting a huge allocation.
-pub const MAX_FRAME_LEN: u32 = 16 << 20;
+pub(crate) const MAX_FRAME_LEN: u32 = 16 << 20;
 
 /// Serialises one frame to its wire form: 4-byte big-endian payload
 /// length, then the payload. Fails with [`ErrorKind::InvalidData`] if the
-/// message does not serialise or exceeds [`MAX_FRAME_LEN`] — a *local*
+/// message does not serialise or exceeds `MAX_FRAME_LEN` — a *local*
 /// protocol bug, distinct from the connection-level errors a transport
 /// write can return.
 pub fn encode_frame<T: Serialize>(msg: &T) -> std::io::Result<Vec<u8>> {
@@ -67,7 +67,7 @@ pub fn encode_frame<T: Serialize>(msg: &T) -> std::io::Result<Vec<u8>> {
 /// Writes one frame ([`encode_frame`]) with a single `write_all`, so
 /// concurrent writers interleave only at frame boundaries when serialised
 /// by a caller-side lock.
-pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
+pub(crate) fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
     w.write_all(&encode_frame(msg)?)?;
     w.flush()
 }
@@ -122,7 +122,7 @@ pub enum TransportKind {
 
 impl TransportKind {
     /// Short lowercase label (`"pipe"` / `"tcp"`) for worker tags.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             TransportKind::Pipe => "pipe",
             TransportKind::Tcp => "tcp",
@@ -158,7 +158,7 @@ pub trait Transport: Send {
 }
 
 /// [`Transport`] over a re-exec'd worker child process's stdio pipes.
-pub struct PipeTransport {
+pub(crate) struct PipeTransport {
     child: Child,
     writer: Option<Box<dyn Write + Send>>,
     reader: Option<Box<dyn Read + Send>>,
@@ -167,7 +167,10 @@ pub struct PipeTransport {
 impl PipeTransport {
     /// Spawns `worker_bin worker` with piped stdio, optionally threading
     /// both pipe halves through a flaky-network schedule.
-    pub fn spawn(worker_bin: &Path, flakes: Option<ConnectionFlakes>) -> std::io::Result<Self> {
+    pub(crate) fn spawn(
+        worker_bin: &Path,
+        flakes: Option<ConnectionFlakes>,
+    ) -> std::io::Result<Self> {
         let mut child = Command::new(worker_bin)
             .arg("worker")
             .stdin(Stdio::piped())

@@ -123,7 +123,6 @@ fn lines(text: &str) -> impl Iterator<Item = (&str, Option<CellRecord>)> {
 /// threads.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     /// Previously journaled cells, by provenance key.
     seen: HashMap<String, CellRecord>,
     writer: Mutex<std::fs::File>,
@@ -152,15 +151,9 @@ impl Journal {
             }
         }
         Ok(Journal {
-            path: path.to_path_buf(),
             seen,
             writer: Mutex::new(file),
         })
-    }
-
-    /// The journal's location on disk.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Number of cells loaded from disk at open time.
@@ -215,7 +208,7 @@ impl Journal {
     /// `<primary>.shard<worker_id>`. Workers append to their own shard so
     /// no two processes ever write one file; [`Journal::merge_shards`]
     /// folds the shards back into the primary.
-    pub fn shard_path(primary: &Path, worker_id: u64) -> PathBuf {
+    pub(crate) fn shard_path(primary: &Path, worker_id: u64) -> PathBuf {
         let mut name = primary
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
@@ -233,7 +226,7 @@ impl Journal {
     /// [`Journal::open`]: a worker killed mid-append leaves a torn tail,
     /// which is skipped, not fatal. Returns `(shards merged, records
     /// adopted)`.
-    pub fn merge_shards(primary: &Path) -> std::io::Result<(usize, usize)> {
+    pub(crate) fn merge_shards(primary: &Path) -> std::io::Result<(usize, usize)> {
         let dir = match primary.parent().filter(|d| !d.as_os_str().is_empty()) {
             Some(d) => d.to_path_buf(),
             None => PathBuf::from("."),

@@ -35,7 +35,7 @@ pub mod figures;
 pub mod grid;
 pub mod ipc;
 pub mod journal;
-pub mod live;
+mod live;
 pub mod perf;
 pub mod progress;
 pub mod replications;
@@ -50,22 +50,20 @@ pub mod trace_run;
 pub mod worker;
 
 pub use ablation::{run_all as run_all_ablations, Ablation};
-pub use analysis::{analyze, analyze_with, GridAnalysis};
+pub use analysis::{analyze, GridAnalysis};
 pub use atomic::write_atomic;
 pub use cli::parse_cli_checked;
 pub use export::EvaluationExport;
 pub use grid::{
     policies_for, run_cell_ensemble, CellTiming, ExperimentConfig, GridControl, GridRun, RawGrid,
-    FAIL_CELL_ENV, STALL_CELL_ENV,
 };
 pub use journal::{cell_key, CellError, CellErrorKind, CellRecord, Journal};
-pub use live::{LiveRiskBoard, LiveRiskSnapshot, PolicyRisk};
 pub use replications::{
     across_trace_models, replicate, wait_normalization_study, Robustness, TraceModelStudy,
 };
 pub use scenario::{baseline, EstimateSet, QosAttr, Scenario};
-pub use store::{Query, QueryResult, ResultStore, STORE_FILE, STORE_SCHEMA_VERSION};
-pub use supervisor::{backoff_delay_ms, SupervisorConfig, WorkerFailure};
+pub use store::{Query, QueryResult, ResultStore, STORE_FILE};
+pub use supervisor::{SupervisorConfig, WorkerFailure};
 pub use telemetry_report::TelemetryReport;
 pub use trace_report::TraceAnalysis;
 pub use trace_run::{capture_cell, write_bundle, ProvenanceManifest, TraceBundle, TraceCellSpec};
@@ -135,7 +133,7 @@ impl Evaluation {
 }
 
 /// Every figure id the CLI's `figure` subcommand accepts, in paper order.
-pub const FIGURE_IDS: [&str; 8] = [
+pub(crate) const FIGURE_IDS: [&str; 8] = [
     "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 ];
 
@@ -198,7 +196,7 @@ impl std::error::Error for ConfigError {}
 /// scenario's sweep values and the derived fault configurations — so a bad
 /// value surfaces as a named [`ConfigError`] before any simulation starts,
 /// not as a panic (or NaN) deep inside a worker thread.
-pub fn validate_config(cfg: &ExperimentConfig) -> Result<(), ConfigError> {
+pub(crate) fn validate_config(cfg: &ExperimentConfig) -> Result<(), ConfigError> {
     if cfg.nodes == 0 {
         return Err(ConfigError::new("nodes", "cluster size must be at least 1"));
     }

@@ -1,7 +1,7 @@
 //! Live per-policy risk scoring while a grid runs.
 //!
 //! The batch pipeline ([`crate::analysis`]) scores policies only after all
-//! 78 experiment points of a grid finish. The [`LiveRiskBoard`] folds each
+//! 78 experiment points of a grid finish. The `LiveRiskBoard` folds each
 //! point into streaming [`Welford`] accumulators *as workers complete it*,
 //! so a per-policy risk posture — normalized impact × observed violation
 //! probability, after KMamiz's realtime risk score — exists at any moment of the
@@ -19,23 +19,21 @@ use std::sync::Mutex;
 
 /// One policy's live risk posture, from a [`LiveRiskBoard`] snapshot.
 #[derive(Clone, Debug)]
-pub struct PolicyRisk {
+pub(crate) struct PolicyRisk {
     /// Policy display name.
     pub name: String,
     /// Mean normalized performance over all objectives at all recorded
     /// points (1 = ideal).
     pub performance: f64,
-    /// Normalized impact of underperformance: `1 − performance`.
-    pub impact: f64,
-    /// Observed SLA-violation probability: `1 − mean reliability / 100`.
-    pub probability: f64,
-    /// The realtime risk score, `impact × probability` ∈ [0, 1].
+    /// The realtime risk score, `impact × probability` ∈ [0, 1]: the
+    /// normalized impact of underperformance (`1 − performance`) times the
+    /// observed SLA-violation probability (`1 − mean reliability / 100`).
     pub score: f64,
 }
 
 /// A point-in-time reading of the board.
 #[derive(Clone, Debug)]
-pub struct LiveRiskSnapshot {
+pub(crate) struct LiveRiskSnapshot {
     /// Experiment points folded in so far.
     pub points: usize,
     /// Per-policy risk postures, in grid column order.
@@ -44,7 +42,7 @@ pub struct LiveRiskSnapshot {
 
 impl LiveRiskSnapshot {
     /// The policy with the highest live risk score, if any data exists.
-    pub fn riskiest(&self) -> Option<&PolicyRisk> {
+    pub(crate) fn riskiest(&self) -> Option<&PolicyRisk> {
         self.policies
             .iter()
             .filter(|p| p.performance.is_finite())
@@ -53,7 +51,7 @@ impl LiveRiskSnapshot {
 
     /// Compact suffix for the grid progress line, e.g.
     /// `" risk↑ FCFS-BF 0.31"`. Empty until the first point lands.
-    pub fn progress_suffix(&self) -> String {
+    pub(crate) fn progress_suffix(&self) -> String {
         match self.riskiest() {
             Some(p) if self.points > 0 => format!(" risk\u{2191} {} {:.3}", p.name, p.score),
             _ => String::new(),
@@ -74,7 +72,7 @@ struct BoardInner {
 
 /// Streaming risk scoreboard over one grid run. Thread-safe: grid workers
 /// record points concurrently; anyone may snapshot at any time.
-pub struct LiveRiskBoard {
+pub(crate) struct LiveRiskBoard {
     policy_names: Vec<String>,
     inner: Mutex<BoardInner>,
 }
@@ -83,7 +81,7 @@ impl LiveRiskBoard {
     /// A board for a grid over `policy_names` (column order), normalizing
     /// wait values with the default [`WaitNormalization`], as the study's
     /// batch analysis does.
-    pub fn new(policy_names: Vec<String>) -> Self {
+    pub(crate) fn new(policy_names: Vec<String>) -> Self {
         let n = policy_names.len();
         LiveRiskBoard {
             policy_names,
@@ -98,7 +96,7 @@ impl LiveRiskBoard {
     /// Folds one completed experiment point into the board.
     /// `row[policy] = [wait, SLA, reliability, profitability]`, raw values,
     /// exactly as stored into the grid.
-    pub fn record_point(&self, row: &[[f64; 4]]) {
+    pub(crate) fn record_point(&self, row: &[[f64; 4]]) {
         let n = self.policy_names.len();
         assert_eq!(row.len(), n, "row width must match the policy count");
         let mut inner = self.inner.lock().unwrap();
@@ -112,7 +110,7 @@ impl LiveRiskBoard {
     }
 
     /// A consistent point-in-time reading of every policy's risk posture.
-    pub fn snapshot(&self) -> LiveRiskSnapshot {
+    pub(crate) fn snapshot(&self) -> LiveRiskSnapshot {
         let inner = self.inner.lock().unwrap();
         let policies = self
             .policy_names
@@ -146,8 +144,6 @@ fn policy_risk(name: &str, inner: &BoardInner, p: usize) -> PolicyRisk {
     PolicyRisk {
         name: name.to_string(),
         performance,
-        impact,
-        probability,
         score: if performance.is_finite() {
             impact * probability
         } else {
@@ -196,7 +192,6 @@ mod tests {
         assert_eq!(s.policies.len(), 2);
         for p in &s.policies {
             assert!((0.0..=1.0).contains(&p.score), "{}: {}", p.name, p.score);
-            assert!((0.0..=1.0).contains(&p.probability));
         }
         assert!(s.progress_suffix().starts_with(" risk\u{2191} "));
     }

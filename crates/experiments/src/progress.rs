@@ -6,7 +6,7 @@
 //!
 //! * [`note`] / [`note_raw`] — informational lines ("wrote 8 files",
 //!   slowest-cell summaries). Printed unless `--quiet`.
-//! * [`bar_enabled`] + [`draw_bar`] — the `\r`-rewritten progress/ETA
+//! * `bar_enabled` + `draw_bar` — the `\r`-rewritten progress/ETA
 //!   line. On when stderr is a terminal, forced by `CCS_PROGRESS=1`/`0`,
 //!   and always off under `--quiet`.
 //!
@@ -20,7 +20,7 @@ use std::time::Instant;
 static QUIET: AtomicBool = AtomicBool::new(false);
 
 /// Enables or disables quiet mode (set by the `--quiet` CLI flag).
-pub fn set_quiet(quiet: bool) {
+pub(crate) fn set_quiet(quiet: bool) {
     QUIET.store(quiet, Ordering::Relaxed);
 }
 
@@ -50,7 +50,7 @@ pub fn note_raw(msg: &str) {
 /// `--quiet` wins; otherwise on when stderr is a terminal, with
 /// `CCS_PROGRESS=1` forcing it on (for piped logs) and `CCS_PROGRESS=0`
 /// forcing it off.
-pub fn bar_enabled() -> bool {
+pub(crate) fn bar_enabled() -> bool {
     if quiet() {
         return false;
     }
@@ -61,17 +61,12 @@ pub fn bar_enabled() -> bool {
     }
 }
 
-/// Redraws the `\r`-rewritten grid progress/ETA line. Callers gate on
-/// [`bar_enabled`] once up front (the check reads an env var).
-pub fn draw_bar(done: usize, total: usize, started: Instant) {
-    draw_bar_with(done, total, started, "");
-}
-
-/// [`draw_bar`] with a caller-supplied suffix appended to the line — the
-/// hook the grid runner uses to surface the live risk score next to the
-/// ETA. Keep the suffix short and of stable width; the line is rewritten
-/// in place.
-pub fn draw_bar_with(done: usize, total: usize, started: Instant, extra: &str) {
+/// Redraws the `\r`-rewritten grid progress/ETA line, with a
+/// caller-supplied suffix appended — the hook the grid runner uses to
+/// surface the live risk score next to the ETA. Callers gate on
+/// [`bar_enabled`] once up front (the check reads an env var). Keep the
+/// suffix short and of stable width; the line is rewritten in place.
+pub(crate) fn draw_bar(done: usize, total: usize, started: Instant, extra: &str) {
     let elapsed = started.elapsed().as_secs_f64();
     let eta = if done > 0 {
         elapsed / done as f64 * (total - done) as f64

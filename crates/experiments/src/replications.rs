@@ -12,7 +12,7 @@ use crate::analysis::{analyze, analyze_with, GridAnalysis};
 use crate::grid::{ExperimentConfig, GridRun, IN_PROCESS};
 use crate::scenario::EstimateSet;
 use ccs_economy::EconomicModel;
-use ccs_risk::{integrated_equal, Objective, WaitNormalization, Welford};
+use ccs_risk::{integrated_equal, WaitNormalization, Welford};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -115,7 +115,8 @@ impl Robustness {
 
     /// True when the ordering of `a` above `b` holds in *every* replication
     /// (a seed-robust conclusion).
-    pub fn robustly_above(&self, a: &str, b: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn robustly_above(&self, a: &str, b: &str) -> bool {
         let find = |name: &str| {
             self.policies
                 .iter()
@@ -156,11 +157,6 @@ impl Robustness {
             );
         }
         s
-    }
-
-    /// The objectives every score integrates (fixed: all four).
-    pub fn objectives() -> [Objective; 4] {
-        Objective::ALL
     }
 }
 
@@ -246,7 +242,8 @@ pub fn across_trace_models(
 
 impl TraceModelStudy {
     /// Policy ordering (best first) under each model.
-    pub fn orderings(&self) -> Vec<(String, Vec<String>)> {
+    #[cfg(test)]
+    pub(crate) fn orderings(&self) -> Vec<(String, Vec<String>)> {
         self.models
             .iter()
             .map(|(name, scores)| {

@@ -8,7 +8,7 @@ use ccs_risk::{rank, Objective, RankBy, RiskPlot};
 use std::fmt::Write as _;
 
 /// Renders a markdown table of a plot's per-policy extrema (Table II form).
-pub fn extrema_md(plot: &RiskPlot) -> String {
+pub(crate) fn extrema_md(plot: &RiskPlot) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -32,7 +32,7 @@ pub fn extrema_md(plot: &RiskPlot) -> String {
 }
 
 /// Renders a markdown ranking table (Tables III/IV form).
-pub fn ranking_md(plot: &RiskPlot, by: RankBy) -> String {
+pub(crate) fn ranking_md(plot: &RiskPlot, by: RankBy) -> String {
     let rows = rank(plot, by);
     let mut s = String::new();
     let crit = match by {

@@ -32,7 +32,7 @@ impl EstimateSet {
     pub const ALL: [EstimateSet; 2] = [EstimateSet::A, EstimateSet::B];
 
     /// The set's default inaccuracy percentage.
-    pub fn default_inaccuracy(self) -> f64 {
+    pub(crate) fn default_inaccuracy(self) -> f64 {
         match self {
             EstimateSet::A => 0.0,
             EstimateSet::B => 100.0,
@@ -108,7 +108,8 @@ impl Scenario {
 
     /// The paper's original twelve scenarios (Table VI), excluding the
     /// failure-rate extension.
-    pub fn paper() -> &'static [Scenario] {
+    #[cfg(test)]
+    pub(crate) fn paper() -> &'static [Scenario] {
         &Scenario::ALL[..12]
     }
 

@@ -13,7 +13,7 @@
 //! the paper's separate risk analysis: the group mean is Eq. 5, the group
 //! population σ is Eq. 6.
 //!
-//! Schema stability: [`STORE_SCHEMA_VERSION`] gates loads. Adding a column
+//! Schema stability: `STORE_SCHEMA_VERSION` gates loads. Adding a column
 //! is a version bump; readers refuse newer (or older) schemas instead of
 //! misinterpreting them — the store is an artifact format, not an API.
 
@@ -41,7 +41,7 @@ pub const STORE_FILE: &str = "results_store.json";
 /// vector: `events_per_sec`, `peak_queue_depth`, and one `ns_*` self-time
 /// column per profiled phase. Files of any other version are refused with
 /// their version number; re-running the grid regenerates them.
-pub const STORE_SCHEMA_VERSION: u32 = 4;
+pub(crate) const STORE_SCHEMA_VERSION: u32 = 4;
 
 /// Row provenance: a normal grid cell, or a chaos-soak finding.
 pub const SOURCE_GRID: u8 = 0;
@@ -136,7 +136,7 @@ pub struct Columns {
 
 impl Columns {
     /// The row's cost-vector columns, reassembled as a [`CellCost`].
-    pub fn cell_cost(&self, i: usize) -> CellCost {
+    pub(crate) fn cell_cost(&self, i: usize) -> CellCost {
         CellCost {
             phase_ns: [
                 self.ns_workload_gen[i],
@@ -154,7 +154,7 @@ impl Columns {
 /// The queryable columnar result store.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ResultStore {
-    /// Must equal [`STORE_SCHEMA_VERSION`] to load.
+    /// Must equal `STORE_SCHEMA_VERSION` to load.
     pub schema_version: u32,
     /// Scenario string table, indexed by [`Columns::scenario`].
     pub scenarios: Vec<String>,
@@ -180,7 +180,7 @@ fn schema_mismatch(path: &Path, version: u32) -> String {
 }
 
 /// Every queryable column name, in presentation order.
-pub const COLUMN_NAMES: [&str; 31] = [
+pub(crate) const COLUMN_NAMES: [&str; 31] = [
     "source",
     "econ",
     "set",
@@ -390,7 +390,7 @@ impl ResultStore {
     }
 
     /// Appends every cell of `ev`'s four raw grids as grid-source rows.
-    pub fn append_evaluation(&mut self, ev: &Evaluation, cfg: &ExperimentConfig) {
+    pub(crate) fn append_evaluation(&mut self, ev: &Evaluation, cfg: &ExperimentConfig) {
         let scheme = WaitNormalization::default();
         for grid in &ev.raw_grids {
             for (s, per_value) in grid.raw.iter().enumerate() {

@@ -21,7 +21,7 @@
 //!   grid; links and their quarantine verdicts, the event channel and
 //!   worker ids are per run.
 //! - **Shard planning** — cells are dealt round-robin into per-slot
-//!   deques ([`crate::grid::plan_shards`]), one slot per local worker
+//!   deques (`crate::grid::plan_shards`), one slot per local worker
 //!   plus one per remote address; an idle worker drains its own deque
 //!   first, then *steals* from the longest other deque, so a dead or
 //!   quarantined worker's remaining shard is absorbed by survivors and
@@ -35,20 +35,20 @@
 //!   carry no deadline, severing the socket is what unblocks them.
 //! - **Failure classification** — every worker death is typed
 //!   ([`WorkerFailure`]): process exit ([`WorkerFailure::Crash`]; exit
-//!   code [`crate::worker::PROTOCOL_EXIT`] re-classifies as protocol),
+//!   code `crate::worker::PROTOCOL_EXIT` re-classifies as protocol),
 //!   heartbeat timeout, torn/garbage frame
 //!   ([`WorkerFailure::Protocol`]), failed dial
 //!   ([`WorkerFailure::ConnectTimeout`]), or dropped link
 //!   ([`WorkerFailure::Disconnected`]). In-flight cells are orphaned
 //!   and retried.
 //! - **Retry with deterministic backoff** — orphaned or panicked cells
-//!   re-enter the queue after [`backoff_delay_ms`]; reopening a link
+//!   re-enter the queue after `backoff_delay_ms`; reopening a link
 //!   reuses the same schedule, keyed by the remote address or the local
 //!   slot. Budget/invariant failures are *not* retried — they are
 //!   deterministic verdicts.
 //! - **Reopen-and-resume** — one lifecycle for every link, local or
 //!   remote: only how the transport is made differs
-//!   ([`PipeTransport::spawn`] or [`TcpTransport::dial`]). A dead link is
+//!   (`PipeTransport::spawn` or [`TcpTransport::dial`]). A dead link is
 //!   reopened after its backoff and re-Hello'd under its original shard
 //!   id, so its shard journal answers re-assigned cells it already
 //!   completed without re-simulating them. A link that fails `retries`
@@ -92,7 +92,7 @@ use std::time::{Duration, Instant};
 
 /// Retried attempts never back off longer than this, whatever the
 /// exponent says.
-pub const MAX_BACKOFF_MS: u64 = 30_000;
+pub(crate) const MAX_BACKOFF_MS: u64 = 30_000;
 
 /// Configuration of a supervised (multi-process, possibly multi-machine)
 /// grid run.
@@ -108,7 +108,7 @@ pub struct SupervisorConfig {
     /// after K consecutive failed opens or deaths before `Ready`.
     pub retries: u32,
     /// Base backoff before a retry, in milliseconds; attempt `n` waits
-    /// `base << (n-1)` (capped at [`MAX_BACKOFF_MS`]) plus jitter.
+    /// `base << (n-1)` (capped at `MAX_BACKOFF_MS`) plus jitter.
     pub backoff_ms: u64,
     /// Heartbeat deadline in milliseconds: a worker silent this long is
     /// declared dead. Workers beat at a quarter of this interval. Also
@@ -138,7 +138,7 @@ impl Default for SupervisorConfig {
 impl SupervisorConfig {
     /// Validates every field, naming the offending CLI flag — the PR 3
     /// convention: binaries print the [`ConfigError`] and exit 2.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.workers == 0 && self.remotes.is_empty() {
             return Err(ConfigError::new(
                 "--workers",
@@ -260,7 +260,7 @@ impl WorkerFailure {
     /// state-dependent — retry up to the quarantine cap. Budget and
     /// invariant verdicts are deterministic properties of the cell —
     /// retrying would reproduce them, so they are final.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         match self {
             WorkerFailure::CellFailed { kind, .. } => matches!(kind, CellErrorKind::Panic),
             _ => true,
@@ -297,7 +297,7 @@ impl std::fmt::Display for WorkerFailure {
 /// two supervisors replaying the same failure history compute the same
 /// schedule. Reopening a link reuses it, keyed by the remote address or
 /// the local slot.
-pub fn backoff_delay_ms(seed: u64, key: &str, attempt: u32, base_ms: u64) -> u64 {
+pub(crate) fn backoff_delay_ms(seed: u64, key: &str, attempt: u32, base_ms: u64) -> u64 {
     let shift = attempt.saturating_sub(1).min(16);
     let exp = base_ms.saturating_mul(1u64 << shift).min(MAX_BACKOFF_MS);
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

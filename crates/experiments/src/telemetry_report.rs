@@ -19,7 +19,7 @@ use std::path::Path;
 /// the `grid.transport.*` counters; v5 dropped `feature_enabled` (the
 /// registry is switched on at runtime, so every report has it on) and
 /// counts only cells simulated in this run in `grid.cells.completed`.
-pub const SCHEMA_VERSION: u32 = 5;
+pub(crate) const SCHEMA_VERSION: u32 = 5;
 
 /// Wall-time table of one grid: seconds per (scenario, policy), summed
 /// over the six scenario values.
@@ -46,7 +46,7 @@ pub struct GridWallTimes {
 
 impl GridWallTimes {
     /// Builds the table from a finished grid.
-    pub fn of(grid: &RawGrid) -> GridWallTimes {
+    pub(crate) fn of(grid: &RawGrid) -> GridWallTimes {
         let n_pol = grid.policies.len();
         let mut secs = vec![vec![0.0; n_pol]; grid.cell_secs.len()];
         for (s, per_value) in grid.cell_secs.iter().enumerate() {
@@ -99,7 +99,7 @@ impl TelemetryReport {
     }
 
     /// Serialises to pretty JSON.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("telemetry report serialises")
     }
 
@@ -117,7 +117,7 @@ impl TelemetryReport {
 /// Renders the end-of-run slowest-cells summary printed to stderr: each
 /// cell with its wall time, event rate and (when profiled) its dominant
 /// phase, then one line totalling the workload-cache traffic across all
-/// grids. Reads the unified per-cell cost model ([`RawGrid::slowest_cells`]
+/// grids. Reads the unified per-cell cost model (`RawGrid::slowest_cells`
 /// over [`crate::grid::CellCost`]) — the same data the result store
 /// persists — rather than recomputing its own timings.
 pub fn slowest_cells_summary(grids: &[RawGrid], k: usize) -> String {

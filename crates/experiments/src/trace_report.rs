@@ -275,7 +275,7 @@ impl TraceAnalysis {
     }
 
     /// The `k` started jobs with the longest waits, longest first.
-    pub fn top_wait(&self, k: usize) -> Vec<&JobLifecycle> {
+    pub(crate) fn top_wait(&self, k: usize) -> Vec<&JobLifecycle> {
         let mut started: Vec<&JobLifecycle> = self
             .lifecycles
             .iter()

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 
 /// Version of the provenance-manifest schema. Bumped on any change to the
 /// manifest's fields, like [`TRACE_SCHEMA_VERSION`] for trace records.
-pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
+pub(crate) const MANIFEST_SCHEMA_VERSION: u32 = 1;
 
 /// Timeline bucket width used for the manifest's utilization summary.
 const TIMELINE_BUCKET_SECS: f64 = 3600.0;
@@ -118,7 +118,7 @@ pub struct WorkloadParams {
 /// Everything needed to reproduce and interpret one traced run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ProvenanceManifest {
-    /// [`MANIFEST_SCHEMA_VERSION`] at write time.
+    /// `MANIFEST_SCHEMA_VERSION` at write time.
     pub schema_version: u32,
     /// [`TRACE_SCHEMA_VERSION`] of the trace records next to this manifest.
     pub trace_schema_version: u32,
@@ -238,7 +238,7 @@ pub fn capture_cell(spec: &TraceCellSpec, cfg: &ExperimentConfig) -> TraceBundle
 }
 
 /// Serialises a trace as JSON Lines: one record per line, in causal order.
-pub fn trace_jsonl(trace: &RunTrace) -> String {
+pub(crate) fn trace_jsonl(trace: &RunTrace) -> String {
     let mut s = String::with_capacity(trace.records.len() * 96);
     for r in &trace.records {
         s.push_str(&serde_json::to_string(r).expect("trace records always serialise"));
@@ -262,7 +262,7 @@ fn esc(s: &str) -> String {
 /// every transition, and a `kernel_queue` track plotting the event-queue
 /// high-water mark per kernel span — Perfetto renders both as area charts
 /// above the slices.
-pub fn chrome_trace_json(trace: &RunTrace) -> String {
+pub(crate) fn chrome_trace_json(trace: &RunTrace) -> String {
     #[derive(Default, Clone, Copy)]
     struct Life {
         submit: Option<f64>,

@@ -53,14 +53,15 @@ use std::sync::{Arc, Mutex};
 /// or a frame that failed to serialise): distinct from 0 (clean shutdown)
 /// and from abort/panic codes, so the supervisor's crash classification
 /// stays meaningful.
-pub const PROTOCOL_EXIT: i32 = 3;
+pub(crate) const PROTOCOL_EXIT: i32 = 3;
 
 /// Live worker-side heartbeat threads — observable so tests can prove
 /// sessions join their thread instead of leaking one per reconnect.
 static LIVE_HEARTBEATS: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of heartbeat threads currently alive in this process.
-pub fn live_heartbeat_threads() -> usize {
+#[cfg(test)]
+pub(crate) fn live_heartbeat_threads() -> usize {
     LIVE_HEARTBEATS.load(Ordering::SeqCst)
 }
 
@@ -81,7 +82,7 @@ impl Drop for HeartbeatGuard {
 
 /// Why one protocol session ended.
 #[derive(Debug)]
-pub enum SessionEnd {
+pub(crate) enum SessionEnd {
     /// Clean [`ToWorker::Shutdown`]: the worker should exit 0.
     Shutdown,
     /// The supervisor closed the link at a frame boundary.
@@ -98,7 +99,7 @@ pub enum SessionEnd {
 /// trace)` stay the same, so a redialed session resumes without
 /// re-synthesising megabytes of workload.
 #[derive(Default)]
-pub struct WorkerState {
+pub(crate) struct WorkerState {
     /// The Hello `(seed, nodes, trace)` the cache was built for.
     key: Option<String>,
     cache: Option<WorkloadCache>,
@@ -125,7 +126,7 @@ fn send_failure(e: std::io::Error) -> SessionEnd {
 /// Runs one protocol session (Hello → cells → Shutdown/EOF) over an
 /// arbitrary transport. Returns how it ended; the heartbeat thread it
 /// spawned is always joined before returning.
-pub fn run_session<R: Read>(
+pub(crate) fn run_session<R: Read>(
     reader: &mut R,
     writer: Box<dyn Write + Send>,
     state: &mut WorkerState,

@@ -131,7 +131,8 @@ impl BackfillPolicy {
     /// Total scheduling sweeps (`BackfillPolicy::try_schedule` runs) so
     /// far — a cost diagnostic: a batched N-node failure storm should add
     /// exactly one, not N.
-    pub fn scheduling_passes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn scheduling_passes(&self) -> u64 {
         self.scheduling_passes
     }
 

@@ -30,17 +30,6 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
-    /// Every built-in reason, in a stable reporting order.
-    pub const ALL: [RejectReason; 7] = [
-        RejectReason::TooLarge,
-        RejectReason::DeadlineLapsed,
-        RejectReason::EstimateExceedsDeadline,
-        RejectReason::OverBudget,
-        RejectReason::InsufficientShare,
-        RejectReason::LowSlack,
-        RejectReason::Other,
-    ];
-
     /// Stable snake_case code used in traces and reports.
     pub fn code(self) -> &'static str {
         match self {

@@ -21,7 +21,8 @@ pub struct Interval {
 
 impl Interval {
     /// Width of the interval.
-    pub fn width(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn width(&self) -> f64 {
         self.hi - self.lo
     }
 

@@ -27,7 +27,7 @@ pub enum CarMetric {
 
 impl CarMetric {
     /// Display label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             CarMetric::Makespan => "makespan",
             CarMetric::Slowdown => "slowdown",
@@ -56,7 +56,7 @@ pub struct CarAnalysis {
 
 /// The `q`-quantile of `samples` (linear interpolation between order
 /// statistics; `0 ≤ q ≤ 1`). Panics on an empty slice or out-of-range `q`.
-pub fn quantile(samples: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile(samples: &[f64], q: f64) -> f64 {
     assert!(!samples.is_empty(), "quantile of an empty sample set");
     assert!((0.0..=1.0).contains(&q), "quantile level {q} outside [0,1]");
     let mut sorted: Vec<f64> = samples.to_vec();

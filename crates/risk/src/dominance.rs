@@ -8,8 +8,8 @@
 //! strict inequality somewhere. Every expected-utility maximizer with an
 //! increasing utility then prefers A — regardless of risk appetite.
 //!
-//! [`dominates`] tests FSD on two sample sets; [`dominance_matrix`]
-//! evaluates all policy pairs of a plot; [`paired_wins`] counts per-scenario
+//! [`dominates`] tests FSD on two sample sets; `dominance_matrix`
+//! evaluates all policy pairs of a plot; `paired_wins` counts per-scenario
 //! wins (the paired sign statistic), a weaker but scenario-matched
 //! comparison.
 
@@ -61,7 +61,7 @@ pub fn dominates(a: &[f64], b: &[f64]) -> Dominance {
 /// Per-scenario paired comparison: how often does the first policy's
 /// performance strictly beat the second's on the *same* scenario?
 /// Returns `(wins_a, wins_b, ties)`.
-pub fn paired_wins(a: &[f64], b: &[f64]) -> (usize, usize, usize) {
+pub(crate) fn paired_wins(a: &[f64], b: &[f64]) -> (usize, usize, usize) {
     assert_eq!(
         a.len(),
         b.len(),
@@ -84,7 +84,7 @@ pub fn paired_wins(a: &[f64], b: &[f64]) -> (usize, usize, usize) {
 
 /// One row of the dominance matrix.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct DominancePair {
+pub(crate) struct DominancePair {
     /// First policy.
     pub a: String,
     /// Second policy.
@@ -99,7 +99,7 @@ pub struct DominancePair {
 
 /// Evaluates every unordered policy pair of a plot on their performance
 /// samples (one per scenario).
-pub fn dominance_matrix(plot: &RiskPlot) -> Vec<DominancePair> {
+pub(crate) fn dominance_matrix(plot: &RiskPlot) -> Vec<DominancePair> {
     let perf: Vec<(String, Vec<f64>)> = plot
         .series
         .iter()

@@ -61,11 +61,11 @@ pub use apriori::{
 };
 pub use bootstrap::{bootstrap_separate, BootstrapResult, Interval};
 pub use car::{car, CarAnalysis, CarMetric};
-pub use dominance::{dominance_matrix, dominates, paired_wins, Dominance};
+pub use dominance::{dominates, Dominance};
 pub use integrated::{integrated, integrated_equal};
 pub use measure::RiskMeasure;
-pub use normalize::{normalize_wait_with, normalize_with, WaitNormalization};
-pub use objective::{Better, Focus, Objective};
+pub use normalize::{normalize_with, WaitNormalization};
+pub use objective::{Focus, Objective};
 pub use plot::{sample_figure1, Extrema, PolicySeries, RiskPlot};
 pub use rank::{rank, RankBy, RankedPolicy};
 pub use separate::separate;

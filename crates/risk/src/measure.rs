@@ -36,7 +36,7 @@ impl RiskMeasure {
     /// Euclidean distance to another measure in the (volatility,
     /// performance) plane — used for the concentration tie-break in policy
     /// ranking (paper Section 4.3, the C-vs-D comparison).
-    pub fn distance(&self, other: &RiskMeasure) -> f64 {
+    pub(crate) fn distance(&self, other: &RiskMeasure) -> f64 {
         let dp = self.performance - other.performance;
         let dv = self.volatility - other.volatility;
         (dp * dp + dv * dv).sqrt()

@@ -42,7 +42,7 @@ pub enum WaitNormalization {
 
 /// Normalizes a cross-policy vector of `wait` measurements under an
 /// explicit scheme.
-pub fn normalize_wait_with(waits: &[f64], scheme: WaitNormalization) -> Vec<f64> {
+pub(crate) fn normalize_wait_with(waits: &[f64], scheme: WaitNormalization) -> Vec<f64> {
     match scheme {
         WaitNormalization::RelativeToWorst => normalize_wait(waits),
         WaitNormalization::MinMax => {
@@ -81,14 +81,14 @@ pub fn normalize_with(objective: Objective, raw: &[f64], scheme: WaitNormalizati
 /// Normalizes one percentage-valued objective measurement.
 ///
 /// Panics in debug builds if `pct` is NaN; clamps to `[0, 100]` otherwise.
-pub fn normalize_percent(pct: f64) -> f64 {
+pub(crate) fn normalize_percent(pct: f64) -> f64 {
     debug_assert!(!pct.is_nan());
     (pct / 100.0).clamp(0.0, 1.0)
 }
 
 /// Normalizes a cross-policy vector of `wait` measurements (seconds) taken
 /// at the same experiment point.
-pub fn normalize_wait(waits: &[f64]) -> Vec<f64> {
+pub(crate) fn normalize_wait(waits: &[f64]) -> Vec<f64> {
     let max = waits.iter().cloned().fold(0.0_f64, f64::max);
     if max <= 0.0 {
         return vec![1.0; waits.len()];

@@ -14,7 +14,7 @@ pub enum Focus {
 
 /// Which direction of a raw measurement is better.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Hash)]
-pub enum Better {
+pub(crate) enum Better {
     /// Lower raw values are better (wait time).
     Lower,
     /// Higher raw values are better (the three percentage objectives).
@@ -75,7 +75,7 @@ impl Objective {
     }
 
     /// Direction of goodness of the raw measure.
-    pub fn better(self) -> Better {
+    pub(crate) fn better(self) -> Better {
         match self {
             Objective::Wait => Better::Lower,
             _ => Better::Higher,

@@ -45,7 +45,7 @@ impl PolicySeries {
     }
 
     /// The policy's trend line, if it has enough distinct points.
-    pub fn trend(&self) -> Option<TrendLine> {
+    pub(crate) fn trend(&self) -> Option<TrendLine> {
         trend::fit(&self.points)
     }
 
@@ -57,7 +57,7 @@ impl PolicySeries {
     /// Mean distance of the points to the policy's own best corner
     /// (min volatility, max performance) — the concentration measure used
     /// as the final ranking tie-break (the paper's C-vs-D argument).
-    pub fn concentration(&self) -> f64 {
+    pub(crate) fn concentration(&self) -> f64 {
         if self.points.is_empty() {
             return 0.0;
         }
@@ -85,12 +85,12 @@ pub struct Extrema {
 
 impl Extrema {
     /// Performance range (Table II "difference").
-    pub fn performance_difference(&self) -> f64 {
+    pub(crate) fn performance_difference(&self) -> f64 {
         self.max_performance - self.min_performance
     }
 
     /// Volatility range (Table II "difference").
-    pub fn volatility_difference(&self) -> f64 {
+    pub(crate) fn volatility_difference(&self) -> f64 {
         self.max_volatility - self.min_volatility
     }
 }

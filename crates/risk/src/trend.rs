@@ -29,7 +29,7 @@ pub enum Gradient {
 impl Gradient {
     /// Ranking preference (lower is better): decreasing, increasing, zero,
     /// then not-available (paper Section 4.3).
-    pub fn preference(self) -> u8 {
+    pub(crate) fn preference(self) -> u8 {
         match self {
             Gradient::Decreasing => 0,
             Gradient::Increasing => 1,
@@ -39,7 +39,7 @@ impl Gradient {
     }
 
     /// Short label for tables.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Gradient::Decreasing => "Decreasing",
             Gradient::Increasing => "Increasing",

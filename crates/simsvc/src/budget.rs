@@ -19,7 +19,7 @@ use std::time::Instant;
 
 /// Wall-clock and event-count bounds for one simulation run.
 ///
-/// `None` fields are unlimited; [`RunBudget::unlimited`] never trips.
+/// `None` fields are unlimited; `RunBudget::unlimited` never trips.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunBudget {
     /// Maximum wall-clock seconds the run may take.
@@ -31,16 +31,8 @@ pub struct RunBudget {
 
 impl RunBudget {
     /// A budget that never trips.
-    pub fn unlimited() -> Self {
+    pub(crate) fn unlimited() -> Self {
         RunBudget::default()
-    }
-
-    /// Bound by wall-clock seconds only.
-    pub fn wall_secs(secs: f64) -> Self {
-        RunBudget {
-            max_wall_secs: Some(secs),
-            max_events: None,
-        }
     }
 
     /// Bound by driver steps only (fully deterministic).
@@ -174,7 +166,10 @@ mod tests {
     #[test]
     fn wall_budget_trips_eventually() {
         // A zero-second wall budget must trip within one check interval.
-        let mut wd = Watchdog::new(RunBudget::wall_secs(0.0));
+        let mut wd = Watchdog::new(RunBudget {
+            max_wall_secs: Some(0.0),
+            max_events: None,
+        });
         let err = (0..10_000)
             .find_map(|_| wd.tick().err())
             .expect("zero wall budget must trip");

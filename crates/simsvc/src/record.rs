@@ -25,7 +25,7 @@ pub struct JobRecord {
 
 impl JobRecord {
     /// A rejected-job record.
-    pub fn rejected(id: JobId, at: f64) -> Self {
+    pub(crate) fn rejected(id: JobId, at: f64) -> Self {
         JobRecord {
             id,
             accepted: false,

@@ -38,15 +38,6 @@ pub fn waits(jobs: &[Job], records: &[JobRecord]) -> Vec<f64> {
         .collect()
 }
 
-/// Per-job utilities of the accepted jobs (negative = net penalty).
-pub fn utilities(records: &[JobRecord]) -> Vec<f64> {
-    records
-        .iter()
-        .filter(|r| r.accepted)
-        .map(|r| r.utility)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,16 +98,5 @@ mod tests {
         let res = simulate(&js, PolicyKind::FcfsBf, &cfg);
         let sd = slowdowns(&js, &res.records);
         assert!(sd[0] < 10.0, "bounded slowdown: {}", sd[0]);
-    }
-
-    #[test]
-    fn utilities_only_cover_accepted() {
-        let jobs = jobs();
-        let cfg = RunConfig {
-            nodes: 8,
-            econ: EconomicModel::BidBased,
-        };
-        let res = simulate(&jobs, PolicyKind::FcfsBf, &cfg);
-        assert_eq!(utilities(&res.records).len(), res.metrics.accepted as usize);
     }
 }

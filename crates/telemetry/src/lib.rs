@@ -91,7 +91,7 @@ pub struct Counter {
 
 impl Counter {
     /// Creates a counter at zero.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Counter {
             value: AtomicU64::new(0),
         }
@@ -111,7 +111,7 @@ impl Counter {
 
     /// Current value.
     #[inline]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -124,7 +124,7 @@ pub struct MaxGauge {
 
 impl MaxGauge {
     /// Creates a gauge at zero.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         MaxGauge {
             value: AtomicU64::new(0),
         }
@@ -138,7 +138,7 @@ impl MaxGauge {
 
     /// Current high-water mark.
     #[inline]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -160,7 +160,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
@@ -200,13 +200,8 @@ impl Histogram {
         self.record(v);
     }
 
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Copies the histogram into a plain snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Ordering::Relaxed);
         HistogramSnapshot {
             buckets: self
@@ -262,7 +257,7 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Creates an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -305,7 +300,7 @@ impl Telemetry {
     }
 
     /// Copies every metric into a plain, mergeable [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
+    pub(crate) fn snapshot(&self) -> Snapshot {
         Snapshot {
             counters: self
                 .counters

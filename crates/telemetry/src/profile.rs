@@ -18,7 +18,7 @@
 //! [`ProfileSnapshot`]; grid workers call it once per cell so every cell
 //! gets an isolated cost breakdown. Snapshots merge commutatively and
 //! associatively (sums plus a max for the queue-depth gauge), mirroring
-//! [`crate::Snapshot::merge`].
+//! `crate::Snapshot::merge`.
 //!
 //! # Feature semantics
 //!
@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Separator between phase names in a folded path (`run;dispatch`).
-pub const PATH_SEPARATOR: char = ';';
+pub(crate) const PATH_SEPARATOR: char = ';';
 
 /// Accumulated cost of one folded phase path.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -26,17 +26,8 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Mean sample value, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum as f64 / self.count as f64)
-        }
-    }
-
     /// Folds `other` into `self` (pointwise bucket add, exact-stat merge).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    pub(crate) fn merge(&mut self, other: &HistogramSnapshot) {
         if self.buckets.len() < other.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
@@ -73,7 +64,7 @@ impl Snapshot {
 
     /// Folds `other` into `self`: counters add, gauges max, histograms
     /// merge pointwise. Commutative and associative.
-    pub fn merge(&mut self, other: &Snapshot) {
+    pub(crate) fn merge(&mut self, other: &Snapshot) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += *v;
         }

@@ -41,7 +41,7 @@ pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// Default ring capacity of a [`TraceSink`]: comfortably holds the ~6
 /// events per job of a full 5000-job paper run.
-pub const DEFAULT_SINK_CAPACITY: usize = 1 << 20;
+pub(crate) const DEFAULT_SINK_CAPACITY: usize = 1 << 20;
 
 /// Counters describing one DES event-queue lifetime, captured when the
 /// queue flushes its stats on drop. Aggregated per run: a policy may own
@@ -243,7 +243,7 @@ pub struct TraceSink {
 
 impl TraceSink {
     /// A sink holding at most `cap` records (minimum 1).
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         TraceSink {
             cap: cap.max(1),
             next_seq: 0,
@@ -268,13 +268,9 @@ impl TraceSink {
     }
 
     /// Number of records currently buffered.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Records evicted because the ring was full.

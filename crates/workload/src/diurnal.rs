@@ -41,7 +41,8 @@ impl DiurnalProfile {
     }
 
     /// A flat profile (no modulation).
-    pub fn flat() -> Self {
+    #[cfg(test)]
+    pub(crate) fn flat() -> Self {
         DiurnalProfile {
             hourly_rate: [1.0; 24],
         }
@@ -49,19 +50,19 @@ impl DiurnalProfile {
 
     /// Relative rate at an absolute time (seconds since simulation start,
     /// assumed to begin at midnight).
-    pub fn rate_at(&self, t: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t: f64) -> f64 {
         let seconds_of_day = t.rem_euclid(DAY);
         let hour = (seconds_of_day / 3600.0) as usize % 24;
         self.hourly_rate[hour]
     }
 
     /// Maximum relative rate (the thinning envelope).
-    pub fn max_rate(&self) -> f64 {
+    pub(crate) fn max_rate(&self) -> f64 {
         self.hourly_rate.iter().cloned().fold(0.0, f64::max)
     }
 
     /// Mean relative rate.
-    pub fn mean_rate(&self) -> f64 {
+    pub(crate) fn mean_rate(&self) -> f64 {
         self.hourly_rate.iter().sum::<f64>() / 24.0
     }
 }

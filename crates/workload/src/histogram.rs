@@ -25,7 +25,7 @@ pub struct LogHistogram {
 impl LogHistogram {
     /// Creates a histogram with `bins` bins starting at `min`, each bin
     /// `factor×` wider than the previous.
-    pub fn new(min: f64, factor: f64, bins: usize) -> Self {
+    pub(crate) fn new(min: f64, factor: f64, bins: usize) -> Self {
         assert!(min > 0.0 && factor > 1.0 && bins > 0);
         LogHistogram {
             min,
@@ -37,7 +37,7 @@ impl LogHistogram {
     }
 
     /// Adds an observation.
-    pub fn add(&mut self, x: f64) {
+    pub(crate) fn add(&mut self, x: f64) {
         self.total += 1;
         if x < self.min {
             self.underflow += 1;
@@ -49,7 +49,7 @@ impl LogHistogram {
     }
 
     /// Builds a histogram from samples.
-    pub fn from_samples(
+    pub(crate) fn from_samples(
         samples: impl IntoIterator<Item = f64>,
         min: f64,
         factor: f64,
@@ -63,12 +63,13 @@ impl LogHistogram {
     }
 
     /// Total observations (including underflow).
-    pub fn total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> u64 {
         self.total
     }
 
     /// The lower edge of bin `i`.
-    pub fn edge(&self, i: usize) -> f64 {
+    pub(crate) fn edge(&self, i: usize) -> f64 {
         self.min * self.factor.powi(i as i32)
     }
 

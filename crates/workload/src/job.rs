@@ -41,13 +41,6 @@ pub struct BaseJob {
     pub procs: u32,
 }
 
-impl BaseJob {
-    /// Processor-seconds of real work this job performs.
-    pub fn work(&self) -> f64 {
-        self.runtime * self.procs as f64
-    }
-}
-
 /// A fully annotated job, ready for submission to the computing service.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Job {
@@ -88,7 +81,7 @@ impl Job {
 
     /// True if the user's estimate is below the actual runtime.
     #[inline]
-    pub fn is_underestimated(&self) -> bool {
+    pub(crate) fn is_underestimated(&self) -> bool {
         self.estimate < self.runtime
     }
 

@@ -38,4 +38,4 @@ pub use lublin::LublinModel;
 pub use qos::{FactorSpec, QosConfig};
 pub use scenario::{apply_scenario, ScenarioTransform};
 pub use stats::WorkloadSummary;
-pub use synth::{EstimateModel, SdscSp2Model, MODAL_ESTIMATES};
+pub use synth::{EstimateModel, SdscSp2Model};

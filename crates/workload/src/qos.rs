@@ -54,7 +54,7 @@ impl Default for FactorSpec {
 
 impl FactorSpec {
     /// Mean factor for the class holding the *high* value of this attribute.
-    pub fn high_mean(&self) -> f64 {
+    pub(crate) fn high_mean(&self) -> f64 {
         self.low_mean * self.high_low_ratio
     }
 }
@@ -101,7 +101,7 @@ fn apply_bias(factor: f64, runtime: f64, mean_runtime: f64, bias: f64) -> f64 {
 ///
 /// `inaccuracy_pct` interpolates the runtime estimate between perfectly
 /// accurate (0) and the trace's own estimate (100), per paper Section 5.3.
-pub fn annotate_job(
+pub(crate) fn annotate_job(
     base: &BaseJob,
     cfg: &QosConfig,
     mean_runtime: f64,

@@ -43,7 +43,7 @@ pub enum EstimateModel {
 
 /// The canonical estimate values of the modal model, in seconds
 /// (5 min … 4 days, roughly the spikes real traces show).
-pub const MODAL_ESTIMATES: [f64; 16] = [
+pub(crate) const MODAL_ESTIMATES: [f64; 16] = [
     300.0, 600.0, 900.0, 1800.0, 3600.0, 7200.0, 10800.0, 14400.0, 21600.0, 28800.0, 43200.0,
     64800.0, 86400.0, 129600.0, 172800.0, 345600.0,
 ];

@@ -288,27 +288,54 @@ fn unopenable_resume_journal_exits_2_naming_the_flag() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An `--out` that is a regular file is refused at parse time (exit 2,
-/// naming the flag), before any cell runs or any file is written: the
-/// artifacts it would hold are written only after the grids.
+/// An `--out` that is a regular file, or that would have to be created
+/// under one, is refused at parse time (exit 2, naming the flag, no
+/// panic), before any cell runs or any file is written: the artifacts it
+/// would hold are written only after the grids.
 #[test]
 fn out_that_is_a_file_exits_2_before_the_run() {
     let dir = temp_dir("out_is_file");
     let file = dir.join("file");
     std::fs::write(&file, b"keep").unwrap();
     let journal = dir.join("journal.jsonl");
+    for out in [file.clone(), file.join("sub")] {
+        let output = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
+            .args(["summary", "--quick", "--jobs", "20", "--quiet", "--out"])
+            .arg(&out)
+            .arg("--resume")
+            .arg(&journal)
+            .output()
+            .expect("spawn utility_risk");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{out:?}: {stderr}");
+        assert!(stderr.contains("--out"), "{out:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{out:?}: {stderr}");
+        assert!(output.stdout.is_empty());
+        assert!(!journal.exists(), "no cell may run before the refusal");
+    }
+    assert_eq!(std::fs::read(&file).unwrap(), b"keep");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An artifact path that cannot be written once the run is done is a typed
+/// exit too: status 2, naming the flag that chose the path and the path
+/// itself, with no panic.
+#[test]
+fn unwritable_telemetry_path_exits_2_naming_the_flag() {
+    let dir = temp_dir("telemetry_under_file");
+    let file = dir.join("file");
+    std::fs::write(&file, b"keep").unwrap();
+    let report = file.join("telemetry.json");
     let output = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
-        .args(["summary", "--quick", "--jobs", "20", "--quiet", "--out"])
-        .arg(&file)
-        .arg("--resume")
-        .arg(&journal)
+        .args(["tables", "--table", "1", "--quiet", "--telemetry"])
+        .arg(&report)
         .output()
         .expect("spawn utility_risk");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("--out"), "{stderr}");
-    assert!(output.stdout.is_empty());
-    assert!(!journal.exists(), "no cell may run before the refusal");
+    assert!(stderr.contains("--telemetry"), "{stderr}");
+    assert!(stderr.contains("telemetry.json"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(std::fs::read(&file).unwrap(), b"keep");
     let _ = std::fs::remove_dir_all(&dir);
 }
