@@ -65,8 +65,7 @@ use ccs_experiments::figures::{print_figure, print_figure2, write_figure, write_
 use ccs_experiments::{
     build_figure, policies_for, progress, replicate, run_all_ablations, run_evaluation, tables,
     telemetry_report, trace_report, write_atomic, CellError, ConfigError, EstimateSet,
-    ExperimentConfig, GridRun, Journal, ProvenanceManifest, RawGrid, ResultStore, TelemetryReport,
-    STORE_FILE,
+    ExperimentConfig, GridRun, Journal, RawGrid, ResultStore, TelemetryReport, STORE_FILE,
 };
 use ccs_risk::Objective;
 use ccs_simsvc::RunConfig;
@@ -126,46 +125,24 @@ fn run_trace_report(target: &Path, manifest: Option<PathBuf>, top: usize) -> ! {
         target.to_path_buf()
     };
 
-    let text = std::fs::read_to_string(&trace_path).unwrap_or_else(|e| {
-        eprintln!(
-            "utility_risk trace-report: cannot read {}: {e}",
-            trace_path.display()
-        );
-        std::process::exit(2);
-    });
-    let records = ccs_experiments::trace_run::parse_jsonl(&text).unwrap_or_else(|e| {
-        eprintln!("utility_risk trace-report: {}: {e}", trace_path.display());
-        std::process::exit(1);
-    });
-    let analysis = trace_report::analyze(&records).unwrap_or_else(|e| {
-        eprintln!("utility_risk trace-report: invalid trace: {e}");
-        std::process::exit(1);
-    });
-
-    let manifest: Option<ProvenanceManifest> = manifest_path.as_ref().map(|p| {
-        let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
+    let read = |path: &Path| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!(
                 "utility_risk trace-report: cannot read {}: {e}",
-                p.display()
+                path.display()
             );
             std::process::exit(2);
-        });
-        serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("utility_risk trace-report: {}: {e:?}", p.display());
-            std::process::exit(1);
         })
-    });
-
-    if let Some(m) = &manifest {
-        println!(
-            "== {} / {} / {} = {} / {} (seed {}, {} jobs, {} nodes) ==",
-            m.econ, m.set, m.scenario, m.value, m.policy, m.seed, m.workload.jobs, m.nodes
-        );
-    }
-    let metrics = manifest.as_ref().map(|m| &m.metrics);
-    print!("{}", analysis.render(metrics, top));
-    let disagrees = metrics.is_some_and(|m| !analysis.crosscheck(m).is_empty());
-    std::process::exit(if disagrees { 1 } else { 0 });
+    };
+    let trace = read(&trace_path);
+    let manifest = manifest_path.as_deref().map(read);
+    let report =
+        trace_report::report_bundle(&trace, manifest.as_deref(), top).unwrap_or_else(|e| {
+            eprintln!("utility_risk trace-report: {e}");
+            std::process::exit(1);
+        });
+    print!("{}", report.text);
+    std::process::exit(if report.disagrees { 1 } else { 0 });
 }
 
 /// `utility_risk timing`: times one run per policy and economic model at

@@ -263,6 +263,26 @@ struct Raw {
     listen: Option<String>,
 }
 
+/// Refuses, naming `flag`, an artifact path that cannot be created as a
+/// directory (`dir`) or a file: one under an ancestor that is a file, a
+/// directory that is a file, or a file that is a directory.
+fn creatable(flag: &str, path: &Path, dir: bool) -> Result<(), ConfigError> {
+    let kind = if dir { "a directory" } else { "a file" };
+    let refuse = |why: String| {
+        let message = format!("{} cannot be created as {kind}: {why}", path.display());
+        Err(ConfigError::new(flag, message))
+    };
+    if !dir && path.is_dir() {
+        return refuse(format!("{} is a directory", path.display()));
+    }
+    // A file artifact may replace a file; a directory may not.
+    let mut ancestors = path.ancestors().skip(usize::from(!dir));
+    match ancestors.find(|p| p.exists() && !p.is_dir()) {
+        Some(file) => refuse(format!("{} is not a directory", file.display())),
+        None => Ok(()),
+    }
+}
+
 impl Raw {
     /// Reads `args` against `FLAGS` as seen by `sub` (`None`: the shared
     /// flags only). Checks each value; creates nothing.
@@ -329,16 +349,11 @@ impl Raw {
             .out
             .clone()
             .unwrap_or_else(|| PathBuf::from("target/figures"));
-        // Artifacts are written after the grids run: a file in the way, at
-        // `--out` or at any ancestor it would be created under, would fail
-        // them only then.
-        if let Some(file) = out.ancestors().find(|p| p.exists() && !p.is_dir()) {
-            let message = format!(
-                "{} cannot be created as a directory: {} is not a directory",
-                out.display(),
-                file.display()
-            );
-            return Err(ConfigError::new("--out", message));
+        // Artifacts are written after the grids run: a path in the way
+        // would fail them only then.
+        creatable("--out", &out, true)?;
+        if let Some(telemetry) = &self.telemetry {
+            creatable("--telemetry", telemetry, false)?;
         }
         Ok((cfg, out, self.telemetry.clone()))
     }
@@ -787,6 +802,11 @@ mod tests {
             // Tests run in the package root, where Cargo.toml is a file.
             (&["summary", "--out", "Cargo.toml"], "--out"),
             (&["summary", "--out", "Cargo.toml/sub"], "--out"),
+            (
+                &["tables", "--table", "1", "--telemetry", "Cargo.toml/t.json"],
+                "--telemetry",
+            ),
+            (&["summary", "--telemetry", "src"], "--telemetry"),
             (&["summary", "--retries", "3"], "--retries"),
             (
                 &["summary", "--workers", "1", "--replicas", "2"],

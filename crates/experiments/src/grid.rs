@@ -18,10 +18,12 @@ use crate::ConfigError;
 use ccs_chaos::StuckPolicy;
 use ccs_economy::EconomicModel;
 use ccs_policies::{build_policy, Policy, PolicyKind};
-use ccs_simsvc::{FaultConfig, Run, RunBudget, RunConfig, RunError, Violation};
+use ccs_simsvc::{
+    FaultConfig, RebillError, Rebilled, Run, RunBudget, RunConfig, RunError, Violation,
+};
 use ccs_telemetry::profile::ProfileSnapshot;
 use ccs_telemetry::{Counter, Histogram};
-use ccs_workload::{apply_scenario, BaseJob, Job, ScenarioTransform, SdscSp2Model};
+use ccs_workload::{apply_scenario, BaseJob, Job, JobFields, ScenarioTransform, SdscSp2Model};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -313,6 +315,16 @@ impl WorkloadCache {
         counter.fetch_add(1, Ordering::Relaxed);
         Arc::clone(jobs)
     }
+
+    /// The job stream for `transform` if it has been synthesised, without
+    /// counting a lookup.
+    fn peek(&self, transform: &ScenarioTransform) -> Option<Arc<Vec<Job>>> {
+        let map = self
+            .map
+            .lock()
+            .expect("workload cache map poisoned by a panic while locked");
+        map.get(&format!("{transform:?}"))?.get().cloned()
+    }
 }
 
 /// Raw objective measurements for one (economic model, estimate set) pair.
@@ -365,6 +377,15 @@ pub struct RawGrid {
     /// A derived cell records 0 s, a zero cost vector, and the Libra
     /// cell's worker id. Only the local executor derives cells.
     pub cells_derived: u64,
+    /// Cells resolved by billing another cell's run instead of being
+    /// simulated: the cell's policy reads none of the fields in which its
+    /// workload differs from that run's (see
+    /// [`ccs_policies::Policy::reads`]), so the run is its run, and only
+    /// Eqs. 1–4 over the run's outcome stream, with the cell's own jobs,
+    /// differ. A re-billed cell records 0 s, a zero cost vector, and the
+    /// event count and worker id of the run that billed it, or that run's
+    /// failure. Only the local executor re-bills cells.
+    pub cells_rebilled: u64,
     /// Busy seconds per worker thread (simulation time, excluding idle
     /// waits on the work queue) — the basis for utilisation reporting.
     /// Under a supervisor, indexed by worker id − 1; ids are run-scoped,
@@ -549,8 +570,8 @@ impl<'a> GridRun<'a> {
             (None, Some(base)) => Some(Cow::Borrowed(base)),
             (None, None) => Some(Cow::Owned(self.cfg.trace.generate(self.cfg.seed))),
         };
-        let derive = fleet.is_none();
-        let (fold, plans) = GridFold::plan(grids, self.cfg, ctl, journal, derive);
+        let local = fleet.is_none();
+        let (fold, plans) = GridFold::plan(grids, self.cfg, ctl, journal, local);
         Ok(OpenRun {
             cfg: self.cfg,
             base,
@@ -643,6 +664,7 @@ fn record_grid_telemetry(grid: &RawGrid) {
         .add(grid.workload_cache_misses);
     t.counter("grid.cells.reused").add(grid.cells_reused);
     t.counter("grid.cells.derived").add(grid.cells_derived);
+    t.counter("grid.cells.rebilled").add(grid.cells_rebilled);
 }
 
 /// Deliberately panics a chosen cell — the fault-injection backdoor the
@@ -670,15 +692,18 @@ fn violation_summary(violations: &[Violation]) -> String {
     s
 }
 
+/// What a cell resolved to: `Ok((objectives, events))` on completion,
+/// `Err((kind, message))` when the cell panicked, blew its budget, or
+/// violated invariants.
+pub(crate) type CellOutcome = Result<([f64; 4], u64), (CellErrorKind, String)>;
+
 /// One simulated cell, before it is folded into a grid: the outcome (or a
 /// typed failure), the replica spread, wall-clock seconds, and the
 /// profile-derived cost.
 pub(crate) struct SimulatedCell {
-    /// `Ok((objectives, events))` on completion, `Err((kind, message))`
-    /// when the cell panicked, blew its budget, or violated invariants.
-    /// With several replicas the objectives are the replica mean μ and
-    /// the events are summed.
-    pub outcome: Result<([f64; 4], u64), (CellErrorKind, String)>,
+    /// The cell's outcome. With several replicas the objectives are the
+    /// replica mean μ and the events are summed.
+    pub outcome: CellOutcome,
     /// Population standard deviation of each objective across replicas.
     /// Zeros when only one replica ran or any replica failed.
     pub sigma: [f64; 4],
@@ -694,46 +719,57 @@ pub(crate) struct SimulatedCell {
     /// every other cell, and for failed, restored, reused and
     /// worker-reported ones.
     pub riskd_equivalent: bool,
+    /// The cells this cell's run billed ([`Run::rebill`]), in the order
+    /// they were handed to it. Empty when the run failed: its cells then
+    /// share its failure.
+    pub rebilled: Vec<SimulatedCell>,
 }
 
 impl SimulatedCell {
-    /// A cell that failed without being simulated here: a failure a
-    /// worker reported, or the supervisor's quarantine verdict.
-    pub(crate) fn failed(kind: CellErrorKind, message: String) -> SimulatedCell {
+    /// A cell that resolved to `outcome` and `sigma` without simulating
+    /// anything here: no wall time, cost, or profile.
+    fn resolved(outcome: CellOutcome, sigma: [f64; 4]) -> SimulatedCell {
         SimulatedCell {
-            outcome: Err((kind, message)),
-            sigma: [0.0; 4],
+            outcome,
+            sigma,
             secs: 0.0,
             cost: CellCost::default(),
             profile: ProfileSnapshot::default(),
             riskd_equivalent: false,
+            rebilled: Vec::new(),
         }
+    }
+
+    /// A cell that failed without being simulated here: a failure a
+    /// worker reported, or the supervisor's quarantine verdict.
+    pub(crate) fn failed(kind: CellErrorKind, message: String) -> SimulatedCell {
+        SimulatedCell::resolved(Err((kind, message)), [0.0; 4])
     }
 
     /// A cell restored from its journal line instead of re-simulated.
     pub(crate) fn restored(rec: &CellRecord) -> SimulatedCell {
         SimulatedCell {
-            outcome: Ok((rec.objectives, rec.events)),
-            sigma: rec.sigma,
             secs: rec.secs,
-            cost: CellCost::default(),
-            profile: ProfileSnapshot::default(),
-            riskd_equivalent: false,
+            ..SimulatedCell::resolved(Ok((rec.objectives, rec.events)), rec.sigma)
         }
     }
 
     /// This cell's result as a cell that reuses it records it: the same
-    /// outcome and spread, but no wall time, cost, or profile — the reusing
-    /// cell simulated nothing.
+    /// outcome and spread — the reusing cell simulated nothing.
     fn reused(&self) -> SimulatedCell {
-        SimulatedCell {
-            outcome: self.outcome.clone(),
-            sigma: self.sigma,
-            secs: 0.0,
-            cost: CellCost::default(),
-            profile: ProfileSnapshot::default(),
-            riskd_equivalent: false,
-        }
+        SimulatedCell::resolved(self.outcome.clone(), self.sigma)
+    }
+
+    /// A cell billed over a run of `events` outcome events: the bill's
+    /// objectives, or an invariant failure when the bill was refused or
+    /// breaks an invariant. Like a reused cell it simulated nothing.
+    fn billed(bill: &Result<Rebilled, RebillError>, events: u64) -> SimulatedCell {
+        let outcome = match bill {
+            Ok(b) if b.violations.is_empty() => Ok((b.metrics.objectives(), events)),
+            Ok(b) => Err((CellErrorKind::Invariant, violation_summary(&b.violations))),
+            Err(e) => Err((CellErrorKind::Invariant, e.to_string())),
+        };
+        SimulatedCell::resolved(outcome, [0.0; 4])
     }
 
     /// The journal line of this cell, run by `worker`, or `None` for a
@@ -763,17 +799,21 @@ impl SimulatedCell {
     }
 }
 
+/// A cell's workload, then the workloads of the cells its run bills.
+type CellJobs = (Arc<Vec<Job>>, Vec<Arc<Vec<Job>>>);
+
 /// Simulates one replica of one grid cell under `ctl`'s budget and
-/// drills. Jobs are fetched through `get_jobs` inside the cell's profile
-/// span so workload synthesis is attributed to the cell; panics are
-/// caught and returned as typed failures, never propagated.
+/// drills, billing the run for the other workloads `get_jobs` returns.
+/// Jobs are fetched through `get_jobs` inside the cell's profile span so
+/// workload synthesis is attributed to the cell; panics are caught and
+/// returned as typed failures, never propagated.
 fn simulate_cell(
     kind: PolicyKind,
     run_cfg: &RunConfig,
     fault: Option<&FaultConfig>,
     ctl: &GridControl,
     cell_label: &str,
-    get_jobs: impl FnOnce() -> Arc<Vec<Job>>,
+    get_jobs: impl FnOnce() -> CellJobs,
 ) -> SimulatedCell {
     let t0 = Instant::now();
     // The cell phase spans workload synthesis + the simulation run; a
@@ -785,7 +825,7 @@ fn simulate_cell(
             !ctl.fails(cell_label),
             "{FAIL_CELL_ENV} injected panic in cell {cell_label}"
         );
-        let jobs = get_jobs();
+        let (jobs, billed) = get_jobs();
         let run_budget = ctl.run_budget();
         let (policy, budget): (Box<dyn Policy>, RunBudget) = if ctl.stalls(cell_label) {
             // Watchdog drill: swap in a policy whose event horizon never
@@ -805,7 +845,8 @@ fn simulate_cell(
         };
         let run = Run::with_policy(&jobs, policy, run_cfg)
             .fault(fault)
-            .budget(budget);
+            .budget(budget)
+            .rebill(billed.iter().map(|jobs| jobs.as_slice()).collect());
         // Debug builds (tests, the hardened CI leg) check every cell's
         // invariants; the check is a post-pass, so results are unchanged.
         let run = if cfg!(debug_assertions) {
@@ -823,8 +864,14 @@ fn simulate_cell(
         &outcome,
         Ok(Ok(run)) if run.violations.is_empty() && run.riskd_equivalent == Some(true)
     );
+    let mut rebilled = Vec::new();
     let outcome = match outcome {
         Ok(Ok(run)) if run.violations.is_empty() => {
+            rebilled = run
+                .rebilled
+                .iter()
+                .map(|bill| SimulatedCell::billed(bill, run.events))
+                .collect();
             Ok((run.result.metrics.objectives(), run.events))
         }
         Ok(Ok(run)) => Err((CellErrorKind::Invariant, violation_summary(&run.violations))),
@@ -840,6 +887,7 @@ fn simulate_cell(
         cost,
         profile,
         riskd_equivalent,
+        rebilled,
     }
 }
 
@@ -860,7 +908,8 @@ pub(crate) fn fork_replica_seed(seed: u64, replica: u64) -> u64 {
 /// Replica 0 keeps the cell's own fault stream, so `replicas <= 1`
 /// delegates straight to [`simulate_cell`] — byte-identical to a plain
 /// run. Replicas `1..` fork independent fault seeds via
-/// [`fork_replica_seed`]; workload, policy, and budgets are shared.
+/// [`fork_replica_seed`]; workload, policy, and budgets are shared, and
+/// each replica's run bills the same replica of every billed cell.
 /// Results are merged in fixed replica-index order, so μ/σ, event totals,
 /// and cost vectors are byte-identical regardless of `pool` — the same
 /// determinism contract the grid's local executor honours.
@@ -873,13 +922,13 @@ fn simulate_cell_ensemble(
     cell_label: &str,
     replicas: usize,
     pool: usize,
-    get_jobs: impl FnOnce() -> Arc<Vec<Job>>,
+    get_jobs: impl FnOnce() -> CellJobs,
 ) -> SimulatedCell {
     if replicas <= 1 {
         return simulate_cell(kind, run_cfg, fault, ctl, cell_label, get_jobs);
     }
     let t0 = Instant::now();
-    // Synthesise (or fetch) the shared workload once, up front, so every
+    // Synthesise (or fetch) the shared workloads once, up front, so every
     // replica reuses one memoised trace; attribute it to this cell.
     let cell_phase = ccs_telemetry::profile::enter("cell");
     let jobs = std::panic::catch_unwind(AssertUnwindSafe(get_jobs));
@@ -924,13 +973,13 @@ fn simulate_cell_ensemble(
                     break;
                 }
                 let sim = simulate_cell(kind, run_cfg, faults[r].as_ref(), ctl, cell_label, || {
-                    Arc::clone(jobs)
+                    jobs.clone()
                 });
                 *slots[r].lock().unwrap() = Some(sim);
             });
         }
     });
-    let sims: Vec<SimulatedCell> = slots
+    let mut sims: Vec<SimulatedCell> = slots
         .into_iter()
         .map(|s| {
             s.into_inner()
@@ -940,9 +989,6 @@ fn simulate_cell_ensemble(
         .collect();
     // Merge in fixed replica-index order: sums, profiles, and the
     // first-error tiebreak never depend on pool interleaving.
-    let mut sum = [0.0f64; 4];
-    let mut events = 0u64;
-    let mut first_err: Option<(CellErrorKind, String)> = None;
     for sim in &sims {
         if !sim.profile.is_empty() {
             profile.merge(&sim.profile);
@@ -951,37 +997,23 @@ fn simulate_cell_ensemble(
             *acc += ns;
         }
         cost.peak_queue_depth = cost.peak_queue_depth.max(sim.cost.peak_queue_depth);
-        match &sim.outcome {
-            Ok((objectives, n_events)) => {
-                for (acc, x) in sum.iter_mut().zip(objectives) {
-                    *acc += x;
-                }
-                events += n_events;
-            }
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e.clone());
-                }
-            }
-        }
     }
-    let n = replicas as f64;
-    let (outcome, sigma) = match first_err {
-        Some(e) => (Err(e), [0.0; 4]),
-        None => {
-            let mu = [sum[0] / n, sum[1] / n, sum[2] / n, sum[3] / n];
-            let mut sigma = [0.0f64; 4];
-            for (k, s) in sigma.iter_mut().enumerate() {
-                let ss: f64 = sims
-                    .iter()
-                    .map(|sim| {
-                        let x = sim.outcome.as_ref().expect("no replica failed").0[k];
-                        (x - mu[k]) * (x - mu[k])
-                    })
-                    .sum();
-                *s = (ss / n).sqrt();
-            }
-            (Ok((mu, events)), sigma)
+    let (outcome, sigma) = merge_replicas(sims.iter().map(|sim| &sim.outcome));
+    // A failed replica fails the cell, and with it every cell it billed;
+    // otherwise each replica billed every cell, merged like the cell.
+    let rebilled = match outcome {
+        Err(_) => Vec::new(),
+        Ok(_) => {
+            let bills: Vec<Vec<SimulatedCell>> = sims
+                .iter_mut()
+                .map(|sim| std::mem::take(&mut sim.rebilled))
+                .collect();
+            (0..bills[0].len())
+                .map(|i| {
+                    let (outcome, sigma) = merge_replicas(bills.iter().map(|b| &b[i].outcome));
+                    SimulatedCell::resolved(outcome, sigma)
+                })
+                .collect()
         }
     };
     SimulatedCell {
@@ -991,7 +1023,45 @@ fn simulate_cell_ensemble(
         cost,
         profile,
         riskd_equivalent: sims.iter().all(|sim| sim.riskd_equivalent),
+        rebilled,
     }
+}
+
+/// Merges replica outcomes, in replica order, into the replica mean μ
+/// with summed events and the per-objective population spread σ, or the
+/// first failure (with σ zero).
+fn merge_replicas<'c>(
+    outcomes: impl Iterator<Item = &'c CellOutcome> + Clone,
+) -> (CellOutcome, [f64; 4]) {
+    let mut sum = [0.0f64; 4];
+    let mut events = 0u64;
+    let mut n = 0usize;
+    for outcome in outcomes.clone() {
+        match outcome {
+            Ok((objectives, n_events)) => {
+                for (acc, x) in sum.iter_mut().zip(objectives) {
+                    *acc += x;
+                }
+                events += n_events;
+                n += 1;
+            }
+            Err(e) => return (Err(e.clone()), [0.0; 4]),
+        }
+    }
+    let n = n as f64;
+    let mu = [sum[0] / n, sum[1] / n, sum[2] / n, sum[3] / n];
+    let mut sigma = [0.0f64; 4];
+    for (k, s) in sigma.iter_mut().enumerate() {
+        let ss: f64 = outcomes
+            .clone()
+            .map(|outcome| {
+                let x = outcome.as_ref().expect("no replica failed").0[k];
+                (x - mu[k]) * (x - mu[k])
+            })
+            .sum();
+        *s = (ss / n).sqrt();
+    }
+    (Ok((mu, events)), sigma)
 }
 
 /// Runs one policy cell as an in-process seed ensemble over a
@@ -1019,7 +1089,7 @@ pub fn run_cell_ensemble(
         "ensemble-cell",
         replicas.max(1),
         pool.max(1),
-        move || jobs,
+        move || (jobs, Vec::new()),
     );
     match cell.outcome {
         Ok((mu, events)) => Ok((mu, cell.sigma, events)),
@@ -1048,7 +1118,7 @@ pub(crate) struct CellEnv<'a> {
 /// with equal inputs produce the same bits — which is what lets
 /// [`GridFold::plan`] simulate one of them and reuse its result for the
 /// other.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 struct CellInputs {
     econ: EconomicModel,
     policy: PolicyKind,
@@ -1083,13 +1153,31 @@ impl CellInputs {
         let point = format!("{:?}", (&self.transform, &self.fault));
         (self.econ, self.policy, *points.entry(point).or_insert(next))
     }
+
+    /// The trajectory key: the content key of these inputs as a policy
+    /// that reads only `reads` sees them ([`ScenarioTransform::project`]).
+    /// Cells with equal trajectory keys drive their policy through the
+    /// same run, so one run bills them all.
+    fn trajectory_key(
+        &self,
+        reads: JobFields,
+        points: &mut HashMap<String, usize>,
+    ) -> (EconomicModel, PolicyKind, usize) {
+        let projected = CellInputs {
+            transform: self.transform.project(reads),
+            ..*self
+        };
+        projected.content_key(points)
+    }
 }
 
 /// Turns one cell into a [`SimulatedCell`]: derives its [`CellInputs`] and
-/// [`RunConfig`], fetches the cached workload, and runs the replica
-/// ensemble. The single simulation path of every execution mode: local
-/// threads, the supervisor's fallback, and worker processes all call it.
-pub(crate) fn run_cell(spec: &CellSpec, env: &CellEnv) -> SimulatedCell {
+/// [`RunConfig`], fetches the cached workloads, and runs the replica
+/// ensemble, whose runs also bill the cells of `billed` (see
+/// [`GridFold::billed_by`]) into [`SimulatedCell::rebilled`]. The single
+/// simulation path of every execution mode: local threads, the
+/// supervisor's fallback, and worker processes all call it.
+pub(crate) fn run_cell(spec: &CellSpec, billed: &[&CellSpec], env: &CellEnv) -> SimulatedCell {
     let inputs = CellInputs::of(spec, env.cfg.seed);
     let run_cfg = RunConfig {
         nodes: env.cfg.nodes,
@@ -1103,8 +1191,61 @@ pub(crate) fn run_cell(spec: &CellSpec, env: &CellEnv) -> SimulatedCell {
         &spec.label(),
         env.cfg.replicas.max(1),
         env.threads,
-        || env.cache.workload(&inputs.transform),
+        || {
+            let billed = billed
+                .iter()
+                .map(|spec| {
+                    env.cache
+                        .workload(&CellInputs::of(spec, env.cfg.seed).transform)
+                })
+                .collect();
+            (env.cache.workload(&inputs.transform), billed)
+        },
     )
+}
+
+/// The debug shadow check of re-billing: simulates each cell of `billed`
+/// on its own and asserts that its objectives, spread and event count
+/// equal those `sim`'s run billed it, bit for bit. Cells whose bill failed
+/// are not compared. Reads workloads without counting cache lookups, so
+/// the checked and the unchecked run report the same counters.
+fn shadow_check_rebilled(billed: &[&CellSpec], sim: &SimulatedCell, env: &CellEnv) {
+    let bits = |x: [f64; 4]| x.map(f64::to_bits);
+    for (spec, bill) in billed.iter().zip(&sim.rebilled) {
+        let Ok((objectives, events)) = bill.outcome else {
+            continue;
+        };
+        let inputs = CellInputs::of(spec, env.cfg.seed);
+        let jobs = env
+            .cache
+            .peek(&inputs.transform)
+            .expect("a billed cell's workload was fetched to bill it");
+        let run_cfg = RunConfig {
+            nodes: env.cfg.nodes,
+            econ: inputs.econ,
+        };
+        let own = simulate_cell_ensemble(
+            inputs.policy,
+            &run_cfg,
+            inputs.fault.as_ref(),
+            &GridControl::default(),
+            &spec.label(),
+            env.cfg.replicas.max(1),
+            env.threads,
+            || (jobs, Vec::new()),
+        );
+        let label = spec.label();
+        let (own_objectives, own_events) = own
+            .outcome
+            .unwrap_or_else(|e| panic!("re-billed cell {label} fails on its own: {e:?}"));
+        assert_eq!(
+            bits(objectives),
+            bits(own_objectives),
+            "re-billed cell {label}"
+        );
+        assert_eq!(bits(bill.sigma), bits(own.sigma), "re-billed cell {label}");
+        assert_eq!(events, own_events, "re-billed cell {label}");
+    }
 }
 
 /// Every cell of one grid, in point-major order (scenario, value, policy).
@@ -1144,6 +1285,10 @@ pub(crate) struct GridFold<'a> {
     /// Held-back LibraRiskD representatives, by the key of their point's
     /// Libra cell. Fixed once planning ends.
     held: HashMap<String, CellSpec>,
+    /// The cells each representative's run bills instead of simulating
+    /// them, by the representative's cell key: the later cells of its
+    /// trajectory key. Fixed once planning ends.
+    siblings: HashMap<String, Vec<CellSpec>>,
     /// The run's control: its budgets and drills (stall-drill cells are
     /// never journaled).
     ctl: Cow<'a, GridControl>,
@@ -1206,6 +1351,7 @@ impl GridState {
                 workload_cache_misses: 0,
                 cells_reused: 0,
                 cells_derived: 0,
+                cells_rebilled: 0,
                 worker_busy_secs: Vec::new(),
                 worker_transports: Vec::new(),
                 wall_secs: 0.0,
@@ -1232,21 +1378,31 @@ impl<'a> GridFold<'a> {
     /// run: the first cell of a key represents it, and every later cell
     /// with that key, in this grid or a later one, is its alias. Drill
     /// cells neither represent nor alias — the drill must hit the very cell
-    /// it names. With `derive` (the local executor), it then holds back
-    /// each LibraRiskD representative whose point's Libra cell is a
+    /// it names.
+    ///
+    /// With `local` (the local executor), it then keys each grid's
+    /// representatives by trajectory — the content key as the cell's
+    /// policy sees it, its workload [projected](ScenarioTransform::project)
+    /// onto the fields the policy [reads](ccs_policies::Policy::reads):
+    /// the grid's first representative of a trajectory key runs, and its
+    /// run bills every later one, its sibling. Keys stay within a grid
+    /// because a sibling's workload is fetched through the grid's cache,
+    /// which holds it until the grid ends. Last, it holds back each
+    /// LibraRiskD representative whose point's Libra cell is a
     /// representative of the same grid, for [`GridFold::record`] to derive
-    /// from that cell's run. Returns the fold and, per grid, the cells left
-    /// to simulate.
+    /// from that cell's run; the held cell's siblings travel with it.
+    /// Returns the fold and, per grid, the cells left to simulate.
     fn plan(
         grids: &[(EconomicModel, EstimateSet)],
         cfg: &ExperimentConfig,
         ctl: Cow<'a, GridControl>,
         journal: Option<Journal>,
-        derive: bool,
+        local: bool,
     ) -> (Self, Vec<Vec<CellSpec>>) {
         let mut fold = GridFold::new(grids, ctl, journal);
         let mut points = HashMap::new();
         let mut reps: HashMap<_, String> = HashMap::new();
+        let mut reads: HashMap<(EconomicModel, PolicyKind), JobFields> = HashMap::new();
         let mut plans = Vec::with_capacity(grids.len());
         for &(econ, set) in grids {
             let mut cells = Vec::new();
@@ -1268,25 +1424,38 @@ impl<'a> GridFold<'a> {
                 }
             }
             let mut to_run = Vec::with_capacity(cells.len());
+            let mut trajectories: HashMap<_, String> = HashMap::new();
             for spec in cells {
                 if fold.ctl.targets(&spec.label()) {
                     to_run.push(spec);
                     continue;
                 }
-                let content = CellInputs::of(&spec, cfg.seed).content_key(&mut points);
+                let inputs = CellInputs::of(&spec, cfg.seed);
+                let content = inputs.content_key(&mut points);
                 if let Some(rep) = reps.get(&content) {
                     fold.families.entry(rep.clone()).or_default().push(spec);
-                } else {
-                    reps.insert(content, spec.key.clone());
-                    to_run.push(spec);
+                    continue;
                 }
+                reps.insert(content, spec.key.clone());
+                if local {
+                    let reads = *reads
+                        .entry((spec.econ, spec.policy))
+                        .or_insert_with(|| build_policy(spec.policy, spec.econ, cfg.nodes).reads());
+                    let trajectory = inputs.trajectory_key(reads, &mut points);
+                    if let Some(rep) = trajectories.get(&trajectory) {
+                        fold.siblings.entry(rep.clone()).or_default().push(spec);
+                        continue;
+                    }
+                    trajectories.insert(trajectory, spec.key.clone());
+                }
+                to_run.push(spec);
             }
             // A LibraRiskD run is Libra's run unless Libra picks a node at
             // risk, which only the Libra run can tell: its representative
             // waits for the Libra cell of its point. Drill cells, journal
             // hits and aliases are not representatives, so none of them is
-            // a sibling; every other cell left to run is a representative.
-            if derive {
+            // held; every other cell left to run is a representative.
+            if local {
                 let point = |spec: &CellSpec| (spec.scenario_idx, spec.value_idx);
                 let rep_of =
                     |spec: &CellSpec, kind| spec.policy == kind && !fold.ctl.targets(&spec.label());
@@ -1330,6 +1499,7 @@ impl<'a> GridFold<'a> {
             grids: grids.to_vec(),
             families: HashMap::new(),
             held: HashMap::new(),
+            siblings: HashMap::new(),
             ctl,
             state: Mutex::new(FoldState {
                 grids: grids
@@ -1366,29 +1536,56 @@ impl<'a> GridFold<'a> {
             .resolve_point(&self.boards[g], spec.scenario_idx, spec.value_idx);
     }
 
+    /// The cells the run of `spec` bills: its siblings, then those of the
+    /// LibraRiskD representative it holds back, if any. Empty on a fleet,
+    /// whose plan has none.
+    pub(crate) fn billed_by(&self, spec: &CellSpec) -> (&[CellSpec], &[CellSpec]) {
+        let siblings = |key: &str| self.siblings.get(key).map_or(&[][..], Vec::as_slice);
+        let held = self
+            .held
+            .get(&spec.key)
+            .map_or(&[][..], |riskd| siblings(&riskd.key));
+        (siblings(&spec.key), held)
+    }
+
     /// Folds one resolved cell that `worker` ran (0 = unattributed) with
-    /// its aliases. Only here is a cell known to have been simulated in
-    /// this run, so only a success here counts as a completed cell in
-    /// telemetry. A Libra cell with a held-back LibraRiskD sibling then
-    /// settles that sibling too: a certified success is folded into it as
-    /// a derived cell, anything else returns it for the caller to simulate
-    /// next.
+    /// its aliases and the cells its run billed (see
+    /// [`GridFold::billed_by`]). Only here is a cell known to have been
+    /// simulated in this run, so only a success here counts as a
+    /// completed cell in telemetry. A Libra cell with a held-back
+    /// LibraRiskD sibling then settles that sibling too: a certified
+    /// success is folded into it as a derived cell, with the held cell's
+    /// own billed cells, and anything else returns it for the caller to
+    /// simulate next.
     pub(crate) fn record(
         &self,
         spec: &CellSpec,
-        sim: SimulatedCell,
+        mut sim: SimulatedCell,
         worker: u64,
     ) -> Option<&CellSpec> {
         if let (Some((cell_ns, completed)), Ok(_)) = (self.cell_telemetry, &sim.outcome) {
             cell_ns.record_f64(sim.secs * 1e9);
             completed.inc();
         }
-        let Some(riskd) = self.held.get(&spec.key) else {
-            self.settle(spec, sim, worker);
-            return None;
+        let (siblings, held_siblings) = self.billed_by(spec);
+        // A failed run fails every cell it would have billed.
+        let mut bills: Vec<SimulatedCell> = match sim.outcome {
+            Ok(_) => std::mem::take(&mut sim.rebilled),
+            Err(_) => (0..siblings.len() + held_siblings.len())
+                .map(|_| sim.reused())
+                .collect(),
         };
-        let derived = sim.riskd_equivalent.then(|| sim.reused());
+        assert_eq!(
+            bills.len(),
+            siblings.len() + held_siblings.len(),
+            "a run bills every cell it was handed"
+        );
+        let held_bills = bills.split_off(siblings.len());
+        let riskd = self.held.get(&spec.key);
+        let derived = (riskd.is_some() && sim.riskd_equivalent).then(|| sim.reused());
         self.settle(spec, sim, worker);
+        self.settle_billed(siblings, bills, worker);
+        let riskd = riskd?;
         match derived {
             Some(derived) => {
                 let g = self.grid_of(riskd);
@@ -1399,9 +1596,24 @@ impl<'a> GridFold<'a> {
                     .grid
                     .cells_derived += 1;
                 self.settle(riskd, derived, worker);
+                self.settle_billed(held_siblings, held_bills, worker);
                 None
             }
             None => Some(riskd),
+        }
+    }
+
+    /// Folds each cell of `billed` with its bill from a run of `worker`.
+    fn settle_billed(&self, billed: &[CellSpec], bills: Vec<SimulatedCell>, worker: u64) {
+        for (spec, bill) in billed.iter().zip(bills) {
+            let g = self.grid_of(spec);
+            self.state
+                .lock()
+                .expect(FOLD_POISONED)
+                .grid(g)
+                .grid
+                .cells_rebilled += 1;
+            self.settle(spec, bill, worker);
         }
     }
 
@@ -1515,9 +1727,11 @@ impl<'a> GridFold<'a> {
 }
 
 /// The local executor: up to `env.threads` scoped threads pull cells in
-/// plan order (point-major), run each with [`run_cell`], and fold it. A
-/// held-back LibraRiskD cell its Libra cell did not certify comes back
-/// from the fold and runs next on the same thread.
+/// plan order (point-major), run each with [`run_cell`], billing the
+/// cells [`GridFold::billed_by`] names, and fold it. A held-back
+/// LibraRiskD cell its Libra cell did not certify comes back from the
+/// fold and runs next on the same thread. Under debug assertions every
+/// bill the fold keeps is checked against a simulation of its own.
 /// Cells carry their thread's 1-based id when `attribute` is set and
 /// worker id 0 otherwise (the supervisor's fallback). Returns each
 /// thread's busy seconds.
@@ -1537,7 +1751,19 @@ pub(crate) fn run_local(
                     let mut busy = 0.0f64;
                     let mut cell = cells.get(next.fetch_add(1, Ordering::Relaxed));
                     while let Some(spec) = cell {
-                        let sim = run_cell(spec, env);
+                        let (siblings, held) = fold.billed_by(spec);
+                        let billed: Vec<&CellSpec> = siblings.iter().chain(held).collect();
+                        let sim = run_cell(spec, &billed, env);
+                        if cfg!(debug_assertions) {
+                            // The held cell's siblings keep their bills
+                            // only if the run certified the held cell.
+                            let kept = if sim.riskd_equivalent {
+                                billed.len()
+                            } else {
+                                siblings.len()
+                            };
+                            shadow_check_rebilled(&billed[..kept], &sim, env);
+                        }
                         busy += sim.secs;
                         cell = fold
                             .record(spec, sim, if attribute { id } else { 0 })
@@ -1948,6 +2174,19 @@ mod tests {
         }
     }
 
+    /// The keys of the cells a local run of `grids` plans to re-bill.
+    fn rebilled_keys(
+        grids: &[(EconomicModel, EstimateSet)],
+        cfg: &ExperimentConfig,
+    ) -> HashSet<String> {
+        let (fold, _) = GridFold::plan(grids, cfg, Cow::Owned(GridControl::default()), None, true);
+        fold.siblings
+            .values()
+            .flatten()
+            .map(|spec| spec.key.clone())
+            .collect()
+    }
+
     /// The cells of a grid in plan order, each with its content key.
     fn planned_cells(
         econ: EconomicModel,
@@ -1977,6 +2216,7 @@ mod tests {
             };
             let (econ, set) = (EconomicModel::CommodityMarket, EstimateSet::A);
             let g = one_grid(econ, set, &cfg);
+            let rebilled = rebilled_keys(&[(econ, set)], &cfg);
             let mut reps: HashMap<String, (usize, usize, usize)> = HashMap::new();
             for (s, v, p, content) in planned_cells(econ, set, &cfg) {
                 let &mut (rs, rv, rp) = reps.entry(content).or_insert((s, v, p));
@@ -1992,8 +2232,13 @@ mod tests {
             // scenarios per policy.
             assert_eq!(reps.len(), 330, "replicas {replicas}");
             assert_eq!(g.cells_reused, 60, "replicas {replicas}");
+            // No commodity policy reads the penalty rate: the 15 distinct
+            // penalty points per policy are billed from the default point.
+            assert_eq!(g.cells_rebilled, 75, "replicas {replicas}");
+            assert_eq!(rebilled.len(), 75);
             let simulated = g.cell_secs.iter().flatten().flatten().filter(|&&t| t > 0.0);
-            assert_eq!(simulated.count(), reps.len(), "replicas {replicas}");
+            assert_eq!(simulated.count(), reps.len() - 75, "replicas {replicas}");
+            // Each distinct cell still fetches its workload once.
             assert_eq!(
                 g.workload_cache_hits + g.workload_cache_misses,
                 reps.len() as u64
@@ -2136,6 +2381,7 @@ mod tests {
         let (mut derived, mut simulated) = (0, 0);
         for set in EstimateSet::ALL {
             let g = one_grid(econ, set, &cfg);
+            let rebilled = rebilled_keys(&[(econ, set)], &cfg);
             let mut seen = HashSet::new();
             let mut certified = 0;
             for spec in grid_cells(econ, set, &cfg) {
@@ -2160,7 +2406,9 @@ mod tests {
                 );
                 assert_eq!(g.cell_events[s][v][p], riskd.events, "{set} {label}");
                 assert_eq!(g.cell_sigma[s][v][p], [0.0; 4], "{set} {label}");
-                if run(PolicyKind::Libra).riskd_equivalent == Some(true) {
+                if rebilled.contains(&spec.key) {
+                    assert_eq!(g.cell_secs[s][v][p], 0.0, "{set} {label} was simulated");
+                } else if run(PolicyKind::Libra).riskd_equivalent == Some(true) {
                     certified += 1;
                     assert_eq!(g.cell_secs[s][v][p], 0.0, "{set} {label} was simulated");
                     assert_eq!(g.cell_workers[s][v][p], g.cell_workers[s][v][libra]);
@@ -2219,6 +2467,79 @@ mod tests {
         // race on its key.
         assert_eq!(one.workload_cache_hits, four.workload_cache_hits);
         assert_eq!(one.workload_cache_misses, four.workload_cache_misses);
+    }
+
+    /// Every re-billed cell of a four-grid run equals an independent run
+    /// of its own inputs, bit for bit, records 0 s, and names the nonzero
+    /// worker of the run that billed it. The count is the plan's: 15
+    /// distinct penalty points per commodity policy and 30 penalty and
+    /// budget points per bid-based policy other than FirstReward, in both
+    /// sets, are billed from their grid's default point, 390 cells. Set
+    /// B's default point aliases set A's 100 % Inaccuracy cell, so in set
+    /// B the first of each policy's cells runs: 9 fewer.
+    #[test]
+    fn rebilled_cells_equal_an_independent_run() {
+        let bits = |x: [f64; 4]| x.map(f64::to_bits);
+        let cfg = ExperimentConfig {
+            threads: 2,
+            ..ExperimentConfig::quick().with_jobs(30)
+        };
+        let base = cfg.trace.generate(cfg.seed);
+        let grids = EconomicModel::ALL
+            .map(|econ| EstimateSet::ALL.map(|set| (econ, set)))
+            .concat();
+        let run = GridRun::new(&cfg).run(&grids).unwrap();
+        let rebilled = rebilled_keys(&grids, &cfg);
+        assert_eq!(rebilled.len(), 381);
+        let counted: u64 = run.iter().map(|g| g.cells_rebilled).sum();
+        assert_eq!(counted, 381);
+        for (&(econ, set), g) in grids.iter().zip(&run) {
+            let policies = policies_for(econ);
+            for spec in grid_cells(econ, set, &cfg) {
+                if !rebilled.contains(&spec.key) {
+                    continue;
+                }
+                let inputs = CellInputs::of(&spec, cfg.seed);
+                let jobs = apply_scenario(&base, &inputs.transform, cfg.seed);
+                let run_cfg = RunConfig {
+                    nodes: cfg.nodes,
+                    econ,
+                };
+                let own = Run::new(&jobs, spec.policy, &run_cfg)
+                    .fault(inputs.fault.as_ref())
+                    .execute()
+                    .unwrap();
+                let (s, v) = (spec.scenario_idx, spec.value_idx);
+                let p = policies.iter().position(|&k| k == spec.policy).unwrap();
+                let label = format!("{set} {}", spec.label());
+                assert_eq!(
+                    bits(g.raw[s][v][p]),
+                    bits(own.result.metrics.objectives()),
+                    "{label}"
+                );
+                assert_eq!(g.cell_events[s][v][p], own.events, "{label}");
+                assert_eq!(g.cell_secs[s][v][p], 0.0, "{label}");
+                assert_ne!(g.cell_workers[s][v][p], 0, "{label}");
+            }
+        }
+    }
+
+    /// A bill the run refused is the cell's own invariant failure, naming
+    /// the job and the field.
+    #[test]
+    fn a_refused_bill_is_an_invariant_failure() {
+        let refused = Err(RebillError::Field {
+            job: 7,
+            field: "deadline",
+        });
+        let cell = SimulatedCell::billed(&refused, 99);
+        let (kind, message) = cell.outcome.unwrap_err();
+        assert_eq!(kind, CellErrorKind::Invariant);
+        assert!(
+            message.contains("job 7") && message.contains("deadline"),
+            "{message}"
+        );
+        assert_eq!((cell.secs, cell.cost), (0.0, CellCost::default()));
     }
 
     #[test]

@@ -737,6 +737,7 @@ impl Fleet {
                             cost,
                             profile,
                             riskd_equivalent: false,
+                            rebilled: Vec::new(),
                         };
                         pass.fold.record(&cell, sim, id);
                         pass.resolved += 1;

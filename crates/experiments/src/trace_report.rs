@@ -3,7 +3,7 @@
 //! alone, and cross-checks them against the runner's metrics — the
 //! correctness oracle tying the tracing layer to the metrics pipeline.
 
-use crate::trace_run::ManifestMetrics;
+use crate::trace_run::{parse_jsonl, ManifestMetrics, ProvenanceManifest};
 use ccs_telemetry::trace::{check_causal_order, KernelSpan, TraceEvent, TraceRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -12,6 +12,45 @@ use std::fmt::Write as _;
 /// analysis sums in sorted-trace order while the runner sums in
 /// outcome-stream order, so the totals may differ by rounding.
 const REL_TOL: f64 = 1e-9;
+
+/// What `utility_risk trace-report` prints for one bundle.
+#[derive(Clone, Debug)]
+pub struct BundleReport {
+    /// The report: the manifest's header line, when there is a manifest,
+    /// then the rendered analysis.
+    pub text: String,
+    /// Whether the trace's objectives disagree with the manifest's.
+    pub disagrees: bool,
+}
+
+/// Analyses a trace bundle from its contents: the `trace.jsonl` text and,
+/// when present, the `manifest.json` text to cross-check against. Any
+/// bytes give a report or an error naming what did not parse, never a
+/// panic.
+pub fn report_bundle(
+    trace: &str,
+    manifest: Option<&str>,
+    top: usize,
+) -> Result<BundleReport, String> {
+    let records = parse_jsonl(trace).map_err(|e| format!("trace.jsonl: {e}"))?;
+    let analysis = analyze(&records).map_err(|e| format!("invalid trace: {e}"))?;
+    let manifest: Option<ProvenanceManifest> = manifest
+        .map(serde_json::from_str)
+        .transpose()
+        .map_err(|e| format!("manifest: {e:?}"))?;
+    let mut text = String::new();
+    if let Some(m) = &manifest {
+        let _ = writeln!(
+            text,
+            "== {} / {} / {} = {} / {} (seed {}, {} jobs, {} nodes) ==",
+            m.econ, m.set, m.scenario, m.value, m.policy, m.seed, m.workload.jobs, m.nodes
+        );
+    }
+    let metrics = manifest.as_ref().map(|m| &m.metrics);
+    text.push_str(&analysis.render(metrics, top));
+    let disagrees = metrics.is_some_and(|m| !analysis.crosscheck(m).is_empty());
+    Ok(BundleReport { text, disagrees })
+}
 
 /// One job's SLA lifecycle, reconstructed from its trace events.
 #[derive(Clone, Debug, Default)]

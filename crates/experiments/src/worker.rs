@@ -301,7 +301,7 @@ fn run_cells<R: Read>(
             // from the shard journal instead of being re-simulated.
             Some(rec) => SimulatedCell::restored(rec),
             None => {
-                let sim = run_cell(&cell, env);
+                let sim = run_cell(&cell, &[], env);
                 if let Some(j) = shard {
                     if let Some(rec) = sim.journal_record(&cell, worker_id, env.ctl) {
                         j.append(&rec);

@@ -1,16 +1,19 @@
 //! The decoders a grid trusts with bytes from outside the process never
 //! panic, whatever the bytes: every worker frame read through
-//! `ipc::read_frame`, a journal opened with `Journal::open`, and a result
-//! store loaded with `ResultStore::load` either decode or return a typed
-//! error. The inputs are real encodings with byte flips, digit edits,
+//! `ipc::read_frame`, a journal opened with `Journal::open`, a result
+//! store loaded with `ResultStore::load`, and a trace bundle read by
+//! `trace-report` (`trace_report::report_bundle`) either decode or return
+//! a typed error. The inputs are real encodings with byte flips, digit edits,
 //! truncations, insertions and rewritten length words applied; a panic
 //! anywhere fails the case.
 
 use ccs_economy::EconomicModel;
 use ccs_experiments::grid::CellCost;
 use ccs_experiments::ipc::{encode_frame, read_frame, CellSpec, FromWorker, ToWorker};
+use ccs_experiments::trace_report::report_bundle;
 use ccs_experiments::{
-    CellErrorKind, CellRecord, EstimateSet, ExperimentConfig, GridControl, Journal, ResultStore,
+    capture_cell, write_bundle, CellErrorKind, CellRecord, EstimateSet, ExperimentConfig,
+    GridControl, Journal, ResultStore, Scenario, TraceCellSpec,
 };
 use ccs_policies::PolicyKind;
 use ccs_telemetry::profile::ProfileSnapshot;
@@ -169,6 +172,36 @@ fn store_bytes() -> &'static [u8] {
     })
 }
 
+/// A real trace bundle, as `trace` writes it: the `trace.jsonl` and
+/// `manifest.json` bytes of a small Libra cell under node failures, so the
+/// records include failures, repairs, restarts and kernel spans.
+fn bundle_bytes() -> &'static (Vec<u8>, Vec<u8>) {
+    static BUNDLE: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    BUNDLE.get_or_init(|| {
+        let cfg = ExperimentConfig::quick().with_jobs(12);
+        let spec = TraceCellSpec {
+            econ: EconomicModel::BidBased,
+            scenario: Scenario::FailureRate,
+            value_idx: 5,
+            policy: PolicyKind::Libra,
+            ..TraceCellSpec::default()
+        };
+        let dir = scratch("bundle_seed");
+        write_bundle(&capture_cell(&spec, &cfg), &dir).unwrap();
+        let read = |name| std::fs::read(dir.join(name)).unwrap();
+        let bytes = (read("trace.jsonl"), read("manifest.json"));
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    })
+}
+
+/// `trace-report` over bundle bytes, as it reads them from disk.
+fn report(trace: &[u8], manifest: Option<&[u8]>) -> Result<bool, String> {
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    let manifest = manifest.map(text);
+    report_bundle(&text(trace), manifest.as_deref(), 5).map(|r| r.disagrees)
+}
+
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ccs_prop_decoders_{}_{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -196,6 +229,12 @@ fn unmutated_inputs_decode() {
         .unwrap()
         .is_empty());
     let _ = std::fs::remove_dir_all(&dir);
+    let (trace, manifest) = bundle_bytes();
+    assert_eq!(
+        report(trace, Some(manifest)),
+        Ok(false),
+        "the bundle cross-checks"
+    );
 }
 
 proptest! {
@@ -239,5 +278,24 @@ proptest! {
         std::fs::write(&path, mutate(store_bytes(), &edits)).unwrap();
         let _ = ResultStore::load(&path);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A trace bundle with its trace, its manifest or both mutated is
+    /// reported or refused typed, with or without the manifest.
+    #[test]
+    fn mutated_trace_bundles_never_panic(
+        which in 0u8..3,
+        trace_edits in edits(),
+        manifest_edits in edits(),
+    ) {
+        let (trace, manifest) = bundle_bytes();
+        let trace = if which != 1 { mutate(trace, &trace_edits) } else { trace.clone() };
+        let manifest = if which != 0 { mutate(manifest, &manifest_edits) } else { manifest.clone() };
+        let _ = report(&trace, Some(&manifest));
+        let _ = report(&trace, None);
     }
 }

@@ -106,28 +106,36 @@ fn utility_risk_emits_parseable_telemetry() {
     assert!(counter("runner.runs.completed") > 0);
     // Structural: 240 default-point repeats + 60 set-B Inaccuracy cells.
     assert_eq!(counter("grid.cells.reused"), 300, "{:?}", s.counters);
+    // Structural: the distinct penalty points of every commodity policy
+    // (15 per grid) and the penalty and budget points of every bid-based
+    // policy but FirstReward (30 per grid) share their default point's
+    // run, 390 cells. In set B the default point is set A's 100 %
+    // Inaccuracy cell, so each policy's first such cell there runs and
+    // bills the rest: 390 - 5 - 4.
+    assert_eq!(counter("grid.cells.rebilled"), 381, "{:?}", s.counters);
     // LibraRiskD cells whose Libra cell's run certified them equal to it.
     // Pinned for seed 42 and 60 jobs: a change here changed which runs
     // pick a node at risk of deadline delay.
     let derived = counter("grid.cells.derived");
-    assert_eq!(derived, 72, "{:?}", s.counters);
+    assert_eq!(derived, 42, "{:?}", s.counters);
     // Every other cell was simulated once, successfully, in this run.
     let cells: u64 = report
         .grids
         .iter()
         .map(|g| (g.scenarios.len() * 6 * g.policies.len()) as u64)
         .sum();
-    assert_eq!(counter("grid.cells.completed"), cells - 300 - derived);
+    assert_eq!(cells, 1560);
+    assert_eq!(counter("grid.cells.completed"), 1560 - 300 - 381 - 42);
     assert_eq!(
         s.histograms["grid.cell.duration_ns"].count,
-        cells - 300 - derived
+        1560 - 300 - 381 - 42
     );
 }
 
 /// `grid.cells.completed` and `grid.cell.duration_ns` count only cells
 /// simulated to success in this run: not journal-restored cells, not
-/// cells past the cell budget, not cells that reuse another's result, and
-/// not failed cells.
+/// cells past the cell budget, not cells that reuse another's result or
+/// are billed from another's run, and not failed cells.
 #[test]
 fn cell_telemetry_counts_only_cells_simulated_to_success() {
     ccs_telemetry::enable();
@@ -178,7 +186,8 @@ fn cell_telemetry_counts_only_cells_simulated_to_success() {
 
     assert_eq!(g.errors.len(), 1, "{:?}", g.errors);
     assert!(g.cells_reused > 0, "the run must reuse some cells");
-    let simulated = budget as u64 - g.cells_reused - g.errors.len() as u64;
+    assert!(g.cells_rebilled > 0, "the run must re-bill some cells");
+    let simulated = budget as u64 - g.cells_reused - g.cells_rebilled - g.errors.len() as u64;
     assert_eq!(after.0 - before.0, simulated, "grid.cells.completed");
     assert_eq!(after.1 - before.1, simulated, "grid.cell.duration_ns");
 }

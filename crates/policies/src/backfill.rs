@@ -18,9 +18,9 @@
 //!   its budget is rejected as well.
 
 use crate::run_core::RunCore;
-use crate::traits::{Interruption, Outcome, Policy, RejectReason};
+use crate::traits::{quote_checked_reads, Interruption, Outcome, Policy, RejectReason};
 use ccs_economy::{base_cost, EconomicModel, PriceSchedule};
-use ccs_workload::Job;
+use ccs_workload::{Job, JobFields};
 use std::cmp::Ordering;
 
 /// Structural options of the backfilling scheduler, for ablation studies.
@@ -270,6 +270,10 @@ impl BackfillPolicy {
 impl Policy for BackfillPolicy {
     fn name(&self) -> &'static str {
         self.name
+    }
+
+    fn reads(&self) -> JobFields {
+        quote_checked_reads(self.econ)
     }
 
     fn on_submit(&mut self, job: &Job, now: f64, out: &mut Vec<Outcome>) {

@@ -22,9 +22,9 @@
 //! failures are not modelled here (its fault hooks are the no-op defaults).
 
 use crate::run_core::RunCore;
-use crate::traits::{Outcome, Policy, RejectReason};
+use crate::traits::{quote_checked_reads, Outcome, Policy, RejectReason};
 use ccs_economy::{base_cost, EconomicModel};
-use ccs_workload::Job;
+use ccs_workload::{Job, JobFields};
 
 /// A planned (not yet started) job: its reservation start time.
 #[derive(Clone, Copy, Debug)]
@@ -191,6 +191,10 @@ impl ConservativeBf {
 impl Policy for ConservativeBf {
     fn name(&self) -> &'static str {
         "Cons-BF"
+    }
+
+    fn reads(&self) -> JobFields {
+        quote_checked_reads(self.econ)
     }
 
     fn on_submit(&mut self, job: &Job, now: f64, out: &mut Vec<Outcome>) {

@@ -21,13 +21,13 @@
 //!   nodes: only nodes with zero risk (no resident task running past its
 //!   estimate) are eligible.
 
-use crate::traits::{Interruption, Outcome, Policy, RejectReason};
+use crate::traits::{quote_checked_reads, Interruption, Outcome, Policy, RejectReason};
 use ccs_cluster::{JobCompletion, PsCluster};
 use ccs_des::FastHashMap;
 use ccs_economy::{
     libra_cost, libra_dollar_cost, libra_dollar_rate, EconomicModel, LibraDollarParams, LibraParams,
 };
-use ccs_workload::{Job, JobId};
+use ccs_workload::{Job, JobFields, JobId};
 
 /// Which member of the Libra family.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -252,6 +252,10 @@ impl Policy for LibraPolicy {
             LibraVariant::Dollar => "Libra+$",
             LibraVariant::RiskD => "LibraRiskD",
         }
+    }
+
+    fn reads(&self) -> JobFields {
+        quote_checked_reads(self.econ)
     }
 
     fn on_submit(&mut self, job: &Job, now: f64, out: &mut Vec<Outcome>) {

@@ -6,7 +6,8 @@
 //! policy reports everything that happens through [`Outcome`] events, from
 //! which the four paper objectives are computed.
 
-use ccs_workload::{Job, JobId};
+use ccs_economy::EconomicModel;
+use ccs_workload::{Job, JobFields, JobId};
 
 /// Root cause of an SLA rejection — the label every policy attaches to
 /// [`Outcome::Rejected`], surfaced per job by the trace layer and counted
@@ -151,6 +152,15 @@ pub trait Policy {
     /// Short display name, matching the paper (e.g. `"SJF-BF"`).
     fn name(&self) -> &'static str;
 
+    /// The fields of each job this policy reads, under its economic model.
+    /// Two workloads that agree on every one of them drive it through the
+    /// same run, outcome for outcome, so the simulator can bill one run
+    /// for both. Default: every field. A policy that declares fewer must
+    /// never look at the others.
+    fn reads(&self) -> JobFields {
+        JobFields::ALL
+    }
+
     /// Handles a job submitted at `now`. The simulator guarantees
     /// `advance_to(now)` has already been called.
     fn on_submit(&mut self, job: &Job, now: f64, out: &mut Vec<Outcome>);
@@ -212,6 +222,18 @@ pub trait Policy {
     /// it once the run has drained.
     fn riskd_equivalent(&self) -> Option<bool> {
         None
+    }
+}
+
+/// What a policy reads when its only use of the budget is the commodity
+/// market's admission check against a quote: every field but the penalty
+/// rate, and under bid-based pricing not the budget either. The backfill
+/// policies and the Libra family declare it.
+pub(crate) fn quote_checked_reads(econ: EconomicModel) -> JobFields {
+    let reads = JobFields::ALL.without(JobFields::PENALTY_RATE);
+    match econ {
+        EconomicModel::CommodityMarket => reads,
+        EconomicModel::BidBased => reads.without(JobFields::BUDGET),
     }
 }
 

@@ -3,10 +3,10 @@
 
 use ccs_economy::EconomicModel;
 use ccs_policies::{
-    BackfillPolicy, ConservativeBf, FirstRewardParams, FirstRewardPolicy, LibraPolicy,
-    LibraVariant, Outcome, Policy, PriorityOrder,
+    build_policy, BackfillPolicy, ConservativeBf, FirstRewardParams, FirstRewardPolicy,
+    LibraPolicy, LibraVariant, Outcome, Policy, PolicyKind, PriorityOrder,
 };
-use ccs_workload::{Job, Urgency};
+use ccs_workload::{Job, JobFields, Urgency};
 use proptest::prelude::*;
 
 fn jobs_strategy(max_procs: u32) -> impl Strategy<Value = Vec<Job>> {
@@ -83,8 +83,142 @@ fn run_and_audit(policy: Box<dyn Policy>, jobs: &[Job], nodes: u32) -> Vec<Outco
     out
 }
 
+/// Every built-in policy, by name, under `econ` on `nodes` processors:
+/// the seven of Table V and conservative backfilling.
+fn every_policy(econ: EconomicModel, nodes: u32) -> Vec<Box<dyn Policy>> {
+    let mut policies: Vec<Box<dyn Policy>> = [
+        PolicyKind::FcfsBf,
+        PolicyKind::SjfBf,
+        PolicyKind::EdfBf,
+        PolicyKind::Libra,
+        PolicyKind::LibraDollar,
+        PolicyKind::LibraRiskD,
+        PolicyKind::FirstReward,
+    ]
+    .into_iter()
+    .map(|kind| build_policy(kind, econ, nodes))
+    .collect();
+    policies.push(Box::new(ConservativeBf::new(econ, nodes)));
+    policies
+}
+
+/// Drives a policy through a job stream with node failures and repairs
+/// interleaved (node `i % nodes` fails before job `i` when `i % 5 == 2`
+/// and comes back before job `i + 2`), rendering the outcome stream
+/// with every float at full precision.
+fn stream_with_weather(mut policy: Box<dyn Policy>, jobs: &[Job], nodes: u32) -> String {
+    let mut out = Vec::new();
+    let mut interrupted = Vec::new();
+    for (i, j) in jobs.iter().enumerate() {
+        policy.advance_to(j.submit, &mut out);
+        let node = [i as u32 % nodes];
+        if i % 5 == 2 {
+            interrupted.extend(policy.on_nodes_fail(&node, j.submit, &mut out));
+        } else if i % 5 == 4 {
+            let node = [(i as u32 - 2) % nodes];
+            policy.on_nodes_repair(&node, j.submit, &mut out);
+        }
+        policy.on_submit(j, j.submit, &mut out);
+    }
+    policy.drain(&mut out);
+    format!("{out:?} {interrupted:?}")
+}
+
+/// `jobs` with every field outside `kept` replaced, job by job, from
+/// `noise`: a budget or penalty rate of zero, a tiny amount, a huge one
+/// or an arbitrary one, the other urgency class, a shifted deadline.
+fn perturbed(jobs: &[Job], kept: JobFields, noise: &[(u8, f64)]) -> Vec<Job> {
+    let pick = |(kind, x): (u8, f64)| match kind % 4 {
+        0 => 0.0,
+        1 => 1e-9,
+        2 => 1e12,
+        _ => x,
+    };
+    jobs.iter()
+        .zip(noise.iter().cycle())
+        .map(|(j, &(kind, x))| {
+            let mut p = *j;
+            let unread = |field| !kept.intersects(field);
+            if unread(JobFields::BUDGET) {
+                p.budget = pick((kind, x));
+            }
+            if unread(JobFields::PENALTY_RATE) {
+                p.penalty_rate = pick((kind.wrapping_add(1), x * 0.5));
+            }
+            if unread(JobFields::URGENCY) {
+                p.urgency = match j.urgency {
+                    Urgency::High => Urgency::Low,
+                    Urgency::Low => Urgency::High,
+                };
+            }
+            if unread(JobFields::DEADLINE) {
+                p.deadline = j.deadline * 0.5 + x * 1e-3;
+            }
+            p
+        })
+        .collect()
+}
+
+/// Whether changing the fields outside `declared` moves the outcome
+/// stream of the policy `build` makes: the check that a read set misses a
+/// field the policy does read.
+fn stream_moves_outside(
+    build: impl Fn() -> Box<dyn Policy>,
+    declared: JobFields,
+    jobs: &[Job],
+    noise: &[(u8, f64)],
+) -> bool {
+    let nodes = 8;
+    let want = stream_with_weather(build(), jobs, nodes);
+    want != stream_with_weather(build(), &perturbed(jobs, declared, noise), nodes)
+}
+
+/// A commodity FCFS-BF read set without the budget is caught: FCFS-BF
+/// rejects a job whose quote exceeds its budget, so some perturbed budget
+/// moves its stream.
+#[test]
+fn a_commodity_backfill_read_set_without_the_budget_is_caught() {
+    let econ = EconomicModel::CommodityMarket;
+    let build = || build_policy(PolicyKind::FcfsBf, econ, 8);
+    let declared = build().reads().without(JobFields::BUDGET);
+    let mut rng = TestRng::for_case("commodity-backfill-budget", 0);
+    let jobs = jobs_strategy(8).generate(&mut rng);
+    let noise = [(1, 0.0), (0, 0.0)];
+    assert!(stream_moves_outside(build, declared, &jobs, &noise));
+    // The declared set itself holds.
+    assert!(!stream_moves_outside(build, build().reads(), &jobs, &noise));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Each policy, under each economic model, makes the same run
+    /// whatever the fields outside its read set hold: perturbing them
+    /// leaves the outcome stream bit-identical, node failures and
+    /// repairs included.
+    #[test]
+    fn fields_outside_the_read_set_never_move_the_stream(
+        jobs in jobs_strategy(8),
+        noise in prop::collection::vec((any::<u8>(), 0.0f64..1e6), 1..25),
+    ) {
+        for econ in [EconomicModel::CommodityMarket, EconomicModel::BidBased] {
+            for policy in every_policy(econ, 8) {
+                let name = policy.name();
+                let build = || {
+                    every_policy(econ, 8)
+                        .into_iter()
+                        .find(|p| p.name() == name)
+                        .expect("the policy is built again")
+                };
+                prop_assert!(
+                    !stream_moves_outside(build, policy.reads(), &jobs, &noise),
+                    "{} under {:?}",
+                    name,
+                    econ
+                );
+            }
+        }
+    }
 
     /// Space-shared policies never oversubscribe the machine.
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Every run goes through one builder, [`Run`]: construct it for a
 //! built-in policy kind or a policy of your own, choose any of
-//! `.fault()`, `.budget()`, `.trace()` and `.check()`, and
+//! `.fault()`, `.budget()`, `.trace()`, `.check()` and `.rebill()`, and
 //! `.execute()` it into a [`RunOutput`]. [`simulate`] is the shorthand for
 //! a plain run.
 //!
@@ -58,8 +58,8 @@ pub use invariant::{check_run, Violation};
 pub use metrics::RunMetrics;
 pub use record::JobRecord;
 pub use runner::{
-    simulate, simulate_counted, simulate_faulty_counted, Run, RunConfig, RunError, RunOutput,
-    RunResult,
+    simulate, simulate_counted, simulate_faulty_counted, RebillError, Rebilled, Run, RunConfig,
+    RunError, RunOutput, RunResult,
 };
 pub use timeline::{TimePoint, Timeline};
 pub use trace::RunTrace;

@@ -10,7 +10,7 @@ use ccs_des::{FailureEventKind, FailureProcess, FastHashMap, FastHashSet, NodeFa
 use ccs_economy::{bid_utility, EconomicModel, Ledger};
 use ccs_policies::{build_policy, Interruption, Outcome, Policy, PolicyKind};
 use ccs_telemetry::trace::{begin_kernel_capture, take_kernel_capture};
-use ccs_workload::{Job, JobId};
+use ccs_workload::{Job, JobFields, JobId};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one simulation run.
@@ -106,6 +106,56 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// Why a [`Run`] refused to bill a workload handed to [`Run::rebill`]:
+/// the workload does not drive the policy through the run's trajectory.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RebillError {
+    /// The workload holds a different number of jobs than the run's.
+    JobCount {
+        /// Jobs the run simulated.
+        run: usize,
+        /// Jobs of the workload to bill.
+        rebilled: usize,
+    },
+    /// A job differs from the run's job at the same position in a field
+    /// the policy reads ([`Policy::reads`]), compared bit for bit.
+    Field {
+        /// The run's job at that position.
+        job: JobId,
+        /// The field's name, as in [`Job`].
+        field: &'static str,
+    },
+}
+
+impl std::fmt::Display for RebillError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RebillError::JobCount { run, rebilled } => write!(
+                f,
+                "cannot re-bill {rebilled} jobs from a run of {run}: the workloads differ"
+            ),
+            RebillError::Field { job, field } => write!(
+                f,
+                "cannot re-bill job {job}: its {field} differs from the run's and the policy reads it"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RebillError {}
+
+/// One workload billed over another workload's run (see [`Run::rebill`]).
+/// Only the aggregate is kept: a run may bill dozens of workloads, and
+/// their per-job records and ledgers are dropped as each bill is made.
+#[derive(Clone, Debug)]
+pub struct Rebilled {
+    /// The metrics a run of this workload would have produced.
+    pub metrics: RunMetrics,
+    /// Invariant violations of the billed result, when the run was
+    /// [checked](Run::check); empty otherwise.
+    pub violations: Vec<Violation>,
+}
+
 /// Everything one [`Run`] produced.
 #[derive(Clone, Debug)]
 pub struct RunOutput {
@@ -123,6 +173,9 @@ pub struct RunOutput {
     /// be this very simulation, outcome for outcome. `None` for policies
     /// that make no such claim.
     pub riskd_equivalent: Option<bool>,
+    /// Each workload handed to [`Run::rebill`], billed over this run's
+    /// outcome stream, in the order given.
+    pub rebilled: Vec<Result<Rebilled, RebillError>>,
 }
 
 /// One trace-driven run of one workload under one policy and economic
@@ -137,6 +190,7 @@ pub struct Run<'a> {
     budget: RunBudget,
     trace: bool,
     check: bool,
+    rebill: Vec<&'a [Job]>,
 }
 
 impl<'a> Run<'a> {
@@ -157,6 +211,7 @@ impl<'a> Run<'a> {
             budget: RunBudget::unlimited(),
             trace: false,
             check: false,
+            rebill: Vec::new(),
         }
     }
 
@@ -190,11 +245,26 @@ impl<'a> Run<'a> {
         self
     }
 
+    /// Also bills each of `workloads` over this run's outcome stream,
+    /// into [`RunOutput::rebilled`]: the run a workload would make is this
+    /// one when its jobs agree with the run's, position by position, on
+    /// every field the policy [reads](Policy::reads). Each job is checked
+    /// bit for bit before its workload is billed; a difference is a
+    /// [`RebillError`], never a silent bill. Billing is Eqs. 1–4 over the
+    /// stream with the workload's own budgets and penalty rates, the fold
+    /// that made [`RunOutput::result`], so a bill's metrics equal those of
+    /// a run of that workload bit for bit.
+    pub fn rebill(mut self, workloads: Vec<&'a [Job]>) -> Self {
+        self.rebill = workloads;
+        self
+    }
+
     /// Runs the simulation. Deterministic: identical inputs give identical
     /// outputs.
     pub fn execute(self) -> Result<RunOutput, RunError> {
         let (jobs, cfg) = (self.jobs, self.cfg);
         let name = self.policy.name();
+        let reads = self.policy.reads();
         let budget = (!self.budget.is_unlimited()).then_some(self.budget);
         // The driver drops the policy — and with it the DES event queues
         // that flush kernel stats — before returning, inside this window.
@@ -211,19 +281,53 @@ impl<'a> Run<'a> {
         let trace = self
             .trace
             .then(|| synthesise(jobs, cfg, name, &out, &result, kernel_spans));
-        let violations = if self.check {
-            check_run(jobs, cfg, &out, &result)
-        } else {
-            Vec::new()
+        let check = |jobs: &[Job], result: &RunResult| {
+            if self.check {
+                check_run(jobs, cfg, &out, result)
+            } else {
+                Vec::new()
+            }
         };
+        let violations = check(jobs, &result);
+        let rebilled = self
+            .rebill
+            .iter()
+            .map(|&other| {
+                same_trajectory(jobs, other, reads)?;
+                let result = collect(other, cfg, &out);
+                let violations = check(other, &result);
+                Ok(Rebilled {
+                    metrics: result.metrics,
+                    violations,
+                })
+            })
+            .collect();
         Ok(RunOutput {
             result,
             events: out.len() as u64,
             trace,
             violations,
             riskd_equivalent,
+            rebilled,
         })
     }
+}
+
+/// Whether `other` drives a policy that reads `reads` through the run of
+/// `jobs`: the same number of jobs, equal on every read field.
+fn same_trajectory(jobs: &[Job], other: &[Job], reads: JobFields) -> Result<(), RebillError> {
+    if jobs.len() != other.len() {
+        return Err(RebillError::JobCount {
+            run: jobs.len(),
+            rebilled: other.len(),
+        });
+    }
+    for (a, b) in jobs.iter().zip(other) {
+        if let Some(field) = reads.first_difference(a, b) {
+            return Err(RebillError::Field { job: a.id, field });
+        }
+    }
+    Ok(())
 }
 
 /// Drain-phase safety valve: after this many *consecutive* failure events
@@ -988,6 +1092,81 @@ mod tests {
         ];
         let cfg = RunConfig::default();
         simulate(&jobs, PolicyKind::FcfsBf, &cfg);
+    }
+
+    /// A workload that differs from the run's only in fields the policy
+    /// does not read is billed to exactly what its own run produces; one
+    /// that differs in a read field is refused, naming the job and field.
+    #[test]
+    fn rebilling_equals_a_run_and_refuses_a_read_field() {
+        let jobs: Vec<Job> = (0..40)
+            .map(|i| {
+                let runtime = 50.0 + (i * 37 % 200) as f64;
+                let deadline = runtime * (1.2 + (i % 5) as f64);
+                job(
+                    i,
+                    i as f64 * 20.0,
+                    runtime,
+                    deadline,
+                    1 + i % 6,
+                    runtime * 9.0,
+                )
+            })
+            .collect();
+        let cfg = RunConfig {
+            nodes: 8,
+            econ: EconomicModel::BidBased,
+        };
+        let mut cheap = jobs.clone();
+        for j in &mut cheap {
+            j.budget *= 0.25;
+            j.penalty_rate = 7.5;
+        }
+        let mut late = jobs.clone();
+        late[17].deadline += 1.0;
+        let out = Run::new(&jobs, PolicyKind::Libra, &cfg)
+            .check()
+            .rebill(vec![&cheap, &late, &jobs[1..]])
+            .execute()
+            .unwrap();
+        let own = simulate(&cheap, PolicyKind::Libra, &cfg);
+        let billed = out.rebilled[0].as_ref().unwrap();
+        assert_eq!(billed.metrics, own.metrics);
+        assert_ne!(billed.metrics, out.result.metrics);
+        assert!(billed.violations.is_empty());
+        let refused = out.rebilled[1].as_ref().unwrap_err();
+        assert_eq!(
+            *refused,
+            RebillError::Field {
+                job: 17,
+                field: "deadline"
+            }
+        );
+        assert!(refused.to_string().contains("job 17"), "{refused}");
+        assert_eq!(
+            out.rebilled[2].as_ref().unwrap_err(),
+            &RebillError::JobCount {
+                run: 40,
+                rebilled: 39
+            }
+        );
+        // Commodity backfill reads the budget, so the cheap workload is
+        // refused there.
+        let cfg = RunConfig {
+            econ: EconomicModel::CommodityMarket,
+            ..cfg
+        };
+        let out = Run::new(&jobs, PolicyKind::FcfsBf, &cfg)
+            .rebill(vec![&cheap])
+            .execute()
+            .unwrap();
+        assert_eq!(
+            out.rebilled[0].as_ref().unwrap_err(),
+            &RebillError::Field {
+                job: 0,
+                field: "budget"
+            }
+        );
     }
 
     #[test]

@@ -66,6 +66,97 @@ pub struct Job {
     pub penalty_rate: f64,
 }
 
+/// A set of [`Job`] fields: what a policy reads of each job it schedules
+/// (see `ccs_policies::Policy::reads`). Two workloads whose jobs agree on
+/// every field a policy reads drive that policy through the same run.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct JobFields(u16);
+
+impl JobFields {
+    /// No field.
+    pub const NONE: JobFields = JobFields(0);
+    /// [`Job::id`].
+    pub const ID: JobFields = JobFields(1 << 0);
+    /// [`Job::submit`].
+    pub const SUBMIT: JobFields = JobFields(1 << 1);
+    /// [`Job::runtime`].
+    pub const RUNTIME: JobFields = JobFields(1 << 2);
+    /// [`Job::estimate`].
+    pub const ESTIMATE: JobFields = JobFields(1 << 3);
+    /// [`Job::procs`].
+    pub const PROCS: JobFields = JobFields(1 << 4);
+    /// [`Job::urgency`].
+    pub const URGENCY: JobFields = JobFields(1 << 5);
+    /// [`Job::deadline`].
+    pub const DEADLINE: JobFields = JobFields(1 << 6);
+    /// [`Job::budget`].
+    pub const BUDGET: JobFields = JobFields(1 << 7);
+    /// [`Job::penalty_rate`].
+    pub const PENALTY_RATE: JobFields = JobFields(1 << 8);
+    /// Every field.
+    pub const ALL: JobFields = JobFields((1 << 9) - 1);
+
+    /// This set without the fields of `other`.
+    pub const fn without(self, other: JobFields) -> JobFields {
+        JobFields(self.0 & !other.0)
+    }
+
+    /// This set with the fields of `other`.
+    pub const fn with(self, other: JobFields) -> JobFields {
+        JobFields(self.0 | other.0)
+    }
+
+    /// Whether this set holds any field of `other`.
+    pub const fn intersects(self, other: JobFields) -> bool {
+        self.0 & other.0 != 0
+    }
+
+    /// The name of the first field of this set on which `a` and `b`
+    /// differ, comparing floats bit for bit; `None` when they agree on
+    /// every field of the set.
+    pub fn first_difference(self, a: &Job, b: &Job) -> Option<&'static str> {
+        let fields: [(JobFields, &'static str, bool); 9] = [
+            (JobFields::ID, "id", a.id == b.id),
+            (
+                JobFields::SUBMIT,
+                "submit",
+                a.submit.to_bits() == b.submit.to_bits(),
+            ),
+            (
+                JobFields::RUNTIME,
+                "runtime",
+                a.runtime.to_bits() == b.runtime.to_bits(),
+            ),
+            (
+                JobFields::ESTIMATE,
+                "estimate",
+                a.estimate.to_bits() == b.estimate.to_bits(),
+            ),
+            (JobFields::PROCS, "procs", a.procs == b.procs),
+            (JobFields::URGENCY, "urgency", a.urgency == b.urgency),
+            (
+                JobFields::DEADLINE,
+                "deadline",
+                a.deadline.to_bits() == b.deadline.to_bits(),
+            ),
+            (
+                JobFields::BUDGET,
+                "budget",
+                a.budget.to_bits() == b.budget.to_bits(),
+            ),
+            (
+                JobFields::PENALTY_RATE,
+                "penalty_rate",
+                a.penalty_rate.to_bits() == b.penalty_rate.to_bits(),
+            ),
+        ];
+        fields
+            .into_iter()
+            .find(|&(field, _, equal)| self.intersects(field) && !equal)
+            .map(|(_, name, _)| name)
+    }
+}
+
 impl Job {
     /// Absolute deadline: `submit + deadline`.
     #[inline]
@@ -141,6 +232,33 @@ mod tests {
         let j = job();
         assert_eq!(j.delay_at(250.0), 0.0);
         assert_eq!(j.delay_at(320.0), 20.0);
+    }
+
+    #[test]
+    fn first_difference_names_the_first_differing_field_of_the_set() {
+        let (a, mut b) = (job(), job());
+        assert_eq!(JobFields::ALL.first_difference(&a, &b), None);
+        b.budget = 1.0;
+        b.penalty_rate = -0.0;
+        assert_eq!(JobFields::ALL.first_difference(&a, &b), Some("budget"));
+        let reads = JobFields::ALL.without(JobFields::BUDGET);
+        assert_eq!(reads.first_difference(&a, &b), Some("penalty_rate"));
+        let reads = reads.without(JobFields::PENALTY_RATE);
+        assert_eq!(reads.first_difference(&a, &b), None);
+        // Bit for bit: 0.0 and -0.0 differ.
+        let mut c = a;
+        c.penalty_rate = 0.0;
+        b.penalty_rate = -0.0;
+        b.budget = c.budget;
+        assert_eq!(
+            JobFields::ALL.first_difference(&c, &b),
+            Some("penalty_rate")
+        );
+        assert!(JobFields::ALL.intersects(JobFields::ID));
+        assert_eq!(
+            reads.with(JobFields::BUDGET).with(JobFields::PENALTY_RATE),
+            JobFields::ALL
+        );
     }
 
     #[test]

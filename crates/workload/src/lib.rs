@@ -33,7 +33,7 @@ pub mod synth;
 
 pub use diurnal::{apply_diurnal, DiurnalProfile};
 pub use histogram::{LogHistogram, TraceHistograms};
-pub use job::{BaseJob, Job, JobId, Urgency};
+pub use job::{BaseJob, Job, JobFields, JobId, Urgency};
 pub use lublin::LublinModel;
 pub use qos::{FactorSpec, QosConfig};
 pub use scenario::{apply_scenario, ScenarioTransform};

@@ -101,6 +101,9 @@ fn apply_bias(factor: f64, runtime: f64, mean_runtime: f64, bias: f64) -> f64 {
 ///
 /// `inaccuracy_pct` interpolates the runtime estimate between perfectly
 /// accurate (0) and the trace's own estimate (100), per paper Section 5.3.
+/// The draw order — urgency, then the deadline, budget and penalty factors
+/// — is what [`crate::ScenarioTransform::project`] relies on: a factor's
+/// spec moves no field drawn before it.
 pub(crate) fn annotate_job(
     base: &BaseJob,
     cfg: &QosConfig,

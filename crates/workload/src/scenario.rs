@@ -15,8 +15,8 @@
 //! "only the workload changes while the rest of the experiment settings
 //! remain the same" semantics of paper Section 4.1.
 
-use crate::job::{BaseJob, Job};
-use crate::qos::QosConfig;
+use crate::job::{BaseJob, Job, JobFields};
+use crate::qos::{FactorSpec, QosConfig};
 use ccs_des::SimRng;
 use serde::{Deserialize, Serialize};
 
@@ -39,6 +39,47 @@ impl Default for ScenarioTransform {
             arrival_delay_factor: 0.25,
             inaccuracy_pct: 0.0,
         }
+    }
+}
+
+impl ScenarioTransform {
+    /// This transform as a policy that reads only `reads` sees it: every
+    /// QoS spec whose draws move only fields outside `reads` is reset to
+    /// its default, the rest kept. For every field in `reads`,
+    /// `apply_scenario` gives the same value, bit for bit, under the
+    /// projection as under `self`.
+    ///
+    /// Why: `annotate_job` draws each job's factors from the job's own
+    /// forked RNG in a fixed order — urgency, deadline, budget, penalty.
+    /// A spec changes the field it annotates and, because a truncated
+    /// normal rejection-samples a variable number of draws, every field
+    /// drawn after it; no field drawn before it. The urgency share also
+    /// picks which class mean each later draw uses. So the penalty spec
+    /// moves only `penalty_rate`, the budget spec `budget` and
+    /// `penalty_rate`, the deadline spec those and `deadline`, and the
+    /// urgency share all four. Arrival scaling and estimate inaccuracy
+    /// draw nothing and are kept.
+    pub fn project(&self, reads: JobFields) -> ScenarioTransform {
+        let mut t = *self;
+        let defaults = QosConfig::default();
+        let mut moved = JobFields::NONE;
+        let mut reset = |moves: JobFields| {
+            moved = moved.with(moves);
+            !reads.intersects(moved)
+        };
+        if reset(JobFields::PENALTY_RATE) {
+            t.qos.penalty = FactorSpec::default();
+        }
+        if reset(JobFields::BUDGET) {
+            t.qos.budget = FactorSpec::default();
+        }
+        if reset(JobFields::DEADLINE) {
+            t.qos.deadline = FactorSpec::default();
+        }
+        if reset(JobFields::URGENCY) {
+            t.qos.pct_high_urgency = defaults.pct_high_urgency;
+        }
+        t
     }
 }
 
@@ -158,6 +199,39 @@ mod tests {
         assert!(a.iter().all(|j| j.estimate == j.runtime.max(1.0)));
         let diff = c.iter().filter(|j| j.estimate != j.runtime).count();
         assert!(diff > c.len() / 2);
+    }
+
+    #[test]
+    fn projection_resets_only_specs_whose_fields_are_unread() {
+        let mut t = ScenarioTransform::default();
+        t.qos.pct_high_urgency = 60.0;
+        t.qos.deadline.bias = 6.0;
+        t.qos.budget.low_mean = 8.0;
+        t.qos.penalty.high_low_ratio = 10.0;
+        t.arrival_delay_factor = 0.5;
+        fn spelled(x: &impl std::fmt::Debug) -> String {
+            format!("{x:?}")
+        }
+        assert_eq!(spelled(&t.project(JobFields::ALL)), spelled(&t));
+        let no_penalty = t.project(JobFields::ALL.without(JobFields::PENALTY_RATE));
+        assert_eq!(no_penalty.qos.penalty.high_low_ratio, 4.0);
+        assert_eq!(no_penalty.qos.budget.low_mean, 8.0);
+        // Budget alone unread: its draws still move the penalty rate.
+        let no_budget = t.project(JobFields::ALL.without(JobFields::BUDGET));
+        assert_eq!(spelled(&no_budget.qos.budget), spelled(&t.qos.budget));
+        let neither = JobFields::ALL
+            .without(JobFields::BUDGET)
+            .without(JobFields::PENALTY_RATE);
+        let p = t.project(neither);
+        assert_eq!(p.qos.budget.low_mean, 4.0);
+        assert_eq!(p.qos.deadline.bias, 6.0);
+        assert_eq!(p.qos.pct_high_urgency, 60.0);
+        let only_core = neither
+            .without(JobFields::DEADLINE)
+            .without(JobFields::URGENCY);
+        let p = t.project(only_core);
+        assert_eq!(spelled(&p.qos), spelled(&QosConfig::default()));
+        assert_eq!(p.arrival_delay_factor, 0.5);
     }
 
     #[test]

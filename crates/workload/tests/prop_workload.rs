@@ -1,7 +1,9 @@
 //! Property-based tests of the workload pipeline.
 
 use ccs_workload::swf::{parse, to_base_jobs, write, SwfRecord};
-use ccs_workload::{apply_scenario, QosConfig, ScenarioTransform, SdscSp2Model};
+use ccs_workload::{
+    apply_scenario, FactorSpec, JobFields, QosConfig, ScenarioTransform, SdscSp2Model,
+};
 use proptest::prelude::*;
 
 fn record_strategy() -> impl Strategy<Value = SwfRecord> {
@@ -136,5 +138,50 @@ proptest! {
         };
         prop_assert!(mean(true, &|j| j.deadline / j.runtime) < mean(false, &|j| j.deadline / j.runtime));
         prop_assert!(mean(true, &|j| j.budget / j.work().max(1.0)) > mean(false, &|j| j.budget / j.work().max(1.0)));
+    }
+
+    /// Projecting a transform onto a read set changes no field in the set:
+    /// for every read set that keeps the trace fields and drops any of
+    /// urgency, deadline, budget and penalty rate — every set a policy
+    /// declares among them — the projected workload equals the original
+    /// on each read field, bit for bit.
+    #[test]
+    fn projection_keeps_every_read_field(
+        seed in any::<u64>(),
+        dropped in 0usize..16,
+        pct in 0.0f64..100.0,
+        specs in prop::collection::vec((0.5f64..12.0, 1.0f64..10.0, 1.0f64..10.0, 0.05f64..1.5), 3),
+        arrival in 0.02f64..1.0,
+        inaccuracy in 0.0f64..100.0,
+    ) {
+        let qos_fields = [
+            JobFields::URGENCY,
+            JobFields::DEADLINE,
+            JobFields::BUDGET,
+            JobFields::PENALTY_RATE,
+        ];
+        let reads = qos_fields
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| dropped & (1 << i) != 0)
+            .fold(JobFields::ALL, |set, (_, &f)| set.without(f));
+        let spec = |(low_mean, high_low_ratio, bias, cv)| FactorSpec { low_mean, high_low_ratio, bias, cv };
+        let t = ScenarioTransform {
+            qos: QosConfig {
+                pct_high_urgency: pct,
+                deadline: spec(specs[0]),
+                budget: spec(specs[1]),
+                penalty: spec(specs[2]),
+            },
+            arrival_delay_factor: arrival,
+            inaccuracy_pct: inaccuracy,
+        };
+        let base = SdscSp2Model { jobs: 60, ..Default::default() }.generate(seed);
+        let jobs = apply_scenario(&base, &t, seed);
+        let projected = apply_scenario(&base, &t.project(reads), seed);
+        prop_assert_eq!(jobs.len(), projected.len());
+        for (a, b) in jobs.iter().zip(&projected) {
+            prop_assert_eq!(reads.first_difference(a, b), None, "job {}", a.id);
+        }
     }
 }

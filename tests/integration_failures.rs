@@ -317,6 +317,37 @@ fn out_that_is_a_file_exits_2_before_the_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `--telemetry` report that could not be written — under a regular
+/// file, or at a path that is a directory — is refused at parse time like
+/// `--out`: exit 2 naming the flag, before any cell runs.
+#[test]
+fn telemetry_that_cannot_be_written_exits_2_before_the_run() {
+    let dir = temp_dir("telemetry_refused");
+    let file = dir.join("file");
+    std::fs::write(&file, b"keep").unwrap();
+    let journal = dir.join("journal.jsonl");
+    for report in [file.join("t.json"), dir.clone()] {
+        let output = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
+            .args(["summary", "--quick", "--jobs", "20", "--quiet"])
+            .arg("--out")
+            .arg(dir.join("out"))
+            .arg("--telemetry")
+            .arg(&report)
+            .arg("--resume")
+            .arg(&journal)
+            .output()
+            .expect("spawn utility_risk");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{report:?}: {stderr}");
+        assert!(stderr.contains("--telemetry"), "{report:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{report:?}: {stderr}");
+        assert!(output.stdout.is_empty());
+        assert!(!journal.exists(), "no cell may run before the refusal");
+    }
+    assert_eq!(std::fs::read(&file).unwrap(), b"keep");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An artifact path that cannot be written once the run is done is a typed
 /// exit too: status 2, naming the flag that chose the path and the path
 /// itself, with no panic.

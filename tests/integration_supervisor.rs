@@ -7,11 +7,27 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-fn temp_dir(name: &str) -> PathBuf {
+/// A fresh directory under the temp dir, removed when the guard drops —
+/// on every exit path of a test, a failed assertion's unwinding included.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+fn temp_dir(name: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("ccs_supervisor_{}_{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 /// A `utility_risk summary` invocation on the small quick grid.
@@ -120,7 +136,6 @@ fn worker_count_does_not_change_results() {
         store_projection(&out_w4),
         "4-worker store projection must match in-process"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Kill drill: worker 2 of 2 aborts mid-shard after three cells
@@ -161,7 +176,6 @@ fn killed_worker_recovers_to_identical_results() {
         store_projection(&out_kill),
         "kill-drill store projection must be byte-identical"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Supervisor restart: a run truncated by `--cell-budget` leaves a journal
@@ -205,7 +219,7 @@ fn supervisor_restart_resumes_to_identical_results() {
         "resumed supervised run must be byte-identical to an uninterrupted one"
     );
     // Shard journals are merged into the primary and deleted.
-    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+    let leftovers: Vec<_> = std::fs::read_dir(&*dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.file_name().to_string_lossy().into_owned())
@@ -215,7 +229,6 @@ fn supervisor_restart_resumes_to_identical_results() {
         leftovers.is_empty(),
         "shard journals left behind: {leftovers:?}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Poison cell: a cell that panics on every attempt (`CCS_FAIL_CELL`) is
@@ -270,7 +283,6 @@ fn poison_cell_quarantines_then_resume_heals() {
         String::from_utf8_lossy(&fresh.stdout),
         "healed report must be byte-identical to an uninterrupted run"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Config validation: malformed supervisor flags exit 2 with an error
@@ -332,7 +344,8 @@ fn cell_budget_journals_the_same_cells_in_every_mode() {
     };
     let (econ, set) = (EconomicModel::BidBased, EstimateSet::B);
     let journaled = |name: &str, threads: usize, supervisor: Option<SupervisorConfig>| {
-        let journal = temp_dir(name).join("journal.jsonl");
+        let dir = temp_dir(name);
+        let journal = dir.join("journal.jsonl");
         let cfg = ExperimentConfig {
             threads,
             ..ExperimentConfig::quick().with_jobs(25)
@@ -377,7 +390,8 @@ fn cell_budget_journals_the_same_cells_in_every_mode() {
 /// bit for bit while reusing 300 of its 1560 cells: the default point
 /// recurs 13 times per grid (240), and set B's Inaccuracy points equal
 /// set A's (60). In-process, LibraRiskD cells are also derived from their
-/// Libra cell's run; a fleet derives none. Under the fleet every reused row of the store names the worker
+/// Libra cell's run and penalty and budget cells billed from another
+/// cell's run; a fleet derives and re-bills none. Under the fleet every reused row of the store names the worker
 /// that simulated the result it copies.
 #[test]
 fn evaluation_simulates_each_distinct_cell_once_per_run() {
@@ -424,14 +438,19 @@ fn evaluation_simulates_each_distinct_cell_once_per_run() {
         let reused: u64 = ev.raw_grids.iter().map(|g| g.cells_reused).sum();
         assert_eq!(reused, 300, "supervised: {supervised}");
         let derived: u64 = ev.raw_grids.iter().map(|g| g.cells_derived).sum();
+        let rebilled: u64 = ev.raw_grids.iter().map(|g| g.cells_rebilled).sum();
         if supervised {
-            assert_eq!(derived, 0);
+            assert_eq!((derived, rebilled), (0, 0));
         } else {
-            // Only bid-based grids run LibraRiskD; set A's grid has no
-            // memo copies, so it derives what the independent grid does.
-            assert!(derived > 0);
+            // Pinned for seed 42 and 25 jobs. Only bid-based grids run
+            // LibraRiskD; set A's grid has no memo copies, so it derives
+            // what the independent grid does.
+            assert_eq!(derived, 56);
             let bid_a = (&ev.raw_grids[2], &independent[2]);
             assert_eq!(bid_a.0.cells_derived, bid_a.1.cells_derived);
+            // Structural: every penalty and budget cell whose policy reads
+            // neither is billed from another cell's run of its grid.
+            assert_eq!(rebilled, 381);
         }
         if supervised {
             // A reused cell simulated nothing, so it is the row with 0 s.
