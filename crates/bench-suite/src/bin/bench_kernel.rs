@@ -13,12 +13,12 @@
 //!
 //! Tracked throughput numbers:
 //!
-//! * `des_kernel_schedule_pop` — events/sec through the DES kernel
-//!   (schedule, a cancellation mix, pop in time order);
-//! * `event_queue_soa_pop` — events/sec through the bare arena/SoA event
-//!   queue (same mix, no simulation clock on top);
-//! * `batched_dispatch` — events/sec through `next_batch` over equal-time
-//!   cohorts (the failure-storm shape the batch API amortises);
+//! * `des_kernel_schedule_pop` / `event_queue_soa_pop` — events/sec
+//!   through the arena/SoA event queue (push, a cancellation mix, pop in
+//!   time order): one loop, two seeds;
+//! * `batched_dispatch` — events/sec through `pop_batch_until` over
+//!   equal-time cohorts (the failure-storm shape the batch API amortises;
+//!   `PsCluster::advance_into` drains its node events this way);
 //! * `ensemble_parallel_cell` — job-replicas/sec through one faulty cell
 //!   run as a parallel seed ensemble (`utility_risk --replicas`);
 //! * `ps_advance_to` / `ps_advance_to_sparse` — completions/sec through the
@@ -39,7 +39,7 @@
 
 use ccs_bench_suite::{measure, BenchEntry, BenchHistory, Measurement};
 use ccs_cluster::PsCluster;
-use ccs_des::{EventQueue, SimRng, SimTime, Simulation};
+use ccs_des::{EventQueue, SimRng, SimTime};
 use ccs_economy::EconomicModel;
 use ccs_experiments::{run_cell_ensemble, EstimateSet, ExperimentConfig, GridRun, Scenario};
 use ccs_policies::PolicyKind;
@@ -57,38 +57,13 @@ const CELL_JOBS: usize = 200;
 const BATCH_COHORT: u64 = 32;
 const ENSEMBLE_REPLICAS: usize = 4;
 
-/// Schedules `n` events at pseudo-random times (cancelling every 16th) and
-/// drains them in time order; returns a checksum of the processed stream.
-fn kernel_round(n: u64) -> u64 {
-    let mut sim: Simulation<u64> = Simulation::new();
-    let mut rng = SimRng::seed_from(0xBEEF);
-    let mut handles = Vec::with_capacity(16);
-    for i in 0..n {
-        let h = sim.schedule_at(SimTime::new(rng.uniform(0.0, 1e6)), i);
-        if i % 16 == 0 {
-            handles.push(h);
-        }
-    }
-    for h in handles {
-        sim.cancel(h);
-    }
-    let mut checksum = 0u64;
-    while let Some((t, ev)) = sim.next() {
-        checksum = checksum
-            .wrapping_mul(0x100000001B3)
-            .wrapping_add(ev)
-            .wrapping_add(t.as_secs().to_bits());
-    }
-    checksum
-}
-
-/// Exercises the arena/SoA event queue directly, without the simulation
-/// clock on top: push `n` events at pseudo-random times, cancel every
-/// 16th, drain with `pop`. Isolates the slab + cache-dense heap hot loop
-/// that `des_kernel_schedule_pop` measures through [`Simulation`].
-fn queue_round(n: u64) -> u64 {
+/// Pushes `n` events at pseudo-random times drawn from `seed`, cancels
+/// every 16th, and drains the rest with `pop` in time order; returns a
+/// checksum of the processed stream. This is the slab + cache-dense tier
+/// hot loop every simulation path drives.
+fn queue_round(n: u64, seed: u64) -> u64 {
     let mut q: EventQueue<u64> = EventQueue::new();
-    let mut rng = SimRng::seed_from(0x50A0);
+    let mut rng = SimRng::seed_from(seed);
     let mut handles = Vec::with_capacity(16);
     for i in 0..n {
         let h = q.push(SimTime::new(rng.uniform(0.0, 1e6)), i);
@@ -109,24 +84,25 @@ fn queue_round(n: u64) -> u64 {
     checksum
 }
 
-/// Schedules `n` events in equal-time cohorts ([`BATCH_COHORT`] events per
+/// Pushes `n` events in equal-time cohorts ([`BATCH_COHORT`] events per
 /// instant — a failure storm's shape) and drains them through
-/// `next_batch`, the batched same-time dispatch path the runner and PS
-/// cluster consume. Compare against `des_kernel_schedule_pop` to read the
-/// per-instant amortisation.
+/// `pop_batch_until`, the batched same-time dispatch
+/// `PsCluster::advance_into` uses. Compare against `event_queue_soa_pop`
+/// to read the per-instant amortisation.
 fn batch_round(n: u64) -> u64 {
-    let mut sim: Simulation<u64> = Simulation::new();
+    let mut q: EventQueue<u64> = EventQueue::new();
     let mut rng = SimRng::seed_from(0xBA7C);
     let cohorts = n / BATCH_COHORT;
     for c in 0..cohorts {
         let t = SimTime::new(rng.uniform(0.0, 1e6));
         for i in 0..BATCH_COHORT {
-            sim.schedule_at(t, c * BATCH_COHORT + i);
+            q.push(t, c * BATCH_COHORT + i);
         }
     }
+    let horizon = SimTime::new(f64::INFINITY);
     let mut buf: Vec<u64> = Vec::new();
     let mut checksum = 0u64;
-    while let Some(t) = sim.next_batch(&mut buf) {
+    while let Some(t) = q.pop_batch_until(horizon, &mut buf) {
         checksum = checksum
             .wrapping_mul(0x100000001B3)
             .wrapping_add(buf.len() as u64)
@@ -310,19 +286,17 @@ fn main() {
     }
     let mut measurements = Vec::new();
 
-    eprintln!("benchmarking DES kernel ({KERNEL_EVENTS} events/iter)...");
-    let kernel = measure("des_kernel_schedule_pop", KERNEL_EVENTS, min_secs, || {
-        kernel_round(KERNEL_EVENTS)
-    });
-    report_line(&kernel);
-    measurements.push(kernel);
-
-    eprintln!("benchmarking SoA event queue ({KERNEL_EVENTS} events/iter, bare queue)...");
-    let queue = measure("event_queue_soa_pop", KERNEL_EVENTS, min_secs, || {
-        queue_round(KERNEL_EVENTS)
-    });
-    report_line(&queue);
-    measurements.push(queue);
+    for (name, seed) in [
+        ("des_kernel_schedule_pop", 0xBEEF),
+        ("event_queue_soa_pop", 0x50A0),
+    ] {
+        eprintln!("benchmarking event queue ({KERNEL_EVENTS} events/iter, seed {seed:#x})...");
+        let m = measure(name, KERNEL_EVENTS, min_secs, || {
+            queue_round(KERNEL_EVENTS, seed)
+        });
+        report_line(&m);
+        measurements.push(m);
+    }
 
     eprintln!(
         "benchmarking batched dispatch ({KERNEL_EVENTS} events/iter, cohorts of {BATCH_COHORT})..."

@@ -24,7 +24,7 @@ use std::io::{ErrorKind, Read, Write};
 
 /// Environment variable carrying a serialised [`FlakyTransport`]
 /// (`"seed:rate_pct"`) into the supervisor.
-pub(crate) const FLAKY_TRANSPORT_ENV: &str = "CCS_FLAKY_TRANSPORT";
+pub const FLAKY_TRANSPORT_ENV: &str = "CCS_FLAKY_TRANSPORT";
 
 /// Injected delays never sleep longer than this — faults must perturb
 /// ordering, not stall the grid.
@@ -96,13 +96,17 @@ impl FlakyTransport {
         Ok(FlakyTransport { seed, rate_pct })
     }
 
-    /// Read the plan from `FLAKY_TRANSPORT_ENV`, if set and
-    /// well-formed. A malformed value is ignored — drills must never
-    /// corrupt a real run.
-    pub fn from_env() -> Option<FlakyTransport> {
-        std::env::var(FLAKY_TRANSPORT_ENV)
-            .ok()
-            .and_then(|v| FlakyTransport::parse(&v).ok())
+    /// Reads the plan from [`FLAKY_TRANSPORT_ENV`]: `Ok(None)` when it
+    /// is unset, an error naming what is wrong when it is malformed.
+    /// `utility_risk` checks the variable before any cell runs or worker
+    /// spawns and refuses a malformed value, so a drill with a typo fails
+    /// loudly instead of running no drill.
+    pub fn from_env() -> Result<Option<FlakyTransport>, String> {
+        match std::env::var(FLAKY_TRANSPORT_ENV) {
+            Ok(v) => FlakyTransport::parse(&v).map(Some),
+            Err(std::env::VarError::NotPresent) => Ok(None),
+            Err(e) => Err(e.to_string()),
+        }
     }
 
     /// The fault schedule of one connection. Connections are identified

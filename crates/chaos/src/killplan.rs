@@ -8,15 +8,14 @@
 //! plan travels to workers through the `KILL_WORKER_ENV` environment
 //! variable, mirroring the `CCS_FAIL_CELL` / `CCS_STALL_CELL` drills.
 //!
-//! Like every stressor in this crate, a plan is a pure function of its
-//! seed, so a CI kill drill replays exactly on a laptop.
+//! A plan names its victim and abort point outright, so a CI kill drill
+//! replays exactly on a laptop.
 
-use ccs_des::SimRng;
 use serde::{Deserialize, Serialize};
 
 /// Environment variable carrying a serialised [`WorkerKillPlan`]
 /// (`"worker:after_cells"`) into worker processes.
-pub(crate) const KILL_WORKER_ENV: &str = "CCS_KILL_WORKER";
+pub const KILL_WORKER_ENV: &str = "CCS_KILL_WORKER";
 
 /// A deterministic worker-kill schedule: worker `worker` calls
 /// `std::process::abort()` upon receiving its `after_cells + 1`-th cell
@@ -30,20 +29,6 @@ pub struct WorkerKillPlan {
 }
 
 impl WorkerKillPlan {
-    /// Generate a kill plan from a seed: pick a victim among `workers`
-    /// workers and an abort point within its expected shard of
-    /// `shard_len` cells. Pure in `seed` — the same seed always yields
-    /// the same plan.
-    pub fn generate(seed: u64, workers: u64, shard_len: u64) -> WorkerKillPlan {
-        let mut rng = SimRng::seed_from(seed ^ 0x6b69_6c6c_706c_616e);
-        let worker = 1 + rng.next_u64() % workers.max(1);
-        let after_cells = rng.next_u64() % shard_len.max(1);
-        WorkerKillPlan {
-            worker,
-            after_cells,
-        }
-    }
-
     /// Parse the `"worker:after_cells"` form, naming what was wrong on
     /// failure.
     pub(crate) fn parse(s: &str) -> Result<WorkerKillPlan, String> {
@@ -67,13 +52,17 @@ impl WorkerKillPlan {
         })
     }
 
-    /// Read the plan from `KILL_WORKER_ENV`, if set and well-formed.
-    /// A malformed value is ignored (drills must never corrupt a real
-    /// run) — the supervisor validates the plan before exporting it.
-    pub fn from_env() -> Option<WorkerKillPlan> {
-        std::env::var(KILL_WORKER_ENV)
-            .ok()
-            .and_then(|v| WorkerKillPlan::parse(&v).ok())
+    /// Reads the plan from [`KILL_WORKER_ENV`]: `Ok(None)` when it is
+    /// unset, an error naming what is wrong when it is malformed.
+    /// `utility_risk` checks the variable before any cell runs or worker
+    /// spawns and refuses a malformed value, so a drill with a typo fails
+    /// loudly instead of running no drill.
+    pub fn from_env() -> Result<Option<WorkerKillPlan>, String> {
+        match std::env::var(KILL_WORKER_ENV) {
+            Ok(v) => WorkerKillPlan::parse(&v).map(Some),
+            Err(std::env::VarError::NotPresent) => Ok(None),
+            Err(e) => Err(e.to_string()),
+        }
     }
 
     /// Should the worker identified by `worker` abort before running the
@@ -86,30 +75,6 @@ impl WorkerKillPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn generate_is_seed_deterministic() {
-        let a = WorkerKillPlan::generate(42, 4, 100);
-        let b = WorkerKillPlan::generate(42, 4, 100);
-        assert_eq!(a, b);
-        let c = WorkerKillPlan::generate(43, 4, 100);
-        let d = WorkerKillPlan::generate(44, 4, 100);
-        // At least one different seed must produce a different plan.
-        assert!(a != c || a != d);
-    }
-
-    #[test]
-    fn generate_is_bounded() {
-        for seed in 0..200 {
-            let p = WorkerKillPlan::generate(seed, 4, 50);
-            assert!(
-                (1..=4).contains(&p.worker),
-                "worker {} out of range",
-                p.worker
-            );
-            assert!(p.after_cells < 50);
-        }
-    }
 
     #[test]
     fn env_round_trip() {

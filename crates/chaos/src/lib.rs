@@ -20,7 +20,7 @@
 //!   still reproduces the *same* failure signature.
 //! - [`run_soak`] — the generate→run→check→shrink loop behind the
 //!   `utility_risk chaos` CLI and the CI chaos leg.
-//! - [`WorkerKillPlan`] — a seed-deterministic worker-kill drill for the
+//! - [`WorkerKillPlan`] — a deterministic worker-kill drill for the
 //!   multi-process grid supervisor (`CCS_KILL_WORKER`).
 //! - [`FlakyTransport`] — a seed-pure network fault plan for the grid
 //!   transport (`CCS_FLAKY_TRANSPORT`): injected drops, delays,
@@ -41,7 +41,7 @@ pub mod soak;
 
 pub use case::{CaseOutcome, ChaosCase, Stressor};
 pub use fixtures::{BrokenPolicyKind, StuckPolicy};
-pub use flaky::{ConnectionFlakes, FlakyReader, FlakyTransport, FlakyWriter};
-pub use killplan::WorkerKillPlan;
+pub use flaky::{ConnectionFlakes, FlakyReader, FlakyTransport, FlakyWriter, FLAKY_TRANSPORT_ENV};
+pub use killplan::{WorkerKillPlan, KILL_WORKER_ENV};
 pub use shrink::{shrink, Shrunk};
 pub use soak::{run_soak, SoakConfig, SoakFinding, SoakReport};

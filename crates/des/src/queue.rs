@@ -135,9 +135,8 @@ impl QueueStats {
 ///
 /// Carries the event's full `(time, seq)` ordering key — so the queue can
 /// compare it against the pop watermark — plus its slab slot, so `cancel`
-/// reaches the payload directly. Cancelling a handle that already fired,
-/// was already cancelled, or belongs to a cleared queue is a no-op
-/// returning `false`: the slab records each slot's owning seq, so even a
+/// reaches the payload directly. Cancelling a handle that already fired
+/// or was already cancelled is a no-op returning `false`: the slab records each slot's owning seq, so even a
 /// handle whose slot has been recycled to a newer event is rejected.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EventHandle {
@@ -227,8 +226,7 @@ pub struct EventQueue<T> {
     /// The largest key admitted into `sorted` by the last refill. Pushes
     /// strictly below it go to `young` (they may have to pop before the
     /// current run ends); everything else goes to `far`. `None` until the
-    /// first refill (and after [`EventQueue::clear`]), when every push
-    /// goes to `far`.
+    /// first refill, when every push goes to `far`.
     boundary: Option<HeapKey>,
     /// Payload slab: `slots[key.slot]` holds `(owning seq, payload)` from
     /// push until the key leaves the tiers. A reserved slot with payload
@@ -448,8 +446,7 @@ impl<T> EventQueue<T> {
     ///
     /// Panics if `time` is earlier than the last popped event's time: this
     /// is a future-event list, and scheduling into the past would corrupt
-    /// causality ([`crate::Simulation`] enforces the same rule against its
-    /// clock). The watermark liveness test in `cancel` relies on it.
+    /// causality. The watermark liveness test in `cancel` relies on it.
     pub fn push(&mut self, time: SimTime, payload: T) -> EventHandle {
         if let Some((wt, _)) = self.watermark {
             assert!(
@@ -485,11 +482,11 @@ impl<T> EventQueue<T> {
     /// already cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         if self.live == 0 || self.left_heap(&handle) {
-            return false; // fired, skipped, or the queue was cleared
+            return false; // fired or skipped
         }
         // The slab's seq tag is authoritative: a recycled slot (newer
-        // owner), an already-emptied slot (second cancel), or an
-        // out-of-range slot (cleared queue) all reject the handle.
+        // owner) or an already-emptied slot (second cancel) rejects the
+        // handle.
         match self.slots.get_mut(handle.slot as usize) {
             Some((seq, payload)) if *seq == handle.seq && payload.is_some() => {
                 // Drop the payload now; the emptied-but-reserved slot is
@@ -648,20 +645,6 @@ impl<T> EventQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
-
-    /// Removes all pending events. Outstanding handles are invalidated and
-    /// must not be cancelled afterwards.
-    pub fn clear(&mut self) {
-        self.sorted.clear();
-        self.young.clear();
-        self.far.clear();
-        self.boundary = None;
-        self.slots.clear();
-        self.free.clear();
-        self.tombstones = 0;
-        self.live = 0;
-        self.watermark = None;
-    }
 }
 
 #[cfg(test)]
@@ -739,12 +722,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties() {
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn push_into_the_past_panics() {
         let mut q = EventQueue::new();
+        q.push(SimTime::new(5.0), ());
+        q.pop();
         q.push(SimTime::new(1.0), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Virtual simulation time.
 //!
-//! Simulation time is a non-negative, finite-or-infinite number of seconds
-//! since the start of the simulation. [`SimTime`] wraps an `f64` and provides
-//! a *total* order (NaN is rejected at construction), so it can key the event
-//! queue directly.
+//! Simulation time is a non-negative number of seconds since the start of
+//! the simulation. [`SimTime`] wraps an `f64` and provides a *total* order
+//! (NaN is rejected at construction), so it can key the event queue
+//! directly.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -27,9 +27,6 @@ impl SimTime {
     /// Time zero — the start of the simulation.
     pub const ZERO: SimTime = SimTime(0.0);
 
-    /// A time later than every finite time; useful as a sentinel.
-    pub const INFINITY: SimTime = SimTime(f64::INFINITY);
-
     /// Creates a time from seconds. Panics if `secs` is NaN or negative.
     #[inline]
     pub fn new(secs: f64) -> Self {
@@ -42,39 +39,6 @@ impl SimTime {
     #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// True if this time is finite (not the [`SimTime::INFINITY`] sentinel).
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.0.is_finite()
-    }
-
-    /// The elapsed duration (seconds) since `earlier`; saturates at zero if
-    /// `earlier` is actually later.
-    #[inline]
-    pub fn since(self, earlier: SimTime) -> f64 {
-        (self.0 - earlier.0).max(0.0)
-    }
-
-    /// Element-wise minimum.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Element-wise maximum.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -141,8 +105,6 @@ mod tests {
         assert!(b > a);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
-        assert!(SimTime::ZERO < SimTime::INFINITY);
-        assert!(a < SimTime::INFINITY);
     }
 
     #[test]
@@ -150,8 +112,6 @@ mod tests {
         let t = SimTime::new(5.0) + 2.5;
         assert_eq!(t.as_secs(), 7.5);
         assert_eq!(t - SimTime::new(5.0), 2.5);
-        assert_eq!(SimTime::new(3.0).since(SimTime::new(5.0)), 0.0);
-        assert_eq!(SimTime::new(5.0).since(SimTime::new(3.0)), 2.0);
     }
 
     #[test]
@@ -164,13 +124,6 @@ mod tests {
     #[should_panic]
     fn negative_rejected() {
         let _ = SimTime::new(-1.0);
-    }
-
-    #[test]
-    fn infinity_sentinel() {
-        assert!(!SimTime::INFINITY.is_finite());
-        assert!(SimTime::new(1e300).is_finite());
-        assert_eq!(SimTime::INFINITY.max(SimTime::ZERO), SimTime::INFINITY);
     }
 
     #[test]

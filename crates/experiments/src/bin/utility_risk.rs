@@ -47,8 +47,7 @@
 //!   `--source grid|chaos`, `--scenario SUBSTR`, `--select COL,COL,…`,
 //!   `--sort-by COL`, `--desc`, `--limit N`, `--summarize`;
 //! - `perf`: `--top N`, `--store FILE`, `--by scenario|policy`;
-//! - `perf diff`: either `--baseline OLD_STORE` with `--store FILE`, or
-//!   `--bench TRENDLINE` with `--from LABEL`, `--to LABEL`;
+//! - `perf diff`: `--baseline OLD_STORE` (required), `--store FILE`;
 //! - `serve-worker`: `--listen HOST:PORT` (required).
 //!
 //! `profile` is the one cargo feature: grid runs built with `--features
@@ -184,21 +183,6 @@ fn load_store_or_die(path: &Path, context: &str) -> ResultStore {
                 "utility_risk {context}: {e}\n(run `utility_risk summary` or `all` first to \
                  produce the store, or point the flag at one)"
             );
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Prints a `utility_risk perf diff` report and exits 0, or reports why
-/// there is none and exits 1.
-fn finish_perf_diff(report: Result<String, String>) -> ! {
-    match report {
-        Ok(text) => {
-            print!("{text}");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("utility_risk perf diff: {e}");
             std::process::exit(1);
         }
     }
@@ -507,18 +491,17 @@ fn main() {
             let store = load_store_or_die(&store, "perf");
             print!("{}", ccs_experiments::perf::report(&store, top, by));
         }
-        Command::PerfDiffStores { baseline, store } => {
+        Command::PerfDiff { baseline, store } => {
             let baseline = load_store_or_die(&baseline, "perf diff");
             let new = load_store_or_die(&store, "perf diff");
-            finish_perf_diff(ccs_experiments::perf::diff_stores(&baseline, &new))
+            match ccs_experiments::perf::diff_stores(&baseline, &new) {
+                Ok(text) => print!("{text}"),
+                Err(e) => {
+                    eprintln!("utility_risk perf diff: {e}");
+                    std::process::exit(1);
+                }
+            }
         }
-        Command::PerfDiffBench { bench, from, to } => finish_perf_diff(
-            std::fs::read_to_string(&bench)
-                .map_err(|e| format!("cannot read {}: {e}", bench.display()))
-                .and_then(|text| {
-                    ccs_experiments::perf::diff_bench(&text, from.as_deref(), to.as_deref())
-                }),
-        ),
         Command::Query { query, store } => {
             let store = load_store_or_die(&store, "query");
             match store.query(&query) {

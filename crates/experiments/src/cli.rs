@@ -18,7 +18,7 @@ use crate::store::{Query, SOURCE_CHAOS, SOURCE_GRID, STORE_FILE};
 use crate::supervisor::SupervisorConfig;
 use crate::trace_run::TraceCellSpec;
 use crate::{progress, validate_config, ConfigError, FIGURE_IDS};
-use ccs_chaos::SoakConfig;
+use ccs_chaos::{FlakyTransport, SoakConfig, WorkerKillPlan, FLAKY_TRANSPORT_ENV, KILL_WORKER_ENV};
 use ccs_economy::EconomicModel;
 use ccs_workload::SdscSp2Model;
 use std::ops::RangeInclusive;
@@ -160,9 +160,6 @@ const FLAGS: &[Flag] = &[
     Flag("--summarize", Only(&["query"]), Switch(|a| a.query.summarize = true)),
     Flag("--by", Only(&["perf"]), Value("scenario|policy", |a, v| choice(v, GROUP_BY).map(|g| a.by = g))),
     Flag("--baseline", Only(&["perf diff"]), Text("OLD_STORE", |a, v| a.baseline = Some(v.into()))),
-    Flag("--bench", Only(&["perf diff"]), Text("TRENDLINE", |a, v| a.bench = Some(v.into()))),
-    Flag("--from", Only(&["perf diff"]), Text("LABEL", |a, v| a.from = Some(v.into()))),
-    Flag("--to", Only(&["perf diff"]), Text("LABEL", |a, v| a.to = Some(v.into()))),
     Flag("--listen", Only(&["serve-worker"]), Text("HOST:PORT", |a, v| a.listen = Some(v.into()))),
 ];
 
@@ -257,9 +254,6 @@ struct Raw {
     store: Option<PathBuf>,
     by: GroupBy,
     baseline: Option<PathBuf>,
-    bench: Option<PathBuf>,
-    from: Option<String>,
-    to: Option<String>,
     listen: Option<String>,
 }
 
@@ -465,26 +459,11 @@ impl Raw {
                 top: self.top,
                 by: self.by,
             },
-            // Two stores, or two trendline entries: a flag of the other
-            // mode would be ignored.
-            "perf diff" => match (self.baseline, self.bench) {
-                (Some(baseline), None)
-                    if !self.seen.iter().any(|f| ["--from", "--to"].contains(f)) =>
-                {
-                    Command::PerfDiffStores { baseline, store }
-                }
-                (None, Some(bench)) if !self.seen.contains(&"--store") => Command::PerfDiffBench {
-                    bench,
-                    from: self.from,
-                    to: self.to,
-                },
-                _ => {
-                    return Err(ConfigError::new(
-                        "perf diff",
-                        "takes --baseline OLD_STORE [--store FILE] or --bench TRENDLINE \
-                         [--from LABEL] [--to LABEL]",
-                    ))
-                }
+            "perf diff" => Command::PerfDiff {
+                baseline: self
+                    .baseline
+                    .ok_or_else(|| ConfigError::new(sub, "requires --baseline OLD_STORE"))?,
+                store,
             },
             "serve-worker" => Command::ServeWorker(required(self.listen, "--listen HOST:PORT")?),
             other => unreachable!("{other} is not in SUBCOMMANDS"),
@@ -544,20 +523,11 @@ pub enum Command {
         by: GroupBy,
     },
     /// A perf delta between two result stores.
-    PerfDiffStores {
+    PerfDiff {
         /// `--baseline`: the old store.
         baseline: PathBuf,
         /// `--store`, default `OUT/results_store.json`: the new store.
         store: PathBuf,
-    },
-    /// A perf delta between two entries of a `BENCH_kernel.json` trendline.
-    PerfDiffBench {
-        /// `--bench`: the trendline.
-        bench: PathBuf,
-        /// `--from`: the older entry's label.
-        from: Option<String>,
-        /// `--to`: the newer entry's label.
-        to: Option<String>,
     },
     /// A remote TCP worker agent listening on this address.
     ServeWorker(String),
@@ -583,9 +553,11 @@ pub struct Cli {
 
 /// Parses a `utility_risk` command line (without the program name), and
 /// reads the drill variables of the environment once for the subcommands
-/// that run grids under control. It opens no file: the run opens the
-/// `--resume` journal, and [`GridRun`] refuses an unopenable one (naming
-/// `--resume`) before any cell runs.
+/// that run grids under control. A malformed `CCS_KILL_WORKER` (checked
+/// for those subcommands and `serve-worker`) or `CCS_FLAKY_TRANSPORT`
+/// would run no drill, so it is a [`ConfigError`] naming the variable. It
+/// opens no file: the run opens the `--resume` journal, and [`GridRun`]
+/// refuses an unopenable one (naming `--resume`) before any cell runs.
 pub fn parse(args: &[String]) -> Result<Cli, ConfigError> {
     let word = |i: usize| args.get(i).map(String::as_str);
     let (sub, rest) = match (word(0), word(1)) {
@@ -602,7 +574,12 @@ pub fn parse(args: &[String]) -> Result<Cli, ConfigError> {
     let (cfg, out, telemetry) = raw.shared()?;
     let mut ctl = raw.grid_control(&cfg)?;
     // `figure` takes no run flags, but its grids run under the drills.
-    if GRID.contains(&sub) || sub == "figure" {
+    let drilled = GRID.contains(&sub) || sub == "figure";
+    if drilled || sub == "serve-worker" {
+        WorkerKillPlan::from_env().map_err(|e| ConfigError::new(KILL_WORKER_ENV, e))?;
+    }
+    if drilled {
+        FlakyTransport::from_env().map_err(|e| ConfigError::new(FLAKY_TRANSPORT_ENV, e))?;
         ctl.fail_cell = std::env::var(FAIL_CELL_ENV).ok();
         ctl.stall_cell = std::env::var(STALL_CELL_ENV).ok();
     }
@@ -754,8 +731,12 @@ mod tests {
             (&["chaos", "--replicas", "3"], "--replicas"),
             (&["perf", "--store", "s", "--jobs", "5"], "--jobs"),
             (&["perf", "--seed", "3"], "--seed"),
-            (&["perf", "diff", "--bench", "b", "--seed", "3"], "--seed"),
-            (&["perf", "diff", "--bench", "b", "--quick"], "--quick"),
+            (
+                &["perf", "diff", "--baseline", "b", "--seed", "3"],
+                "--seed",
+            ),
+            (&["perf", "diff", "--baseline", "b", "--quick"], "--quick"),
+            (&["perf", "diff", "--bench", "b"], "--bench"),
         ] {
             assert_eq!(faulted(words), flag, "{words:?}");
         }
@@ -777,26 +758,15 @@ mod tests {
     fn positionals_and_cross_flag_requirements() {
         let cli = parse_words(&["trace-report", "--top", "3", "dir"]).unwrap();
         assert!(matches!(cli.command, Command::TraceReport { top: 3, .. }));
-        let cli = parse_words(&["perf", "diff", "--bench", "b.json", "--to", "x"]).unwrap();
-        assert!(matches!(cli.command, Command::PerfDiffBench { .. }));
+        let cli = parse_words(&["perf", "diff", "--baseline", "b.json"]).unwrap();
+        assert!(matches!(cli.command, Command::PerfDiff { .. }));
         for (words, field) in [
             (&["figure"][..], "figure"),
             (&["figure", "fig9"], "figure"),
             (&["trace-report"], "trace-report"),
             (&["trace-report", "a", "b"], "b"),
             (&["perf", "diff"], "perf diff"),
-            (
-                &["perf", "diff", "--baseline", "a", "--bench", "b"],
-                "perf diff",
-            ),
-            (
-                &["perf", "diff", "--baseline", "a", "--from", "x"],
-                "perf diff",
-            ),
-            (
-                &["perf", "diff", "--bench", "b", "--store", "s"],
-                "perf diff",
-            ),
+            (&["perf", "diff", "--store", "s"], "perf diff"),
             (&["serve-worker"], "serve-worker"),
             (&["summary", "--compact-journal"], "--compact-journal"),
             // Tests run in the package root, where Cargo.toml is a file.

@@ -449,19 +449,6 @@ pub fn policies_for(econ: EconomicModel) -> Vec<PolicyKind> {
     }
 }
 
-/// Round-robin shard plan: work item `i` lands in shard `i % workers`.
-/// Deterministic in `(total, workers)` and balanced to within one item —
-/// the supervisor seeds each worker's deque from its shard, then lets
-/// work-stealing rebalance uneven cell costs at runtime.
-pub(crate) fn plan_shards(total: usize, workers: usize) -> Vec<Vec<usize>> {
-    let workers = workers.max(1);
-    let mut shards = vec![Vec::new(); workers];
-    for i in 0..total {
-        shards[i % workers].push(i);
-    }
-    shards
-}
-
 /// The one way to run grids, from one grid to the four-grid study.
 /// `.control(&ctl)` adds [`GridControl`]'s journal, budgets, drills and
 /// supervisor; `.base(&base)` runs over other base jobs (Lublin, diurnal,
@@ -2575,23 +2562,6 @@ mod tests {
                 .iter()
                 .all(|c| c.cost.top_phase().is_none()));
         }
-    }
-
-    #[test]
-    fn plan_shards_is_balanced_and_total() {
-        let shards = plan_shards(11, 4);
-        assert_eq!(shards.len(), 4);
-        let mut all: Vec<usize> = shards.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..11).collect::<Vec<_>>());
-        let (min, max) = (
-            shards.iter().map(Vec::len).min().unwrap(),
-            shards.iter().map(Vec::len).max().unwrap(),
-        );
-        assert!(max - min <= 1, "unbalanced: {shards:?}");
-        // Degenerate inputs stay well-formed.
-        assert_eq!(plan_shards(3, 0).len(), 1);
-        assert!(plan_shards(0, 4).iter().all(Vec::is_empty));
     }
 
     #[test]

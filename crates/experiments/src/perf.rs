@@ -10,10 +10,11 @@
 //! * [`diff_stores`] — compares two stores cell-by-cell and attributes the
 //!   wall-time delta to phases and cell groups, so "the bench gate
 //!   tripped" becomes "PS recompute got slower on Libra under Failure
-//!   Rate";
-//! * [`diff_bench`] — compares two entries of the `BENCH_kernel.json`
-//!   trendline by label (parsed loosely, since depending on the bench
-//!   crate here would be a dependency cycle).
+//!   Rate".
+//!
+//! The `BENCH_kernel.json` trendline has its own reader:
+//! `bench_kernel --list` prints each benchmark's change against the
+//! previous entry.
 //!
 //! All output is line-oriented plain text: stable enough for CI goldens to
 //! grep, readable enough for a terminal.
@@ -375,118 +376,6 @@ pub fn diff_stores(baseline: &ResultStore, new: &ResultStore) -> Result<String, 
     Ok(s)
 }
 
-/// Numeric coercion for loosely parsed bench JSON.
-fn as_f64(v: &serde::Value) -> Option<f64> {
-    match *v {
-        serde::Value::Int(n) => Some(n as f64),
-        serde::Value::UInt(n) => Some(n as f64),
-        serde::Value::Float(f) => Some(f),
-        _ => None,
-    }
-}
-
-fn as_str(v: &serde::Value) -> Option<&str> {
-    match v {
-        serde::Value::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
-/// Compares two entries of a `BENCH_kernel.json` v3 trendline, selected by
-/// label (`from`/`to`; defaults: the previous entry and the latest). The
-/// file is parsed loosely — this crate cannot depend on the bench crate
-/// without a cycle — so only the fields the diff needs are read. Reports
-/// each benchmark's best-iteration throughput delta and flags drops
-/// beyond 5%.
-pub fn diff_bench(text: &str, from: Option<&str>, to: Option<&str>) -> Result<String, String> {
-    let root = serde_json::parse_value_str(text)
-        .map_err(|e| format!("cannot parse bench trendline: {e}"))?;
-    let entries = match root.get("entries") {
-        Some(serde::Value::Seq(entries)) => entries,
-        _ => {
-            return Err(
-                "bench trendline has no entries array (not a schema-v3 trendline)".to_string(),
-            )
-        }
-    };
-    if entries.len() < 2 && (from.is_none() || to.is_none()) {
-        return Err(format!(
-            "bench trendline has {} entry(ies); need two to diff",
-            entries.len()
-        ));
-    }
-    // Latest entry with the given label, or a positional default.
-    let pick = |label: Option<&str>, default_from_end: usize| -> Result<&serde::Value, String> {
-        match label {
-            Some(l) => entries
-                .iter()
-                .rev()
-                .find(|e| e.get("label").and_then(as_str) == Some(l))
-                .ok_or_else(|| format!("no trendline entry labelled {l:?}")),
-            None => entries
-                .len()
-                .checked_sub(default_from_end)
-                .and_then(|i| entries.get(i))
-                .ok_or_else(|| "trendline too short".to_string()),
-        }
-    };
-    let base = pick(from, 2)?;
-    let new = pick(to, 1)?;
-
-    let measurements = |e: &serde::Value| -> Vec<(String, f64)> {
-        match e.get("measurements") {
-            Some(serde::Value::Seq(ms)) => ms
-                .iter()
-                .filter_map(|m| {
-                    let name = m.get("name").and_then(as_str)?.to_string();
-                    let ups = m.get("units_per_sec").and_then(as_f64)?;
-                    Some((name, ups))
-                })
-                .collect(),
-            _ => Vec::new(),
-        }
-    };
-    let label_of = |e: &serde::Value| -> String {
-        e.get("label")
-            .and_then(as_str)
-            .unwrap_or("<unlabelled>")
-            .to_string()
-    };
-    let base_ms = measurements(base);
-    let new_ms = measurements(new);
-
-    let mut s = String::new();
-    let _ = writeln!(s, "bench diff: {:?} -> {:?}", label_of(base), label_of(new));
-    let mut compared = 0usize;
-    for (name, new_ups) in &new_ms {
-        let Some((_, base_ups)) = base_ms.iter().find(|(n, _)| n == name) else {
-            let _ = writeln!(s, "  {name:<28} (new benchmark)");
-            continue;
-        };
-        compared += 1;
-        let delta = fmt_pct_delta(*base_ups, *new_ups);
-        let flag = if *new_ups < base_ups * 0.95 {
-            "  REGRESSED"
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            s,
-            "  {name:<28} {:>14.0} -> {:>14.0} units/s  ({delta}){flag}",
-            base_ups, new_ups
-        );
-    }
-    for (name, _) in &base_ms {
-        if !new_ms.iter().any(|(n, _)| n == name) {
-            let _ = writeln!(s, "  {name:<28} (removed)");
-        }
-    }
-    if compared == 0 {
-        return Err("bench diff: the two entries share no benchmarks".to_string());
-    }
-    Ok(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,60 +495,5 @@ mod tests {
         assert!(diff_stores(&a, &b)
             .unwrap_err()
             .contains("no cells in common"));
-    }
-
-    #[test]
-    fn bench_diff_flags_throughput_drop() {
-        let json = r#"{
-            "schema_version": 3,
-            "entries": [
-                {"recorded_unix_secs": 1, "label": "before", "telemetry_enabled": false,
-                 "measurements": [
-                    {"name": "des_kernel", "units_per_iter": 10, "iters": 1,
-                     "total_secs": 0.1, "secs_per_iter": 0.1,
-                     "best_secs_per_iter": 0.1, "units_per_sec": 1000000.0},
-                    {"name": "quick_grid", "units_per_iter": 10, "iters": 1,
-                     "total_secs": 0.1, "secs_per_iter": 0.1,
-                     "best_secs_per_iter": 0.1, "units_per_sec": 500.0}
-                 ]},
-                {"recorded_unix_secs": 2, "label": "after", "telemetry_enabled": false,
-                 "measurements": [
-                    {"name": "des_kernel", "units_per_iter": 10, "iters": 1,
-                     "total_secs": 0.1, "secs_per_iter": 0.1,
-                     "best_secs_per_iter": 0.1, "units_per_sec": 800000.0},
-                    {"name": "quick_grid", "units_per_iter": 10, "iters": 1,
-                     "total_secs": 0.1, "secs_per_iter": 0.1,
-                     "best_secs_per_iter": 0.1, "units_per_sec": 510.0}
-                 ]}
-            ]
-        }"#;
-        let text = diff_bench(json, None, None).unwrap();
-        assert!(text.contains("\"before\" -> \"after\""), "{text}");
-        let kernel = text.lines().find(|l| l.contains("des_kernel")).unwrap();
-        assert!(
-            kernel.contains("-20.0%") && kernel.contains("REGRESSED"),
-            "{text}"
-        );
-        let grid = text.lines().find(|l| l.contains("quick_grid")).unwrap();
-        assert!(!grid.contains("REGRESSED"), "{text}");
-
-        // Label selection.
-        let by_label = diff_bench(json, Some("before"), Some("after")).unwrap();
-        assert_eq!(by_label, text);
-        assert!(diff_bench(json, Some("missing"), None)
-            .unwrap_err()
-            .contains("missing"));
-    }
-
-    #[test]
-    fn bench_diff_rejects_short_or_legacy_files() {
-        let legacy = r#"{"schema_version": 2, "telemetry_enabled": false, "measurements": []}"#;
-        assert!(diff_bench(legacy, None, None)
-            .unwrap_err()
-            .contains("entries"));
-        let one = r#"{"schema_version": 3, "entries": [{"label": "only", "measurements": []}]}"#;
-        assert!(diff_bench(one, None, None)
-            .unwrap_err()
-            .contains("need two"));
     }
 }

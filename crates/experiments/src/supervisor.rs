@@ -1,4 +1,4 @@
-//! The multi-machine grid supervisor: shards cells across worker
+//! The multi-machine grid supervisor: runs cells on worker
 //! processes — local children over stdio pipes, remote `serve-worker`
 //! agents over TCP — and survives their deaths *and* their networks.
 //!
@@ -17,15 +17,14 @@
 //!   the remotes, later grids reuse the same sessions (one `Hello` per
 //!   link — its fields are all run-level, and each cell names its own
 //!   grid), and closing the fleet after the last grid sends `Shutdown`
-//!   once per link. Deques, attempts, retries and the done-set are per
-//!   grid; links and their quarantine verdicts, the event channel and
-//!   worker ids are per run.
-//! - **Shard planning** — cells are dealt round-robin into per-slot
-//!   deques (`crate::grid::plan_shards`), one slot per local worker
-//!   plus one per remote address; an idle worker drains its own deque
-//!   first, then *steals* from the longest other deque, so a dead or
-//!   quarantined worker's remaining shard is absorbed by survivors and
-//!   uneven cell costs rebalance at runtime.
+//!   once per link. The cell queue, attempts, retries and the done-set
+//!   are per grid; links and their quarantine verdicts, the event
+//!   channel and worker ids are per run.
+//! - **One cell queue** — a grid's cells wait in one queue in plan
+//!   order, the order the local executor pulls them in. A link holds at
+//!   most one cell at a time, so whichever link is idle takes the next
+//!   cell: uneven cell costs balance themselves, and a dead or
+//!   quarantined link's share goes to the links still live.
 //! - **Heartbeat watchdog** — workers beat at a quarter of
 //!   `heartbeat_ms`; a worker silent for the full interval is declared
 //!   dead ([`WorkerFailure::HeartbeatTimeout`]), severed, and its link
@@ -53,8 +52,8 @@
 //!   id, so its shard journal answers re-assigned cells it already
 //!   completed without re-simulating them. A link that fails `retries`
 //!   consecutive opens (or dies that often before its first `Ready`) is
-//!   quarantined for the run; its shard flows to survivors through
-//!   work-stealing.
+//!   quarantined for the run; the links still live take the cells it
+//!   would have run from the one queue.
 //! - **Graceful degradation** — a grid left with no live link and none
 //!   waiting to reopen *degrades to in-process execution* with a warning:
 //!   the leftover cells run on the grid's local executor, and the run
@@ -71,9 +70,7 @@
 //! its numbers. Duplicate frames (a flaky link replaying a `CellOk`) are
 //! deduplicated against the assignment and a done-set before counting.
 
-use crate::grid::{
-    plan_shards, run_local, CellEnv, ExperimentConfig, GridControl, GridFold, SimulatedCell,
-};
+use crate::grid::{run_local, CellEnv, ExperimentConfig, GridControl, GridFold, SimulatedCell};
 use crate::ipc::{
     encode_frame, read_frame, CellSpec, FromWorker, PipeTransport, TcpTransport, ToWorker,
     Transport, TransportKind,
@@ -81,7 +78,7 @@ use crate::ipc::{
 use crate::journal::{CellErrorKind, Journal};
 use crate::progress;
 use crate::ConfigError;
-use ccs_chaos::FlakyTransport;
+use ccs_chaos::{FlakyTransport, FLAKY_TRANSPORT_ENV};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::ErrorKind;
 use std::path::PathBuf;
@@ -342,7 +339,7 @@ impl Drop for ReaderGuard {
 /// plus the liveness and assignment bookkeeping around it.
 struct WorkerHandle {
     id: u64,
-    /// Index into the fleet's link table, which is also its deque.
+    /// Index into the fleet's link table.
     slot: usize,
     conn: Box<dyn Transport>,
     alive: bool,
@@ -423,7 +420,7 @@ pub(crate) struct Fleet {
     tx: mpsc::Sender<Event>,
     rx: mpsc::Receiver<Event>,
     handles: Vec<WorkerHandle>,
-    /// One link per deque: the local workers, then one per remote.
+    /// One link per local worker, then one per remote.
     links: Vec<Link>,
     /// Transport label per worker id (index id − 1): one entry per spawn
     /// or dial of the run, so its length is also the last id handed out.
@@ -453,7 +450,8 @@ impl Fleet {
             cfg: *cfg,
             ctl: ctl.clone(),
             worker_bin,
-            flake_plan: FlakyTransport::from_env(),
+            flake_plan: FlakyTransport::from_env()
+                .map_err(|e| ConfigError::new(FLAKY_TRANSPORT_ENV, e))?,
             tx,
             rx,
             handles: Vec::new(),
@@ -813,13 +811,8 @@ impl Fleet {
         fold: &GridFold,
     ) -> (Vec<f64>, Vec<String>) {
         let total_to_run = cells.len();
-        // Shard the work round-robin into per-link deques: one per local
-        // worker, then one per remote address.
-        let shards = plan_shards(total_to_run, self.links.len());
-        let mut deques: Vec<VecDeque<CellSpec>> = shards
-            .iter()
-            .map(|shard| shard.iter().map(|&i| cells[i].clone()).collect())
-            .collect();
+        // One queue in plan order (module doc: "One cell queue").
+        let mut queue = VecDeque::from(cells);
         let mut pass = GridPass {
             fold,
             seed: self.cfg.seed,
@@ -854,25 +847,15 @@ impl Fleet {
                 }
             }
 
-            // 1. Assign work to idle live workers: own deque, then steal
-            //    from the longest, then a due retry.
+            // 1. Assign work to idle live workers: the next cell in plan
+            //    order, then a due retry.
             let now = Instant::now();
             for h in self
                 .handles
                 .iter_mut()
                 .filter(|h| h.alive && h.ready && h.current.is_none())
             {
-                let cell = deques[h.slot]
-                    .pop_front()
-                    .or_else(|| {
-                        // Steal from the back of the longest other deque.
-                        deques
-                            .iter_mut()
-                            .max_by_key(|d| d.len())
-                            .filter(|d| !d.is_empty())
-                            .and_then(|d| d.pop_back())
-                    })
-                    .or_else(|| pass.take_due_retry(now));
+                let cell = queue.pop_front().or_else(|| pass.take_due_retry(now));
                 if let Some(cell) = cell {
                     h.current = Some(cell.clone());
                     let sent = encode_frame(&ToWorker::RunCell { cell })
@@ -939,9 +922,8 @@ impl Fleet {
                 && !self.handles.iter().any(|h| h.alive)
                 && (0..self.links.len()).all(|s| !in_pass(s) || self.links[s].quarantined)
             {
-                degraded = deques
-                    .iter_mut()
-                    .flat_map(|d| d.drain(..))
+                degraded = queue
+                    .drain(..)
                     .chain(pass.retry.drain(..).map(|(_, c)| c))
                     .collect();
                 break;
@@ -1349,10 +1331,10 @@ mod tests {
         );
     }
 
-    /// A fleet out of links finishes in-process: after every link is
-    /// quarantined, each leftover cell runs on the local executor under
-    /// worker id 0, and the grid equals the in-process grid.
-    fn assert_fleet_finishes_in_process(sup: SupervisorConfig) {
+    /// Runs the quick commodity grid on a fleet under `sup`, checks it
+    /// equals the in-process grid bit for bit, and returns the worker ids
+    /// its cells ran on (0: the in-process fallback).
+    fn fleet_grid_workers(sup: SupervisorConfig) -> HashSet<u64> {
         use crate::grid::{one_grid, GridRun};
         use crate::scenario::EstimateSet;
         use ccs_economy::EconomicModel;
@@ -1369,18 +1351,27 @@ mod tests {
             .unwrap()
             .remove(0);
         assert!(grid.errors.is_empty(), "{:?}", grid.errors);
-        assert!(
-            grid.cell_workers
-                .iter()
-                .flatten()
-                .flatten()
-                .all(|&w| w == 0),
-            "every cell ran in-process"
-        );
         let local = one_grid(econ, set, &cfg);
         assert_eq!(grid.raw, local.raw);
         assert_eq!(grid.cell_sigma, local.cell_sigma);
         assert_eq!(grid.cell_events, local.cell_events);
+        grid.cell_workers
+            .iter()
+            .flatten()
+            .flatten()
+            .copied()
+            .collect()
+    }
+
+    /// A fleet out of links finishes in-process: after every link is
+    /// quarantined, each leftover cell runs on the local executor under
+    /// worker id 0, and the grid equals the in-process grid.
+    fn assert_fleet_finishes_in_process(sup: SupervisorConfig) {
+        assert_eq!(
+            fleet_grid_workers(sup),
+            HashSet::from([0]),
+            "every cell ran in-process"
+        );
     }
 
     /// A local worker binary that cannot be spawned.
@@ -1415,6 +1406,33 @@ mod tests {
             worker_bin: Some(missing_worker_bin()),
             ..SupervisorConfig::default()
         });
+    }
+
+    /// A live link takes over a quarantined link's share: beside a remote
+    /// that refuses every dial, the one local worker (worker id 1) runs
+    /// every cell from the one queue. No cell falls back in-process
+    /// (worker id 0), so the fleet never warns about it.
+    #[test]
+    fn live_link_takes_over_a_quarantined_links_share() {
+        // Bind-then-drop leaves a port with no listener.
+        let dead_addr = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap().to_string()
+        };
+        let workers = fleet_grid_workers(SupervisorConfig {
+            workers: 1,
+            remotes: vec![dead_addr],
+            retries: 2,
+            backoff_ms: 1,
+            connect_timeout_ms: 250,
+            worker_bin: Some(worker_bin()),
+            ..SupervisorConfig::default()
+        });
+        assert_eq!(
+            workers,
+            HashSet::from([1]),
+            "every cell ran on the pipe link"
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::grid::{run_cell, CellEnv, ExperimentConfig, GridControl, SimulatedCel
 use crate::ipc::{read_frame, write_frame, CellSpec, FromWorker, ToWorker};
 use crate::journal::Journal;
 use crate::scenario::Scenario;
-use ccs_chaos::WorkerKillPlan;
+use ccs_chaos::{WorkerKillPlan, KILL_WORKER_ENV};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::path::Path;
@@ -182,7 +182,12 @@ pub(crate) fn run_session<R: Read>(
             Err(e) => return SessionEnd::Protocol(format!("cannot open shard journal {p}: {e}")),
         },
     };
-    let kill_plan = WorkerKillPlan::from_env();
+    // `utility_risk` refuses a malformed plan before any worker spawns;
+    // a worker started some other way ends the session on one.
+    let kill_plan = match WorkerKillPlan::from_env() {
+        Ok(plan) => plan,
+        Err(e) => return SessionEnd::Protocol(format!("{KILL_WORKER_ENV}: {e}")),
+    };
 
     // Invalidate the cross-session memo if this Hello describes a
     // different run.

@@ -29,7 +29,8 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 /// Runs `utility_risk summary --quick --jobs 60 --telemetry FILE` in a
-/// default build and parses the emitted JSON: the file must contain the
+/// default build, then `perf diff` over its store with `--telemetry`, and
+/// parses the emitted JSON: the summary's file must contain the
 /// kernel counters, the queue-depth high-water mark, the per-policy
 /// decision-latency histograms, the cell counters, and the
 /// per-(scenario × policy) wall-time tables.
@@ -54,6 +55,21 @@ fn utility_risk_emits_parseable_telemetry() {
     assert!(status.success(), "utility_risk failed: {status}");
 
     let json = std::fs::read_to_string(&out).expect("telemetry file written");
+    std::fs::remove_file(&out).ok();
+    // `perf diff` takes `--telemetry` too, and writes it.
+    let store = figures.join("results_store.json");
+    let diff = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
+        .args(["perf", "diff", "--quiet", "--baseline"])
+        .arg(&store)
+        .arg("--store")
+        .arg(&store)
+        .arg("--telemetry")
+        .arg(&out)
+        .output()
+        .expect("spawn utility_risk");
+    assert!(diff.status.success(), "perf diff failed: {}", diff.status);
+    let diff_json = std::fs::read_to_string(&out).expect("perf diff writes its telemetry");
+    TelemetryReport::from_json(&diff_json).expect("perf diff telemetry JSON parses");
     std::fs::remove_file(&out).ok();
     std::fs::remove_dir_all(&figures).ok();
     let report = TelemetryReport::from_json(&json).expect("telemetry JSON parses");

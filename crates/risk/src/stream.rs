@@ -3,9 +3,8 @@
 //! The batch analyses in [`crate::separate`](mod@crate::separate) need every measurement of a
 //! scenario sweep up front. [`Welford`] is their *incremental*
 //! counterpart: numerically stable online mean/variance (Welford's
-//! algorithm) with the Chan et al. merge of partial accumulators, folded
-//! one observation at a time by the live risk board, the replication
-//! ensembles and the store's summaries.
+//! algorithm), folded one observation at a time by the live risk board,
+//! the replication ensembles and the store's summaries.
 //!
 //! The contract with the batch oracle: feeding a [`Welford`] the same
 //! normalized results and calling [`Welford::measure`] agrees with
@@ -19,8 +18,7 @@ use serde::{Deserialize, Serialize};
 /// Welford's online mean/variance accumulator.
 ///
 /// Push observations one at a time; mean, population variance, min, max,
-/// and count are available after every push. Two partial accumulators
-/// combine exactly (up to rounding) with [`Welford::merge`].
+/// and count are available after every push.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Welford {
     n: u64,
@@ -53,26 +51,6 @@ impl Welford {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Folds another accumulator into this one (Chan et al. parallel
-    /// merge): the result is as if every observation of both had been
-    /// pushed into a single accumulator.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n as f64;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Observations pushed so far.
@@ -184,19 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_with_empty_is_identity() {
-        let mut w = Welford::new();
-        w.push(0.25);
-        w.push(0.75);
-        let snapshot = w;
-        w.merge(&Welford::new());
-        assert_eq!(w, snapshot);
-        let mut e = Welford::new();
-        e.merge(&snapshot);
-        assert_eq!(e, snapshot);
-    }
-
-    #[test]
     #[should_panic(expected = "not finite")]
     fn rejects_nan() {
         Welford::new().push(f64::NAN);
@@ -228,33 +193,6 @@ mod tests {
             prop_assert!((w.mean() - mean).abs() < 1e-9);
             prop_assert!((w.population_std() - std).abs() < 1e-9);
             prop_assert_eq!(w.count(), xs.len() as u64);
-        }
-
-        /// Merging partial accumulators equals pushing the concatenation —
-        /// the primitive a sharded grid needs.
-        #[test]
-        fn merge_of_partials_matches_single_pass(
-            xs in prop::collection::vec(0.0f64..=1.0, 0..100),
-            ys in prop::collection::vec(0.0f64..=1.0, 0..100),
-        ) {
-            let mut a = Welford::new();
-            for &x in &xs {
-                a.push(x);
-            }
-            let mut b = Welford::new();
-            for &y in &ys {
-                b.push(y);
-            }
-            a.merge(&b);
-            let mut whole = Welford::new();
-            for &x in xs.iter().chain(&ys) {
-                whole.push(x);
-            }
-            prop_assert_eq!(a.count(), whole.count());
-            prop_assert!((a.mean() - whole.mean()).abs() < 1e-9);
-            prop_assert!((a.population_std() - whole.population_std()).abs() < 1e-9);
-            prop_assert_eq!(a.min(), whole.min());
-            prop_assert_eq!(a.max(), whole.max());
         }
     }
 }

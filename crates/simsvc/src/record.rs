@@ -36,11 +36,6 @@ impl JobRecord {
             utility: 0.0,
         }
     }
-
-    /// Wait time for SLA acceptance (start − submit) given the submit time.
-    pub fn wait(&self, submit: f64) -> Option<f64> {
-        self.started_at.map(|s| (s - submit).max(0.0))
-    }
 }
 
 #[cfg(test)]
@@ -53,20 +48,5 @@ mod tests {
         assert!(!r.accepted);
         assert!(!r.fulfilled);
         assert_eq!(r.utility, 0.0);
-        assert_eq!(r.wait(0.0), None);
-    }
-
-    #[test]
-    fn wait_computation() {
-        let r = JobRecord {
-            id: 1,
-            accepted: true,
-            decided_at: 10.0,
-            started_at: Some(25.0),
-            finished_at: Some(100.0),
-            fulfilled: true,
-            utility: 5.0,
-        };
-        assert_eq!(r.wait(10.0), Some(15.0));
     }
 }

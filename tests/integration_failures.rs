@@ -209,9 +209,11 @@ fn failing_figure_cell_reports_errors_and_both_grids() {
 /// An unopenable `--resume` journal is a configuration error caught before
 /// the run starts (exit 2, naming the flag), not a panic partway into the
 /// grid.
-/// So are an out-of-range `tables --table N`, an unknown `figure` id, and
-/// a flag the subcommand does not take; the valid forms of the first two
-/// print and write what they should.
+/// So are an out-of-range `tables --table N`, an unknown `figure` id, a
+/// flag the subcommand does not take, and a malformed drill variable
+/// (`CCS_KILL_WORKER`, `CCS_FLAKY_TRANSPORT`), which would otherwise run
+/// no drill; the valid forms of the first two print and write what they
+/// should.
 #[test]
 fn unopenable_resume_journal_exits_2_naming_the_flag() {
     let dir = temp_dir("bad_journal");
@@ -229,9 +231,13 @@ fn unopenable_resume_journal_exits_2_naming_the_flag() {
     assert_eq!(output.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("--resume"), "{stderr}");
 
+    // Leading `NAME=value` words set the environment, as in a shell.
     let run = |args: &[&str]| {
+        let vars = args.iter().take_while(|a| a.contains('=')).count();
+        let env = args[..vars].iter().filter_map(|a| a.split_once('='));
         Command::new(env!("CARGO_BIN_EXE_utility_risk"))
-            .args(args)
+            .envs(env)
+            .args(&args[vars..])
             .output()
             .expect("spawn utility_risk")
     };
@@ -262,6 +268,35 @@ fn unopenable_resume_journal_exits_2_naming_the_flag() {
             "--replicas",
         ),
         (&["worker", "--bogus"][..], "--bogus"),
+        (
+            &["CCS_KILL_WORKER=2-3", "summary", "--quick", "--out", bundle][..],
+            "CCS_KILL_WORKER",
+        ),
+        (
+            &["CCS_FLAKY_TRANSPORT=7", "figure", "fig3", "--out", bundle][..],
+            "CCS_FLAKY_TRANSPORT",
+        ),
+        (
+            &[
+                "CCS_FLAKY_TRANSPORT=7:101",
+                "all",
+                "--quick",
+                "--out",
+                bundle,
+            ][..],
+            "CCS_FLAKY_TRANSPORT",
+        ),
+        // An address no host binds: a parse that let the plan through
+        // would exit 2 naming the address, not the variable.
+        (
+            &[
+                "CCS_KILL_WORKER=0:5",
+                "serve-worker",
+                "--listen",
+                "256.0.0.1:1",
+            ][..],
+            "CCS_KILL_WORKER",
+        ),
     ] {
         let output = run(args);
         let stderr = String::from_utf8_lossy(&output.stderr);
