@@ -20,6 +20,7 @@ use crate::trace_run::TraceCellSpec;
 use crate::{progress, validate_config, ConfigError, FIGURE_IDS};
 use ccs_chaos::{FlakyTransport, SoakConfig, WorkerKillPlan, FLAKY_TRANSPORT_ENV, KILL_WORKER_ENV};
 use ccs_economy::EconomicModel;
+use ccs_policies::PolicyKind;
 use ccs_workload::SdscSp2Model;
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
@@ -52,6 +53,16 @@ const GRID: &[&str] = &["all", "summary", "dominance"];
 /// paper's tables, read a result store, or run a soak (`chaos`, which
 /// takes its own `--seed`), so those flags are foreign to them.
 const NO_RUN: &[&str] = &["tables", "query", "perf", "perf diff", "chaos"];
+
+/// The flags `sub` requires: [`Raw::command`] refuses the subcommand
+/// without them.
+fn required_flags(sub: &str) -> &'static [&'static str] {
+    match sub {
+        "perf diff" => &["--baseline"],
+        "serve-worker" => &["--listen"],
+        _ => &[],
+    }
+}
 
 /// The metavariable of the one positional argument `sub` requires, if any.
 fn positional(sub: &str) -> Option<&'static str> {
@@ -554,8 +565,9 @@ pub struct Cli {
 /// Parses a `utility_risk` command line (without the program name), and
 /// reads the drill variables of the environment once for the subcommands
 /// that run grids under control. A malformed `CCS_KILL_WORKER` (checked
-/// for those subcommands and `serve-worker`) or `CCS_FLAKY_TRANSPORT`
-/// would run no drill, so it is a [`ConfigError`] naming the variable. It
+/// for those subcommands and `serve-worker`), `CCS_FLAKY_TRANSPORT`,
+/// `CCS_FAIL_CELL` or `CCS_STALL_CELL` would run no drill, so it is a
+/// [`ConfigError`] naming the variable. It
 /// opens no file: the run opens the `--resume` journal, and [`GridRun`]
 /// refuses an unopenable one (naming `--resume`) before any cell runs.
 pub fn parse(args: &[String]) -> Result<Cli, ConfigError> {
@@ -580,8 +592,8 @@ pub fn parse(args: &[String]) -> Result<Cli, ConfigError> {
     }
     if drilled {
         FlakyTransport::from_env().map_err(|e| ConfigError::new(FLAKY_TRANSPORT_ENV, e))?;
-        ctl.fail_cell = std::env::var(FAIL_CELL_ENV).ok();
-        ctl.stall_cell = std::env::var(STALL_CELL_ENV).ok();
+        ctl.fail_cell = drill_cell(FAIL_CELL_ENV)?;
+        ctl.stall_cell = drill_cell(STALL_CELL_ENV)?;
     }
     let compact_journal = raw.compact;
     let command = raw.command(sub, &out)?;
@@ -593,6 +605,44 @@ pub fn parse(args: &[String]) -> Result<Cli, ConfigError> {
         ctl,
         compact_journal,
     })
+}
+
+/// Reads the drill variable `var`, a cell label
+/// `scenarioIdx:valueIdx:Policy`. A label that names no cell of any grid
+/// would run no drill, so it is a [`ConfigError`] naming the variable.
+fn drill_cell(var: &str) -> Result<Option<String>, ConfigError> {
+    let label = match std::env::var(var) {
+        Ok(label) => label,
+        Err(std::env::VarError::NotPresent) => return Ok(None),
+        Err(e) => return Err(ConfigError::new(var, e.to_string())),
+    };
+    let bad = |what: String| ConfigError::new(var, format!("cell label {label:?}: {what}"));
+    let [s, v, p] = label.splitn(3, ':').collect::<Vec<_>>()[..] else {
+        return Err(bad("expected scenarioIdx:valueIdx:Policy".to_string()));
+    };
+    let scenario = s
+        .parse::<usize>()
+        .ok()
+        .and_then(|i| Scenario::ALL.get(i))
+        .ok_or_else(|| {
+            let n = Scenario::ALL.len();
+            bad(format!("scenario index {s:?} is not in 0..{n}"))
+        })?;
+    let values = scenario.values().len();
+    if !v.parse::<usize>().is_ok_and(|i| i < values) {
+        return Err(bad(format!("value index {v:?} is not in 0..{values}")));
+    }
+    let policies = PolicyKind::COMMODITY.iter().chain(&PolicyKind::BID_BASED);
+    if !policies.clone().any(|k| k.name() == p) {
+        let mut names: Vec<&str> = policies.map(|k| k.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        return Err(bad(format!(
+            "policy {p:?} is not one of {}",
+            names.join(" ")
+        )));
+    }
+    Ok(Some(label))
 }
 
 /// Parses the flags shared by the `utility_risk` subcommands that run
@@ -611,13 +661,20 @@ pub fn parse_cli_checked(
 /// The usage text, generated from `FLAGS`: every subcommand and exactly
 /// the flags it takes.
 pub fn usage() -> String {
-    let flags = |pick: &dyn Fn(Takes) -> bool| -> String {
+    // A flag in `required` is shown without brackets.
+    let flags = |pick: &dyn Fn(Takes) -> bool, required: &[&str]| -> String {
         let shown: Vec<String> = FLAGS
             .iter()
             .filter(|f| pick(f.1))
-            .map(|f| match f.2 {
-                Switch(_) => format!("[{}]", f.0),
-                Text(meta, _) | Value(meta, _) => format!("[{} {meta}]", f.0),
+            .map(|f| {
+                let flag = match f.2 {
+                    Switch(_) => f.0.to_string(),
+                    Text(meta, _) | Value(meta, _) => format!("{} {meta}", f.0),
+                };
+                match required.contains(&f.0) {
+                    true => flag,
+                    false => format!("[{flag}]"),
+                }
             })
             .collect();
         shown.join(" ")
@@ -636,18 +693,21 @@ pub fn usage() -> String {
     s += &format!(
         "shared flags ({}): {}\n",
         Shared.describe(),
-        flags(&|t| matches!(t, Shared))
+        flags(&|t| matches!(t, Shared), &[])
     );
     s += &format!(
         "run flags ({}): {}\n",
         Run.describe(),
-        flags(&|t| matches!(t, Run))
+        flags(&|t| matches!(t, Run), &[])
     );
     s += "own flags:\n";
     // Subcommands with the same own flags share one line.
     let mut lines: Vec<(Vec<&str>, String)> = Vec::new();
     for sub in SUBCOMMANDS {
-        let own = flags(&|t| matches!(t, Only(_)) && t.accepts(Some(sub)));
+        let own = flags(
+            &|t| matches!(t, Only(_)) && t.accepts(Some(sub)),
+            required_flags(sub),
+        );
         match lines.iter_mut().find(|(_, flags)| *flags == own) {
             Some((subs, _)) => subs.push(sub),
             None if !own.is_empty() => lines.push((vec![sub], own)),
@@ -655,11 +715,6 @@ pub fn usage() -> String {
         }
     }
     for (subs, own) in lines {
-        // serve-worker's one flag is required: no brackets.
-        let own = match subs[..] {
-            ["serve-worker"] => own.trim_matches(['[', ']']),
-            _ => &own,
-        };
         s += &format!("  {}: {own}\n", subs.join(", "));
     }
     s
@@ -668,7 +723,6 @@ pub fn usage() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_policies::PolicyKind;
 
     fn parse_words(words: &[&str]) -> Result<Cli, ConfigError> {
         parse(&words.iter().map(|w| w.to_string()).collect::<Vec<_>>())
@@ -796,6 +850,25 @@ mod tests {
             assert!(text.contains(&spaced) || text.contains(&closed), "{name}");
             if let Only(subs) = takes {
                 assert!(subs.iter().all(|s| SUBCOMMANDS.contains(s)), "{name}");
+            }
+        }
+    }
+
+    /// A flag the usage prints without brackets is one its subcommand
+    /// refuses to run without.
+    #[test]
+    fn required_flags_are_unbracketed_and_enforced() {
+        let text = usage();
+        for sub in SUBCOMMANDS {
+            for flag in required_flags(sub) {
+                assert!(text.contains(&format!(" {flag} ")), "{flag}");
+                assert!(!text.contains(&format!("[{flag} ")), "{flag}");
+                let words: Vec<&str> = sub.split(' ').collect();
+                let err = parse_words(&words).expect_err("must not parse");
+                assert!(
+                    err.message.starts_with(&format!("requires {flag}")),
+                    "{err}"
+                );
             }
         }
     }

@@ -544,11 +544,12 @@ impl<'a> GridRun<'a> {
         };
         let journal = match ctl.journal.as_deref() {
             Some(path) => {
-                let _ = Journal::merge_shards(path);
-                Some(Journal::open(path).map_err(|e| {
+                let mut journal = Journal::open(path).map_err(|e| {
                     let message = format!("cannot open journal {}: {e}", path.display());
                     ConfigError::new("--resume", message)
-                })?)
+                })?;
+                let _ = journal.merge_shards();
+                Some(journal)
             }
             None => None,
         };
@@ -586,8 +587,8 @@ pub fn run_grid_with_base_ctl(
 }
 
 /// A run in progress, planned whole: an iterator over its grids in run
-/// order. Fields drop in order, so the fleet closes (merging the shard
-/// journals) after the fold's journal.
+/// order. Dropping it closes the fleet, then folds the fleet's shard
+/// journals into the run's journal.
 pub(crate) struct OpenRun<'a> {
     cfg: &'a ExperimentConfig,
     /// The base trace of an in-process run; a fleet's workers and its
@@ -598,6 +599,23 @@ pub(crate) struct OpenRun<'a> {
     plans: std::iter::Enumerate<std::vec::IntoIter<Vec<CellSpec>>>,
     fold: GridFold<'a>,
     pub(crate) fleet: Option<Fleet>,
+}
+
+impl Drop for OpenRun<'_> {
+    /// On a clean run the merge only deletes the shards (their records
+    /// were journaled as CellOk frames arrived); after frame loss it
+    /// adopts the stragglers.
+    fn drop(&mut self) {
+        let Some(fleet) = self.fleet.take() else {
+            return;
+        };
+        // Closing the fleet ends every worker session, so no shard is
+        // still being written.
+        drop(fleet);
+        if let Some(journal) = self.fold.journal.as_mut() {
+            let _ = journal.merge_shards();
+        }
+    }
 }
 
 impl Iterator for OpenRun<'_> {
@@ -658,7 +676,8 @@ fn record_grid_telemetry(grid: &RawGrid) {
 /// robustness tests (and CI) use to prove a broken policy cannot take down
 /// a whole grid run. Format: `"scenarioIdx:valueIdx:PolicyName"`. Read
 /// once by the CLI into [`GridControl::fail_cell`] for the subcommands
-/// that run grids under control.
+/// that run grids under control; a label that names no cell is refused
+/// there, naming the variable.
 pub(crate) const FAIL_CELL_ENV: &str = "CCS_FAIL_CELL";
 
 /// Deliberately wedges a chosen cell with a never-quiescing policy — the
@@ -1379,7 +1398,7 @@ impl<'a> GridFold<'a> {
     /// representative of the same grid, for [`GridFold::record`] to derive
     /// from that cell's run; the held cell's siblings travel with it.
     /// Returns the fold and, per grid, the cells left to simulate.
-    fn plan(
+    pub(crate) fn plan(
         grids: &[(EconomicModel, EstimateSet)],
         cfg: &ExperimentConfig,
         ctl: Cow<'a, GridControl>,

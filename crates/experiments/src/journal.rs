@@ -16,7 +16,7 @@ use crate::scenario::{EstimateSet, Scenario};
 use ccs_economy::EconomicModel;
 use ccs_policies::PolicyKind;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -123,9 +123,17 @@ fn lines(text: &str) -> impl Iterator<Item = (&str, Option<CellRecord>)> {
 /// threads.
 #[derive(Debug)]
 pub struct Journal {
+    path: PathBuf,
     /// Previously journaled cells, by provenance key.
     seen: HashMap<String, CellRecord>,
-    writer: Mutex<std::fs::File>,
+    writer: Mutex<Tail>,
+}
+
+/// The journal's open end: the file, and the keys appended through it.
+#[derive(Debug)]
+struct Tail {
+    file: std::fs::File,
+    appended: HashSet<String>,
 }
 
 impl Journal {
@@ -151,12 +159,17 @@ impl Journal {
             }
         }
         Ok(Journal {
+            path: path.to_path_buf(),
             seen,
-            writer: Mutex::new(file),
+            writer: Mutex::new(Tail {
+                file,
+                appended: HashSet::new(),
+            }),
         })
     }
 
-    /// Number of cells loaded from disk at open time.
+    /// Number of cells loaded from disk at open time, and adopted from
+    /// shards since ([`Journal::merge_shards`]).
     pub fn loaded(&self) -> usize {
         self.seen.len()
     }
@@ -173,8 +186,9 @@ impl Journal {
         let mut w = self.writer.lock().unwrap();
         // One write call per line keeps concurrent appends line-atomic on
         // POSIX O_APPEND files.
-        let _ = w.write_all(format!("{line}\n").as_bytes());
-        let _ = w.flush();
+        let _ = w.file.write_all(format!("{line}\n").as_bytes());
+        let _ = w.file.flush();
+        w.appended.insert(rec.key.clone());
     }
 
     /// Compacts the journal at `path` in place: keeps exactly one line per
@@ -217,16 +231,19 @@ impl Journal {
         primary.with_file_name(name)
     }
 
-    /// Folds every `<primary>.shard*` file next to `primary` into the
-    /// primary journal, then deletes the shards. Records whose key the
-    /// primary already holds are skipped (the primary wins — it was
-    /// written by the supervisor as results arrived; shards only add
-    /// cells that completed after the supervisor last heard about them).
+    /// Folds every `<primary>.shard*` file next to this (primary) journal
+    /// into it, then deletes the shards. Records whose key the journal
+    /// already holds — loaded at open or appended since — are skipped
+    /// (the primary wins: the supervisor wrote it as results arrived;
+    /// shards only add cells that completed after the supervisor last
+    /// heard about them). Adopted records are journal hits from then on.
+    /// Only the shards are read: the keys the journal holds are in memory.
     /// Shard files are parsed with the same torn-line tolerance as
     /// [`Journal::open`]: a worker killed mid-append leaves a torn tail,
     /// which is skipped, not fatal. Returns `(shards merged, records
     /// adopted)`.
-    pub(crate) fn merge_shards(primary: &Path) -> std::io::Result<(usize, usize)> {
+    pub(crate) fn merge_shards(&mut self) -> std::io::Result<(usize, usize)> {
+        let primary = self.path.as_path();
         let dir = match primary.parent().filter(|d| !d.as_os_str().is_empty()) {
             Some(d) => d.to_path_buf(),
             None => PathBuf::from("."),
@@ -253,14 +270,14 @@ impl Journal {
             return Ok((0, 0));
         }
         shards.sort();
-        let journal = Journal::open(primary)?;
-        let mut adopted_keys: std::collections::HashSet<String> = std::collections::HashSet::new();
         let mut adopted = 0usize;
         for shard in &shards {
             if let Ok(text) = read_text(shard) {
                 for rec in lines(&text).filter_map(|(_, rec)| rec) {
-                    if journal.get(&rec.key).is_none() && adopted_keys.insert(rec.key.clone()) {
-                        journal.append(&rec);
+                    let held = self.writer.get_mut().unwrap().appended.contains(&rec.key);
+                    if !held && !self.seen.contains_key(&rec.key) {
+                        self.append(&rec);
+                        self.seen.insert(rec.key.clone(), rec);
                         adopted += 1;
                     }
                 }
@@ -443,8 +460,12 @@ mod tests {
                 .unwrap();
             write!(f, "{{\"key\":\"torn").unwrap();
         }
-        let (shards, adopted) = Journal::merge_shards(&path).unwrap();
+        let mut primary = Journal::open(&path).unwrap();
+        let (shards, adopted) = primary.merge_shards().unwrap();
         assert_eq!((shards, adopted), (2, 2));
+        // The adopted records are hits of the merging journal at once, and
+        // of every later open.
+        assert_eq!(primary.get("cccc"), Some(&rec("cccc", 2)));
         let j = Journal::open(&path).unwrap();
         assert_eq!(j.loaded(), 3);
         assert_eq!(j.get("aaaa"), Some(&rec("aaaa", 0)), "primary wins");
@@ -453,7 +474,7 @@ mod tests {
         // Shard files are consumed; a second merge is a no-op.
         assert!(!Journal::shard_path(&path, 1).exists());
         assert!(!Journal::shard_path(&path, 2).exists());
-        assert_eq!(Journal::merge_shards(&path).unwrap(), (0, 0));
+        assert_eq!(primary.merge_shards().unwrap(), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,11 +20,16 @@
 //!   once per link. The cell queue, attempts, retries and the done-set
 //!   are per grid; links and their quarantine verdicts, the event
 //!   channel and worker ids are per run.
-//! - **One cell queue** — a grid's cells wait in one queue in plan
-//!   order, the order the local executor pulls them in. A link holds at
-//!   most one cell at a time, so whichever link is idle takes the next
-//!   cell: uneven cell costs balance themselves, and a dead or
-//!   quarantined link's share goes to the links still live.
+//! - **One cell queue, two cells in flight per link** — a grid's cells
+//!   wait in one queue in plan order, the order the local executor pulls
+//!   them in. Each ready link is topped up to [`CELLS_IN_FLIGHT`] cells
+//!   from it, one cell per link per round, so whichever link has room
+//!   takes the next cell: uneven cell costs balance themselves, and a
+//!   dead or quarantined link's share goes to the links still live. The
+//!   window is two because a worker runs one cell at a time: the second
+//!   waits in the link while the first's answer crosses it and is folded,
+//!   so the worker never idles for a round trip, while a third would only
+//!   hold a cell back from a link that frees up sooner.
 //! - **Heartbeat watchdog** — workers beat at a quarter of
 //!   `heartbeat_ms`; a worker silent for the full interval is declared
 //!   dead ([`WorkerFailure::HeartbeatTimeout`]), severed, and its link
@@ -38,8 +43,8 @@
 //!   heartbeat timeout, torn/garbage frame
 //!   ([`WorkerFailure::Protocol`]), failed dial
 //!   ([`WorkerFailure::ConnectTimeout`]), or dropped link
-//!   ([`WorkerFailure::Disconnected`]). In-flight cells are orphaned
-//!   and retried.
+//!   ([`WorkerFailure::Disconnected`]). Every cell in flight on the
+//!   dead link is orphaned and retried.
 //! - **Retry with deterministic backoff** — orphaned or panicked cells
 //!   re-enter the queue after `backoff_delay_ms`; reopening a link
 //!   reuses the same schedule, keyed by the remote address or the local
@@ -68,7 +73,8 @@
 //! worker count, flake schedule, kill schedule, or reconnect history —
 //! cells are deterministic, so *where* and *when* one runs cannot change
 //! its numbers. Duplicate frames (a flaky link replaying a `CellOk`) are
-//! deduplicated against the assignment and a done-set before counting.
+//! deduplicated against the link's in-flight cells and a done-set before
+//! counting.
 
 use crate::grid::{run_local, CellEnv, ExperimentConfig, GridControl, GridFold, SimulatedCell};
 use crate::ipc::{
@@ -90,6 +96,10 @@ use std::time::{Duration, Instant};
 /// Retried attempts never back off longer than this, whatever the
 /// exponent says.
 pub(crate) const MAX_BACKOFF_MS: u64 = 30_000;
+
+/// Cells a link holds at once: the one its worker runs, and the next,
+/// waiting in the link (module doc: "One cell queue").
+const CELLS_IN_FLIGHT: usize = 2;
 
 /// Configuration of a supervised (multi-process, possibly multi-machine)
 /// grid run.
@@ -345,8 +355,24 @@ struct WorkerHandle {
     alive: bool,
     ready: bool,
     last_seen: Instant,
-    current: Option<CellSpec>,
+    /// The cells sent to this worker and not yet answered, oldest first:
+    /// at most [`CELLS_IN_FLIGHT`].
+    in_flight: Vec<CellSpec>,
     reader: Option<JoinHandle<()>>,
+}
+
+impl WorkerHandle {
+    /// Takes `key` off the in-flight cells, if it is one of them: only an
+    /// answer to a cell this link holds counts.
+    fn answered(&mut self, key: &str) -> bool {
+        match self.in_flight.iter().position(|c| c.key == key) {
+            Some(k) => {
+                self.in_flight.remove(k);
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 /// What a reader thread saw on one worker's link.
@@ -403,8 +429,8 @@ struct Link {
 /// receiving one `Hello` — and every later pass reuses the same sessions:
 /// a `Hello` carries only run-level settings, and each [`CellSpec`] names
 /// its own grid. Dropping the fleet closes it once: `Shutdown` on every
-/// live link, children reaped, reader threads joined, shard journals
-/// merged into the primary.
+/// live link, children reaped, reader threads joined. The run that owns
+/// the fleet then merges the shard journals into its own.
 pub(crate) struct Fleet {
     sup: SupervisorConfig,
     cfg: ExperimentConfig,
@@ -553,7 +579,7 @@ impl Fleet {
             alive: true,
             ready: false,
             last_seen: Instant::now(),
-            current: None,
+            in_flight: Vec::new(),
             reader: Some(reader_thread),
         });
     }
@@ -647,9 +673,9 @@ impl Fleet {
 
     /// Common tail of every worker death: join the reader, count it, and
     /// book the loss against its link. Returns the orphaned in-flight
-    /// cell, if any. Callers have already unblocked the reader — by
-    /// severing, or (pipe EOF) by reaping, which implies EOF.
-    fn mark_dead(&mut self, i: usize, failure: &WorkerFailure) -> Option<CellSpec> {
+    /// cells. Callers have already unblocked the reader — by severing, or
+    /// (pipe EOF) by reaping, which implies EOF.
+    fn mark_dead(&mut self, i: usize, failure: &WorkerFailure) -> Vec<CellSpec> {
         let h = &mut self.handles[i];
         h.alive = false;
         if let Some(t) = self.telemetry {
@@ -666,9 +692,9 @@ impl Fleet {
             h.id,
             h.conn.peer()
         ));
-        let (slot, ready, cell) = (h.slot, h.ready, h.current.take());
+        let (slot, ready, cells) = (h.slot, h.ready, std::mem::take(&mut h.in_flight));
         self.link_failed(slot, !ready, None);
-        cell
+        cells
     }
 
     /// Handles one event from a link reader: a frame refreshes the
@@ -713,14 +739,10 @@ impl Fleet {
                         cost,
                         profile,
                     } => {
-                        // Only the assignment we are waiting for counts: a
+                        // Only a cell in flight on this link counts: a
                         // flaky link can duplicate frames, and a replay of
                         // an earlier grid's cell never matches.
-                        if h.current.as_ref().map(|c| c.key.as_str()) != Some(cell.key.as_str()) {
-                            return;
-                        }
-                        h.current = None;
-                        if !pass.done.insert(cell.key.clone()) {
+                        if !h.answered(&cell.key) || !pass.done.insert(cell.key.clone()) {
                             return;
                         }
                         let idx = (id - 1) as usize;
@@ -745,11 +767,7 @@ impl Fleet {
                         kind,
                         message,
                     } => {
-                        if h.current.as_ref().map(|c| c.key.as_str()) != Some(cell.key.as_str()) {
-                            return;
-                        }
-                        h.current = None;
-                        if !pass.done.contains(&cell.key) {
+                        if h.answered(&cell.key) && !pass.done.contains(&cell.key) {
                             pass.fail_attempt(cell, WorkerFailure::CellFailed { kind, message });
                         }
                     }
@@ -792,8 +810,8 @@ impl Fleet {
                 }
             }
         };
-        if let Some(cell) = self.mark_dead(i, &failure) {
-            pass.fail_attempt(cell, failure);
+        for cell in self.mark_dead(i, &failure) {
+            pass.fail_attempt(cell, failure.clone());
         }
     }
 
@@ -813,17 +831,7 @@ impl Fleet {
         let total_to_run = cells.len();
         // One queue in plan order (module doc: "One cell queue").
         let mut queue = VecDeque::from(cells);
-        let mut pass = GridPass {
-            fold,
-            seed: self.cfg.seed,
-            retries: self.sup.retries,
-            backoff_ms: self.sup.backoff_ms,
-            telemetry: self.telemetry,
-            attempts: HashMap::new(),
-            retry: Vec::new(),
-            done: HashSet::new(),
-            resolved: 0,
-        };
+        let mut pass = GridPass::new(fold, self);
         let mut busy_secs = vec![0.0; self.transports.len()];
         // A pass opens no more local slots than it has cells.
         let n_local = self.sup.workers;
@@ -847,17 +855,20 @@ impl Fleet {
                 }
             }
 
-            // 1. Assign work to idle live workers: the next cell in plan
-            //    order, then a due retry.
+            // 1. Top up live workers to the window, one cell per link per
+            //    round: the next cell in plan order, then a due retry. A
+            //    link whose send failed takes no more cells.
             let now = Instant::now();
-            for h in self
-                .handles
-                .iter_mut()
-                .filter(|h| h.alive && h.ready && h.current.is_none())
-            {
-                let cell = queue.pop_front().or_else(|| pass.take_due_retry(now));
-                if let Some(cell) = cell {
-                    h.current = Some(cell.clone());
+            let mut severed = vec![false; self.handles.len()];
+            'top_up: for depth in 1..=CELLS_IN_FLIGHT {
+                for (i, h) in self.handles.iter_mut().enumerate() {
+                    if !h.alive || !h.ready || severed[i] || h.in_flight.len() >= depth {
+                        continue;
+                    }
+                    let Some(cell) = queue.pop_front().or_else(|| pass.take_due_retry(now)) else {
+                        break 'top_up;
+                    };
+                    h.in_flight.push(cell.clone());
                     let sent = encode_frame(&ToWorker::RunCell { cell })
                         .and_then(|bytes| h.conn.send_bytes(&bytes));
                     match sent {
@@ -872,13 +883,14 @@ impl Fleet {
                             // healthily blocked mid-read (still
                             // heartbeating, so the watchdog would never
                             // fire). Sever so the reader thread's terminal
-                            // event orphans the cell.
+                            // event orphans the link's cells.
                             if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
                                 if let Some(t) = self.telemetry {
                                     t.counter("grid.transport.timeouts").inc();
                                 }
                             }
                             h.conn.sever();
+                            severed[i] = true;
                         }
                     }
                 }
@@ -911,8 +923,8 @@ impl Fleet {
                 let failure = WorkerFailure::HeartbeatTimeout {
                     silent_ms: now.duration_since(h.last_seen).as_millis() as u64,
                 };
-                if let Some(cell) = self.mark_dead(i, &failure) {
-                    pass.fail_attempt(cell, failure);
+                for cell in self.mark_dead(i, &failure) {
+                    pass.fail_attempt(cell, failure.clone());
                 }
             }
 
@@ -955,10 +967,8 @@ impl Drop for Fleet {
     /// worker loop), reap children, and join every reader thread. Alive
     /// TCP links are *not* severed here — severing could cut the socket
     /// before the agent reads Shutdown, leaving it parked in a dead session
-    /// instead of exiting. Then fold the shard journals into the primary:
-    /// on a clean run this only deletes them (their records were journaled
-    /// as CellOk frames arrived), after frame loss it adopts the
-    /// stragglers.
+    /// instead of exiting. The run then folds the shard journals into its
+    /// journal (`grid::OpenRun`'s drop).
     fn drop(&mut self) {
         for h in self.handles.iter_mut().filter(|h| h.alive) {
             let polite = encode_frame(&ToWorker::Shutdown)
@@ -976,9 +986,6 @@ impl Drop for Fleet {
             if let Some(rt) = h.reader.take() {
                 let _ = rt.join();
             }
-        }
-        if let Some(path) = self.ctl.journal.as_deref() {
-            let _ = Journal::merge_shards(path);
         }
     }
 }
@@ -999,7 +1006,22 @@ struct GridPass<'p, 'a> {
     resolved: usize,
 }
 
-impl GridPass<'_, '_> {
+impl<'p, 'a> GridPass<'p, 'a> {
+    /// A fresh pass folding into `fold`, under `fleet`'s retry settings.
+    fn new(fold: &'p GridFold<'a>, fleet: &Fleet) -> Self {
+        GridPass {
+            fold,
+            seed: fleet.cfg.seed,
+            retries: fleet.sup.retries,
+            backoff_ms: fleet.sup.backoff_ms,
+            telemetry: fleet.telemetry,
+            attempts: HashMap::new(),
+            retry: Vec::new(),
+            done: HashSet::new(),
+            resolved: 0,
+        }
+    }
+
     /// A failed cell is final: fold it as an error, unattributed.
     fn resolve_err(&mut self, cell: &CellSpec, kind: CellErrorKind, message: String) {
         self.fold
@@ -1433,6 +1455,91 @@ mod tests {
             HashSet::from([1]),
             "every cell ran on the pipe link"
         );
+    }
+
+    /// A link that carries nothing: frames are "sent" and no peer answers.
+    struct Inert;
+
+    impl Transport for Inert {
+        fn kind(&self) -> TransportKind {
+            TransportKind::Pipe
+        }
+        fn peer(&self) -> String {
+            "inert".to_string()
+        }
+        fn send_bytes(&mut self, _frame: &[u8]) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn take_reader(&mut self) -> Option<Box<dyn std::io::Read + Send>> {
+            None
+        }
+        fn close_writer(&mut self) {}
+        fn sever(&mut self) {}
+        fn reap(&mut self) -> Option<i32> {
+            None
+        }
+    }
+
+    /// A flaky link replays the answer to its second in-flight cell: the
+    /// copy folds nothing, the first cell stays in flight until its own
+    /// answer, and a replay after both resolved is ignored too.
+    #[test]
+    fn a_replayed_answer_to_the_second_in_flight_cell_folds_once() {
+        use crate::grid::{CellCost, GridFold};
+        use crate::scenario::EstimateSet;
+        use ccs_economy::EconomicModel;
+        use std::borrow::Cow;
+
+        let cfg = ExperimentConfig::quick().with_jobs(25);
+        let ctl = GridControl::default();
+        let grids = [(EconomicModel::CommodityMarket, EstimateSet::A)];
+        let (fold, plans) = GridFold::plan(&grids, &cfg, Cow::Borrowed(&ctl), None, false);
+        let (first, second) = (plans[0][0].clone(), plans[0][1].clone());
+        let sup = SupervisorConfig {
+            worker_bin: Some(missing_worker_bin()),
+            ..SupervisorConfig::default()
+        };
+        let mut fleet = Fleet::open(&sup, &ctl, &cfg).unwrap();
+        fleet.next_id(TransportKind::Pipe);
+        fleet.handles.push(WorkerHandle {
+            id: 1,
+            slot: 0,
+            conn: Box::new(Inert),
+            alive: true,
+            ready: true,
+            last_seen: Instant::now(),
+            in_flight: vec![first.clone(), second.clone()],
+            reader: None,
+        });
+        let answer = |cell: &CellSpec| {
+            Event::Frame(
+                1,
+                FromWorker::CellOk {
+                    cell: cell.clone(),
+                    objectives: [1.0, 2.0, 3.0, 4.0],
+                    secs: 0.5,
+                    events: 7,
+                    cost: CellCost::default(),
+                    profile: Default::default(),
+                },
+            )
+        };
+        let mut pass = GridPass::new(&fold, &fleet);
+        let mut busy = Vec::new();
+
+        for _ in 0..2 {
+            fleet.on_event(answer(&second), &mut pass, &mut busy);
+            assert_eq!(pass.resolved, 1, "the replay folded the cell again");
+            assert_eq!(busy, [0.5], "the replay was billed again");
+            assert_eq!(fleet.handles[0].in_flight, std::slice::from_ref(&first));
+        }
+        fleet.on_event(answer(&first), &mut pass, &mut busy);
+        fleet.on_event(answer(&first), &mut pass, &mut busy);
+        fleet.on_event(answer(&second), &mut pass, &mut busy);
+        assert_eq!(pass.resolved, 2);
+        assert_eq!(busy, [1.0]);
+        assert!(fleet.handles[0].in_flight.is_empty());
+        assert_eq!(pass.done, HashSet::from([first.key, second.key]));
     }
 
     #[test]

@@ -15,13 +15,16 @@
 //!   connection only ends the *session*.
 //!
 //! Each session starts with [`ToWorker::Hello`], then the supervisor
-//! streams [`ToWorker::RunCell`] assignments one at a time and the worker
-//! answers each with `CellOk` or a typed `CellErr`. A dedicated thread
-//! emits [`FromWorker::Heartbeat`] beacons at a quarter of the configured
-//! interval, independent of the (possibly long-running) cell on the main
-//! thread — so a slow cell is not silence, only a dead link is. The
-//! heartbeat thread is joined when its session ends, so a reconnecting
-//! agent never accumulates threads.
+//! streams [`ToWorker::RunCell`] assignments, keeping up to two in flight
+//! (`crate::supervisor`'s window): the worker runs them one at a time in
+//! arrival order, and the next waits in the link while the previous
+//! answer crosses it. Each is answered with `CellOk` or a typed
+//! `CellErr`. A dedicated thread emits [`FromWorker::Heartbeat`] beacons
+//! at a quarter of the configured interval, independent of the (possibly
+//! long-running) cell on the main thread — so a slow cell is not silence,
+//! only a dead link is. The heartbeat thread waits on a stop channel
+//! between beats, so the session's end wakes and joins it at once and a
+//! reconnecting agent never accumulates threads.
 //!
 //! Results are belt-and-braces durable: each completed cell is appended to
 //! the worker's *shard journal* (`<primary>.shard<id>`) before the
@@ -46,8 +49,10 @@ use ccs_chaos::{WorkerKillPlan, KILL_WORKER_ENV};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Exit code for a protocol violation (unreadable or out-of-order frame,
 /// or a frame that failed to serialise): distinct from 0 (clean shutdown)
@@ -211,19 +216,20 @@ pub(crate) fn run_session<R: Read>(
     };
 
     let cells_done = Arc::new(AtomicU64::new(0));
-    let hb_stop = Arc::new(AtomicBool::new(false));
     // Heartbeats ride a dedicated thread so a long cell on the main
-    // thread never reads as silence. The thread is stop-flagged and
-    // joined when the session ends, so a reconnecting agent never leaks
-    // one thread per session.
+    // thread never reads as silence. Between beats the thread blocks on
+    // a stop channel, and dropping its sender at session end wakes it at
+    // once: the session (and a fleet waiting on it to close) never waits
+    // out a beat interval, and a reconnecting agent never leaks one
+    // thread per session.
+    let (hb_stop, stopped) = mpsc::channel::<()>();
     let hb_thread = {
         let out = Arc::clone(&out);
         let cells_done = Arc::clone(&cells_done);
-        let stop = Arc::clone(&hb_stop);
-        let interval = std::time::Duration::from_millis((heartbeat_ms / 4).max(10));
+        let interval = Duration::from_millis((heartbeat_ms / 4).max(10));
         std::thread::spawn(move || {
             let _guard = HeartbeatGuard::arm();
-            while !stop.load(Ordering::SeqCst) {
+            loop {
                 let beat = FromWorker::Heartbeat {
                     worker_id,
                     cells_done: cells_done.load(Ordering::Relaxed),
@@ -233,11 +239,8 @@ pub(crate) fn run_session<R: Read>(
                     // write notices too. Nothing left to beat for.
                     break;
                 }
-                // Sleep in short slices so a stop flag set at session end
-                // is honoured promptly even under long intervals.
-                let deadline = std::time::Instant::now() + interval;
-                while !stop.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
-                    std::thread::sleep(std::time::Duration::from_millis(25));
+                if stopped.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
+                    break;
                 }
             }
         })
@@ -252,7 +255,7 @@ pub(crate) fn run_session<R: Read>(
         worker_id,
         &cells_done,
     );
-    hb_stop.store(true, Ordering::SeqCst);
+    drop(hb_stop);
     let _ = hb_thread.join();
     end
 }

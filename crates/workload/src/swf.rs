@@ -151,8 +151,9 @@ pub fn write(records: &[SwfRecord]) -> String {
 
 /// Converts SWF records into [`BaseJob`]s suitable for simulation.
 ///
-/// Filtering matches common methodology: jobs must have a positive runtime
-/// and processor count no larger than `max_procs`. Missing processor counts
+/// Filtering matches common methodology: jobs must have finite submit,
+/// run and requested times, a positive runtime, and a processor count no
+/// larger than `max_procs`. Missing processor counts
 /// fall back from requested to used; missing estimates fall back to the
 /// runtime itself (a perfectly accurate estimate). Submit times are shifted
 /// so the first job arrives at t = 0, and `last_n` (if given) keeps only the
@@ -166,7 +167,12 @@ pub fn to_base_jobs(records: &[SwfRecord], max_procs: u32, last_n: Option<usize>
             } else {
                 r.used_procs
             };
-            if r.runtime <= 0.0 || procs <= 0 || procs > max_procs as i64 {
+            // A NaN or infinite time would pass the comparisons below and
+            // wedge a simulation that schedules by it.
+            let finite = [r.submit, r.runtime, r.req_time]
+                .iter()
+                .all(|t| t.is_finite());
+            if !finite || r.runtime <= 0.0 || procs <= 0 || procs > max_procs as i64 {
                 return None;
             }
             let estimate = if r.req_time > 0.0 {
@@ -266,6 +272,23 @@ mod tests {
         let text = write(&recs);
         let again = parse(&text).unwrap();
         assert_eq!(recs, again);
+    }
+
+    #[test]
+    fn filtering_drops_non_finite_times() {
+        let good = "1 0 0 100 4 -1 -1 4 200 -1 1 1 1 1 1 1 -1 -1\n";
+        let bad = [
+            "2 NaN 0 100 4 -1 -1 4 200 -1 1 1 1 1 1 1 -1 -1\n",
+            "3 10 0 NaN 4 -1 -1 4 200 -1 1 1 1 1 1 1 -1 -1\n",
+            "4 10 0 inf 4 -1 -1 4 200 -1 1 1 1 1 1 1 -1 -1\n",
+            "5 10 0 100 4 -1 -1 4 NaN -1 1 1 1 1 1 1 -1 -1\n",
+            "6 -inf 0 100 4 -1 -1 4 inf -1 1 1 1 1 1 1 -1 -1\n",
+        ];
+        let recs = parse(&(good.to_string() + &bad.concat())).unwrap();
+        assert_eq!(recs.len(), 6, "the parser reads every line");
+        let jobs = to_base_jobs(&recs, 128, None);
+        assert_eq!(jobs.len(), 1, "{jobs:?}");
+        assert_eq!((jobs[0].runtime, jobs[0].trace_estimate), (100.0, 200.0));
     }
 
     #[test]

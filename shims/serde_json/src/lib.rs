@@ -273,8 +273,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
     *pos += 1; // opening quote
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash in one slice, so
+        // decoding stays linear in the string's length. Both bytes are
+        // ASCII, so the run of UTF-8 input ends on a char boundary.
+        let run = *pos;
+        while *pos < b.len() && b[*pos] != b'"' && b[*pos] != b'\\' {
+            *pos += 1;
+        }
+        if *pos > run {
+            out.push_str(
+                std::str::from_utf8(&b[run..*pos])
+                    .map_err(|_| Error::new("invalid utf-8 in string"))?,
+            );
+        }
         match b.get(*pos) {
-            None => return Err(Error::new("unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -297,6 +309,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
                             // Surrogate pair: expect \uXXXX low surrogate.
                             if b.get(*pos + 1) == Some(&b'\\') && b.get(*pos + 2) == Some(&b'u') {
                                 let lo = parse_hex4(b, *pos + 3)?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(Error::new("unpaired surrogate escape"));
+                                }
                                 *pos += 6;
                                 0x10000 + (((hi - 0xD800) as u32) << 10) + (lo - 0xDC00) as u32
                             } else {
@@ -314,14 +329,8 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 encoded char.
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| Error::new("invalid utf-8 in string"))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            // The run stopped at the end of the input.
+            _ => return Err(Error::new("unterminated string")),
         }
     }
 }
@@ -409,5 +418,62 @@ mod tests {
     fn rejects_trailing_garbage() {
         assert!(parse_value_str("1 2").is_err());
         assert!(parse_value_str("{\"a\":}").is_err());
+    }
+
+    #[test]
+    fn rejects_broken_strings() {
+        for bad in [
+            "\"open",
+            "\"tail\\",
+            "\"bad \\q\"",
+            "\"\\u12\"",
+            "\"\\ud800\"",
+            "\"\\ud800\\u0041\"",
+        ] {
+            assert!(parse_value_str(bad).is_err(), "{bad}");
+        }
+        assert_eq!(
+            parse_value_str("\"\\ud83d\\ude00 \\u00e9\"").unwrap(),
+            Value::Str("\u{1F600} \u{e9}".into())
+        );
+    }
+
+    /// Decoding is linear in the string's length: a 256 KiB string of
+    /// multi-byte characters, quotes and backslashes round-trips well
+    /// inside a second (a decoder that re-validates the rest of the input
+    /// per character takes tens of seconds here).
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        let unit = "héllo \"wörld\" \\ 日本 \u{1F600}\n";
+        let text: String = unit.repeat(256 * 1024 / unit.len() + 1);
+        assert!(text.len() >= 256 * 1024);
+        let json = to_string(&text).unwrap();
+        let started = std::time::Instant::now();
+        let back: String = from_str(&json).unwrap();
+        let took = started.elapsed();
+        assert_eq!(back, text);
+        assert!(took.as_secs_f64() < 1.0, "decoding took {took:?}");
+    }
+
+    /// Characters the round-trip property draws from: every escape the
+    /// writer emits, control characters, and one- to four-byte UTF-8.
+    const ALPHABET: &str =
+        "aZ0 \"\\/\n\r\t\u{08}\u{0C}\u{00}\u{1F}\u{7F}éß€日\u{FFFD}\u{1F600}\u{10FFFF}";
+
+    proptest::proptest! {
+        #[test]
+        fn strings_round_trip(
+            picks in proptest::prop::collection::vec(0usize..ALPHABET.chars().count(), 0..64),
+            key_picks in proptest::prop::collection::vec(0usize..ALPHABET.chars().count(), 0..8),
+        ) {
+            let alphabet: Vec<char> = ALPHABET.chars().collect();
+            let s: String = picks.iter().map(|&i| alphabet[i]).collect();
+            let key: String = key_picks.iter().map(|&i| alphabet[i]).collect();
+            let v = Value::Map(vec![(key, Value::Seq(vec![Value::Str(s.clone())]))]);
+            proptest::prop_assert_eq!(&parse_value_str(&to_string(&v).unwrap()).unwrap(), &v);
+            proptest::prop_assert_eq!(&parse_value_str(&to_string_pretty(&v).unwrap()).unwrap(), &v);
+            let back: String = from_str(&to_string(&s).unwrap()).unwrap();
+            proptest::prop_assert_eq!(back, s);
+        }
     }
 }

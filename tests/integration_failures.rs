@@ -211,9 +211,9 @@ fn failing_figure_cell_reports_errors_and_both_grids() {
 /// grid.
 /// So are an out-of-range `tables --table N`, an unknown `figure` id, a
 /// flag the subcommand does not take, and a malformed drill variable
-/// (`CCS_KILL_WORKER`, `CCS_FLAKY_TRANSPORT`), which would otherwise run
-/// no drill; the valid forms of the first two print and write what they
-/// should.
+/// (`CCS_KILL_WORKER`, `CCS_FLAKY_TRANSPORT`, `CCS_FAIL_CELL`,
+/// `CCS_STALL_CELL`), which would otherwise run no drill; the valid forms
+/// of the first two print and write what they should.
 #[test]
 fn unopenable_resume_journal_exits_2_naming_the_flag() {
     let dir = temp_dir("bad_journal");
@@ -275,6 +275,53 @@ fn unopenable_resume_journal_exits_2_naming_the_flag() {
         (
             &["CCS_FLAKY_TRANSPORT=7", "figure", "fig3", "--out", bundle][..],
             "CCS_FLAKY_TRANSPORT",
+        ),
+        // A drill cell label that names no cell of any grid would run no
+        // drill: a wrong separator, junk, an index out of range, or a
+        // policy name that matches none exactly.
+        (
+            &[
+                "CCS_FAIL_CELL=0-1-SJF-BF",
+                "summary",
+                "--quick",
+                "--out",
+                bundle,
+            ][..],
+            "CCS_FAIL_CELL",
+        ),
+        (
+            &["CCS_STALL_CELL=junk", "summary", "--quick", "--out", bundle][..],
+            "CCS_STALL_CELL",
+        ),
+        (
+            &[
+                "CCS_FAIL_CELL=13:0:Libra",
+                "figure",
+                "fig3",
+                "--out",
+                bundle,
+            ][..],
+            "CCS_FAIL_CELL",
+        ),
+        (
+            &[
+                "CCS_STALL_CELL=0:6:Libra",
+                "all",
+                "--quick",
+                "--out",
+                bundle,
+            ][..],
+            "CCS_STALL_CELL",
+        ),
+        (
+            &[
+                "CCS_FAIL_CELL=0:1:sjf-bf",
+                "dominance",
+                "--quick",
+                "--out",
+                bundle,
+            ][..],
+            "CCS_FAIL_CELL",
         ),
         (
             &[

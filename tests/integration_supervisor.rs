@@ -178,6 +178,52 @@ fn killed_worker_recovers_to_identical_results() {
     );
 }
 
+/// Kill drill at the first assignment: the one worker aborts upon reading
+/// its first cell, while the supervisor holds two cells in flight on its
+/// link (the window). Both are orphaned and retried — two retries, one
+/// death — on the respawned worker, and the run stays byte-identical to
+/// the in-process run.
+#[test]
+fn worker_killed_holding_two_cells_retries_both() {
+    let dir = temp_dir("kill_window");
+    let (out_inproc, out_kill) = (dir.join("inproc"), dir.join("kill"));
+    let telemetry = dir.join("telemetry.json");
+
+    let inproc = summary_cmd(&out_inproc).output().expect("spawn in-process");
+    assert!(
+        inproc.status.success(),
+        "{}",
+        String::from_utf8_lossy(&inproc.stderr)
+    );
+    let killed = supervised_cmd(&out_kill, "1")
+        .args(["--backoff-ms", "5", "--telemetry"])
+        .arg(&telemetry)
+        .env("CCS_KILL_WORKER", "1:0")
+        .output()
+        .expect("spawn kill drill");
+    assert_eq!(
+        killed.status.code(),
+        Some(0),
+        "supervisor must absorb the abort: {}",
+        String::from_utf8_lossy(&killed.stderr)
+    );
+    let report: ccs_experiments::TelemetryReport =
+        serde_json::from_str(&std::fs::read_to_string(&telemetry).unwrap()).unwrap();
+    let counter = |name: &str| report.snapshot.counters.get(name).copied();
+    assert_eq!(counter("grid.worker.deaths"), Some(1));
+    assert_eq!(
+        counter("grid.worker.retries"),
+        Some(2),
+        "both in-flight cells of the dead link are retried"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&inproc.stdout),
+        String::from_utf8_lossy(&killed.stdout),
+        "kill-drill stdout must be byte-identical to the in-process run"
+    );
+    assert_eq!(store_projection(&out_inproc), store_projection(&out_kill));
+}
+
 /// Supervisor restart: a run truncated by `--cell-budget` leaves a journal
 /// (shard journals merged into the primary); resuming with a *different*
 /// worker count completes the grid to stdout byte-identical to an
